@@ -29,11 +29,11 @@ from .extremal import (
     BadWeight,
     a_w_exponent,
     alpha_w0,
+    describe_label,
     form_by_label,
     known_labels,
     x_w1_components,
 )
-from .forms import composite_forms
 from .qseries import FourierSeries
 
 
@@ -80,7 +80,7 @@ def _eval_config(bits: int | None) -> numeric.EvalConfig:
 def _checked_label(label: str) -> str:
     """Reject unknown form labels before any real computation starts."""
     try:
-        form_by_label(label, 1)
+        describe_label(label)
     except (KeyError, BadWeight) as exc:
         known = ", ".join(known_labels())
         raise UsageError(f"{exc.args[0] if exc.args else exc}; known labels: {known}")
@@ -91,44 +91,14 @@ def _checked_label(label: str) -> str:
 # rendering
 # ---------------------------------------------------------------------------
 
-_MINUS = "−"
-
 
 def expansion_text(series: FourierSeries) -> str:
-    """Plain-text expansion: terms ``c q^r`` joined by " + " / " − ".
+    """``str(series)`` with U+2212 for minus.
 
-    Unit coefficients are left implicit ("q", not "1q"); integer exponents
-    render bare ("q^2") and fractional exponents in braces ("q^{3/2}");
-    non-integer coefficients are parenthesized ("(864/25)q^5").
+    ``FourierSeries.__str__`` prints coefficient magnitudes and exponents are
+    never negative, so every "-" it writes is a sign.
     """
-    terms = [
-        (Fraction(k, series.grain), c)
-        for k, c in enumerate(series.coeffs)
-        if c != 0
-    ]
-    if not terms:
-        return "0"
-    parts = []
-    for idx, (exponent, coeff) in enumerate(terms):
-        magnitude = abs(coeff)
-        if exponent == 0:
-            body = str(magnitude)
-        else:
-            if exponent.denominator == 1:
-                power = "q" if exponent == 1 else f"q^{exponent}"
-            else:
-                power = f"q^{{{exponent}}}"
-            if magnitude == 1:
-                body = power
-            elif magnitude.denominator == 1:
-                body = f"{magnitude}{power}"
-            else:
-                body = f"({magnitude}){power}"
-        if idx == 0:
-            parts.append(body if coeff > 0 else _MINUS + body)
-        else:
-            parts.append((" + " if coeff > 0 else f" {_MINUS} ") + body)
-    return "".join(parts)
+    return str(series).replace("-", "−")
 
 
 def _canonical_json(payload) -> str:
@@ -370,7 +340,7 @@ def _criterion_identity_suite() -> dict:
     failures = [r.ident for r in results if not r.passed]
 
     control_order = 30
-    target = composite_forms(control_order)["L"]
+    target = form_by_label("L", control_order)
     perturbed = [78278401, 550800, 90823680, 116640, 678813696000, 331776000]
     bad = identities.lcomb_combination(control_order, coeffs=perturbed)
     diff = target.first_difference(bad, 28)
@@ -434,7 +404,7 @@ def _criterion_goldens() -> dict:
     y42 = form_by_label("Y4_2", 5)
     y42_ok = [y42.coefficient(n) for n in range(1, 6)] == [1, 2, 12, 4, 30]
     y162_ok = form_by_label("Y16_2", 5).coefficient(5) == Fraction(864, 25)
-    xd = composite_forms(7)["X42Delta"]
+    xd = form_by_label("X42Delta", 7)
     xd_ok = [xd.coefficient(n) for n in range(2, 8)] == [1, -18, 120, -220, -1620, 11676]
     return {
         "id": "C3",

@@ -18,9 +18,11 @@ E2^j E4^a E6^b (j <= 2); weight 16 is produced by the solver.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable
 
 from . import forms
 from .forms import DEFAULT_ORDER, delta_series, eisenstein, serre_derivative
@@ -176,6 +178,11 @@ def _antiderivative(f: FourierSeries) -> FourierSeries:
 _X_W2_WEIGHTS = (4, 8, 10, 12, 14, 16)
 
 
+def _require_depth2_weight(w: int):
+    if w not in _X_W2_WEIGHTS:
+        raise BadWeight(f"depth-2 family implemented for weights {_X_W2_WEIGHTS}")
+
+
 @lru_cache(maxsize=None)
 def x_w2(w: int, order: int = DEFAULT_ORDER) -> FourierSeries:
     """Depth-2 maximal-vanishing forms at weights 4, 8, 10, 12, 14, 16.
@@ -184,8 +191,7 @@ def x_w2(w: int, order: int = DEFAULT_ORDER) -> FourierSeries:
     series, weight 14 from exact antidifferentiation of its derivative
     identity, weight 16 from the exact linear-algebra solver.
     """
-    if w not in _X_W2_WEIGHTS:
-        raise BadWeight(f"depth-2 family implemented for weights {_X_W2_WEIGHTS}")
+    _require_depth2_weight(w)
     if w == 4:
         return eisenstein(2, order).derivative().scale(F(-1, 24))
     if w == 8:
@@ -332,19 +338,14 @@ def level2_families(w: int, order: int = DEFAULT_ORDER, n: int = 2) -> dict:
 
 @dataclass(frozen=True)
 class FormDescriptor:
+    """A label's metadata, and ``build(order)`` for its expansion."""
+
     label: str
     weight: int
     depth: int
     group: str
     summary: str
-
-
-def _p1(order):
-    return xtilde_form(4, order)
-
-
-def _p3(order):
-    return weak_family(6, 2, order)
+    build: Callable[[int], FourierSeries] = field(compare=False, repr=False)
 
 
 def _p4(order):
@@ -352,109 +353,103 @@ def _p4(order):
     return x - x.dilate(2).scale(2**11)
 
 
-def _x42delta(order):
-    return x_w2(4, order) * delta_series(order)
-
-
-_FIXED_BUILDERS = {
-    "E2": lambda order: eisenstein(2, order),
-    "E4": lambda order: eisenstein(4, order),
-    "E6": lambda order: eisenstein(6, order),
-    "E8": lambda order: eisenstein(8, order),
-    "E10": lambda order: eisenstein(10, order),
-    "Delta": delta_series,
-    "P1": _p1,
-    "P3": _p3,
-    "P4": _p4,
-    "X42Delta": _x42delta,
+# Every builder looks its function up by name when called, so a wrapper bound
+# to that module name afterwards (a tracer, a test double) sees the call.
+_FIXED_BUILDERS: dict[str, FormDescriptor] = {
+    d.label: d
+    for d in (
+        FormDescriptor("E2", 2, 1, "SL(2,Z)", "weight-2 Eisenstein series (quasimodular)",
+                       lambda order: eisenstein(2, order)),
+        FormDescriptor("E4", 4, 0, "SL(2,Z)", "weight-4 Eisenstein series",
+                       lambda order: eisenstein(4, order)),
+        FormDescriptor("E6", 6, 0, "SL(2,Z)", "weight-6 Eisenstein series",
+                       lambda order: eisenstein(6, order)),
+        FormDescriptor("E8", 8, 0, "SL(2,Z)", "weight-8 Eisenstein series",
+                       lambda order: eisenstein(8, order)),
+        FormDescriptor("E10", 10, 0, "SL(2,Z)", "weight-10 Eisenstein series",
+                       lambda order: eisenstein(10, order)),
+        FormDescriptor("Delta", 12, 0, "SL(2,Z)", "the discriminant cusp form",
+                       lambda order: delta_series(order)),
+        FormDescriptor("H2", 2, 0, "Gamma0(4)", "odd-index four-squares theta block",
+                       lambda order: forms.theta_forms(order)["H2"]),
+        FormDescriptor("H4", 2, 0, "Gamma0(4)", "sign-alternating four-squares theta block",
+                       lambda order: forms.theta_forms(order)["H4"]),
+        FormDescriptor("A", 4, 0, "Gamma0(4)", "square of the odd theta block",
+                       lambda order: forms.theta_forms(order)["A"]),
+        FormDescriptor("B", 2, 0, "Gamma0(4)", "even-index four-squares combination",
+                       lambda order: forms.theta_forms(order)["B"]),
+        FormDescriptor("F", 14, 2, "SL(2,Z)", "weight-14 depth-2 combination vanishing to order 3",
+                       lambda order: forms.form_f(order)),
+        FormDescriptor("G", 14, 0, "Gamma0(4)", "theta-side weight-14 product",
+                       lambda order: forms.form_g(order)),
+        FormDescriptor("K10", 10, 0, "Gamma0(4)", "theta-side weight-10 coefficient form",
+                       lambda order: forms.form_k(10, order)),
+        FormDescriptor("K12", 12, 0, "Gamma0(4)", "theta-side weight-12 coefficient form",
+                       lambda order: forms.form_k(12, order)),
+        FormDescriptor("K14", 14, 0, "Gamma0(4)", "theta-side weight-14 coefficient form",
+                       lambda order: forms.form_k(14, order)),
+        FormDescriptor("L", 14, 2, "Gamma0(4)", "K10 E2^2 + K12 E2 + K14",
+                       lambda order: forms.form_l(order)),
+        FormDescriptor("L10", 30, 3, "Gamma0(4)", "cross combination F'G - FG'",
+                       lambda order: forms.form_l10(order)),
+        FormDescriptor("script_L10", 30, 3, "Gamma0(4)", "cross combination F'G - FG'",
+                       lambda order: forms.form_l10(order)),
+        FormDescriptor("P1", 4, 2, "Gamma0(2)", "depth-2 weight-4 difference, alternating signs",
+                       lambda order: xtilde_form(4, order)),
+        FormDescriptor("P2", 2, 1, "Gamma0(4)", "three-level E2 combination",
+                       lambda order: forms.form_p2(order)),
+        FormDescriptor("P3", 6, 1, "Gamma0(2)", "depth-1 weight-6 difference, alternating signs",
+                       lambda order: weak_family(6, 2, order)),
+        FormDescriptor("P4", 12, 1, "Gamma0(2)", "depth-1 weight-12 difference",
+                       lambda order: _p4(order)),
+        FormDescriptor("X42Delta", 16, 2, "SL(2,Z)", "weight-4 depth-2 form times the discriminant",
+                       lambda order: x_w2(4, order) * delta_series(order)),
+    )
 }
 
-_THETA_LABELS = ("H2", "H4", "A", "B")
-_COMPOSITE_LABELS = ("F", "G", "K10", "K12", "K14", "L", "L10", "script_L10", "P2")
+# The families X{w}_1, X{w}_2, Y{w}_2 and Xtilde{w}_2, matched whole.
+_FAMILY_LABEL = re.compile(r"(Xtilde|X|Y)([1-9][0-9]*)_([12])")
 
-
-def form_by_label(label: str, order: int = DEFAULT_ORDER) -> FourierSeries:
-    """Build the form named by a CLI-style label.
-
-    Patterns: E2..E10, Delta, X{w}_1, X{w}_2, Y{w}_2, Xtilde{w}_2, theta
-    blocks H2/H4/A/B, composites F/G/K10/K12/K14/L/L10, P1..P4, X42Delta.
-    Raises KeyError for unknown labels, BadWeight for bad weights.
-    """
-    if label in _FIXED_BUILDERS:
-        return _FIXED_BUILDERS[label](order)
-    if label in _THETA_LABELS:
-        return forms.theta_forms(order)[label]
-    if label in _COMPOSITE_LABELS:
-        return forms.composite_forms(order)[label]
-    body = None
-    for prefix, builder in (
-        ("Xtilde", lambda w, o: xtilde_form(w, o)),
-        ("X", None),
-        ("Y", lambda w, o: y_form(w, o)),
-    ):
-        if label.startswith(prefix):
-            body = label[len(prefix) :]
-            if prefix == "X":
-                if body.endswith("_1"):
-                    return x_w1(int(body[:-2]), order)
-                if body.endswith("_2"):
-                    return x_w2(int(body[:-2]), order)
-                break
-            if body.endswith("_2"):
-                return builder(int(body[:-2]), order)
-            break
-    raise KeyError(f"unknown form label: {label!r}")
-
-
-def known_labels(max_depth1_weight: int = 48) -> list[str]:
-    out = list(_FIXED_BUILDERS) + list(_THETA_LABELS) + list(_COMPOSITE_LABELS)
-    out += [f"X{w}_1" for w in range(6, max_depth1_weight + 1, 2)]
-    out += [f"X{w}_2" for w in _X_W2_WEIGHTS]
-    out += [f"Y{w}_2" for w in _X_W2_WEIGHTS]
-    out += [f"Xtilde{w}_2" for w in _X_W2_WEIGHTS]
-    return sorted(out)
+# (prefix, depth) -> (group, summary, builder of (weight, order))
+_FAMILIES = {
+    ("X", 1): ("SL(2,Z)", "depth-1 maximal-vanishing form", lambda w, order: x_w1(w, order)),
+    ("X", 2): ("SL(2,Z)", "depth-2 maximal-vanishing form", lambda w, order: x_w2(w, order)),
+    ("Y", 2): ("Gamma0(2)", "difference with factor 2^(w-2)", lambda w, order: y_form(w, order)),
+    ("Xtilde", 2): ("Gamma0(2)", "difference with factor 2^(w-1)",
+                    lambda w, order: xtilde_form(w, order)),
+}
 
 
 def describe_label(label: str) -> FormDescriptor:
-    """Metadata for a label (weight / depth / group tag, human summary)."""
-    fixed = {
-        "E2": (2, 1, "SL(2,Z)", "weight-2 Eisenstein series (quasimodular)"),
-        "E4": (4, 0, "SL(2,Z)", "weight-4 Eisenstein series"),
-        "E6": (6, 0, "SL(2,Z)", "weight-6 Eisenstein series"),
-        "E8": (8, 0, "SL(2,Z)", "weight-8 Eisenstein series"),
-        "E10": (10, 0, "SL(2,Z)", "weight-10 Eisenstein series"),
-        "Delta": (12, 0, "SL(2,Z)", "the discriminant cusp form"),
-        "H2": (2, 0, "Gamma0(4)", "odd-index four-squares theta block"),
-        "H4": (2, 0, "Gamma0(4)", "sign-alternating four-squares theta block"),
-        "A": (4, 0, "Gamma0(4)", "square of the odd theta block"),
-        "B": (2, 0, "Gamma0(4)", "even-index four-squares combination"),
-        "F": (14, 2, "SL(2,Z)", "weight-14 depth-2 combination vanishing to order 3"),
-        "G": (14, 0, "Gamma0(4)", "theta-side weight-14 product"),
-        "K10": (10, 0, "Gamma0(4)", "theta-side weight-10 coefficient form"),
-        "K12": (12, 0, "Gamma0(4)", "theta-side weight-12 coefficient form"),
-        "K14": (14, 0, "Gamma0(4)", "theta-side weight-14 coefficient form"),
-        "L": (14, 2, "Gamma0(4)", "K10 E2^2 + K12 E2 + K14"),
-        "L10": (30, 3, "Gamma0(4)", "cross combination F'G - FG'"),
-        "script_L10": (30, 3, "Gamma0(4)", "cross combination F'G - FG'"),
-        "P1": (4, 2, "Gamma0(2)", "depth-2 weight-4 difference, alternating signs"),
-        "P2": (2, 1, "Gamma0(4)", "three-level E2 combination"),
-        "P3": (6, 1, "Gamma0(2)", "depth-1 weight-6 difference, alternating signs"),
-        "P4": (12, 1, "Gamma0(2)", "depth-1 weight-12 difference"),
-        "X42Delta": (16, 2, "SL(2,Z)", "weight-4 depth-2 form times the discriminant"),
-    }
-    if label in fixed:
-        w, d, g, s = fixed[label]
-        return FormDescriptor(label, w, d, g, s)
-    if label.startswith("Xtilde") and label.endswith("_2"):
-        w = int(label[6:-2])
-        return FormDescriptor(label, w, 2, "Gamma0(2)", "difference with factor 2^(w-1)")
-    if label.startswith("X") and label.endswith("_1"):
-        w = int(label[1:-2])
-        return FormDescriptor(label, w, 1, "SL(2,Z)", "depth-1 maximal-vanishing form")
-    if label.startswith("X") and label.endswith("_2"):
-        w = int(label[1:-2])
-        return FormDescriptor(label, w, 2, "SL(2,Z)", "depth-2 maximal-vanishing form")
-    if label.startswith("Y") and label.endswith("_2"):
-        w = int(label[1:-2])
-        return FormDescriptor(label, w, 2, "Gamma0(2)", "difference with factor 2^(w-2)")
-    raise KeyError(f"unknown form label: {label!r}")
+    """Metadata and builder for a label.
+
+    Named labels: E2..E10, Delta, theta blocks H2/H4/A/B, composites
+    F/G/K10/K12/K14/L/L10/script_L10, P1..P4, X42Delta.  Families: X{w}_1
+    (even w >= 6), and X{w}_2, Y{w}_2, Xtilde{w}_2 for the depth-2 weights.
+    Raises KeyError for unknown labels, BadWeight for bad weights.
+    """
+    if label in _FIXED_BUILDERS:
+        return _FIXED_BUILDERS[label]
+    match = _FAMILY_LABEL.fullmatch(label)
+    key = (match.group(1), int(match.group(3))) if match else None
+    if key not in _FAMILIES:
+        raise KeyError(f"unknown form label: {label!r}")
+    w, depth = int(match.group(2)), key[1]
+    if depth == 1:
+        _require_even(w, 6)
+    else:
+        _require_depth2_weight(w)
+    group, summary, build = _FAMILIES[key]
+    return FormDescriptor(label, w, depth, group, summary, lambda order: build(w, order))
+
+
+def form_by_label(label: str, order: int = DEFAULT_ORDER) -> FourierSeries:
+    """Build the form named by a label (see :func:`describe_label`)."""
+    return describe_label(label).build(order)
+
+
+def known_labels(max_depth1_weight: int = 48) -> list[str]:
+    out = list(_FIXED_BUILDERS)
+    out += [f"X{w}_1" for w in range(6, max_depth1_weight + 1, 2)]
+    out += [f"{prefix}{w}_2" for prefix in ("X", "Y", "Xtilde") for w in _X_W2_WEIGHTS]
+    return sorted(out)

@@ -3,7 +3,12 @@
 Everything here is an exact truncated expansion (:class:`FourierSeries`).
 Weight-k Eisenstein series are normalized to constant term 1; the
 discriminant comes from the sparse cube of the eta-product, raised to the
-eighth power by integer convolution, which keeps tables to order 10^5 cheap.
+eighth power by integer convolution.  That keeps tables to order 10^4 at
+about a second; order 10^5 takes tens of seconds, because the packed
+integer products are multiplied by Karatsuba.
+
+The composites F, G, K10/K12/K14, L, L10 and P2 have one cached builder
+each, so asking for one builds only what it depends on.
 """
 
 from __future__ import annotations
@@ -274,120 +279,87 @@ def e2_half_arguments(order: int = DEFAULT_ORDER) -> tuple[FourierSeries, Fourie
 
 
 # ---------------------------------------------------------------------------
-# composite forms built from E2/E4/E6 and the theta blocks
+# composite forms built from E2/E4/E6 and the theta blocks, one builder each
 # ---------------------------------------------------------------------------
 
 
-def composite_forms(order: int = DEFAULT_ORDER) -> dict[str, FourierSeries]:
-    """Named composite forms used by the identity registry and the CLI.
-
-    F    weight-14 depth-2 combination of E2, E4, E6 vanishing to order 3
-    G    weight-14 theta-side product vanishing to order 5/2
-    K10, K12, K14   weight 10/12/14 theta-side coefficient forms
-    L    K10 E2^2 + K12 E2 + K14 (weight 14, constant term 0)
-    L10  F'G - FG'   (weight 30 combination; equals the Serre-bracket cross;
-         also listed under the alias key script_L10)
-    P1   X(4,2)-type difference  sum n(sigma1(n) - 4 sigma1(n/2)) q^n
-    P2   (-E2(z) + 5 E2(2z) - 4 E2(4z)) / 24
-    P3   depth-1 difference      sum n(sigma3(n) - 16 sigma3(n/2)) q^n
-    P4   weight-12 depth-1 difference with dilation factor 2^11
-    X42Delta   product of the weight-4 depth-2 form with the discriminant
-
-    The P1/P3/P4/X42Delta entries are built here from Eisenstein closed
-    forms; the label resolver builds the same series through the
-    maximal-vanishing recurrences, giving an independent cross-check.
-    """
-    return dict(_composite_forms_cached(order))
-
-
 @functools.lru_cache(maxsize=8)
-def _composite_forms_cached(order: int) -> dict[str, FourierSeries]:
+def form_f(order: int = DEFAULT_ORDER) -> FourierSeries:
+    """F: the weight-14 depth-2 combination of E2, E4, E6 vanishing to order 3."""
     e2 = eisenstein(2, order)
     e4 = eisenstein(4, order)
     e6 = eisenstein(6, order)
     e2sq = e2 * e2
     e4sq = e4 * e4
-    e4cb = e4sq * e4
     e6sq = e6 * e6
-    F = (
-        (e2sq * e4cb).scale(49)
+    return (
+        (e2sq * e4sq * e4).scale(49)
         - (e2sq * e6sq).scale(25)
         - (e2 * e4sq * e6).scale(48)
         - (e4sq * e4sq).scale(25)
         + (e4 * e6sq).scale(49)
     )
 
-    th = theta_forms(order)
-    H2, H4 = th["H2"], th["H4"]
-    p2 = [H2]
-    for _ in range(6):
-        p2.append(p2[-1] * H2)  # H2^2 .. H2^7
-    p4 = [H4]
-    for _ in range(5):
-        p4.append(p4[-1] * H4)
 
-    def mono(i: int, j: int) -> FourierSeries:
-        # H2^i H4^j (i or j may be 0)
-        if i == 0:
-            return p4[j - 1]
-        if j == 0:
-            return p2[i - 1]
-        return p2[i - 1] * p4[j - 1]
+@functools.lru_cache(maxsize=96)
+def _theta_power(block: str, n: int, order: int) -> FourierSeries:
+    """H2^n or H4^n (``block`` is "H2" or "H4"), from the next lower power."""
+    base = theta_forms(order)[block]
+    return base if n == 1 else _theta_power(block, n - 1, order) * base
 
-    G = p2[4] * (p2[1].scale(2) + (H2 * H4).scale(7) + p4[1].scale(7))
 
-    K10 = (
-        mono(4, 0).scale(23)
-        + mono(3, 1).scale(46)
-        + mono(2, 2).scale(54)
-        + mono(1, 3).scale(16)
-        + mono(0, 4).scale(8)
-    ).scale(-2) * (H2 + H4.scale(2))
-    K12 = (
-        mono(4, 0).scale(10)
-        + mono(3, 1).scale(35)
-        + mono(2, 2).scale(3)
-        - mono(1, 3).scale(64)
-        - mono(0, 4).scale(32)
-    ).scale(-2) * (mono(2, 0) + mono(1, 1) + mono(0, 2))
-    K14 = (
-        mono(6, 0).scale(26)
-        + mono(5, 1).scale(78)
-        + mono(4, 2).scale(177)
-        + mono(3, 3).scale(182)
-        + mono(2, 4).scale(51)
-        - mono(1, 5).scale(48)
-        - mono(0, 6).scale(16)
-    ) * (H2 + H4.scale(2))
+def _theta_poly(coeffs: tuple[int, ...], order: int) -> FourierSeries:
+    """sum_j coeffs[j] H2^(d-j) H4^j, homogeneous of degree d = len(coeffs) - 1."""
+    d = len(coeffs) - 1
+    total = None
+    for j, c in enumerate(coeffs):
+        i = d - j
+        if i and j:
+            mono = _theta_power("H2", i, order) * _theta_power("H4", j, order)
+        else:
+            mono = _theta_power("H2", i, order) if i else _theta_power("H4", j, order)
+        term = mono.scale(c)
+        total = term if total is None else total + term
+    return total
 
-    L = K10 * e2sq + K12 * e2 + K14
-    L10 = F.derivative() * G - F * G.derivative()
 
-    P2 = (
-        -e2 + e2.dilate(2).scale(5) - e2.dilate(4).scale(4)
-    ).scale(Fraction(1, 24))
+@functools.lru_cache(maxsize=8)
+def form_g(order: int = DEFAULT_ORDER) -> FourierSeries:
+    """G = H2^5 (2 H2^2 + 7 H2 H4 + 7 H4^2): weight 14, vanishing to order 5/2."""
+    return _theta_power("H2", 5, order) * _theta_poly((2, 7, 7), order)
 
-    x42 = e2.derivative().scale(Fraction(-1, 24))
-    x61 = e4.derivative().scale(Fraction(1, 240))
-    x121 = (
-        e4cb.scale(5) + e6sq.scale(7) - (e2 * e4 * e6).scale(12)
-    ).scale(Fraction(1, 3991680))
-    P1 = x42 - x42.dilate(2).scale(8)
-    P3 = x61 - x61.dilate(2).scale(32)
-    P4 = x121 - x121.dilate(2).scale(2**11)
 
-    return {
-        "F": F,
-        "G": G,
-        "K10": K10,
-        "K12": K12,
-        "K14": K14,
-        "L": L,
-        "L10": L10,
-        "script_L10": L10,
-        "P1": P1,
-        "P2": P2,
-        "P3": P3,
-        "P4": P4,
-        "X42Delta": x42 * delta_series(order),
-    }
+# weight -> (homogeneous polynomial in H2, H4; its scale; cofactor polynomial)
+_K_FORMS = {
+    10: ((23, 46, 54, 16, 8), -2, (1, 2)),
+    12: ((10, 35, 3, -64, -32), -2, (1, 1, 1)),
+    14: ((26, 78, 177, 182, 51, -48, -16), 1, (1, 2)),
+}
+
+
+@functools.lru_cache(maxsize=8)
+def form_k(weight: int, order: int = DEFAULT_ORDER) -> FourierSeries:
+    """The theta-side coefficient forms K10, K12, K14 of L."""
+    poly, scale, cofactor = _K_FORMS[weight]
+    return _theta_poly(poly, order).scale(scale) * _theta_poly(cofactor, order)
+
+
+@functools.lru_cache(maxsize=8)
+def form_l(order: int = DEFAULT_ORDER) -> FourierSeries:
+    """L = K10 E2^2 + K12 E2 + K14 (weight 14, constant term 0)."""
+    e2 = eisenstein(2, order)
+    return form_k(10, order) * (e2 * e2) + form_k(12, order) * e2 + form_k(14, order)
+
+
+@functools.lru_cache(maxsize=8)
+def form_l10(order: int = DEFAULT_ORDER) -> FourierSeries:
+    """L10 = F'G - FG' (weight 30; equals the Serre-bracket cross combination)."""
+    f, g = form_f(order), form_g(order)
+    return f.derivative() * g - f * g.derivative()
+
+
+@functools.lru_cache(maxsize=8)
+def form_p2(order: int = DEFAULT_ORDER) -> FourierSeries:
+    """P2 = (-E2(z) + 5 E2(2z) - 4 E2(4z)) / 24."""
+    e2 = eisenstein(2, order)
+    return (-e2 + e2.dilate(2).scale(5) - e2.dilate(4).scale(4)).scale(Fraction(1, 24))

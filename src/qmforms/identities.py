@@ -17,10 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .extremal import x_w1, x_w1_components, x_w2, xtilde_form, y_form
+from .extremal import form_by_label, x_w1, x_w1_components, x_w2, xtilde_form, y_form
 from .forms import (
     DEFAULT_ORDER,
-    composite_forms,
     delta_series,
     e2_half_arguments,
     eisenstein,
@@ -294,7 +293,7 @@ def _br_61(order: int) -> list[Pair]:
 def _br_121(order: int) -> list[Pair]:
     x = x_w1(12, order)
     d, dd = x.derivative(), x.derivative().derivative()
-    f = composite_forms(order)["F"]
+    f = form_by_label("F", order)
     return [
         (12 * (d * d) - 11 * (dd * x), Fraction(1, 914457600) * (delta_series(order) * f))
     ]
@@ -345,22 +344,21 @@ def _e1_b(order: int) -> list[Pair]:
 
 def _lfact(order: int) -> list[Pair]:
     th = theta_forms(order)
-    comp = composite_forms(order)
     h2, h4 = th["H2"], th["H4"]
     factor = (h2**5) * (h4 * h4) * ((h2 + h4) * (h2 + h4))
-    return [(comp["L10"], Fraction(105, 8) * (factor * comp["L"]))]
+    l10, l = form_by_label("L10", order), form_by_label("L", order)
+    return [(l10, Fraction(105, 8) * (factor * l))]
 
 
 def _lcomb(variant: str) -> Callable[[int], list[Pair]]:
     def build(order: int) -> list[Pair]:
-        return [(composite_forms(order)["L"], lcomb_combination(order, variant=variant))]
+        return [(form_by_label("L", order), lcomb_combination(order, variant=variant))]
 
     return build
 
 
 def _serre_cross(order: int) -> list[Pair]:
-    comp = composite_forms(order)
-    f, g = comp["F"], comp["G"]
+    f, g = form_by_label("F", order), form_by_label("G", order)
     lhs = f.derivative() * g - f * g.derivative()
     rhs = serre_derivative(f, 14) * g - f * serre_derivative(g, 14)
     return [(lhs, rhs)]
@@ -369,7 +367,7 @@ def _serre_cross(order: int) -> list[Pair]:
 def _mrb(order: int) -> list[Pair]:
     x61, x121 = x_w1(6, order), x_w1(12, order)
     delta = delta_series(order)
-    f = composite_forms(order)["F"]
+    f = form_by_label("F", order)
     return [
         (
             martin_royer_bracket(x61, x61, 2, 6, 1, 6, 1),

@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 from mpmath import mp
 
 from .extremal import Depth1Components, form_by_label, x_w1_components
-from .forms import composite_forms, delta_series
+from .forms import delta_series
 from .identities import verify
 from .positivity import check_complete_positivity
 from .qseries import FourierSeries
@@ -382,7 +382,7 @@ def curve_points(form_label: str, m: int, grid: Sequence, cfg: EvalConfig | None
 # identity is verified exactly and the cofactor scanned.
 _BRACKET_ROUTES: dict = {
     "X6_1": ("BR-61", lambda order: form_by_label("X4_2", order)),
-    "X12_1": ("BR-121", lambda order: composite_forms(order)["F"]),
+    "X12_1": ("BR-121", lambda order: form_by_label("F", order)),
     "X14_1": ("BR-141", lambda order: form_by_label("X8_2", order)),
 }
 

@@ -47,13 +47,7 @@ _SCHOOLBOOK_LIMIT = 192  # output length below which the double loop wins
 
 def _pack(values: list[int], width: int) -> int:
     """Pack nonnegative ints, each < 256**width, into one little-endian int."""
-    buf = bytearray(width * len(values))
-    for i, x in enumerate(values):
-        if x:
-            nb = (x.bit_length() + 7) // 8
-            off = i * width
-            buf[off : off + nb] = x.to_bytes(nb, "little")
-    return int.from_bytes(buf, "little")
+    return int.from_bytes(b"".join([x.to_bytes(width, "little") for x in values]), "little")
 
 
 def _unpack(n: int, width: int, count: int) -> list[int]:
@@ -123,8 +117,8 @@ def _intconv(a: list[int], b: list[int], klimit: int) -> list[int]:
 def _common_denominator(coeffs: Iterable[Fraction]) -> int | None:
     """lcm of denominators, or None if it exceeds the big-int comfort zone."""
     den = 1
-    for c in coeffs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
+    for d in {c.denominator for c in coeffs}:
+        den = den * d // math.gcd(den, d)
         if den.bit_length() > 96:
             return None
     return den
@@ -336,10 +330,13 @@ class FourierSeries:
                     if b[j]:
                         out[i + j] += ai * b[j]
             return FourierSeries(g, tuple(out))
-        ia = [int(c * da) for c in a]
-        ib = [int(c * db) for c in b]
+        # integer arithmetic only: Fraction products here cost more than the convolution
+        ia = [c.numerator * (da // c.denominator) for c in a]
+        ib = [c.numerator * (db // c.denominator) for c in b]
         vals = _intconv(ia, ib, klim)
         den = da * db
+        if den == 1:
+            return FourierSeries(g, tuple(map(Fraction, vals)))
         return FourierSeries(g, tuple(Fraction(v, den) for v in vals))
 
     def __rmul__(self, other):
@@ -459,6 +456,11 @@ class FourierSeries:
         if self.order != other.order:
             return False
         return self.first_difference(other) is None
+
+    def __hash__(self):
+        # equal series share their reduced form and order, whatever the grain
+        r = self.reduced()
+        return hash((self.order, r.grain, r.coeffs))
 
     # -- serialization and rendering ----------------------------------------
 

@@ -68,10 +68,12 @@ def test_expand_writes_output_file(capsys, tmp_path):
 
 
 def test_unknown_label_rejected_before_work(capsys):
-    code, out, err = run_capture(capsys, ["expand", "NOPE"])
-    assert code == 2
-    assert out == ""
-    assert "unknown form label" in err
+    # "X1_2_1" once built X12_1, because int() reads "1_2" as 12
+    for label in ("NOPE", "X1_2_1"):
+        code, out, err = run_capture(capsys, ["expand", label])
+        assert code == 2
+        assert out == ""
+        assert "unknown form label" in err
 
 
 def test_json_mode_error_detail(capsys):

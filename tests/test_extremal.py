@@ -293,11 +293,26 @@ def test_p4_uses_w_minus_1_exponent():
     assert p4.coefficient(4) == x12.coefficient(4) - 2**11 * x12.coefficient(2)
 
 
+# labels neither lookup accepts; a looser parse (int() on the weight, or a
+# pattern anchored with $) reads each label on the second line as X12_1
+MALFORMED_LABELS = (
+    "nope", "Z9_9", "X12", "x12_1", "X12_3", "Y12_1", "Xtilde12_1",
+    "X012_1", "X1_2_1", "X+12_1", "X 12_1", "X12_1\n", "X\u0661\u0662_1",
+)
+BAD_WEIGHT_LABELS = ("X5_1", "X4_1", "X7_1", "X18_2", "Y6_2", "Xtilde6_2")
+
+
 def test_unknown_labels_raise():
-    with pytest.raises(KeyError):
-        form_by_label("nope", 8)
-    with pytest.raises(KeyError):
-        form_by_label("Z9_9", 8)
+    for label in MALFORMED_LABELS:
+        with pytest.raises(KeyError, match="unknown form label"):
+            form_by_label(label, 8)
+        with pytest.raises(KeyError, match="unknown form label"):
+            describe_label(label)
+    for label in BAD_WEIGHT_LABELS:
+        with pytest.raises(BadWeight):
+            form_by_label(label, 8)
+        with pytest.raises(BadWeight):
+            describe_label(label)
 
 
 def test_descriptors_cover_known_labels():
@@ -306,3 +321,7 @@ def test_descriptors_cover_known_labels():
         assert d.label == label
         assert d.weight >= 2
         assert d.group
+        assert d.build(4) == form_by_label(label, 4)
+    # the family pattern reaches past the listed depth-1 weights
+    assert describe_label("X50_1").weight == 50
+    assert form_by_label("X50_1", 4) == x_w1(50, 4)

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmforms.extremal import form_by_label
 from qmforms.forms import (
     OrderExceeded,
     ParameterRange,
-    composite_forms,
     delta_series,
     e2_half_arguments,
     eisenstein,
@@ -213,7 +213,7 @@ def test_e2_half_argument_trace():
 
 
 def test_composites_vanishing_orders():
-    c = composite_forms(12)
+    c = {label: form_by_label(label, 12) for label in ("F", "G", "L", "L10", "P2")}
     assert c["F"].coefficient(0) == 0
     assert c["F"].coefficient(1) == 0
     assert c["F"].coefficient(2) == 0
@@ -233,7 +233,7 @@ def test_composites_vanishing_orders():
 
 def test_p2_coefficient_law():
     # coefficient of q^n is sigma_1(n) - 5 sigma_1(n/2) + 4 sigma_1(n/4)
-    c = composite_forms(40)["P2"]
+    c = form_by_label("P2", 40)
     for n in range(1, 41):
         want = sigma(n, 1)
         if n % 2 == 0:

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmforms.forms import composite_forms, sigma_table, theta_forms
+from qmforms.extremal import form_by_label
+from qmforms.forms import sigma_table, theta_forms
 from qmforms.identities import (
     IdentityCase,
     UnknownIdentity,
@@ -139,7 +140,7 @@ def test_pass_result_json():
 
 def test_negative_control_perturbed_combination():
     order = 30
-    L = composite_forms(order)["L"]
+    L = form_by_label("L", order)
     good = lcomb_combination(order)
     assert L.first_difference(good, 28) is None
 
@@ -185,12 +186,11 @@ def test_lfact_division_assertion():
     # the theta-side product divides the cross-derivative combination exactly
     order = 60
     th = theta_forms(order)
-    comp = composite_forms(order)
     h2, h4 = th["H2"], th["H4"]
     divisor = (h2**5) * (h4 * h4) * ((h2 + h4) * (h2 + h4))
     lead_exp, _ = divisor.leading()
     assert lead_exp == F(5, 2)
     through = order - lead_exp
-    quotient = series_divide(comp["L10"], divisor, through)
-    target = F(105, 8) * comp["L"]
+    quotient = series_divide(form_by_label("L10", order), divisor, through)
+    target = F(105, 8) * form_by_label("L", order)
     assert quotient.first_difference(target, through) is None

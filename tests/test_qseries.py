@@ -243,6 +243,16 @@ def test_cross_grain_equality():
     f = FourierSeries.from_coefficients([1, 0, 2])
     h = FourierSeries.from_coefficients([1, 0, 0, 0, 2], grain=2)
     assert f == h
+    # equal series hash equal, so a set keeps one of them
+    short = FourierSeries.from_coefficients([1, 2])
+    half = FourierSeries.from_coefficients([1, 0, 2], grain=2)
+    assert short == half
+    assert hash(short) == hash(half) and hash(f) == hash(h)
+    assert len({f, h, short, half}) == 2
+    # the same reduced coefficients at a larger order are a different series
+    longer = FourierSeries.from_coefficients([1, 0, 2, 0], grain=2)
+    assert longer != short
+    assert len({short, half, longer}) == 2
 
 
 # ---------------------------------------------------------------------------
