@@ -253,7 +253,7 @@ def _cmd_lambert(args) -> tuple[int, dict, str]:
 
 def _cmd_limits(args) -> tuple[int, dict, str]:
     label = _checked_label(args.label)
-    match = numeric._DEPTH1_LABEL.match(label)
+    match = numeric._DEPTH1_LABEL.fullmatch(label)
     if match is None:
         raise UsageError(f"limits needs a depth-1 label like X12_1, got {label!r}")
     w = int(match.group(1))
@@ -616,8 +616,14 @@ ACCEPTANCE_CRITERIA: tuple[Callable[[], dict], ...] = (
 
 
 def acceptance_checks() -> list[dict]:
-    """Run every acceptance criterion; each entry reports pass/fail."""
-    return [criterion() for criterion in ACCEPTANCE_CRITERIA]
+    """Run every acceptance criterion; each entry reports pass/fail and its runtime_s."""
+    checks = []
+    for criterion in ACCEPTANCE_CRITERIA:
+        start = time.perf_counter()
+        check = criterion()
+        check["runtime_s"] = round(time.perf_counter() - start, 3)
+        checks.append(check)
+    return checks
 
 
 def _cmd_report(args) -> tuple[int, dict, str]:

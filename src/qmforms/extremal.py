@@ -40,6 +40,17 @@ def _require_even(w: int, minimum: int):
         raise BadWeight(f"weight must be an even integer >= {minimum}, got {w}")
 
 
+# x_w1 and x_w1_components recurse about w/3 calls deep, so larger weights
+# are refused up front instead of overflowing the interpreter stack.
+MAX_DEPTH1_WEIGHT = 1000
+
+
+def _require_depth1_weight(w: int):
+    _require_even(w, 6)
+    if w > MAX_DEPTH1_WEIGHT:
+        raise BadWeight(f"depth-1 weights go up to {MAX_DEPTH1_WEIGHT}, got {w}")
+
+
 def a_w_exponent(w: int) -> int:
     """The slowest-decay exponent for the depth-1 family: w - ceil(w/6)."""
     _require_even(w, 4)
@@ -63,8 +74,8 @@ def alpha_w0(w: int) -> Fraction:
 
 @lru_cache(maxsize=None)
 def x_w1(w: int, order: int = DEFAULT_ORDER) -> FourierSeries:
-    """The normalized depth-1 maximal-vanishing form of even weight w >= 6."""
-    _require_even(w, 6)
+    """The normalized depth-1 maximal-vanishing form, even 6 <= w <= MAX_DEPTH1_WEIGHT."""
+    _require_depth1_weight(w)
     if w == 6:
         e2 = eisenstein(2, order)
         e4 = eisenstein(4, order)
@@ -118,7 +129,7 @@ def x_w1_components(w: int, order: int = DEFAULT_ORDER) -> Depth1Components:
     term by term.  This never touches E2, so it is an independent route to
     the same forms (the recomposition identity is checked in the registry).
     """
-    _require_even(w, 6)
+    _require_depth1_weight(w)
     if w == 6:
         e4 = eisenstein(4, order)
         e6 = eisenstein(6, order)
@@ -425,7 +436,8 @@ def describe_label(label: str) -> FormDescriptor:
 
     Named labels: E2..E10, Delta, theta blocks H2/H4/A/B, composites
     F/G/K10/K12/K14/L/L10/script_L10, P1..P4, X42Delta.  Families: X{w}_1
-    (even w >= 6), and X{w}_2, Y{w}_2, Xtilde{w}_2 for the depth-2 weights.
+    (even 6 <= w <= MAX_DEPTH1_WEIGHT), and X{w}_2, Y{w}_2, Xtilde{w}_2 for
+    the depth-2 weights.
     Raises KeyError for unknown labels, BadWeight for bad weights.
     """
     if label in _FIXED_BUILDERS:
@@ -436,7 +448,7 @@ def describe_label(label: str) -> FormDescriptor:
         raise KeyError(f"unknown form label: {label!r}")
     w, depth = int(match.group(2)), key[1]
     if depth == 1:
-        _require_even(w, 6)
+        _require_depth1_weight(w)
     else:
         _require_depth2_weight(w)
     group, summary, build = _FAMILIES[key]

@@ -2,8 +2,8 @@
 
 Everything exact lives in the other modules; this one turns a truncated
 series with rational coefficients into floating values of F(it), F'(it)
-at configurable binary precision, reports a truncation-tail estimate
-alongside every value, and builds the three analytic tools used by the
+at configurable binary precision, reports an error estimate alongside
+every value, and builds the three analytic tools used by the
 monotonicity study of t ↦ t^m F(it):
 
 * an inversion route for the depth-1 family that evaluates at i/t
@@ -13,17 +13,25 @@ monotonicity study of t ↦ t^m F(it):
 * tangent/limit checks at t → 0+ (ratio limit 2π/m, the bracket form
   (m+1)(F')² − m·F''·F, and the small-t sign criterion).
 
+Every sum goes through :class:`AxisEvaluator`.  ``EvalConfig.order_policy``
+sets the order a series is built at, not the number of terms summed: each
+point sums only up to its own cut, and its reported error counts a bound on
+the stored terms it dropped plus a geometric heuristic (not a proven bound)
+for the terms beyond the stored order.
+
 Scans are labelled "on grid": they establish signs at grid points with
 stated tolerances, never a proof of monotonicity in between.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import ceil
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from mpmath import mp
 
@@ -48,9 +56,11 @@ class EvalConfig:
     """Precision, truncation, and tail-reporting knobs for axis evaluation.
 
     ``precision_bits`` sets the working binary precision (at least 64);
-    ``order_policy`` maps an evaluation height t to a truncation order
-    (clamped to at least 16 at use sites); ``tail_safety`` multiplies the
-    reported geometric tail bound (at least 1).
+    ``order_policy`` maps the smallest height a series serves to the order
+    it is built at (clamped to at least 16 at use sites), while the terms
+    summed at each point are chosen by :class:`AxisEvaluator`;
+    ``tail_safety`` multiplies the reported geometric heuristic for the
+    terms beyond the stored order (at least 1).
     """
 
     precision_bits: int = 128
@@ -68,11 +78,6 @@ class EvalConfig:
         return max(16, int(self.order_policy(float(t))))
 
 
-# ---------------------------------------------------------------------------
-# scalar helpers
-# ---------------------------------------------------------------------------
-
-
 def _mpf(x) -> mp.mpf:
     """Exact-as-possible conversion to the current working precision."""
     if isinstance(x, Fraction):
@@ -80,106 +85,210 @@ def _mpf(x) -> mp.mpf:
     return mp.mpf(x)
 
 
-def _series_value(series: FourierSeries, t) -> mp.mpf:
-    """Sum of the stored terms at z = it: Horner in e^(-2*pi*t/grain)."""
-    u = mp.e ** (-2 * mp.pi * _mpf(t) / series.grain)
-    acc = mp.mpf(0)
-    for c in reversed(series.coeffs):
-        acc = acc * u + _mpf(c)
-    return acc
-
-
-def _tail_bound(series: FourierSeries, t, safety) -> mp.mpf:
-    """Geometric tail heuristic: safety*|c_N|*e^(-2*pi*N*t)/(1-e^(-2*pi*t)).
-
-    N is the last stored exponent with a nonzero coefficient (dilated
-    series store trailing structural zeros that say nothing about decay);
-    an all-zero series has tail 0.
-    """
-    coeffs = series.coeffs
-    k = len(coeffs) - 1
-    while k >= 0 and coeffs[k] == 0:
-        k -= 1
-    if k < 0:
-        return mp.mpf(0)
-    n_abs = Fraction(k, series.grain)
-    tm = _mpf(t)
-    top = _mpf(Fraction(safety)) * _mpf(abs(coeffs[k])) * mp.e ** (-2 * mp.pi * _mpf(n_abs) * tm)
-    return top / (1 - mp.e ** (-2 * mp.pi * tm))
-
-
-def _resolve_series(form, t, cfg: EvalConfig) -> tuple[str, FourierSeries]:
-    """Accept a label or a ready series; labels are built at order_for(t)."""
-    if isinstance(form, str):
-        return form, form_by_label(form, cfg.order_for(t))
-    return "<series>", form
-
-
 def _require_positive(t) -> None:
     if not t > 0:
         raise NonPositiveT(f"evaluation point must satisfy t > 0, got {t}")
-
-
-# ---------------------------------------------------------------------------
-# point evaluation
-# ---------------------------------------------------------------------------
-
-
-def eval_at_it(form, t, cfg: EvalConfig | None = None) -> dict:
-    """Value of the series at z = it together with a tail estimate.
-
-    ``form`` is a label (built at ``cfg.order_for(t)``) or a FourierSeries
-    (evaluated as stored).  Returns ``{"value", "tail_estimate"}``; the
-    tail estimate is the documented geometric heuristic, reported so the
-    caller can judge how many digits of the value to trust.
-    """
-    _require_positive(t)
-    cfg = cfg or EvalConfig()
-    with mp.workprec(cfg.precision_bits):
-        _, series = _resolve_series(form, t, cfg)
-        value = _series_value(series, t)
-        tail = _tail_bound(series, t, cfg.tail_safety)
-    return {"value": value, "tail_estimate": tail}
 
 
 def _sign_factor(w: int) -> int:
     return -1 if w % 4 == 2 else 1
 
 
-def eval_depth1_transformed(components: Depth1Components, t, cfg: EvalConfig | None = None) -> dict:
-    """F(it) and F'(it) for a depth-1 form via the weight-w inversion.
+# ---------------------------------------------------------------------------
+# the axis evaluator
+# ---------------------------------------------------------------------------
 
-    With u = 1/t, s = (-1)^(w/2), X the recomposed form and B its
-    E2-companion, the inversion law gives
+# Bits past the working precision: a point is summed at prec + GUARD_BITS and
+# drops only stored terms weighing under 2^-(prec + GUARD_BITS) of its largest.
+GUARD_BITS = 16
+
+
+class AxisSum(NamedTuple):
+    """A point: Horner sum of the first ``terms`` stored terms, a bound on the
+    stored terms after them, the heuristic for those past the stored order."""
+
+    value: mp.mpf
+    dropped: mp.mpf
+    beyond: mp.mpf
+    terms: int
+
+
+class AxisEvaluator:
+    """Values of one stored series at heights z = it, each summed to its cut.
+
+    Build and use it inside one ``mp.workprec`` block; it sums GUARD_BITS
+    past that precision, converting a coefficient on first use.  With
+    q = e^(−2πt/grain), a point sums c_0..c_(N−1) by Horner, N the first
+    index with 2^h·q^N/(1−q) < 2^-(prec+GUARD_BITS) times the largest term,
+    where 2^h bounds every |c_n|, n >= N, by bit lengths with a bit to spare:
+    that bound on the dropped stored terms is returned as ``dropped``.
+    ``beyond`` is safety·|c_K|·q^K/(1 − e^(−2πt)) for the last nonzero c_K
+    (trailing structural zeros say nothing about decay).
+    """
+
+    def __init__(self, series: FourierSeries, safety=1):
+        self._coeffs = coeffs = series.coeffs
+        self.grain = series.grain
+        self._values: list = []
+        self._prec = mp.prec + GUARD_BITS
+        # 2^(d-1) <= |c_n| < 2^(d+1) for d = bits of numerator - bits of denominator
+        bits = [abs(c.numerator).bit_length() - c.denominator.bit_length() if c else None for c in coeffs]
+        self._low = [-math.inf if d is None else d - 1 for d in bits]
+        # _suffix[n] >= 1 + log2 max |c_k| over k >= n, -inf once all are 0
+        high = [-math.inf if d is None else d + 2 for d in reversed(bits)]
+        self._suffix = list(accumulate(high, max, initial=-math.inf))[::-1]
+        self._last = max((n for n, d in enumerate(bits) if d is not None), default=0)
+        self._top = _mpf(Fraction(safety) * abs(coeffs[self._last]))
+
+    def _cut(self, x: float) -> int:
+        """First N whose dropped-terms bound is below the budget at q = e^-x."""
+        step = -x / math.log(2)
+        offset = -math.log2(-math.expm1(-x))
+        peak = -math.inf
+        for n, low in enumerate(self._low):
+            if self._suffix[n] + n * step + offset < peak - self._prec:
+                return n
+            peak = max(peak, low + n * step)
+        return len(self._low)
+
+    def at(self, t) -> AxisSum:
+        """The series at z = it, summed to the cut for height t."""
+        with mp.workprec(self._prec):
+            x = 2 * mp.pi * _mpf(t) / self.grain
+            q = mp.exp(-x)
+            n = self._cut(float(x))
+            values = self._values
+            if len(values) < n:
+                values.extend(_mpf(c) for c in self._coeffs[len(values):n])
+            acc = mp.mpf(0)
+            for k in range(n - 1, -1, -1):
+                acc = acc * q + values[k]
+            high = self._suffix[n]
+            dropped = mp.ldexp(q**n / (1 - q), high) if high > -math.inf else mp.mpf(0)
+            beyond = self._top * q**self._last / (1 - q**self.grain)
+        return AxisSum(+acc, +dropped, +beyond, n)
+
+
+def _combine(parts) -> tuple:
+    """(Σ k·v, Σ |k|·(dropped + beyond) + 2^(12−prec)·Σ |k·v|) over ``(k, AxisSum)``."""
+    total = errors = scale = mp.mpf(0)
+    for k, point in parts:
+        term = k * point.value
+        total += term
+        scale += abs(term)
+        errors += abs(k) * (point.dropped + point.beyond)
+    return total, errors + mp.ldexp(1, 12 - mp.prec) * scale
+
+
+class _DirectRoute:
+    """F and F' summed directly at every height."""
+
+    def __init__(self, series: FourierSeries, safety):
+        self.f = AxisEvaluator(series, safety)
+        self.fp = AxisEvaluator(series.derivative(), safety)
+
+    def value(self, t) -> mp.mpf:
+        return self.f.at(t).value
+
+    def s(self, m: int, t) -> tuple:
+        """(s, tolerance) for s = m·F − 2πt·F' at height t."""
+        tm = _mpf(t)
+        return _combine(((m, self.f.at(tm)), (-2 * mp.pi * tm, self.fp.at(tm))))
+
+
+class _Depth1Route(_DirectRoute):
+    """X = A + E2·B of weight w: summed directly for t >= 1, inverted below.
+
+    With u = 1/t, s = (-1)^(w/2) and B the E2-companion, inversion gives
 
         F(it)  = s*(u^w*X(iu) - (6*u^(w-1)/pi)*B(iu))
         F'(it) = -s*(u^(w+2)*X'(iu) - (u^(w+1)/(2*pi))*(w*X(iu) + 12*B'(iu))
                       + (3*(w-1)/pi^2)*u^w*B(iu))
 
-    where ' is q·d/dq throughout.  All series are evaluated at height
+    where ' is q·d/dq throughout.  All series are then summed at height
     u >= 1, so convergence is fast uniformly in t ∈ (0, 1].
     """
+
+    def __init__(self, components: Depth1Components, safety):
+        super().__init__(components.recompose(), safety)
+        self.w = components.weight
+        self.sgn = _sign_factor(self.w)
+        self.b = AxisEvaluator(components.e2_part, safety)
+        self.bp = AxisEvaluator(components.e2_part.derivative(), safety)
+
+    def _inverted(self, t) -> tuple:
+        u = 1 / _mpf(t)
+        return (u,) + tuple(e.at(u) for e in (self.f, self.fp, self.b, self.bp))
+
+    def transformed(self, t) -> tuple:
+        """(F(it), F'(it)) through the inversion law."""
+        u, x, xp, b, bp = self._inverted(t)
+        w, sgn, pi = self.w, self.sgn, mp.pi
+        f_value = sgn * (u**w * x.value - 6 * u ** (w - 1) / pi * b.value)
+        fp_value = -sgn * (u ** (w + 2) * xp.value - u ** (w + 1) / (2 * pi) * (w * x.value + 12 * bp.value)
+                           + 3 * (w - 1) / pi**2 * u**w * b.value)
+        return f_value, fp_value
+
+    def value(self, t) -> mp.mpf:
+        return super().value(t) if t >= 1 else self.transformed(t)[0]
+
+    def s(self, m: int, t) -> tuple:
+        """(s, tolerance); below t = 1 one cancellation-free sum in u = 1/t:
+
+            s = sgn*((m-w)*u^w*X(iu) + 2π*u^(w+1)*X'(iu) − 12*u^w*B'(iu)
+                      + (6*(w−1−m)/π)*u^(w-1)*B(iu)).
+
+        At m = w−1 the B-term vanishes identically; separate F and 2πt·F'
+        values would then agree to leading order, and subtracting them loses
+        ~2πu/ln 2 bits as t → 0.
+        """
+        if t >= 1:
+            return super().s(m, t)
+        u, x, xp, b, bp = self._inverted(t)
+        w, pi = self.w, mp.pi
+        total, tolerance = _combine((((m - w) * u**w, x), (2 * pi * u ** (w + 1), xp), (-12 * u**w, bp),
+                                     (6 * (w - 1 - m) / pi * u ** (w - 1), b)))
+        return self.sgn * total, tolerance
+
+
+# matched whole, with the label table's weight syntax
+_DEPTH1_LABEL = re.compile(r"X([1-9][0-9]*)_1")
+
+
+def _axis_route(label: str, t_min, cfg: EvalConfig) -> _DirectRoute:
+    """How scans and curves sum a label at heights >= t_min: depth-1 labels
+    invert below t = 1, so they are built for max(1, t_min)."""
+    match = _DEPTH1_LABEL.fullmatch(label)
+    if match:
+        components = x_w1_components(int(match.group(1)), cfg.order_for(max(1, t_min)))
+        return _Depth1Route(components, cfg.tail_safety)
+    return _DirectRoute(form_by_label(label, cfg.order_for(t_min)), cfg.tail_safety)
+
+
+def eval_at_it(form, t, cfg: EvalConfig | None = None) -> dict:
+    """Value of the series at z = it together with an error estimate.
+
+    ``form`` is a label (built at ``cfg.order_for(t)``) or a FourierSeries
+    (evaluated as stored).  Returns ``{"value", "tail_estimate"}``; the
+    tail estimate is the bound on the stored terms the sum dropped plus the
+    documented geometric heuristic for the terms past the stored order.
+    """
+    _require_positive(t)
+    cfg = cfg or EvalConfig()
+    with mp.workprec(cfg.precision_bits):
+        series = form_by_label(form, cfg.order_for(t)) if isinstance(form, str) else form
+        point = AxisEvaluator(series, cfg.tail_safety).at(t)
+        return {"value": point.value, "tail_estimate": point.dropped + point.beyond}
+
+
+def eval_depth1_transformed(components: Depth1Components, t, cfg: EvalConfig | None = None) -> dict:
+    """F(it) and F'(it), t in (0, 1], of a depth-1 form by the inversion law of _Depth1Route."""
     _require_positive(t)
     if t > 1:
         raise ValueError(f"transformed route is for t in (0, 1], got {t}")
     cfg = cfg or EvalConfig()
     with mp.workprec(cfg.precision_bits):
-        w = components.weight
-        sgn = _sign_factor(w)
-        x_series = components.recompose()
-        b_series = components.e2_part
-        pi = mp.pi
-        u = 1 / _mpf(t)
-        xv = _series_value(x_series, u)
-        bv = _series_value(b_series, u)
-        xpv = _series_value(x_series.derivative(), u)
-        bpv = _series_value(b_series.derivative(), u)
-        f_value = sgn * (u**w * xv - 6 * u ** (w - 1) / pi * bv)
-        fp_value = -sgn * (
-            u ** (w + 2) * xpv
-            - u ** (w + 1) / (2 * pi) * (w * xv + 12 * bpv)
-            + 3 * (w - 1) / pi**2 * u**w * bv
-        )
+        f_value, fp_value = _Depth1Route(components, cfg.tail_safety).transformed(t)
     return {"F_value": f_value, "Fprime_value": fp_value}
 
 
@@ -192,14 +301,11 @@ def geometric_grid(t_min, t_max, points: int) -> tuple:
     """``points`` geometrically spaced heights from t_min to t_max inclusive."""
     if points < 2:
         raise ValueError("a grid needs at least two points")
-    lo = _mpf(t_min)
-    hi = _mpf(t_max)
+    lo, hi = _mpf(t_min), _mpf(t_max)
     if not 0 < lo < hi:
         raise ValueError("need 0 < t_min < t_max")
     ratio = (hi / lo) ** (mp.mpf(1) / (points - 1))
-    grid = [lo * ratio**k for k in range(points)]
-    grid[-1] = hi
-    return tuple(grid)
+    return tuple(lo * ratio**k for k in range(points - 1)) + (hi,)
 
 
 @dataclass(frozen=True)
@@ -231,72 +337,18 @@ class ScanReport:
         }
 
 
-_DEPTH1_LABEL = re.compile(r"^X(\d+)_1$")
-
 DEFAULT_GRID_SPEC = (Fraction(1, 20), 20, 60)
 
 
-def _direct_s(series: FourierSeries, deriv: FourierSeries, m: int, t, safety) -> tuple:
-    """(s, tolerance) for s = m·F − 2πt·F' summed directly at height t."""
-    tm = _mpf(t)
-    term1 = m * _series_value(series, t)
-    term2 = 2 * mp.pi * tm * _series_value(deriv, t)
-    s = term1 - term2
-    scale = abs(term1) + abs(term2)
-    tails = m * _tail_bound(series, t, safety) + 2 * mp.pi * tm * _tail_bound(deriv, t, safety)
-    return s, tails + mp.ldexp(1, 12 - mp.prec) * scale
-
-
-def _transformed_s(bundle, m: int, t, safety) -> tuple:
-    """(s, tolerance) for a depth-1 form via one cancellation-free sum.
-
-    Substituting both inversion formulas into s = m·F − 2πt·F' and
-    collecting powers of u = 1/t gives
-
-        s = sgn*((m-w)*u^w*X(iu) + 2π*u^(w+1)*X'(iu) − 12*u^w*B'(iu)
-                  + (6*(w−1−m)/π)*u^(w-1)*B(iu)).
-
-    At m = w−1 the B-term vanishes identically; this matters because the
-    separate F and 2πt·F' values then agree to their leading asymptotic
-    order and subtracting them loses ~2πu/ln 2 bits as t → 0.
-    """
-    w, sgn, x_series, xp_series, b_series, bp_series = bundle
-    pi = mp.pi
-    u = 1 / _mpf(t)
-    term1 = (m - w) * u**w * _series_value(x_series, u)
-    term2 = 2 * pi * u ** (w + 1) * _series_value(xp_series, u)
-    term3 = -12 * u**w * _series_value(bp_series, u)
-    term4 = 6 * (w - 1 - m) / pi * u ** (w - 1) * _series_value(b_series, u)
-    s = sgn * (term1 + term2 + term3 + term4)
-    scale = abs(term1) + abs(term2) + abs(term3) + abs(term4)
-    tails = (
-        abs(m - w) * u**w * _tail_bound(x_series, u, safety)
-        + 2 * pi * u ** (w + 1) * _tail_bound(xp_series, u, safety)
-        + 12 * u**w * _tail_bound(bp_series, u, safety)
-        + abs(6 * (w - 1 - m)) / pi * u ** (w - 1) * _tail_bound(b_series, u, safety)
-    )
-    return s, tails + mp.ldexp(1, 12 - mp.prec) * scale
-
-
-def _depth1_bundle(w: int, order: int):
-    comp = x_w1_components(w, order)
-    x_series = comp.recompose()
-    b_series = comp.e2_part
-    return (w, _sign_factor(w), x_series, x_series.derivative(), b_series, b_series.derivative())
-
-
-def monotonicity_scan(
-    form_label: str,
-    m: int,
-    grid_spec: tuple = DEFAULT_GRID_SPEC,
-    cfg: EvalConfig | None = None,
-) -> ScanReport:
+def monotonicity_scan(form_label: str, m: int, grid_spec: tuple = DEFAULT_GRID_SPEC,
+                      cfg: EvalConfig | None = None) -> ScanReport:
     """Scan the sign of d/dt [t^m F(it)] on a geometric grid.
 
     ``grid_spec`` is (t_min, t_max, points).  Depth-1 labels are summed
     through the inversion route below t = 1 and directly above; all other
-    labels are summed directly with the truncation order chosen for the
-    smallest grid height.  Verdicts: ``sign_change_found`` when two
+    labels are summed directly, built at the order chosen for the smallest
+    grid height.  Each tolerance counts the dropped-terms bounds, the tail
+    heuristics and rounding.  Verdicts: ``sign_change_found`` when two
     consecutive grid points carry strictly opposite signs beyond
     tolerance, ``monotone_decreasing_on_grid`` when every point is <= 0
     within tolerance, ``not_decreasing_on_grid`` otherwise.
@@ -307,47 +359,17 @@ def monotonicity_scan(
     t_min, t_max, points = grid_spec
     with mp.workprec(cfg.precision_bits):
         grid = geometric_grid(t_min, t_max, points)
-        match = _DEPTH1_LABEL.match(form_label)
-        pairs = []
-        if match:
-            bundle = _depth1_bundle(int(match.group(1)), cfg.order_for(1))
-            x_series, xp_series = bundle[2], bundle[3]
-            for t in grid:
-                if t < 1:
-                    pairs.append(_transformed_s(bundle, m, t, cfg.tail_safety))
-                else:
-                    pairs.append(_direct_s(x_series, xp_series, m, t, cfg.tail_safety))
-        else:
-            series = form_by_label(form_label, cfg.order_for(t_min))
-            deriv = series.derivative()
-            for t in grid:
-                pairs.append(_direct_s(series, deriv, m, t, cfg.tail_safety))
+        route = _axis_route(form_label, t_min, cfg)
+        pairs = [route.s(m, t) for t in grid]
 
         s_values = tuple(s for s, _ in pairs)
         signs = [0 if abs(s) <= tol else (1 if s > 0 else -1) for s, tol in pairs]
-        changes = []
-        last_sign = 0
-        last_idx = -1
-        for idx, sig in enumerate(signs):
-            if sig == 0:
-                continue
-            if last_sign and sig != last_sign:
-                changes.append((grid[last_idx], grid[idx]))
-            last_sign, last_idx = sig, idx
-        if changes:
-            verdict = "sign_change_found"
-        elif all(sig <= 0 for sig in signs):
-            verdict = "monotone_decreasing_on_grid"
-        else:
-            verdict = "not_decreasing_on_grid"
-    return ScanReport(
-        label=form_label,
-        m=m,
-        grid=grid,
-        s_values=s_values,
-        sign_changes=tuple(changes),
-        verdict=verdict,
-    )
+        signed = [(t, sig) for t, sig in zip(grid, signs) if sig]
+        changes = tuple((a, b) for (a, sa), (b, sb) in zip(signed, signed[1:]) if sa != sb)
+    decreasing = all(sig <= 0 for sig in signs)
+    verdict = "sign_change_found" if changes else ("monotone_decreasing_on_grid" if decreasing
+                                                   else "not_decreasing_on_grid")
+    return ScanReport(form_label, m, grid, s_values, changes, verdict)
 
 
 def curve_points(form_label: str, m: int, grid: Sequence, cfg: EvalConfig | None = None) -> list:
@@ -356,19 +378,9 @@ def curve_points(form_label: str, m: int, grid: Sequence, cfg: EvalConfig | None
     Depth-1 labels use the inversion route below t = 1, like the scans.
     """
     cfg = cfg or EvalConfig()
-    out = []
     with mp.workprec(cfg.precision_bits):
-        match = _DEPTH1_LABEL.match(form_label)
-        series = form_by_label(form_label, cfg.order_for(min(grid)))
-        components = x_w1_components(int(match.group(1)), cfg.order_for(1)) if match else None
-        for t in grid:
-            tm = _mpf(t)
-            if components is not None and t < 1:
-                value = eval_depth1_transformed(components, t, cfg)["F_value"]
-            else:
-                value = _series_value(series, t)
-            out.append((tm, tm**m * value))
-    return out
+        route = _axis_route(form_label, min(grid), cfg)
+        return [(t, t**m * route.value(t)) for t in map(_mpf, grid)]
 
 
 # ---------------------------------------------------------------------------
@@ -397,11 +409,8 @@ def _delta_axis_positive(cfg: EvalConfig) -> bool:
     claim is also exercised by the floating layer.
     """
     series = delta_series(cfg.order_for(Fraction(3, 10)))
-    for t in (Fraction(3, 10), 1, 10):
-        report = eval_at_it(series, t, cfg)
-        if not report["value"] > report["tail_estimate"]:
-            return False
-    return True
+    reports = (eval_at_it(series, t, cfg) for t in (Fraction(3, 10), 1, 10))
+    return all(report["value"] > report["tail_estimate"] for report in reports)
 
 
 def _aitken_limit(values: Sequence) -> mp.mpf:
@@ -439,17 +448,18 @@ def tangent_conditions(form, components: Depth1Components, m: int, cfg: EvalConf
             and check_complete_positivity(series.derivative(), through).completely_positive_up_to_order
         )
 
+        route = _Depth1Route(components, cfg.tail_safety)
         ratios = []
         for t in (Fraction(1, 5), Fraction(1, 10), Fraction(1, 20)):
-            values = eval_depth1_transformed(components, t, cfg)
-            ratios.append(values["F_value"] / (_mpf(t) * values["Fprime_value"]))
+            f_value, fp_value = route.transformed(t)
+            ratios.append(f_value / (_mpf(t) * fp_value))
         limit_ratio = _aitken_limit(ratios)
         target = 2 * mp.pi / m
         limit_ok = abs(limit_ratio - target) <= mp.mpf("1e-10") * target
 
-        route = _BRACKET_ROUTES.get(label)
-        if route is not None:
-            ident, cofactor = route
+        bracket_route = _BRACKET_ROUTES.get(label)
+        if bracket_route is not None:
+            ident, cofactor = bracket_route
             bracket_positive = (
                 verify(ident).passed
                 and check_complete_positivity(cofactor(_CP_SCAN_ORDER), _CP_SCAN_ORDER).completely_positive_up_to_order
@@ -462,11 +472,7 @@ def tangent_conditions(form, components: Depth1Components, m: int, cfg: EvalConf
             bracket_positive = check_complete_positivity(bracket, scan_to).completely_positive_up_to_order
 
         verdict = "pass" if (cp_ok and limit_ok and bracket_positive) else "fail"
-    return {
-        "limit_ratio": limit_ratio,
-        "bracket_form_positive": bracket_positive,
-        "verdict": verdict,
-    }
+    return {"limit_ratio": limit_ratio, "bracket_form_positive": bracket_positive, "verdict": verdict}
 
 
 def limit_t0(components: Depth1Components, w: int, cfg: EvalConfig | None = None) -> dict:
@@ -474,8 +480,8 @@ def limit_t0(components: Depth1Components, w: int, cfg: EvalConfig | None = None
 
     Through the inversion route, t^(w-1)·F(it) = sgn·(u·X(iu) − (6/π)·B(iu))
     with u = 1/t, so the limit is −6·sgn·β₀/π where β₀ is the constant
-    term of the E2-companion; the measured value evaluates the same
-    expression at u = 20 and u = 40 and reports the latter.
+    term of the E2-companion; the measured value is that expression at
+    u = 40.
     """
     if w < 6 or w % 2:
         raise ValueError(f"the depth-1 family needs even weight >= 6, got {w}")
@@ -486,11 +492,9 @@ def limit_t0(components: Depth1Components, w: int, cfg: EvalConfig | None = None
         sgn = _sign_factor(w)
         beta0 = components.e2_part.coefficient(0)
         predicted = _mpf(Fraction(-6 * sgn) * beta0) / mp.pi
-        x_series = components.recompose()
-        b_series = components.e2_part
-        measured = None
-        for u in (20, 40):
-            measured = sgn * (u * _series_value(x_series, u) - 6 / mp.pi * _series_value(b_series, u))
+        u = 40
+        x = AxisEvaluator(components.recompose()).at(u).value
+        measured = sgn * (u * x - 6 / mp.pi * AxisEvaluator(components.e2_part).at(u).value)
     return {"measured": measured, "predicted": predicted}
 
 
@@ -511,15 +515,10 @@ def small_t_positivity_check(w: int, cfg: EvalConfig | None = None) -> bool:
         comp = x_w1_components(w, cfg.order_for(5))
         beta1 = comp.e2_part.coefficient(1)
         exact_ok = sgn * beta1 > 0
-        x_series = comp.recompose()
-        xp_series = x_series.derivative()
-        bp_series = comp.e2_part.derivative()
-        numeric_ok = True
-        for u in (5, 10, 20):
-            expr = sgn * mp.mpf(u) ** w * (
-                _series_value(x_series, u)
-                + 12 * _series_value(bp_series, u)
-                - 2 * mp.pi * u * _series_value(xp_series, u)
-            )
-            numeric_ok = numeric_ok and expr > 0
+        route = _Depth1Route(comp, cfg.tail_safety)
+        numeric_ok = all(
+            sgn * mp.mpf(u) ** w * (route.f.at(u).value + 12 * route.bp.at(u).value
+                                    - 2 * mp.pi * u * route.fp.at(u).value) > 0
+            for u in (5, 10, 20)
+        )
     return bool(exact_ok and numeric_ok)

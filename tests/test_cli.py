@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -74,6 +75,13 @@ def test_unknown_label_rejected_before_work(capsys):
         assert code == 2
         assert out == ""
         assert "unknown form label" in err
+
+
+def test_huge_depth1_weight_fails_up_front(capsys):
+    # never exit 1: the recursive climb to weight 8000 once overflowed the stack
+    code, out, err = run_capture(capsys, ["expand", "X8000_1", "--order", "2"])
+    assert code == 2 and out == ""
+    assert "up to 1000" in err
 
 
 def test_json_mode_error_detail(capsys):
@@ -299,6 +307,25 @@ def test_missing_subcommand_is_usage_error(capsys):
     capsys.readouterr()
 
 
+def test_report_times_every_criterion(capsys, monkeypatch):
+    def quick():
+        return {"id": "C1", "title": "stand-in", "passed": True, "detail": {"runtime_s": 0.5}}
+
+    def slow():
+        time.sleep(0.05)
+        return {"id": "C2", "title": "stand-in", "passed": True, "detail": {}}
+
+    monkeypatch.setattr(cli, "ACCEPTANCE_CRITERIA", (quick, slow))
+    code, out, _ = run_capture(capsys, ["report", "--format", "json"])
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    assert [c["id"] for c in checks] == ["C1", "C2"]
+    assert all(isinstance(c["runtime_s"], float) for c in checks)
+    assert 0 <= checks[0]["runtime_s"] < checks[1]["runtime_s"]
+    assert checks[1]["runtime_s"] >= 0.05
+    assert checks[0]["detail"]["runtime_s"] == 0.5
+
+
 def test_report_aggregates_all_suites(capsys):
     code, out, _ = run_capture(capsys, ["report", "--format", "json"])
     assert code == 0
@@ -306,4 +333,5 @@ def test_report_aggregates_all_suites(capsys):
     assert payload["all_passed"] is True
     assert [c["id"] for c in payload["checks"]] == [f"C{k}" for k in range(1, 11)]
     assert all(c["passed"] for c in payload["checks"])
+    assert all(c["runtime_s"] >= 0 for c in payload["checks"])
     assert json.dumps(payload, sort_keys=True, indent=2) + "\n" == out

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from qmforms.extremal import (
+    MAX_DEPTH1_WEIGHT,
     BadWeight,
     Depth1Components,
     a_w_exponent,
@@ -299,7 +300,7 @@ MALFORMED_LABELS = (
     "nope", "Z9_9", "X12", "x12_1", "X12_3", "Y12_1", "Xtilde12_1",
     "X012_1", "X1_2_1", "X+12_1", "X 12_1", "X12_1\n", "X\u0661\u0662_1",
 )
-BAD_WEIGHT_LABELS = ("X5_1", "X4_1", "X7_1", "X18_2", "Y6_2", "Xtilde6_2")
+BAD_WEIGHT_LABELS = ("X5_1", "X4_1", "X7_1", "X8000_1", "X18_2", "Y6_2", "Xtilde6_2")
 
 
 def test_unknown_labels_raise():
@@ -313,6 +314,14 @@ def test_unknown_labels_raise():
             form_by_label(label, 8)
         with pytest.raises(BadWeight):
             describe_label(label)
+
+
+def test_depth1_weight_limit():
+    # the deepest accepted climb fits the interpreter stack
+    assert form_by_label(f"X{MAX_DEPTH1_WEIGHT}_1", 2).order == 2
+    for build in (x_w1, x_w1_components):
+        with pytest.raises(BadWeight):
+            build(MAX_DEPTH1_WEIGHT + 2, 2)
 
 
 def test_descriptors_cover_known_labels():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from qmforms import numeric
-from qmforms.extremal import a_w_exponent, x_w1, x_w1_components
+from qmforms.extremal import a_w_exponent, form_by_label, x_w1, x_w1_components
 from qmforms.numeric import EvalConfig, NonPositiveT, ScanReport
 from qmforms.qseries import FourierSeries
 
@@ -128,6 +128,50 @@ def test_tail_skips_trailing_structural_zeros():
     assert numeric.eval_at_it(zero, t)["tail_estimate"] == 0
 
 
+EVALUATOR_LABELS = (
+    "E2", "E4", "Delta", "X6_1", "X8_1", "X10_1", "X12_1", "X14_1",
+    "X4_2", "X8_2", "X10_2", "X12_2", "X14_2",
+)
+
+
+def horner(coeffs, q):
+    acc = mp.mpf(0)
+    for c in reversed(coeffs):
+        acc = acc * q + numeric._mpf(c)
+    return acc
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    label=st.sampled_from(EVALUATOR_LABELS),
+    t=st.fractions(min_value=Fraction(1, 20), max_value=Fraction(20), max_denominator=1000),
+)
+def test_evaluator_dropped_bound_covers_the_skipped_terms(label, t):
+    series = form_by_label(label, 800)
+    with mp.workprec(BITS):
+        point = numeric.AxisEvaluator(series).at(t)
+    assert 0 < point.terms <= len(series.coeffs)
+    with mp.workprec(BITS + 64):
+        q = mp.exp(-2 * mp.pi * numeric._mpf(t) / series.grain)
+        head = series.coeffs[: point.terms]
+        skipped = q**point.terms * horner(series.coeffs[point.terms:], q)
+        assert abs(skipped) <= point.dropped
+        # the working-precision sum may also be off by its own rounding
+        rounding = mp.ldexp(horner([abs(c) for c in head], q), 1 - BITS)
+        assert abs(point.value - horner(series.coeffs, q)) <= point.dropped + rounding
+    assert numeric.eval_at_it(series, t)["tail_estimate"] >= point.dropped
+
+
+def test_evaluator_sums_each_point_only_as_far_as_it_needs():
+    series = form_by_label("X12_2", 800)
+    with mp.workprec(BITS):
+        evaluator = numeric.AxisEvaluator(series)
+        high, low = evaluator.at(20), evaluator.at(Fraction(1, 20))
+    assert high.terms < 10
+    assert 100 < low.terms <= len(series.coeffs)
+    assert high.dropped > 0 and high.value > 0
+
+
 def test_series_input_matches_label_route():
     a = value_at(x_w1(6, 300), Fraction(1, 2))
     b = value_at("X6_1", Fraction(1, 2))
@@ -224,6 +268,13 @@ def test_scan_rejects_nonpositive_exponent():
         numeric.monotonicity_scan("X6_1", 0)
 
 
+def test_scan_rejects_malformed_depth1_labels():
+    # the depth-1 dispatch once read these as X12_1
+    for label in ("X012_1", "X\u0661\u0662_1", "X12_1\n"):
+        with pytest.raises(KeyError, match="unknown form label"):
+            numeric.monotonicity_scan(label, 11, (Fraction(1, 2), 2, 3))
+
+
 DECREASING_PAIRS = (
     ("X6_1", 5),
     ("X12_1", 11),
@@ -294,6 +345,20 @@ def test_curve_points_show_interior_peak_for_weight8():
     peak = max(range(len(values)), key=lambda k: values[k])
     assert 0 < peak < len(values) - 1
     assert values[0] < values[peak] and values[-1] < values[peak]
+
+
+def test_curve_points_build_depth1_labels_for_heights_from_one(monkeypatch):
+    # the depth-1 series is summed directly only at t >= 1, so it is not
+    # built at the order a small grid height would need
+    orders, labels = [], []
+    components, by_label = numeric.x_w1_components, numeric.form_by_label
+    monkeypatch.setattr(numeric, "x_w1_components", lambda w, order: orders.append(order) or components(w, order))
+    monkeypatch.setattr(numeric, "form_by_label", lambda label, order: labels.append(label) or by_label(label, order))
+    with mp.workprec(BITS):
+        grid = (mp.mpf("0.06"), mp.mpf(2))
+    numeric.curve_points("X6_1", 5, grid)
+    assert orders == [EvalConfig().order_for(1)]
+    assert labels == []
 
 
 def test_curve_points_match_direct_evaluation_above_one():
