@@ -154,7 +154,7 @@ def _cmd_identity(args) -> tuple[int, dict, str]:
     for r in results:
         mark = "PASS" if r.passed else "FAIL"
         extra = "" if r.passed else f"  first bad exponent {r.first_bad_exponent}"
-        lines.append(f"{mark} {r.ident} (order {r.order}, {r.elapsed:.3f}s){extra}")
+        lines.append(f"{mark} {r.ident} (order {r.order}, checked through {r.through}, {r.elapsed:.3f}s){extra}")
     payload = {
         "order": order,
         "results": [r.to_json_dict() for r in results],

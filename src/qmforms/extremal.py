@@ -175,15 +175,17 @@ def component_constant(w: int, which: str = "pure") -> Fraction:
 
 def _antiderivative(f: FourierSeries) -> FourierSeries:
     """Inverse of q d/dq with zero constant term (requires none present)."""
-    if f.coefficient(0) != 0:
+    if f.nums[0]:
         raise ValueError("cannot antidifferentiate a nonzero constant term")
+    # c_k -> c_k * g/k: divide k into the numerator where it goes, and put
+    # the lcm of the leftover divisors into the common denominator
     g = f.grain
-    return FourierSeries(
-        g,
-        tuple(
-            c * F(g, k) if k else F(0) for k, c in enumerate(f.coeffs)
-        ),
-    )
+    parts = [(0, 1)]
+    for k, c in enumerate(f.nums[1:], 1):
+        h = math.gcd(c * g, k)
+        parts.append((c * g // h, k // h))
+    extra = math.lcm(*{r for _, r in parts})
+    return FourierSeries(g, tuple(p * (extra // r) for p, r in parts), f.den * extra)
 
 
 _X_W2_WEIGHTS = (4, 8, 10, 12, 14, 16)

@@ -3,9 +3,9 @@
 Everything here is an exact truncated expansion (:class:`FourierSeries`).
 Weight-k Eisenstein series are normalized to constant term 1; the
 discriminant comes from the sparse cube of the eta-product, raised to the
-eighth power by integer convolution.  That keeps tables to order 10^4 at
-about a second; order 10^5 takes tens of seconds, because the packed
-integer products are multiplied by Karatsuba.
+eighth power by three integer squares.  On a 2-core Xeon that takes about
+0.2 s for a table to order 10^4 and about 9 s to order 10^5, because the
+packed integers are squared by Karatsuba.
 
 The composites F, G, K10/K12/K14, L, L10 and P2 have one cached builder
 each, so asking for one builds only what it depends on.

@@ -57,6 +57,7 @@ class IdentityResult:
     ident: str
     status: str  # "pass" or "fail"
     order: int
+    through: Fraction  # smallest bound any pair was compared through
     first_bad_exponent: Fraction | None
     residual: Fraction | None
     elapsed: float
@@ -72,6 +73,7 @@ class IdentityResult:
             "ident": self.ident,
             "status": self.status,
             "order": self.order,
+            "through": str(self.through),
             "first_bad_exponent": None if bad is None else str(bad),
             "residual": None if res is None else [str(res.numerator), str(res.denominator)],
             "elapsed": round(self.elapsed, 6),
@@ -152,30 +154,25 @@ def series_divide(num: FourierSeries, den: FourierSeries, through) -> FourierSer
     lead = den.leading()
     if lead is None:
         raise ZeroDivisionError("division by the zero series")
-    e0, c0 = lead
-    grain = den.grain if den.grain == num.grain else None
-    if grain is None:
-        # align the two grains first
-        g = den.grain * num.grain // math.gcd(den.grain, num.grain)
-        num = num.with_grain(g)
-        den = den.with_grain(g)
-        grain = g
-    shift = int(e0 * grain)
-    dvals = den._coeffs_at_grain(grain)[shift:]
-    nvals = list(num._coeffs_at_grain(grain))
+    grain = math.lcm(den.grain, num.grain)
+    num, den = num.with_grain(grain), den.with_grain(grain)
+    shift = int(lead[0] * grain)
+    dvals = den.nums[shift:]
+    nvals = num.nums
     top = int(Fraction(through) * grain)
     if top + shift >= len(nvals):
         raise ValueError(
             f"quotient through {Fraction(through)} needs numerator coefficients "
             f"beyond its stored order {num.order}"
         )
+    # divide the integer numerators; the common denominators give den.den / num.den
     out = []
     for i in range(top + 1):
-        acc = nvals[i + shift]
+        acc = Fraction(nvals[i + shift])
         for j in range(1, min(i, len(dvals) - 1) + 1):
             acc -= dvals[j] * out[i - j]
-        out.append(acc / c0)
-    return FourierSeries.from_coefficients(out, grain=grain)
+        out.append(acc / dvals[0])
+    return FourierSeries.from_coefficients(out, grain=grain).scale(Fraction(den.den, num.den))
 
 
 # ---------------------------------------------------------------------------
@@ -601,8 +598,10 @@ def identity_ids() -> list[str]:
 
 def _check_case(case: IdentityCase, order: int) -> IdentityResult:
     start = time.perf_counter()
+    checked = Fraction(order)
     for lhs, rhs in case.build(order):
         through = min(Fraction(order), lhs.order, rhs.order)
+        checked = min(checked, through)
         diff = lhs.first_difference(rhs, through)
         if diff is not None:
             exponent, left, right = diff
@@ -610,6 +609,7 @@ def _check_case(case: IdentityCase, order: int) -> IdentityResult:
                 ident=case.ident,
                 status="fail",
                 order=order,
+                through=checked,
                 first_bad_exponent=exponent,
                 residual=left - right,
                 elapsed=time.perf_counter() - start,
@@ -618,6 +618,7 @@ def _check_case(case: IdentityCase, order: int) -> IdentityResult:
         ident=case.ident,
         status="pass",
         order=order,
+        through=checked,
         first_bad_exponent=None,
         residual=None,
         elapsed=time.perf_counter() - start,

@@ -13,11 +13,12 @@ monotonicity study of t ↦ t^m F(it):
 * tangent/limit checks at t → 0+ (ratio limit 2π/m, the bracket form
   (m+1)(F')² − m·F''·F, and the small-t sign criterion).
 
-Every sum goes through :class:`AxisEvaluator`.  ``EvalConfig.order_policy``
+Every sum goes through :class:`AxisEvaluator`.  ``EvalConfig.order_for``
 sets the order a series is built at, not the number of terms summed: each
 point sums only up to its own cut, and its reported error counts a bound on
-the stored terms it dropped plus a geometric heuristic (not a proven bound)
-for the terms beyond the stored order.
+the stored terms it dropped, a bound on the rounding of its own sum, and a
+geometric heuristic (not a proven bound) for the terms beyond the stored
+order.
 
 Scans are labelled "on grid": they establish signs at grid points with
 stated tolerances, never a proof of monotonicity in between.
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import ceil
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from mpmath import mp
 
@@ -46,36 +47,26 @@ class NonPositiveT(ValueError):
     """Raised when an evaluation point t on the imaginary axis is <= 0."""
 
 
-def _default_order_policy(t: float) -> int:
-    """Truncation order giving roughly e^(-80*pi) tail mass at height t."""
-    return max(200, ceil(40 / float(t)))
-
-
 @dataclass(frozen=True)
 class EvalConfig:
-    """Precision, truncation, and tail-reporting knobs for axis evaluation.
+    """Working precision for axis evaluation.
 
-    ``precision_bits`` sets the working binary precision (at least 64);
-    ``order_policy`` maps the smallest height a series serves to the order
-    it is built at (clamped to at least 16 at use sites), while the terms
-    summed at each point are chosen by :class:`AxisEvaluator`;
-    ``tail_safety`` multiplies the reported geometric heuristic for the
-    terms beyond the stored order (at least 1).
+    ``precision_bits`` sets the working binary precision (at least 64).
+    ``order_for`` gives the order a series is built at for the smallest
+    height it serves; the terms summed at each point are chosen by
+    :class:`AxisEvaluator`.
     """
 
     precision_bits: int = 128
-    order_policy: Callable[[float], int] = _default_order_policy
-    tail_safety: Fraction = Fraction(10)
 
     def __post_init__(self) -> None:
         if int(self.precision_bits) < 64:
             raise ValueError(f"precision_bits must be >= 64, got {self.precision_bits}")
-        if Fraction(self.tail_safety) < 1:
-            raise ValueError(f"tail_safety must be >= 1, got {self.tail_safety}")
 
     def order_for(self, t) -> int:
-        """Truncation order used for an evaluation at z = it (floor 16)."""
-        return max(16, int(self.order_policy(float(t))))
+        """Truncation order for an evaluation at z = it: roughly e^(-80*pi)
+        tail mass at height t."""
+        return max(200, ceil(40 / float(t)))
 
 
 def _mpf(x) -> mp.mpf:
@@ -102,14 +93,19 @@ def _sign_factor(w: int) -> int:
 # drops only stored terms weighing under 2^-(prec + GUARD_BITS) of its largest.
 GUARD_BITS = 16
 
+# Factor on the geometric heuristic for the terms past the stored order.
+TAIL_SAFETY = 10
+
 
 class AxisSum(NamedTuple):
     """A point: Horner sum of the first ``terms`` stored terms, a bound on the
-    stored terms after them, the heuristic for those past the stored order."""
+    stored terms after them, the heuristic for those past the stored order,
+    and a bound on the rounding error of ``value`` as a sum of those terms."""
 
     value: mp.mpf
     dropped: mp.mpf
     beyond: mp.mpf
+    rounding: mp.mpf
     terms: int
 
 
@@ -122,70 +118,85 @@ class AxisEvaluator:
     index with 2^h·q^N/(1−q) < 2^-(prec+GUARD_BITS) times the largest term,
     where 2^h bounds every |c_n|, n >= N, by bit lengths with a bit to spare:
     that bound on the dropped stored terms is returned as ``dropped``.
-    ``beyond`` is safety·|c_K|·q^K/(1 − e^(−2πt)) for the last nonzero c_K
-    (trailing structural zeros say nothing about decay).
+    ``beyond`` is TAIL_SAFETY·|c_K|·q^K/(1 − e^(−2πt)) for the last nonzero
+    c_K (trailing structural zeros say nothing about decay).
+
+    ``rounding`` bounds |value − Σ_(k<N) c_k·q^k| (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, §5.1).  With u = 2^-(prec+GUARD_BITS)
+    and every |c_k|·q^k, k < N, below 2^P by the bit lengths that choose the
+    cut, it is N·2^P·u·(2N + 2 + N·(6x + 3)) + 2^(1−prec)·|value|: 2N Horner
+    roundings and two per coefficient conversion, q's error (about
+    (4x + 2)·u for x = 2πt/grain) compounded k-fold in q^k, and the final
+    rounding to the caller's precision.
     """
 
-    def __init__(self, series: FourierSeries, safety=1):
-        self._coeffs = coeffs = series.coeffs
+    def __init__(self, series: FourierSeries):
+        den = series.den
+        # each c_n as p/q in lowest terms, as its Fraction would hold it
+        self._fracs = fracs = [(c // (h := math.gcd(c, den)), den // h) for c in series.nums]
         self.grain = series.grain
         self._values: list = []
         self._prec = mp.prec + GUARD_BITS
-        # 2^(d-1) <= |c_n| < 2^(d+1) for d = bits of numerator - bits of denominator
-        bits = [abs(c.numerator).bit_length() - c.denominator.bit_length() if c else None for c in coeffs]
+        # 2^(d-1) <= |c_n| < 2^(d+1) for d = bits of p - bits of q
+        bits = [abs(p).bit_length() - q.bit_length() if p else None for p, q in fracs]
         self._low = [-math.inf if d is None else d - 1 for d in bits]
         # _suffix[n] >= 1 + log2 max |c_k| over k >= n, -inf once all are 0
         high = [-math.inf if d is None else d + 2 for d in reversed(bits)]
         self._suffix = list(accumulate(high, max, initial=-math.inf))[::-1]
         self._last = max((n for n, d in enumerate(bits) if d is not None), default=0)
-        self._top = _mpf(Fraction(safety) * abs(coeffs[self._last]))
+        self._top = _mpf(TAIL_SAFETY * abs(Fraction(*fracs[self._last])))
 
-    def _cut(self, x: float) -> int:
-        """First N whose dropped-terms bound is below the budget at q = e^-x."""
+    def _cut(self, x: float) -> tuple[int, float]:
+        """First N whose dropped-terms bound is below the budget at q = e^-x,
+        and the peak: |c_n|·q^n < 2^(peak + 2) for every n < N."""
         step = -x / math.log(2)
         offset = -math.log2(-math.expm1(-x))
         peak = -math.inf
         for n, low in enumerate(self._low):
             if self._suffix[n] + n * step + offset < peak - self._prec:
-                return n
+                return n, peak
             peak = max(peak, low + n * step)
-        return len(self._low)
+        return len(self._low), peak
 
     def at(self, t) -> AxisSum:
         """The series at z = it, summed to the cut for height t."""
         with mp.workprec(self._prec):
             x = 2 * mp.pi * _mpf(t) / self.grain
             q = mp.exp(-x)
-            n = self._cut(float(x))
+            n, peak = self._cut(float(x))
             values = self._values
             if len(values) < n:
-                values.extend(_mpf(c) for c in self._coeffs[len(values):n])
+                values.extend(mp.mpf(num) / den for num, den in self._fracs[len(values):n])
             acc = mp.mpf(0)
             for k in range(n - 1, -1, -1):
                 acc = acc * q + values[k]
             high = self._suffix[n]
             dropped = mp.ldexp(q**n / (1 - q), high) if high > -math.inf else mp.mpf(0)
             beyond = self._top * q**self._last / (1 - q**self.grain)
-        return AxisSum(+acc, +dropped, +beyond, n)
+            # P = ceil(peak) + 3 keeps a bit to spare over the float peak
+            summed = (mp.ldexp(n * (2 * n + 2 + n * (6 * float(x) + 3)), math.ceil(peak) + 3 - self._prec)
+                      if peak > -math.inf else mp.mpf(0))
+        value = +acc
+        return AxisSum(value, +dropped, +beyond, summed + mp.ldexp(abs(value), 1 - mp.prec), n)
 
 
 def _combine(parts) -> tuple:
-    """(Σ k·v, Σ |k|·(dropped + beyond) + 2^(12−prec)·Σ |k·v|) over ``(k, AxisSum)``."""
+    """(Σ k·v, Σ |k|·(dropped + beyond + rounding) + 2^(12−prec)·Σ |k·v|) over ``(k, AxisSum)``."""
     total = errors = scale = mp.mpf(0)
     for k, point in parts:
         term = k * point.value
         total += term
         scale += abs(term)
-        errors += abs(k) * (point.dropped + point.beyond)
+        errors += abs(k) * (point.dropped + point.beyond + point.rounding)
     return total, errors + mp.ldexp(1, 12 - mp.prec) * scale
 
 
 class _DirectRoute:
     """F and F' summed directly at every height."""
 
-    def __init__(self, series: FourierSeries, safety):
-        self.f = AxisEvaluator(series, safety)
-        self.fp = AxisEvaluator(series.derivative(), safety)
+    def __init__(self, series: FourierSeries):
+        self.f = AxisEvaluator(series)
+        self.fp = AxisEvaluator(series.derivative())
 
     def value(self, t) -> mp.mpf:
         return self.f.at(t).value
@@ -209,12 +220,12 @@ class _Depth1Route(_DirectRoute):
     u >= 1, so convergence is fast uniformly in t ∈ (0, 1].
     """
 
-    def __init__(self, components: Depth1Components, safety):
-        super().__init__(components.recompose(), safety)
+    def __init__(self, components: Depth1Components):
+        super().__init__(components.recompose())
         self.w = components.weight
         self.sgn = _sign_factor(self.w)
-        self.b = AxisEvaluator(components.e2_part, safety)
-        self.bp = AxisEvaluator(components.e2_part.derivative(), safety)
+        self.b = AxisEvaluator(components.e2_part)
+        self.bp = AxisEvaluator(components.e2_part.derivative())
 
     def _inverted(self, t) -> tuple:
         u = 1 / _mpf(t)
@@ -261,8 +272,8 @@ def _axis_route(label: str, t_min, cfg: EvalConfig) -> _DirectRoute:
     match = _DEPTH1_LABEL.fullmatch(label)
     if match:
         components = x_w1_components(int(match.group(1)), cfg.order_for(max(1, t_min)))
-        return _Depth1Route(components, cfg.tail_safety)
-    return _DirectRoute(form_by_label(label, cfg.order_for(t_min)), cfg.tail_safety)
+        return _Depth1Route(components)
+    return _DirectRoute(form_by_label(label, cfg.order_for(t_min)))
 
 
 def eval_at_it(form, t, cfg: EvalConfig | None = None) -> dict:
@@ -270,15 +281,16 @@ def eval_at_it(form, t, cfg: EvalConfig | None = None) -> dict:
 
     ``form`` is a label (built at ``cfg.order_for(t)``) or a FourierSeries
     (evaluated as stored).  Returns ``{"value", "tail_estimate"}``; the
-    tail estimate is the bound on the stored terms the sum dropped plus the
-    documented geometric heuristic for the terms past the stored order.
+    tail estimate is the bound on the stored terms the sum dropped, the
+    bound on the rounding of the sum, and the documented geometric
+    heuristic for the terms past the stored order.
     """
     _require_positive(t)
     cfg = cfg or EvalConfig()
     with mp.workprec(cfg.precision_bits):
         series = form_by_label(form, cfg.order_for(t)) if isinstance(form, str) else form
-        point = AxisEvaluator(series, cfg.tail_safety).at(t)
-        return {"value": point.value, "tail_estimate": point.dropped + point.beyond}
+        point = AxisEvaluator(series).at(t)
+        return {"value": point.value, "tail_estimate": point.dropped + point.beyond + point.rounding}
 
 
 def eval_depth1_transformed(components: Depth1Components, t, cfg: EvalConfig | None = None) -> dict:
@@ -288,7 +300,7 @@ def eval_depth1_transformed(components: Depth1Components, t, cfg: EvalConfig | N
         raise ValueError(f"transformed route is for t in (0, 1], got {t}")
     cfg = cfg or EvalConfig()
     with mp.workprec(cfg.precision_bits):
-        f_value, fp_value = _Depth1Route(components, cfg.tail_safety).transformed(t)
+        f_value, fp_value = _Depth1Route(components).transformed(t)
     return {"F_value": f_value, "Fprime_value": fp_value}
 
 
@@ -448,7 +460,7 @@ def tangent_conditions(form, components: Depth1Components, m: int, cfg: EvalConf
             and check_complete_positivity(series.derivative(), through).completely_positive_up_to_order
         )
 
-        route = _Depth1Route(components, cfg.tail_safety)
+        route = _Depth1Route(components)
         ratios = []
         for t in (Fraction(1, 5), Fraction(1, 10), Fraction(1, 20)):
             f_value, fp_value = route.transformed(t)
@@ -515,7 +527,7 @@ def small_t_positivity_check(w: int, cfg: EvalConfig | None = None) -> bool:
         comp = x_w1_components(w, cfg.order_for(5))
         beta1 = comp.e2_part.coefficient(1)
         exact_ok = sgn * beta1 > 0
-        route = _Depth1Route(comp, cfg.tail_safety)
+        route = _Depth1Route(comp)
         numeric_ok = all(
             sgn * mp.mpf(u) ** w * (route.f.at(u).value + 12 * route.bp.at(u).value
                                     - 2 * mp.pi * u * route.fp.at(u).value) > 0

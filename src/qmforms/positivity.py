@@ -8,11 +8,12 @@ explicit rational upper bounds replacing the irrational constants.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .extremal import form_by_label
+from .extremal import form_by_label, x_w2
 from .forms import delta_series, sigma_table
 from .qseries import FourierSeries, _intconv
 
@@ -130,11 +131,11 @@ def check_complete_positivity(form: FormLike, order: int = 2000) -> PositivityRe
         )
     first: tuple[Fraction, Fraction] | None = None
     g = series.grain
-    for k, c in enumerate(series.coeffs):
-        if Fraction(k, g) > through:
-            break
+    top = math.floor(through * g)  # last index with exponent <= through
+    # the common denominator is positive, so numerators carry the signs
+    for k, c in enumerate(series.nums[: max(top + 1, 0)]):
         if c < 0:
-            first = (Fraction(k, g), c)
+            first = (Fraction(k, g), Fraction(c, series.den))
             break
     return PositivityReport(label, through, first, first is None)
 
@@ -181,7 +182,7 @@ def _p3_values(n_limit: int) -> list[int]:
 def _p4_values(n_limit: int) -> list[int]:
     # 1050 * coefficient: n(sigma_9(n) - 2^10 sigma_9(n/2)) - (tau(n) - 2^11 tau(n/2))
     s9 = sigma_table(n_limit, 9)
-    tau_ints = [int(c) for c in delta_series(n_limit).coeffs]
+    tau_ints = delta_series(n_limit).nums
     out = [0] * (n_limit + 1)
     for n in range(1, n_limit + 1):
         v = n * s9[n] - tau_ints[n]
@@ -195,7 +196,7 @@ def _x42delta_values(n_limit: int) -> list[int]:
     # convolution of n*sigma_1(n) with the discriminant coefficients
     s1 = sigma_table(n_limit, 1)
     ns1 = [n * s1[n] for n in range(n_limit + 1)]
-    tau_ints = [int(c) for c in delta_series(n_limit).coeffs]
+    tau_ints = delta_series(n_limit).nums
     return _intconv(ns1, tau_ints, n_limit)
 
 
@@ -234,7 +235,8 @@ def sign_pattern(form: FormLike, n_limit: int) -> DensityReport:
             raise ValueError(
                 f"series stores only up to order {series.order}, need {n_limit}"
             )
-        count = sum(1 for n in range(1, n_limit + 1) if series.coefficient(n) > 0)
+        nums, g = series.nums, series.grain
+        count = sum(1 for n in range(1, n_limit + 1) if nums[n * g] > 0)
     return DensityReport(
         label, n_limit, count, Fraction(count, n_limit), PREDICTED_DENSITY.get(label)
     )
@@ -253,12 +255,14 @@ def ratio_infimum(form: FormLike, n_dilate: int, bound: int) -> RatioReport:
     violations: list[int] = []
     min_ratio: Fraction | None = None
     argmin: int | None = None
+    # the common denominator cancels from every ratio
+    nums, g = series.nums, series.grain
     for n in range(1, bound + 1):
-        a_n = series.coefficient(n)
+        a_n = nums[n * g]
         if a_n <= 0:
             violations.append(n)
             continue
-        ratio = series.coefficient(n_dilate * n) / a_n
+        ratio = Fraction(nums[n_dilate * n * g], a_n)
         if min_ratio is None or ratio < min_ratio:
             min_ratio, argmin = ratio, n
     return RatioReport(label, n_dilate, bound, min_ratio, argmin, tuple(violations))
@@ -267,17 +271,6 @@ def ratio_infimum(form: FormLike, n_dilate: int, bound: int) -> RatioReport:
 # ---------------------------------------------------------------------------
 # the weight-12 depth-2 doubling check and its two closed-form facts
 # ---------------------------------------------------------------------------
-
-
-def _x122_scaled_coefficients(limit: int) -> list[int]:
-    # 378000 * coefficient: 17 tau(n) + 18 n sigma_9(n) - 35 n^2 sigma_7(n)
-    s9 = sigma_table(limit, 9)
-    s7 = sigma_table(limit, 7)
-    tau_ints = [int(c) for c in delta_series(limit).coeffs]
-    return [
-        17 * tau_ints[n] + 18 * n * s9[n] - 35 * n * n * s7[n]
-        for n in range(limit + 1)
-    ]
 
 
 def _odd_range_gap_positive(m_max: int = 99) -> bool:
@@ -340,7 +333,8 @@ def x122_doubling_check(bound: int = 500, *, factor: int = 2**10) -> dict:
     """
     if bound < 2:
         raise ValueError("bound must be at least 2")
-    c = _x122_scaled_coefficients(2 * bound)
+    # the common denominator is positive, so it cancels from each comparison
+    c = x_w2(12, 2 * bound).nums
     witness = None
     for n in range(2, bound + 1):
         if c[2 * n] < factor * c[n]:

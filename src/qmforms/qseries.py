@@ -5,16 +5,18 @@ The central object is :class:`FourierSeries`: a finite expansion
     sum_{k=0}^{K} c_k * q^(k/g)
 
 with rational coefficients ``c_k``, integer grain ``g >= 1``, and truncation
-tracked by the *absolute* exponent ``K/g``.  All arithmetic is exact
-(``fractions.Fraction``).  Mixed-grain operands are aligned on the lcm of the
-grains, and every binary operation propagates the smaller absolute order of
-its inputs, so a result never claims more terms than its inputs support.
+tracked by the *absolute* exponent ``K/g``.  The coefficients are stored as
+integer numerators over one positive common denominator, in lowest terms, so
+all arithmetic is exact integer arithmetic; ``coeffs`` builds the
+``fractions.Fraction`` view on demand.  Mixed-grain operands are aligned on
+the lcm of the grains, and every binary operation propagates the smaller
+absolute order of its inputs, so a result never claims more terms than its
+inputs support.
 
-Products run through an integer convolution on the coefficient numerators
-over a common denominator; medium and large convolutions are packed into
-single big integers (Kronecker substitution) so that Python's native big-int
-multiplication does the work.  This keeps order-2000 expansions cheap while
-staying exact.
+A product is one integer convolution of the numerators over the product of
+the denominators.  Convolutions of operands with more than a few nonzero
+terms are packed into single signed big integers (Kronecker substitution),
+so that one native big-int product, or a square, does the work.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 
 class NonIntegerGrain(ValueError):
@@ -42,64 +44,58 @@ def _as_fraction(x) -> Fraction:
 # integer convolution helpers
 # ---------------------------------------------------------------------------
 
-_SCHOOLBOOK_LIMIT = 192  # output length below which the double loop wins
+# Operands with at most this many nonzero terms (the eta cube, monomials)
+# stay on the double loop; denser ones go through one packed product.
+_SPARSE_TERMS = 24
 
 
-def _pack(values: list[int], width: int) -> int:
-    """Pack nonnegative ints, each < 256**width, into one little-endian int."""
-    return int.from_bytes(b"".join([x.to_bytes(width, "little") for x in values]), "little")
+def _pack(values: Sequence[int], width: int) -> int:
+    """sum values[i] * 256**(width*i), for ints with |values[i]| < 256**width."""
+    zero = bytes(width)
+    packed = int.from_bytes(
+        b"".join([x.to_bytes(width, "little") if x > 0 else zero for x in values]), "little"
+    )
+    if min(values) < 0:
+        packed -= int.from_bytes(
+            b"".join([(-x).to_bytes(width, "little") if x < 0 else zero for x in values]), "little"
+        )
+    return packed
 
 
-def _unpack(n: int, width: int, count: int) -> list[int]:
-    # the packed integer may hold more slots than we read back (truncation)
-    nbytes = (n.bit_length() + 7) // 8
-    raw = n.to_bytes(max(nbytes, width * count), "little")
+def _kronecker_conv(a: Sequence[int], b: Sequence[int], n_out: int) -> list[int]:
+    # Each output slot is below half a slot in magnitude, so adding half a
+    # slot to every one of the first n_out slots makes them all nonnegative
+    # digits; the mask drops the slots past n_out, whatever their sign.
+    amax = max(map(abs, a))
+    bmax = max(map(abs, b))
+    width = (amax * bmax * min(len(a), len(b))).bit_length() // 8 + 1
+    packed = _pack(a, width)
+    product = packed * packed if a is b else packed * _pack(b, width)
+    half = 1 << (8 * width - 1)
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * n_out, "little")
+    raw = ((product + bias) & ((1 << (8 * width * n_out)) - 1)).to_bytes(width * n_out, "little")
     return [
-        int.from_bytes(raw[i * width : (i + 1) * width], "little")
-        for i in range(count)
+        int.from_bytes(raw[i * width : (i + 1) * width], "little") - half
+        for i in range(n_out)
     ]
 
 
-def _kronecker_conv(a: list[int], b: list[int], n_out: int) -> list[int]:
-    # Split by sign so each packed slot stays nonnegative; the two products
-    # of like signs (and the two of unlike signs) are summed while packed,
-    # which costs one extra bit covered by the slack below.
-    amax = max(abs(x) for x in a)
-    bmax = max(abs(x) for x in b)
-    bound = 2 * amax * bmax * min(len(a), len(b))
-    width = bound.bit_length() // 8 + 2
-    ap = [x if x > 0 else 0 for x in a]
-    an = [-x if x < 0 else 0 for x in a]
-    bp = [x if x > 0 else 0 for x in b]
-    bn = [-x if x < 0 else 0 for x in b]
-    has_an = any(an)
-    has_bn = any(bn)
-    pap, pbp = _pack(ap, width), _pack(bp, width)
-    pos = pap * pbp
-    neg = 0
-    if has_an or has_bn:
-        pan, pbn = _pack(an, width), _pack(bn, width)
-        pos += pan * pbn
-        neg = pap * pbn + pan * pbp
-    out_pos = _unpack(pos, width, n_out)
-    if not neg:
-        return out_pos
-    out_neg = _unpack(neg, width, n_out)
-    return [p - q for p, q in zip(out_pos, out_neg)]
+def _intconv(a: Sequence[int], b: Sequence[int], klimit: int) -> list[int]:
+    """Truncated convolution: out[k] = sum_{i+j=k} a[i]*b[j] for k <= klimit.
 
-
-def _intconv(a: list[int], b: list[int], klimit: int) -> list[int]:
-    """Truncated convolution: out[k] = sum_{i+j=k} a[i]*b[j] for k <= klimit."""
+    Passing the same sequence twice squares it with one big-int square.
+    """
     if not a or not b:
         return [0] * (klimit + 1)
     n_out = min(len(a) + len(b) - 2, klimit) + 1
+    square = a is b
     a = a[:n_out]
-    b = b[:n_out]
-    nza = sum(1 for x in a if x)
-    nzb = sum(1 for x in b if x)
+    b = a if square else b[:n_out]
+    nza = len(a) - a.count(0)
+    nzb = nza if square else len(b) - b.count(0)
     if nza == 0 or nzb == 0:
         return [0] * n_out
-    if n_out > _SCHOOLBOOK_LIMIT and min(nza, nzb) > 24:
+    if min(nza, nzb) > _SPARSE_TERMS:
         return _kronecker_conv(a, b, n_out)
     if nzb < nza:
         a, b = b, a
@@ -114,16 +110,6 @@ def _intconv(a: list[int], b: list[int], klimit: int) -> list[int]:
     return out
 
 
-def _common_denominator(coeffs: Iterable[Fraction]) -> int | None:
-    """lcm of denominators, or None if it exceeds the big-int comfort zone."""
-    den = 1
-    for d in {c.denominator for c in coeffs}:
-        den = den * d // math.gcd(den, d)
-        if den.bit_length() > 96:
-            return None
-    return den
-
-
 # ---------------------------------------------------------------------------
 # the series type
 # ---------------------------------------------------------------------------
@@ -133,35 +119,55 @@ def _common_denominator(coeffs: Iterable[Fraction]) -> int | None:
 class FourierSeries:
     """Immutable truncated expansion sum c_k q^(k/grain), exact coefficients.
 
-    ``coeffs[k]`` is the coefficient of ``q^(k/grain)``.  The absolute
-    truncation order is ``(len(coeffs) - 1) / grain``; coefficients of all
-    exponents up to and including that bound are stored (zeros included).
+    ``c_k = nums[k] / den``: integer numerators over one positive common
+    denominator, kept in lowest terms (``gcd(den, *nums) == 1``), so a series
+    has one stored form at a given grain.  The absolute truncation order is
+    ``(len(nums) - 1) / grain``; coefficients of all exponents up to and
+    including that bound are stored (zeros included).
     """
 
     grain: int
-    coeffs: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int = 1
 
     def __post_init__(self):
         if not isinstance(self.grain, int) or self.grain < 1:
             raise ValueError("grain must be a positive integer")
-        if not self.coeffs:
+        if not self.nums:
             raise ValueError("a series must store at least the constant term")
+        if not isinstance(self.den, int) or self.den < 1:
+            raise ValueError("the common denominator must be a positive integer")
+        if self.den != 1:
+            g = math.gcd(self.den, *self.nums)
+            if g != 1:
+                object.__setattr__(self, "nums", tuple(n // g for n in self.nums))
+                object.__setattr__(self, "den", self.den // g)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """``coeffs[k]`` is the coefficient of ``q^(k/grain)``; built on each
+        call, not cached."""
+        den = self.den
+        if den == 1:
+            return tuple(map(Fraction, self.nums))
+        return tuple(Fraction(n, den) for n in self.nums)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def from_coefficients(cls, values: Iterable, grain: int = 1) -> "FourierSeries":
-        return cls(grain, tuple(_as_fraction(v) for v in values))
+        # ints stay ints; anything else that is not a Fraction raises TypeError
+        values = [v if isinstance(v, (int, Fraction)) else _as_fraction(v) for v in values]
+        den = math.lcm(*{v.denominator for v in values})
+        return cls(grain, tuple(v.numerator * (den // v.denominator) for v in values), den)
 
     @classmethod
     def zero(cls, order: int, grain: int = 1) -> "FourierSeries":
-        return cls(grain, (Fraction(0),) * (order * grain + 1))
+        return cls(grain, (0,) * (order * grain + 1))
 
     @classmethod
     def one(cls, order: int, grain: int = 1) -> "FourierSeries":
-        c = [Fraction(0)] * (order * grain + 1)
-        c[0] = Fraction(1)
-        return cls(grain, tuple(c))
+        return cls(grain, (1,) + (0,) * (order * grain))
 
     @classmethod
     def from_terms(
@@ -182,14 +188,14 @@ class FourierSeries:
                 raise ValueError("negative exponents are not supported")
             if k <= order * grain:
                 c[int(k)] += v
-        return cls(grain, tuple(c))
+        return cls.from_coefficients(c, grain)
 
     # -- basic queries -----------------------------------------------------
 
     @property
     def order(self) -> Fraction:
         """Absolute truncation exponent: coefficients are known through it."""
-        return Fraction(len(self.coeffs) - 1, self.grain)
+        return Fraction(len(self.nums) - 1, self.grain)
 
     def coefficient(self, exponent) -> Fraction:
         e = Fraction(exponent)
@@ -200,49 +206,47 @@ class FourierSeries:
         k = e * self.grain
         if k.denominator != 1:
             return Fraction(0)
-        return self.coeffs[int(k)]
+        return Fraction(self.nums[int(k)], self.den)
 
     def leading(self) -> tuple[Fraction, Fraction] | None:
         """(exponent, coefficient) of the first nonzero term, or None."""
-        for k, c in enumerate(self.coeffs):
+        for k, c in enumerate(self.nums):
             if c:
-                return Fraction(k, self.grain), c
+                return Fraction(k, self.grain), Fraction(c, self.den)
         return None
 
     def is_zero(self, through=None) -> bool:
         if through is None:
-            return not any(self.coeffs)
+            return not any(self.nums)
         m = Fraction(through)
         if m > self.order:
             raise ValueError(f"bound {m} beyond stored order {self.order}")
         klim = int(m * self.grain)  # floor
         if Fraction(klim, self.grain) > m:
             klim -= 1
-        return not any(self.coeffs[: klim + 1])
+        return not any(self.nums[: klim + 1])
 
     def has_integer_exponents(self) -> bool:
         if self.grain == 1:
             return True
         return all(
-            not c for k, c in enumerate(self.coeffs) if k % self.grain
+            not c for k, c in enumerate(self.nums) if k % self.grain
         )
 
     # -- grain and order management ----------------------------------------
 
-    def _coeffs_at_grain(self, g2: int) -> list[Fraction]:
+    def _nums_at_grain(self, g2: int) -> Sequence[int]:
         if g2 == self.grain:
-            return list(self.coeffs)
+            return self.nums
         if g2 % self.grain:
             raise ValueError("target grain must be a multiple of the current one")
         step = g2 // self.grain
-        out = [Fraction(0)] * ((len(self.coeffs) - 1) * step + 1)
-        for k, c in enumerate(self.coeffs):
-            if c:
-                out[k * step] = c
+        out = [0] * ((len(self.nums) - 1) * step + 1)
+        out[::step] = self.nums
         return out
 
     def with_grain(self, g2: int) -> "FourierSeries":
-        return FourierSeries(g2, tuple(self._coeffs_at_grain(g2)))
+        return FourierSeries(g2, tuple(self._nums_at_grain(g2)), self.den)
 
     def reduced(self) -> "FourierSeries":
         """Smallest grain representing the same expansion (lossless).
@@ -253,15 +257,13 @@ class FourierSeries:
         if self.grain == 1:
             return self
         d = self.grain
-        for k, c in enumerate(self.coeffs):
+        for k, c in enumerate(self.nums):
             if c:
                 d = math.gcd(d, k)
                 if d == 1:
                     return self
-        newk = (len(self.coeffs) - 1) // d
-        return FourierSeries(
-            self.grain // d, tuple(self.coeffs[k * d] for k in range(newk + 1))
-        )
+        newk = (len(self.nums) - 1) // d
+        return FourierSeries(self.grain // d, self.nums[: newk * d + 1 : d], self.den)
 
     def truncate(self, order) -> "FourierSeries":
         m = Fraction(order)
@@ -270,33 +272,33 @@ class FourierSeries:
         k = int(m * self.grain)
         if Fraction(k, self.grain) > m:
             k -= 1
-        return FourierSeries(self.grain, self.coeffs[: k + 1])
+        return FourierSeries(self.grain, self.nums[: k + 1], self.den)
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _binary_prep(self, other: "FourierSeries"):
-        g = self.grain * other.grain // math.gcd(self.grain, other.grain)
-        a = self._coeffs_at_grain(g)
-        b = other._coeffs_at_grain(g)
-        klim = min(len(a), len(b)) - 1
-        return g, a, b, klim
+    def _aligned(self, other: "FourierSeries"):
+        """(common grain, own numerators, other's numerators) at that grain."""
+        g = math.lcm(self.grain, other.grain)
+        a = self._nums_at_grain(g)
+        return g, a, a if other is self else other._nums_at_grain(g)
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = list(self.coeffs)
-            c[0] += other
-            return FourierSeries(self.grain, tuple(c))
+            den = math.lcm(self.den, other.denominator)
+            nums = [x * (den // self.den) for x in self.nums]
+            nums[0] += other.numerator * (den // other.denominator)
+            return FourierSeries(self.grain, tuple(nums), den)
         if not isinstance(other, FourierSeries):
             return NotImplemented
-        g, a, b, klim = self._binary_prep(other)
-        return FourierSeries(
-            g, tuple(a[k] + b[k] for k in range(klim + 1))
-        )
+        g, a, b = self._aligned(other)
+        den = math.lcm(self.den, other.den)
+        ma, mb = den // self.den, den // other.den
+        return FourierSeries(g, tuple(x * ma + y * mb for x, y in zip(a, b)), den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FourierSeries(self.grain, tuple(-c for c in self.coeffs))
+        return FourierSeries(self.grain, tuple(-x for x in self.nums), self.den)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -310,34 +312,20 @@ class FourierSeries:
 
     def scale(self, factor) -> "FourierSeries":
         f = _as_fraction(factor)
-        return FourierSeries(self.grain, tuple(c * f for c in self.coeffs))
+        h = math.gcd(f.numerator, self.den)
+        p = f.numerator // h
+        return FourierSeries(
+            self.grain, tuple(x * p for x in self.nums), self.den // h * f.denominator
+        )
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if not isinstance(other, FourierSeries):
             return NotImplemented
-        g, a, b, klim = self._binary_prep(other)
-        da = _common_denominator(a)
-        db = _common_denominator(b)
-        if da is None or db is None:
-            # huge mixed denominators: fall back to the direct exact loop
-            out = [Fraction(0)] * (klim + 1)
-            for i, ai in enumerate(a):
-                if not ai:
-                    continue
-                for j in range(min(len(b), klim + 1 - i)):
-                    if b[j]:
-                        out[i + j] += ai * b[j]
-            return FourierSeries(g, tuple(out))
-        # integer arithmetic only: Fraction products here cost more than the convolution
-        ia = [c.numerator * (da // c.denominator) for c in a]
-        ib = [c.numerator * (db // c.denominator) for c in b]
-        vals = _intconv(ia, ib, klim)
-        den = da * db
-        if den == 1:
-            return FourierSeries(g, tuple(map(Fraction, vals)))
-        return FourierSeries(g, tuple(Fraction(v, den) for v in vals))
+        g, a, b = self._aligned(other)
+        klim = min(len(a), len(b)) - 1
+        return FourierSeries(g, tuple(_intconv(a, b, klim)), self.den * other.den)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -352,29 +340,25 @@ class FourierSeries:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        # the running product starts as 1 at the base's own grain and order
-        result = FourierSeries(
-            self.grain,
-            tuple(
-                Fraction(1) if k == 0 else Fraction(0)
-                for k in range(len(self.coeffs))
-            ),
-        )
+        if n == 0:
+            # 1 at the base's own grain and order
+            return FourierSeries(self.grain, (1,) + (0,) * (len(self.nums) - 1))
+        result = None
         base = self
-        m = n
-        while m:
-            if m & 1:
-                result = result * base
-            m >>= 1
-            if m:
-                base = base * base
-        return result
+        while True:
+            if n & 1:
+                result = base if result is None else result * base
+            n >>= 1
+            if not n:
+                return result
+            base = base * base
 
     def derivative(self) -> "FourierSeries":
         """The operator q d/dq: the coefficient of q^r is multiplied by r."""
-        g = self.grain
         return FourierSeries(
-            g, tuple(c * Fraction(k, g) for k, c in enumerate(self.coeffs))
+            self.grain,
+            tuple(k * c for k, c in enumerate(self.nums)),
+            self.den * self.grain,
         )
 
     def dilate(self, n: int) -> "FourierSeries":
@@ -391,15 +375,12 @@ class FourierSeries:
             return self
         d = math.gcd(n, self.grain)
         g2 = self.grain // d
-        kmax = len(self.coeffs) - 1
-        out = [Fraction(0)] * (int(Fraction(kmax, self.grain) * g2) + 1)
-        # exponent k/grain maps to n k / grain, which is index k*n/d at grain g2
-        for k, c in enumerate(self.coeffs):
-            if c:
-                i = k * n // d
-                if i < len(out):
-                    out[i] += c
-        return FourierSeries(g2, tuple(out))
+        size = (len(self.nums) - 1) * g2 // self.grain + 1
+        # exponent k/grain maps to n k / grain, which is index k*(n/d) at grain g2
+        step = n // d
+        out = [0] * size
+        out[::step] = self.nums[: (size - 1) // step + 1]
+        return FourierSeries(g2, tuple(out), self.den)
 
     def half_shift(self) -> "FourierSeries":
         """Shift z by 1/2: the coefficient of q^n picks up a factor (-1)^n.
@@ -413,9 +394,9 @@ class FourierSeries:
                 "half-integer exponents present; the shifted series would "
                 "have non-rational coefficients"
             )
-        return FourierSeries(
-            1, tuple(c if k % 2 == 0 else -c for k, c in enumerate(s.coeffs))
-        )
+        nums = list(s.nums)
+        nums[1::2] = [-x for x in nums[1::2]]
+        return FourierSeries(1, tuple(nums), s.den)
 
     # -- comparison ----------------------------------------------------------
 
@@ -436,15 +417,12 @@ class FourierSeries:
                     f"comparison through {m} exceeds a stored order ({bound})"
                 )
             bound = m
-        g = self.grain * other.grain // math.gcd(self.grain, other.grain)
-        a = self._coeffs_at_grain(g)
-        b = other._coeffs_at_grain(g)
-        klim = int(bound * g)
-        for k in range(klim + 1):
-            ca = a[k] if k < len(a) else Fraction(0)
-            cb = b[k] if k < len(b) else Fraction(0)
-            if ca != cb:
-                return Fraction(k, g), ca, cb
+        g, a, b = self._aligned(other)
+        da, db = self.den, other.den
+        # a[k]/da == b[k]/db  <=>  a[k]*db == b[k]*da
+        for k in range(int(bound * g) + 1):
+            if a[k] * db != b[k] * da:
+                return Fraction(k, g), Fraction(a[k], da), Fraction(b[k], db)
         return None
 
     def equality_up_to(self, other: "FourierSeries", through) -> bool:
@@ -453,6 +431,9 @@ class FourierSeries:
     def __eq__(self, other):
         if not isinstance(other, FourierSeries):
             return NotImplemented
+        if self.grain == other.grain:
+            # one stored form per grain
+            return self.den == other.den and self.nums == other.nums
         if self.order != other.order:
             return False
         return self.first_difference(other) is None
@@ -460,7 +441,7 @@ class FourierSeries:
     def __hash__(self):
         # equal series share their reduced form and order, whatever the grain
         r = self.reduced()
-        return hash((self.order, r.grain, r.coeffs))
+        return hash((self.order, r.grain, r.den, r.nums))
 
     # -- serialization and rendering ----------------------------------------
 
@@ -472,7 +453,7 @@ class FourierSeries:
         """
         return {
             "grain": self.grain,
-            "order": len(self.coeffs) - 1,
+            "order": len(self.nums) - 1,
             "coeffs": [[str(c.numerator), str(c.denominator)] for c in self.coeffs],
         }
 
@@ -483,8 +464,7 @@ class FourierSeries:
         pairs = data["coeffs"]
         if len(pairs) != order + 1:
             raise ValueError("coefficient list length disagrees with order")
-        coeffs = tuple(Fraction(int(n), int(d)) for n, d in pairs)
-        return cls(grain, coeffs)
+        return cls.from_coefficients([Fraction(int(n), int(d)) for n, d in pairs], grain)
 
     def __str__(self):
         parts = []

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmforms.extremal import form_by_label
-from qmforms.forms import sigma_table, theta_forms
+from qmforms.forms import eisenstein, sigma_table, theta_forms
 from qmforms.identities import (
     IdentityCase,
     UnknownIdentity,
@@ -125,12 +125,26 @@ def test_failure_reporting():
     assert blob["residual"] == ["-2", "1"]
 
 
+def test_through_reports_the_smallest_bound_compared():
+    # the second pair's right-hand side stores only through 7
+    def build(order):
+        e2 = eisenstein(2, order)
+        return [(e2, eisenstein(2, order)), (e2, eisenstein(2, 7))]
+
+    result = _check_case(IdentityCase("SHORT", "E2 = E2", 12, build), 12)
+    assert result.passed and result.order == 12
+    assert result.through == 7
+    assert result.to_json_dict()["through"] == "7"
+    assert verify("RAM-1", 15).through == 15
+
+
 def test_pass_result_json():
     blob = verify("RAM-1", 15).to_json_dict()
     assert blob == {
         "ident": "RAM-1",
         "status": "pass",
         "order": 15,
+        "through": "15",
         "first_bad_exponent": None,
         "residual": None,
         "elapsed": blob["elapsed"],

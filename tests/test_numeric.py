@@ -33,23 +33,15 @@ def test_config_rejects_low_precision():
         EvalConfig(precision_bits=32)
 
 
-def test_config_rejects_tail_safety_below_one():
-    with pytest.raises(ValueError):
-        EvalConfig(tail_safety=Fraction(1, 2))
-
-
 def test_config_defaults_and_order_floor():
     cfg = EvalConfig()
     assert cfg.precision_bits == 128
     assert cfg.order_for(1) == 200
     assert cfg.order_for(Fraction(1, 20)) == 800
-    tiny = EvalConfig(order_policy=lambda t: 4)
-    assert tiny.order_for(1.0) == 16
 
 
 def test_custom_order_policy_still_accurate_at_large_t():
-    short = EvalConfig(order_policy=lambda t: 40)
-    a = value_at("E4", 3, short)
+    a = value_at(form_by_label("E4", 40), 3)
     b = value_at("E4", 3)
     assert abs(a - b) < mp.mpf("1e-30")
 
@@ -160,6 +152,32 @@ def test_evaluator_dropped_bound_covers_the_skipped_terms(label, t):
         rounding = mp.ldexp(horner([abs(c) for c in head], q), 1 - BITS)
         assert abs(point.value - horner(series.coeffs, q)) <= point.dropped + rounding
     assert numeric.eval_at_it(series, t)["tail_estimate"] >= point.dropped
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    label=st.sampled_from(EVALUATOR_LABELS),
+    t=st.fractions(min_value=Fraction(1, 20), max_value=Fraction(20), max_denominator=1000),
+    bits=st.sampled_from([64, 128, 200]),
+)
+def test_evaluator_rounding_bound_covers_the_summed_terms(label, t, bits):
+    series = form_by_label(label, 800)
+    with mp.workprec(bits):
+        point = numeric.AxisEvaluator(series).at(t)
+    coeffs = series.coeffs
+    with mp.workprec(bits + 64):
+        q = mp.exp(-2 * mp.pi * numeric._mpf(t) / series.grain)
+        assert abs(point.value - horner(coeffs[: point.terms], q)) <= point.rounding
+        assert abs(point.value - horner(coeffs, q)) <= point.dropped + point.rounding
+    with mp.workprec(bits):
+        tail = numeric.eval_at_it(series, t, EvalConfig(bits))["tail_estimate"]
+        assert tail == point.dropped + point.beyond + point.rounding
+
+
+def test_rounding_bound_of_a_zero_series_is_zero():
+    with mp.workprec(BITS):
+        point = numeric.AxisEvaluator(FourierSeries.zero(5)).at(Fraction(1, 3))
+    assert point.value == point.rounding == 0
 
 
 def test_evaluator_sums_each_point_only_as_far_as_it_needs():

@@ -17,7 +17,6 @@ from qmforms.positivity import (
     _TWO_POW_13_HALF_UPPER,
     _dyadic_range_gap_positive,
     _odd_range_gap_positive,
-    _x122_scaled_coefficients,
     check_complete_positivity,
     ratio_infimum,
     sign_pattern,
@@ -283,13 +282,6 @@ def test_ratio_report_json():
 # ---------------------------------------------------------------------------
 
 
-def test_x122_scaled_coefficients_match_form():
-    scaled = _x122_scaled_coefficients(60)
-    series = x_w2(12, 60)
-    for n in range(61):
-        assert scaled[n] == 378000 * series.coefficient(n), n
-
-
 def test_doubling_check_passes():
     result = x122_doubling_check(500)
     assert result == {
@@ -302,10 +294,11 @@ def test_doubling_check_passes():
 
 
 def test_doubling_n2_instance():
-    c = _x122_scaled_coefficients(8)
+    series = x_w2(12, 8)
+    c = series.nums
     assert c[2] == 0
     assert c[4] >= 2**10 * c[2]
-    assert c[3] == 378000  # leading coefficient of the q^3-normalized form
+    assert c[3] == series.den  # leading coefficient 1 of the q^3-normalized form
 
 
 def test_doubling_negative_control():

@@ -3,16 +3,20 @@
 from __future__ import annotations
 
 import json
+import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmforms.positivity import ratio_infimum, sign_pattern
 from qmforms.qseries import (
     FourierSeries,
     NonIntegerGrain,
     _intconv,
+    _kronecker_conv,
     lambert_block,
 )
 
@@ -52,6 +56,32 @@ def test_intconv_kronecker_path():
     b = [(i % 7) - 3 for i in range(280)]
     assert _intconv(a, b, 578) == conv_oracle(a, b, 578)
     assert _intconv(a, b, 120) == conv_oracle(a, b, 120)
+
+
+def _kronecker_cases():
+    rng = random.Random(7)
+    mixed = [rng.randint(-50, 50) for _ in range(70)]
+    wide = [rng.choice((-1, 1)) * (2**200 - rng.randrange(2**64)) for _ in range(40)]
+    sparse = [rng.randint(-9, 9) or 1 if i % 9 == 0 else 0 for i in range(400)]
+    return {
+        "all negative": ([-(i % 13) - 1 for i in range(60)], [-(3 * i % 11) - 1 for i in range(50)], 108),
+        "one-sided signs": ([i % 7 + 1 for i in range(60)], [-(i % 5) - 1 for i in range(45)], 103),
+        "mixed signs": (mixed, [rng.randint(-50, 50) for _ in range(65)], 133),
+        "square": (mixed, mixed, 138),
+        "short output": (mixed, mixed[::-1], 30),
+        "long zero runs": (sparse, sparse[::-1] + [0] * 50, 600),
+        "200-bit values": (wide, wide[::-1], 78),
+        "200-bit square": (wide, wide, 50),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_kronecker_cases()))
+def test_kronecker_conv_matches_oracle(case):
+    a, b, klim = _kronecker_cases()[case]
+    want = conv_oracle(a, b, klim)
+    assert _kronecker_conv(a, b, klim + 1) == want
+    # dense enough for _intconv to take the packed route itself
+    assert _intconv(a, b, klim) == want
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +190,135 @@ def test_derivative_scales_by_exponent():
     assert d.coefficient(F(1, 2)) == F(3, 2)
     assert d.coefficient(F(3, 2)) == F(21, 2)
     assert d.coefficient(0) == 0
+
+
+# ---------------------------------------------------------------------------
+# integer storage against a Fraction-per-coefficient oracle
+# ---------------------------------------------------------------------------
+
+mixed_series = st.builds(
+    FourierSeries.from_coefficients,
+    st.lists(
+        st.one_of(
+            st.integers(-40, 40),
+            st.fractions(max_denominator=60, min_value=-9, max_value=9),
+            st.sampled_from([F(1, 2**70), F(-5, 3**40), F(7, 720)]),
+        ),
+        min_size=1,
+        max_size=14,
+    ),
+    st.sampled_from([1, 2, 3]),
+)
+
+
+def _at_grain(s, g):
+    step = g // s.grain
+    out = [F(0)] * ((len(s.coeffs) - 1) * step + 1)
+    out[::step] = s.coeffs
+    return out
+
+
+def _oracle_mul(a, b):
+    n = min(len(a), len(b))
+    return [sum((a[i] * b[k - i] for i in range(k + 1)), F(0)) for k in range(n)]
+
+
+def _same(result, grain, coeffs):
+    assert result.den > 0 and math.gcd(result.den, *result.nums) == 1
+    assert result.grain == grain
+    assert list(result.coeffs) == list(coeffs)
+    assert [F(n, result.den) for n in result.nums] == list(coeffs)
+
+
+@given(mixed_series, mixed_series, st.fractions(max_denominator=50, min_value=-6, max_value=6))
+@settings(max_examples=80, deadline=None)
+def test_integer_storage_matches_fraction_oracle(f, g, x):
+    fc = list(f.coeffs)
+    _same(f, f.grain, fc)
+    grain = math.lcm(f.grain, g.grain)
+    a, b = _at_grain(f, grain), _at_grain(g, grain)
+    n = min(len(a), len(b))
+    _same(f + g, grain, [a[k] + b[k] for k in range(n)])
+    _same(f - g, grain, [a[k] - b[k] for k in range(n)])
+    _same(f * g, grain, _oracle_mul(a, b))
+    _same(f * f, f.grain, _oracle_mul(fc, fc))
+    _same(f**3, f.grain, _oracle_mul(_oracle_mul(fc, fc), fc))
+    _same(-f, f.grain, [-c for c in fc])
+    _same(f + x, f.grain, [fc[0] + x] + fc[1:])
+    _same(f.scale(x), f.grain, [c * x for c in fc])
+    _same(f.derivative(), f.grain, [c * F(k, f.grain) for k, c in enumerate(fc)])
+    _same(f.with_grain(2 * f.grain), 2 * f.grain, _at_grain(f, 2 * f.grain))
+    cut = f.order / 2
+    _same(f.truncate(cut), f.grain, fc[: math.floor(cut * f.grain) + 1])
+    for m in (2, 3):
+        d = math.gcd(m, f.grain)
+        size = (len(fc) - 1) * (f.grain // d) // f.grain + 1
+        want = [F(0)] * size
+        for k, c in enumerate(fc):
+            if k * m // d < size:
+                want[k * m // d] = c
+        _same(f.dilate(m), f.grain // d, want)
+    r = f.reduced()
+    step = f.grain // r.grain
+    assert all(not c for k, c in enumerate(fc) if k % step)
+    _same(r, r.grain, fc[: (len(fc) - 1) // step * step + 1 : step])
+    if r.grain == 1:
+        _same(f.half_shift(), 1, [-c if k % 2 else c for k, c in enumerate(r.coeffs)])
+    klim = math.floor(min(f.order, g.order) * grain)
+    diff = next((k for k in range(klim + 1) if a[k] != b[k]), None)
+    want_diff = None if diff is None else (F(diff, grain), a[diff], b[diff])
+    assert f.first_difference(g) == want_diff
+    assert (f == g) == (f.order == g.order and want_diff is None)
+    back = FourierSeries.from_coefficients(fc, f.grain)
+    assert (back.nums, back.den) == (f.nums, f.den)
+
+
+@given(mixed_series, st.sampled_from([2, 3, 6]))
+@settings(max_examples=60, deadline=None)
+def test_hash_and_eq_agree_across_grains(f, k):
+    h = f.with_grain(k * f.grain)
+    assert h == f and hash(h) == hash(f)
+    assert h.den == f.den
+
+
+def test_hash_and_eq_across_grains_with_a_denominator():
+    f = FourierSeries.from_coefficients([F(1, 2), F(1, 3), F(5, 6)])
+    h = FourierSeries.from_coefficients([F(1, 2), 0, F(1, 3), 0, F(5, 6)], grain=2)
+    assert (f.den, h.den) == (6, 6)
+    assert f == h and hash(f) == hash(h)
+    assert len({f, h, f.with_grain(3)}) == 1
+    other = FourierSeries.from_coefficients([F(1, 2), 0, F(1, 3), 0, F(5, 7)], grain=2)
+    assert other != f and len({f, other}) == 2
+
+
+# (label, dilation) -> (min ratio, argmin, violations) over n <= 150, and
+# label -> positive count over 1..450, as the Fraction-per-coefficient code
+# computed them
+RATIO_GOLDEN = {
+    ("X4_2", 2): (F(1022, 255), 128, ()),
+    ("X4_2", 3): (F(1092, 121), 81, ()),
+    ("Y12_2", 2): (F(21728156218655864, 2485068619732137), 149, (1, 2)),
+    ("Y12_2", 3): (F(963908, 51), 4, (1, 2)),
+    ("X16_2", 2): (F(89423904365132991952564341, 5404412615775807945172), 150, (1, 2, 3)),
+    ("X16_2", 3): (F(6547723139175142644715954528, 1351103153943951986293), 150, (1, 2, 3)),
+}
+SIGN_GOLDEN = {"X4_2": 450, "Y12_2": 448, "X16_2": 447}
+
+
+@pytest.mark.parametrize("label", sorted(SIGN_GOLDEN))
+def test_ratio_and_sign_scans_match_fraction_coefficients(label):
+    from qmforms.extremal import form_by_label
+
+    coeffs = form_by_label(label, 450).coeffs
+    for dilate in (2, 3):
+        report = ratio_infimum(label, dilate, 150)
+        ratios = {n: coeffs[dilate * n] / coeffs[n] for n in range(1, 151) if coeffs[n] > 0}
+        best = min(ratios.values())
+        assert report.min_ratio == best and report.argmin == min(n for n in ratios if ratios[n] == best)
+        assert report.violations == tuple(n for n in range(1, 151) if coeffs[n] <= 0)
+        assert (report.min_ratio, report.argmin, report.violations) == RATIO_GOLDEN[label, dilate]
+    count = sign_pattern(label, 450).count_positive
+    assert count == sum(1 for c in coeffs[1:] if c > 0) == SIGN_GOLDEN[label]
 
 
 # ---------------------------------------------------------------------------
