@@ -734,11 +734,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built by the first ``run`` and kept: parsing leaves a parser unchanged, each
+# call starting from a fresh namespace of the defaults.
+_parser: argparse.ArgumentParser | None = None
+
+
 def run(argv: Sequence[str] | None = None) -> int:
     """Execute one subcommand; returns the process exit code."""
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -64,9 +64,9 @@ class EvalConfig:
             raise ValueError(f"precision_bits must be >= 64, got {self.precision_bits}")
 
     def order_for(self, t) -> int:
-        """Truncation order for an evaluation at z = it: roughly e^(-80*pi)
-        tail mass at height t."""
-        return max(200, ceil(40 / float(t)))
+        """Truncation order for an evaluation at z = it: q^N = e^(-80*pi),
+        about 2^-362, at height t up to 256 bits, deepened in proportion above."""
+        return max(200, ceil(40 * max(1, self.precision_bits / 256) / float(t)))
 
 
 def _mpf(x) -> mp.mpf:

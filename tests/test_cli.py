@@ -6,6 +6,7 @@ import json
 import time
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from qmforms import cli
@@ -188,6 +189,14 @@ def test_eval_value(capsys):
     assert json.loads(out)["value"].startswith("0.954929658551372")
 
 
+def test_eval_at_512_bits_reports_a_512_bit_tail(capsys):
+    # the build order deepens with the precision, so --bits 512 buys 512 bits
+    code, out, _ = run_capture(capsys, ["eval", "E2", "--t", "1/20", "--bits", "512", "--format", "json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert mpmath.mpf(payload["tail_estimate"]) < mpmath.ldexp(abs(mpmath.mpf(payload["value"])), -500)
+
+
 def test_eval_rejects_nonpositive_t(capsys):
     code, _, err = run_capture(capsys, ["eval", "E4", "--t", "0"])
     assert code == 2
@@ -335,3 +344,60 @@ def test_report_aggregates_all_suites(capsys):
     assert all(c["passed"] for c in payload["checks"])
     assert all(c["runtime_s"] >= 0 for c in payload["checks"])
     assert json.dumps(payload, sort_keys=True, indent=2) + "\n" == out
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+
+def test_parser_is_built_once_across_runs(capsys, monkeypatch):
+    builds = []
+    real = cli.build_parser
+
+    def counting():
+        builds.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counting)
+    for argv in (["expand", "Y4_2", "--order", "5"], ["eval", "E4", "--t", "1"], ["expand", "NOPE"]):
+        cli.run(argv)
+    capsys.readouterr()
+    assert len(builds) == 1
+    assert cli.build_parser() is not cli.build_parser()
+
+
+def test_bits_do_not_carry_over_between_runs(capsys, monkeypatch):
+    def eval_e4(*extra):
+        code, out, _ = run_capture(capsys, ["eval", "E4", "--t", "1", "--format", "json", *extra])
+        assert code == 0
+        return out
+
+    monkeypatch.delenv("QMF_BITS", raising=False)
+    at_128, at_200, at_256 = (eval_e4("--bits", b) for b in ("128", "200", "256"))
+    assert len({at_128, at_200, at_256}) == 3
+    assert eval_e4("--bits", "256") == at_256
+    assert eval_e4() == at_128
+    eval_e4("--bits", "256")
+    monkeypatch.setenv("QMF_BITS", "200")
+    assert eval_e4() == at_200
+
+
+def test_usage_error_does_not_spoil_the_next_run(capsys):
+    assert cli.run(["eval", "E4", "--t"]) == 2
+    assert cli.run(["scan", "X12_1", "--m", "eleven"]) == 2
+    capsys.readouterr()
+    code, out, _ = run_capture(capsys, ["expand", "Y4_2", "--order", "5"])
+    assert code == 0
+    assert out.strip() == GOLDEN_Y42
+
+
+def test_output_path_does_not_carry_over(capsys, tmp_path):
+    target = tmp_path / "y42.txt"
+    assert cli.run(["expand", "Y4_2", "--order", "5", "--output", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    code, out, _ = run_capture(capsys, ["expand", "Y4_2", "--order", "3"])
+    assert code == 0
+    assert out.strip() == "q + 2q^2 + 12q^3"
+    assert target.read_text().strip() == GOLDEN_Y42

@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmforms import forms
 from qmforms.extremal import form_by_label
 from qmforms.forms import (
     OrderExceeded,
     ParameterRange,
+    _tau_ints,
     delta_series,
     e2_half_arguments,
     eisenstein,
@@ -44,6 +49,31 @@ def test_sigma_table_matches_pointwise():
     t = sigma_table(120, 3)
     for n in range(1, 121):
         assert t[n] == sigma(n, 3)
+
+
+def _additive_sigma_table(limit, k):
+    """The sieve over multiples that the linear sieve replaced, as its oracle."""
+    out = [0] * (limit + 1)
+    for d in range(1, limit + 1):
+        dk = d**k
+        for m in range(d, limit + 1, d):
+            out[m] += dk
+    return out
+
+
+@pytest.mark.parametrize("k", [0, 1, 3, 5, 7, 9, 13])
+def test_linear_sigma_sieve_matches_the_additive_sieve(k):
+    full = _additive_sigma_table(3000, k)
+    assert sigma_table(3000, k) == full
+    for n in range(41):
+        assert sigma_table(n, k) == full[: n + 1]
+
+
+def test_sigma_table_keeps_no_shared_state():
+    first = sigma_table(50, 5)
+    first[12] = -1
+    assert sigma_table(50, 5)[12] == sigma(12, 5)
+    assert sigma_table(30, 5) == [0] + [sigma(n, 5) for n in range(1, 31)]
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +121,82 @@ def test_tau_small_values():
 def test_tau_cap():
     with pytest.raises(OrderExceeded):
         tau(101, cap=100)
+    delta_series(300)  # the cap holds even when the shared table is longer
+    with pytest.raises(OrderExceeded):
+        tau(101, cap=100)
+
+
+TAU_600 = _tau_ints(600)
+
+
+@contextmanager
+def _empty_tau_table():
+    """Run with the shared tau table emptied, and put the old one back after."""
+    saved = forms._tau_cache
+    forms._tau_cache = []
+    try:
+        yield
+    finally:
+        forms._tau_cache = saved
+
+
+@given(st.lists(st.tuples(st.booleans(), st.integers(1, 600)), min_size=1, max_size=8))
+@settings(max_examples=40, deadline=None)
+def test_shared_tau_table_serves_any_request_sequence(requests):
+    with _empty_tau_table():
+        for as_series, n in requests:
+            if as_series:
+                assert list(delta_series(n).nums) == _tau_ints(n)
+            else:
+                assert tau(n) == TAU_600[n]
+            assert forms._tau_cache[: len(TAU_600)] == TAU_600[: len(forms._tau_cache)]
+
+
+def test_shared_tau_table_only_grows():
+    with _empty_tau_table():
+        delta_series(500)
+        table = forms._tau_cache
+        delta_series(40)
+        tau(300)
+        assert forms._tau_cache is table and len(table) == 501
+        tau(501)  # tau doubles the table, so a loop over n rebuilds it O(log n) times
+        assert len(forms._tau_cache) > 2 * 501
+
+
+def test_shared_tau_table_under_threads():
+    wrong = []
+
+    def worker(requests):
+        for as_series, n in requests:
+            if as_series and list(delta_series(n).nums) != TAU_600[: n + 1]:
+                wrong.append(n)
+            if not as_series and tau(n) != TAU_600[n]:
+                wrong.append(n)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for round_ in range(5):  # each round starts from an empty table
+            requests = [(k % 2 == 0, 1 + (k * 37 + round_ * 101) % 600) for k in range(24)]
+            threads = [threading.Thread(target=worker, args=(requests[i::6],)) for i in range(6)]
+            with _empty_tau_table():
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []
+
+
+def test_delta_series_holds_its_own_copy():
+    with _empty_tau_table():
+        first = delta_series(60)
+        assert isinstance(first.nums, tuple)
+        tau(600)  # the shared table is rebuilt longer
+        assert delta_series(60) == first
+        assert list(first.nums) == _tau_ints(60)
 
 
 def test_delta_from_eisenstein_combination():

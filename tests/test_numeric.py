@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -38,6 +39,17 @@ def test_config_defaults_and_order_floor():
     assert cfg.precision_bits == 128
     assert cfg.order_for(1) == 200
     assert cfg.order_for(Fraction(1, 20)) == 800
+
+
+@given(st.integers(64, 256), st.fractions(Fraction(1, 100), 40))
+@settings(max_examples=60)
+def test_order_for_is_unchanged_up_to_256_bits(bits, t):
+    assert EvalConfig(bits).order_for(t) == max(200, math.ceil(40 / float(t)))
+
+
+def test_order_for_deepens_above_256_bits():
+    assert EvalConfig(512).order_for(Fraction(1, 20)) == 1600
+    assert EvalConfig(512).order_for(1) == 200
 
 
 def test_custom_order_policy_still_accurate_at_large_t():
