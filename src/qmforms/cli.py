@@ -253,10 +253,10 @@ def _cmd_lambert(args) -> tuple[int, dict, str]:
 
 def _cmd_limits(args) -> tuple[int, dict, str]:
     label = _checked_label(args.label)
-    match = numeric._DEPTH1_LABEL.fullmatch(label)
-    if match is None:
+    desc = describe_label(label)
+    if desc.depth != 1 or desc.parts is None:
         raise UsageError(f"limits needs a depth-1 label like X12_1, got {label!r}")
-    w = int(match.group(1))
+    w = desc.weight
     cfg = _eval_config(args.bits)
     result = numeric.limit_t0(x_w1_components(w, cfg.order_for(1) + 10), w, cfg)
     with mp.workprec(cfg.precision_bits):

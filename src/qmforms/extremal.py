@@ -12,7 +12,8 @@ independently of the full series.
 
 Depth 2: explicit weights 4, 8, 10, 12, 14 plus a general exact solver that
 finds the maximal-vanishing combination in the graded space spanned by
-E2^j E4^a E6^b (j <= 2); weight 16 is produced by the solver.
+E2^j E4^a E6^b (j <= 2); weight 16 is produced by the solver.  The solver's
+E2-parts, F = A_0 + E2 A_1 + E2^2 A_2, give every depth-2 weight its split.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from functools import lru_cache
 from typing import Callable
 
 from . import forms
-from .forms import DEFAULT_ORDER, delta_series, eisenstein, serre_derivative
+from .forms import DEFAULT_ORDER, delta_series, derivative_parts, eisenstein, recompose_parts, serre_derivative
 from .qseries import FourierSeries
 
 F = Fraction
@@ -110,24 +111,29 @@ class Depth1Components:
     pure: FourierSeries
     e2_part: FourierSeries
 
+    @property
+    def parts(self) -> tuple[FourierSeries, FourierSeries]:
+        """The E2-parts (pure, e2_part), as :func:`recompose_parts` reads them."""
+        return self.pure, self.e2_part
+
     def recompose(self) -> FourierSeries:
-        order = int(min(self.pure.order, self.e2_part.order))
-        e2 = eisenstein(2, order)
-        return self.pure + e2 * self.e2_part
+        return recompose_parts(self.parts)
 
 
 @lru_cache(maxsize=None)
 def x_w1_components(w: int, order: int = DEFAULT_ORDER) -> Depth1Components:
     """Component pair of x_w1(w), built by the component recurrences.
 
-    The +2 recurrence acts on components as
+    The +2 recurrence X_w = (12/(w-1)) (D X_{w-2} - ((w-3)/12) E2 X_{w-2})
+    acts on components through the E2-parts B_0, B_1, B_2 of D X_{w-2}
+    (:func:`derivative_parts`; the E2^2 part cancels):
 
-        pure_{w}    = (12/(w-1)) ( S_{w-2} pure_{w-2} - (1/12) E4 e2part_{w-2} )
-        e2part_{w}  = (12/(w-1)) ( (1/12) pure_{w-2} + S_{w-4} e2part_{w-2} )
+        pure_{w}    = (12/(w-1)) B_0
+        e2part_{w}  = (12/(w-1)) ( B_1 - ((w-3)/12) pure_{w-2} )
 
-    with S_k the weight-k Serre derivative; the +4 and +6 recurrences act
-    term by term.  This never touches E2, so it is an independent route to
-    the same forms (the recomposition identity is checked in the registry).
+    and the +4 and +6 recurrences act term by term.  This never builds the
+    full series, so it is an independent route to the same forms (the
+    recomposition identity is checked in the registry).
     """
     _require_depth1_weight(w)
     if w == 6:
@@ -137,15 +143,9 @@ def x_w1_components(w: int, order: int = DEFAULT_ORDER) -> Depth1Components:
     r = w % 6
     if r == 2:
         prev = x_w1_components(w - 2, order)
-        e4 = eisenstein(4, order)
+        b = derivative_parts(prev.parts, w - 2)
         s = F(12, w - 1)
-        pure = (
-            serre_derivative(prev.pure, w - 2) - (e4 * prev.e2_part).scale(F(1, 12))
-        ).scale(s)
-        e2part = (
-            prev.pure.scale(F(1, 12)) + serre_derivative(prev.e2_part, w - 4)
-        ).scale(s)
-        return Depth1Components(w, pure, e2part)
+        return Depth1Components(w, b[0].scale(s), (b[1] - prev.pure.scale(F(w - 3, 12))).scale(s))
     if r == 4:
         prev = x_w1_components(w - 4, order)
         e4 = eisenstein(4, order)
@@ -160,12 +160,6 @@ def x_w1_components(w: int, order: int = DEFAULT_ORDER) -> Depth1Components:
         (e4 * prev4.pure - e6 * prev6.pure).scale(s),
         (e4 * prev4.e2_part - e6 * prev6.e2_part).scale(s),
     )
-
-
-def component_constant(w: int, which: str = "pure") -> Fraction:
-    """Constant term of the pure / e2_part component of x_w1(w)."""
-    c = x_w1_components(w, 2)
-    return (c.pure if which == "pure" else c.e2_part).coefficient(0)
 
 
 # ---------------------------------------------------------------------------
@@ -251,18 +245,11 @@ def _depth2_monomials(w: int) -> list[tuple[int, int, int]]:
 
 
 def _monomial_series(j: int, a: int, b: int, order: int) -> FourierSeries:
-    s = FourierSeries.one(order)
-    if j:
-        s = s * eisenstein(2, order) ** j
-    if a:
-        s = s * eisenstein(4, order) ** a
-    if b:
-        s = s * eisenstein(6, order) ** b
-    return s
+    return eisenstein(2, order) ** j * eisenstein(4, order) ** a * eisenstein(6, order) ** b
 
 
-def extremal_depth2(w: int, order: int = DEFAULT_ORDER) -> FourierSeries:
-    """Exact maximal-vanishing combination in the depth<=2 space of weight w.
+def depth2_parts(w: int, order: int = DEFAULT_ORDER) -> tuple[FourierSeries, ...]:
+    """E2-parts (A_0, A_1, A_2) of :func:`extremal_depth2`, A_j free of E2 and of weight w − 2j.
 
     Solves the square linear system that kills the first dim-1 coefficients
     and normalizes the next one to 1.  Raises BadWeight if the space is
@@ -281,11 +268,16 @@ def extremal_depth2(w: int, order: int = DEFAULT_ORDER) -> FourierSeries:
     sol = _solve_exact(mat, rhs)
     if sol is None:
         raise BadWeight(f"no unique maximal-vanishing combination at weight {w}")
-    full = FourierSeries.zero(order)
+    parts = [FourierSeries.zero(order)] * 3
     for coef, (j, a, b) in zip(sol, monos):
         if coef:
-            full = full + _monomial_series(j, a, b, order).scale(coef)
-    return full
+            parts[j] = parts[j] + _monomial_series(0, a, b, order).scale(coef)
+    return tuple(parts)
+
+
+def extremal_depth2(w: int, order: int = DEFAULT_ORDER) -> FourierSeries:
+    """Exact maximal-vanishing combination in the depth<=2 space of weight w."""
+    return recompose_parts(depth2_parts(w, order))
 
 
 def _solve_exact(mat: list[list[Fraction]], rhs: list[Fraction]):
@@ -351,7 +343,8 @@ def level2_families(w: int, order: int = DEFAULT_ORDER, n: int = 2) -> dict:
 
 @dataclass(frozen=True)
 class FormDescriptor:
-    """A label's metadata, and ``build(order)`` for its expansion."""
+    """A label's metadata, ``build(order)`` for its expansion and, for the SL(2,Z)
+    families, ``parts(order)``: its E2-parts A_0..A_d, A_j free of E2 and of weight − 2j."""
 
     label: str
     weight: int
@@ -359,6 +352,7 @@ class FormDescriptor:
     group: str
     summary: str
     build: Callable[[int], FourierSeries] = field(compare=False, repr=False)
+    parts: Callable[[int], tuple[FourierSeries, ...]] | None = field(default=None, compare=False, repr=False)
 
 
 def _p4(order):
@@ -423,13 +417,15 @@ _FIXED_BUILDERS: dict[str, FormDescriptor] = {
 # The families X{w}_1, X{w}_2, Y{w}_2 and Xtilde{w}_2, matched whole.
 _FAMILY_LABEL = re.compile(r"(Xtilde|X|Y)([1-9][0-9]*)_([12])")
 
-# (prefix, depth) -> (group, summary, builder of (weight, order))
+# (prefix, depth) -> (group, summary, builder of (weight, order), E2-parts of (weight, order) or None)
 _FAMILIES = {
-    ("X", 1): ("SL(2,Z)", "depth-1 maximal-vanishing form", lambda w, order: x_w1(w, order)),
-    ("X", 2): ("SL(2,Z)", "depth-2 maximal-vanishing form", lambda w, order: x_w2(w, order)),
-    ("Y", 2): ("Gamma0(2)", "difference with factor 2^(w-2)", lambda w, order: y_form(w, order)),
+    ("X", 1): ("SL(2,Z)", "depth-1 maximal-vanishing form", lambda w, order: x_w1(w, order),
+               lambda w, order: x_w1_components(w, order).parts),
+    ("X", 2): ("SL(2,Z)", "depth-2 maximal-vanishing form", lambda w, order: x_w2(w, order),
+               lambda w, order: depth2_parts(w, order)),
+    ("Y", 2): ("Gamma0(2)", "difference with factor 2^(w-2)", lambda w, order: y_form(w, order), None),
     ("Xtilde", 2): ("Gamma0(2)", "difference with factor 2^(w-1)",
-                    lambda w, order: xtilde_form(w, order)),
+                    lambda w, order: xtilde_form(w, order), None),
 }
 
 
@@ -453,8 +449,9 @@ def describe_label(label: str) -> FormDescriptor:
         _require_depth1_weight(w)
     else:
         _require_depth2_weight(w)
-    group, summary, build = _FAMILIES[key]
-    return FormDescriptor(label, w, depth, group, summary, lambda order: build(w, order))
+    group, summary, build, parts = _FAMILIES[key]
+    return FormDescriptor(label, w, depth, group, summary, lambda order: build(w, order),
+                          None if parts is None else lambda order: parts(w, order))
 
 
 def form_by_label(label: str, order: int = DEFAULT_ORDER) -> FourierSeries:

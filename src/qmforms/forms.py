@@ -19,6 +19,7 @@ import functools
 import math
 import threading
 from fractions import Fraction
+from typing import Sequence
 
 from .qseries import FourierSeries, _intconv
 
@@ -206,6 +207,36 @@ def serre_derivative(f: FourierSeries, weight) -> FourierSeries:
     return f.derivative() - (e2 * f).scale(w / 12)
 
 
+def recompose_parts(parts: Sequence[FourierSeries]) -> FourierSeries:
+    """Σ_j E2^j·parts[j], by Horner in E2, at the smallest order of the parts."""
+    order = int(min(part.order for part in parts))
+    total = parts[-1]
+    for part in reversed(parts[:-1]):
+        total = part + eisenstein(2, order) * total
+    return total
+
+
+def derivative_parts(parts: Sequence[FourierSeries], w: int, start: int = 0) -> list:
+    """E2-parts B_0..B_(d+1) of DF for F = Σ_j E2^j·A_j of weight w, each A_j
+    free of E2 and of weight w − 2j, with B_j for j < start left at zero:
+
+        D(E2^j·A_j) = ((w−j)/12)·E2^(j+1)·A_j + E2^j·ϑA_j − (j/12)·E2^(j−1)·E4·A_j
+
+    by Ramanujan's DE2 = (E2² − E4)/12, with ϑ the weight-(w−2j) Serre derivative.
+    """
+    order = int(min(part.order for part in parts))
+    out = [FourierSeries.zero(order)] * (len(parts) + 1)
+    for j, part in enumerate(parts):
+        if part.is_zero():
+            continue
+        out[j + 1] += part.scale(Fraction(w - j, 12))
+        if j >= start:
+            out[j] += serre_derivative(part, w - 2 * j)
+        if j > start:
+            out[j - 1] -= (eisenstein(4, order) * part).scale(Fraction(j, 12))
+    return out
+
+
 def martin_royer_bracket(
     f: FourierSeries,
     g: FourierSeries,
@@ -311,20 +342,12 @@ def e2_half_arguments(order: int = DEFAULT_ORDER) -> tuple[FourierSeries, Fourie
 
 @functools.lru_cache(maxsize=8)
 def form_f(order: int = DEFAULT_ORDER) -> FourierSeries:
-    """F: the weight-14 depth-2 combination of E2, E4, E6 vanishing to order 3."""
-    e2 = eisenstein(2, order)
-    e4 = eisenstein(4, order)
-    e6 = eisenstein(6, order)
-    e2sq = e2 * e2
-    e4sq = e4 * e4
-    e6sq = e6 * e6
-    return (
-        (e2sq * e4sq * e4).scale(49)
-        - (e2sq * e6sq).scale(25)
-        - (e2 * e4sq * e6).scale(48)
-        - (e4sq * e4sq).scale(25)
-        + (e4 * e6sq).scale(49)
-    )
+    """F: the weight-14 depth-2 combination of E2, E4, E6 vanishing to order 3,
+    (49 E4^3 - 25 E6^2) E2^2 - 48 E4^2 E6 E2 - 25 E4^4 + 49 E4 E6^2."""
+    e4, e6 = eisenstein(4, order), eisenstein(6, order)
+    e4sq, e6sq = e4 * e4, e6 * e6
+    return recompose_parts(((e4 * e6sq).scale(49) - (e4sq * e4sq).scale(25), (e4sq * e6).scale(-48),
+                            (e4sq * e4).scale(49) - e6sq.scale(25)))
 
 
 @functools.lru_cache(maxsize=96)
@@ -373,8 +396,7 @@ def form_k(weight: int, order: int = DEFAULT_ORDER) -> FourierSeries:
 @functools.lru_cache(maxsize=8)
 def form_l(order: int = DEFAULT_ORDER) -> FourierSeries:
     """L = K10 E2^2 + K12 E2 + K14 (weight 14, constant term 0)."""
-    e2 = eisenstein(2, order)
-    return form_k(10, order) * (e2 * e2) + form_k(12, order) * e2 + form_k(14, order)
+    return recompose_parts((form_k(14, order), form_k(12, order), form_k(10, order)))
 
 
 @functools.lru_cache(maxsize=8)

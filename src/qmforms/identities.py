@@ -274,9 +274,7 @@ def _lee(w: int) -> Callable[[int], list[Pair]]:
 
 def _ab(w: int) -> Callable[[int], list[Pair]]:
     def build(order: int) -> list[Pair]:
-        parts = x_w1_components(w, order)
-        e2 = eisenstein(2, order)
-        return [(x_w1(w, order), parts.pure + e2 * parts.e2_part)]
+        return [(x_w1(w, order), x_w1_components(w, order).recompose())]
 
     return build
 

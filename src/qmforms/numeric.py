@@ -6,8 +6,9 @@ at configurable binary precision, reports an error estimate alongside
 every value, and builds the three analytic tools used by the
 monotonicity study of t ↦ t^m F(it):
 
-* an inversion route for the depth-1 family that evaluates at i/t
-  instead of it, so small t costs nothing in convergence;
+* one inversion route: a label with E2-parts F = Σ_j E2^j·A_j (the
+  X{w}_1 and X{w}_2 families, any depth) is summed at i/t below t = 1, so
+  small t costs nothing in convergence;
 * geometric-grid scans of s(t) = m·F(it) − 2πt·F'(it), whose sign is
   the sign of d/dt [t^m F(it)];
 * tangent/limit checks at t → 0+ (ratio limit 2π/m, the bracket form
@@ -18,26 +19,23 @@ sets the order a series is built at, not the number of terms summed: each
 point sums only up to its own cut, and its reported error counts a bound on
 the stored terms it dropped, a bound on the rounding of its own sum, and a
 geometric heuristic (not a proven bound) for the terms beyond the stored
-order.
-
-Scans are labelled "on grid": they establish signs at grid points with
-stated tolerances, never a proof of monotonicity in between.
+order.  Scans are labelled "on grid": they establish signs at grid points
+with stated tolerances, never a proof of monotonicity in between.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import ceil
+from math import ceil, comb
 from typing import NamedTuple, Sequence
 
 from mpmath import mp
 
-from .extremal import Depth1Components, form_by_label, x_w1_components
-from .forms import delta_series
+from .extremal import Depth1Components, describe_label, form_by_label
+from .forms import delta_series, derivative_parts, recompose_parts
 from .identities import verify
 from .positivity import check_complete_positivity
 from .qseries import FourierSeries
@@ -81,10 +79,6 @@ def _require_positive(t) -> None:
         raise NonPositiveT(f"evaluation point must satisfy t > 0, got {t}")
 
 
-def _sign_factor(w: int) -> int:
-    return -1 if w % 4 == 2 else 1
-
-
 # ---------------------------------------------------------------------------
 # the axis evaluator
 # ---------------------------------------------------------------------------
@@ -119,7 +113,8 @@ class AxisEvaluator:
     where 2^h bounds every |c_n|, n >= N, by bit lengths with a bit to spare:
     that bound on the dropped stored terms is returned as ``dropped``.
     ``beyond`` is TAIL_SAFETY·|c_K|·q^K/(1 − e^(−2πt)) for the last nonzero
-    c_K (trailing structural zeros say nothing about decay).
+    c_K (trailing structural zeros say nothing about decay), or 0 for a
+    series known ``exact``: one with no terms past those it stores.
 
     ``rounding`` bounds |value − Σ_(k<N) c_k·q^k| (Higham, *Accuracy and
     Stability of Numerical Algorithms*, §5.1).  With u = 2^-(prec+GUARD_BITS)
@@ -130,7 +125,7 @@ class AxisEvaluator:
     rounding to the caller's precision.
     """
 
-    def __init__(self, series: FourierSeries):
+    def __init__(self, series: FourierSeries, exact: bool = False):
         den = series.den
         # each c_n as p/q in lowest terms, as its Fraction would hold it
         self._fracs = fracs = [(c // (h := math.gcd(c, den)), den // h) for c in series.nums]
@@ -144,7 +139,7 @@ class AxisEvaluator:
         high = [-math.inf if d is None else d + 2 for d in reversed(bits)]
         self._suffix = list(accumulate(high, max, initial=-math.inf))[::-1]
         self._last = max((n for n, d in enumerate(bits) if d is not None), default=0)
-        self._top = _mpf(TAIL_SAFETY * abs(Fraction(*fracs[self._last])))
+        self._top = mp.mpf(0) if exact else _mpf(TAIL_SAFETY * abs(Fraction(*fracs[self._last])))
 
     def _cut(self, x: float) -> tuple[int, float]:
         """First N whose dropped-terms bound is below the budget at q = e^-x,
@@ -191,89 +186,91 @@ def _combine(parts) -> tuple:
     return total, errors + mp.ldexp(1, 12 - mp.prec) * scale
 
 
-class _DirectRoute:
-    """F and F' summed directly at every height."""
-
-    def __init__(self, series: FourierSeries):
-        self.f = AxisEvaluator(series)
-        self.fp = AxisEvaluator(series.derivative())
-
-    def value(self, t) -> mp.mpf:
-        return self.f.at(t).value
-
-    def s(self, m: int, t) -> tuple:
-        """(s, tolerance) for s = m·F − 2πt·F' at height t."""
-        tm = _mpf(t)
-        return _combine(((m, self.f.at(tm)), (-2 * mp.pi * tm, self.fp.at(tm))))
+def _collected(parts: Sequence[FourierSeries], start: int = 0) -> list:
+    """Φ_p = Σ_j C(j, p)·E2^(j−p)·A_j for p = start..d: the coefficient of x^p
+    when E2 is replaced by E2 + x in Σ_j E2^j·A_j."""
+    return [recompose_parts([part.scale(comb(j, p)) for j, part in enumerate(parts[p:], p)])
+            for p in range(start, len(parts))]
 
 
-class _Depth1Route(_DirectRoute):
-    """X = A + E2·B of weight w: summed directly for t >= 1, inverted below.
+def _evaluators(series: Sequence[FourierSeries], start: int, weight: int) -> list:
+    """(p, evaluator) for each nonzero series[p], p >= start, series[p] of
+    weight ``weight`` − 2p: at weight 0 a constant, summed with no tail."""
+    return [(p, AxisEvaluator(g, weight == 2 * p)) for p, g in enumerate(series[start:], start) if not g.is_zero()]
 
-    With u = 1/t, s = (-1)^(w/2) and B the E2-companion, inversion gives
 
-        F(it)  = s*(u^w*X(iu) - (6*u^(w-1)/pi)*B(iu))
-        F'(it) = -s*(u^(w+2)*X'(iu) - (u^(w+1)/(2*pi))*(w*X(iu) + 12*B'(iu))
-                      + (3*(w-1)/pi^2)*u^w*B(iu))
+class _AxisRoute:
+    """F and DF of one label at heights z = it, and s = m·F − 2πt·DF.
 
-    where ' is q·d/dq throughout.  All series are then summed at height
-    u >= 1, so convergence is fast uniformly in t ∈ (0, 1].
+    ``parts`` are F's E2-parts A_0..A_d, F = Σ_j E2^j·A_j with A_j free of E2
+    and of weight w − 2j.  Without a weight, F = parts[0] is summed directly
+    at every height; with one, directly at t >= 1 and at u = 1/t below, where
+    every series converges fast: by E2(−1/τ) = τ²·E2(τ) + 6τ/(πi) (Zagier,
+    *The 1-2-3 of Modular Forms*, §5.3) at τ = iu, with x = −6/(πu),
+
+        F(it)  = (−1)^(w/2)·u^w·Σ_p x^p·Φ_p(iu),
+        DF(it) = (−1)^(w/2+1)·u^(w+2)·Σ_p x^p·Ψ_p(iu),
+
+    Φ_p and Ψ_p the collected parts of F and DF.  Since 2πu = −12/x,
+
+        s = (−1)^(w/2)·u^w·Σ_(p >= −1) x^p·T_p(iu),  T_p = m·Φ_p − 12·Ψ_(p+1),
+
+    with Φ_(−1) = 0, each T_p an exact series.  At m = w−1 on depth 1 the
+    x-term T_1 is the zero series, so nothing cancels in floating point.
     """
 
-    def __init__(self, components: Depth1Components):
-        super().__init__(components.recompose())
-        self.w = components.weight
-        self.sgn = _sign_factor(self.w)
-        self.b = AxisEvaluator(components.e2_part)
-        self.bp = AxisEvaluator(components.e2_part.derivative())
+    def __init__(self, parts: Sequence[FourierSeries], weight: int | None = None):
+        self.w, self._t_at = weight, {}
+        self._phi = [parts[0]] if weight is None else _collected(parts)
+        self._psi = [self._phi[0].derivative()]
+        self.f, self.fp = AxisEvaluator(self._phi[0]), AxisEvaluator(self._psi[0])
+        if weight is not None:
+            self._psi += _collected(derivative_parts(parts, weight, 1), 1)
+            self._phi_at = [(0, self.f)] + _evaluators(self._phi, 1, weight)
+            self._psi_at = [(0, self.fp)] + _evaluators(self._psi, 1, weight + 2)
 
-    def _inverted(self, t) -> tuple:
+    def t_series(self, m: int) -> list:
+        """T_(−1), ..., T_d for exponent m, exact."""
+        return [(m * self._phi[p - 1] if p else 0) - 12 * psi for p, psi in enumerate(self._psi)]
+
+    def _inverted(self, weight: int, terms: Sequence, t, first: int = 0) -> tuple:
+        """(value, tolerance) of (−1)^(weight/2)·u^weight·Σ_p x^p·G_p(iu) over
+        ``terms`` = (p − first, evaluator of G_p) pairs."""
         u = 1 / _mpf(t)
-        return (u,) + tuple(e.at(u) for e in (self.f, self.fp, self.b, self.bp))
+        x = -6 / (mp.pi * u)
+        total, tolerance = _combine((u**weight * x ** (p + first), e.at(u)) for p, e in terms)
+        return (-1) ** (weight // 2) * total, tolerance
 
-    def transformed(self, t) -> tuple:
-        """(F(it), F'(it)) through the inversion law."""
-        u, x, xp, b, bp = self._inverted(t)
-        w, sgn, pi = self.w, self.sgn, mp.pi
-        f_value = sgn * (u**w * x.value - 6 * u ** (w - 1) / pi * b.value)
-        fp_value = -sgn * (u ** (w + 2) * xp.value - u ** (w + 1) / (2 * pi) * (w * x.value + 12 * bp.value)
-                           + 3 * (w - 1) / pi**2 * u**w * b.value)
-        return f_value, fp_value
+    def _direct(self, t) -> bool:
+        _require_positive(t)
+        return t >= 1 or self.w is None
 
-    def value(self, t) -> mp.mpf:
-        return super().value(t) if t >= 1 else self.transformed(t)[0]
+    def value(self, t) -> tuple:
+        """(F(it), tolerance)."""
+        return _combine(((1, self.f.at(t)),)) if self._direct(t) else self._inverted(self.w, self._phi_at, t)
+
+    def derivative(self, t) -> tuple:
+        """(DF(it), tolerance), D = q·d/dq."""
+        return _combine(((1, self.fp.at(t)),)) if self._direct(t) else self._inverted(self.w + 2, self._psi_at, t)
 
     def s(self, m: int, t) -> tuple:
-        """(s, tolerance); below t = 1 one cancellation-free sum in u = 1/t:
-
-            s = sgn*((m-w)*u^w*X(iu) + 2π*u^(w+1)*X'(iu) − 12*u^w*B'(iu)
-                      + (6*(w−1−m)/π)*u^(w-1)*B(iu)).
-
-        At m = w−1 the B-term vanishes identically; separate F and 2πt·F'
-        values would then agree to leading order, and subtracting them loses
-        ~2πu/ln 2 bits as t → 0.
-        """
-        if t >= 1:
-            return super().s(m, t)
-        u, x, xp, b, bp = self._inverted(t)
-        w, pi = self.w, mp.pi
-        total, tolerance = _combine((((m - w) * u**w, x), (2 * pi * u ** (w + 1), xp), (-12 * u**w, bp),
-                                     (6 * (w - 1 - m) / pi * u ** (w - 1), b)))
-        return self.sgn * total, tolerance
+        """(s, tolerance) for s = m·F − 2πt·DF at height t."""
+        if self._direct(t):
+            tm = _mpf(t)
+            return _combine(((m, self.f.at(tm)), (-2 * mp.pi * tm, self.fp.at(tm))))
+        if m not in self._t_at:
+            self._t_at[m] = _evaluators(self.t_series(m), 0, self.w + 2)
+        return self._inverted(self.w, self._t_at[m], t, -1)
 
 
-# matched whole, with the label table's weight syntax
-_DEPTH1_LABEL = re.compile(r"X([1-9][0-9]*)_1")
-
-
-def _axis_route(label: str, t_min, cfg: EvalConfig) -> _DirectRoute:
-    """How scans and curves sum a label at heights >= t_min: depth-1 labels
-    invert below t = 1, so they are built for max(1, t_min)."""
-    match = _DEPTH1_LABEL.fullmatch(label)
-    if match:
-        components = x_w1_components(int(match.group(1)), cfg.order_for(max(1, t_min)))
-        return _Depth1Route(components)
-    return _DirectRoute(form_by_label(label, cfg.order_for(t_min)))
+def _axis_route(label: str, t_min, cfg: EvalConfig) -> _AxisRoute:
+    """How scans and curves sum a label at heights >= t_min: a label with
+    E2-parts inverts below t = 1, so it is built for max(1, t_min)."""
+    _require_positive(t_min)
+    desc = describe_label(label)
+    if desc.parts is None:
+        return _AxisRoute((form_by_label(label, cfg.order_for(t_min)),))
+    return _AxisRoute(desc.parts(cfg.order_for(max(1, t_min))), desc.weight)
 
 
 def eval_at_it(form, t, cfg: EvalConfig | None = None) -> dict:
@@ -283,7 +280,8 @@ def eval_at_it(form, t, cfg: EvalConfig | None = None) -> dict:
     (evaluated as stored).  Returns ``{"value", "tail_estimate"}``; the
     tail estimate is the bound on the stored terms the sum dropped, the
     bound on the rounding of the sum, and the documented geometric
-    heuristic for the terms past the stored order.
+    heuristic for the terms past the stored order.  Always summed directly,
+    so it checks the inversion law independently of :class:`_AxisRoute`.
     """
     _require_positive(t)
     cfg = cfg or EvalConfig()
@@ -291,17 +289,6 @@ def eval_at_it(form, t, cfg: EvalConfig | None = None) -> dict:
         series = form_by_label(form, cfg.order_for(t)) if isinstance(form, str) else form
         point = AxisEvaluator(series).at(t)
         return {"value": point.value, "tail_estimate": point.dropped + point.beyond + point.rounding}
-
-
-def eval_depth1_transformed(components: Depth1Components, t, cfg: EvalConfig | None = None) -> dict:
-    """F(it) and F'(it), t in (0, 1], of a depth-1 form by the inversion law of _Depth1Route."""
-    _require_positive(t)
-    if t > 1:
-        raise ValueError(f"transformed route is for t in (0, 1], got {t}")
-    cfg = cfg or EvalConfig()
-    with mp.workprec(cfg.precision_bits):
-        f_value, fp_value = _Depth1Route(components).transformed(t)
-    return {"F_value": f_value, "Fprime_value": fp_value}
 
 
 # ---------------------------------------------------------------------------
@@ -356,11 +343,11 @@ def monotonicity_scan(form_label: str, m: int, grid_spec: tuple = DEFAULT_GRID_S
                       cfg: EvalConfig | None = None) -> ScanReport:
     """Scan the sign of d/dt [t^m F(it)] on a geometric grid.
 
-    ``grid_spec`` is (t_min, t_max, points).  Depth-1 labels are summed
-    through the inversion route below t = 1 and directly above; all other
-    labels are summed directly, built at the order chosen for the smallest
-    grid height.  Each tolerance counts the dropped-terms bounds, the tail
-    heuristics and rounding.  Verdicts: ``sign_change_found`` when two
+    ``grid_spec`` is (t_min, t_max, points).  Labels with E2-parts (X{w}_1,
+    X{w}_2) are summed through the inversion route below t = 1 and directly
+    above; all other labels are summed directly, built at the order chosen
+    for the smallest grid height.  Each tolerance counts the dropped-terms
+    bounds, the tail heuristics and rounding.  Verdicts: ``sign_change_found`` when two
     consecutive grid points carry strictly opposite signs beyond
     tolerance, ``monotone_decreasing_on_grid`` when every point is <= 0
     within tolerance, ``not_decreasing_on_grid`` otherwise.
@@ -387,12 +374,12 @@ def monotonicity_scan(form_label: str, m: int, grid_spec: tuple = DEFAULT_GRID_S
 def curve_points(form_label: str, m: int, grid: Sequence, cfg: EvalConfig | None = None) -> list:
     """(t, t^m · F(it)) pairs over ``grid`` — the data behind sign scans.
 
-    Depth-1 labels use the inversion route below t = 1, like the scans.
+    Labels with E2-parts use the inversion route below t = 1, like the scans.
     """
     cfg = cfg or EvalConfig()
     with mp.workprec(cfg.precision_bits):
         route = _axis_route(form_label, min(grid), cfg)
-        return [(t, t**m * route.value(t)) for t in map(_mpf, grid)]
+        return [(t, t**m * route.value(t)[0]) for t in map(_mpf, grid)]
 
 
 # ---------------------------------------------------------------------------
@@ -447,10 +434,13 @@ def tangent_conditions(form, components: Depth1Components, m: int, cfg: EvalConf
     and the bracket form (m+1)(F')² − m·F''·F is positive on the axis —
     through the registry's closed product shape when one exists for the
     label, otherwise by scanning the bracket's own coefficients to order
-    500.  Returns {"limit_ratio", "bracket_form_positive", "verdict"}.
+    500.  ``components`` must have the label's weight.  Returns
+    {"limit_ratio", "bracket_form_positive", "verdict"}.
     """
     if m <= 0:
         raise ValueError(f"the exponent m must be positive, got {m}")
+    if isinstance(form, str) and describe_label(form).weight != components.weight:
+        raise ValueError(f"components have weight {components.weight}, not the weight of {form}")
     cfg = cfg or EvalConfig()
     with mp.workprec(cfg.precision_bits):
         label, series = (form, form_by_label(form, _CP_SCAN_ORDER)) if isinstance(form, str) else ("<series>", form)
@@ -460,11 +450,9 @@ def tangent_conditions(form, components: Depth1Components, m: int, cfg: EvalConf
             and check_complete_positivity(series.derivative(), through).completely_positive_up_to_order
         )
 
-        route = _Depth1Route(components)
-        ratios = []
-        for t in (Fraction(1, 5), Fraction(1, 10), Fraction(1, 20)):
-            f_value, fp_value = route.transformed(t)
-            ratios.append(f_value / (_mpf(t) * fp_value))
+        route = _AxisRoute(components.parts, components.weight)
+        ratios = [route.value(t)[0] / (_mpf(t) * route.derivative(t)[0])
+                  for t in (Fraction(1, 5), Fraction(1, 10), Fraction(1, 20))]
         limit_ratio = _aitken_limit(ratios)
         target = 2 * mp.pi / m
         limit_ok = abs(limit_ratio - target) <= mp.mpf("1e-10") * target
@@ -490,47 +478,40 @@ def tangent_conditions(form, components: Depth1Components, m: int, cfg: EvalConf
 def limit_t0(components: Depth1Components, w: int, cfg: EvalConfig | None = None) -> dict:
     """Measured vs predicted limit of t^(w-1) · F(it) as t → 0+.
 
-    Through the inversion route, t^(w-1)·F(it) = sgn·(u·X(iu) − (6/π)·B(iu))
-    with u = 1/t, so the limit is −6·sgn·β₀/π where β₀ is the constant
-    term of the E2-companion; the measured value is that expression at
-    u = 40.
+    By :class:`_AxisRoute`'s inversion the limit is −6·sgn·β₀/π, with
+    sgn = (−1)^(w/2) and β₀ the E2-companion's constant term; the measured
+    value is the route's at t = 1/40.  Both are formed GUARD_BITS past the
+    working precision and rounded to it.
     """
     if w < 6 or w % 2:
         raise ValueError(f"the depth-1 family needs even weight >= 6, got {w}")
     if components.weight != w:
         raise ValueError(f"components have weight {components.weight}, expected {w}")
     cfg = cfg or EvalConfig()
-    with mp.workprec(cfg.precision_bits):
-        sgn = _sign_factor(w)
+    with mp.workprec(cfg.precision_bits + GUARD_BITS):
         beta0 = components.e2_part.coefficient(0)
-        predicted = _mpf(Fraction(-6 * sgn) * beta0) / mp.pi
-        u = 40
-        x = AxisEvaluator(components.recompose()).at(u).value
-        measured = sgn * (u * x - 6 / mp.pi * AxisEvaluator(components.e2_part).at(u).value)
-    return {"measured": measured, "predicted": predicted}
+        predicted = _mpf(Fraction(-6 * (-1) ** (w // 2)) * beta0) / mp.pi
+        t = _mpf(Fraction(1, 40))
+        measured = t ** (w - 1) * _AxisRoute(components.parts, w).value(t)[0]
+    with mp.workprec(cfg.precision_bits):
+        return {"measured": +measured, "predicted": +predicted}
 
 
 def small_t_positivity_check(w: int, cfg: EvalConfig | None = None) -> bool:
     """Sign criterion forcing t^(w-1)·X_(w,1)(it) to decrease near t = 0.
 
     Exact part: sgn·β₁ > 0, where β₁ is the first-order coefficient of the
-    E2-companion and sgn = (−1)^(w/2).  Numeric part: the transformed
-    derivative combination sgn·u^w·(X(iu) + 12·B'(iu) − 2π·u·X'(iu)) is
-    positive at u ∈ {5, 10, 20} (these heights are the inverted images of
-    t = 1/5, 1/10, 1/20).  Both must hold; requires even w >= 12.
+    E2-companion and sgn = (−1)^(w/2).  Numeric part: the route's
+    s = (w−1)·F − 2πt·F' lies below minus its tolerance at t = 1/5, 1/10 and
+    1/20, summed at the inverted heights u = 5, 10, 20.  Both must hold;
+    requires even w >= 12.
     """
     if w < 12 or w % 2:
         raise ValueError(f"the criterion applies to even weights >= 12, got {w}")
     cfg = cfg or EvalConfig()
     with mp.workprec(cfg.precision_bits):
-        sgn = _sign_factor(w)
-        comp = x_w1_components(w, cfg.order_for(5))
-        beta1 = comp.e2_part.coefficient(1)
-        exact_ok = sgn * beta1 > 0
-        route = _Depth1Route(comp)
-        numeric_ok = all(
-            sgn * mp.mpf(u) ** w * (route.f.at(u).value + 12 * route.bp.at(u).value
-                                    - 2 * mp.pi * u * route.fp.at(u).value) > 0
-            for u in (5, 10, 20)
-        )
+        parts = describe_label(f"X{w}_1").parts(cfg.order_for(1))
+        exact_ok = (-1) ** (w // 2) * parts[1].coefficient(1) > 0
+        route = _AxisRoute(parts, w)
+        numeric_ok = all(s < -tol for s, tol in (route.s(w - 1, Fraction(1, u)) for u in (5, 10, 20)))
     return bool(exact_ok and numeric_ok)

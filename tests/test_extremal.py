@@ -12,6 +12,7 @@ from qmforms.extremal import (
     Depth1Components,
     a_w_exponent,
     alpha_w0,
+    depth2_parts,
     describe_label,
     extremal_depth2,
     form_by_label,
@@ -24,7 +25,7 @@ from qmforms.extremal import (
     xtilde_form,
     y_form,
 )
-from qmforms.forms import sigma, tau
+from qmforms.forms import eisenstein, recompose_parts, sigma, tau
 
 F = Fraction
 
@@ -206,6 +207,18 @@ def test_x162_golden_prefix():
 def test_solver_agrees_with_explicit_forms():
     for w in (4, 8, 10, 12, 14):
         assert extremal_depth2(w, 20) == x_w2(w, 20), w
+
+
+def test_depth2_parts_recompose_to_the_family():
+    for w in (4, 8, 10, 12, 14, 16):
+        for order in (40, 400):
+            parts = describe_label(f"X{w}_2").parts(order)
+            assert len(parts) == 3 and not parts[2].is_zero()
+            assert recompose_parts(parts) == x_w2(w, order), (w, order)
+    # each part is free of E2: a polynomial in E4 and E6 of weight w - 2j
+    a0, a1, a2 = depth2_parts(8, 10)
+    assert a0 == eisenstein(4, 10) * eisenstein(4, 10) * a0.coefficient(0)
+    assert a1 == eisenstein(6, 10).scale(a1.coefficient(0)) and a2 == eisenstein(4, 10).scale(a2.coefficient(0))
 
 
 def test_solver_recovers_depth1_seed():

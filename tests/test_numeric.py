@@ -7,12 +7,14 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
 from qmforms import numeric
-from qmforms.extremal import a_w_exponent, form_by_label, x_w1, x_w1_components
+from qmforms import extremal
+from qmforms.extremal import a_w_exponent, describe_label, form_by_label, x_w1, x_w1_components
+from qmforms.forms import derivative_parts, recompose_parts
 from qmforms.numeric import EvalConfig, NonPositiveT, ScanReport
 from qmforms.qseries import FourierSeries
 
@@ -223,39 +225,109 @@ def test_e2_inversion_residuals():
             assert residual < mp.mpf("1e-20")
 
 
+def route_for(label, order=210, bits=BITS):
+    """The inverting route of a label with E2-parts, built at ``order``."""
+    desc = describe_label(label)
+    with mp.workprec(bits):
+        return numeric._AxisRoute(desc.parts(order), desc.weight)
+
+
+# the labels with E2-parts that the floating tests exercise
+INVERTED_LABELS = tuple(f"X{w}_1" for w in range(6, 26, 2)) + tuple(f"X{w}_2" for w in (4, 8, 10, 12, 14, 16))
+
+
 def test_transformed_route_domain():
-    comp = x_w1_components(6, 210)
-    with pytest.raises(NonPositiveT):
-        numeric.eval_depth1_transformed(comp, 0)
-    with pytest.raises(ValueError):
-        numeric.eval_depth1_transformed(comp, Fraction(3, 2))
+    route = route_for("X6_1")
+    with mp.workprec(BITS):
+        for t in (0, -1):
+            for read in (route.value, route.derivative, lambda t: route.s(5, t)):
+                with pytest.raises(NonPositiveT):
+                    read(t)
+        # above t = 1 the route sums directly
+        assert route.value(Fraction(3, 2))[0] == value_at(x_w1(6, 210), Fraction(3, 2))
 
 
 def test_two_route_agreement_weight12_example():
-    comp = x_w1_components(12, 210)
-    routed = numeric.eval_depth1_transformed(comp, Fraction(4, 5))
+    with mp.workprec(BITS):
+        routed, tolerance = route_for("X12_1").value(Fraction(4, 5))
     direct = value_at("X12_1", Fraction(4, 5))
-    assert abs(routed["F_value"] - direct) < mp.mpf("1e-20")
+    assert abs(routed - direct) < mp.mpf("1e-20")
+    assert tolerance < mp.mpf("1e-30") * abs(direct)
 
 
 def test_two_route_agreement_all_depth1_weights():
-    for w in (6, 8, 10, 12, 14):
-        comp = x_w1_components(w, 210)
-        direct = x_w1(w, 700)
+    # every depth-1 weight to 14, and every depth-2 weight
+    for label in ("X6_1", "X8_1", "X10_1", "X12_1", "X14_1") + tuple(f"X{w}_2" for w in (4, 8, 10, 12, 14, 16)):
+        route = route_for(label)
+        direct = form_by_label(label, 700)
         deriv = direct.derivative()
-        for t in (Fraction(3, 10), Fraction(11, 20), Fraction(1)):
-            routed = numeric.eval_depth1_transformed(comp, t)
+        for t in (Fraction(3, 10), Fraction(11, 20), Fraction(99, 100)):
+            with mp.workprec(BITS):
+                f_value, _ = route.value(t)
+                fp_value, _ = route.derivative(t)
             dv = value_at(direct, t)
             dpv = value_at(deriv, t)
-            assert abs(routed["F_value"] - dv) / abs(dv) < mp.mpf("1e-30")
-            assert abs(routed["Fprime_value"] - dpv) / abs(dpv) < mp.mpf("1e-30")
+            assert abs(f_value - dv) / abs(dv) < mp.mpf("1e-30"), (label, t)
+            assert abs(fp_value - dpv) / abs(dpv) < mp.mpf("1e-30"), (label, t)
 
 
 def test_inversion_fixed_point_at_t_one():
-    comp = x_w1_components(12, 210)
-    routed = numeric.eval_depth1_transformed(comp, 1)
-    direct = value_at("X12_1", 1)
-    assert abs(routed["F_value"] - direct) / abs(direct) < mp.mpf("1e-30")
+    # at t = 1 the route sums directly; its inverted sums must agree there
+    for label in ("X12_1", "X8_2", "X16_2"):
+        route = route_for(label)
+        with mp.workprec(BITS):
+            inverted = route._inverted(route.w, route._phi_at, 1)[0]
+            inverted_d = route._inverted(route.w + 2, route._psi_at, 1)[0]
+            direct, direct_d = route.value(1)[0], route.derivative(1)[0]
+            assert abs(inverted - direct) / abs(direct) < mp.mpf("1e-30"), label
+            assert abs(inverted_d - direct_d) / abs(direct_d) < mp.mpf("1e-30"), label
+
+
+@settings(max_examples=40, deadline=None)
+@given(label=st.sampled_from(INVERTED_LABELS),
+       t=st.fractions(Fraction(1, 20), 1).filter(lambda t: t < 1),
+       bits=st.sampled_from((64, 128, 200)))
+@example(label="X4_2", t=Fraction(1, 20), bits=128)
+def test_inverted_sums_match_direct_sums(label, t, bits):
+    # F and DF through the inversion law, against direct sums of the series
+    # built to order 1000 and summed with 64 more bits; X4_2's E2^2-part is
+    # the constant of weight 0, summed with no tail heuristic
+    route = route_for(label, EvalConfig().order_for(1), bits)
+    with mp.workprec(bits):
+        routed = route.value(t), route.derivative(t)
+    series = form_by_label(label, 1000)
+    with mp.workprec(bits + 64):
+        for (value, tolerance), ref in zip(routed, (series, series.derivative())):
+            point = numeric.AxisEvaluator(ref).at(t)
+            error = abs(value - point.value)
+            assert error <= tolerance + point.dropped + point.beyond + point.rounding, (label, t, bits)
+            assert tolerance < mp.ldexp(abs(point.value), 20 - bits)
+
+
+def test_t1_vanishes_exactly_at_m_equal_w_minus_one_on_depth1():
+    for w in range(6, 26, 2):
+        route = route_for(f"X{w}_1", 40)
+        for m in range(1, w + 2):
+            # T_(-1), T_0, T_1: T_1 = (m - w + 1) * E2-part
+            terms = route.t_series(m)
+            assert len(terms) == 3
+            assert terms[2].is_zero() == (m == w - 1), (w, m)
+            assert not terms[0].is_zero() and not terms[1].is_zero()
+    for w in (8, 12, 16):
+        # on depth 2 the top term T_2 = (m - w + 2) * A_2 vanishes at m = w - 2
+        route = route_for(f"X{w}_2", 40)
+        assert route.t_series(w - 2)[3].is_zero()
+        assert not route.t_series(w - 1)[3].is_zero() and not route.t_series(w - 1)[2].is_zero()
+
+
+def test_derivative_parts_recompose_to_the_derivative():
+    for label in INVERTED_LABELS:
+        desc = describe_label(label)
+        parts = desc.parts(60)
+        d_parts = derivative_parts(parts, desc.weight)
+        assert recompose_parts(d_parts) == recompose_parts(parts).derivative(), label
+        # the route's collected parts skip B_0, which only DF's own series needs
+        assert numeric._collected(derivative_parts(parts, desc.weight, 1), 1) == numeric._collected(d_parts, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -381,13 +453,29 @@ def test_curve_points_build_depth1_labels_for_heights_from_one(monkeypatch):
     # the depth-1 series is summed directly only at t >= 1, so it is not
     # built at the order a small grid height would need
     orders, labels = [], []
-    components, by_label = numeric.x_w1_components, numeric.form_by_label
-    monkeypatch.setattr(numeric, "x_w1_components", lambda w, order: orders.append(order) or components(w, order))
+    components, by_label = extremal.x_w1_components, numeric.form_by_label
+    monkeypatch.setattr(extremal, "x_w1_components", lambda w, order: orders.append(order) or components(w, order))
     monkeypatch.setattr(numeric, "form_by_label", lambda label, order: labels.append(label) or by_label(label, order))
     with mp.workprec(BITS):
         grid = (mp.mpf("0.06"), mp.mpf(2))
     numeric.curve_points("X6_1", 5, grid)
     assert orders == [EvalConfig().order_for(1)]
+    assert labels == []
+
+
+def test_depth2_scans_and_curves_build_for_heights_from_one(monkeypatch):
+    # depth-2 labels invert below t = 1 too, so a grid reaching t = 1/20
+    # builds their parts at order_for(1), not order_for(1/20) = 800
+    orders, labels = [], []
+    parts, by_label = extremal.depth2_parts, numeric.form_by_label
+    monkeypatch.setattr(extremal, "depth2_parts", lambda w, order: orders.append(order) or parts(w, order))
+    monkeypatch.setattr(numeric, "form_by_label", lambda label, order: labels.append(label) or by_label(label, order))
+    report = numeric.monotonicity_scan("X8_2", 7, (Fraction(1, 20), 2, 4))
+    assert report.verdict == "monotone_decreasing_on_grid"
+    with mp.workprec(BITS):
+        grid = (mp.mpf("0.07"), mp.mpf(2))
+    numeric.curve_points("X12_2", 11, grid)
+    assert orders == [EvalConfig().order_for(1)] * 2
     assert labels == []
 
 
@@ -412,6 +500,11 @@ def test_tangent_conditions_pass_cases():
         with mp.workprec(BITS):
             target = 2 * mp.pi / m
             assert abs(result["limit_ratio"] - target) / target < mp.mpf("1e-20")
+
+
+def test_tangent_conditions_refuse_components_of_another_weight():
+    with pytest.raises(ValueError, match="weight"):
+        numeric.tangent_conditions("X12_1", x_w1_components(14, 210), 11)
 
 
 def test_tangent_conditions_weight8_fails_on_bracket():
