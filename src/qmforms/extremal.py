@@ -22,7 +22,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Callable
 
 from . import forms
@@ -245,7 +245,9 @@ def _depth2_monomials(w: int) -> list[tuple[int, int, int]]:
 
 
 def _monomial_series(j: int, a: int, b: int, order: int) -> FourierSeries:
-    return eisenstein(2, order) ** j * eisenstein(4, order) ** a * eisenstein(6, order) ** b
+    """E2^j·E4^a·E6^b, multiplying only the factors with nonzero exponents."""
+    powers = [eisenstein(k, order) ** e for k, e in ((2, j), (4, a), (6, b)) if e]
+    return reduce(FourierSeries.__mul__, powers) if powers else FourierSeries.one(order)
 
 
 def depth2_parts(w: int, order: int = DEFAULT_ORDER) -> tuple[FourierSeries, ...]:

@@ -216,9 +216,9 @@ def recompose_parts(parts: Sequence[FourierSeries]) -> FourierSeries:
     return total
 
 
-def derivative_parts(parts: Sequence[FourierSeries], w: int, start: int = 0) -> list:
+def derivative_parts(parts: Sequence[FourierSeries], w: int) -> list:
     """E2-parts B_0..B_(d+1) of DF for F = Σ_j E2^j·A_j of weight w, each A_j
-    free of E2 and of weight w − 2j, with B_j for j < start left at zero:
+    free of E2 and of weight w − 2j:
 
         D(E2^j·A_j) = ((w−j)/12)·E2^(j+1)·A_j + E2^j·ϑA_j − (j/12)·E2^(j−1)·E4·A_j
 
@@ -230,9 +230,8 @@ def derivative_parts(parts: Sequence[FourierSeries], w: int, start: int = 0) -> 
         if part.is_zero():
             continue
         out[j + 1] += part.scale(Fraction(w - j, 12))
-        if j >= start:
-            out[j] += serre_derivative(part, w - 2 * j)
-        if j > start:
+        out[j] += serre_derivative(part, w - 2 * j)
+        if j:
             out[j - 1] -= (eisenstein(4, order) * part).scale(Fraction(j, 12))
     return out
 

@@ -113,8 +113,8 @@ class AxisEvaluator:
     where 2^h bounds every |c_n|, n >= N, by bit lengths with a bit to spare:
     that bound on the dropped stored terms is returned as ``dropped``.
     ``beyond`` is TAIL_SAFETY·|c_K|·q^K/(1 − e^(−2πt)) for the last nonzero
-    c_K (trailing structural zeros say nothing about decay), or 0 for a
-    series known ``exact``: one with no terms past those it stores.
+    c_K (trailing structural zeros say nothing about decay), or 0 when K = 0:
+    a series with no nonconstant term stored is taken as the constant it is.
 
     ``rounding`` bounds |value − Σ_(k<N) c_k·q^k| (Higham, *Accuracy and
     Stability of Numerical Algorithms*, §5.1).  With u = 2^-(prec+GUARD_BITS)
@@ -125,7 +125,7 @@ class AxisEvaluator:
     rounding to the caller's precision.
     """
 
-    def __init__(self, series: FourierSeries, exact: bool = False):
+    def __init__(self, series: FourierSeries):
         den = series.den
         # each c_n as p/q in lowest terms, as its Fraction would hold it
         self._fracs = fracs = [(c // (h := math.gcd(c, den)), den // h) for c in series.nums]
@@ -139,7 +139,7 @@ class AxisEvaluator:
         high = [-math.inf if d is None else d + 2 for d in reversed(bits)]
         self._suffix = list(accumulate(high, max, initial=-math.inf))[::-1]
         self._last = max((n for n, d in enumerate(bits) if d is not None), default=0)
-        self._top = mp.mpf(0) if exact else _mpf(TAIL_SAFETY * abs(Fraction(*fracs[self._last])))
+        self._top = _mpf(TAIL_SAFETY * abs(Fraction(*fracs[self._last]))) if self._last else mp.mpf(0)
 
     def _cut(self, x: float) -> tuple[int, float]:
         """First N whose dropped-terms bound is below the budget at q = e^-x,
@@ -193,10 +193,9 @@ def _collected(parts: Sequence[FourierSeries], start: int = 0) -> list:
             for p in range(start, len(parts))]
 
 
-def _evaluators(series: Sequence[FourierSeries], start: int, weight: int) -> list:
-    """(p, evaluator) for each nonzero series[p], p >= start, series[p] of
-    weight ``weight`` − 2p: at weight 0 a constant, summed with no tail."""
-    return [(p, AxisEvaluator(g, weight == 2 * p)) for p, g in enumerate(series[start:], start) if not g.is_zero()]
+def _evaluators(series: Sequence[FourierSeries], start: int) -> list:
+    """(p, evaluator) for each nonzero series[p], p >= start."""
+    return [(p, AxisEvaluator(g)) for p, g in enumerate(series[start:], start) if not g.is_zero()]
 
 
 class _AxisRoute:
@@ -225,9 +224,9 @@ class _AxisRoute:
         self._psi = [self._phi[0].derivative()]
         self.f, self.fp = AxisEvaluator(self._phi[0]), AxisEvaluator(self._psi[0])
         if weight is not None:
-            self._psi += _collected(derivative_parts(parts, weight, 1), 1)
-            self._phi_at = [(0, self.f)] + _evaluators(self._phi, 1, weight)
-            self._psi_at = [(0, self.fp)] + _evaluators(self._psi, 1, weight + 2)
+            self._psi += _collected(derivative_parts(parts, weight), 1)
+            self._phi_at = [(0, self.f)] + _evaluators(self._phi, 1)
+            self._psi_at = [(0, self.fp)] + _evaluators(self._psi, 1)
 
     def t_series(self, m: int) -> list:
         """T_(−1), ..., T_d for exponent m, exact."""
@@ -235,8 +234,8 @@ class _AxisRoute:
 
     def _inverted(self, weight: int, terms: Sequence, t, first: int = 0) -> tuple:
         """(value, tolerance) of (−1)^(weight/2)·u^weight·Σ_p x^p·G_p(iu) over
-        ``terms`` = (p − first, evaluator of G_p) pairs."""
-        u = 1 / _mpf(t)
+        ``terms`` = (p − first, evaluator of G_p) pairs; u is exact for t = 1/n."""
+        u = _mpf(1 / t) if isinstance(t, Fraction) else 1 / _mpf(t)
         x = -6 / (mp.pi * u)
         total, tolerance = _combine((u**weight * x ** (p + first), e.at(u)) for p, e in terms)
         return (-1) ** (weight // 2) * total, tolerance
@@ -259,7 +258,7 @@ class _AxisRoute:
             tm = _mpf(t)
             return _combine(((m, self.f.at(tm)), (-2 * mp.pi * tm, self.fp.at(tm))))
         if m not in self._t_at:
-            self._t_at[m] = _evaluators(self.t_series(m), 0, self.w + 2)
+            self._t_at[m] = _evaluators(self.t_series(m), 0)
         return self._inverted(self.w, self._t_at[m], t, -1)
 
 
@@ -491,8 +490,7 @@ def limit_t0(components: Depth1Components, w: int, cfg: EvalConfig | None = None
     with mp.workprec(cfg.precision_bits + GUARD_BITS):
         beta0 = components.e2_part.coefficient(0)
         predicted = _mpf(Fraction(-6 * (-1) ** (w // 2)) * beta0) / mp.pi
-        t = _mpf(Fraction(1, 40))
-        measured = t ** (w - 1) * _AxisRoute(components.parts, w).value(t)[0]
+        measured = _AxisRoute(components.parts, w).value(Fraction(1, 40))[0] / 40 ** (w - 1)
     with mp.workprec(cfg.precision_bits):
         return {"measured": +measured, "predicted": +predicted}
 
