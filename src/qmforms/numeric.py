@@ -14,13 +14,13 @@ monotonicity study of t ↦ t^m F(it):
 * tangent/limit checks at t → 0+ (ratio limit 2π/m, the bracket form
   (m+1)(F')² − m·F''·F, and the small-t sign criterion).
 
-Every sum goes through :class:`AxisEvaluator`.  ``EvalConfig.order_for``
-sets the order a series is built at, not the number of terms summed: each
-point sums only up to its own cut, and its reported error counts a bound on
-the stored terms it dropped, a bound on the rounding of its own sum, and a
-geometric heuristic (not a proven bound) for the terms beyond the stored
-order.  Scans are labelled "on grid": they establish signs at grid points
-with stated tolerances, never a proof of monotonicity in between.
+Every sum goes through :class:`AxisEvaluator`, an integer Horner sum of a
+series' exact numerators to each point's own cut (``EvalConfig.order_for``
+sets the build order only).  Its reported error counts a bound on the
+stored terms it dropped, a counted bound on its rounding, and a geometric
+heuristic (not a proven bound) for the terms past the stored order.  Scans
+are labelled "on grid": signs at grid points with stated tolerances, never
+a proof of monotonicity in between.
 """
 
 from __future__ import annotations
@@ -103,87 +103,87 @@ class AxisSum(NamedTuple):
     terms: int
 
 
+def _log2_sum(logs: Sequence[float]) -> float:
+    """log2 Σ 2^l over exponents l: floats, or ``mp.mag(x) >= log2 |x|``."""
+    top = max(logs, default=-math.inf)
+    return top + math.log2(sum(2.0 ** (lg - top) for lg in logs)) if top > -math.inf else top
+
+
+def _power_bound(log2_bound: float) -> mp.mpf:
+    """2^⌈e + 2^-20⌉ >= 2^e, 2^-20 covering e's float error; 0 at e = −inf."""
+    return mp.ldexp(1, ceil(log2_bound + 2**-20)) if log2_bound > -math.inf else mp.zero
+
+
+def _fixed_q(t, grain: int, prec: int) -> tuple:
+    """(x, Q, F): x = 2πt/grain as a float, Q = ⌊e^(−x)·2^F⌋ >= 2^(prec+4),
+    off by 2^-(prec+2) relatively: (4x + 2)·2^-wp covers x's four roundings
+    and exp's own at the wp bits used."""
+    xf = 2 * math.pi * float(t) / grain
+    with mp.workprec(prec + 8 + int(xf).bit_length()):
+        x, shift = 2 * mp.pi * _mpf(t) / grain, prec + 5 + ceil(xf / math.log(2))
+        return float(x), int(mp.ldexp(mp.exp(-x), shift)), shift
+
+
 class AxisEvaluator:
     """Values of one stored series at heights z = it, each summed to its cut.
 
-    Build and use it inside one ``mp.workprec`` block; it sums GUARD_BITS
-    past that precision, converting a coefficient on first use.  With
-    q = e^(−2πt/grain), a point sums c_0..c_(N−1) by Horner, N the first
-    index with 2^h·q^N/(1−q) < 2^-(prec+GUARD_BITS) times the largest term,
-    where 2^h bounds every |c_n|, n >= N, by bit lengths with a bit to spare:
-    that bound on the dropped stored terms is returned as ``dropped``.
-    ``beyond`` is TAIL_SAFETY·|c_K|·q^K/(1 − e^(−2πt)) for the last nonzero
-    c_K (trailing structural zeros say nothing about decay), or 0 when K = 0:
-    a series with no nonconstant term stored is taken as the constant it is.
-
-    ``rounding`` bounds |value − Σ_(k<N) c_k·q^k| (Higham, *Accuracy and
-    Stability of Numerical Algorithms*, §5.1).  With u = 2^-(prec+GUARD_BITS)
-    and every |c_k|·q^k, k < N, below 2^P by the bit lengths that choose the
-    cut, it is N·2^P·u·(2N + 2 + N·(6x + 3)) + 2^(1−prec)·|value|: 2N Horner
-    roundings and two per coefficient conversion, q's error (about
-    (4x + 2)·u for x = 2πt/grain) compounded k-fold in q^k, and the final
-    rounding to the caller's precision.
+    Build and use it inside one ``mp.workprec`` block.  At wp = prec +
+    GUARD_BITS it sums the exact numerators by Horner in Python integers at a
+    fixed point, then divides by ``den`` once.  At q = e^(−2πt/grain) a point
+    sums c_0..c_(N−1), N the first index where 2^h·q^N/(1−q), 2^h bounding
+    every later |c_n| by bit lengths with a bit to spare, is below 2^-wp of
+    the largest term: that is ``dropped``.  ``beyond`` is TAIL_SAFETY·|c_K|·
+    q^K/(1 − e^(−2πt)) for the last nonzero c_K, 0 if K = 0.  With
+    |c_k|·q^k < 2^P, k < N, and an accumulator unit at most 2^(P−wp), the
+    ``rounding`` N·(N + 1)·2^(P−wp) + 2^(1−prec)·|quotient| counts N truncations
+    of acc·Q, Q's error k-fold in q^k and the one division (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, §5.1).  All three are log2 floats.
     """
 
     def __init__(self, series: FourierSeries):
-        den = series.den
-        # each c_n as p/q in lowest terms, as its Fraction would hold it
-        self._fracs = fracs = [(c // (h := math.gcd(c, den)), den // h) for c in series.nums]
-        self.grain = series.grain
-        self._values: list = []
+        self._nums, self._den, self.grain = series.nums, series.den, series.grain
         self._prec = mp.prec + GUARD_BITS
-        # 2^(d-1) <= |c_n| < 2^(d+1) for d = bits of p - bits of q
-        bits = [abs(p).bit_length() - q.bit_length() if p else None for p, q in fracs]
+        # 2^(d-1) < |c_n| < 2^(d+1) for d = bits of the numerator - bits of den
+        bits = [abs(c).bit_length() - self._den.bit_length() if c else None for c in self._nums]
         self._low = [-math.inf if d is None else d - 1 for d in bits]
         # _suffix[n] >= 1 + log2 max |c_k| over k >= n, -inf once all are 0
         high = [-math.inf if d is None else d + 2 for d in reversed(bits)]
         self._suffix = list(accumulate(high, max, initial=-math.inf))[::-1]
-        self._last = max((n for n, d in enumerate(bits) if d is not None), default=0)
-        self._top = _mpf(TAIL_SAFETY * abs(Fraction(*fracs[self._last]))) if self._last else mp.mpf(0)
+        self._last = last = max((n for n, d in enumerate(bits) if d is not None), default=0)
+        self._top = math.log2(TAIL_SAFETY * abs(self._nums[last])) - math.log2(self._den) if last else -math.inf
 
-    def _cut(self, x: float) -> tuple[int, float]:
-        """First N whose dropped-terms bound is below the budget at q = e^-x,
-        and the peak: |c_n|·q^n < 2^(peak + 2) for every n < N."""
-        step = -x / math.log(2)
-        offset = -math.log2(-math.expm1(-x))
+    def _cut(self, step: float, offset: float) -> tuple[int, float]:
+        """First N whose dropped-terms bound 2^(_suffix[N] − N·step + offset)
+        is below the budget, and the peak: |c_n|·q^n < 2^(peak + 2), n < N."""
         peak = -math.inf
         for n, low in enumerate(self._low):
-            if self._suffix[n] + n * step + offset < peak - self._prec:
+            if self._suffix[n] - n * step + offset < peak - self._prec:
                 return n, peak
-            peak = max(peak, low + n * step)
+            peak = max(peak, low - n * step)
         return len(self._low), peak
 
-    def at(self, t) -> AxisSum:
-        """The series at z = it, summed to the cut for height t."""
-        with mp.workprec(self._prec):
-            x = 2 * mp.pi * _mpf(t) / self.grain
-            q = mp.exp(-x)
-            n, peak = self._cut(float(x))
-            values = self._values
-            if len(values) < n:
-                values.extend(mp.mpf(num) / den for num, den in self._fracs[len(values):n])
-            acc = mp.mpf(0)
+    def _sum(self, fixed_q: tuple) -> tuple:
+        """(value, log2 of (dropped, beyond, rounding), N) at a :func:`_fixed_q` height."""
+        x, big_q, shift = fixed_q
+        step, offset = x / math.log(2), -math.log2(-math.expm1(-x))
+        n, peak = self._cut(step, offset)
+        value, rounding = mp.zero, -math.inf
+        if peak > -math.inf:
+            top = ceil(peak) + 3  # a bit to spare over the float peak
+            f = max(0, self._prec + GUARD_BITS - top + 1 - self._den.bit_length())  # finer, for sums that cancel
+            nums, acc = self._nums, 0
             for k in range(n - 1, -1, -1):
-                acc = acc * q + values[k]
-            high = self._suffix[n]
-            dropped = mp.ldexp(q**n / (1 - q), high) if high > -math.inf else mp.mpf(0)
-            beyond = self._top * q**self._last / (1 - q**self.grain)
-            # P = ceil(peak) + 3 keeps a bit to spare over the float peak
-            summed = (mp.ldexp(n * (2 * n + 2 + n * (6 * float(x) + 3)), math.ceil(peak) + 3 - self._prec)
-                      if peak > -math.inf else mp.mpf(0))
-        value = +acc
-        return AxisSum(value, +dropped, +beyond, summed + mp.ldexp(abs(value), 1 - mp.prec), n)
+                acc = (nums[k] << f) + (acc * big_q >> shift)
+            value = mp.fdiv(acc, self._den << f)
+            quotient = math.log2(abs(acc)) - math.log2(self._den) - f if acc else -math.inf  # log2 |acc/(den·2^f)|
+            rounding = _log2_sum((math.log2(n * (n + 1)) + top - self._prec, quotient + 1 - mp.prec))
+        beyond = self._top - self._last * step - math.log2(-math.expm1(-self.grain * x))
+        return value, (self._suffix[n] - n * step + offset, beyond, rounding), n
 
-
-def _combine(parts) -> tuple:
-    """(Σ k·v, Σ |k|·(dropped + beyond + rounding) + 2^(12−prec)·Σ |k·v|) over ``(k, AxisSum)``."""
-    total = errors = scale = mp.mpf(0)
-    for k, point in parts:
-        term = k * point.value
-        total += term
-        scale += abs(term)
-        errors += abs(k) * (point.dropped + point.beyond + point.rounding)
-    return total, errors + mp.ldexp(1, 12 - mp.prec) * scale
+    def at(self, t) -> AxisSum:
+        """The series at z = it."""
+        value, bounds, n = self._sum(_fixed_q(t, self.grain, self._prec))
+        return AxisSum(value, *map(_power_bound, bounds), n)
 
 
 def _collected(parts: Sequence[FourierSeries], start: int = 0) -> list:
@@ -234,11 +234,27 @@ class _AxisRoute:
 
     def _inverted(self, weight: int, terms: Sequence, t, first: int = 0) -> tuple:
         """(value, tolerance) of (−1)^(weight/2)·u^weight·Σ_p x^p·G_p(iu) over
-        ``terms`` = (p − first, evaluator of G_p) pairs; u is exact for t = 1/n."""
-        u = _mpf(1 / t) if isinstance(t, Fraction) else 1 / _mpf(t)
-        x = -6 / (mp.pi * u)
-        total, tolerance = _combine((u**weight * x ** (p + first), e.at(u)) for p, e in terms)
-        return (-1) ** (weight // 2) * total, tolerance
+        ``terms`` = (p − first, evaluator of G_p) pairs at the exact u = 1/t;
+        u^weight·x^j takes weight + 2, 4|j| + 2 (x has four) and 1 roundings."""
+        man, exp = t.man_exp if isinstance(t, mp.mpf) else (Fraction(t), 0)
+        u = 1 / (man * Fraction(2) ** exp)  # an mpf is a dyadic rational
+        um = _mpf(u)
+        x, scale = -6 / (mp.pi * um), (-1) ** (weight // 2) * um**weight
+        weighted = [(scale * x ** (p + first), weight + 4 * abs(p + first) + 5 + len(terms), e) for p, e in terms]
+        return self._at(weighted, u)
+
+    def _at(self, weighted: Sequence, t) -> tuple:
+        """(Σ k·G(it), tolerance) over ``(k, c, evaluator of G)``, k·G formed and
+        summed with at most c roundings (Higham, §3.1): Σ |k|·e + 2^-prec·c·
+        (|k·G| + |k|·e), e = dropped + beyond + rounding of G."""
+        qs, total, logs = {}, mp.zero, []
+        for k, c, e in weighted:
+            key = e.grain, e._prec  # one q per height, grain and precision
+            value, bounds, _ = e._sum(qs[key] if key in qs else qs.setdefault(key, _fixed_q(t, *key)))
+            total += k * value
+            lk, le = mp.mag(k), _log2_sum(bounds)
+            logs += (lk + le, lk + math.log2(c) - mp.prec + _log2_sum((mp.mag(value), le)))
+        return total, _power_bound(_log2_sum(logs))
 
     def _direct(self, t) -> bool:
         _require_positive(t)
@@ -246,17 +262,16 @@ class _AxisRoute:
 
     def value(self, t) -> tuple:
         """(F(it), tolerance)."""
-        return _combine(((1, self.f.at(t)),)) if self._direct(t) else self._inverted(self.w, self._phi_at, t)
+        return self._at(((mp.one, 1, self.f),), t) if self._direct(t) else self._inverted(self.w, self._phi_at, t)
 
     def derivative(self, t) -> tuple:
         """(DF(it), tolerance), D = q·d/dq."""
-        return _combine(((1, self.fp.at(t)),)) if self._direct(t) else self._inverted(self.w + 2, self._psi_at, t)
+        return self._at(((mp.one, 1, self.fp),), t) if self._direct(t) else self._inverted(self.w + 2, self._psi_at, t)
 
     def s(self, m: int, t) -> tuple:
-        """(s, tolerance) for s = m·F − 2πt·DF at height t."""
+        """(s, tolerance) for s = m·F − 2πt·DF; 2πt takes three roundings."""
         if self._direct(t):
-            tm = _mpf(t)
-            return _combine(((m, self.f.at(tm)), (-2 * mp.pi * tm, self.fp.at(tm))))
+            return self._at(((mp.mpf(m), 2, self.f), (-2 * mp.pi * _mpf(t), 5, self.fp)), t)
         if m not in self._t_at:
             self._t_at[m] = _evaluators(self.t_series(m), 0)
         return self._inverted(self.w, self._t_at[m], t, -1)

@@ -7,7 +7,7 @@ message on failure.
 
 from __future__ import annotations
 
-from qmforms import cli
+from qmforms import cli, numeric
 
 
 def run_criterion(criterion) -> dict:
@@ -50,6 +50,14 @@ def test_criterion_07_high_precision_special_values():
 
 def test_criterion_08_small_t_limits():
     run_criterion(cli._criterion_limits)
+
+
+def test_criterion_08_takes_each_limit_once(monkeypatch):
+    # the 1/(55440π) check reads the w = 12 prediction the loop already formed
+    weights, limit_t0 = [], numeric.limit_t0
+    monkeypatch.setattr(numeric, "limit_t0", lambda comp, w, cfg=None: weights.append(w) or limit_t0(comp, w, cfg))
+    run_criterion(cli._criterion_limits)
+    assert weights == [6, 12, 14]
 
 
 def test_criterion_09_scan_verdicts_within_budget():

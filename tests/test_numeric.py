@@ -144,7 +144,7 @@ def test_a_constant_series_has_no_tail_heuristic():
 
 EVALUATOR_LABELS = (
     "E2", "E4", "Delta", "X6_1", "X8_1", "X10_1", "X12_1", "X14_1",
-    "X4_2", "X8_2", "X10_2", "X12_2", "X14_2",
+    "X4_2", "X8_2", "X10_2", "X12_2", "X14_2", "H2", "L10",
 )
 
 
@@ -194,6 +194,55 @@ def test_evaluator_rounding_bound_covers_the_summed_terms(label, t, bits):
     with mp.workprec(bits):
         tail = numeric.eval_at_it(series, t, EvalConfig(bits))["tail_estimate"]
         assert tail == point.dropped + point.beyond + point.rounding
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    grain=st.integers(1, 3),
+    runs=st.lists(st.tuples(st.integers(0, 60), st.integers(-(2**90), 2**90)), min_size=1, max_size=12),
+    den=st.one_of(st.just(1), st.integers(2**69, 2**70)),
+    t=st.fractions(min_value=Fraction(1, 20), max_value=Fraction(20), max_denominator=1000),
+    bits=st.sampled_from([64, 128, 200]),
+)
+def test_evaluator_bounds_hold_on_random_series(grain, runs, den, t, bits):
+    # mixed signs, 70-bit denominators and long runs of zeros, any grain to 3:
+    # the integer sum against an mpf Horner sum of the Fractions 64 bits higher
+    coeffs = [c for zeros, num in runs for c in [0] * zeros + [Fraction(num, den)]]
+    series = FourierSeries.from_coefficients(coeffs, grain)
+    with mp.workprec(bits):
+        point = numeric.AxisEvaluator(series).at(t)
+    with mp.workprec(bits + 64):
+        q = mp.exp(-2 * mp.pi * numeric._mpf(t) / grain)
+        assert abs(point.value - horner(series.coeffs[: point.terms], q)) <= point.rounding
+        assert abs(point.value - horner(series.coeffs, q)) <= point.dropped + point.rounding
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    t=st.one_of(st.fractions(min_value=Fraction(1, 100), max_value=Fraction(200), max_denominator=10**6),
+                st.floats(min_value=0.01, max_value=200).map(mp.mpf)),
+    grain=st.integers(1, 3),
+    prec=st.sampled_from([80, 144, 216, 528]),
+)
+def test_fixed_point_q_is_within_its_stated_error(t, grain, prec):
+    x, big_q, shift = numeric._fixed_q(t, grain, prec)
+    assert big_q >= 2 ** (prec + 4)
+    with mp.workprec(prec + 64):
+        exact_x = 2 * mp.pi * numeric._mpf(t) / grain
+        assert abs(mp.ldexp(big_q, -shift) / mp.exp(-exact_x) - 1) <= mp.ldexp(1, -prec - 2)
+        assert abs(x - exact_x) <= 1e-15 * exact_x
+
+
+def test_one_exp_per_height_for_all_evaluators_of_a_route(monkeypatch):
+    route = route_for("X8_2")
+    calls, exp = [], mp.exp
+    monkeypatch.setattr(mp, "exp", lambda x: calls.append(x) or exp(x))
+    with mp.workprec(BITS):
+        for t in (Fraction(1, 3), numeric._mpf(Fraction(1, 7)), 2):
+            # below t = 1 the four T_p evaluators, above it F and DF
+            route.s(7, t)
+            assert len(calls) == 1, t
+            calls.clear()
 
 
 def test_rounding_bound_of_a_zero_series_is_zero():
