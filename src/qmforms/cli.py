@@ -56,11 +56,16 @@ def _env_int(name: str) -> int | None:
         raise UsageError(f"environment variable {name} must be an integer, got {raw!r}")
 
 
-def _resolve_order(flag_value: int | None, fallback: int) -> int:
-    if flag_value is not None:
-        return flag_value
-    env = _env_int("QMF_ORDER")
-    return env if env is not None else fallback
+def _positive(name: str, value: int | None) -> int | None:
+    """Refuse a size below 1 up front; None (not given) passes."""
+    if value is not None and value < 1:
+        raise UsageError(f"{name} must be at least 1, got {value}")
+    return value
+
+
+def _resolve_order(flag_value: int | None, fallback: int | None) -> int | None:
+    name, order = ("--order", flag_value) if flag_value is not None else ("QMF_ORDER", _env_int("QMF_ORDER"))
+    return fallback if order is None else _positive(name, order)
 
 
 def _resolve_bits(flag_value: int | None) -> int:
@@ -147,7 +152,7 @@ def _cmd_identity(args) -> tuple[int, dict, str]:
         idents = sorted(set(args.idents))
     else:
         raise UsageError("pass one or more identity ids, or --all")
-    order = args.order if args.order is not None else _env_int("QMF_ORDER")
+    order = _resolve_order(args.order, None)
     results = [identities.verify(ident, order) for ident in idents]
     all_passed = all(r.passed for r in results)
     lines = []
@@ -179,7 +184,7 @@ def _cmd_positivity(args) -> tuple[int, dict, str]:
 
 def _cmd_density(args) -> tuple[int, dict, str]:
     label = _checked_label(args.label)
-    report = positivity.sign_pattern(label, args.n)
+    report = positivity.sign_pattern(label, _positive("--n", args.n))
     payload = report.to_json_dict()
     text = (
         f"{label}: {report.count_positive} of {report.n_limit} coefficients positive "
@@ -192,7 +197,7 @@ def _cmd_density(args) -> tuple[int, dict, str]:
 
 def _cmd_ratio_inf(args) -> tuple[int, dict, str]:
     label = _checked_label(args.label)
-    report = positivity.ratio_infimum(label, args.dilate, args.bound)
+    report = positivity.ratio_infimum(label, _positive("--dilate", args.dilate), _positive("--bound", args.bound))
     payload = report.to_json_dict()
     text = (
         f"{label}: min a({args.dilate}n)/a(n) = {report.min_ratio} at n = {report.argmin} "
@@ -556,23 +561,20 @@ def _criterion_limits() -> dict:
 
 def _criterion_scans() -> dict:
     start = time.perf_counter()
-    nine_ok = all(
-        numeric.monotonicity_scan(label, m).verdict == "monotone_decreasing_on_grid"
-        for label, m in _SCAN_DECREASING_PAIRS
-    )
-    r81 = numeric.monotonicity_scan("X8_1", 7)
+    family = [(f"X{w}_1", a_w_exponent(w)) for w in range(6, 26, 2)]
+    # three of the nine pairs are also family members: each distinct scan runs once
+    pairs = dict.fromkeys((*_SCAN_DECREASING_PAIRS, ("X8_1", 7), ("X10_1", 9), *family))
+    scans = {pair: numeric.monotonicity_scan(*pair) for pair in pairs}
+    nine_ok, family_ok = (all(scans[pair].verdict == "monotone_decreasing_on_grid" for pair in group)
+                          for group in (_SCAN_DECREASING_PAIRS, family))
+    r81 = scans["X8_1", 7]
     r81_ok = (
         r81.verdict == "sign_change_found"
         and len(r81.sign_changes) == 1
         and r81.sign_changes[0][0] < 1 < r81.sign_changes[0][1]
     )
-    r101 = numeric.monotonicity_scan("X10_1", 9)
+    r101 = scans["X10_1", 9]
     r101_ok = r101.verdict == "sign_change_found" and len(r101.sign_changes) >= 1
-    family_ok = all(
-        numeric.monotonicity_scan(f"X{w}_1", a_w_exponent(w)).verdict
-        == "monotone_decreasing_on_grid"
-        for w in range(6, 26, 2)
-    )
     elapsed = time.perf_counter() - start
     return {
         "id": "C9",

@@ -22,12 +22,12 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 from typing import Callable
 
 from . import forms
 from .forms import DEFAULT_ORDER, delta_series, derivative_parts, eisenstein, recompose_parts, serre_derivative
-from .qseries import FourierSeries
+from .qseries import FourierSeries, grow_only
 
 F = Fraction
 
@@ -73,7 +73,7 @@ def alpha_w0(w: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@grow_only
 def x_w1(w: int, order: int = DEFAULT_ORDER) -> FourierSeries:
     """The normalized depth-1 maximal-vanishing form, even 6 <= w <= MAX_DEPTH1_WEIGHT."""
     _require_depth1_weight(w)
@@ -119,8 +119,11 @@ class Depth1Components:
     def recompose(self) -> FourierSeries:
         return recompose_parts(self.parts)
 
+    def truncate(self, order) -> "Depth1Components":
+        return Depth1Components(self.weight, self.pure.truncate(order), self.e2_part.truncate(order))
 
-@lru_cache(maxsize=None)
+
+@grow_only
 def x_w1_components(w: int, order: int = DEFAULT_ORDER) -> Depth1Components:
     """Component pair of x_w1(w), built by the component recurrences.
 
@@ -190,7 +193,7 @@ def _require_depth2_weight(w: int):
         raise BadWeight(f"depth-2 family implemented for weights {_X_W2_WEIGHTS}")
 
 
-@lru_cache(maxsize=None)
+@grow_only
 def x_w2(w: int, order: int = DEFAULT_ORDER) -> FourierSeries:
     """Depth-2 maximal-vanishing forms at weights 4, 8, 10, 12, 14, 16.
 

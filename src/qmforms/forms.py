@@ -4,24 +4,23 @@ Everything here is an exact truncated expansion (:class:`FourierSeries`).
 Weight-k Eisenstein series are normalized to constant term 1, from divisor
 sums sigma_k by a linear sieve over smallest primes.  The discriminant comes
 from the sparse cube of the eta-product, raised to the eighth power by three
-integer squares, into one shared τ table that ``delta_series`` and ``tau``
-both read; it only grows.  On a 2-core Xeon that takes about 0.2 s for a
-table to order 10^4 and about 9 s to order 10^5, because the packed integers
-are squared by Karatsuba.
+integer squares; ``tau`` reads its coefficients from ``delta_series``.  On a
+2-core Xeon that takes about 0.2 s to order 10^4 and about 9 s to order
+10^5, because the packed integers are squared by Karatsuba.
 
-The composites F, G, K10/K12/K14, L, L10 and P2 have one cached builder
-each, so asking for one builds only what it depends on.
+Each builder that takes an ``order`` keeps one entry per family member at the
+largest order asked so far (:func:`~qmforms.qseries.grow_only`).  The
+composites F, G, K10/K12/K14, L, L10 and P2 have one builder each, so asking
+for one builds only what it depends on.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-import threading
 from fractions import Fraction
 from typing import Sequence
 
-from .qseries import FourierSeries, _intconv
+from .qseries import FourierSeries, _intconv, grow_only
 
 DEFAULT_ORDER = 120
 
@@ -124,9 +123,6 @@ def r4_table(limit: int) -> list[int]:
 
 TAU_DEFAULT_CAP = 2_000_000
 
-_tau_lock = threading.Lock()
-_tau_cache: list[int] = []
-
 
 def _eta_cube_ints(limit: int) -> list[int]:
     """Coefficients of prod(1-q^n)^3 = sum_{j>=0} (-1)^j (2j+1) q^(j(j+1)/2)."""
@@ -148,19 +144,9 @@ def _tau_ints(limit: int) -> list[int]:
     return [0] + p[:limit]
 
 
-def _tau_table(n: int, size: int) -> list[int]:
-    """The shared table [0, tau(1), ...], first rebuilt at ``size`` >= n if
-    it stops short of n.  It only grows; callers copy what they keep."""
-    global _tau_cache
-    if n >= len(_tau_cache):
-        with _tau_lock:
-            if n >= len(_tau_cache):  # re-check under the lock
-                _tau_cache = _tau_ints(size)
-    return _tau_cache
-
-
 def tau(n: int, *, cap: int = TAU_DEFAULT_CAP) -> int:
-    """The discriminant coefficient tau(n), from the shared table, grown by doubling.
+    """The discriminant coefficient tau(n), read from ``delta_series`` at the
+    power of two above n, so a loop over n rebuilds it O(log n) times.
 
     Raises OrderExceeded for n beyond ``cap`` so accidental unbounded table
     growth fails loudly instead of thrashing.
@@ -169,13 +155,13 @@ def tau(n: int, *, cap: int = TAU_DEFAULT_CAP) -> int:
         raise ValueError("tau is defined for n >= 1")
     if n > cap:
         raise OrderExceeded(f"tau({n}) requested but the cap is {cap}")
-    size = min(cap, max(2 * len(_tau_cache), 1 << max(8, n.bit_length())))
-    return _tau_table(n, size)[n]
+    return delta_series(min(cap, 1 << max(8, n.bit_length()))).nums[n]
 
 
+@grow_only
 def delta_series(order: int) -> FourierSeries:
-    """q * prod(1-q^n)^24, exact to the given order, from the shared table."""
-    return FourierSeries(1, tuple(_tau_table(order, order)[: order + 1]))
+    """q * prod(1-q^n)^24, exact to the given order."""
+    return FourierSeries(1, tuple(_tau_ints(order)))
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +171,7 @@ def delta_series(order: int) -> FourierSeries:
 _EIS_PARAMS = {2: (1, -24), 4: (3, 240), 6: (5, -504), 8: (7, 480), 10: (9, -264)}
 
 
-@functools.lru_cache(maxsize=64)
+@grow_only
 def eisenstein(k: int, order: int = DEFAULT_ORDER) -> FourierSeries:
     """Weight-k Eisenstein series, constant term 1, for k in {2,4,6,8,10}."""
     if k not in _EIS_PARAMS:
@@ -294,24 +280,8 @@ def theta_forms(order: int = DEFAULT_ORDER) -> dict[str, FourierSeries]:
 
     All are grain-2 series truncated at absolute order ``order``.
     """
-    return dict(_theta_forms_cached(order))
-
-
-@functools.lru_cache(maxsize=8)
-def _theta_forms_cached(order: int) -> dict[str, FourierSeries]:
-    limit = 2 * order
-    table = r4_table(limit)
-    h2 = [0] * (limit + 1)
-    h4 = [0] * (limit + 1)
-    for n in range(limit + 1):
-        if n % 2:
-            h2[n] = 2 * table[n]
-            h4[n] = -table[n]
-        else:
-            h4[n] = table[n]
-    H2 = FourierSeries.from_coefficients(h2, grain=2)
-    H4 = FourierSeries.from_coefficients(h4, grain=2)
-    return {"H2": H2, "H4": H4, "A": H2 * H2, "B": H2 + H4.scale(2)}
+    H2, H4 = _theta_power("H2", 1, order), _theta_power("H4", 1, order)
+    return {"H2": H2, "H4": H4, "A": _theta_power("H2", 2, order), "B": H2 + H4.scale(2)}
 
 
 def e2_half_arguments(order: int = DEFAULT_ORDER) -> tuple[FourierSeries, FourierSeries]:
@@ -339,7 +309,7 @@ def e2_half_arguments(order: int = DEFAULT_ORDER) -> tuple[FourierSeries, Fourie
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=8)
+@grow_only
 def form_f(order: int = DEFAULT_ORDER) -> FourierSeries:
     """F: the weight-14 depth-2 combination of E2, E4, E6 vanishing to order 3,
     (49 E4^3 - 25 E6^2) E2^2 - 48 E4^2 E6 E2 - 25 E4^4 + 49 E4 E6^2."""
@@ -349,11 +319,13 @@ def form_f(order: int = DEFAULT_ORDER) -> FourierSeries:
                             (e4sq * e4).scale(49) - e6sq.scale(25)))
 
 
-@functools.lru_cache(maxsize=96)
+@grow_only
 def _theta_power(block: str, n: int, order: int) -> FourierSeries:
-    """H2^n or H4^n (``block`` is "H2" or "H4"), from the next lower power."""
-    base = theta_forms(order)[block]
-    return base if n == 1 else _theta_power(block, n - 1, order) * base
+    """H2^n or H4^n (``block`` is "H2" or "H4"): from r4 at n = 1, else from the next lower power."""
+    if n > 1:
+        return _theta_power(block, n - 1, order) * _theta_power(block, 1, order)
+    odd, even = (2, 0) if block == "H2" else (-1, 1)
+    return FourierSeries(2, tuple((odd if k % 2 else even) * r for k, r in enumerate(r4_table(2 * order))))
 
 
 def _theta_poly(coeffs: tuple[int, ...], order: int) -> FourierSeries:
@@ -371,7 +343,7 @@ def _theta_poly(coeffs: tuple[int, ...], order: int) -> FourierSeries:
     return total
 
 
-@functools.lru_cache(maxsize=8)
+@grow_only
 def form_g(order: int = DEFAULT_ORDER) -> FourierSeries:
     """G = H2^5 (2 H2^2 + 7 H2 H4 + 7 H4^2): weight 14, vanishing to order 5/2."""
     return _theta_power("H2", 5, order) * _theta_poly((2, 7, 7), order)
@@ -385,27 +357,27 @@ _K_FORMS = {
 }
 
 
-@functools.lru_cache(maxsize=8)
+@grow_only
 def form_k(weight: int, order: int = DEFAULT_ORDER) -> FourierSeries:
     """The theta-side coefficient forms K10, K12, K14 of L."""
     poly, scale, cofactor = _K_FORMS[weight]
     return _theta_poly(poly, order).scale(scale) * _theta_poly(cofactor, order)
 
 
-@functools.lru_cache(maxsize=8)
+@grow_only
 def form_l(order: int = DEFAULT_ORDER) -> FourierSeries:
     """L = K10 E2^2 + K12 E2 + K14 (weight 14, constant term 0)."""
     return recompose_parts((form_k(14, order), form_k(12, order), form_k(10, order)))
 
 
-@functools.lru_cache(maxsize=8)
+@grow_only
 def form_l10(order: int = DEFAULT_ORDER) -> FourierSeries:
     """L10 = F'G - FG' (weight 30; equals the Serre-bracket cross combination)."""
     f, g = form_f(order), form_g(order)
     return f.derivative() * g - f * g.derivative()
 
 
-@functools.lru_cache(maxsize=8)
+@grow_only
 def form_p2(order: int = DEFAULT_ORDER) -> FourierSeries:
     """P2 = (-E2(z) + 5 E2(2z) - 4 E2(4z)) / 24."""
     e2 = eisenstein(2, order)

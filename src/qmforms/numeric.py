@@ -193,9 +193,9 @@ def _collected(parts: Sequence[FourierSeries], start: int = 0) -> list:
             for p in range(start, len(parts))]
 
 
-def _evaluators(series: Sequence[FourierSeries], start: int) -> list:
-    """(p, evaluator) for each nonzero series[p], p >= start."""
-    return [(p, AxisEvaluator(g)) for p, g in enumerate(series[start:], start) if not g.is_zero()]
+def _evaluators(series: Sequence[FourierSeries]) -> list:
+    """(p, evaluator) for each nonzero series[p]."""
+    return [(p, AxisEvaluator(g)) for p, g in enumerate(series) if not g.is_zero()]
 
 
 class _AxisRoute:
@@ -219,14 +219,19 @@ class _AxisRoute:
     """
 
     def __init__(self, parts: Sequence[FourierSeries], weight: int | None = None):
-        self.w, self._t_at = weight, {}
+        self.w, self._lazy = weight, {}
         self._phi = [parts[0]] if weight is None else _collected(parts)
         self._psi = [self._phi[0].derivative()]
         self.f, self.fp = AxisEvaluator(self._phi[0]), AxisEvaluator(self._psi[0])
         if weight is not None:
             self._psi += _collected(derivative_parts(parts, weight), 1)
-            self._phi_at = [(0, self.f)] + _evaluators(self._phi, 1)
-            self._psi_at = [(0, self.fp)] + _evaluators(self._psi, 1)
+
+    def _below(self, key) -> list:
+        """The (p, evaluator) pairs summed below t = 1, built on first use:
+        Φ_p for key "phi", Ψ_p for "psi", T_p for an exponent m."""
+        if key not in self._lazy:
+            self._lazy[key] = _evaluators({"phi": self._phi, "psi": self._psi}.get(key) or self.t_series(key))
+        return self._lazy[key]
 
     def t_series(self, m: int) -> list:
         """T_(−1), ..., T_d for exponent m, exact."""
@@ -262,19 +267,17 @@ class _AxisRoute:
 
     def value(self, t) -> tuple:
         """(F(it), tolerance)."""
-        return self._at(((mp.one, 1, self.f),), t) if self._direct(t) else self._inverted(self.w, self._phi_at, t)
+        return self._at(((mp.one, 1, self.f),), t) if self._direct(t) else self._inverted(self.w, self._below("phi"), t)
 
     def derivative(self, t) -> tuple:
         """(DF(it), tolerance), D = q·d/dq."""
-        return self._at(((mp.one, 1, self.fp),), t) if self._direct(t) else self._inverted(self.w + 2, self._psi_at, t)
+        return self._at(((mp.one, 1, self.fp),), t) if self._direct(t) else self._inverted(self.w + 2, self._below("psi"), t)
 
     def s(self, m: int, t) -> tuple:
         """(s, tolerance) for s = m·F − 2πt·DF; 2πt takes three roundings."""
         if self._direct(t):
             return self._at(((mp.mpf(m), 2, self.f), (-2 * mp.pi * _mpf(t), 5, self.fp)), t)
-        if m not in self._t_at:
-            self._t_at[m] = _evaluators(self.t_series(m), 0)
-        return self._inverted(self.w, self._t_at[m], t, -1)
+        return self._inverted(self.w, self._below(m), t, -1)
 
 
 def _axis_route(label: str, t_min, cfg: EvalConfig) -> _AxisRoute:

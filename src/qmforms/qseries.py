@@ -21,7 +21,11 @@ so that one native big-int product, or a square, does the work.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
+import threading
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -504,6 +508,45 @@ class FourierSeries:
             f"FourierSeries(grain={self.grain}, order={self.order}, "
             f"leading={head})"
         )
+
+
+CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+def grow_only(build):
+    """Cache ``build(*key, order)`` with one entry per key, at the largest order
+    asked so far: a smaller order is served by the entry's ``truncate(order)``,
+    the same series a fresh build gives, and a larger one is built and replaces
+    the entry under a lock, so an entry only grows.  A negative order is built
+    and not kept.  ``cache_info()`` and ``cache_clear()`` read as on the
+    standard library's function caches, with ``maxsize`` None."""
+    params = inspect.signature(build).parameters
+    arity, default = len(params), params["order"].default
+    entries, counts, lock = {}, [0, 0], threading.Lock()
+
+    @functools.wraps(build)
+    def cached(*args):
+        key, order = (args[:-1], args[-1]) if len(args) == arity else (args, default)
+        with lock:
+            top, value = entries.get(key, (-1, None))
+            hit = 0 <= order <= top
+            counts[not hit] += 1
+        if hit:
+            return value if order == top else value.truncate(order)
+        value = build(*key, order)
+        with lock:
+            if order > entries.get(key, (-1,))[0]:
+                entries[key] = order, value
+        return value
+
+    def cache_clear():
+        with lock:
+            entries.clear()
+            counts[:] = [0, 0]
+
+    cached.cache_info = lambda: CacheInfo(*counts, None, len(entries))
+    cached.cache_clear = cache_clear
+    return cached
 
 
 # ---------------------------------------------------------------------------

@@ -65,5 +65,13 @@ def test_criterion_09_scan_verdicts_within_budget():
     assert result["detail"]["runtime_s"] < 60
 
 
+def test_criterion_09_runs_each_distinct_scan_once(monkeypatch):
+    # (X6_1, 5), (X8_1, 6) and (X10_1, 8) are both decreasing pairs and family members
+    pairs, scan = [], numeric.monotonicity_scan
+    monkeypatch.setattr(numeric, "monotonicity_scan", lambda label, m: pairs.append((label, m)) or scan(label, m))
+    run_criterion(cli._criterion_scans)
+    assert len(pairs) == len(set(pairs)) == 18
+
+
 def test_criterion_10_derivative_chain():
     run_criterion(cli._criterion_reduction_chain)

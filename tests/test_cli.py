@@ -292,6 +292,34 @@ def test_flag_overrides_env(capsys, monkeypatch):
     assert out.strip() == GOLDEN_Y42
 
 
+@pytest.mark.parametrize("argv, env_order", [
+    (["density", "P1", "--n", "0"], None),
+    (["density", "X8_2", "--n", "-3"], None),
+    (["ratio-inf", "X4_2", "--bound", "0"], None),
+    (["ratio-inf", "X4_2", "--dilate", "0"], None),
+    (["positivity", "E4", "--order", "-5"], None),
+    (["identity", "RAM-1", "--order", "-1"], None),
+    (["expand", "Y4_2", "--order", "0"], None),
+    (["positivity", "E4"], "-3"),
+    (["identity", "RAM-1"], "-3"),
+    (["expand", "Y4_2"], "-3"),
+])
+def test_nonpositive_sizes_exit_two_before_work(capsys, monkeypatch, argv, env_order):
+    if env_order is not None:
+        monkeypatch.setenv("QMF_ORDER", env_order)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the sizes were checked")
+
+    for owner, name in ((cli, "form_by_label"), (cli.identities, "verify"), (cli.positivity, "sign_pattern"),
+                        (cli.positivity, "ratio_infimum"), (cli.positivity, "check_complete_positivity")):
+        monkeypatch.setattr(owner, name, no_work)
+    code, out, err = run_capture(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("qmf: ") and "must be at least 1" in err
+
+
 def test_env_bits_must_be_integer(capsys, monkeypatch):
     monkeypatch.setenv("QMF_BITS", "plenty")
     code, _, err = run_capture(capsys, ["eval", "E2", "--t", "1"])

@@ -4,15 +4,14 @@ from __future__ import annotations
 
 import sys
 import threading
-from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmforms import forms
-from qmforms.extremal import form_by_label
+from qmforms import extremal, forms
+from qmforms.extremal import Depth1Components, form_by_label
 from qmforms.forms import (
     OrderExceeded,
     ParameterRange,
@@ -126,41 +125,45 @@ def test_tau_cap():
         tau(101, cap=100)
 
 
-TAU_600 = _tau_ints(600)
+TAU_1024 = _tau_ints(1024)
 
 
-@contextmanager
-def _empty_tau_table():
-    """Run with the shared tau table emptied, and put the old one back after."""
-    saved = forms._tau_cache
-    forms._tau_cache = []
-    try:
-        yield
-    finally:
-        forms._tau_cache = saved
+def _table_order(as_series: bool, n: int) -> int:
+    """The order a request builds ``delta_series`` at: n, or tau's power of two."""
+    return n if as_series else 1 << max(8, n.bit_length())
 
 
 @given(st.lists(st.tuples(st.booleans(), st.integers(1, 600)), min_size=1, max_size=8))
 @settings(max_examples=40, deadline=None)
 def test_shared_tau_table_serves_any_request_sequence(requests):
-    with _empty_tau_table():
-        for as_series, n in requests:
-            if as_series:
-                assert list(delta_series(n).nums) == _tau_ints(n)
-            else:
-                assert tau(n) == TAU_600[n]
-            assert forms._tau_cache[: len(TAU_600)] == TAU_600[: len(forms._tau_cache)]
+    delta_series.cache_clear()
+    top = 0
+    for as_series, n in requests:
+        if as_series:
+            assert list(delta_series(n).nums) == _tau_ints(n)
+        else:
+            assert tau(n) == TAU_1024[n]
+        top = max(top, _table_order(as_series, n))
+        # the one entry holds the largest order asked so far, and is right there
+        misses = delta_series.cache_info().misses
+        assert list(delta_series(top).nums) == TAU_1024[: top + 1]
+        assert delta_series.cache_info().misses == misses
+        assert delta_series.cache_info().currsize == 1
 
 
 def test_shared_tau_table_only_grows():
-    with _empty_tau_table():
-        delta_series(500)
-        table = forms._tau_cache
-        delta_series(40)
-        tau(300)
-        assert forms._tau_cache is table and len(table) == 501
-        tau(501)  # tau doubles the table, so a loop over n rebuilds it O(log n) times
-        assert len(forms._tau_cache) > 2 * 501
+    delta_series.cache_clear()
+    delta_series(600)
+    delta_series(40)
+    tau(300)
+    assert delta_series.cache_info()[1:] == (1, None, 1)
+    tau(601)  # tau asks for the next power of two, 1024
+    delta_series(700)
+    assert delta_series.cache_info()[1:] == (2, None, 1)
+    delta_series.cache_clear()
+    for n in range(1, 3000):  # so a loop over n rebuilds O(log n) times
+        tau(n)
+    assert delta_series.cache_info().misses == 5  # at 256, 512, ..., 4096
 
 
 def test_shared_tau_table_under_threads():
@@ -168,9 +171,9 @@ def test_shared_tau_table_under_threads():
 
     def worker(requests):
         for as_series, n in requests:
-            if as_series and list(delta_series(n).nums) != TAU_600[: n + 1]:
+            if as_series and list(delta_series(n).nums) != TAU_1024[: n + 1]:
                 wrong.append(n)
-            if not as_series and tau(n) != TAU_600[n]:
+            if not as_series and tau(n) != TAU_1024[n]:
                 wrong.append(n)
 
     interval = sys.getswitchinterval()
@@ -179,24 +182,30 @@ def test_shared_tau_table_under_threads():
         for round_ in range(5):  # each round starts from an empty table
             requests = [(k % 2 == 0, 1 + (k * 37 + round_ * 101) % 600) for k in range(24)]
             threads = [threading.Thread(target=worker, args=(requests[i::6],)) for i in range(6)]
-            with _empty_tau_table():
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join(timeout=60)
+            delta_series.cache_clear()
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
             assert not any(thread.is_alive() for thread in threads)
+            # one entry, at the largest order any thread asked for
+            top = max(_table_order(*request) for request in requests)
+            assert delta_series.cache_info().currsize == 1
+            misses = delta_series.cache_info().misses
+            assert list(delta_series(top).nums) == TAU_1024[: top + 1]
+            assert delta_series.cache_info().misses == misses
     finally:
         sys.setswitchinterval(interval)
     assert wrong == []
 
 
 def test_delta_series_holds_its_own_copy():
-    with _empty_tau_table():
-        first = delta_series(60)
-        assert isinstance(first.nums, tuple)
-        tau(600)  # the shared table is rebuilt longer
-        assert delta_series(60) == first
-        assert list(first.nums) == _tau_ints(60)
+    delta_series.cache_clear()
+    first = delta_series(60)
+    assert isinstance(first.nums, tuple)
+    tau(600)  # the entry is rebuilt longer
+    assert delta_series(60) == first
+    assert list(first.nums) == _tau_ints(60)
 
 
 def test_delta_from_eisenstein_combination():
@@ -347,3 +356,101 @@ def test_p2_coefficient_law():
         if n % 4 == 0:
             want += 4 * sigma(n // 4, 1)
         assert c.coefficient(n) == want
+
+
+# ---------------------------------------------------------------------------
+# one grow-only cache per family
+# ---------------------------------------------------------------------------
+
+CACHES = tuple({id(f): f for m in (forms, extremal) for f in vars(m).values() if hasattr(f, "cache_clear")}.values())
+
+
+def _clear_caches():
+    for cache in CACHES:
+        cache.cache_clear()
+
+
+def _sizes():
+    return [cache.cache_info().currsize for cache in CACHES]
+
+
+def _misses():
+    return sum(cache.cache_info().misses for cache in CACHES)
+
+
+# family -> (request of (key, order), keys)
+CACHED_FAMILIES = {
+    "eisenstein": (lambda k, order: forms.eisenstein(k, order), st.sampled_from((2, 4, 6, 8, 10))),
+    "x_w1": (lambda w, order: extremal.x_w1(w, order), st.integers(3, 9).map(lambda h: 2 * h)),
+    "x_w1_components": (lambda w, order: extremal.x_w1_components(w, order), st.integers(3, 9).map(lambda h: 2 * h)),
+    "x_w2": (lambda w, order: extremal.x_w2(w, order), st.sampled_from((4, 8, 10, 12, 14, 16))),
+    "theta_forms": (lambda _, order: forms.theta_forms(order), st.none()),
+    "_theta_power": (lambda key, order: forms._theta_power(*key, order),
+                     st.tuples(st.sampled_from(("H2", "H4")), st.integers(1, 6))),
+    "form_f": (lambda _, order: forms.form_f(order), st.none()),
+    "form_g": (lambda _, order: forms.form_g(order), st.none()),
+    "form_k": (lambda weight, order: forms.form_k(weight, order), st.sampled_from((10, 12, 14))),
+    "form_l": (lambda _, order: forms.form_l(order), st.none()),
+    "form_l10": (lambda _, order: forms.form_l10(order), st.none()),
+    "form_p2": (lambda _, order: forms.form_p2(order), st.none()),
+    "delta_series": (lambda _, order: forms.delta_series(order), st.none()),
+}
+
+_FAMILY_KEY = st.sampled_from(sorted(CACHED_FAMILIES)).flatmap(
+    lambda name: st.tuples(st.just(name), CACHED_FAMILIES[name][1]))
+# a few family keys, each asked for at rising and falling orders
+_CACHE_REQUESTS = st.lists(_FAMILY_KEY, min_size=1, max_size=3, unique=True).flatmap(
+    lambda keys: st.lists(st.tuples(st.sampled_from(keys), st.integers(1, 600)), min_size=2, max_size=6))
+
+
+def _stored(value):
+    """The exact stored form of a result: grain, numerators and denominator of each series."""
+    if isinstance(value, FourierSeries):
+        return value.grain, value.nums, value.den
+    if isinstance(value, Depth1Components):
+        return value.weight, _stored(value.pure), _stored(value.e2_part)
+    return {name: _stored(series) for name, series in value.items()}
+
+
+_FRESH: dict = {}
+
+
+def _fresh(family_key, order):
+    """The family's result built after clearing every cache."""
+    if (family_key, order) not in _FRESH:
+        _clear_caches()
+        name, key = family_key
+        _FRESH[family_key, order] = _stored(CACHED_FAMILIES[name][0](key, order))
+    return _FRESH[family_key, order]
+
+
+def test_every_cached_builder_goes_through_one_cache():
+    assert len(CACHES) == 12
+    assert all(cache.cache_info().maxsize is None for cache in CACHES)
+
+
+def test_a_negative_order_is_built_and_not_kept():
+    _clear_caches()
+    forms.eisenstein(4, 50)
+    assert forms.eisenstein(4, -3) == FourierSeries.one(0)  # as a fresh build gives
+    assert forms.eisenstein(4, 50).order == 50 and forms.eisenstein.cache_info()[1:] == (2, None, 1)
+
+
+@given(_CACHE_REQUESTS)
+@settings(max_examples=30, deadline=None)
+def test_grow_only_caches_serve_any_request_sequence(requests):
+    expected = [_fresh(*request) for request in requests]
+    _clear_caches()
+    sizes, top = [], {}
+    for ((name, key), order), want in zip(requests, expected):
+        misses = _misses()
+        assert _stored(CACHED_FAMILIES[name][0](key, order)) == want
+        if order <= top.get((name, key), -1):  # served by truncating the entry
+            assert _misses() == misses
+        top[name, key] = max(order, top.get((name, key), -1))
+        sizes.append(_sizes())
+    # one entry per key: the sizes of asking each distinct key once
+    _clear_caches()
+    for ((name, key), _), size in zip(requests, sizes):
+        CACHED_FAMILIES[name][0](key, 1)
+        assert _sizes() == size

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -11,8 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from qmforms import numeric
-from qmforms import extremal
+from qmforms import extremal, forms, numeric
 from qmforms.extremal import a_w_exponent, describe_label, form_by_label, x_w1, x_w1_components
 from qmforms.forms import derivative_parts, recompose_parts
 from qmforms.numeric import EvalConfig, NonPositiveT, ScanReport
@@ -245,6 +246,16 @@ def test_one_exp_per_height_for_all_evaluators_of_a_route(monkeypatch):
             calls.clear()
 
 
+def test_a_scan_builds_only_the_evaluators_it_sums(monkeypatch):
+    # F and DF above t = 1, the T_p below it; the Φ_p and Ψ_p that only
+    # value and derivative read below t = 1 are not built
+    t_series = route_for("X8_2", EvalConfig().order_for(1)).t_series(7)
+    built, init = [], numeric.AxisEvaluator.__init__
+    monkeypatch.setattr(numeric.AxisEvaluator, "__init__", lambda self, series: built.append(series) or init(self, series))
+    numeric.monotonicity_scan("X8_2", 7)
+    assert len(built) == 2 + sum(not series.is_zero() for series in t_series)
+
+
 def test_rounding_bound_of_a_zero_series_is_zero():
     with mp.workprec(BITS):
         point = numeric.AxisEvaluator(FourierSeries.zero(5)).at(Fraction(1, 3))
@@ -265,6 +276,28 @@ def test_series_input_matches_label_route():
     a = value_at(x_w1(6, 300), Fraction(1, 2))
     b = value_at("X6_1", Fraction(1, 2))
     assert abs(a - b) / abs(b) < mp.mpf("1e-30")
+
+
+def test_evaluation_at_ever_new_heights_keeps_memory_bounded():
+    # one cache entry per family, at the largest order seen, serves every
+    # later height by truncation: nothing accumulates in a long-lived process
+    caches = {id(f): f for m in (forms, extremal) for f in vars(m).values() if hasattr(f, "cache_clear")}.values()
+    for cache in caches:
+        cache.cache_clear()
+    heights = [Fraction(1, 20) + Fraction(3, 20) * Fraction(k, 300) for k in range(1, 301)]
+    tracemalloc.start()
+    try:
+        numeric.eval_at_it("X12_1", Fraction(1, 20))  # warm-up, at the largest order
+        gc.collect()
+        sizes, retained = [cache.cache_info().currsize for cache in caches], tracemalloc.get_traced_memory()[0]
+        for t in heights:
+            numeric.eval_at_it("X12_1", t)
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - retained
+    finally:
+        tracemalloc.stop()
+    assert [cache.cache_info().currsize for cache in caches] == sizes
+    assert grown < 0.05 * retained
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +366,8 @@ def test_inversion_fixed_point_at_t_one():
     for label in ("X12_1", "X8_2", "X16_2"):
         route = route_for(label)
         with mp.workprec(BITS):
-            inverted = route._inverted(route.w, route._phi_at, 1)[0]
-            inverted_d = route._inverted(route.w + 2, route._psi_at, 1)[0]
+            inverted = route._inverted(route.w, route._below("phi"), 1)[0]
+            inverted_d = route._inverted(route.w + 2, route._below("psi"), 1)[0]
             direct, direct_d = route.value(1)[0], route.derivative(1)[0]
             assert abs(inverted - direct) / abs(direct) < mp.mpf("1e-30"), label
             assert abs(inverted_d - direct_d) / abs(direct_d) < mp.mpf("1e-30"), label
