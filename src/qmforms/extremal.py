@@ -2,13 +2,14 @@
 
 Depth 1: for even weight w >= 6 there is a unique (normalized) quasimodular
 form of weight w and depth 1 whose expansion vanishes to the largest order
-possible; the family is generated from the weight-6 seed by three
-weight-climbing recurrences (one per residue of w mod 6).
+possible.  Up to weight 12 it is a derivative of one Eisenstein series
+(less Delta at weight 12), by Ramanujan's identities; higher weights climb
+from those by three recurrences (one per residue of w mod 6).
 
 Every depth-1 member splits as  X_w = A_w + E2 * B_{w-2}  with A and B free
-of E2.  The same three recurrences descend to the components, which is how
-the component tables (and their leading-coefficient laws) are produced here
-independently of the full series.
+of E2.  The same three recurrences, climbing from the weight-6 seed, descend
+to the components, which is how the component tables (and their
+leading-coefficient laws) are produced here independently of the full series.
 
 Depth 2: explicit weights 4, 8, 10, 12, 14 plus a general exact solver that
 finds the maximal-vanishing combination in the graded space spanned by
@@ -77,11 +78,11 @@ def alpha_w0(w: int) -> Fraction:
 def x_w1(w: int, order: int = DEFAULT_ORDER) -> FourierSeries:
     """The normalized depth-1 maximal-vanishing form, even 6 <= w <= MAX_DEPTH1_WEIGHT."""
     _require_depth1_weight(w)
-    if w == 6:
-        e2 = eisenstein(2, order)
-        e4 = eisenstein(4, order)
-        e6 = eisenstein(6, order)
-        return (e2 * e4 - e6).scale(F(1, 720))
+    if w <= 12:
+        # Ramanujan: X_w = D E_(w-2) / (its q-coefficient) for w <= 10, e.g.
+        # 720 X_6 = E2 E4 - E6 = 3 D E4; at w = 12, Delta cancels the q term
+        d = eisenstein(w - 2, order).derivative().scale(F(1, forms._EIS_PARAMS[w - 2][1]))
+        return d if w < 12 else (d - delta_series(max(order, 0))).scale(F(1, 1050))
     r = w % 6
     if r == 2:  # climb by +2 from the previous multiple of 6
         prev = x_w1(w - 2, order)

@@ -53,6 +53,22 @@ def test_x121_coefficient_law():
     assert x12.coefficient(3) == 56
 
 
+def test_low_weights_build_without_series_products(monkeypatch):
+    # X_6..X_12 come from one Eisenstein derivative (and Delta), so asking
+    # for them at a larger order than before costs a sieve, not products
+    from qmforms import qseries
+    from qmforms.forms import delta_series
+
+    eisenstein(10, 300), delta_series(300)
+    x_w1(12, 200)
+    products = []
+    real = qseries._intconv
+    monkeypatch.setattr(qseries, "_intconv", lambda *args: products.append(1) or real(*args))
+    for w in (6, 8, 10, 12):
+        assert x_w1(w, 201 + w).order == 201 + w
+    assert products == []
+
+
 def test_x141_starts_at_q2():
     x14 = x_w1(14, 6)
     assert x14.leading() == (2, 1)
