@@ -19,6 +19,7 @@ import json
 import os
 import sys
 import time
+from contextvars import ContextVar
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -335,6 +336,10 @@ _SCAN_DECREASING_PAIRS = (
 )
 
 
+# C9's scans for C10, inside one acceptance_checks call only (None outside one)
+_RUN_SCANS: ContextVar[dict | None] = ContextVar("_RUN_SCANS", default=None)
+
+
 def _criterion_identity_suite() -> dict:
     start = time.perf_counter()
     results = [
@@ -564,7 +569,9 @@ def _criterion_scans() -> dict:
     family = [(f"X{w}_1", a_w_exponent(w)) for w in range(6, 26, 2)]
     # three of the nine pairs are also family members: each distinct scan runs once
     pairs = dict.fromkeys((*_SCAN_DECREASING_PAIRS, ("X8_1", 7), ("X10_1", 9), *family))
-    scans = {pair: numeric.monotonicity_scan(*pair) for pair in pairs}
+    scans = numeric.monotonicity_scans(list(pairs))
+    if (shared := _RUN_SCANS.get()) is not None:
+        shared.update(scans)
     nine_ok, family_ok = (all(scans[pair].verdict == "monotone_decreasing_on_grid" for pair in group)
                           for group in (_SCAN_DECREASING_PAIRS, family))
     r81 = scans["X8_1", 7]
@@ -592,9 +599,8 @@ def _criterion_scans() -> dict:
 
 def _criterion_reduction_chain() -> dict:
     idents_ok = all(identities.verify(i).passed for i in ("E1-A", "E1-B", "X121-DERIV"))
-    scan_ok = (
-        numeric.monotonicity_scan("X12_1", 11).verdict == "monotone_decreasing_on_grid"
-    )
+    scan = (_RUN_SCANS.get() or {}).get(("X12_1", 11)) or numeric.monotonicity_scan("X12_1", 11)
+    scan_ok = scan.verdict == "monotone_decreasing_on_grid"
     return {
         "id": "C10",
         "title": "derivative-combination chain verified exactly and its scan decreases",
@@ -618,13 +624,17 @@ ACCEPTANCE_CRITERIA: tuple[Callable[[], dict], ...] = (
 
 
 def acceptance_checks() -> list[dict]:
-    """Run every acceptance criterion; each entry reports pass/fail and its runtime_s."""
-    checks = []
-    for criterion in ACCEPTANCE_CRITERIA:
-        start = time.perf_counter()
-        check = criterion()
-        check["runtime_s"] = round(time.perf_counter() - start, 3)
-        checks.append(check)
+    """Run every acceptance criterion; each entry reports pass/fail and its runtime_s.
+    The criteria share the scans they run within this call."""
+    checks, token = [], _RUN_SCANS.set({})
+    try:
+        for criterion in ACCEPTANCE_CRITERIA:
+            start = time.perf_counter()
+            check = criterion()
+            check["runtime_s"] = round(time.perf_counter() - start, 3)
+            checks.append(check)
+    finally:
+        _RUN_SCANS.reset(token)
     return checks
 
 

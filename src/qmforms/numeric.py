@@ -8,15 +8,16 @@ monotonicity study of t ↦ t^m F(it):
 
 * one inversion route: a label with E2-parts F = Σ_j E2^j·A_j (the
   X{w}_1 and X{w}_2 families, any depth) is summed at i/t below t = 1, so
-  small t costs nothing in convergence;
+  small t costs nothing in convergence, and is built for height 1;
 * geometric-grid scans of s(t) = m·F(it) − 2πt·F'(it), whose sign is
-  the sign of d/dt [t^m F(it)];
+  the sign of d/dt [t^m F(it)], run as one batch: one grid, one route per
+  label, one q per summed height;
 * tangent/limit checks at t → 0+ (ratio limit 2π/m, the bracket form
   (m+1)(F')² − m·F''·F, and the small-t sign criterion).
 
 Every sum goes through :class:`AxisEvaluator`, an integer Horner sum of a
 series' exact numerators to each point's own cut (``EvalConfig.order_for``
-sets the build order only).  Its reported error counts a bound on the
+sets direct sums' build order).  Its reported error counts a bound on the
 stored terms it dropped, a counted bound on its rounding, and a geometric
 heuristic (not a proven bound) for the terms past the stored order.  Scans
 are labelled "on grid": signs at grid points with stated tolerances, never
@@ -50,9 +51,9 @@ class EvalConfig:
     """Working precision for axis evaluation.
 
     ``precision_bits`` sets the working binary precision (at least 64).
-    ``order_for`` gives the order a series is built at for the smallest
-    height it serves; the terms summed at each point are chosen by
-    :class:`AxisEvaluator`.
+    ``order_for`` gives a directly summed series' order for the smallest
+    height it serves (:func:`_axis_route` sets an inverting route's); the
+    terms summed at each point are chosen by :class:`AxisEvaluator`.
     """
 
     precision_bits: int = 128
@@ -72,6 +73,11 @@ def _mpf(x) -> mp.mpf:
     if isinstance(x, Fraction):
         return mp.mpf(x.numerator) / x.denominator
     return mp.mpf(x)
+
+
+def _exact(t) -> Fraction:
+    """t as an exact rational: an mpf is a dyadic one."""
+    return t.man * Fraction(2) ** t.exp if isinstance(t, mp.mpf) else Fraction(t)
 
 
 def _require_positive(t) -> None:
@@ -129,7 +135,9 @@ class AxisEvaluator:
 
     Build and use it inside one ``mp.workprec`` block.  At wp = prec +
     GUARD_BITS it sums the exact numerators by Horner in Python integers at a
-    fixed point, then divides by ``den`` once.  At q = e^(−2πt/grain) a point
+    fixed point, then divides by ``den`` once; where q^k0 < 2^-wp for the first
+    nonzero c_k0, it sums from c_k0 and scales by q^k0 = Q^k0·2^(−k0·F) once,
+    so its width does not grow with the height.  At q = e^(−2πt/grain) a point
     sums c_0..c_(N−1), N the first index where 2^h·q^N/(1−q), 2^h bounding
     every later |c_n| by bit lengths with a bit to spare, is below 2^-wp of
     the largest term: that is ``dropped``.  ``beyond`` is TAIL_SAFETY·|c_K|·
@@ -149,15 +157,16 @@ class AxisEvaluator:
         # _suffix[n] >= 1 + log2 max |c_k| over k >= n, -inf once all are 0
         high = [-math.inf if d is None else d + 2 for d in reversed(bits)]
         self._suffix = list(accumulate(high, max, initial=-math.inf))[::-1]
+        self._first = next((n for n, d in enumerate(bits) if d is not None), 0)
         self._last = last = max((n for n, d in enumerate(bits) if d is not None), default=0)
         self._top = math.log2(TAIL_SAFETY * abs(self._nums[last])) - math.log2(self._den) if last else -math.inf
 
     def _cut(self, step: float, offset: float) -> tuple[int, float]:
         """First N whose dropped-terms bound 2^(_suffix[N] − N·step + offset)
-        is below the budget, and the peak: |c_n|·q^n < 2^(peak + 2), n < N."""
+        is below the budget (0 for the zero series), and the peak: |c_n|·q^n < 2^(peak + 2), n < N."""
         peak = -math.inf
         for n, low in enumerate(self._low):
-            if self._suffix[n] - n * step + offset < peak - self._prec:
+            if self._suffix[n] - n * step + offset <= peak - self._prec:
                 return n, peak
             peak = max(peak, low - n * step)
         return len(self._low), peak
@@ -170,12 +179,15 @@ class AxisEvaluator:
         value, rounding = mp.zero, -math.inf
         if peak > -math.inf:
             top = ceil(peak) + 3  # a bit to spare over the float peak
-            f = max(0, self._prec + GUARD_BITS - top + 1 - self._den.bit_length())  # finer, for sums that cancel
+            k0 = self._first if self._first * step > self._prec else 0
+            # finer, for sums that cancel; Σ c_(k0+j)·q^j peaks near peak + k0·step
+            f = max(0, self._prec + GUARD_BITS - ceil(peak + k0 * step) - 2 - self._den.bit_length())
             nums, acc = self._nums, 0
-            for k in range(n - 1, -1, -1):
+            for k in range(n - 1, k0 - 1, -1):
                 acc = (nums[k] << f) + (acc * big_q >> shift)
-            value = mp.fdiv(acc, self._den << f)
-            quotient = math.log2(abs(acc)) - math.log2(self._den) - f if acc else -math.inf  # log2 |acc/(den·2^f)|
+            scaled = acc * big_q**k0  # q^k0 = Q^k0·2^(−k0·F), exact apart from Q's own error
+            value = mp.ldexp(mp.fdiv(scaled, self._den << f), -k0 * shift)
+            quotient = math.log2(abs(scaled)) - math.log2(self._den) - f - k0 * shift if acc else -math.inf
             rounding = _log2_sum((math.log2(n * (n + 1)) + top - self._prec, quotient + 1 - mp.prec))
         beyond = self._top - self._last * step - math.log2(-math.expm1(-self.grain * x))
         return value, (self._suffix[n] - n * step + offset, beyond, rounding), n
@@ -216,10 +228,11 @@ class _AxisRoute:
 
     with Φ_(−1) = 0, each T_p an exact series.  At m = w−1 on depth 1 the
     x-term T_1 is the zero series, so nothing cancels in floating point.
+    Routes sharing one table ``qs`` form q once per height, grain and precision.
     """
 
-    def __init__(self, parts: Sequence[FourierSeries], weight: int | None = None):
-        self.w, self._lazy = weight, {}
+    def __init__(self, parts: Sequence[FourierSeries], weight: int | None = None, qs: dict | None = None):
+        self.w, self._lazy, self._qs = weight, {}, {} if qs is None else qs
         self._phi = [parts[0]] if weight is None else _collected(parts)
         self._psi = [self._phi[0].derivative()]
         self.f, self.fp = AxisEvaluator(self._phi[0]), AxisEvaluator(self._psi[0])
@@ -241,8 +254,7 @@ class _AxisRoute:
         """(value, tolerance) of (−1)^(weight/2)·u^weight·Σ_p x^p·G_p(iu) over
         ``terms`` = (p − first, evaluator of G_p) pairs at the exact u = 1/t;
         u^weight·x^j takes weight + 2, 4|j| + 2 (x has four) and 1 roundings."""
-        man, exp = t.man_exp if isinstance(t, mp.mpf) else (Fraction(t), 0)
-        u = 1 / (man * Fraction(2) ** exp)  # an mpf is a dyadic rational
+        u = 1 / _exact(t)
         um = _mpf(u)
         x, scale = -6 / (mp.pi * um), (-1) ** (weight // 2) * um**weight
         weighted = [(scale * x ** (p + first), weight + 4 * abs(p + first) + 5 + len(terms), e) for p, e in terms]
@@ -252,14 +264,18 @@ class _AxisRoute:
         """(Σ k·G(it), tolerance) over ``(k, c, evaluator of G)``, k·G formed and
         summed with at most c roundings (Higham, §3.1): Σ |k|·e + 2^-prec·c·
         (|k·G| + |k|·e), e = dropped + beyond + rounding of G."""
-        qs, total, logs = {}, mp.zero, []
+        height, total, logs = _exact(t), mp.zero, []
         for k, c, e in weighted:
-            key = e.grain, e._prec  # one q per height, grain and precision
-            value, bounds, _ = e._sum(qs[key] if key in qs else qs.setdefault(key, _fixed_q(t, *key)))
+            value, bounds, _ = e._sum(self._q(height, t, e))
             total += k * value
             lk, le = mp.mag(k), _log2_sum(bounds)
             logs += (lk + le, lk + math.log2(c) - mp.prec + _log2_sum((mp.mag(value), le)))
         return total, _power_bound(_log2_sum(logs))
+
+    def _q(self, height: Fraction, t, e: AxisEvaluator) -> tuple:
+        """The :func:`_fixed_q` of ``e`` at t, formed once per height, grain and precision."""
+        key = height, e.grain, e._prec
+        return self._qs[key] if key in self._qs else self._qs.setdefault(key, _fixed_q(t, *key[1:]))
 
     def _direct(self, t) -> bool:
         _require_positive(t)
@@ -280,14 +296,23 @@ class _AxisRoute:
         return self._inverted(self.w, self._below(m), t, -1)
 
 
-def _axis_route(label: str, t_min, cfg: EvalConfig) -> _AxisRoute:
-    """How scans and curves sum a label at heights >= t_min: a label with
-    E2-parts inverts below t = 1, so it is built for max(1, t_min)."""
+def _axis_route(label: str, t_min, cfg: EvalConfig, qs: dict | None = None) -> _AxisRoute:
+    """How scans and curves sum a label at heights >= t_min: built at
+    ``cfg.order_for(t_min)``, or, with E2-parts, inverting below t = 1 and so
+    summed only at heights >= 1, at K = ⌈2·wp·ln 2/2π⌉ (q(1)^K = 2^(−2·wp), wp =
+    prec + GUARD_BITS), doubled while F's or DF's sum at t = 1 takes every stored
+    term or has ``beyond`` above ``rounding``; both fall with the height, ``beyond`` faster."""
     _require_positive(t_min)
     desc = describe_label(label)
     if desc.parts is None:
-        return _AxisRoute((form_by_label(label, cfg.order_for(t_min)),))
-    return _AxisRoute(desc.parts(cfg.order_for(max(1, t_min))), desc.weight)
+        return _AxisRoute((form_by_label(label, cfg.order_for(t_min)),), qs=qs)
+    order = ceil(2 * (cfg.precision_bits + GUARD_BITS) * math.log(2) / (2 * math.pi))
+    while True:
+        route = _AxisRoute(desc.parts(order), desc.weight, qs)
+        at_one = [(e._sum(route._q(Fraction(1), 1, e)), len(e._nums)) for e in (route.f, route.fp)]
+        if all(n < size and beyond <= rounding for (_, (_, beyond, rounding), n), size in at_one):
+            return route
+        order *= 2
 
 
 def eval_at_it(form, t, cfg: EvalConfig | None = None) -> dict:
@@ -356,36 +381,42 @@ class ScanReport:
 DEFAULT_GRID_SPEC = (Fraction(1, 20), 20, 60)
 
 
-def monotonicity_scan(form_label: str, m: int, grid_spec: tuple = DEFAULT_GRID_SPEC,
-                      cfg: EvalConfig | None = None) -> ScanReport:
-    """Scan the sign of d/dt [t^m F(it)] on a geometric grid.
+def monotonicity_scans(pairs: Sequence, grid_spec: tuple = DEFAULT_GRID_SPEC,
+                       cfg: EvalConfig | None = None) -> dict:
+    """{(label, m): ScanReport} of the sign of d/dt [t^m F(it)] on one grid.
 
-    ``grid_spec`` is (t_min, t_max, points).  Labels with E2-parts (X{w}_1,
-    X{w}_2) are summed through the inversion route below t = 1 and directly
-    above; all other labels are summed directly, built at the order chosen
-    for the smallest grid height.  Each tolerance counts the dropped-terms
-    bounds, the tail heuristics and rounding.  Verdicts: ``sign_change_found`` when two
-    consecutive grid points carry strictly opposite signs beyond
-    tolerance, ``monotone_decreasing_on_grid`` when every point is <= 0
-    within tolerance, ``not_decreasing_on_grid`` otherwise.
+    ``grid_spec`` is (t_min, t_max, points).  The grid is built once, each
+    label's :func:`_axis_route` once, and every route reads one table of q,
+    formed once per summed height; nothing outlives the call.  Each tolerance
+    counts the dropped-terms bounds, the tail heuristics and rounding.
+    Verdicts: ``sign_change_found`` when two consecutive grid points carry
+    strictly opposite signs beyond tolerance, ``monotone_decreasing_on_grid``
+    when every point is <= 0 within tolerance, ``not_decreasing_on_grid``
+    otherwise.
     """
-    if m <= 0:
+    if (m := min((m for _, m in pairs), default=1)) <= 0:
         raise ValueError(f"the exponent m must be positive, got {m}")
     cfg = cfg or EvalConfig()
     t_min, t_max, points = grid_spec
     with mp.workprec(cfg.precision_bits):
-        grid = geometric_grid(t_min, t_max, points)
-        route = _axis_route(form_label, t_min, cfg)
-        pairs = [route.s(m, t) for t in grid]
+        grid, qs, reports = geometric_grid(t_min, t_max, points), {}, {}
+        labels = dict.fromkeys(label for label, _ in pairs)
+        routes = {label: _axis_route(label, t_min, cfg, qs) for label in labels}
+        for label, m in pairs:
+            values = [routes[label].s(m, t) for t in grid]
+            signs = [0 if abs(s) <= tol else (1 if s > 0 else -1) for s, tol in values]
+            signed = [(t, sig) for t, sig in zip(grid, signs) if sig]
+            changes = tuple((a, b) for (a, sa), (b, sb) in zip(signed, signed[1:]) if sa != sb)
+            verdict = ("sign_change_found" if changes else "monotone_decreasing_on_grid"
+                       if all(sig <= 0 for sig in signs) else "not_decreasing_on_grid")
+            reports[label, m] = ScanReport(label, m, grid, tuple(s for s, _ in values), changes, verdict)
+    return reports
 
-        s_values = tuple(s for s, _ in pairs)
-        signs = [0 if abs(s) <= tol else (1 if s > 0 else -1) for s, tol in pairs]
-        signed = [(t, sig) for t, sig in zip(grid, signs) if sig]
-        changes = tuple((a, b) for (a, sa), (b, sb) in zip(signed, signed[1:]) if sa != sb)
-    decreasing = all(sig <= 0 for sig in signs)
-    verdict = "sign_change_found" if changes else ("monotone_decreasing_on_grid" if decreasing
-                                                   else "not_decreasing_on_grid")
-    return ScanReport(form_label, m, grid, s_values, changes, verdict)
+
+def monotonicity_scan(form_label: str, m: int, grid_spec: tuple = DEFAULT_GRID_SPEC,
+                      cfg: EvalConfig | None = None) -> ScanReport:
+    """One (label, m) of :func:`monotonicity_scans`."""
+    return monotonicity_scans([(form_label, m)], grid_spec, cfg)[form_label, m]
 
 
 def curve_points(form_label: str, m: int, grid: Sequence, cfg: EvalConfig | None = None) -> list:
@@ -526,8 +557,7 @@ def small_t_positivity_check(w: int, cfg: EvalConfig | None = None) -> bool:
         raise ValueError(f"the criterion applies to even weights >= 12, got {w}")
     cfg = cfg or EvalConfig()
     with mp.workprec(cfg.precision_bits):
-        parts = describe_label(f"X{w}_1").parts(cfg.order_for(1))
-        exact_ok = (-1) ** (w // 2) * parts[1].coefficient(1) > 0
-        route = _AxisRoute(parts, w)
+        route = _axis_route(f"X{w}_1", Fraction(1, 20), cfg)
+        exact_ok = (-1) ** (w // 2) * route._phi[1].coefficient(1) > 0  # Φ_1 is the E2-companion at depth 1
         numeric_ok = all(s < -tol for s, tol in (route.s(w - 1, Fraction(1, u)) for u in (5, 10, 20)))
     return bool(exact_ok and numeric_ok)

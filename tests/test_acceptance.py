@@ -66,11 +66,19 @@ def test_criterion_09_scan_verdicts_within_budget():
 
 
 def test_criterion_09_runs_each_distinct_scan_once(monkeypatch):
-    # (X6_1, 5), (X8_1, 6) and (X10_1, 8) are both decreasing pairs and family members
-    pairs, scan = [], numeric.monotonicity_scan
-    monkeypatch.setattr(numeric, "monotonicity_scan", lambda label, m: pairs.append((label, m)) or scan(label, m))
-    run_criterion(cli._criterion_scans)
+    # (X6_1, 5), (X8_1, 6) and (X10_1, 8) are both decreasing pairs and family
+    # members, and C10 reads C9's (X12_1, 11): 18 scans over 14 labels, one
+    # route each, per report
+    pairs, labels = [], []
+    scans, route = numeric.monotonicity_scans, numeric._axis_route
+    monkeypatch.setattr(numeric, "monotonicity_scans", lambda ps, *rest: pairs.extend(ps) or scans(ps, *rest))
+    monkeypatch.setattr(numeric, "_axis_route", lambda label, *rest: labels.append(label) or route(label, *rest))
+    assert all(check["passed"] for check in cli.acceptance_checks())
     assert len(pairs) == len(set(pairs)) == 18
+    assert len(labels) == len(set(labels)) == 14
+    # results are shared within one call only: C10 on its own scans again
+    run_criterion(cli._criterion_reduction_chain)
+    assert pairs[18:] == [("X12_1", 11)] and len(labels) == 15
 
 
 def test_criterion_10_derivative_chain():

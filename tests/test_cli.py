@@ -203,6 +203,21 @@ def test_eval_rejects_nonpositive_t(capsys):
     assert "t > 0" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "Delta", "--t", "100000"],
+    ["eval", "X12_1", "--t", "100000"],
+    ["plotdata", "X12_1", "--m", "11", "--tmin", "0.00001", "--points", "3"],
+    ["plotdata", "X12_1", "--m", "11", "--tmin", "0.0000001", "--points", "3"],
+])
+def test_sums_at_large_heights_do_not_slow_with_the_height(capsys, argv):
+    # these series start with zero coefficients, so a fixed point set by the
+    # peak term would widen by about 9 bits per unit of height
+    start = time.perf_counter()
+    code, out, _ = run_capture(capsys, argv)
+    assert code == 0 and out
+    assert time.perf_counter() - start < 2
+
+
 def test_limits_json(capsys):
     code, out, _ = run_capture(capsys, ["limits", "X6_1", "--format", "json"])
     assert code == 0

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from qmforms import extremal, forms, numeric
+from qmforms import cli, extremal, forms, numeric
 from qmforms.extremal import a_w_exponent, describe_label, form_by_label, x_w1, x_w1_components
 from qmforms.forms import derivative_parts, recompose_parts
 from qmforms.numeric import EvalConfig, NonPositiveT, ScanReport
@@ -537,6 +537,11 @@ def test_curve_points_show_interior_peak_for_weight8():
     assert values[0] < values[peak] and values[-1] < values[peak]
 
 
+# ⌈2·(128 + GUARD_BITS)·ln 2/2π⌉: a route that sums only at heights >= 1 is
+# built where q(1)^32 = 2^-288, twice the working bits
+ROUTE_ORDER_128 = 32
+
+
 def test_curve_points_build_depth1_labels_for_heights_from_one(monkeypatch):
     # the depth-1 series is summed directly only at t >= 1, so it is not
     # built at the order a small grid height would need
@@ -547,13 +552,13 @@ def test_curve_points_build_depth1_labels_for_heights_from_one(monkeypatch):
     with mp.workprec(BITS):
         grid = (mp.mpf("0.06"), mp.mpf(2))
     numeric.curve_points("X6_1", 5, grid)
-    assert orders == [EvalConfig().order_for(1)]
+    assert orders == [ROUTE_ORDER_128] and ROUTE_ORDER_128 < EvalConfig().order_for(Fraction(1, 20))
     assert labels == []
 
 
 def test_depth2_scans_and_curves_build_for_heights_from_one(monkeypatch):
     # depth-2 labels invert below t = 1 too, so a grid reaching t = 1/20
-    # builds their parts at order_for(1), not order_for(1/20) = 800
+    # builds their parts for height 1, not at order_for(1/20) = 800
     orders, labels = [], []
     parts, by_label = extremal.depth2_parts, numeric.form_by_label
     monkeypatch.setattr(extremal, "depth2_parts", lambda w, order: orders.append(order) or parts(w, order))
@@ -563,8 +568,60 @@ def test_depth2_scans_and_curves_build_for_heights_from_one(monkeypatch):
     with mp.workprec(BITS):
         grid = (mp.mpf("0.07"), mp.mpf(2))
     numeric.curve_points("X12_2", 11, grid)
-    assert orders == [EvalConfig().order_for(1)] * 2
+    assert orders == [ROUTE_ORDER_128] * 2 and ROUTE_ORDER_128 < EvalConfig().order_for(Fraction(1, 20))
     assert labels == []
+
+
+@settings(max_examples=30, deadline=None)
+@given(label=st.one_of(st.integers(3, 20).map(lambda h: f"X{2 * h}_1"),
+                       st.sampled_from(tuple(f"X{w}_2" for w in (4, 8, 10, 12, 14, 16)))),
+       bits=st.sampled_from((64, 128, 200, 512)),
+       m=st.integers(1, 41),
+       heights=st.lists(st.fractions(Fraction(1, 20), 20), min_size=1, max_size=3))
+@example(label="X40_1", bits=128, m=39, heights=[Fraction(1, 20)])
+@example(label="X22_1", bits=64, m=21, heights=[Fraction(1, 20)])
+def test_a_route_built_for_height_one_holds_there_and_matches_order_for_one(label, bits, m, heights):
+    # every evaluator a scan builds (F, DF, the T_p) cuts inside its stored
+    # terms at t = 1, with the tail heuristic below the counted rounding, and
+    # its s-values agree with a route built at order_for(1) within both tolerances
+    desc = describe_label(label)
+    with mp.workprec(bits):
+        route = numeric._axis_route(label, Fraction(1, 20), EvalConfig(bits))
+        reference = numeric._AxisRoute(desc.parts(EvalConfig(bits).order_for(1)), desc.weight)
+        assert len(route.f._nums) - 1 < EvalConfig(bits).order_for(1)
+        for e in [route.f, route.fp] + [e for _, e in route._below(m)]:
+            _, (_, beyond, rounding), n = e._sum(numeric._fixed_q(1, e.grain, e._prec))
+            assert n < len(e._nums) and beyond <= rounding, (label, bits, m)
+        for t in heights:
+            (s, tol), (ref, ref_tol) = route.s(m, t), reference.s(m, t)
+            assert abs(s - ref) <= tol + ref_tol, (label, bits, m, t)
+
+
+def test_a_batch_forms_each_q_once_and_builds_each_route_once(monkeypatch):
+    # C9's 18 (label, m) pairs over 14 labels: one q per summed height (t at
+    # t >= 1, 1/t below, and 1 for the route checks), not one per point
+    pairs = list(dict.fromkeys((*cli._SCAN_DECREASING_PAIRS, ("X8_1", 7), ("X10_1", 9),
+                                *((f"X{w}_1", a_w_exponent(w)) for w in range(6, 26, 2)))))
+    exps, routes = [], []
+    exp, init = mp.exp, numeric._AxisRoute.__init__
+    monkeypatch.setattr(mp, "exp", lambda x: exps.append(x) or exp(x))
+    monkeypatch.setattr(numeric._AxisRoute, "__init__", lambda self, *a, **k: routes.append(a) or init(self, *a, **k))
+    reports = numeric.monotonicity_scans(pairs)
+    with mp.workprec(BITS):
+        grid = numeric.geometric_grid(*numeric.DEFAULT_GRID_SPEC)
+    heights = {numeric._exact(t) if t >= 1 else 1 / numeric._exact(t) for t in grid} | {1}
+    assert len(pairs) == 18 and len(routes) == 14
+    assert len(exps) == len(heights) == 61
+    monkeypatch.undo()
+    for pair in (("X8_1", 6), ("X8_1", 7)):
+        assert reports[pair] == numeric.monotonicity_scan(*pair)
+
+
+def test_delta_at_a_large_height_matches_its_product_within_the_tail():
+    report = numeric.eval_at_it("Delta", 100000)
+    with mp.workprec(BITS + 64):
+        q = mp.exp(-2 * mp.pi * 100000)
+        assert abs(report["value"] - q * mp.qp(q) ** 24) <= report["tail_estimate"]
 
 
 def test_curve_points_match_direct_evaluation_above_one():

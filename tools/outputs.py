@@ -1,0 +1,73 @@
+"""Print one line per benchmark op: exit code, digest of its stdout, argv.
+
+    python3 tools/outputs.py --seed N [--scale S] > lines.txt
+
+Runs every ``tables`` and ``axis`` op that ``bench/workloads.generate`` lists
+for the seed, then ``qmf report --format json``, in that order and in this
+process, through ``qmforms.cli.run`` of this checkout.  Each line holds the
+exit code, the sha256 of the op's stdout with its timing fields
+(``elapsed``, ``runtime_s``) masked, and the argv.  So ``diff`` of the lines
+of two checkouts at one seed lists every op whose output changed.  The
+certificate ops write into ``.bench_work/``, which is created before the
+first op and removed after the last.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import re
+import shutil
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+from qmforms import cli  # noqa: E402
+from workloads import WORK_DIR, generate  # noqa: E402
+
+TIMING = re.compile(r'("(?:elapsed|runtime_s)": )[-+0-9.eE]+')
+
+
+def ops(seed: int, scale: float) -> list[list[str]]:
+    """The ops compared: the seed's tables and axis ops, then the report."""
+    return generate("tables", seed, scale) + generate("axis", seed, scale) + [["report", "--format", "json"]]
+
+
+def line(argv: list[str]) -> str:
+    """``code sha256 argv`` for one op run through ``qmforms.cli.run``."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = str(cli.run(argv))
+    except Exception as exc:  # an op that raises is reported, not fatal
+        code = f"raised:{type(exc).__name__}"
+    digest = hashlib.sha256(TIMING.sub(r'\1"*"', out.getvalue()).encode()).hexdigest()
+    return f"{code} {digest} {' '.join(argv)}"
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--scale", type=float, default=1.0)
+    args = parser.parse_args(argv)
+    work = ROOT / WORK_DIR
+    shutil.rmtree(work, ignore_errors=True)
+    work.mkdir(parents=True)
+    cwd = os.getcwd()
+    try:
+        os.chdir(ROOT)  # the certificate ops name their files relative to the checkout
+        for op in ops(args.seed, args.scale):
+            print(line(op), flush=True)
+    finally:
+        os.chdir(cwd)
+        shutil.rmtree(work, ignore_errors=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
