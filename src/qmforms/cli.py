@@ -15,6 +15,7 @@ QMF_BITS environment variables, then defaults.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -114,9 +115,12 @@ def _canonical_json(payload) -> str:
 def _write_out(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -213,12 +217,18 @@ def _cmd_ratio_inf(args) -> tuple[int, dict, str]:
     return 0, payload, text
 
 
-def _cmd_scan(args) -> tuple[int, dict, str]:
+def _checked_grid_args(args) -> str:
+    """The label of a ``scan`` or ``plotdata`` request, once --m and the grid are sound."""
     label = _checked_label(args.label)
     if args.m <= 0:
         raise UsageError(f"--m must be positive, got {args.m}")
     if args.points < 2 or not 0 < args.tmin < args.tmax:
         raise UsageError("need --points >= 2 and 0 < --tmin < --tmax")
+    return label
+
+
+def _cmd_scan(args) -> tuple[int, dict, str]:
+    label = _checked_grid_args(args)
     cfg = _eval_config(args.bits)
     report = numeric.monotonicity_scan(label, args.m, (args.tmin, args.tmax, args.points), cfg)
     payload = report.to_json_dict()
@@ -264,7 +274,7 @@ def _cmd_limits(args) -> tuple[int, dict, str]:
         raise UsageError(f"limits needs a depth-1 label like X12_1, got {label!r}")
     w = desc.weight
     cfg = _eval_config(args.bits)
-    result = numeric.limit_t0(x_w1_components(w, cfg.order_for(1) + 10), w, cfg)
+    result = numeric.limit_t0(w, cfg)
     with mp.workprec(cfg.precision_bits):
         rel = abs(result["measured"] - result["predicted"]) / abs(result["predicted"])
         ok = rel < mp.mpf("1e-6")
@@ -300,11 +310,7 @@ def _cmd_eval(args) -> tuple[int, dict, str]:
 
 
 def _cmd_plotdata(args) -> tuple[int, dict, str]:
-    label = _checked_label(args.label)
-    if args.m <= 0:
-        raise UsageError(f"--m must be positive, got {args.m}")
-    if args.points < 2 or not 0 < args.tmin < args.tmax:
-        raise UsageError("need --points >= 2 and 0 < --tmin < --tmax")
+    label = _checked_grid_args(args)
     cfg = _eval_config(args.bits)
     with mp.workprec(cfg.precision_bits):
         grid = numeric.geometric_grid(args.tmin, args.tmax, args.points)
@@ -432,7 +438,7 @@ def _criterion_positivity() -> dict:
     doubling_ok = bool(positivity.x122_doubling_check(500)["ok"])
     patterns_ok = True
     for label in ("P1", "P2", "P3"):
-        values = positivity.sign_values(label, 2000)
+        values = form_by_label(label, 2000).nums
         patterns_ok = patterns_ok and all(
             (values[n] > 0) == (n % 2 == 1) for n in range(1, 2001)
         )
@@ -550,7 +556,7 @@ def _criterion_limits() -> dict:
     with mp.workprec(cfg.precision_bits):
         ref = 1 / (55440 * mp.pi)  # the predicted limit at w = 12
         for w in (6, 12, 14):
-            result = numeric.limit_t0(x_w1_components(w, 210), w, cfg)
+            result = numeric.limit_t0(w, cfg)
             rel = abs(result["measured"] - result["predicted"]) / abs(result["predicted"])
             detail[f"w{w}_rel"] = mp.nstr(rel, 4)
             ok = ok and rel < mp.mpf("1e-6")
@@ -760,16 +766,17 @@ def run(argv: Sequence[str] | None = None) -> int:
         args = _parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    as_json, output = getattr(args, "format", "text") == "json", getattr(args, "output", None)
     try:
         code, payload, text = args.handler(args)
+        _write_out(_canonical_json(payload) if as_json else text, output)
+        return code
     except UsageError as exc:
         sys.stderr.write(f"qmf: {exc}\n")
-        if getattr(args, "format", "text") == "json":
-            _write_out(_canonical_json({"error": str(exc)}), getattr(args, "output", None))
+        if as_json:
+            with contextlib.suppress(UsageError):  # the output path may be what failed
+                _write_out(_canonical_json({"error": str(exc)}), output)
         return 2
-    rendered = _canonical_json(payload) if getattr(args, "format", "text") == "json" else text
-    _write_out(rendered, getattr(args, "output", None))
-    return code
 
 
 def main() -> None:

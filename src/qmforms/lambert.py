@@ -413,8 +413,11 @@ def recheck_certificate(data: dict) -> bool:
 
     Recomputes the method's data, compares with what was stored, and
     re-runs the validity checks.  Returns True only for a stored "valid"
-    certificate that passes everything again.
+    certificate that passes everything again; False for anything that is
+    not a certificate's JSON object.
     """
+    if not isinstance(data, dict):
+        return False
     try:
         cert = MonotonicityCertificate.from_json_dict(data)
     except (KeyError, ValueError, TypeError):

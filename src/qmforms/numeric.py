@@ -13,7 +13,8 @@ monotonicity study of t ↦ t^m F(it):
   the sign of d/dt [t^m F(it)], run as one batch: one grid, one route per
   label, one q per summed height;
 * tangent/limit checks at t → 0+ (ratio limit 2π/m, the bracket form
-  (m+1)(F')² − m·F''·F, and the small-t sign criterion).
+  (m+1)(F')² − m·F''·F, and the small-t sign criterion), each named by a
+  label or weight and summed through that label's route.
 
 Every sum goes through :class:`AxisEvaluator`, an integer Horner sum of a
 series' exact numerators to each point's own cut (``EvalConfig.order_for``
@@ -35,7 +36,7 @@ from typing import NamedTuple, Sequence
 
 from mpmath import mp
 
-from .extremal import Depth1Components, describe_label, form_by_label
+from .extremal import describe_label, form_by_label
 from .forms import delta_series, derivative_parts, recompose_parts
 from .identities import verify
 from .positivity import check_complete_positivity
@@ -440,9 +441,9 @@ def curve_points(form_label: str, m: int, grid: Sequence, cfg: EvalConfig | None
 # positivity on the axis follows from Delta's product expansion once the
 # identity is verified exactly and the cofactor scanned.
 _BRACKET_ROUTES: dict = {
-    "X6_1": ("BR-61", lambda order: form_by_label("X4_2", order)),
-    "X12_1": ("BR-121", lambda order: form_by_label("F", order)),
-    "X14_1": ("BR-141", lambda order: form_by_label("X8_2", order)),
+    "X6_1": ("BR-61", "X4_2"),
+    "X12_1": ("BR-121", "F"),
+    "X14_1": ("BR-141", "X8_2"),
 }
 
 _CP_SCAN_ORDER = 500
@@ -473,32 +474,28 @@ def _aitken_limit(values: Sequence) -> mp.mpf:
     return r3 - (r3 - r2) ** 2 / denom
 
 
-def tangent_conditions(form, components: Depth1Components, m: int, cfg: EvalConfig | None = None) -> dict:
+def tangent_conditions(label: str, m: int, cfg: EvalConfig | None = None) -> dict:
     """Hypotheses making t = 0 a tangent line of t^m F(it) from below.
 
     Checks, in order: F and F' have nonnegative coefficients through order
     500 (a sufficient positivity condition); F/(t·F') tends to 2π/m as
-    t → 0+ (inversion-route values at t = 0.2, 0.1, 0.05, accelerated);
+    t → 0+ (:func:`_axis_route` values at t = 0.2, 0.1, 0.05, accelerated);
     and the bracket form (m+1)(F')² − m·F''·F is positive on the axis —
     through the registry's closed product shape when one exists for the
     label, otherwise by scanning the bracket's own coefficients to order
-    500.  ``components`` must have the label's weight.  Returns
-    {"limit_ratio", "bracket_form_positive", "verdict"}.
+    500.  Returns {"limit_ratio", "bracket_form_positive", "verdict"}.
     """
     if m <= 0:
         raise ValueError(f"the exponent m must be positive, got {m}")
-    if isinstance(form, str) and describe_label(form).weight != components.weight:
-        raise ValueError(f"components have weight {components.weight}, not the weight of {form}")
     cfg = cfg or EvalConfig()
     with mp.workprec(cfg.precision_bits):
-        label, series = (form, form_by_label(form, _CP_SCAN_ORDER)) if isinstance(form, str) else ("<series>", form)
-        through = min(_CP_SCAN_ORDER, int(series.order))
+        series = form_by_label(label, _CP_SCAN_ORDER)
         cp_ok = (
-            check_complete_positivity(series, through).completely_positive_up_to_order
-            and check_complete_positivity(series.derivative(), through).completely_positive_up_to_order
+            check_complete_positivity(series, _CP_SCAN_ORDER).completely_positive_up_to_order
+            and check_complete_positivity(series.derivative(), _CP_SCAN_ORDER).completely_positive_up_to_order
         )
 
-        route = _AxisRoute(components.parts, components.weight)
+        route = _axis_route(label, Fraction(1, 20), cfg)
         ratios = [route.value(t)[0] / (_mpf(t) * route.derivative(t)[0])
                   for t in (Fraction(1, 5), Fraction(1, 10), Fraction(1, 20))]
         limit_ratio = _aitken_limit(ratios)
@@ -510,21 +507,20 @@ def tangent_conditions(form, components: Depth1Components, m: int, cfg: EvalConf
             ident, cofactor = bracket_route
             bracket_positive = (
                 verify(ident).passed
-                and check_complete_positivity(cofactor(_CP_SCAN_ORDER), _CP_SCAN_ORDER).completely_positive_up_to_order
+                and check_complete_positivity(cofactor, _CP_SCAN_ORDER).completely_positive_up_to_order
                 and _delta_axis_positive(cfg)
             )
         else:
             deriv = series.derivative()
             bracket = (deriv * deriv).scale(m + 1) - (deriv.derivative() * series).scale(m)
-            scan_to = min(_CP_SCAN_ORDER, int(bracket.order))
-            bracket_positive = check_complete_positivity(bracket, scan_to).completely_positive_up_to_order
+            bracket_positive = check_complete_positivity(bracket, _CP_SCAN_ORDER).completely_positive_up_to_order
 
         verdict = "pass" if (cp_ok and limit_ok and bracket_positive) else "fail"
     return {"limit_ratio": limit_ratio, "bracket_form_positive": bracket_positive, "verdict": verdict}
 
 
-def limit_t0(components: Depth1Components, w: int, cfg: EvalConfig | None = None) -> dict:
-    """Measured vs predicted limit of t^(w-1) · F(it) as t → 0+.
+def limit_t0(w: int, cfg: EvalConfig | None = None) -> dict:
+    """Measured vs predicted limit of t^(w-1) · X_(w,1)(it) as t → 0+.
 
     By :class:`_AxisRoute`'s inversion the limit is −6·sgn·β₀/π, with
     sgn = (−1)^(w/2) and β₀ the E2-companion's constant term; the measured
@@ -533,13 +529,12 @@ def limit_t0(components: Depth1Components, w: int, cfg: EvalConfig | None = None
     """
     if w < 6 or w % 2:
         raise ValueError(f"the depth-1 family needs even weight >= 6, got {w}")
-    if components.weight != w:
-        raise ValueError(f"components have weight {components.weight}, expected {w}")
     cfg = cfg or EvalConfig()
     with mp.workprec(cfg.precision_bits + GUARD_BITS):
-        beta0 = components.e2_part.coefficient(0)
+        route = _axis_route(f"X{w}_1", Fraction(1, 40), cfg)
+        beta0 = route._phi[1].coefficient(0)  # Φ_1 is the E2-companion at depth 1
         predicted = _mpf(Fraction(-6 * (-1) ** (w // 2)) * beta0) / mp.pi
-        measured = _AxisRoute(components.parts, w).value(Fraction(1, 40))[0] / 40 ** (w - 1)
+        measured = route.value(Fraction(1, 40))[0] / 40 ** (w - 1)
     with mp.workprec(cfg.precision_bits):
         return {"measured": +measured, "predicted": +predicted}
 

@@ -14,8 +14,8 @@ from fractions import Fraction
 from typing import Union
 
 from .extremal import form_by_label, x_w2
-from .forms import delta_series, sigma_table
-from .qseries import FourierSeries, _intconv
+from .forms import sigma_table
+from .qseries import FourierSeries
 
 __all__ = [
     "DensityReport",
@@ -25,7 +25,6 @@ __all__ = [
     "check_complete_positivity",
     "ratio_infimum",
     "sign_pattern",
-    "sign_values",
     "x122_doubling_check",
 ]
 
@@ -140,103 +139,16 @@ def check_complete_positivity(form: FormLike, order: int = 2000) -> PositivityRe
     return PositivityReport(label, through, first, first is None)
 
 
-# ---------------------------------------------------------------------------
-# dedicated integer coefficient tables for the sign-density constructions
-# ---------------------------------------------------------------------------
-
-
-def _p1_values(n_limit: int) -> list[int]:
-    # n * (sigma_1(n) - 4 sigma_1(n/2))
-    s1 = sigma_table(n_limit, 1)
-    out = [0] * (n_limit + 1)
-    for n in range(1, n_limit + 1):
-        v = s1[n] - (4 * s1[n // 2] if n % 2 == 0 else 0)
-        out[n] = n * v
-    return out
-
-
-def _p2_values(n_limit: int) -> list[int]:
-    # sigma_1(n) - 5 sigma_1(n/2) + 4 sigma_1(n/4)
-    s1 = sigma_table(n_limit, 1)
-    out = [0] * (n_limit + 1)
-    for n in range(1, n_limit + 1):
-        v = s1[n]
-        if n % 2 == 0:
-            v -= 5 * s1[n // 2]
-        if n % 4 == 0:
-            v += 4 * s1[n // 4]
-        out[n] = v
-    return out
-
-
-def _p3_values(n_limit: int) -> list[int]:
-    # n * (sigma_3(n) - 16 sigma_3(n/2))
-    s3 = sigma_table(n_limit, 3)
-    out = [0] * (n_limit + 1)
-    for n in range(1, n_limit + 1):
-        v = s3[n] - (16 * s3[n // 2] if n % 2 == 0 else 0)
-        out[n] = n * v
-    return out
-
-
-def _p4_values(n_limit: int) -> list[int]:
-    # 1050 * coefficient: n(sigma_9(n) - 2^10 sigma_9(n/2)) - (tau(n) - 2^11 tau(n/2))
-    s9 = sigma_table(n_limit, 9)
-    tau_ints = delta_series(n_limit).nums
-    out = [0] * (n_limit + 1)
-    for n in range(1, n_limit + 1):
-        v = n * s9[n] - tau_ints[n]
-        if n % 2 == 0:
-            v -= 2**10 * n * s9[n // 2] - 2**11 * tau_ints[n // 2]
-        out[n] = v
-    return out
-
-
-def _x42delta_values(n_limit: int) -> list[int]:
-    # convolution of n*sigma_1(n) with the discriminant coefficients
-    s1 = sigma_table(n_limit, 1)
-    ns1 = [n * s1[n] for n in range(n_limit + 1)]
-    tau_ints = delta_series(n_limit).nums
-    return _intconv(ns1, tau_ints, n_limit)
-
-
-_PATTERN_TABLES = {
-    "P1": _p1_values,
-    "P2": _p2_values,
-    "P3": _p3_values,
-    "P4": _p4_values,
-    "X42Delta": _x42delta_values,
-}
-
-
-def sign_values(label: str, n_limit: int) -> list[int]:
-    """Integer coefficient table (a positive multiple of the coefficients)
-    for one of the sign-density labels, indexed 0..n_limit.
-
-    Supports P1, P2, P3, P4, X42Delta.  The P4 table is scaled by 1050 so
-    it stays integral; scaling never changes signs.
-    """
-    try:
-        builder = _PATTERN_TABLES[label]
-    except KeyError:
-        raise ValueError(f"no dedicated sign table for label {label!r}") from None
-    return builder(n_limit)
-
-
 def sign_pattern(form: FormLike, n_limit: int) -> DensityReport:
     """Count n in 1..n_limit with a_n > 0 and attach any recorded density."""
-    if isinstance(form, str) and form in _PATTERN_TABLES:
-        values = _PATTERN_TABLES[form](n_limit)
-        count = sum(1 for n in range(1, n_limit + 1) if values[n] > 0)
-        label = form
-    else:
-        label, series = _resolve(form, n_limit)
-        if series.order < n_limit:
-            raise ValueError(
-                f"series stores only up to order {series.order}, need {n_limit}"
-            )
-        nums, g = series.nums, series.grain
-        count = sum(1 for n in range(1, n_limit + 1) if nums[n * g] > 0)
+    label, series = _resolve(form, n_limit)
+    if series.order < n_limit:
+        raise ValueError(
+            f"series stores only up to order {series.order}, need {n_limit}"
+        )
+    # the common denominator is positive, so numerators carry the signs
+    nums, g = series.nums, series.grain
+    count = sum(1 for n in range(1, n_limit + 1) if nums[n * g] > 0)
     return DensityReport(
         label, n_limit, count, Fraction(count, n_limit), PREDICTED_DENSITY.get(label)
     )

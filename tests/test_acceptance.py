@@ -55,7 +55,7 @@ def test_criterion_08_small_t_limits():
 def test_criterion_08_takes_each_limit_once(monkeypatch):
     # the 1/(55440π) check reads the w = 12 prediction the loop already formed
     weights, limit_t0 = [], numeric.limit_t0
-    monkeypatch.setattr(numeric, "limit_t0", lambda comp, w, cfg=None: weights.append(w) or limit_t0(comp, w, cfg))
+    monkeypatch.setattr(numeric, "limit_t0", lambda w, cfg=None: weights.append(w) or limit_t0(w, cfg))
     run_criterion(cli._criterion_limits)
     assert weights == [6, 12, 14]
 
@@ -68,17 +68,18 @@ def test_criterion_09_scan_verdicts_within_budget():
 def test_criterion_09_runs_each_distinct_scan_once(monkeypatch):
     # (X6_1, 5), (X8_1, 6) and (X10_1, 8) are both decreasing pairs and family
     # members, and C10 reads C9's (X12_1, 11): 18 scans over 14 labels, one
-    # route each, per report
+    # route each, per report; before them C8 reads one route per limit
     pairs, labels = [], []
     scans, route = numeric.monotonicity_scans, numeric._axis_route
     monkeypatch.setattr(numeric, "monotonicity_scans", lambda ps, *rest: pairs.extend(ps) or scans(ps, *rest))
     monkeypatch.setattr(numeric, "_axis_route", lambda label, *rest: labels.append(label) or route(label, *rest))
     assert all(check["passed"] for check in cli.acceptance_checks())
     assert len(pairs) == len(set(pairs)) == 18
-    assert len(labels) == len(set(labels)) == 14
+    assert labels[:3] == ["X6_1", "X12_1", "X14_1"]
+    assert len(labels[3:]) == len(set(labels[3:])) == 14
     # results are shared within one call only: C10 on its own scans again
     run_criterion(cli._criterion_reduction_chain)
-    assert pairs[18:] == [("X12_1", 11)] and len(labels) == 15
+    assert pairs[18:] == [("X12_1", 11)] and len(labels) == 18
 
 
 def test_criterion_10_derivative_chain():

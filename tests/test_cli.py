@@ -276,6 +276,34 @@ def test_lambert_recheck_rejects_tampering(capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("stored", ["[1, 2]", '"X42"', "7", "null"])
+def test_lambert_recheck_fails_a_file_that_is_not_an_object(capsys, tmp_path, stored):
+    path = tmp_path / "cert.json"
+    path.write_text(stored)
+    assert cli.lambert.recheck_certificate(json.loads(stored)) is False
+    code, out, err = run_capture(capsys, ["lambert-certify", "--recheck", str(path)])
+    assert code == 1
+    assert out.startswith("FAIL") and err == ""
+
+
+@pytest.mark.parametrize("argv, target", [
+    (["expand", "Y4_2", "--order", "5", "--output"], "missing/out.txt"),
+    (["expand", "Y4_2", "--order", "5", "--format", "json", "--output"], "."),
+    (["plotdata", "X8_1", "--m", "7", "--points", "2", "--output"], "missing/curve.tsv"),
+    (["lambert-certify", "X42", "--emit"], "missing/x42.json"),
+    (["lambert-certify", "X42", "--format", "json", "--emit"], "."),
+])
+def test_unwritable_output_path_is_a_usage_error(capsys, tmp_path, argv, target):
+    code, out, err = run_capture(capsys, argv + [str(tmp_path / target)])
+    assert code == 2
+    assert err.startswith("qmf: cannot write ") and "Traceback" not in err
+    if "--output" in argv or "--format" not in argv:
+        assert out == ""
+    else:  # json mode on stdout: the error object goes there
+        assert "cannot write" in json.loads(out)["error"]
+    assert not (tmp_path / "missing").exists()
+
+
 def test_lambert_invalid_block_exits_one(capsys):
     code, out, _ = run_capture(capsys, ["lambert-certify", "E4"])
     assert code == 1

@@ -556,6 +556,19 @@ def test_curve_points_build_depth1_labels_for_heights_from_one(monkeypatch):
     assert labels == []
 
 
+def test_limits_and_tangent_checks_build_depth1_labels_at_the_route_order(monkeypatch):
+    # both read their label's route, so x_w1_components is asked only for the
+    # order a route summed at heights >= 1 needs, never for a fixed deeper one
+    orders = []
+    components = extremal.x_w1_components
+    monkeypatch.setattr(extremal, "x_w1_components", lambda w, order: orders.append((w, order)) or components(w, order))
+    numeric.limit_t0(12)
+    numeric.tangent_conditions("X6_1", 5)
+    # X12_1's climb asks for X8_1 and X6_1 at the same order unless they are cached
+    assert orders[0] == (12, ROUTE_ORDER_128) and orders[-1] == (6, ROUTE_ORDER_128)
+    assert {order for _, order in orders} == {ROUTE_ORDER_128}
+
+
 def test_depth2_scans_and_curves_build_for_heights_from_one(monkeypatch):
     # depth-2 labels invert below t = 1 too, so a grid reaching t = 1/20
     # builds their parts for height 1, not at order_for(1/20) = 800
@@ -639,7 +652,7 @@ def test_curve_points_match_direct_evaluation_above_one():
 
 def test_tangent_conditions_pass_cases():
     for w, m in ((6, 5), (12, 11), (14, 13)):
-        result = numeric.tangent_conditions(f"X{w}_1", x_w1_components(w, 210), m)
+        result = numeric.tangent_conditions(f"X{w}_1", m)
         assert result["verdict"] == "pass", (w, m)
         assert result["bracket_form_positive"] is True
         with mp.workprec(BITS):
@@ -647,13 +660,8 @@ def test_tangent_conditions_pass_cases():
             assert abs(result["limit_ratio"] - target) / target < mp.mpf("1e-20")
 
 
-def test_tangent_conditions_refuse_components_of_another_weight():
-    with pytest.raises(ValueError, match="weight"):
-        numeric.tangent_conditions("X12_1", x_w1_components(14, 210), 11)
-
-
 def test_tangent_conditions_weight8_fails_on_bracket():
-    result = numeric.tangent_conditions("X8_1", x_w1_components(8, 210), 7)
+    result = numeric.tangent_conditions("X8_1", 7)
     assert result["verdict"] == "fail"
     assert result["bracket_form_positive"] is False
     with mp.workprec(BITS):
@@ -680,7 +688,7 @@ def test_second_log_derivative_positive_for_weight6():
 
 def test_limit_t0_matches_prediction():
     for w, denominator in ((6, 120), (12, 55440), (14, 65520)):
-        result = numeric.limit_t0(x_w1_components(w, 210), w)
+        result = numeric.limit_t0(w)
         with mp.workprec(BITS):
             rel = abs(result["measured"] - result["predicted"]) / abs(result["predicted"])
             assert rel < mp.mpf("1e-6")
@@ -689,7 +697,7 @@ def test_limit_t0_matches_prediction():
 
 
 def test_limit_t0_weight10_value_below_point_evaluation():
-    result = numeric.limit_t0(x_w1_components(10, 210), 10)
+    result = numeric.limit_t0(10)
     with mp.workprec(BITS):
         ref = 1 / (120 * mp.pi)
         assert abs(result["predicted"] - ref) / ref < mp.mpf("1e-30")
@@ -697,11 +705,8 @@ def test_limit_t0_weight10_value_below_point_evaluation():
 
 
 def test_limit_t0_validation():
-    comp = x_w1_components(12, 210)
     with pytest.raises(ValueError):
-        numeric.limit_t0(comp, 14)
-    with pytest.raises(ValueError):
-        numeric.limit_t0(comp, 7)
+        numeric.limit_t0(7)
 
 
 def test_small_t_positivity_results():

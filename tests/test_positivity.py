@@ -20,7 +20,6 @@ from qmforms.positivity import (
     check_complete_positivity,
     ratio_infimum,
     sign_pattern,
-    sign_values,
     x122_doubling_check,
 )
 from qmforms.qseries import FourierSeries
@@ -106,31 +105,13 @@ def test_scan_order_beyond_storage_rejected():
 
 
 # ---------------------------------------------------------------------------
-# sign tables and exact patterns
+# exact sign patterns
 # ---------------------------------------------------------------------------
-
-
-def test_sign_tables_match_series():
-    for label in ("P1", "P2", "P3", "X42Delta"):
-        table = sign_values(label, 120)
-        series = form_by_label(label, 120)
-        for n in range(121):
-            assert table[n] == series.coefficient(n), (label, n)
-    # the P4 table carries the integrality scale 1050
-    table = sign_values("P4", 120)
-    series = form_by_label("P4", 120)
-    for n in range(121):
-        assert table[n] == 1050 * series.coefficient(n), n
-
-
-def test_sign_values_unknown_label():
-    with pytest.raises(ValueError):
-        sign_values("E4", 10)
 
 
 def test_p1_p3_alternating_sign_pattern():
     for label in ("P1", "P3"):
-        values = sign_values(label, 2000)
+        values = form_by_label(label, 2000).nums  # over a positive denominator
         for n in range(1, 2001):
             if n % 2:
                 assert values[n] > 0, (label, n)
@@ -141,8 +122,10 @@ def test_p1_p3_alternating_sign_pattern():
 def test_p2_sign_pattern():
     # Exact pattern: positive at odd n, negative at every even n, where the
     # coefficient at n = 2^k m (m odd) is -2^k sigma_1(m).
-    values = sign_values("P2", 2000)
+    p2 = form_by_label("P2", 2000)
+    values = p2.nums
     s1 = sigma_table(2000, 1)
+    assert p2.grain == p2.den == 1
     for n in range(1, 2001):
         if n % 2:
             assert values[n] == s1[n] > 0
@@ -154,7 +137,7 @@ def test_p2_sign_pattern():
 
 
 def test_p4_sign_pattern():
-    values = sign_values("P4", 2000)
+    values = form_by_label("P4", 2000).nums  # over a positive denominator
     assert values[1] == 0
     assert values[2] > 0
     for n in range(3, 2001):
