@@ -254,6 +254,7 @@ def _monomial_series(j: int, a: int, b: int, order: int) -> FourierSeries:
     return reduce(FourierSeries.__mul__, powers) if powers else FourierSeries.one(order)
 
 
+@grow_only
 def depth2_parts(w: int, order: int = DEFAULT_ORDER) -> tuple[FourierSeries, ...]:
     """E2-parts (A_0, A_1, A_2) of :func:`extremal_depth2`, A_j free of E2 and of weight w − 2j.
 
@@ -361,6 +362,11 @@ class FormDescriptor:
     parts: Callable[[int], tuple[FourierSeries, ...]] | None = field(default=None, compare=False, repr=False)
 
 
+def _modular(label: str, weight: int, summary: str, build: Callable[[int], FourierSeries]) -> FormDescriptor:
+    """An SL(2,Z) modular form: depth 0, its own single E2-part."""
+    return FormDescriptor(label, weight, 0, "SL(2,Z)", summary, build, lambda order: (build(order),))
+
+
 def _p4(order):
     x = x_w1(12, order)
     return x - x.dilate(2).scale(2**11)
@@ -373,16 +379,11 @@ _FIXED_BUILDERS: dict[str, FormDescriptor] = {
     for d in (
         FormDescriptor("E2", 2, 1, "SL(2,Z)", "weight-2 Eisenstein series (quasimodular)",
                        lambda order: eisenstein(2, order)),
-        FormDescriptor("E4", 4, 0, "SL(2,Z)", "weight-4 Eisenstein series",
-                       lambda order: eisenstein(4, order)),
-        FormDescriptor("E6", 6, 0, "SL(2,Z)", "weight-6 Eisenstein series",
-                       lambda order: eisenstein(6, order)),
-        FormDescriptor("E8", 8, 0, "SL(2,Z)", "weight-8 Eisenstein series",
-                       lambda order: eisenstein(8, order)),
-        FormDescriptor("E10", 10, 0, "SL(2,Z)", "weight-10 Eisenstein series",
-                       lambda order: eisenstein(10, order)),
-        FormDescriptor("Delta", 12, 0, "SL(2,Z)", "the discriminant cusp form",
-                       lambda order: delta_series(order)),
+        _modular("E4", 4, "weight-4 Eisenstein series", lambda order: eisenstein(4, order)),
+        _modular("E6", 6, "weight-6 Eisenstein series", lambda order: eisenstein(6, order)),
+        _modular("E8", 8, "weight-8 Eisenstein series", lambda order: eisenstein(8, order)),
+        _modular("E10", 10, "weight-10 Eisenstein series", lambda order: eisenstein(10, order)),
+        _modular("Delta", 12, "the discriminant cusp form", lambda order: delta_series(order)),
         FormDescriptor("H2", 2, 0, "Gamma0(4)", "odd-index four-squares theta block",
                        lambda order: forms.theta_forms(order)["H2"]),
         FormDescriptor("H4", 2, 0, "Gamma0(4)", "sign-alternating four-squares theta block",
@@ -391,8 +392,8 @@ _FIXED_BUILDERS: dict[str, FormDescriptor] = {
                        lambda order: forms.theta_forms(order)["A"]),
         FormDescriptor("B", 2, 0, "Gamma0(4)", "even-index four-squares combination",
                        lambda order: forms.theta_forms(order)["B"]),
-        FormDescriptor("F", 14, 2, "SL(2,Z)", "weight-14 depth-2 combination vanishing to order 3",
-                       lambda order: forms.form_f(order)),
+        FormDescriptor("F", 16, 2, "SL(2,Z)", "weight-16 depth-2 combination vanishing to order 3",
+                       lambda order: forms.form_f(order), lambda order: forms.form_f_parts(order)),
         FormDescriptor("G", 14, 0, "Gamma0(4)", "theta-side weight-14 product",
                        lambda order: forms.form_g(order)),
         FormDescriptor("K10", 10, 0, "Gamma0(4)", "theta-side weight-10 coefficient form",
@@ -403,9 +404,9 @@ _FIXED_BUILDERS: dict[str, FormDescriptor] = {
                        lambda order: forms.form_k(14, order)),
         FormDescriptor("L", 14, 2, "Gamma0(4)", "K10 E2^2 + K12 E2 + K14",
                        lambda order: forms.form_l(order)),
-        FormDescriptor("L10", 30, 3, "Gamma0(4)", "cross combination F'G - FG'",
+        FormDescriptor("L10", 32, 3, "Gamma0(4)", "cross combination F'G - FG'",
                        lambda order: forms.form_l10(order)),
-        FormDescriptor("script_L10", 30, 3, "Gamma0(4)", "cross combination F'G - FG'",
+        FormDescriptor("script_L10", 32, 3, "Gamma0(4)", "cross combination F'G - FG'",
                        lambda order: forms.form_l10(order)),
         FormDescriptor("P1", 4, 2, "Gamma0(2)", "depth-2 weight-4 difference, alternating signs",
                        lambda order: xtilde_form(4, order)),
@@ -416,7 +417,8 @@ _FIXED_BUILDERS: dict[str, FormDescriptor] = {
         FormDescriptor("P4", 12, 1, "Gamma0(2)", "depth-1 weight-12 difference",
                        lambda order: _p4(order)),
         FormDescriptor("X42Delta", 16, 2, "SL(2,Z)", "weight-4 depth-2 form times the discriminant",
-                       lambda order: x_w2(4, order) * delta_series(order)),
+                       lambda order: x_w2(4, order) * delta_series(order),
+                       lambda order: tuple(part * delta_series(order) for part in depth2_parts(4, order))),
     )
 }
 

@@ -309,14 +309,20 @@ def e2_half_arguments(order: int = DEFAULT_ORDER) -> tuple[FourierSeries, Fourie
 # ---------------------------------------------------------------------------
 
 
-@grow_only
-def form_f(order: int = DEFAULT_ORDER) -> FourierSeries:
-    """F: the weight-14 depth-2 combination of E2, E4, E6 vanishing to order 3,
-    (49 E4^3 - 25 E6^2) E2^2 - 48 E4^2 E6 E2 - 25 E4^4 + 49 E4 E6^2."""
+def form_f_parts(order: int = DEFAULT_ORDER) -> tuple[FourierSeries, ...]:
+    """E2-parts (A_0, A_1, A_2) of :func:`form_f`: 49 E4 E6^2 - 25 E4^4,
+    -48 E4^2 E6 and 49 E4^3 - 25 E6^2."""
     e4, e6 = eisenstein(4, order), eisenstein(6, order)
     e4sq, e6sq = e4 * e4, e6 * e6
-    return recompose_parts(((e4 * e6sq).scale(49) - (e4sq * e4sq).scale(25), (e4sq * e6).scale(-48),
-                            (e4sq * e4).scale(49) - e6sq.scale(25)))
+    return ((e4 * e6sq).scale(49) - (e4sq * e4sq).scale(25), (e4sq * e6).scale(-48),
+            (e4sq * e4).scale(49) - e6sq.scale(25))
+
+
+@grow_only
+def form_f(order: int = DEFAULT_ORDER) -> FourierSeries:
+    """F: the weight-16 depth-2 combination of E2, E4, E6 vanishing to order 3,
+    (49 E4^3 - 25 E6^2) E2^2 - 48 E4^2 E6 E2 - 25 E4^4 + 49 E4 E6^2."""
+    return recompose_parts(form_f_parts(order))
 
 
 @grow_only
@@ -372,7 +378,7 @@ def form_l(order: int = DEFAULT_ORDER) -> FourierSeries:
 
 @grow_only
 def form_l10(order: int = DEFAULT_ORDER) -> FourierSeries:
-    """L10 = F'G - FG' (weight 30; equals the Serre-bracket cross combination)."""
+    """L10 = F'G - FG' (weight 32; equals the Serre-bracket cross combination)."""
     f, g = form_f(order), form_g(order)
     return f.derivative() * g - f * g.derivative()
 

@@ -6,9 +6,11 @@ at configurable binary precision, reports an error estimate alongside
 every value, and builds the three analytic tools used by the
 monotonicity study of t ↦ t^m F(it):
 
-* one inversion route: a label with E2-parts F = Σ_j E2^j·A_j (the
-  X{w}_1 and X{w}_2 families, any depth) is summed at i/t below t = 1, so
-  small t costs nothing in convergence, and is built for height 1;
+* one inversion route: a label with E2-parts F = Σ_j E2^j·A_j (every
+  SL(2,Z) label but E2; a modular form is its own single part) is summed at
+  i/t below t = 1, so small t costs nothing in convergence.  Its route is
+  built once for height 1 and kept, per label and precision, in one bounded
+  cache that ``eval``, scans, curves and limits share;
 * geometric-grid scans of s(t) = m·F(it) − 2πt·F'(it), whose sign is
   the sign of d/dt [t^m F(it)], run as one batch: one grid, one route per
   label, one q per summed height;
@@ -30,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 from math import ceil, comb
 from typing import NamedTuple, Sequence
@@ -37,7 +40,7 @@ from typing import NamedTuple, Sequence
 from mpmath import mp
 
 from .extremal import describe_label, form_by_label
-from .forms import delta_series, derivative_parts, recompose_parts
+from .forms import derivative_parts, recompose_parts
 from .identities import verify
 from .positivity import check_complete_positivity
 from .qseries import FourierSeries
@@ -52,9 +55,10 @@ class EvalConfig:
     """Working precision for axis evaluation.
 
     ``precision_bits`` sets the working binary precision (at least 64).
-    ``order_for`` gives a directly summed series' order for the smallest
-    height it serves (:func:`_axis_route` sets an inverting route's); the
-    terms summed at each point are chosen by :class:`AxisEvaluator`.
+    ``order_for`` gives the build order, for the smallest height it serves,
+    of what no route inverts: E2, the Gamma0(N) labels, and series a caller
+    builds and passes by value (:func:`_inverting_route` sets a route's);
+    the terms summed at each point are chosen by :class:`AxisEvaluator`.
     """
 
     precision_bits: int = 128
@@ -215,9 +219,10 @@ class _AxisRoute:
     """F and DF of one label at heights z = it, and s = m·F − 2πt·DF.
 
     ``parts`` are F's E2-parts A_0..A_d, F = Σ_j E2^j·A_j with A_j free of E2
-    and of weight w − 2j.  Without a weight, F = parts[0] is summed directly
-    at every height; with one, directly at t >= 1 and at u = 1/t below, where
-    every series converges fast: by E2(−1/τ) = τ²·E2(τ) + 6τ/(πi) (Zagier,
+    and of weight w − 2j; a modular form is its own single part (d = 0).
+    Without a weight, F = parts[0] is summed directly at every height; with
+    one, directly at t >= 1 and at u = 1/t below, where every series
+    converges fast: by E2(−1/τ) = τ²·E2(τ) + 6τ/(πi) (Zagier,
     *The 1-2-3 of Modular Forms*, §5.3) at τ = iu, with x = −6/(πu),
 
         F(it)  = (−1)^(w/2)·u^w·Σ_p x^p·Φ_p(iu),
@@ -229,29 +234,34 @@ class _AxisRoute:
 
     with Φ_(−1) = 0, each T_p an exact series.  At m = w−1 on depth 1 the
     x-term T_1 is the zero series, so nothing cancels in floating point.
-    Routes sharing one table ``qs`` form q once per height, grain and precision.
+    A route keeps only its exact series and the F, DF, Φ_p and Ψ_p
+    evaluators, so one route serves any number of calls.  Each read takes
+    the caller's ``table``: q per height, grain and precision, and each
+    exponent's T_p evaluators, so reads sharing a table form each once.
     """
 
-    def __init__(self, parts: Sequence[FourierSeries], weight: int | None = None, qs: dict | None = None):
-        self.w, self._lazy, self._qs = weight, {}, {} if qs is None else qs
+    def __init__(self, parts: Sequence[FourierSeries], weight: int | None = None):
+        self.w, self._lazy = weight, {}
         self._phi = [parts[0]] if weight is None else _collected(parts)
         self._psi = [self._phi[0].derivative()]
         self.f, self.fp = AxisEvaluator(self._phi[0]), AxisEvaluator(self._psi[0])
         if weight is not None:
             self._psi += _collected(derivative_parts(parts, weight), 1)
 
-    def _below(self, key) -> list:
+    def _below(self, key, table: dict | None = None) -> list:
         """The (p, evaluator) pairs summed below t = 1, built on first use:
-        Φ_p for key "phi", Ψ_p for "psi", T_p for an exponent m."""
-        if key not in self._lazy:
-            self._lazy[key] = _evaluators({"phi": self._phi, "psi": self._psi}.get(key) or self.t_series(key))
-        return self._lazy[key]
+        Φ_p for key "phi" and Ψ_p for "psi", kept by the route; T_p for an
+        exponent m, kept in the caller's ``table``."""
+        memo, slot = (self._lazy, key) if key in ("phi", "psi") else ({} if table is None else table, (self, key))
+        if slot not in memo:
+            memo[slot] = _evaluators({"phi": self._phi, "psi": self._psi}.get(key) or self.t_series(key))
+        return memo[slot]
 
     def t_series(self, m: int) -> list:
         """T_(−1), ..., T_d for exponent m, exact."""
         return [(m * self._phi[p - 1] if p else 0) - 12 * psi for p, psi in enumerate(self._psi)]
 
-    def _inverted(self, weight: int, terms: Sequence, t, first: int = 0) -> tuple:
+    def _inverted(self, weight: int, terms: Sequence, t, first: int = 0, table: dict | None = None) -> tuple:
         """(value, tolerance) of (−1)^(weight/2)·u^weight·Σ_p x^p·G_p(iu) over
         ``terms`` = (p − first, evaluator of G_p) pairs at the exact u = 1/t;
         u^weight·x^j takes weight + 2, 4|j| + 2 (x has four) and 1 roundings."""
@@ -259,76 +269,101 @@ class _AxisRoute:
         um = _mpf(u)
         x, scale = -6 / (mp.pi * um), (-1) ** (weight // 2) * um**weight
         weighted = [(scale * x ** (p + first), weight + 4 * abs(p + first) + 5 + len(terms), e) for p, e in terms]
-        return self._at(weighted, u)
+        return self._at(weighted, u, table)
 
-    def _at(self, weighted: Sequence, t) -> tuple:
+    def _at(self, weighted: Sequence, t, table: dict | None = None) -> tuple:
         """(Σ k·G(it), tolerance) over ``(k, c, evaluator of G)``, k·G formed and
         summed with at most c roundings (Higham, §3.1): Σ |k|·e + 2^-prec·c·
         (|k·G| + |k|·e), e = dropped + beyond + rounding of G."""
-        height, total, logs = _exact(t), mp.zero, []
+        height, total, logs, table = _exact(t), mp.zero, [], {} if table is None else table
         for k, c, e in weighted:
-            value, bounds, _ = e._sum(self._q(height, t, e))
+            value, bounds, _ = e._sum(self._q(height, t, e, table))
             total += k * value
             lk, le = mp.mag(k), _log2_sum(bounds)
             logs += (lk + le, lk + math.log2(c) - mp.prec + _log2_sum((mp.mag(value), le)))
         return total, _power_bound(_log2_sum(logs))
 
-    def _q(self, height: Fraction, t, e: AxisEvaluator) -> tuple:
-        """The :func:`_fixed_q` of ``e`` at t, formed once per height, grain and precision."""
+    @staticmethod
+    def _q(height: Fraction, t, e: AxisEvaluator, table: dict) -> tuple:
+        """The :func:`_fixed_q` of ``e`` at t, formed once per height, grain and precision in ``table``."""
         key = height, e.grain, e._prec
-        return self._qs[key] if key in self._qs else self._qs.setdefault(key, _fixed_q(t, *key[1:]))
+        return table[key] if key in table else table.setdefault(key, _fixed_q(t, *key[1:]))
 
     def _direct(self, t) -> bool:
         _require_positive(t)
         return t >= 1 or self.w is None
 
-    def value(self, t) -> tuple:
+    def value(self, t, table: dict | None = None) -> tuple:
         """(F(it), tolerance)."""
-        return self._at(((mp.one, 1, self.f),), t) if self._direct(t) else self._inverted(self.w, self._below("phi"), t)
+        if self._direct(t):
+            return self._at(((mp.one, 1, self.f),), t, table)
+        return self._inverted(self.w, self._below("phi"), t, 0, table)
 
-    def derivative(self, t) -> tuple:
+    def derivative(self, t, table: dict | None = None) -> tuple:
         """(DF(it), tolerance), D = q·d/dq."""
-        return self._at(((mp.one, 1, self.fp),), t) if self._direct(t) else self._inverted(self.w + 2, self._below("psi"), t)
+        if self._direct(t):
+            return self._at(((mp.one, 1, self.fp),), t, table)
+        return self._inverted(self.w + 2, self._below("psi"), t, 0, table)
 
-    def s(self, m: int, t) -> tuple:
+    def s(self, m: int, t, table: dict | None = None) -> tuple:
         """(s, tolerance) for s = m·F − 2πt·DF; 2πt takes three roundings."""
         if self._direct(t):
-            return self._at(((mp.mpf(m), 2, self.f), (-2 * mp.pi * _mpf(t), 5, self.fp)), t)
-        return self._inverted(self.w, self._below(m), t, -1)
+            return self._at(((mp.mpf(m), 2, self.f), (-2 * mp.pi * _mpf(t), 5, self.fp)), t, table)
+        return self._inverted(self.w, self._below(m, table), t, -1, table)
 
 
-def _axis_route(label: str, t_min, cfg: EvalConfig, qs: dict | None = None) -> _AxisRoute:
-    """How scans and curves sum a label at heights >= t_min: built at
-    ``cfg.order_for(t_min)``, or, with E2-parts, inverting below t = 1 and so
-    summed only at heights >= 1, at K = ⌈2·wp·ln 2/2π⌉ (q(1)^K = 2^(−2·wp), wp =
-    prec + GUARD_BITS), doubled while F's or DF's sum at t = 1 takes every stored
-    term or has ``beyond`` above ``rounding``; both fall with the height, ``beyond`` faster."""
+def _axis_route(label: str, t_min, cfg: EvalConfig) -> _AxisRoute:
+    """How scans, curves and ``eval`` sum a label at heights >= t_min: with
+    E2-parts, the label's :func:`_inverting_route` at this precision; without,
+    a direct route built at ``cfg.order_for(t_min)`` for this call only."""
     _require_positive(t_min)
+    if describe_label(label).parts is None:
+        return _AxisRoute((form_by_label(label, cfg.order_for(t_min)),))
+    return _inverting_route(label, cfg.precision_bits, mp.prec)
+
+
+@lru_cache(maxsize=64)
+def _inverting_route(label: str, bits: int, prec: int) -> _AxisRoute:
+    """The route of a label with E2-parts, kept per label, ``bits`` =
+    ``precision_bits`` and ``prec``, the ``mp.prec`` it is built at and must
+    be read at; the cache holds the 64 most recently used.  It sums only at
+    heights >= 1, so it is built at K = ⌈2·wp·ln 2/2π⌉ terms (q(1)^K =
+    2^(−2·wp), wp = bits + GUARD_BITS), doubled while F's or DF's sum at t = 1
+    takes every stored term or has ``beyond`` above ``rounding``; both fall
+    with the height, ``beyond`` faster."""
     desc = describe_label(label)
-    if desc.parts is None:
-        return _AxisRoute((form_by_label(label, cfg.order_for(t_min)),), qs=qs)
-    order = ceil(2 * (cfg.precision_bits + GUARD_BITS) * math.log(2) / (2 * math.pi))
-    while True:
-        route = _AxisRoute(desc.parts(order), desc.weight, qs)
-        at_one = [(e._sum(route._q(Fraction(1), 1, e)), len(e._nums)) for e in (route.f, route.fp)]
-        if all(n < size and beyond <= rounding for (_, (_, beyond, rounding), n), size in at_one):
-            return route
-        order *= 2
+    order = ceil(2 * (bits + GUARD_BITS) * math.log(2) / (2 * math.pi))
+    with mp.workprec(prec):
+        while True:
+            route, table = _AxisRoute(desc.parts(order), desc.weight), {}
+            at_one = [(e._sum(route._q(Fraction(1), 1, e, table)), len(e._nums)) for e in (route.f, route.fp)]
+            if all(n < size and beyond <= rounding for (_, (_, beyond, rounding), n), size in at_one):
+                return route
+            order *= 2
 
 
 def eval_at_it(form, t, cfg: EvalConfig | None = None) -> dict:
     """Value of the series at z = it together with an error estimate.
 
-    ``form`` is a label (built at ``cfg.order_for(t)``) or a FourierSeries
-    (evaluated as stored).  Returns ``{"value", "tail_estimate"}``; the
-    tail estimate is the bound on the stored terms the sum dropped, the
-    bound on the rounding of the sum, and the documented geometric
-    heuristic for the terms past the stored order.  Always summed directly,
-    so it checks the inversion law independently of :class:`_AxisRoute`.
+    ``form`` is a label or a FourierSeries (summed as stored).  A label with
+    E2-parts is read from its :func:`_inverting_route`: below t = 1 its
+    inverted sum, at t >= 1 a direct sum of the label built at the route's
+    order.  Any other label is built at ``cfg.order_for(t)`` and summed
+    directly, as E2 is, so E2's inversion residual checks the law on its own.
+    Returns ``{"value", "tail_estimate"}``; the tail estimate is the route's
+    tolerance, or the bound on the stored terms a direct sum dropped, the
+    bound on its rounding, and the documented geometric heuristic for the
+    terms past the stored order.
     """
     _require_positive(t)
     cfg = cfg or EvalConfig()
     with mp.workprec(cfg.precision_bits):
+        if isinstance(form, str) and describe_label(form).parts is not None:
+            route = _inverting_route(form, cfg.precision_bits, mp.prec)
+            if t < 1:
+                value, tolerance = route.value(t)
+                return {"value": value, "tail_estimate": tolerance}
+            form = form_by_label(form, int(route._phi[0].order))
         series = form_by_label(form, cfg.order_for(t)) if isinstance(form, str) else form
         point = AxisEvaluator(series).at(t)
         return {"value": point.value, "tail_estimate": point.dropped + point.beyond + point.rounding}
@@ -388,7 +423,8 @@ def monotonicity_scans(pairs: Sequence, grid_spec: tuple = DEFAULT_GRID_SPEC,
 
     ``grid_spec`` is (t_min, t_max, points).  The grid is built once, each
     label's :func:`_axis_route` once, and every route reads one table of q,
-    formed once per summed height; nothing outlives the call.  Each tolerance
+    formed once per summed height, and of T_p evaluators, built once per
+    (label, m); only the cached routes outlive the call.  Each tolerance
     counts the dropped-terms bounds, the tail heuristics and rounding.
     Verdicts: ``sign_change_found`` when two consecutive grid points carry
     strictly opposite signs beyond tolerance, ``monotone_decreasing_on_grid``
@@ -400,11 +436,10 @@ def monotonicity_scans(pairs: Sequence, grid_spec: tuple = DEFAULT_GRID_SPEC,
     cfg = cfg or EvalConfig()
     t_min, t_max, points = grid_spec
     with mp.workprec(cfg.precision_bits):
-        grid, qs, reports = geometric_grid(t_min, t_max, points), {}, {}
-        labels = dict.fromkeys(label for label, _ in pairs)
-        routes = {label: _axis_route(label, t_min, cfg, qs) for label in labels}
+        grid, table, reports = geometric_grid(t_min, t_max, points), {}, {}
+        routes = {label: _axis_route(label, t_min, cfg) for label in dict.fromkeys(label for label, _ in pairs)}
         for label, m in pairs:
-            values = [routes[label].s(m, t) for t in grid]
+            values = [routes[label].s(m, t, table) for t in grid]
             signs = [0 if abs(s) <= tol else (1 if s > 0 else -1) for s, tol in values]
             signed = [(t, sig) for t, sig in zip(grid, signs) if sig]
             changes = tuple((a, b) for (a, sa), (b, sb) in zip(signed, signed[1:]) if sa != sb)
@@ -427,8 +462,8 @@ def curve_points(form_label: str, m: int, grid: Sequence, cfg: EvalConfig | None
     """
     cfg = cfg or EvalConfig()
     with mp.workprec(cfg.precision_bits):
-        route = _axis_route(form_label, min(grid), cfg)
-        return [(t, t**m * route.value(t)[0]) for t in map(_mpf, grid)]
+        route, table = _axis_route(form_label, min(grid), cfg), {}
+        return [(t, t**m * route.value(t, table)[0]) for t in map(_mpf, grid)]
 
 
 # ---------------------------------------------------------------------------
@@ -456,8 +491,7 @@ def _delta_axis_positive(cfg: EvalConfig) -> bool:
     makes every factor positive.  Spot-confirmed numerically here so the
     claim is also exercised by the floating layer.
     """
-    series = delta_series(cfg.order_for(Fraction(3, 10)))
-    reports = (eval_at_it(series, t, cfg) for t in (Fraction(3, 10), 1, 10))
+    reports = (eval_at_it("Delta", t, cfg) for t in (Fraction(3, 10), 1, 10))
     return all(report["value"] > report["tail_estimate"] for report in reports)
 
 
@@ -495,8 +529,8 @@ def tangent_conditions(label: str, m: int, cfg: EvalConfig | None = None) -> dic
             and check_complete_positivity(series.derivative(), _CP_SCAN_ORDER).completely_positive_up_to_order
         )
 
-        route = _axis_route(label, Fraction(1, 20), cfg)
-        ratios = [route.value(t)[0] / (_mpf(t) * route.derivative(t)[0])
+        route, table = _axis_route(label, Fraction(1, 20), cfg), {}
+        ratios = [route.value(t, table)[0] / (_mpf(t) * route.derivative(t, table)[0])
                   for t in (Fraction(1, 5), Fraction(1, 10), Fraction(1, 20))]
         limit_ratio = _aitken_limit(ratios)
         target = 2 * mp.pi / m
@@ -552,7 +586,7 @@ def small_t_positivity_check(w: int, cfg: EvalConfig | None = None) -> bool:
         raise ValueError(f"the criterion applies to even weights >= 12, got {w}")
     cfg = cfg or EvalConfig()
     with mp.workprec(cfg.precision_bits):
-        route = _axis_route(f"X{w}_1", Fraction(1, 20), cfg)
+        route, table = _axis_route(f"X{w}_1", Fraction(1, 20), cfg), {}
         exact_ok = (-1) ** (w // 2) * route._phi[1].coefficient(1) > 0  # Φ_1 is the E2-companion at depth 1
-        numeric_ok = all(s < -tol for s, tol in (route.s(w - 1, Fraction(1, u)) for u in (5, 10, 20)))
+        numeric_ok = all(s < -tol for s, tol in (route.s(w - 1, Fraction(1, u), table) for u in (5, 10, 20)))
     return bool(exact_ok and numeric_ok)

@@ -384,6 +384,7 @@ CACHED_FAMILIES = {
     "x_w1": (lambda w, order: extremal.x_w1(w, order), st.integers(3, 9).map(lambda h: 2 * h)),
     "x_w1_components": (lambda w, order: extremal.x_w1_components(w, order), st.integers(3, 9).map(lambda h: 2 * h)),
     "x_w2": (lambda w, order: extremal.x_w2(w, order), st.sampled_from((4, 8, 10, 12, 14, 16))),
+    "depth2_parts": (lambda w, order: extremal.depth2_parts(w, order), st.sampled_from((4, 8, 16))),
     "theta_forms": (lambda _, order: forms.theta_forms(order), st.none()),
     "_theta_power": (lambda key, order: forms._theta_power(*key, order),
                      st.tuples(st.sampled_from(("H2", "H4")), st.integers(1, 6))),
@@ -409,6 +410,8 @@ def _stored(value):
         return value.grain, value.nums, value.den
     if isinstance(value, Depth1Components):
         return value.weight, _stored(value.pure), _stored(value.e2_part)
+    if isinstance(value, tuple):
+        return tuple(map(_stored, value))
     return {name: _stored(series) for name, series in value.items()}
 
 
@@ -425,7 +428,7 @@ def _fresh(family_key, order):
 
 
 def test_every_cached_builder_goes_through_one_cache():
-    assert len(CACHES) == 12
+    assert len(CACHES) == 13
     assert all(cache.cache_info().maxsize is None for cache in CACHES)
 
 

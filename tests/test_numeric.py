@@ -250,6 +250,7 @@ def test_a_scan_builds_only_the_evaluators_it_sums(monkeypatch):
     # F and DF above t = 1, the T_p below it; the Φ_p and Ψ_p that only
     # value and derivative read below t = 1 are not built
     t_series = route_for("X8_2", EvalConfig().order_for(1)).t_series(7)
+    numeric._inverting_route.cache_clear()
     built, init = [], numeric.AxisEvaluator.__init__
     monkeypatch.setattr(numeric.AxisEvaluator, "__init__", lambda self, series: built.append(series) or init(self, series))
     numeric.monotonicity_scan("X8_2", 7)
@@ -278,26 +279,77 @@ def test_series_input_matches_label_route():
     assert abs(a - b) / abs(b) < mp.mpf("1e-30")
 
 
+# the SL(2,Z) labels of the benchmark's axis workload but E2
+AXIS_LABELS = ("E4", "E6", "Delta", *(f"X{w}_1" for w in range(6, 20, 2)), *(f"X{w}_2" for w in (4, 8, 10, 12, 14, 16)))
+
+
 def test_evaluation_at_ever_new_heights_keeps_memory_bounded():
-    # one cache entry per family, at the largest order seen, serves every
-    # later height by truncation: nothing accumulates in a long-lived process
-    caches = {id(f): f for m in (forms, extremal) for f in vars(m).values() if hasattr(f, "cache_clear")}.values()
+    # one cache entry per family, at the largest order seen, and one route per
+    # label and precision serve every later height: nothing accumulates in a
+    # long-lived process
+    caches = [f for m in (forms, extremal) for f in vars(m).values() if hasattr(f, "cache_clear")]
+    caches = list({id(f): f for f in caches + [numeric._inverting_route]}.values())
     for cache in caches:
         cache.cache_clear()
-    heights = [Fraction(1, 20) + Fraction(3, 20) * Fraction(k, 300) for k in range(1, 301)]
+    configs = (EvalConfig(128), EvalConfig(256))
+    heights = [Fraction(1, 20) + Fraction(3, 20) * Fraction(k, 320) for k in range(1, 321)]
     tracemalloc.start()
     try:
-        numeric.eval_at_it("X12_1", Fraction(1, 20))  # warm-up, at the largest order
+        for label in AXIS_LABELS:  # warm-up: every route, and the phi evaluators it reads
+            for cfg in configs:
+                numeric.eval_at_it(label, Fraction(1, 20), cfg)
         gc.collect()
         sizes, retained = [cache.cache_info().currsize for cache in caches], tracemalloc.get_traced_memory()[0]
-        for t in heights:
-            numeric.eval_at_it("X12_1", t)
+        for k, t in enumerate(heights):
+            numeric.eval_at_it(AXIS_LABELS[k % 16], t, configs[k // 16 % 2])
         gc.collect()
         grown = tracemalloc.get_traced_memory()[0] - retained
     finally:
         tracemalloc.stop()
+    assert numeric._inverting_route.cache_info().currsize == 2 * len(AXIS_LABELS) == 32
     assert [cache.cache_info().currsize for cache in caches] == sizes
     assert grown < 0.05 * retained
+
+
+def test_the_route_cache_keeps_the_64_most_recent_routes():
+    numeric._inverting_route.cache_clear()
+    labels = [f"X{w}_1" for w in range(6, 40, 2)]
+    for bits in (64, 96, 128, 160):
+        for label in labels:
+            numeric.eval_at_it(label, Fraction(1, 2), EvalConfig(bits))
+    info = numeric._inverting_route.cache_info()
+    assert (info.misses, info.currsize, info.maxsize) == (4 * len(labels), 64, 64) and len(labels) == 17
+
+
+# eval, plotdata and limits ops whose labels are summed through routes
+ROUTED_OPS = (
+    ["eval", "Delta", "--t", "0.0626", "--format", "json"],
+    ["eval", "X12_1", "--t", "0.07", "--format", "json"],
+    ["eval", "F", "--t", "2.5", "--format", "json"],
+    ["eval", "X42Delta", "--t", "0.3", "--format", "json"],
+    ["plotdata", "X8_2", "--m", "7", "--tmin", "0.07", "--tmax", "2.5", "--points", "6"],
+    ["limits", "X12_1", "--format", "json"],
+)
+
+
+def _routed_outputs(capsys, bits):
+    out = []
+    for argv in ROUTED_OPS:
+        assert cli.run([*argv, "--bits", str(bits)]) == 0
+        out.append(capsys.readouterr().out)
+    return out
+
+
+def test_outputs_do_not_depend_on_what_the_route_cache_holds(capsys):
+    # routes are kept per label and precision, and a call keeps its q and
+    # T_p for itself: a warm cache gives the bytes a cleared one does
+    for bits, other in ((128, 256), (256, 128)):
+        numeric._inverting_route.cache_clear()
+        cold = _routed_outputs(capsys, bits)
+        _routed_outputs(capsys, other)
+        numeric.monotonicity_scans([("X12_1", 11), ("X8_2", 7), ("Delta", 11)], (Fraction(1, 20), 20, 9),
+                                   EvalConfig(bits))
+        assert _routed_outputs(capsys, bits) == cold, bits
 
 
 # ---------------------------------------------------------------------------
@@ -545,6 +597,7 @@ ROUTE_ORDER_128 = 32
 def test_curve_points_build_depth1_labels_for_heights_from_one(monkeypatch):
     # the depth-1 series is summed directly only at t >= 1, so it is not
     # built at the order a small grid height would need
+    numeric._inverting_route.cache_clear()
     orders, labels = [], []
     components, by_label = extremal.x_w1_components, numeric.form_by_label
     monkeypatch.setattr(extremal, "x_w1_components", lambda w, order: orders.append(order) or components(w, order))
@@ -559,6 +612,7 @@ def test_curve_points_build_depth1_labels_for_heights_from_one(monkeypatch):
 def test_limits_and_tangent_checks_build_depth1_labels_at_the_route_order(monkeypatch):
     # both read their label's route, so x_w1_components is asked only for the
     # order a route summed at heights >= 1 needs, never for a fixed deeper one
+    numeric._inverting_route.cache_clear()
     orders = []
     components = extremal.x_w1_components
     monkeypatch.setattr(extremal, "x_w1_components", lambda w, order: orders.append((w, order)) or components(w, order))
@@ -572,6 +626,7 @@ def test_limits_and_tangent_checks_build_depth1_labels_at_the_route_order(monkey
 def test_depth2_scans_and_curves_build_for_heights_from_one(monkeypatch):
     # depth-2 labels invert below t = 1 too, so a grid reaching t = 1/20
     # builds their parts for height 1, not at order_for(1/20) = 800
+    numeric._inverting_route.cache_clear()
     orders, labels = [], []
     parts, by_label = extremal.depth2_parts, numeric.form_by_label
     monkeypatch.setattr(extremal, "depth2_parts", lambda w, order: orders.append(order) or parts(w, order))
@@ -612,9 +667,11 @@ def test_a_route_built_for_height_one_holds_there_and_matches_order_for_one(labe
 
 def test_a_batch_forms_each_q_once_and_builds_each_route_once(monkeypatch):
     # C9's 18 (label, m) pairs over 14 labels: one q per summed height (t at
-    # t >= 1, 1/t below, and 1 for the route checks), not one per point
+    # t >= 1, 1/t below) and one for each route build's check at t = 1, not
+    # one per point; a second batch finds every route built
     pairs = list(dict.fromkeys((*cli._SCAN_DECREASING_PAIRS, ("X8_1", 7), ("X10_1", 9),
                                 *((f"X{w}_1", a_w_exponent(w)) for w in range(6, 26, 2)))))
+    numeric._inverting_route.cache_clear()
     exps, routes = [], []
     exp, init = mp.exp, numeric._AxisRoute.__init__
     monkeypatch.setattr(mp, "exp", lambda x: exps.append(x) or exp(x))
@@ -622,9 +679,12 @@ def test_a_batch_forms_each_q_once_and_builds_each_route_once(monkeypatch):
     reports = numeric.monotonicity_scans(pairs)
     with mp.workprec(BITS):
         grid = numeric.geometric_grid(*numeric.DEFAULT_GRID_SPEC)
-    heights = {numeric._exact(t) if t >= 1 else 1 / numeric._exact(t) for t in grid} | {1}
+    heights = {numeric._exact(t) if t >= 1 else 1 / numeric._exact(t) for t in grid}
     assert len(pairs) == 18 and len(routes) == 14
-    assert len(exps) == len(heights) == 61
+    assert len(heights) == 60 and len(exps) == len(heights) + len(routes)
+    exps.clear(), routes.clear()
+    assert numeric.monotonicity_scans(pairs) == reports
+    assert len(routes) == 0 and len(exps) == len(heights)
     monkeypatch.undo()
     for pair in (("X8_1", 6), ("X8_1", 7)):
         assert reports[pair] == numeric.monotonicity_scan(*pair)
@@ -635,6 +695,49 @@ def test_delta_at_a_large_height_matches_its_product_within_the_tail():
     with mp.workprec(BITS + 64):
         q = mp.exp(-2 * mp.pi * 100000)
         assert abs(report["value"] - q * mp.qp(q) ** 24) <= report["tail_estimate"]
+
+
+@pytest.mark.parametrize("t", [Fraction(626, 10000), Fraction(1, 20), Fraction(1, 200)])
+def test_delta_below_one_is_right_to_the_working_bits(t):
+    # a direct sum cancels about 80 bits at t = 1/16; through the route the
+    # value is t^(-12)·Δ(i/t) within a tail of 2^-120 of it, and positive
+    report = numeric.eval_at_it("Delta", t)
+    with mp.workprec(300):
+        u = 1 / numeric._mpf(t)
+        q = mp.exp(-2 * mp.pi * u)
+        want = u**12 * q * mp.qp(q) ** 24
+        assert report["value"] > 0
+        assert abs(report["value"] - want) <= report["tail_estimate"] <= mp.ldexp(want, -120)
+
+
+# every label that eval reads from a route
+ROUTED_LABELS = ("E4", "E6", "E8", "E10", "Delta", "F", "X42Delta") + INVERTED_LABELS
+
+
+def test_every_routed_label_builds_at_most_128_terms_at_128_bits():
+    for label in ROUTED_LABELS:
+        assert describe_label(label).parts is not None, label
+        assert numeric._inverting_route(label, 128, 128)._phi[0].order <= 128, label
+
+
+@settings(max_examples=60, deadline=None)
+@given(label=st.sampled_from(ROUTED_LABELS), t=st.fractions(Fraction(1, 20), 20), bits=st.sampled_from((128, 256)))
+@example(label="Delta", t=Fraction(1, 20), bits=128)
+@example(label="X42Delta", t=Fraction(1, 3), bits=256)
+@example(label="F", t=Fraction(5, 2), bits=128)
+def test_routed_eval_matches_a_deep_direct_sum(label, t, bits):
+    # against the label built to order 1000 and summed with 64 more bits,
+    # wherever that sum cancels by at most 32 bits
+    report = numeric.eval_at_it(label, t, EvalConfig(bits))
+    series = form_by_label(label, 1000)
+    magnitude = FourierSeries(series.grain, tuple(map(abs, series.nums)), series.den)
+    with mp.workprec(bits + 64):
+        point, size = numeric.AxisEvaluator(series).at(t), numeric.AxisEvaluator(magnitude).at(t).value
+        if mp.ldexp(abs(point.value), 32) < size:
+            return
+        error = abs(report["value"] - point.value)
+        bound = report["tail_estimate"] + mp.ldexp(abs(point.value), 8 - bits)
+        assert error <= bound + point.dropped + point.beyond + point.rounding, (label, t, bits)
 
 
 def test_curve_points_match_direct_evaluation_above_one():
