@@ -148,17 +148,16 @@ def _cmd_expand(args) -> tuple[int, dict, str]:
 
 def _cmd_identity(args) -> tuple[int, dict, str]:
     if args.all:
-        idents = identities.identity_ids()
+        idents = None
     elif args.idents:
-        registry = identities.registry()
-        unknown = sorted(set(args.idents) - set(registry))
+        unknown = sorted(set(args.idents) - set(identities.registry()))
         if unknown:
             raise UsageError(f"unknown identity ids: {', '.join(unknown)}")
-        idents = sorted(set(args.idents))
+        idents = set(args.idents)
     else:
         raise UsageError("pass one or more identity ids, or --all")
     order = _resolve_order(args.order, None)
-    results = [identities.verify(ident, order) for ident in idents]
+    results = identities.verify_all(order, only=idents)
     all_passed = all(r.passed for r in results)
     lines = []
     for r in results:
@@ -348,10 +347,7 @@ _RUN_SCANS: ContextVar[dict | None] = ContextVar("_RUN_SCANS", default=None)
 
 def _criterion_identity_suite() -> dict:
     start = time.perf_counter()
-    results = [
-        identities.verify(ident, 60 if ident == "LFACT" else 120)
-        for ident in identities.identity_ids()
-    ]
+    results = identities.verify_all()
     elapsed = time.perf_counter() - start
     failures = [r.ident for r in results if not r.passed]
 

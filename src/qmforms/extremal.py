@@ -330,19 +330,6 @@ def weak_family(w: int, n: int, order: int = DEFAULT_ORDER) -> FourierSeries:
     return x - x.dilate(n).scale(n ** a_w_exponent(w))
 
 
-def level2_families(w: int, order: int = DEFAULT_ORDER, n: int = 2) -> dict:
-    """The three difference families at weight w (where each is defined)."""
-    out = {}
-    if w in _X_W2_WEIGHTS:
-        out["Y"] = y_form(w, order)
-        out["Xtilde"] = xtilde_form(w, order)
-    if w >= 6 and w % 2 == 0:
-        out["weak"] = weak_family(w, n, order)
-    if not out:
-        raise BadWeight(f"no level-2 families at weight {w}")
-    return out
-
-
 # ---------------------------------------------------------------------------
 # label registry
 # ---------------------------------------------------------------------------

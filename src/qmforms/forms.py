@@ -378,7 +378,7 @@ def form_l(order: int = DEFAULT_ORDER) -> FourierSeries:
 
 @grow_only
 def form_l10(order: int = DEFAULT_ORDER) -> FourierSeries:
-    """L10 = F'G - FG' (weight 32; equals the Serre-bracket cross combination)."""
+    """L10 = F'G - FG' (weight 32; equals (serre_16 F) G - F (serre_14 G) + (1/6) E2 F G)."""
     f, g = form_f(order), form_g(order)
     return f.derivative() * g - f * g.derivative()
 

@@ -353,10 +353,11 @@ def _lcomb(variant: str) -> Callable[[int], list[Pair]]:
 
 
 def _serre_cross(order: int) -> list[Pair]:
+    # F has weight 16 and G weight 14, so their E2 terms leave -(1/6)·E2·F·G
     f, g = form_by_label("F", order), form_by_label("G", order)
     lhs = f.derivative() * g - f * g.derivative()
-    rhs = serre_derivative(f, 14) * g - f * serre_derivative(g, 14)
-    return [(lhs, rhs)]
+    rhs = serre_derivative(f, 16) * g - f * serre_derivative(g, 14)
+    return [(lhs, rhs + (eisenstein(2, order) * (f * g)).scale(Fraction(1, 6)))]
 
 
 def _mrb(order: int) -> list[Pair]:
@@ -554,7 +555,7 @@ def _registry() -> dict[str, IdentityCase]:
         ),
         IdentityCase(
             "SERRE-CROSS",
-            "F'G - FG' = (serre_14 F) G - F (serre_14 G)",
+            "F'G - FG' = (serre_16 F) G - F (serre_14 G) + (1/6) E2 F G",
             DEFAULT_ORDER,
             _serre_cross,
         ),

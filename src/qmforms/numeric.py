@@ -14,9 +14,8 @@ monotonicity study of t ↦ t^m F(it):
 * geometric-grid scans of s(t) = m·F(it) − 2πt·F'(it), whose sign is
   the sign of d/dt [t^m F(it)], run as one batch: one grid, one route per
   label, one q per summed height;
-* tangent/limit checks at t → 0+ (ratio limit 2π/m, the bracket form
-  (m+1)(F')² − m·F''·F, and the small-t sign criterion), each named by a
-  label or weight and summed through that label's route.
+* the small-t limit of t^(w−1)·X_(w,1)(it) as t → 0+, measured on the
+  label's route and set against the limit the inversion predicts.
 
 Every sum goes through :class:`AxisEvaluator`, an integer Horner sum of a
 series' exact numerators to each point's own cut (``EvalConfig.order_for``
@@ -41,8 +40,6 @@ from mpmath import mp
 
 from .extremal import describe_label, form_by_label
 from .forms import derivative_parts, recompose_parts
-from .identities import verify
-from .positivity import check_complete_positivity
 from .qseries import FourierSeries
 
 
@@ -467,90 +464,8 @@ def curve_points(form_label: str, m: int, grid: Sequence, cfg: EvalConfig | None
 
 
 # ---------------------------------------------------------------------------
-# tangent-line and small-t criteria
+# small-t limits
 # ---------------------------------------------------------------------------
-
-# For these labels the bracket form (m+1)(F')^2 - m*F''*F has a closed
-# product shape in the identity registry: a positive rational multiple of
-# a power of Delta times a cofactor with nonnegative coefficients, so its
-# positivity on the axis follows from Delta's product expansion once the
-# identity is verified exactly and the cofactor scanned.
-_BRACKET_ROUTES: dict = {
-    "X6_1": ("BR-61", "X4_2"),
-    "X12_1": ("BR-121", "F"),
-    "X14_1": ("BR-141", "X8_2"),
-}
-
-_CP_SCAN_ORDER = 500
-
-
-def _delta_axis_positive(cfg: EvalConfig) -> bool:
-    """Delta(it) > 0 for every t > 0.
-
-    Structurally true: Delta = q·prod (1-q^n)^24 and 0 < q = e^(-2*pi*t) < 1
-    makes every factor positive.  Spot-confirmed numerically here so the
-    claim is also exercised by the floating layer.
-    """
-    reports = (eval_at_it("Delta", t, cfg) for t in (Fraction(3, 10), 1, 10))
-    return all(report["value"] > report["tail_estimate"] for report in reports)
-
-
-def _aitken_limit(values: Sequence) -> mp.mpf:
-    """Accelerated limit of three successive approximations.
-
-    Falls back to the last value when the second difference is at the
-    rounding floor (i.e. the sequence has already converged).
-    """
-    r1, r2, r3 = values
-    denom = r3 - 2 * r2 + r1
-    if abs(denom) <= mp.ldexp(1, 16 - mp.prec) * max(abs(r3), mp.mpf(1)):
-        return r3
-    return r3 - (r3 - r2) ** 2 / denom
-
-
-def tangent_conditions(label: str, m: int, cfg: EvalConfig | None = None) -> dict:
-    """Hypotheses making t = 0 a tangent line of t^m F(it) from below.
-
-    Checks, in order: F and F' have nonnegative coefficients through order
-    500 (a sufficient positivity condition); F/(t·F') tends to 2π/m as
-    t → 0+ (:func:`_axis_route` values at t = 0.2, 0.1, 0.05, accelerated);
-    and the bracket form (m+1)(F')² − m·F''·F is positive on the axis —
-    through the registry's closed product shape when one exists for the
-    label, otherwise by scanning the bracket's own coefficients to order
-    500.  Returns {"limit_ratio", "bracket_form_positive", "verdict"}.
-    """
-    if m <= 0:
-        raise ValueError(f"the exponent m must be positive, got {m}")
-    cfg = cfg or EvalConfig()
-    with mp.workprec(cfg.precision_bits):
-        series = form_by_label(label, _CP_SCAN_ORDER)
-        cp_ok = (
-            check_complete_positivity(series, _CP_SCAN_ORDER).completely_positive_up_to_order
-            and check_complete_positivity(series.derivative(), _CP_SCAN_ORDER).completely_positive_up_to_order
-        )
-
-        route, table = _axis_route(label, Fraction(1, 20), cfg), {}
-        ratios = [route.value(t, table)[0] / (_mpf(t) * route.derivative(t, table)[0])
-                  for t in (Fraction(1, 5), Fraction(1, 10), Fraction(1, 20))]
-        limit_ratio = _aitken_limit(ratios)
-        target = 2 * mp.pi / m
-        limit_ok = abs(limit_ratio - target) <= mp.mpf("1e-10") * target
-
-        bracket_route = _BRACKET_ROUTES.get(label)
-        if bracket_route is not None:
-            ident, cofactor = bracket_route
-            bracket_positive = (
-                verify(ident).passed
-                and check_complete_positivity(cofactor, _CP_SCAN_ORDER).completely_positive_up_to_order
-                and _delta_axis_positive(cfg)
-            )
-        else:
-            deriv = series.derivative()
-            bracket = (deriv * deriv).scale(m + 1) - (deriv.derivative() * series).scale(m)
-            bracket_positive = check_complete_positivity(bracket, _CP_SCAN_ORDER).completely_positive_up_to_order
-
-        verdict = "pass" if (cp_ok and limit_ok and bracket_positive) else "fail"
-    return {"limit_ratio": limit_ratio, "bracket_form_positive": bracket_positive, "verdict": verdict}
 
 
 def limit_t0(w: int, cfg: EvalConfig | None = None) -> dict:
@@ -571,22 +486,3 @@ def limit_t0(w: int, cfg: EvalConfig | None = None) -> dict:
         measured = route.value(Fraction(1, 40))[0] / 40 ** (w - 1)
     with mp.workprec(cfg.precision_bits):
         return {"measured": +measured, "predicted": +predicted}
-
-
-def small_t_positivity_check(w: int, cfg: EvalConfig | None = None) -> bool:
-    """Sign criterion forcing t^(w-1)·X_(w,1)(it) to decrease near t = 0.
-
-    Exact part: sgn·β₁ > 0, where β₁ is the first-order coefficient of the
-    E2-companion and sgn = (−1)^(w/2).  Numeric part: the route's
-    s = (w−1)·F − 2πt·F' lies below minus its tolerance at t = 1/5, 1/10 and
-    1/20, summed at the inverted heights u = 5, 10, 20.  Both must hold;
-    requires even w >= 12.
-    """
-    if w < 12 or w % 2:
-        raise ValueError(f"the criterion applies to even weights >= 12, got {w}")
-    cfg = cfg or EvalConfig()
-    with mp.workprec(cfg.precision_bits):
-        route, table = _axis_route(f"X{w}_1", Fraction(1, 20), cfg), {}
-        exact_ok = (-1) ** (w // 2) * route._phi[1].coefficient(1) > 0  # Φ_1 is the E2-companion at depth 1
-        numeric_ok = all(s < -tol for s, tol in (route.s(w - 1, Fraction(1, u), table) for u in (5, 10, 20)))
-    return bool(exact_ok and numeric_ok)

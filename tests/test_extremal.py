@@ -17,7 +17,6 @@ from qmforms.extremal import (
     extremal_depth2,
     form_by_label,
     known_labels,
-    level2_families,
     weak_family,
     x_w1,
     x_w1_components,
@@ -290,15 +289,6 @@ def test_weak_family_p3():
         if n % 2 == 0:
             want -= 32 * x6.coefficient(n // 2)
         assert wf.coefficient(n) == want
-
-
-def test_level2_families_keys():
-    fam = level2_families(8, 10)
-    assert set(fam) == {"Y", "Xtilde", "weak"}
-    fam4 = level2_families(4, 10)
-    assert set(fam4) == {"Y", "Xtilde"}
-    with pytest.raises(BadWeight):
-        level2_families(5, 10)
 
 
 # ---------------------------------------------------------------------------

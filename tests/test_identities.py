@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmforms import identities
 from qmforms.extremal import form_by_label
-from qmforms.forms import eisenstein, sigma_table, theta_forms
+from qmforms.forms import eisenstein, serre_derivative, sigma_table, theta_forms
 from qmforms.identities import (
     IdentityCase,
     UnknownIdentity,
@@ -86,6 +87,14 @@ def test_spot_checks_at_full_order():
     assert verify("LCOMB-A", 120).passed
     r = verify("E2L2", 100)
     assert r.passed and r.order == 100
+
+
+def test_serre_cross_needs_each_factor_at_its_own_weight(monkeypatch):
+    # F has weight 16 and G weight 14: one weight for both cancels the E2 terms
+    assert verify("SERRE-CROSS", 30).passed
+    monkeypatch.setattr(identities, "serre_derivative", lambda f, weight: serre_derivative(f, 14))
+    result = verify("SERRE-CROSS", 30)
+    assert not result.passed and result.first_bad_exponent == F(11, 2)
 
 
 def test_unknown_identity():

@@ -5,8 +5,12 @@ from __future__ import annotations
 import gc
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,6 +25,7 @@ from qmforms.qseries import FourierSeries
 
 
 BITS = 128
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def value_at(form, t, cfg=None):
@@ -59,6 +64,15 @@ def test_custom_order_policy_still_accurate_at_large_t():
     a = value_at(form_by_label("E4", 40), 3)
     b = value_at("E4", 3)
     assert abs(a - b) < mp.mpf("1e-30")
+
+
+def test_numeric_loads_only_the_layers_it_sums_with():
+    # a fresh interpreter: the axis layer needs no identities, lambert or positivity
+    code = "import sys, qmforms.numeric; print(*sorted(m for m in sys.modules if m.startswith('qmforms.')))"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["qmforms.extremal", "qmforms.forms", "qmforms.numeric", "qmforms.qseries"]
 
 
 # ---------------------------------------------------------------------------
@@ -114,10 +128,6 @@ def test_delta_small_at_height_ten():
     with mp.workprec(BITS):
         assert report["value"] > 0
         assert report["value"] < 2 * mp.e ** (-20 * mp.pi)
-
-
-def test_delta_positive_witnesses():
-    assert numeric._delta_axis_positive(EvalConfig())
 
 
 def test_tail_estimate_is_honest_for_truncated_series():
@@ -535,6 +545,13 @@ def test_scan_decreasing_pairs():
         report = numeric.monotonicity_scan(label, m)
         assert report.verdict == "monotone_decreasing_on_grid", (label, m)
         assert report.sign_changes == ()
+    # near t = 0, s = (w−1)·F − 2πt·DF lies strictly below minus its tolerance
+    for label, m in (("X12_1", 11), ("X16_1", 15)):
+        report = numeric.monotonicity_scan(label, m, (Fraction(1, 20), Fraction(1, 5), 3))
+        assert report.verdict == "monotone_decreasing_on_grid", (label, m)
+        with mp.workprec(BITS):
+            route = numeric._axis_route(label, Fraction(1, 20), EvalConfig())
+            assert all(s < -tol for s, tol in (route.s(m, t) for t in report.grid)), (label, m)
 
 
 def test_scan_weight8_exponent_seven_brackets_one():
@@ -609,17 +626,16 @@ def test_curve_points_build_depth1_labels_for_heights_from_one(monkeypatch):
     assert labels == []
 
 
-def test_limits_and_tangent_checks_build_depth1_labels_at_the_route_order(monkeypatch):
-    # both read their label's route, so x_w1_components is asked only for the
+def test_limit_t0_builds_its_depth1_label_at_the_route_order(monkeypatch):
+    # it reads the label's route, so x_w1_components is asked only for the
     # order a route summed at heights >= 1 needs, never for a fixed deeper one
     numeric._inverting_route.cache_clear()
     orders = []
     components = extremal.x_w1_components
     monkeypatch.setattr(extremal, "x_w1_components", lambda w, order: orders.append((w, order)) or components(w, order))
     numeric.limit_t0(12)
-    numeric.tangent_conditions("X6_1", 5)
     # X12_1's climb asks for X8_1 and X6_1 at the same order unless they are cached
-    assert orders[0] == (12, ROUTE_ORDER_128) and orders[-1] == (6, ROUTE_ORDER_128)
+    assert orders[0] == (12, ROUTE_ORDER_128)
     assert {order for _, order in orders} == {ROUTE_ORDER_128}
 
 
@@ -749,27 +765,8 @@ def test_curve_points_match_direct_evaluation_above_one():
 
 
 # ---------------------------------------------------------------------------
-# tangent and small-t criteria
+# bracket form and small-t limits
 # ---------------------------------------------------------------------------
-
-
-def test_tangent_conditions_pass_cases():
-    for w, m in ((6, 5), (12, 11), (14, 13)):
-        result = numeric.tangent_conditions(f"X{w}_1", m)
-        assert result["verdict"] == "pass", (w, m)
-        assert result["bracket_form_positive"] is True
-        with mp.workprec(BITS):
-            target = 2 * mp.pi / m
-            assert abs(result["limit_ratio"] - target) / target < mp.mpf("1e-20")
-
-
-def test_tangent_conditions_weight8_fails_on_bracket():
-    result = numeric.tangent_conditions("X8_1", 7)
-    assert result["verdict"] == "fail"
-    assert result["bracket_form_positive"] is False
-    with mp.workprec(BITS):
-        target = 2 * mp.pi / 7
-        assert abs(result["limit_ratio"] - target) / target < mp.mpf("1e-20")
 
 
 def test_weight8_bracket_fallback_scan_sees_negative_coefficient():
@@ -810,22 +807,6 @@ def test_limit_t0_weight10_value_below_point_evaluation():
 def test_limit_t0_validation():
     with pytest.raises(ValueError):
         numeric.limit_t0(7)
-
-
-def test_small_t_positivity_results():
-    assert numeric.small_t_positivity_check(12) is True
-    assert numeric.small_t_positivity_check(16) is True
-    # weight 14: the first-order companion coefficient vanishes, so the
-    # strict sign criterion is inconclusive there (the weight-14 scans
-    # settle that case separately).
-    assert numeric.small_t_positivity_check(14) is False
-
-
-def test_small_t_positivity_domain():
-    with pytest.raises(ValueError):
-        numeric.small_t_positivity_check(10)
-    with pytest.raises(ValueError):
-        numeric.small_t_positivity_check(13)
 
 
 def test_companion_first_coefficient_alternation():
