@@ -339,6 +339,9 @@ _SCAN_DECREASING_PAIRS = (
     ("X8_1", 6),
     ("X10_1", 8),
 )
+_SCAN_FAMILY = tuple((f"X{w}_1", a_w_exponent(w)) for w in range(6, 26, 2))
+# C9's scans: three of the nine pairs are also family members, so each distinct scan runs once
+SCAN_PAIRS = tuple(dict.fromkeys((*_SCAN_DECREASING_PAIRS, ("X8_1", 7), ("X10_1", 9), *_SCAN_FAMILY)))
 
 
 # C9's scans for C10, inside one acceptance_checks call only (None outside one)
@@ -568,14 +571,11 @@ def _criterion_limits() -> dict:
 
 def _criterion_scans() -> dict:
     start = time.perf_counter()
-    family = [(f"X{w}_1", a_w_exponent(w)) for w in range(6, 26, 2)]
-    # three of the nine pairs are also family members: each distinct scan runs once
-    pairs = dict.fromkeys((*_SCAN_DECREASING_PAIRS, ("X8_1", 7), ("X10_1", 9), *family))
-    scans = numeric.monotonicity_scans(list(pairs))
+    scans = numeric.monotonicity_scans(SCAN_PAIRS)
     if (shared := _RUN_SCANS.get()) is not None:
         shared.update(scans)
     nine_ok, family_ok = (all(scans[pair].verdict == "monotone_decreasing_on_grid" for pair in group)
-                          for group in (_SCAN_DECREASING_PAIRS, family))
+                          for group in (_SCAN_DECREASING_PAIRS, _SCAN_FAMILY))
     r81 = scans["X8_1", 7]
     r81_ok = (
         r81.verdict == "sign_change_found"

@@ -212,12 +212,10 @@ def x_w2(w: int, order: int = DEFAULT_ORDER) -> FourierSeries:
             e6.derivative().scale(F(-1, 15120))
             - e4.derivative().derivative().scale(F(1, 7200))
         )
-    if w == 10:
-        e4 = eisenstein(4, order)
+    if w == 10:  # D(E4²)/60480 + D²E6/63504, with E4² = E8 (M8 is one-dimensional)
+        e8 = eisenstein(8, order)
         e6 = eisenstein(6, order)
-        return (e4 * e4).derivative().scale(F(1, 60480)) + e6.derivative().derivative().scale(
-            F(1, 63504)
-        )
+        return e8.derivative().scale(F(1, 60480)) + e6.derivative().derivative().scale(F(1, 63504))
     if w == 12:
         e8 = eisenstein(8, order)
         e10 = eisenstein(10, order)
@@ -249,8 +247,9 @@ def _depth2_monomials(w: int) -> list[tuple[int, int, int]]:
 
 
 def _monomial_series(j: int, a: int, b: int, order: int) -> FourierSeries:
-    """E2^j·E4^a·E6^b, multiplying only the factors with nonzero exponents."""
-    powers = [eisenstein(k, order) ** e for k, e in ((2, j), (4, a), (6, b)) if e]
+    """E2^j·E4^a·E6^b, with E4² = E8 (M8 is one-dimensional), multiplying only
+    the factors with nonzero exponents."""
+    powers = [eisenstein(k, order) ** e for k, e in ((2, j), (8, a // 2), (4, a % 2), (6, b)) if e]
     return reduce(FourierSeries.__mul__, powers) if powers else FourierSeries.one(order)
 
 

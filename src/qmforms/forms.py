@@ -311,11 +311,11 @@ def e2_half_arguments(order: int = DEFAULT_ORDER) -> tuple[FourierSeries, Fourie
 
 def form_f_parts(order: int = DEFAULT_ORDER) -> tuple[FourierSeries, ...]:
     """E2-parts (A_0, A_1, A_2) of :func:`form_f`: 49 E4 E6^2 - 25 E4^4,
-    -48 E4^2 E6 and 49 E4^3 - 25 E6^2."""
-    e4, e6 = eisenstein(4, order), eisenstein(6, order)
-    e4sq, e6sq = e4 * e4, e6 * e6
-    return ((e4 * e6sq).scale(49) - (e4sq * e4sq).scale(25), (e4sq * e6).scale(-48),
-            (e4sq * e4).scale(49) - e6sq.scale(25))
+    -48 E4^2 E6 and 49 E4^3 - 25 E6^2, formed with E4^2 = E8 and E4 E6 = E10
+    (M8 and M10 are one-dimensional)."""
+    e4, e6, e8, e10 = (eisenstein(k, order) for k in (4, 6, 8, 10))
+    return ((e10 * e6).scale(49) - (e8 * e8).scale(25), (e8 * e6).scale(-48),
+            (e8 * e4).scale(49) - (e6 * e6).scale(25))
 
 
 @grow_only

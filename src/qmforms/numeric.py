@@ -13,7 +13,8 @@ monotonicity study of t ↦ t^m F(it):
   cache that ``eval``, scans, curves and limits share;
 * geometric-grid scans of s(t) = m·F(it) − 2πt·F'(it), whose sign is
   the sign of d/dt [t^m F(it)], run as one batch: one grid, one route per
-  label, one q per summed height;
+  label, and one record per height (its q, −2π·t or u = 1/t and the inversion
+  factors, each evaluator's sum) that every pair and route reads;
 * the small-t limit of t^(w−1)·X_(w,1)(it) as t → 0+, measured on the
   label's route and set against the limit the inversion predicts.
 
@@ -31,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from math import ceil, comb
 from typing import NamedTuple, Sequence
@@ -233,8 +234,8 @@ class _AxisRoute:
     x-term T_1 is the zero series, so nothing cancels in floating point.
     A route keeps only its exact series and the F, DF, Φ_p and Ψ_p
     evaluators, so one route serves any number of calls.  Each read takes
-    the caller's ``table``: q per height, grain and precision, and each
-    exponent's T_p evaluators, so reads sharing a table form each once.
+    the caller's ``table``: each exponent's T_p evaluators and a
+    :class:`_Height` per height, so reads sharing a table form each once.
     """
 
     def __init__(self, parts: Sequence[FourierSeries], weight: int | None = None):
@@ -262,29 +263,8 @@ class _AxisRoute:
         """(value, tolerance) of (−1)^(weight/2)·u^weight·Σ_p x^p·G_p(iu) over
         ``terms`` = (p − first, evaluator of G_p) pairs at the exact u = 1/t;
         u^weight·x^j takes weight + 2, 4|j| + 2 (x has four) and 1 roundings."""
-        u = 1 / _exact(t)
-        um = _mpf(u)
-        x, scale = -6 / (mp.pi * um), (-1) ** (weight // 2) * um**weight
-        weighted = [(scale * x ** (p + first), weight + 4 * abs(p + first) + 5 + len(terms), e) for p, e in terms]
-        return self._at(weighted, u, table)
-
-    def _at(self, weighted: Sequence, t, table: dict | None = None) -> tuple:
-        """(Σ k·G(it), tolerance) over ``(k, c, evaluator of G)``, k·G formed and
-        summed with at most c roundings (Higham, §3.1): Σ |k|·e + 2^-prec·c·
-        (|k·G| + |k|·e), e = dropped + beyond + rounding of G."""
-        height, total, logs, table = _exact(t), mp.zero, [], {} if table is None else table
-        for k, c, e in weighted:
-            value, bounds, _ = e._sum(self._q(height, t, e, table))
-            total += k * value
-            lk, le = mp.mag(k), _log2_sum(bounds)
-            logs += (lk + le, lk + math.log2(c) - mp.prec + _log2_sum((mp.mag(value), le)))
-        return total, _power_bound(_log2_sum(logs))
-
-    @staticmethod
-    def _q(height: Fraction, t, e: AxisEvaluator, table: dict) -> tuple:
-        """The :func:`_fixed_q` of ``e`` at t, formed once per height, grain and precision in ``table``."""
-        key = height, e.grain, e._prec
-        return table[key] if key in table else table.setdefault(key, _fixed_q(t, *key[1:]))
+        u = _height(t, table).inverse
+        return u.sum([(u.factor(weight, p + first), weight + 4 * abs(p + first) + 5 + len(terms), e) for p, e in terms])
 
     def _direct(self, t) -> bool:
         _require_positive(t)
@@ -293,20 +273,74 @@ class _AxisRoute:
     def value(self, t, table: dict | None = None) -> tuple:
         """(F(it), tolerance)."""
         if self._direct(t):
-            return self._at(((mp.one, 1, self.f),), t, table)
+            return _height(t, table).sum(((mp.one, 1, self.f),))
         return self._inverted(self.w, self._below("phi"), t, 0, table)
 
     def derivative(self, t, table: dict | None = None) -> tuple:
         """(DF(it), tolerance), D = q·d/dq."""
         if self._direct(t):
-            return self._at(((mp.one, 1, self.fp),), t, table)
+            return _height(t, table).sum(((mp.one, 1, self.fp),))
         return self._inverted(self.w + 2, self._below("psi"), t, 0, table)
 
     def s(self, m: int, t, table: dict | None = None) -> tuple:
         """(s, tolerance) for s = m·F − 2πt·DF; 2πt takes three roundings."""
         if self._direct(t):
-            return self._at(((mp.mpf(m), 2, self.f), (-2 * mp.pi * _mpf(t), 5, self.fp)), t, table)
+            height = _height(t, table)
+            return height.sum(((mp.mpf(m), 2, self.f), (height.minus_two_pi_t, 5, self.fp)))
         return self._inverted(self.w, self._below(m, table), t, -1, table)
+
+
+def _height(t, table: dict | None) -> _Height:
+    """``table``'s record of height t, formed on first use; without a table, a new one."""
+    return _Height(t) if table is None else table.get(t) or table.setdefault(t, _Height(t))
+
+
+class _Height:
+    """One height t of a ``table``, shared by every read there of any route or
+    exponent.  Each of its parts is formed on first use, at that read's
+    ``mp.prec`` (a table serves one precision): the :func:`_fixed_q` per
+    (grain, prec), each evaluator's sum as (value, log2 error, log2 of |value|
+    + error), −2π·t, and the record of the exact u = 1/t that inverted reads
+    sum at, with x = −6/(π·u) and each (−1)^(w/2)·u^w·x^p."""
+
+    def __init__(self, t):
+        self.t, self.mpf, self._q, self._sums, self._factors = t, _mpf(t), {}, {}, {}
+
+    def sum(self, weighted: Sequence) -> tuple:
+        """(Σ k·G(it), tolerance) over ``(k, c, evaluator of G)``, k·G formed and
+        summed with at most c roundings (Higham, §3.1): Σ |k|·e + 2^-prec·c·
+        (|k·G| + |k|·e), e = dropped + beyond + rounding of G, each G summed
+        once at this height."""
+        total, logs = mp.zero, []
+        for k, c, e in weighted:
+            if e not in self._sums:
+                if (key := (e.grain, e._prec)) not in self._q:
+                    self._q[key] = _fixed_q(self.t, *key)
+                value, bounds, _ = e._sum(self._q[key])
+                error = _log2_sum(bounds)
+                self._sums[e] = value, error, _log2_sum((mp.mag(value), error))
+            value, error, size = self._sums[e]
+            total += k * value
+            lk = mp.mag(k)
+            logs += (lk + error, lk + math.log2(c) - mp.prec + size)
+        return total, _power_bound(_log2_sum(logs))
+
+    @cached_property
+    def inverse(self) -> _Height:
+        return _Height(1 / _exact(self.t))
+
+    @cached_property
+    def minus_two_pi_t(self) -> mp.mpf:
+        return -2 * mp.pi * self.mpf
+
+    @cached_property
+    def x(self) -> mp.mpf:
+        return -6 / (mp.pi * self.mpf)
+
+    def factor(self, w: int, p: int) -> mp.mpf:
+        if (w, p) not in self._factors:
+            self._factors[w, p] = (-1) ** (w // 2) * self.mpf**w * self.x**p
+        return self._factors[w, p]
 
 
 def _axis_route(label: str, t_min, cfg: EvalConfig) -> _AxisRoute:
@@ -332,8 +366,9 @@ def _inverting_route(label: str, bits: int, prec: int) -> _AxisRoute:
     order = ceil(2 * (bits + GUARD_BITS) * math.log(2) / (2 * math.pi))
     with mp.workprec(prec):
         while True:
-            route, table = _AxisRoute(desc.parts(order), desc.weight), {}
-            at_one = [(e._sum(route._q(Fraction(1), 1, e, table)), len(e._nums)) for e in (route.f, route.fp)]
+            route = _AxisRoute(desc.parts(order), desc.weight)
+            q = _fixed_q(1, route.f.grain, route.f._prec)  # DF has F's grain and precision
+            at_one = [(e._sum(q), len(e._nums)) for e in (route.f, route.fp)]
             if all(n < size and beyond <= rounding for (_, (_, beyond, rounding), n), size in at_one):
                 return route
             order *= 2
@@ -419,10 +454,12 @@ def monotonicity_scans(pairs: Sequence, grid_spec: tuple = DEFAULT_GRID_SPEC,
     """{(label, m): ScanReport} of the sign of d/dt [t^m F(it)] on one grid.
 
     ``grid_spec`` is (t_min, t_max, points).  The grid is built once, each
-    label's :func:`_axis_route` once, and every route reads one table of q,
-    formed once per summed height, and of T_p evaluators, built once per
-    (label, m); only the cached routes outlive the call.  Each tolerance
-    counts the dropped-terms bounds, the tail heuristics and rounding.
+    label's :func:`_axis_route` once, and every route reads one table: a
+    :class:`_Height` per grid point, whose q, weights and evaluator sums are
+    formed once (F and DF at t >= 1 serve every m of a label), and T_p
+    evaluators built once per (label, m); only the cached routes outlive the
+    call.  Each tolerance counts the dropped-terms bounds, the tail heuristics
+    and rounding.
     Verdicts: ``sign_change_found`` when two consecutive grid points carry
     strictly opposite signs beyond tolerance, ``monotone_decreasing_on_grid``
     when every point is <= 0 within tolerance, ``not_decreasing_on_grid``

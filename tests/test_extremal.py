@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
+from qmforms import extremal
 from qmforms.extremal import (
     MAX_DEPTH1_WEIGHT,
     BadWeight,
@@ -24,7 +26,8 @@ from qmforms.extremal import (
     xtilde_form,
     y_form,
 )
-from qmforms.forms import eisenstein, recompose_parts, sigma, tau
+from qmforms.forms import eisenstein, form_f_parts, recompose_parts, sigma, tau
+from qmforms.qseries import FourierSeries
 
 F = Fraction
 
@@ -234,6 +237,24 @@ def test_depth2_parts_recompose_to_the_family():
     a0, a1, a2 = depth2_parts(8, 10)
     assert a0 == eisenstein(4, 10) * eisenstein(4, 10) * a0.coefficient(0)
     assert a1 == eisenstein(6, 10).scale(a1.coefficient(0)) and a2 == eisenstein(4, 10).scale(a2.coefficient(0))
+
+
+def test_builders_take_eisenstein_products_from_the_sieve(monkeypatch):
+    # M8 and M10 are one-dimensional, so E4·E4 = E8 and E4·E6 = E10 exactly;
+    # each builder that reads E8 for E4² (or E10 for E4·E6) equals its form
+    # built from products of E4 and E6
+    order = 600
+    e4, e6 = eisenstein(4, order), eisenstein(6, order)
+    e4sq, e6sq = e4 * e4, e6 * e6
+    assert e4sq == eisenstein(8, order) and e4 * e6 == eisenstein(10, order)
+    assert x_w2(10, order) == e4sq.derivative().scale(F(1, 60480)) + e6.derivative().derivative().scale(F(1, 63504))
+    assert form_f_parts(order) == ((e4 * e6sq).scale(49) - (e4sq * e4sq).scale(25), (e4sq * e6).scale(-48),
+                                   (e4sq * e4).scale(49) - e6sq.scale(25))
+    # depth2_parts(16) rebuilt, uncached, with every monomial a product of powers of E2, E4 and E6
+    parts = depth2_parts(16, order)
+    monkeypatch.setattr(extremal, "_monomial_series", lambda j, a, b, n: reduce(
+        FourierSeries.__mul__, [eisenstein(k, n) ** e for k, e in ((2, j), (4, a), (6, b)) if e]))
+    assert depth2_parts.__wrapped__(16, order) == parts
 
 
 def test_solver_recovers_depth1_seed():

@@ -684,9 +684,9 @@ def test_a_route_built_for_height_one_holds_there_and_matches_order_for_one(labe
 def test_a_batch_forms_each_q_once_and_builds_each_route_once(monkeypatch):
     # C9's 18 (label, m) pairs over 14 labels: one q per summed height (t at
     # t >= 1, 1/t below) and one for each route build's check at t = 1, not
-    # one per point; a second batch finds every route built
-    pairs = list(dict.fromkeys((*cli._SCAN_DECREASING_PAIRS, ("X8_1", 7), ("X10_1", 9),
-                                *((f"X{w}_1", a_w_exponent(w)) for w in range(6, 26, 2)))))
+    # one per point; a second batch finds every route built, and each pair's
+    # report is the one its own scan gives
+    pairs = list(cli.SCAN_PAIRS)
     numeric._inverting_route.cache_clear()
     exps, routes = [], []
     exp, init = mp.exp, numeric._AxisRoute.__init__
@@ -702,8 +702,53 @@ def test_a_batch_forms_each_q_once_and_builds_each_route_once(monkeypatch):
     assert numeric.monotonicity_scans(pairs) == reports
     assert len(routes) == 0 and len(exps) == len(heights)
     monkeypatch.undo()
-    for pair in (("X8_1", 6), ("X8_1", 7)):
-        assert reports[pair] == numeric.monotonicity_scan(*pair)
+    for pair in pairs:
+        assert reports[pair] == numeric.monotonicity_scan(*pair), pair
+
+
+def test_a_batch_sums_each_evaluator_once_per_height(monkeypatch):
+    # F and DF at t >= 1 serve every exponent of a label, so X8_1, X10_1,
+    # X12_1 and X14_1, each scanned at two exponents, sum them once per
+    # height; below t = 1 each pair sums its own T_p.  A cold batch adds each
+    # route build's F and DF at t = 1
+    pairs = cli.SCAN_PAIRS
+    numeric._inverting_route.cache_clear()
+    sums, summed = [], numeric.AxisEvaluator._sum
+    monkeypatch.setattr(numeric.AxisEvaluator, "_sum", lambda self, q: sums.append(self) or summed(self, q))
+    reports = numeric.monotonicity_scans(pairs)
+    cold = len(sums)
+    sums.clear()
+    assert numeric.monotonicity_scans(pairs) == reports
+    grid = reports[pairs[0]].grid
+    above, labels = sum(t >= 1 for t in grid), dict.fromkeys(label for label, _ in pairs)
+    with mp.workprec(BITS):
+        below = sum(len(numeric._axis_route(label, grid[0], EvalConfig())._below(m)) for label, m in pairs)
+    assert len(sums) == 2 * above * len(labels) + below * (len(grid) - above) <= 2430
+    assert cold == len(sums) + 2 * len(labels)
+
+
+@settings(max_examples=40, deadline=None)
+@given(label=st.sampled_from(INVERTED_LABELS + ("Delta", "F", "E2")), m=st.integers(1, 25),
+       heights=st.lists(st.fractions(Fraction(1, 20), 20), min_size=1, max_size=4),
+       bits=st.sampled_from((128, 256)))
+@example(label="X8_1", m=7, heights=[Fraction(1, 20), Fraction(1), Fraction(20)], bits=128)
+def test_reads_through_a_shared_table_equal_reads_through_a_fresh_one(label, m, heights, bits):
+    # a table that other routes, exponents and reads have already filled at
+    # the same heights gives every read the same mpf as an empty table
+    cfg = EvalConfig(bits)
+    with mp.workprec(bits):
+        route = numeric._axis_route(label, Fraction(1, 20), cfg)
+        other = numeric._axis_route("X8_1", Fraction(1, 20), cfg)
+        grid, table = [numeric._mpf(t) for t in heights], {}
+        for t in grid:
+            other.s(7, t, table)
+            other.value(t, table)
+            route.s(m + 1, t, table)
+            route.derivative(t, table)
+        for t in grid:
+            for read in (lambda tab: route.s(m, t, tab), lambda tab: route.value(t, tab),
+                         lambda tab: route.derivative(t, tab)):
+                assert read(table) == read({}), (label, m, t, bits)
 
 
 def test_delta_at_a_large_height_matches_its_product_within_the_tail():

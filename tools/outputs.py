@@ -3,9 +3,11 @@
     python3 tools/outputs.py --seed N [--scale S] > lines.txt
 
 Runs every ``tables`` and ``axis`` op that ``bench/workloads.generate`` lists
-for the seed, then ``qmf report --format json``, in that order and in this
-process, through ``qmforms.cli.run`` of this checkout.  Each line holds the
-exit code, the sha256 of the op's stdout with its timing fields
+for the seed, then ``qmf report --format json``, then ``qmf scan L --m M
+--format json`` for each of the report's scan pairs (``cli.SCAN_PAIRS``), in
+that order and in this process, through ``qmforms.cli.run`` of this checkout.
+The report prints only verdicts; the scans add every s-value.  Each line
+holds the exit code, the sha256 of the op's stdout with its timing fields
 (``elapsed``, ``runtime_s``) masked, and the argv.  So ``diff`` of the lines
 of two checkouts at one seed lists every op whose output changed.  The
 certificate ops write into ``.bench_work/``, which is created before the
@@ -34,8 +36,9 @@ TIMING = re.compile(r'("(?:elapsed|runtime_s)": )[-+0-9.eE]+')
 
 
 def ops(seed: int, scale: float) -> list[list[str]]:
-    """The ops compared: the seed's tables and axis ops, then the report."""
-    return generate("tables", seed, scale) + generate("axis", seed, scale) + [["report", "--format", "json"]]
+    """The ops compared: the seed's tables and axis ops, the report, then each of its scans."""
+    scans = [["scan", label, "--m", str(m), "--format", "json"] for label, m in cli.SCAN_PAIRS]
+    return generate("tables", seed, scale) + generate("axis", seed, scale) + [["report", "--format", "json"]] + scans
 
 
 def line(argv: list[str]) -> str:
