@@ -145,36 +145,6 @@ def lcomb_combination(
     )
 
 
-def series_divide(num: FourierSeries, den: FourierSeries, through) -> FourierSeries:
-    """Exact series quotient num/den through the given absolute exponent.
-
-    The divisor's leading coefficient must be nonzero; exponents of the
-    quotient start at num's leading exponent minus den's.
-    """
-    lead = den.leading()
-    if lead is None:
-        raise ZeroDivisionError("division by the zero series")
-    grain = math.lcm(den.grain, num.grain)
-    num, den = num.with_grain(grain), den.with_grain(grain)
-    shift = int(lead[0] * grain)
-    dvals = den.nums[shift:]
-    nvals = num.nums
-    top = int(Fraction(through) * grain)
-    if top + shift >= len(nvals):
-        raise ValueError(
-            f"quotient through {Fraction(through)} needs numerator coefficients "
-            f"beyond its stored order {num.order}"
-        )
-    # divide the integer numerators; the common denominators give den.den / num.den
-    out = []
-    for i in range(top + 1):
-        acc = Fraction(nvals[i + shift])
-        for j in range(1, min(i, len(dvals) - 1) + 1):
-            acc -= dvals[j] * out[i - j]
-        out.append(acc / dvals[0])
-    return FourierSeries.from_coefficients(out, grain=grain).scale(Fraction(den.den, num.den))
-
-
 # ---------------------------------------------------------------------------
 # the registry
 # ---------------------------------------------------------------------------

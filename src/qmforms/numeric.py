@@ -20,11 +20,11 @@ monotonicity study of t ↦ t^m F(it):
 
 Every sum goes through :class:`AxisEvaluator`, an integer Horner sum of a
 series' exact numerators to each point's own cut (``EvalConfig.order_for``
-sets direct sums' build order).  Its reported error counts a bound on the
-stored terms it dropped, a counted bound on its rounding, and a geometric
-heuristic (not a proven bound) for the terms past the stored order.  Scans
-are labelled "on grid": signs at grid points with stated tolerances, never
-a proof of monotonicity in between.
+sets direct sums' build order); route reads combine the sums as integer
+:class:`Ball` values.  A ball's radius bounds the dropped stored terms, every
+rounding and each constant's error, and holds a geometric heuristic (not yet a
+proven bound) for the terms past the stored order.  Scans are labelled "on
+grid": signs at grid points with stated tolerances, never a proof in between.
 """
 
 from __future__ import annotations
@@ -112,15 +112,50 @@ class AxisSum(NamedTuple):
     terms: int
 
 
-def _log2_sum(logs: Sequence[float]) -> float:
-    """log2 Σ 2^l over exponents l: floats, or ``mp.mag(x) >= log2 |x|``."""
-    top = max(logs, default=-math.inf)
-    return top + math.log2(sum(2.0 ** (lg - top) for lg in logs)) if top > -math.inf else top
+class Ball(NamedTuple):
+    """The reals [mid − rad, mid + rad]·2^exp: ``+`` and ``*`` exact, ``trim``
+    rounding outward (after Arb: Johansson, IEEE Trans. Comput. 66, 2017)."""
+
+    mid: int
+    rad: int  # >= 0
+    exp: int
+
+    def __add__(self, other: Ball) -> Ball:
+        e = min(self.exp, other.exp)
+        a, b = self.exp - e, other.exp - e
+        return Ball((self.mid << a) + (other.mid << b), (self.rad << a) + (other.rad << b), e)
+
+    def __mul__(self, other: Ball) -> Ball:
+        rad = abs(self.mid) * other.rad + abs(other.mid) * self.rad + self.rad * other.rad
+        return Ball(self.mid * other.mid, rad, self.exp + other.exp)
+
+    def trim(self) -> Ball:
+        """At most mp.prec + 2·GUARD_BITS bits each: mid floored, rad one unit up."""
+        s = max(abs(self.mid).bit_length(), self.rad.bit_length()) + 1 - mp.prec - 2 * GUARD_BITS
+        return self if s <= 0 else Ball(self.mid >> s, -(-self.rad >> s) + 1, self.exp + s)
+
+    def as_mpf(self) -> tuple:
+        """(mid at mp.prec bits, a bound rounded up on its distance from the ball)."""
+        units = self.rad + (abs(self.mid) >> mp.prec)  # with mid's own rounding
+        s = max(0, units.bit_length() - mp.prec)
+        return mp.mpf((self.mid, self.exp)), mp.mpf((-(-units >> s), self.exp + s))
 
 
-def _power_bound(log2_bound: float) -> mp.mpf:
-    """2^⌈e + 2^-20⌉ >= 2^e, 2^-20 covering e's float error; 0 at e = −inf."""
-    return mp.ldexp(1, ceil(log2_bound + 2**-20)) if log2_bound > -math.inf else mp.zero
+def _ball(num: int, den: int) -> Ball:
+    """num/den, den > 0, floored to mp.prec + 2·GUARD_BITS + 1 bits at most."""
+    s = mp.prec + 2 * GUARD_BITS - 1 + den.bit_length() - abs(num).bit_length()
+    mid, rest = divmod(num << s, den) if s >= 0 else divmod(num, den << -s)
+    return Ball(mid, 1 if rest else 0, -s)
+
+
+@lru_cache(maxsize=64)
+def _x_power(p: int, prec: int) -> Ball:
+    """(−6/π)^p = x^p·u^p, x = −6/(πu), at mp.prec = ``prec``: from π of one ulp or 1/π
+    of two (π's rounding and its own), each mantissa first widened to ``prec`` bits."""
+    x = +mp.pi if p < 0 else 1 / mp.pi
+    s = prec - x.man.bit_length()
+    six = _ball((-6) ** p, 1) if p >= 0 else _ball(-1, 6)
+    return math.prod([Ball(x.man << s, 1 if p < 0 else 2, x.exp - s)] * abs(p), start=six).trim()
 
 
 def _fixed_q(t, grain: int, prec: int) -> tuple:
@@ -138,17 +173,18 @@ class AxisEvaluator:
 
     Build and use it inside one ``mp.workprec`` block.  At wp = prec +
     GUARD_BITS it sums the exact numerators by Horner in Python integers at a
-    fixed point, then divides by ``den`` once; where q^k0 < 2^-wp for the first
-    nonzero c_k0, it sums from c_k0 and scales by q^k0 = Q^k0·2^(−k0·F) once,
-    so its width does not grow with the height.  At q = e^(−2πt/grain) a point
-    sums c_0..c_(N−1), N the first index where 2^h·q^N/(1−q), 2^h bounding
-    every later |c_n| by bit lengths with a bit to spare, is below 2^-wp of
-    the largest term: that is ``dropped``.  ``beyond`` is TAIL_SAFETY·|c_K|·
-    q^K/(1 − e^(−2πt)) for the last nonzero c_K, 0 if K = 0.  With
-    |c_k|·q^k < 2^P, k < N, and an accumulator unit at most 2^(P−wp), the
-    ``rounding`` N·(N + 1)·2^(P−wp) + 2^(1−prec)·|quotient| counts N truncations
-    of acc·Q, Q's error k-fold in q^k and the one division (Higham, *Accuracy
-    and Stability of Numerical Algorithms*, §5.1).  All three are log2 floats.
+    fixed point; where q^k0 < 2^-wp for the first nonzero c_k0, it sums from
+    c_k0 and scales by q^k0 = Q^k0·2^(−k0·F) once, so its width does not grow
+    with the height.  At q = e^(−2πt/grain) a point sums c_0..c_(N−1), N the
+    first index where 2^h·q^N/(1−q), 2^h bounding every later |c_n| by bit
+    lengths with a bit to spare, is below 2^-wp of the largest term: that is
+    ``dropped``.  ``beyond``, a heuristic, is TAIL_SAFETY·|c_K|·q^K/(1 − e^(−2πt))
+    for the last nonzero c_K, 0 if K = 0.  With |c_k|·q^k < 2^P, k < N, and an
+    accumulator unit at most 2^(P−wp), ``rounding`` N·(N + 1)·2^(P−wp) counts N
+    truncations of acc·Q and Q's error k-fold in q^k (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, §5.1).  A point is a :class:`Ball` of
+    unit 2^(P−prec−2·GUARD_BITS): ⌊sum/den⌋, one unit, and each of the three
+    log2 floats as an outward power of two.
     """
 
     def __init__(self, series: FourierSeries):
@@ -167,38 +203,47 @@ class AxisEvaluator:
     def _cut(self, step: float, offset: float) -> tuple[int, float]:
         """First N whose dropped-terms bound 2^(_suffix[N] − N·step + offset)
         is below the budget (0 for the zero series), and the peak: |c_n|·q^n < 2^(peak + 2), n < N."""
-        peak = -math.inf
+        peak, budget, suffix, prec = -math.inf, -math.inf, self._suffix, self._prec
         for n, low in enumerate(self._low):
-            if self._suffix[n] - n * step + offset <= peak - self._prec:
+            ns = n * step
+            if suffix[n] - ns + offset <= budget:
                 return n, peak
-            peak = max(peak, low - n * step)
+            if low - ns > peak:
+                peak, budget = low - ns, low - ns - prec
         return len(self._low), peak
 
     def _sum(self, fixed_q: tuple) -> tuple:
-        """(value, log2 of (dropped, beyond, rounding), N) at a :func:`_fixed_q` height."""
+        """(ball, units of (dropped, beyond), log2 of (dropped, beyond,
+        rounding), N) at a :func:`_fixed_q` height."""
         x, big_q, shift = fixed_q
         step, offset = x / math.log(2), -math.log2(-math.expm1(-x))
         n, peak = self._cut(step, offset)
-        value, rounding = mp.zero, -math.inf
-        if peak > -math.inf:
-            top = ceil(peak) + 3  # a bit to spare over the float peak
-            k0 = self._first if self._first * step > self._prec else 0
-            # finer, for sums that cancel; Σ c_(k0+j)·q^j peaks near peak + k0·step
-            f = max(0, self._prec + GUARD_BITS - ceil(peak + k0 * step) - 2 - self._den.bit_length())
-            nums, acc = self._nums, 0
-            for k in range(n - 1, k0 - 1, -1):
-                acc = (nums[k] << f) + (acc * big_q >> shift)
-            scaled = acc * big_q**k0  # q^k0 = Q^k0·2^(−k0·F), exact apart from Q's own error
-            value = mp.ldexp(mp.fdiv(scaled, self._den << f), -k0 * shift)
-            quotient = math.log2(abs(scaled)) - math.log2(self._den) - f - k0 * shift if acc else -math.inf
-            rounding = _log2_sum((math.log2(n * (n + 1)) + top - self._prec, quotient + 1 - mp.prec))
+        dropped = self._suffix[n] - n * step + offset
         beyond = self._top - self._last * step - math.log2(-math.expm1(-self.grain * x))
-        return value, (self._suffix[n] - n * step + offset, beyond, rounding), n
+        if peak == -math.inf:
+            return Ball(0, 0, 0), (0, 0), (dropped, beyond, -math.inf), n
+        top = ceil(peak) + 3  # a bit to spare over the float peak
+        k0 = self._first if self._first * step > self._prec else 0
+        # finer, for sums that cancel; Σ c_(k0+j)·q^j peaks near peak + k0·step
+        f = max(0, self._prec + GUARD_BITS - ceil(peak + k0 * step) - 2 - self._den.bit_length())
+        nums, acc = self._nums, 0
+        for k in range(n - 1, k0 - 1, -1):
+            acc = (nums[k] << f) + (acc * big_q >> shift)
+        scaled = acc * big_q**k0  # q^k0 = Q^k0·2^(−k0·F), exact apart from Q's own error
+        e = top - self._prec - GUARD_BITS
+        s = -f - k0 * shift - e  # ⌊scaled·2^s / den⌋ is the sum in units of 2^e
+        mid = (scaled << s) // self._den if s >= 0 else (scaled >> -s) // self._den
+        # 2^⌈l + 2^-20⌉ >= 2^l, 2^-20 covering l's float error, and one unit at least
+        parts = [1 << max(0, ceil(lg + 2**-20) - e) if lg > -math.inf else 0 for lg in (dropped, beyond)]
+        rad = 1 + (n * (n + 1) << GUARD_BITS) + sum(parts)
+        return Ball(mid, rad, e), parts, (dropped, beyond, math.log2(n * (n + 1)) + top - self._prec), n
 
     def at(self, t) -> AxisSum:
-        """The series at z = it."""
-        value, bounds, n = self._sum(_fixed_q(t, self.grain, self._prec))
-        return AxisSum(value, *map(_power_bound, bounds), n)
+        """The series at z = it: the ball's midpoint at mp.prec bits, and its
+        radius split in three, ``rounding`` with the midpoint's own."""
+        ball, parts, _, n = self._sum(_fixed_q(t, self.grain, self._prec))
+        rounding = ball.rad - sum(parts) + (abs(ball.mid) >> mp.prec)
+        return AxisSum(*(mp.mpf((k, ball.exp)) for k in (ball.mid, *parts, rounding)), n)
 
 
 def _collected(parts: Sequence[FourierSeries], start: int = 0) -> list:
@@ -206,11 +251,6 @@ def _collected(parts: Sequence[FourierSeries], start: int = 0) -> list:
     when E2 is replaced by E2 + x in Σ_j E2^j·A_j."""
     return [recompose_parts([part.scale(comb(j, p)) for j, part in enumerate(parts[p:], p)])
             for p in range(start, len(parts))]
-
-
-def _evaluators(series: Sequence[FourierSeries]) -> list:
-    """(p, evaluator) for each nonzero series[p]."""
-    return [(p, AxisEvaluator(g)) for p, g in enumerate(series) if not g.is_zero()]
 
 
 class _AxisRoute:
@@ -233,9 +273,10 @@ class _AxisRoute:
     with Φ_(−1) = 0, each T_p an exact series.  At m = w−1 on depth 1 the
     x-term T_1 is the zero series, so nothing cancels in floating point.
     A route keeps only its exact series and the F, DF, Φ_p and Ψ_p
-    evaluators, so one route serves any number of calls.  Each read takes
-    the caller's ``table``: each exponent's T_p evaluators and a
-    :class:`_Height` per height, so reads sharing a table form each once.
+    evaluators, so one route serves any number of calls.  Each read returns
+    a :class:`Ball` and takes the caller's ``table``: each exponent's T_p
+    evaluators and a :class:`_Height` per height, so reads sharing a table
+    form each once.
     """
 
     def __init__(self, parts: Sequence[FourierSeries], weight: int | None = None):
@@ -252,42 +293,36 @@ class _AxisRoute:
         exponent m, kept in the caller's ``table``."""
         memo, slot = (self._lazy, key) if key in ("phi", "psi") else ({} if table is None else table, (self, key))
         if slot not in memo:
-            memo[slot] = _evaluators({"phi": self._phi, "psi": self._psi}.get(key) or self.t_series(key))
+            series = {"phi": self._phi, "psi": self._psi}.get(key) or self.t_series(key)
+            memo[slot] = [(p, AxisEvaluator(g)) for p, g in enumerate(series) if not g.is_zero()]
         return memo[slot]
 
     def t_series(self, m: int) -> list:
         """T_(−1), ..., T_d for exponent m, exact."""
         return [(m * self._phi[p - 1] if p else 0) - 12 * psi for p, psi in enumerate(self._psi)]
 
-    def _inverted(self, weight: int, terms: Sequence, t, first: int = 0, table: dict | None = None) -> tuple:
-        """(value, tolerance) of (−1)^(weight/2)·u^weight·Σ_p x^p·G_p(iu) over
-        ``terms`` = (p − first, evaluator of G_p) pairs at the exact u = 1/t;
-        u^weight·x^j takes weight + 2, 4|j| + 2 (x has four) and 1 roundings."""
-        u = _height(t, table).inverse
-        return u.sum([(u.factor(weight, p + first), weight + 4 * abs(p + first) + 5 + len(terms), e) for p, e in terms])
+    def _inverted(self, weight: int, terms: Sequence, height: _Height, first: int = 0) -> Ball:
+        """(−1)^(weight/2)·u^weight·Σ_p x^p·G_p(iu), ``terms`` (p − first, G_p), u = 1/t."""
+        u = height.inverse
+        return u.sum([(u.factor(weight, p + first), e) for p, e in terms])
 
-    def _direct(self, t) -> bool:
-        _require_positive(t)
-        return t >= 1 or self.w is None
+    def value(self, t, table: dict | None = None) -> Ball:
+        """F(it)."""
+        if (height := _height(t, table)).above or self.w is None:
+            return height.sum(((Ball(1, 0, 0), self.f),))
+        return self._inverted(self.w, self._below("phi"), height)
 
-    def value(self, t, table: dict | None = None) -> tuple:
-        """(F(it), tolerance)."""
-        if self._direct(t):
-            return _height(t, table).sum(((mp.one, 1, self.f),))
-        return self._inverted(self.w, self._below("phi"), t, 0, table)
+    def derivative(self, t, table: dict | None = None) -> Ball:
+        """DF(it), D = q·d/dq."""
+        if (height := _height(t, table)).above or self.w is None:
+            return height.sum(((Ball(1, 0, 0), self.fp),))
+        return self._inverted(self.w + 2, self._below("psi"), height)
 
-    def derivative(self, t, table: dict | None = None) -> tuple:
-        """(DF(it), tolerance), D = q·d/dq."""
-        if self._direct(t):
-            return _height(t, table).sum(((mp.one, 1, self.fp),))
-        return self._inverted(self.w + 2, self._below("psi"), t, 0, table)
-
-    def s(self, m: int, t, table: dict | None = None) -> tuple:
-        """(s, tolerance) for s = m·F − 2πt·DF; 2πt takes three roundings."""
-        if self._direct(t):
-            height = _height(t, table)
-            return height.sum(((mp.mpf(m), 2, self.f), (height.minus_two_pi_t, 5, self.fp)))
-        return self._inverted(self.w, self._below(m, table), t, -1, table)
+    def s(self, m: int, t, table: dict | None = None) -> Ball:
+        """s = m·F − 2πt·DF; −2πt = 12·t·(−π/6) is 12 times t's factor at w = 0, p = −1."""
+        if (height := _height(t, table)).above or self.w is None:
+            return height.sum(((Ball(m, 0, 0), self.f), (Ball(12, 0, 0) * height.factor(0, -1), self.fp)))
+        return self._inverted(self.w, self._below(m, table), height, -1)
 
 
 def _height(t, table: dict | None) -> _Height:
@@ -296,50 +331,40 @@ def _height(t, table: dict | None) -> _Height:
 
 
 class _Height:
-    """One height t of a ``table``, shared by every read there of any route or
-    exponent.  Each of its parts is formed on first use, at that read's
-    ``mp.prec`` (a table serves one precision): the :func:`_fixed_q` per
-    (grain, prec), each evaluator's sum as (value, log2 error, log2 of |value|
-    + error), −2π·t, and the record of the exact u = 1/t that inverted reads
-    sum at, with x = −6/(π·u) and each (−1)^(w/2)·u^w·x^p."""
+    """One height t > 0 of a ``table``, shared by every read there of any route
+    or exponent: whether t >= 1, and, formed on first use at that read's
+    ``mp.prec`` (one per table), each :func:`_fixed_q`, each evaluator's ball
+    (its radius holds ``beyond``, a heuristic), u = 1/t's record, each factor."""
 
     def __init__(self, t):
-        self.t, self.mpf, self._q, self._sums, self._factors = t, _mpf(t), {}, {}, {}
+        _require_positive(t)
+        self.t, self.above, self._q, self._sums, self._factors = t, t >= 1, {}, {}, {}
+        self._powers = [Ball(1, 0, 0), _ball(*_exact(t).as_integer_ratio())]  # u^k: one product past u^(k−1)
 
-    def sum(self, weighted: Sequence) -> tuple:
-        """(Σ k·G(it), tolerance) over ``(k, c, evaluator of G)``, k·G formed and
-        summed with at most c roundings (Higham, §3.1): Σ |k|·e + 2^-prec·c·
-        (|k·G| + |k|·e), e = dropped + beyond + rounding of G, each G summed
-        once at this height."""
-        total, logs = mp.zero, []
-        for k, c, e in weighted:
+    def sum(self, weighted: Sequence) -> Ball:
+        """Σ k·G(it) over ``(k, evaluator of G)``, k a ball, each G summed once here."""
+        total = Ball(0, 0, 0)
+        for k, e in weighted:
             if e not in self._sums:
                 if (key := (e.grain, e._prec)) not in self._q:
                     self._q[key] = _fixed_q(self.t, *key)
-                value, bounds, _ = e._sum(self._q[key])
-                error = _log2_sum(bounds)
-                self._sums[e] = value, error, _log2_sum((mp.mag(value), error))
-            value, error, size = self._sums[e]
-            total += k * value
-            lk = mp.mag(k)
-            logs += (lk + error, lk + math.log2(c) - mp.prec + size)
-        return total, _power_bound(_log2_sum(logs))
+                self._sums[e] = e._sum(self._q[key])[0]
+            total += k * self._sums[e]
+        return total.trim()
 
     @cached_property
     def inverse(self) -> _Height:
         return _Height(1 / _exact(self.t))
 
-    @cached_property
-    def minus_two_pi_t(self) -> mp.mpf:
-        return -2 * mp.pi * self.mpf
-
-    @cached_property
-    def x(self) -> mp.mpf:
-        return -6 / (mp.pi * self.mpf)
-
-    def factor(self, w: int, p: int) -> mp.mpf:
+    def factor(self, w: int, p: int) -> Ball:
+        """(−1)^(w/2)·u^w·x^p = (−1)^(w/2)·u^(w−p)·(−6/π)^p at u = t (w >= p:
+        no E2-part has negative weight)."""
         if (w, p) not in self._factors:
-            self._factors[w, p] = (-1) ** (w // 2) * self.mpf**w * self.x**p
+            powers = self._powers
+            while len(powers) <= w - p:
+                powers.append((powers[-1] * powers[1]).trim())
+            f = (powers[w - p] * _x_power(p, mp.prec)).trim()
+            self._factors[w, p] = f if w % 4 == 0 else Ball(-f.mid, f.rad, f.exp)
         return self._factors[w, p]
 
 
@@ -369,7 +394,7 @@ def _inverting_route(label: str, bits: int, prec: int) -> _AxisRoute:
             route = _AxisRoute(desc.parts(order), desc.weight)
             q = _fixed_q(1, route.f.grain, route.f._prec)  # DF has F's grain and precision
             at_one = [(e._sum(q), len(e._nums)) for e in (route.f, route.fp)]
-            if all(n < size and beyond <= rounding for (_, (_, beyond, rounding), n), size in at_one):
+            if all(n < size and beyond <= rounding for (_, _, (_, beyond, rounding), n), size in at_one):
                 return route
             order *= 2
 
@@ -393,8 +418,7 @@ def eval_at_it(form, t, cfg: EvalConfig | None = None) -> dict:
         if isinstance(form, str) and describe_label(form).parts is not None:
             route = _inverting_route(form, cfg.precision_bits, mp.prec)
             if t < 1:
-                value, tolerance = route.value(t)
-                return {"value": value, "tail_estimate": tolerance}
+                return dict(zip(("value", "tail_estimate"), route.value(t).as_mpf()))
             form = form_by_label(form, int(route._phi[0].order))
         series = form_by_label(form, cfg.order_for(t)) if isinstance(form, str) else form
         point = AxisEvaluator(series).at(t)
@@ -407,7 +431,13 @@ def eval_at_it(form, t, cfg: EvalConfig | None = None) -> dict:
 
 
 def geometric_grid(t_min, t_max, points: int) -> tuple:
-    """``points`` geometrically spaced heights from t_min to t_max inclusive."""
+    """``points`` geometrically spaced heights from t_min to t_max inclusive;
+    the 16 grids last used are kept, per ``mp.prec``."""
+    return _grid(t_min, t_max, points, mp.prec)
+
+
+@lru_cache(maxsize=16)
+def _grid(t_min, t_max, points: int, prec: int) -> tuple:
     if points < 2:
         raise ValueError("a grid needs at least two points")
     lo, hi = _mpf(t_min), _mpf(t_max)
@@ -458,8 +488,8 @@ def monotonicity_scans(pairs: Sequence, grid_spec: tuple = DEFAULT_GRID_SPEC,
     :class:`_Height` per grid point, whose q, weights and evaluator sums are
     formed once (F and DF at t >= 1 serve every m of a label), and T_p
     evaluators built once per (label, m); only the cached routes outlive the
-    call.  Each tolerance counts the dropped-terms bounds, the tail heuristics
-    and rounding.
+    call.  Each s is a ball holding the dropped-terms bounds, the tail
+    heuristics and every rounding, and its sign is read off its integers.
     Verdicts: ``sign_change_found`` when two consecutive grid points carry
     strictly opposite signs beyond tolerance, ``monotone_decreasing_on_grid``
     when every point is <= 0 within tolerance, ``not_decreasing_on_grid``
@@ -473,13 +503,13 @@ def monotonicity_scans(pairs: Sequence, grid_spec: tuple = DEFAULT_GRID_SPEC,
         grid, table, reports = geometric_grid(t_min, t_max, points), {}, {}
         routes = {label: _axis_route(label, t_min, cfg) for label in dict.fromkeys(label for label, _ in pairs)}
         for label, m in pairs:
-            values = [routes[label].s(m, t, table) for t in grid]
-            signs = [0 if abs(s) <= tol else (1 if s > 0 else -1) for s, tol in values]
+            balls = [routes[label].s(m, t, table) for t in grid]
+            signs = [0 if abs(b.mid) <= b.rad else (1 if b.mid > 0 else -1) for b in balls]
             signed = [(t, sig) for t, sig in zip(grid, signs) if sig]
             changes = tuple((a, b) for (a, sa), (b, sb) in zip(signed, signed[1:]) if sa != sb)
             verdict = ("sign_change_found" if changes else "monotone_decreasing_on_grid"
                        if all(sig <= 0 for sig in signs) else "not_decreasing_on_grid")
-            reports[label, m] = ScanReport(label, m, grid, tuple(s for s, _ in values), changes, verdict)
+            reports[label, m] = ScanReport(label, m, grid, tuple(mp.mpf((b.mid, b.exp)) for b in balls), changes, verdict)
     return reports
 
 
@@ -497,7 +527,7 @@ def curve_points(form_label: str, m: int, grid: Sequence, cfg: EvalConfig | None
     cfg = cfg or EvalConfig()
     with mp.workprec(cfg.precision_bits):
         route, table = _axis_route(form_label, min(grid), cfg), {}
-        return [(t, t**m * route.value(t, table)[0]) for t in map(_mpf, grid)]
+        return [(t, t**m * route.value(t, table).as_mpf()[0]) for t in map(_mpf, grid)]
 
 
 # ---------------------------------------------------------------------------
@@ -510,16 +540,15 @@ def limit_t0(w: int, cfg: EvalConfig | None = None) -> dict:
 
     By :class:`_AxisRoute`'s inversion the limit is −6·sgn·β₀/π, with
     sgn = (−1)^(w/2) and β₀ the E2-companion's constant term; the measured
-    value is the route's at t = 1/40.  Both are formed GUARD_BITS past the
-    working precision and rounded to it.
+    value is the route's at t = 1/40.  Both are balls, rounded once to the
+    working precision.
     """
     if w < 6 or w % 2:
         raise ValueError(f"the depth-1 family needs even weight >= 6, got {w}")
     cfg = cfg or EvalConfig()
-    with mp.workprec(cfg.precision_bits + GUARD_BITS):
-        route = _axis_route(f"X{w}_1", Fraction(1, 40), cfg)
-        beta0 = route._phi[1].coefficient(0)  # Φ_1 is the E2-companion at depth 1
-        predicted = _mpf(Fraction(-6 * (-1) ** (w // 2)) * beta0) / mp.pi
-        measured = route.value(Fraction(1, 40))[0] / 40 ** (w - 1)
     with mp.workprec(cfg.precision_bits):
-        return {"measured": +measured, "predicted": +predicted}
+        route = _axis_route(f"X{w}_1", Fraction(1, 40), cfg)
+        beta0 = (-1) ** (w // 2) * Fraction(route._phi[1].coefficient(0))  # Φ_1: the E2-companion at depth 1
+        predicted = _ball(beta0.numerator, beta0.denominator) * _x_power(1, mp.prec)
+        measured = route.value(Fraction(1, 40)) * _ball(1, 40 ** (w - 1))
+        return {"measured": measured.as_mpf()[0], "predicted": predicted.as_mpf()[0]}

@@ -396,12 +396,12 @@ def test_transformed_route_domain():
                 with pytest.raises(NonPositiveT):
                     read(t)
         # above t = 1 the route sums directly
-        assert route.value(Fraction(3, 2))[0] == value_at(x_w1(6, 210), Fraction(3, 2))
+        assert route.value(Fraction(3, 2)).as_mpf()[0] == value_at(x_w1(6, 210), Fraction(3, 2))
 
 
 def test_two_route_agreement_weight12_example():
     with mp.workprec(BITS):
-        routed, tolerance = route_for("X12_1").value(Fraction(4, 5))
+        routed, tolerance = route_for("X12_1").value(Fraction(4, 5)).as_mpf()
     direct = value_at("X12_1", Fraction(4, 5))
     assert abs(routed - direct) < mp.mpf("1e-20")
     assert tolerance < mp.mpf("1e-30") * abs(direct)
@@ -415,8 +415,8 @@ def test_two_route_agreement_all_depth1_weights():
         deriv = direct.derivative()
         for t in (Fraction(3, 10), Fraction(11, 20), Fraction(99, 100)):
             with mp.workprec(BITS):
-                f_value, _ = route.value(t)
-                fp_value, _ = route.derivative(t)
+                f_value, _ = route.value(t).as_mpf()
+                fp_value, _ = route.derivative(t).as_mpf()
             dv = value_at(direct, t)
             dpv = value_at(deriv, t)
             assert abs(f_value - dv) / abs(dv) < mp.mpf("1e-30"), (label, t)
@@ -428,9 +428,9 @@ def test_inversion_fixed_point_at_t_one():
     for label in ("X12_1", "X8_2", "X16_2"):
         route = route_for(label)
         with mp.workprec(BITS):
-            inverted = route._inverted(route.w, route._below("phi"), 1)[0]
-            inverted_d = route._inverted(route.w + 2, route._below("psi"), 1)[0]
-            direct, direct_d = route.value(1)[0], route.derivative(1)[0]
+            inverted = route._inverted(route.w, route._below("phi"), numeric._Height(1)).as_mpf()[0]
+            inverted_d = route._inverted(route.w + 2, route._below("psi"), numeric._Height(1)).as_mpf()[0]
+            direct, direct_d = route.value(1).as_mpf()[0], route.derivative(1).as_mpf()[0]
             assert abs(inverted - direct) / abs(direct) < mp.mpf("1e-30"), label
             assert abs(inverted_d - direct_d) / abs(direct_d) < mp.mpf("1e-30"), label
 
@@ -446,7 +446,7 @@ def test_inverted_sums_match_direct_sums(label, t, bits):
     # a constant, which must take no tail heuristic
     route = route_for(label, EvalConfig().order_for(1), bits)
     with mp.workprec(bits):
-        routed = route.value(t), route.derivative(t)
+        routed = route.value(t).as_mpf(), route.derivative(t).as_mpf()
     series = form_by_label(label, 1000)
     with mp.workprec(bits + 64):
         for (value, tolerance), ref in zip(routed, (series, series.derivative())):
@@ -551,7 +551,7 @@ def test_scan_decreasing_pairs():
         assert report.verdict == "monotone_decreasing_on_grid", (label, m)
         with mp.workprec(BITS):
             route = numeric._axis_route(label, Fraction(1, 20), EvalConfig())
-            assert all(s < -tol for s, tol in (route.s(m, t) for t in report.grid)), (label, m)
+            assert all(ball.mid + ball.rad < 0 for ball in (route.s(m, t) for t in report.grid)), (label, m)
 
 
 def test_scan_weight8_exponent_seven_brackets_one():
@@ -674,10 +674,10 @@ def test_a_route_built_for_height_one_holds_there_and_matches_order_for_one(labe
         reference = numeric._AxisRoute(desc.parts(EvalConfig(bits).order_for(1)), desc.weight)
         assert len(route.f._nums) - 1 < EvalConfig(bits).order_for(1)
         for e in [route.f, route.fp] + [e for _, e in route._below(m)]:
-            _, (_, beyond, rounding), n = e._sum(numeric._fixed_q(1, e.grain, e._prec))
+            _, _, (_, beyond, rounding), n = e._sum(numeric._fixed_q(1, e.grain, e._prec))
             assert n < len(e._nums) and beyond <= rounding, (label, bits, m)
         for t in heights:
-            (s, tol), (ref, ref_tol) = route.s(m, t), reference.s(m, t)
+            (s, tol), (ref, ref_tol) = route.s(m, t).as_mpf(), reference.s(m, t).as_mpf()
             assert abs(s - ref) <= tol + ref_tol, (label, bits, m, t)
 
 
@@ -799,6 +799,91 @@ def test_routed_eval_matches_a_deep_direct_sum(label, t, bits):
         error = abs(report["value"] - point.value)
         bound = report["tail_estimate"] + mp.ldexp(abs(point.value), 8 - bits)
         assert error <= bound + point.dropped + point.beyond + point.rounding, (label, t, bits)
+
+
+def holds(ball, x):
+    """Whether the ball holds the rational x."""
+    return abs(x - Fraction(ball.mid) * Fraction(2) ** ball.exp) <= Fraction(ball.rad) * Fraction(2) ** ball.exp
+
+
+BALLS = st.builds(numeric.Ball, st.integers(-(2**400), 2**400), st.integers(0, 2**400), st.integers(-500, 500))
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=BALLS, b=BALLS, num=st.integers(-(2**400), 2**400), den=st.integers(1, 2**400),
+       bits=st.sampled_from((64, 128, 256)))
+@example(a=numeric.Ball(-(2**300) + 1, 2**300 - 1, 0), b=numeric.Ball(0, 0, 0), num=1, den=3, bits=64)
+def test_ball_primitives_enclose_every_combination_of_their_endpoints(a, b, num, den, bits):
+    # against exact rationals: a + b and a·b hold every sum and product of an
+    # endpoint of a and one of b; a trim holds both endpoints and keeps
+    # bits + 2·GUARD_BITS bits; ⌊num/den⌋ holds num/den
+    width = bits + 2 * numeric.GUARD_BITS
+    with mp.workprec(bits):
+        total, product, trimmed, ratio = a + b, a * b, a.trim(), numeric._ball(num, den)
+    ends = [[Fraction(ball.mid + d * ball.rad) * Fraction(2) ** ball.exp for d in (-1, 1)] for ball in (a, b)]
+    for x in ends[0]:
+        assert holds(trimmed, x)
+        for y in ends[1]:
+            assert holds(total, x + y) and holds(product, x * y)
+    assert abs(trimmed.mid).bit_length() <= width and trimmed.rad.bit_length() <= width
+    assert holds(ratio, Fraction(num, den)) and abs(ratio.mid).bit_length() <= width + 1 and ratio.rad <= 1
+
+
+def reference_terms(route, read, m, t):
+    """The terms a route read at the exact height t adds: at t >= 1, F, DF or
+    m·F and −2πt·DF; below, each (−1)^(w/2)·u^w·x^p·G_p(iu).  Each is summed
+    over every stored coefficient in mpf at the working precision."""
+    def at(series, height):
+        return horner(series.coeffs, mp.exp(-2 * mp.pi * numeric._mpf(height) / series.grain))
+
+    if t >= 1:
+        f, fp = route._phi[0], route._psi[0]
+        return {"value": [at(f, t)], "derivative": [at(fp, t)],
+                "s": [m * at(f, t), -2 * mp.pi * numeric._mpf(t) * at(fp, t)]}[read]
+    weight, series, first = {"value": (route.w, route._phi, 0), "derivative": (route.w + 2, route._psi, 0),
+                             "s": (route.w, route.t_series(m), -1)}[read]
+    u = 1 / numeric._mpf(t)
+    x = -6 / (mp.pi * u)
+    return [(-1) ** (weight // 2) * u**weight * x ** (p + first) * at(g, 1 / t) for p, g in enumerate(series)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(label=st.sampled_from(ROUTED_LABELS), m=st.integers(1, 25),
+       t=st.fractions(Fraction(1, 20), 20, max_denominator=10**6), bits=st.sampled_from((128, 256)))
+@example(label="X6_1", m=5, t=Fraction(1, 20), bits=128)
+@example(label="X42Delta", m=25, t=Fraction(1, 20), bits=256)
+@example(label="F", m=15, t=Fraction(20), bits=128)
+def test_every_route_ball_holds_the_value_64_bits_higher(label, m, t, bits):
+    # the balls of s, F and DF at an exact height against their terms summed
+    # in mpf 64 bits higher; each radius is under 2^(20 − bits) of the largest
+    with mp.workprec(bits):
+        route = numeric._axis_route(label, Fraction(1, 20), EvalConfig(bits))
+        balls = {"s": route.s(m, t), "value": route.value(t), "derivative": route.derivative(t)}
+    with mp.workprec(bits + 64):
+        for read, ball in balls.items():
+            terms = reference_terms(route, read, m, t)
+            assert abs(mp.fsum(terms) - mp.mpf((ball.mid, ball.exp))) <= mp.mpf((ball.rad, ball.exp)), (read, label, m, t)
+            assert mp.mpf((ball.rad, ball.exp)) < mp.ldexp(max(map(abs, terms)), 20 - bits), (read, label, m, t)
+
+
+def test_a_short_mantissa_factor_keeps_its_tolerance_tight():
+    # u^6 at t = 1/20 is 20^6, a 14-bit mantissa; its ulps must not set the
+    # tolerance of s, which is about 2e-45 there
+    with mp.workprec(BITS):
+        s, tolerance = numeric._axis_route("X6_1", Fraction(1, 20), EvalConfig()).s(5, Fraction(1, 20)).as_mpf()
+    assert abs(s) > mp.mpf("1e-45") and tolerance <= mp.mpf("1e-81")
+
+
+def test_a_warm_batch_makes_no_mpf_division_or_power(monkeypatch):
+    # every route read combines integer balls: no mp.fdiv in a sum's last
+    # step and no mpf ** for −2πt or the inversion factors
+    pairs = cli.SCAN_PAIRS
+    reports = numeric.monotonicity_scans(pairs)
+    calls, fdiv, power = [], mp.fdiv, mp.mpf.__pow__
+    monkeypatch.setattr(mp, "fdiv", lambda *a, **k: calls.append("fdiv") or fdiv(*a, **k))
+    monkeypatch.setattr(mp.mpf, "__pow__", lambda x, y: calls.append("pow") or power(x, y))
+    assert numeric.monotonicity_scans(pairs) == reports
+    assert calls == []
 
 
 def test_curve_points_match_direct_evaluation_above_one():
