@@ -411,10 +411,11 @@ def certify(
 def recheck_certificate(data: dict) -> bool:
     """Re-verify a serialized certificate from its P and Q alone.
 
-    Recomputes the method's data, compares with what was stored, and
-    re-runs the validity checks.  Returns True only for a stored "valid"
-    certificate that passes everything again; False for anything that is
-    not a certificate's JSON object.
+    Re-runs :func:`certify` with the stored method and compares the stored
+    method data where present (R and R_shifted, or c_prefix, with n_star
+    always compared).  Returns True only for a stored "valid" certificate
+    of a known method and nonnegative P that certifies again; False for
+    anything that is not a certificate's JSON object.
     """
     if not isinstance(data, dict):
         return False
@@ -422,30 +423,14 @@ def recheck_certificate(data: dict) -> bool:
         cert = MonotonicityCertificate.from_json_dict(data)
     except (KeyError, ValueError, TypeError):
         return False
-    if cert.status != "valid":
+    p, q = cert.p_coeffs or (), cert.q_coeffs or ()
+    if cert.status != "valid" or cert.method not in ("r-shift", "taylor") or not p or not q or min(p) < 0:
         return False
-    p = list(cert.p_coeffs or ())
-    q = list(cert.q_coeffs or ())
-    if not p or not q or _poly_eval_one(q) != 0:
-        return False
-    if any(c < 0 for c in p):
-        return False
-    if cert.method == "r-shift":
-        r, shifted = _r_shift_data(p, q)
-        if cert.r_coeffs is not None and list(cert.r_coeffs) != r:
-            return False
-        if cert.r_shifted is not None and list(cert.r_shifted) != shifted:
-            return False
-        return r != [0] and all(c >= 0 for c in shifted)
-    if cert.method == "taylor":
-        n_star, witness = taylor_threshold(p, q)
-        if n_star is None or cert.n_star != n_star:
-            return False
-        prefix = [taylor_coefficient(p, q, n) for n in range(n_star)]
-        if cert.c_prefix is not None and list(cert.c_prefix) != prefix:
-            return False
-        return all(c >= 0 for c in prefix)
-    return False
+    again = certify(p, q, m=cert.m, method=cert.method)
+    stored = {"r-shift": [(cert.r_coeffs, again.r_coeffs), (cert.r_shifted, again.r_shifted)],
+              "taylor": [(cert.c_prefix, again.c_prefix)]}[cert.method]
+    return (again.status == "valid" and all(mine is None or mine == theirs for mine, theirs in stored)
+            and (cert.method == "r-shift" or cert.n_star == again.n_star))
 
 
 # ---------------------------------------------------------------------------

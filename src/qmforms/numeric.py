@@ -4,7 +4,8 @@ Everything exact lives in the other modules; this one turns a truncated
 series with rational coefficients into floating values of F(it), F'(it)
 at configurable binary precision, reports an error estimate alongside
 every value, and builds the three analytic tools used by the
-monotonicity study of t ↦ t^m F(it):
+monotonicity study of t ↦ t^m F(it).  Every value is one read of an
+:class:`_AxisRoute`, point evaluation (``eval``) included:
 
 * one inversion route: a label with E2-parts F = Σ_j E2^j·A_j (every
   SL(2,Z) label but E2; a modular form is its own single part) is summed at
@@ -21,10 +22,11 @@ monotonicity study of t ↦ t^m F(it):
 Every sum goes through :class:`AxisEvaluator`, an integer Horner sum of a
 series' exact numerators to each point's own cut (``EvalConfig.order_for``
 sets direct sums' build order); route reads combine the sums as integer
-:class:`Ball` values.  A ball's radius bounds the dropped stored terms, every
-rounding and each constant's error, and holds a geometric heuristic (not yet a
-proven bound) for the terms past the stored order.  Scans are labelled "on
-grid": signs at grid points with stated tolerances, never a proof in between.
+:class:`Ball` values, and a value's tolerance is its ball's radius.  That
+radius bounds the dropped stored terms, every rounding and each constant's
+error, and holds a geometric heuristic (not yet a proven bound) for the terms
+past the stored order.  Scans are labelled "on grid": signs at grid points
+with stated tolerances, never a proof in between.
 """
 
 from __future__ import annotations
@@ -100,18 +102,6 @@ GUARD_BITS = 16
 TAIL_SAFETY = 10
 
 
-class AxisSum(NamedTuple):
-    """A point: Horner sum of the first ``terms`` stored terms, a bound on the
-    stored terms after them, the heuristic for those past the stored order,
-    and a bound on the rounding error of ``value`` as a sum of those terms."""
-
-    value: mp.mpf
-    dropped: mp.mpf
-    beyond: mp.mpf
-    rounding: mp.mpf
-    terms: int
-
-
 class Ball(NamedTuple):
     """The reals [mid − rad, mid + rad]·2^exp: ``+`` and ``*`` exact, ``trim``
     rounding outward (after Arb: Johansson, IEEE Trans. Comput. 66, 2017)."""
@@ -169,7 +159,8 @@ def _fixed_q(t, grain: int, prec: int) -> tuple:
 
 
 class AxisEvaluator:
-    """Values of one stored series at heights z = it, each summed to its cut.
+    """Sums of one stored series at heights z = it, each to its cut, as balls
+    that :class:`_Height` keeps and route reads combine.
 
     Build and use it inside one ``mp.workprec`` block.  At wp = prec +
     GUARD_BITS it sums the exact numerators by Horner in Python integers at a
@@ -213,15 +204,14 @@ class AxisEvaluator:
         return len(self._low), peak
 
     def _sum(self, fixed_q: tuple) -> tuple:
-        """(ball, units of (dropped, beyond), log2 of (dropped, beyond,
-        rounding), N) at a :func:`_fixed_q` height."""
+        """(ball, log2 of (dropped, beyond, rounding), N) at a :func:`_fixed_q` height."""
         x, big_q, shift = fixed_q
         step, offset = x / math.log(2), -math.log2(-math.expm1(-x))
         n, peak = self._cut(step, offset)
         dropped = self._suffix[n] - n * step + offset
         beyond = self._top - self._last * step - math.log2(-math.expm1(-self.grain * x))
         if peak == -math.inf:
-            return Ball(0, 0, 0), (0, 0), (dropped, beyond, -math.inf), n
+            return Ball(0, 0, 0), (dropped, beyond, -math.inf), n
         top = ceil(peak) + 3  # a bit to spare over the float peak
         k0 = self._first if self._first * step > self._prec else 0
         # finer, for sums that cancel; Σ c_(k0+j)·q^j peaks near peak + k0·step
@@ -234,16 +224,9 @@ class AxisEvaluator:
         s = -f - k0 * shift - e  # ⌊scaled·2^s / den⌋ is the sum in units of 2^e
         mid = (scaled << s) // self._den if s >= 0 else (scaled >> -s) // self._den
         # 2^⌈l + 2^-20⌉ >= 2^l, 2^-20 covering l's float error, and one unit at least
-        parts = [1 << max(0, ceil(lg + 2**-20) - e) if lg > -math.inf else 0 for lg in (dropped, beyond)]
-        rad = 1 + (n * (n + 1) << GUARD_BITS) + sum(parts)
-        return Ball(mid, rad, e), parts, (dropped, beyond, math.log2(n * (n + 1)) + top - self._prec), n
-
-    def at(self, t) -> AxisSum:
-        """The series at z = it: the ball's midpoint at mp.prec bits, and its
-        radius split in three, ``rounding`` with the midpoint's own."""
-        ball, parts, _, n = self._sum(_fixed_q(t, self.grain, self._prec))
-        rounding = ball.rad - sum(parts) + (abs(ball.mid) >> mp.prec)
-        return AxisSum(*(mp.mpf((k, ball.exp)) for k in (ball.mid, *parts, rounding)), n)
+        parts = sum(1 << max(0, ceil(lg + 2**-20) - e) for lg in (dropped, beyond) if lg > -math.inf)
+        rad = 1 + (n * (n + 1) << GUARD_BITS) + parts
+        return Ball(mid, rad, e), (dropped, beyond, math.log2(n * (n + 1)) + top - self._prec), n
 
 
 def _collected(parts: Sequence[FourierSeries], start: int = 0) -> list:
@@ -273,19 +256,27 @@ class _AxisRoute:
     with Φ_(−1) = 0, each T_p an exact series.  At m = w−1 on depth 1 the
     x-term T_1 is the zero series, so nothing cancels in floating point.
     A route keeps only its exact series and the F, DF, Φ_p and Ψ_p
-    evaluators, so one route serves any number of calls.  Each read returns
-    a :class:`Ball` and takes the caller's ``table``: each exponent's T_p
-    evaluators and a :class:`_Height` per height, so reads sharing a table
-    form each once.
+    evaluators, so one route serves any number of calls.  DF's side (F′, the
+    Ψ_p and DF's evaluator) is built on its first read, so reads of F alone
+    never differentiate.  Each read returns a :class:`Ball` and takes the
+    caller's ``table``: each exponent's T_p evaluators and a :class:`_Height`
+    per height, so reads sharing a table form each once.
     """
 
     def __init__(self, parts: Sequence[FourierSeries], weight: int | None = None):
-        self.w, self._lazy = weight, {}
+        self.w, self._parts, self._lazy = weight, parts, {}
         self._phi = [parts[0]] if weight is None else _collected(parts)
-        self._psi = [self._phi[0].derivative()]
-        self.f, self.fp = AxisEvaluator(self._phi[0]), AxisEvaluator(self._psi[0])
-        if weight is not None:
-            self._psi += _collected(derivative_parts(parts, weight), 1)
+        self.f = AxisEvaluator(self._phi[0])
+
+    @cached_property
+    def _psi(self) -> list:
+        """Ψ_0 = F′ and, with a weight, the collected Ψ_p of DF's E2-parts for p >= 1."""
+        psi = [self._phi[0].derivative()]
+        return psi if self.w is None else psi + _collected(derivative_parts(self._parts, self.w), 1)
+
+    @cached_property
+    def fp(self) -> AxisEvaluator:
+        return AxisEvaluator(self._psi[0])
 
     def _below(self, key, table: dict | None = None) -> list:
         """The (p, evaluator) pairs summed below t = 1, built on first use:
@@ -293,7 +284,7 @@ class _AxisRoute:
         exponent m, kept in the caller's ``table``."""
         memo, slot = (self._lazy, key) if key in ("phi", "psi") else ({} if table is None else table, (self, key))
         if slot not in memo:
-            series = {"phi": self._phi, "psi": self._psi}.get(key) or self.t_series(key)
+            series = self._phi if key == "phi" else self._psi if key == "psi" else self.t_series(key)
             memo[slot] = [(p, AxisEvaluator(g)) for p, g in enumerate(series) if not g.is_zero()]
         return memo[slot]
 
@@ -319,9 +310,9 @@ class _AxisRoute:
         return self._inverted(self.w + 2, self._below("psi"), height)
 
     def s(self, m: int, t, table: dict | None = None) -> Ball:
-        """s = m·F − 2πt·DF; −2πt = 12·t·(−π/6) is 12 times t's factor at w = 0, p = −1."""
+        """s = m·F − 2πt·DF."""
         if (height := _height(t, table)).above or self.w is None:
-            return height.sum(((Ball(m, 0, 0), self.f), (Ball(12, 0, 0) * height.factor(0, -1), self.fp)))
+            return height.sum(((Ball(m, 0, 0), self.f), (height.minus_two_pi_t, self.fp)))
         return self._inverted(self.w, self._below(m, table), height, -1)
 
 
@@ -339,7 +330,6 @@ class _Height:
     def __init__(self, t):
         _require_positive(t)
         self.t, self.above, self._q, self._sums, self._factors = t, t >= 1, {}, {}, {}
-        self._powers = [Ball(1, 0, 0), _ball(*_exact(t).as_integer_ratio())]  # u^k: one product past u^(k−1)
 
     def sum(self, weighted: Sequence) -> Ball:
         """Σ k·G(it) over ``(k, evaluator of G)``, k a ball, each G summed once here."""
@@ -355,6 +345,15 @@ class _Height:
     @cached_property
     def inverse(self) -> _Height:
         return _Height(1 / _exact(self.t))
+
+    @cached_property
+    def _powers(self) -> list:  # u^k at u = t, one product past u^(k−1), for factors only
+        return [Ball(1, 0, 0), _ball(*_exact(self.t).as_integer_ratio())]
+
+    @cached_property
+    def minus_two_pi_t(self) -> Ball:
+        """−2πt = 12·t·(−π/6): 12 times t's factor at w = 0, p = −1."""
+        return Ball(12, 0, 0) * self.factor(0, -1)
 
     def factor(self, w: int, p: int) -> Ball:
         """(−1)^(w/2)·u^w·x^p = (−1)^(w/2)·u^(w−p)·(−6/π)^p at u = t (w >= p:
@@ -394,7 +393,7 @@ def _inverting_route(label: str, bits: int, prec: int) -> _AxisRoute:
             route = _AxisRoute(desc.parts(order), desc.weight)
             q = _fixed_q(1, route.f.grain, route.f._prec)  # DF has F's grain and precision
             at_one = [(e._sum(q), len(e._nums)) for e in (route.f, route.fp)]
-            if all(n < size and beyond <= rounding for (_, _, (_, beyond, rounding), n), size in at_one):
+            if all(n < size and beyond <= rounding for (_, (_, beyond, rounding), n), size in at_one):
                 return route
             order *= 2
 
@@ -402,27 +401,23 @@ def _inverting_route(label: str, bits: int, prec: int) -> _AxisRoute:
 def eval_at_it(form, t, cfg: EvalConfig | None = None) -> dict:
     """Value of the series at z = it together with an error estimate.
 
-    ``form`` is a label or a FourierSeries (summed as stored).  A label with
-    E2-parts is read from its :func:`_inverting_route`: below t = 1 its
-    inverted sum, at t >= 1 a direct sum of the label built at the route's
-    order.  Any other label is built at ``cfg.order_for(t)`` and summed
-    directly, as E2 is, so E2's inversion residual checks the law on its own.
-    Returns ``{"value", "tail_estimate"}``; the tail estimate is the route's
-    tolerance, or the bound on the stored terms a direct sum dropped, the
-    bound on its rounding, and the documented geometric heuristic for the
-    terms past the stored order.
+    One read of the route scans and curves use: a label's
+    :func:`_axis_route` for heights >= t (E2 and every label without
+    E2-parts built at ``cfg.order_for(t)``, so E2's inversion residual checks
+    the law on its own), or a FourierSeries summed as stored.  Returns
+    ``{"value", "tail_estimate"}``, the midpoint and radius of the read's
+    :class:`Ball`: the dropped-terms bound, every rounding, and the geometric
+    heuristic for the terms past the stored order.  Only F is summed, so a
+    series is never differentiated here.
     """
-    _require_positive(t)
     cfg = cfg or EvalConfig()
     with mp.workprec(cfg.precision_bits):
-        if isinstance(form, str) and describe_label(form).parts is not None:
-            route = _inverting_route(form, cfg.precision_bits, mp.prec)
-            if t < 1:
-                return dict(zip(("value", "tail_estimate"), route.value(t).as_mpf()))
-            form = form_by_label(form, int(route._phi[0].order))
-        series = form_by_label(form, cfg.order_for(t)) if isinstance(form, str) else form
-        point = AxisEvaluator(series).at(t)
-        return {"value": point.value, "tail_estimate": point.dropped + point.beyond + point.rounding}
+        route = _axis_route(form, t, cfg) if isinstance(form, str) else _AxisRoute((form,))
+        if route.w is not None and t >= 1:
+            # by label: test_tracer_rebinds_every_import_and_keeps_cache_info counts it (ROADMAP item 6)
+            route = _AxisRoute((form_by_label(form, int(route._phi[0].order)),))
+        value, tail = route.value(t).as_mpf()
+        return {"value": value, "tail_estimate": tail}
 
 
 # ---------------------------------------------------------------------------

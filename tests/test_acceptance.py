@@ -68,18 +68,20 @@ def test_criterion_09_scan_verdicts_within_budget():
 def test_criterion_09_runs_each_distinct_scan_once(monkeypatch):
     # (X6_1, 5), (X8_1, 6) and (X10_1, 8) are both decreasing pairs and family
     # members, and C10 reads C9's (X12_1, 11): 18 scans over 14 labels, one
-    # route each, per report; before them C8 reads one route per limit
+    # route each, per report; before them C7 reads a route per eval of a label
+    # (E2 at three heights and their inverses, E6 and X10_1) and C8 one per limit
     pairs, labels = [], []
     scans, route = numeric.monotonicity_scans, numeric._axis_route
     monkeypatch.setattr(numeric, "monotonicity_scans", lambda ps, *rest: pairs.extend(ps) or scans(ps, *rest))
     monkeypatch.setattr(numeric, "_axis_route", lambda label, *rest: labels.append(label) or route(label, *rest))
     assert all(check["passed"] for check in cli.acceptance_checks())
     assert len(pairs) == len(set(pairs)) == 18
-    assert labels[:3] == ["X6_1", "X12_1", "X14_1"]
-    assert len(labels[3:]) == len(set(labels[3:])) == 14
+    assert labels[:8] == ["E2"] * 6 + ["E6", "X10_1"]
+    assert labels[8:11] == ["X6_1", "X12_1", "X14_1"]
+    assert len(labels[11:]) == len(set(labels[11:])) == 14
     # results are shared within one call only: C10 on its own scans again
     run_criterion(cli._criterion_reduction_chain)
-    assert pairs[18:] == [("X12_1", 11)] and len(labels) == 18
+    assert pairs[18:] == [("X12_1", 11)] and len(labels) == 8 + 18
 
 
 def test_criterion_10_derivative_chain():

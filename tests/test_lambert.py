@@ -8,11 +8,15 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qmforms.lambert import (
     MonotonicityCertificate,
     UnsupportedShape,
+    _poly_eval_one,
     _poly_mul,
+    _r_shift_data,
     certify,
     certify_lemma,
     derivative_numerator,
@@ -406,3 +410,83 @@ def test_recheck_detects_tampering():
     bad = json.loads(json.dumps(rcert))
     bad["R_shifted"][2] = "-1"
     assert not recheck_certificate(bad)
+
+
+def reference_recheck(data) -> bool:
+    """Each method's checks written out on their own: the reference that
+    ``recheck_certificate``, which re-runs ``certify``, must agree with."""
+    if not isinstance(data, dict):
+        return False
+    try:
+        cert = MonotonicityCertificate.from_json_dict(data)
+    except (KeyError, ValueError, TypeError):
+        return False
+    if cert.status != "valid":
+        return False
+    p = list(cert.p_coeffs or ())
+    q = list(cert.q_coeffs or ())
+    if not p or not q or _poly_eval_one(q) != 0:
+        return False
+    if any(c < 0 for c in p):
+        return False
+    if cert.method == "r-shift":
+        r, shifted = _r_shift_data(p, q)
+        if cert.r_coeffs is not None and list(cert.r_coeffs) != r:
+            return False
+        if cert.r_shifted is not None and list(cert.r_shifted) != shifted:
+            return False
+        return r != [0] and all(c >= 0 for c in shifted)
+    if cert.method == "taylor":
+        n_star, witness = taylor_threshold(p, q)
+        if n_star is None or cert.n_star != n_star:
+            return False
+        prefix = [taylor_coefficient(p, q, n) for n in range(n_star)]
+        if cert.c_prefix is not None and list(cert.c_prefix) != prefix:
+            return False
+        return all(c >= 0 for c in prefix)
+    return False
+
+
+LIST_FIELDS = ("P", "Q", "R", "R_shifted", "c_prefix")
+
+
+@st.composite
+def tampered_certificates(draw):
+    """A lemma's certificate JSON with at most one edit: a list entry moved
+    by up to 3 or negated, a list cut, emptied or dropped, n_star, status or
+    m changed, the method swapped, a key deleted, or a non-dict instead."""
+    data = json.loads(json.dumps(certify_lemma(draw(st.sampled_from(lemma_names()))).to_json_dict()))
+    edit = draw(st.sampled_from(("none", "entry", "negate", "cut", "empty", "drop", "n_star", "status",
+                                 "m", "method", "delete", "garbage", "not-a-dict")))
+    key = draw(st.sampled_from(LIST_FIELDS))
+    values = data.get(key)
+    if edit in ("entry", "negate", "cut") and values:
+        k = draw(st.integers(0, len(values) - 1))
+        if edit == "cut":
+            data[key] = values[:k]
+        else:
+            values[k] = str(-int(values[k]) if edit == "negate" else int(values[k]) + draw(st.integers(-3, 3)))
+    elif edit in ("empty", "drop"):
+        data[key] = [] if edit == "empty" else None
+    elif edit == "n_star":
+        data["n_star"] = draw(st.one_of(st.none(), st.integers(0, 80), st.just("65")))
+    elif edit == "status":
+        data["status"] = draw(st.sampled_from(("valid", "invalid", "VALID")))
+    elif edit == "m":
+        data["m"] = draw(st.integers(-2, 12))
+    elif edit == "method":
+        data["method"] = draw(st.sampled_from(("r-shift", "taylor", "auto", "bogus")))
+    elif edit == "delete":
+        del data[draw(st.sampled_from(("m", "method", "status", "P", "Q")))]
+    elif edit == "garbage":
+        data[key] = draw(st.sampled_from((["x"], "12", 7, [None])))
+    elif edit == "not-a-dict":
+        data = draw(st.sampled_from((None, [], "{}", 3, [data])))
+    return data
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=tampered_certificates())
+@example(data={"m": 2, "P": ["1", "1"], "Q": ["-2", "2"], "method": "taylor", "status": "valid", "n_star": 3})
+def test_recheck_agrees_with_each_methods_checks_on_tampered_certificates(data):
+    assert recheck_certificate(data) == reference_recheck(data)

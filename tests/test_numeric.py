@@ -11,6 +11,7 @@ import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import example, given, settings
@@ -166,6 +167,38 @@ def horner(coeffs, q):
     return acc
 
 
+class Point(NamedTuple):
+    value: mp.mpf
+    dropped: mp.mpf
+    beyond: mp.mpf
+    rounding: mp.mpf
+    terms: int
+    ball: numeric.Ball
+
+
+def point_at(series, t):
+    """One ``AxisEvaluator._sum`` of ``series`` at z = it, at mp.prec: the
+    ball's midpoint, its radius split into the dropped-terms bound, the
+    heuristic past the stored order and the rest (every rounding, the
+    midpoint's own at mp.prec bits included), the terms summed, and the ball."""
+    evaluator = numeric.AxisEvaluator(series)
+    ball, logs, terms = evaluator._sum(numeric._fixed_q(t, evaluator.grain, evaluator._prec))
+    dropped, beyond = (1 << max(0, math.ceil(lg + 2**-20) - ball.exp) if lg > -math.inf else 0 for lg in logs[:2])
+    rounding = ball.rad - dropped - beyond + (abs(ball.mid) >> mp.prec)
+    return Point(*(mp.mpf((k, ball.exp)) for k in (ball.mid, dropped, beyond, rounding)), terms, ball)
+
+
+def assert_tail_is_the_trimmed_radius(point, tail):
+    """``tail``, at mp.prec, is never below the sum's dropped + beyond +
+    rounding, and above them by under two units of the last place a route
+    read trims the ball to (the radius rounded up to it, and one unit for the
+    floored midpoint) plus its own rounding up to mp.prec bits."""
+    ball, tail = point.ball, numeric._exact(tail)
+    parts = Fraction(ball.rad + (abs(ball.mid) >> mp.prec)) * Fraction(2) ** ball.exp
+    unit = Fraction(2) ** (numeric.Ball(0, 0, 0) + ball).trim().exp
+    assert parts <= tail < parts + 2 * unit + tail * Fraction(2) ** (1 - mp.prec)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     label=st.sampled_from(EVALUATOR_LABELS),
@@ -174,7 +207,7 @@ def horner(coeffs, q):
 def test_evaluator_dropped_bound_covers_the_skipped_terms(label, t):
     series = form_by_label(label, 800)
     with mp.workprec(BITS):
-        point = numeric.AxisEvaluator(series).at(t)
+        point = point_at(series, t)
     assert 0 < point.terms <= len(series.coeffs)
     with mp.workprec(BITS + 64):
         q = mp.exp(-2 * mp.pi * numeric._mpf(t) / series.grain)
@@ -196,15 +229,15 @@ def test_evaluator_dropped_bound_covers_the_skipped_terms(label, t):
 def test_evaluator_rounding_bound_covers_the_summed_terms(label, t, bits):
     series = form_by_label(label, 800)
     with mp.workprec(bits):
-        point = numeric.AxisEvaluator(series).at(t)
+        point = point_at(series, t)
     coeffs = series.coeffs
     with mp.workprec(bits + 64):
         q = mp.exp(-2 * mp.pi * numeric._mpf(t) / series.grain)
         assert abs(point.value - horner(coeffs[: point.terms], q)) <= point.rounding
         assert abs(point.value - horner(coeffs, q)) <= point.dropped + point.rounding
     with mp.workprec(bits):
-        tail = numeric.eval_at_it(series, t, EvalConfig(bits))["tail_estimate"]
-        assert tail == point.dropped + point.beyond + point.rounding
+        # eval's tail is the radius of a route read, which trims the ball outward
+        assert_tail_is_the_trimmed_radius(point, numeric.eval_at_it(series, t, EvalConfig(bits))["tail_estimate"])
 
 
 @settings(max_examples=80, deadline=None)
@@ -221,7 +254,7 @@ def test_evaluator_bounds_hold_on_random_series(grain, runs, den, t, bits):
     coeffs = [c for zeros, num in runs for c in [0] * zeros + [Fraction(num, den)]]
     series = FourierSeries.from_coefficients(coeffs, grain)
     with mp.workprec(bits):
-        point = numeric.AxisEvaluator(series).at(t)
+        point = point_at(series, t)
     with mp.workprec(bits + 64):
         q = mp.exp(-2 * mp.pi * numeric._mpf(t) / grain)
         assert abs(point.value - horner(series.coeffs[: point.terms], q)) <= point.rounding
@@ -269,18 +302,57 @@ def test_a_scan_builds_only_the_evaluators_it_sums(monkeypatch):
 
 def test_rounding_bound_of_a_zero_series_is_zero():
     with mp.workprec(BITS):
-        point = numeric.AxisEvaluator(FourierSeries.zero(5)).at(Fraction(1, 3))
+        point = point_at(FourierSeries.zero(5), Fraction(1, 3))
     assert point.value == point.rounding == 0
 
 
 def test_evaluator_sums_each_point_only_as_far_as_it_needs():
     series = form_by_label("X12_2", 800)
     with mp.workprec(BITS):
-        evaluator = numeric.AxisEvaluator(series)
-        high, low = evaluator.at(20), evaluator.at(Fraction(1, 20))
+        high, low = point_at(series, 20), point_at(series, Fraction(1, 20))
     assert high.terms < 10
     assert 100 < low.terms <= len(series.coeffs)
     assert high.dropped > 0 and high.value > 0
+
+
+def test_reads_of_f_alone_never_differentiate(monkeypatch):
+    # eval and plotdata read only F, so neither builds F′ nor DF's parts
+    series, grid = x_w1(6, 300), (Fraction(1, 20), 1, Fraction(5, 2))
+    calls, derivative = [], FourierSeries.derivative
+    monkeypatch.setattr(FourierSeries, "derivative", lambda self: calls.append(self) or derivative(self))
+    for t in grid:
+        numeric.eval_at_it("E2", t)
+        numeric.eval_at_it(series, t)
+    numeric.curve_points("L", 3, grid)
+    assert calls == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(form=st.one_of(st.sampled_from([label for label in extremal.known_labels() if describe_label(label).weight <= 24]),
+                      st.builds(lambda nums, den, grain: FourierSeries.from_coefficients([Fraction(n, den) for n in nums], grain),
+                                st.lists(st.integers(-(2**80), 2**80), min_size=1, max_size=40),
+                                st.integers(1, 2**40), st.integers(1, 3))),
+       t=st.fractions(Fraction(1, 20), 20, max_denominator=1000), bits=st.sampled_from((128, 256)))
+@example(form="E2", t=Fraction(3, 40), bits=128)
+@example(form="B", t=Fraction(1, 20), bits=256)
+@example(form="Delta", t=Fraction(1, 20), bits=128)
+def test_eval_tolerance_is_the_radius_of_its_route_read(form, t, bits):
+    # a label's read is its _axis_route's, the label built at the route's
+    # order at t >= 1 on a route with E2-parts; a series is read as stored.
+    # Where that read is one evaluator's sum, the tail is that sum's radius
+    # as the read trims it
+    cfg = EvalConfig(bits)
+    report = numeric.eval_at_it(form, t, cfg)
+    with mp.workprec(bits):
+        route = numeric._axis_route(form, t, cfg) if isinstance(form, str) else numeric._AxisRoute((form,))
+        if route.w is not None and t >= 1:
+            route = numeric._AxisRoute((form_by_label(form, int(route._phi[0].order)),))
+        value, tolerance = route.value(t).as_mpf()
+        assert (report["value"], report["tail_estimate"]) == (value, tolerance)
+        if route.w is None:
+            point = point_at(route._phi[0], t)
+            assert report["value"] == point.value
+            assert_tail_is_the_trimmed_radius(point, report["tail_estimate"])
 
 
 def test_series_input_matches_label_route():
@@ -450,7 +522,7 @@ def test_inverted_sums_match_direct_sums(label, t, bits):
     series = form_by_label(label, 1000)
     with mp.workprec(bits + 64):
         for (value, tolerance), ref in zip(routed, (series, series.derivative())):
-            point = numeric.AxisEvaluator(ref).at(t)
+            point = point_at(ref, t)
             error = abs(value - point.value)
             assert error <= tolerance + point.dropped + point.beyond + point.rounding, (label, t, bits)
             assert tolerance < mp.ldexp(abs(point.value), 20 - bits)
@@ -674,7 +746,7 @@ def test_a_route_built_for_height_one_holds_there_and_matches_order_for_one(labe
         reference = numeric._AxisRoute(desc.parts(EvalConfig(bits).order_for(1)), desc.weight)
         assert len(route.f._nums) - 1 < EvalConfig(bits).order_for(1)
         for e in [route.f, route.fp] + [e for _, e in route._below(m)]:
-            _, _, (_, beyond, rounding), n = e._sum(numeric._fixed_q(1, e.grain, e._prec))
+            _, (_, beyond, rounding), n = e._sum(numeric._fixed_q(1, e.grain, e._prec))
             assert n < len(e._nums) and beyond <= rounding, (label, bits, m)
         for t in heights:
             (s, tol), (ref, ref_tol) = route.s(m, t).as_mpf(), reference.s(m, t).as_mpf()
@@ -793,7 +865,7 @@ def test_routed_eval_matches_a_deep_direct_sum(label, t, bits):
     series = form_by_label(label, 1000)
     magnitude = FourierSeries(series.grain, tuple(map(abs, series.nums)), series.den)
     with mp.workprec(bits + 64):
-        point, size = numeric.AxisEvaluator(series).at(t), numeric.AxisEvaluator(magnitude).at(t).value
+        point, size = point_at(series, t), point_at(magnitude, t).value
         if mp.ldexp(abs(point.value), 32) < size:
             return
         error = abs(report["value"] - point.value)
@@ -884,6 +956,18 @@ def test_a_warm_batch_makes_no_mpf_division_or_power(monkeypatch):
     monkeypatch.setattr(mp.mpf, "__pow__", lambda x, y: calls.append("pow") or power(x, y))
     assert numeric.monotonicity_scans(pairs) == reports
     assert calls == []
+
+
+def test_a_warm_batch_forms_minus_two_pi_t_once_per_height(monkeypatch):
+    # every s read at t >= 1 takes −2πt from its height's record: 60 heights
+    # of which 30 are >= 1, not once per (label, m) pair and height
+    pairs = cli.SCAN_PAIRS
+    reports = numeric.monotonicity_scans(pairs)
+    calls, factor = [], numeric._Height.factor
+    monkeypatch.setattr(numeric._Height, "factor", lambda self, w, p: calls.append((self.t, w, p)) or factor(self, w, p))
+    assert numeric.monotonicity_scans(pairs) == reports
+    above = [t for t in reports[pairs[0]].grid if t >= 1]
+    assert len(above) == 30 and [t for t, w, p in calls if (w, p) == (0, -1)] == above
 
 
 def test_curve_points_match_direct_evaluation_above_one():
