@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import reduce
 from typing import Callable
@@ -392,8 +392,6 @@ _FIXED_BUILDERS: dict[str, FormDescriptor] = {
                        lambda order: forms.form_l(order)),
         FormDescriptor("L10", 32, 3, "Gamma0(4)", "cross combination F'G - FG'",
                        lambda order: forms.form_l10(order)),
-        FormDescriptor("script_L10", 32, 3, "Gamma0(4)", "cross combination F'G - FG'",
-                       lambda order: forms.form_l10(order)),
         FormDescriptor("P1", 4, 2, "Gamma0(2)", "depth-2 weight-4 difference, alternating signs",
                        lambda order: xtilde_form(4, order)),
         FormDescriptor("P2", 2, 1, "Gamma0(4)", "three-level E2 combination",
@@ -407,6 +405,7 @@ _FIXED_BUILDERS: dict[str, FormDescriptor] = {
                        lambda order: tuple(part * delta_series(order) for part in depth2_parts(4, order))),
     )
 }
+_FIXED_BUILDERS["script_L10"] = replace(_FIXED_BUILDERS["L10"], label="script_L10")
 
 # The families X{w}_1, X{w}_2, Y{w}_2 and Xtilde{w}_2, matched whole.
 _FAMILY_LABEL = re.compile(r"(Xtilde|X|Y)([1-9][0-9]*)_([12])")

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 from .qseries import FourierSeries, lambert_block
@@ -231,7 +230,7 @@ class MonotonicityCertificate:
             r_coeffs=seq("R"),
             r_shifted=seq("R_shifted"),
             c_prefix=seq("c_prefix"),
-            n_star=data.get("n_star"),
+            n_star=None if data.get("n_star") is None else int(data["n_star"]),
             witnesses=tuple(data.get("witnesses") or ()),
         )
 

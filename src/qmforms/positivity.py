@@ -165,18 +165,16 @@ def ratio_infimum(form: FormLike, n_dilate: int, bound: int) -> RatioReport:
             f"need {n_dilate * bound}"
         )
     violations: list[int] = []
-    min_ratio: Fraction | None = None
     argmin: int | None = None
-    # the common denominator cancels from every ratio
+    # the common denominator cancels from every ratio; the minimum num/den (den > 0) is kept as ints
     nums, g = series.nums, series.grain
     for n in range(1, bound + 1):
         a_n = nums[n * g]
         if a_n <= 0:
             violations.append(n)
-            continue
-        ratio = Fraction(nums[n_dilate * n * g], a_n)
-        if min_ratio is None or ratio < min_ratio:
-            min_ratio, argmin = ratio, n
+        elif argmin is None or nums[n_dilate * n * g] * den < num * a_n:
+            num, den, argmin = nums[n_dilate * n * g], a_n, n
+    min_ratio = None if argmin is None else Fraction(num, den)
     return RatioReport(label, n_dilate, bound, min_ratio, argmin, tuple(violations))
 
 

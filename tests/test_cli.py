@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import time
 from fractions import Fraction
 
@@ -418,6 +419,85 @@ def test_report_aggregates_all_suites(capsys):
     assert all(c["passed"] for c in payload["checks"])
     assert all(c["runtime_s"] >= 0 for c in payload["checks"])
     assert json.dumps(payload, sort_keys=True, indent=2) + "\n" == out
+
+
+# ---------------------------------------------------------------------------
+# report: C1 in a forked worker
+# ---------------------------------------------------------------------------
+
+
+def _masked(check: dict) -> dict:
+    detail = {k: v for k, v in check["detail"].items() if k != "runtime_s"}
+    return {**{k: v for k, v in check.items() if k != "runtime_s"}, "detail": detail}
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _stand_in(cid: str, passed: bool = True):
+    return lambda: {"id": cid, "title": "stand-in", "passed": passed, "detail": {"pid": os.getpid()}}
+
+
+def test_acceptance_checks_match_the_criteria_run_in_process():
+    checks = cli.acceptance_checks()
+    _no_child_left()
+    assert [_masked(c) for c in checks] == [_masked(criterion()) for criterion in cli.ACCEPTANCE_CRITERIA]
+
+
+def test_identity_suite_runs_in_a_worker_beside_the_rest(monkeypatch):
+    monkeypatch.setattr(cli, "ACCEPTANCE_CRITERIA", (_stand_in("C1"), _stand_in("C2")))
+    first, second = cli.acceptance_checks()
+    assert second["detail"]["pid"] == os.getpid() != first["detail"]["pid"]
+    _no_child_left()
+
+
+def test_a_criterion_raising_in_the_worker_raises_here_with_its_message(monkeypatch):
+    def broken():
+        raise ValueError("broken stand-in")
+
+    monkeypatch.setattr(cli, "ACCEPTANCE_CRITERIA", (broken, _stand_in("C2")))
+    with pytest.raises(RuntimeError, match="ValueError: broken stand-in"):
+        cli.acceptance_checks()
+    _no_child_left()
+
+
+def test_a_worker_that_writes_nothing_raises_with_its_wait_status(monkeypatch):
+    parent = os.getpid()
+
+    def vanishing():
+        if os.getpid() != parent:
+            os._exit(3)
+        return _stand_in("C1")()
+
+    monkeypatch.setattr(cli, "ACCEPTANCE_CRITERIA", (vanishing, _stand_in("C2")))
+    with pytest.raises(RuntimeError, match=f"wait status {3 << 8}"):
+        cli.acceptance_checks()
+    _no_child_left()
+
+
+def test_a_failing_worker_check_fails_the_report(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "ACCEPTANCE_CRITERIA", (_stand_in("C1", passed=False), _stand_in("C2")))
+    code, out, _ = run_capture(capsys, ["report"])
+    assert code == 1
+    assert out.splitlines() == ["FAIL C1: stand-in", "PASS C2: stand-in", "FAILURES PRESENT"]
+
+
+def test_a_raising_parent_lane_kills_and_reaps_the_worker(monkeypatch):
+    def stuck():
+        time.sleep(60)
+        return _stand_in("C1")()
+
+    def broken():
+        raise ValueError("broken parent lane")
+
+    monkeypatch.setattr(cli, "ACCEPTANCE_CRITERIA", (stuck, broken))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="broken parent lane"):
+        cli.acceptance_checks()
+    assert time.perf_counter() - start < 10
+    _no_child_left()
 
 
 # ---------------------------------------------------------------------------

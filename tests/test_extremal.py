@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
 
@@ -374,3 +375,10 @@ def test_descriptors_cover_known_labels():
     # the family pattern reaches past the listed depth-1 weights
     assert describe_label("X50_1").weight == 50
     assert form_by_label("X50_1", 4) == x_w1(50, 4)
+
+
+def test_script_l10_is_l10_under_a_second_label():
+    l10, script = describe_label("L10"), describe_label("script_L10")
+    assert (script.label, l10.label) == ("script_L10", "L10")
+    assert replace(script, label="L10") == l10
+    assert form_by_label("script_L10", 12) == form_by_label("L10", 12)

@@ -412,6 +412,14 @@ def test_recheck_detects_tampering():
     assert not recheck_certificate(bad)
 
 
+def test_recheck_reads_n_star_written_as_a_string():
+    good = certify_lemma("X101").to_json_dict()
+    assert good["n_star"] == 65
+    assert recheck_certificate({**good, "n_star": "65"})
+    assert not recheck_certificate({**good, "n_star": "64"})
+    assert not recheck_certificate({**good, "n_star": "sixty-five"})
+
+
 def reference_recheck(data) -> bool:
     """Each method's checks written out on their own: the reference that
     ``recheck_certificate``, which re-runs ``certify``, must agree with."""

@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmforms.extremal import form_by_label, x_w2
@@ -251,6 +251,37 @@ def test_ratio_infimum_errors():
         ratio_infimum("X4_2", 0, 10)
     with pytest.raises(ValueError):
         ratio_infimum(FourierSeries.from_coefficients([0, 1]), 2, 4)
+
+
+def reference_ratio_infimum(series: FourierSeries, n_dilate: int, bound: int):
+    """One exact ``Fraction`` per n, as ``ratio_infimum`` once did: its reference."""
+    violations, min_ratio, argmin = [], None, None
+    for n in range(1, bound + 1):
+        a_n = series.coefficient(n)
+        if a_n <= 0:
+            violations.append(n)
+            continue
+        ratio = Fraction(series.coefficient(n_dilate * n)) / a_n
+        if min_ratio is None or ratio < min_ratio:
+            min_ratio, argmin = ratio, n
+    return min_ratio, argmin, tuple(violations)
+
+
+@given(
+    st.one_of(
+        st.sampled_from(("X4_2", "X8_2", "Y4_2", "Xtilde8_2", "P1", "P3", "E2", "E4", "Delta", "X42Delta", "L")),
+        st.lists(st.integers(-3, 3), min_size=76, max_size=76).map(FourierSeries.from_coefficients),
+    ),
+    st.integers(2, 3),
+    st.integers(1, 25),
+)
+@example("X4_2", 2, 4096)
+@example("Y4_2", 3, 1000)
+@settings(max_examples=80, deadline=None)
+def test_ratio_infimum_matches_the_fraction_loop(form, n_dilate, bound):
+    report = ratio_infimum(form, n_dilate, bound)
+    series = form if isinstance(form, FourierSeries) else form_by_label(form, n_dilate * bound)
+    assert (report.min_ratio, report.argmin, report.violations) == reference_ratio_infimum(series, n_dilate, bound)
 
 
 def test_ratio_report_json():
