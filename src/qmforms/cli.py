@@ -19,12 +19,11 @@ import contextlib
 import json
 import os
 import sys
+import threading
 import time
 from contextvars import ContextVar
 from fractions import Fraction
 from typing import Callable, Sequence
-
-from mpmath import mp
 
 from . import identities, lambert, numeric, positivity
 from .extremal import (
@@ -36,6 +35,7 @@ from .extremal import (
     known_labels,
     x_w1_components,
 )
+from .numeric import mp  # loads mpmath on its first read (``numeric._LazyMp``)
 from .qseries import FourierSeries
 
 
@@ -653,11 +653,12 @@ def _forked(criterion: Callable[[], dict]) -> tuple[int, int]:
 
 def acceptance_checks() -> list[dict]:
     """Run every acceptance criterion; each entry reports pass/fail and its runtime_s.
-    With ``os.fork``, C1 runs in a worker (reaped, or killed and reaped, before this returns)
-    while C2-C10 run here, sharing their scans; C1's memory shows in RUSAGE_CHILDREN only."""
+    With ``os.fork`` in a process of one thread, C1 runs in a worker (reaped, or killed and
+    reaped, before this returns) while C2-C10 run here, sharing their scans; C1's memory shows
+    in RUSAGE_CHILDREN only.  A threaded caller runs all ten here: a fork could copy a held lock."""
     token = _RUN_SCANS.set({})
     try:
-        if not hasattr(os, "fork"):
+        if not hasattr(os, "fork") or threading.active_count() > 1:
             return [_timed(criterion) for criterion in ACCEPTANCE_CRITERIA]
         pid, read_fd = _forked(ACCEPTANCE_CRITERIA[0])
         with open(read_fd, "rb") as pipe:

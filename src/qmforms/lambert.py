@@ -180,6 +180,13 @@ def derivative_numerator(
 # ---------------------------------------------------------------------------
 
 
+def _json_int(v) -> int:
+    """A certificate integer as JSON holds it: an int (not a bool) or its canonical decimal string."""
+    if type(v) is int or isinstance(v, str) and str(int(v)) == v:
+        return int(v)
+    raise ValueError(f"not a certificate integer: {v!r}")
+
+
 @dataclass(frozen=True)
 class MonotonicityCertificate:
     """Outcome of a certificate attempt for one block."""
@@ -217,12 +224,13 @@ class MonotonicityCertificate:
     @classmethod
     def from_json_dict(cls, data: dict) -> "MonotonicityCertificate":
         def seq(key):
-            v = data.get(key)
-            return None if v is None else tuple(int(x) for x in v)
+            if (v := data.get(key)) is not None and not isinstance(v, list):
+                raise TypeError(f"{key} must be a list, got {v!r}")
+            return None if v is None else tuple(map(_json_int, v))
 
         return cls(
             name=data.get("name"),
-            m=int(data["m"]),
+            m=_json_int(data["m"]),
             p_coeffs=seq("P"),
             q_coeffs=seq("Q"),
             method=data["method"],
@@ -230,7 +238,7 @@ class MonotonicityCertificate:
             r_coeffs=seq("R"),
             r_shifted=seq("R_shifted"),
             c_prefix=seq("c_prefix"),
-            n_star=None if data.get("n_star") is None else int(data["n_star"]),
+            n_star=None if data.get("n_star") is None else _json_int(data["n_star"]),
             witnesses=tuple(data.get("witnesses") or ()),
         )
 

@@ -2,10 +2,11 @@
 
 Everything exact lives in the other modules; this one turns a truncated
 series with rational coefficients into floating values of F(it), F'(it)
-at configurable binary precision, reports an error estimate alongside
-every value, and builds the three analytic tools used by the
-monotonicity study of t ↦ t^m F(it).  Every value is one read of an
-:class:`_AxisRoute`, point evaluation (``eval``) included:
+at configurable binary precision, with an error estimate on every value, and
+builds the three analytic tools of the monotonicity study of t ↦ t^m F(it).
+Only this module imports mpmath, on its first read of ``mp`` (``_LazyMp``),
+so the exact commands never load it.  Every value is one :class:`_AxisRoute`
+read, point evaluation (``eval``) included:
 
 * one inversion route: a label with E2-parts F = Σ_j E2^j·A_j (every
   SL(2,Z) label but E2; a modular form is its own single part) is summed at
@@ -39,11 +40,21 @@ from itertools import accumulate
 from math import ceil, comb
 from typing import NamedTuple, Sequence
 
-from mpmath import mp
-
 from .extremal import describe_label, form_by_label
 from .forms import derivative_parts, recompose_parts
 from .qseries import FourierSeries
+
+
+class _LazyMp:
+    """``mpmath.mp`` until read: the first read imports mpmath and rebinds this module's ``mp``."""
+
+    def __getattr__(self, name: str):
+        global mp
+        from mpmath import mp
+        return getattr(mp, name)
+
+
+mp = _LazyMp()
 
 
 class NonPositiveT(ValueError):

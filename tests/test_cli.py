@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
+import threading
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -498,6 +502,57 @@ def test_a_raising_parent_lane_kills_and_reaps_the_worker(monkeypatch):
         cli.acceptance_checks()
     assert time.perf_counter() - start < 10
     _no_child_left()
+
+
+def test_a_threaded_caller_runs_every_criterion_in_process(monkeypatch):
+    monkeypatch.setattr(cli, "ACCEPTANCE_CRITERIA", (_stand_in("C1"), _stand_in("C2")))
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait, args=(30,))
+    waiter.start()
+    try:
+        first, second = cli.acceptance_checks()
+    finally:
+        release.set()
+        waiter.join(30)
+    assert not waiter.is_alive()
+    assert first["detail"]["pid"] == second["detail"]["pid"] == os.getpid()
+    _no_child_left()
+
+
+# ---------------------------------------------------------------------------
+# mpmath loads on the first floating read, never for an exact command
+# ---------------------------------------------------------------------------
+
+
+def test_exact_commands_never_load_mpmath(tmp_path):
+    cert = tmp_path / "x101.json"
+    exact = [
+        ["expand", "X12_1", "--order", "8"],
+        ["identity", "E1-A", "--order", "20"],
+        ["positivity", "Y8_2", "--order", "100"],
+        ["density", "P3", "--n", "100"],
+        ["ratio-inf", "X4_2", "--bound", "64"],
+        ["lambert-certify", "X101", "--emit", str(cert)],
+        ["lambert-certify", "--recheck", str(cert)],
+    ]
+    code = (
+        "import json, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import qmforms.cli as cli\n"
+        "assert 'mpmath' not in sys.modules, 'import qmforms.cli'\n"
+        "for argv in json.loads(sys.argv[2]):\n"
+        "    assert cli.run(argv) == 0, argv\n"
+        "    assert 'mpmath' not in sys.modules, argv\n"
+        "assert cli.run(['eval', 'X12_1', '--t', '1/2']) == 0\n"
+        "import mpmath\n"
+        "from qmforms import numeric\n"
+        "assert numeric.mp is mpmath.mp\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code, src, json.dumps(exact)],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "VALID X101" in done.stdout and "PASS stored certificate" in done.stdout
 
 
 # ---------------------------------------------------------------------------

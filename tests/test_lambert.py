@@ -420,6 +420,25 @@ def test_recheck_reads_n_star_written_as_a_string():
     assert not recheck_certificate({**good, "n_star": "sixty-five"})
 
 
+@pytest.mark.parametrize("name, edit", [
+    ("X101", {"n_star": 65.9}), ("X101", {"n_star": " 65 "}), ("X101", {"n_star": "065"}),
+    ("X101", {"n_star": True}), ("X101", {"m": 8.5}), ("X101", {"m": True}), ("X101", {"m": "8.0"}),
+    ("E2", {"P": "11"}), ("E2", {"R_shifted": "001"}), ("E2", {"R_shifted": {"0": 0, "1": 1}}),
+])
+def test_recheck_refuses_integers_that_are_not_written_as_integers(name, edit):
+    good = certify_lemma(name).to_json_dict()
+    assert recheck_certificate(good)
+    assert not recheck_certificate({**good, **edit})
+
+
+def test_recheck_refuses_padded_list_entries():
+    good = certify_lemma("X101").to_json_dict()
+    assert recheck_certificate({**good, "m": "8", "n_star": "65"})
+    for key in ("P", "Q", "c_prefix"):
+        assert not recheck_certificate({**good, key: [f" {v} " for v in good[key]]})
+        assert not recheck_certificate({**good, key: [f"+{v}" for v in good[key]]})
+
+
 def reference_recheck(data) -> bool:
     """Each method's checks written out on their own: the reference that
     ``recheck_certificate``, which re-runs ``certify``, must agree with."""
