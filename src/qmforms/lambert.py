@@ -43,7 +43,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .qseries import FourierSeries, lambert_block
+from .qseries import FourierSeries, _json_int, lambert_block
 
 
 class UnsupportedShape(ValueError):
@@ -178,13 +178,6 @@ def derivative_numerator(
 # ---------------------------------------------------------------------------
 # certificates
 # ---------------------------------------------------------------------------
-
-
-def _json_int(v) -> int:
-    """A certificate integer as JSON holds it: an int (not a bool) or its canonical decimal string."""
-    if type(v) is int or isinstance(v, str) and str(int(v)) == v:
-        return int(v)
-    raise ValueError(f"not a certificate integer: {v!r}")
 
 
 @dataclass(frozen=True)

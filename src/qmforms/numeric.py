@@ -41,7 +41,7 @@ from math import ceil, comb
 from typing import NamedTuple, Sequence
 
 from .extremal import describe_label, form_by_label
-from .forms import derivative_parts, recompose_parts
+from .forms import TAU_DEFAULT_CAP, OrderExceeded, derivative_parts, recompose_parts
 from .qseries import FourierSeries
 
 
@@ -267,11 +267,14 @@ class _AxisRoute:
     with Φ_(−1) = 0, each T_p an exact series.  At m = w−1 on depth 1 the
     x-term T_1 is the zero series, so nothing cancels in floating point.
     A route keeps only its exact series and the F, DF, Φ_p and Ψ_p
-    evaluators, so one route serves any number of calls.  DF's side (F′, the
-    Ψ_p and DF's evaluator) is built on its first read, so reads of F alone
-    never differentiate.  Each read returns a :class:`Ball` and takes the
-    caller's ``table``: each exponent's T_p evaluators and a :class:`_Height`
-    per height, so reads sharing a table form each once.
+    evaluators, so one route serves any number of calls.  F′ = Ψ_0, Φ_0's
+    derivative, and its evaluator are built on the first DF or s read at
+    t >= 1 (for a cached route, its build's check at t = 1); DF's E2-parts
+    and the Ψ_p for p >= 1 on the first DF or s read below t = 1, so reads
+    of F alone never build them.  Each read returns a
+    :class:`Ball` and takes the caller's ``table``: each exponent's T_p
+    evaluators and a :class:`_Height` per height, so reads sharing a table
+    form each once.
     """
 
     def __init__(self, parts: Sequence[FourierSeries], weight: int | None = None):
@@ -280,23 +283,28 @@ class _AxisRoute:
         self.f = AxisEvaluator(self._phi[0])
 
     @cached_property
+    def _psi0(self) -> FourierSeries:
+        """Ψ_0 = F′, from Φ_0 alone."""
+        return self._phi[0].derivative()
+
+    @cached_property
     def _psi(self) -> list:
-        """Ψ_0 = F′ and, with a weight, the collected Ψ_p of DF's E2-parts for p >= 1."""
-        psi = [self._phi[0].derivative()]
-        return psi if self.w is None else psi + _collected(derivative_parts(self._parts, self.w), 1)
+        """Ψ_0 and the collected Ψ_p of DF's E2-parts for p >= 1 (a weight's route only)."""
+        return [self._psi0, *_collected(derivative_parts(self._parts, self.w), 1)]
 
     @cached_property
     def fp(self) -> AxisEvaluator:
-        return AxisEvaluator(self._psi[0])
+        return AxisEvaluator(self._psi0)
 
     def _below(self, key, table: dict | None = None) -> list:
         """The (p, evaluator) pairs summed below t = 1, built on first use:
-        Φ_p for key "phi" and Ψ_p for "psi", kept by the route; T_p for an
-        exponent m, kept in the caller's ``table``."""
+        Φ_p for key "phi" and Ψ_p for "psi", kept by the route, p = 0 reusing
+        ``f`` or ``fp``; T_p for an exponent m, kept in the caller's ``table``."""
         memo, slot = (self._lazy, key) if key in ("phi", "psi") else ({} if table is None else table, (self, key))
         if slot not in memo:
             series = self._phi if key == "phi" else self._psi if key == "psi" else self.t_series(key)
-            memo[slot] = [(p, AxisEvaluator(g)) for p, g in enumerate(series) if not g.is_zero()]
+            own = self.f if key == "phi" else self.fp if key == "psi" else None  # Φ_0 = F, Ψ_0 = F′
+            memo[slot] = [(p, AxisEvaluator(g) if p or own is None else own) for p, g in enumerate(series) if not g.is_zero()]
         return memo[slot]
 
     def t_series(self, m: int) -> list:
@@ -381,10 +389,13 @@ class _Height:
 def _axis_route(label: str, t_min, cfg: EvalConfig) -> _AxisRoute:
     """How scans, curves and ``eval`` sum a label at heights >= t_min: with
     E2-parts, the label's :func:`_inverting_route` at this precision; without,
-    a direct route built at ``cfg.order_for(t_min)`` for this call only."""
+    a direct route built at ``cfg.order_for(t_min)`` for this call only, or
+    :class:`OrderExceeded` before any build past ``TAU_DEFAULT_CAP`` terms."""
     _require_positive(t_min)
     if describe_label(label).parts is None:
-        return _AxisRoute((form_by_label(label, cfg.order_for(t_min)),))
+        if (order := cfg.order_for(t_min)) > TAU_DEFAULT_CAP:
+            raise OrderExceeded(f"{label} at t = {t_min} needs {order} terms, above the cap of {TAU_DEFAULT_CAP}")
+        return _AxisRoute((form_by_label(label, order),))
     return _inverting_route(label, cfg.precision_bits, mp.prec)
 
 
@@ -394,9 +405,10 @@ def _inverting_route(label: str, bits: int, prec: int) -> _AxisRoute:
     ``precision_bits`` and ``prec``, the ``mp.prec`` it is built at and must
     be read at; the cache holds the 64 most recently used.  It sums only at
     heights >= 1, so it is built at K = ⌈2·wp·ln 2/2π⌉ terms (q(1)^K =
-    2^(−2·wp), wp = bits + GUARD_BITS), doubled while F's or DF's sum at t = 1
+    2^(−2·wp), wp = bits + GUARD_BITS), doubled while F's or F′'s sum at t = 1
     takes every stored term or has ``beyond`` above ``rounding``; both fall
-    with the height, ``beyond`` faster."""
+    with the height, ``beyond`` faster.  The check differentiates Φ_0 alone:
+    DF's E2-parts wait for a read below t = 1 that needs them."""
     desc = describe_label(label)
     order = ceil(2 * (bits + GUARD_BITS) * math.log(2) / (2 * math.pi))
     with mp.workprec(prec):
@@ -418,8 +430,9 @@ def eval_at_it(form, t, cfg: EvalConfig | None = None) -> dict:
     the law on its own), or a FourierSeries summed as stored.  Returns
     ``{"value", "tail_estimate"}``, the midpoint and radius of the read's
     :class:`Ball`: the dropped-terms bound, every rounding, and the geometric
-    heuristic for the terms past the stored order.  Only F is summed, so a
-    series is never differentiated here.
+    heuristic for the terms past the stored order.  Only F is summed; a
+    route's first build differentiates F once, for its check at t = 1, and
+    builds none of DF's E2-parts.
     """
     cfg = cfg or EvalConfig()
     with mp.workprec(cfg.precision_bits):
@@ -428,6 +441,18 @@ def eval_at_it(form, t, cfg: EvalConfig | None = None) -> dict:
             # by label: test_tracer_rebinds_every_import_and_keeps_cache_info counts it (ROADMAP item 6)
             route = _AxisRoute((form_by_label(form, int(route._phi[0].order)),))
         value, tail = route.value(t).as_mpf()
+        return {"value": value, "tail_estimate": tail}
+
+
+def s_at_it(label: str, m: int, t, cfg: EvalConfig | None = None) -> dict:
+    """s = m·F(it) − 2πt·DF(it) of a label with E2-parts at one height, as
+    ``{"value", "tail_estimate"}`` like :func:`eval_at_it`: the read its scans
+    make there, on the same cached :func:`_inverting_route`."""
+    if describe_label(label).parts is None:
+        raise ValueError(f"{label} has no E2-parts, so no route to read s on")
+    cfg = cfg or EvalConfig()
+    with mp.workprec(cfg.precision_bits):
+        value, tail = _inverting_route(label, cfg.precision_bits, mp.prec).s(m, t).as_mpf()
         return {"value": value, "tail_estimate": tail}
 
 

@@ -36,6 +36,13 @@ class NonIntegerGrain(ValueError):
     genuinely fractional ones."""
 
 
+def _json_int(v) -> int:
+    """An integer as JSON holds it: an int (not a bool) or its canonical decimal string."""
+    if type(v) is int or isinstance(v, str) and str(int(v)) == v:
+        return int(v)
+    raise ValueError(f"not a JSON integer: {v!r}")
+
+
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -463,12 +470,18 @@ class FourierSeries:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "FourierSeries":
-        grain = int(data["grain"])
-        order = int(data["order"])
-        pairs = data["coeffs"]
+        """The series ``to_json_dict`` wrote: every integer through :func:`_json_int`."""
+        grain, order, pairs = _json_int(data["grain"]), _json_int(data["order"]), data["coeffs"]
+        if grain < 1 or order < 0:
+            raise ValueError(f"need grain >= 1 and order >= 0, got {grain} and {order}")
+        if not isinstance(pairs, list) or not all(isinstance(p, list) and len(p) == 2 for p in pairs):
+            raise ValueError("coeffs must be a list of [numerator, denominator] pairs")
         if len(pairs) != order + 1:
             raise ValueError("coefficient list length disagrees with order")
-        return cls.from_coefficients([Fraction(int(n), int(d)) for n, d in pairs], grain)
+        dens = [_json_int(d) for _, d in pairs]
+        if min(dens) < 1:
+            raise ValueError(f"denominators must be >= 1, got {min(dens)}")
+        return cls.from_coefficients([Fraction(_json_int(n), d) for (n, _), d in zip(pairs, dens)], grain)
 
     def __str__(self):
         parts = []

@@ -48,6 +48,14 @@ def test_criterion_07_high_precision_special_values():
     run_criterion(cli._criterion_numeric_values)
 
 
+def test_no_criterion_evaluates_a_series_passed_by_value(monkeypatch):
+    # C7's weight-8 critical point is X8_1's s at t = 1, read on the route C9 reuses
+    forms, eval_at_it = [], numeric.eval_at_it
+    monkeypatch.setattr(numeric, "eval_at_it", lambda form, *rest: forms.append(form) or eval_at_it(form, *rest))
+    assert all(check["passed"] for check in cli.acceptance_checks())
+    assert forms == ["E2"] * 6 + ["E6", "X10_1"]
+
+
 def test_criterion_08_small_t_limits():
     run_criterion(cli._criterion_limits)
 

@@ -254,6 +254,38 @@ def test_plotdata_output_file(capsys, tmp_path):
     assert target.read_text().startswith("# dataset:")
 
 
+def run_qmf(argv, timeout=60):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "qmforms.cli", *argv], capture_output=True, text=True,
+                          env=env, timeout=timeout)
+    return done, time.perf_counter() - start
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "E2", "--t", "0.000001"],
+    ["plotdata", "Y8_2", "--m", "7", "--tmin", "0.000001", "--tmax", "1"],
+    ["scan", "E2", "--m", "1", "--tmin", "0.000001", "--tmax", "1"],
+])
+def test_direct_reads_past_the_order_cap_fail_up_front(argv):
+    # order_for(1e-6) is 4·10^7 terms, twenty times forms.TAU_DEFAULT_CAP
+    done, elapsed = run_qmf(argv, timeout=30)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("qmf: ") and "40000000 terms" in done.stderr
+    assert elapsed < 5
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["eval", "E2", "--t", "0.0001"], "E2(it) at t = 1/10000: -99980901.4068289725597077339484 (tail 4.000339082e-28)\n"),
+    # a routed label sums at u = 1/t, so the cap never applies to it
+    (["eval", "X12_1", "--t", "0.00001"], "X12_1(it) at t = 1/100000: 5.74152031356043779830028006394e+49 (tail 6.988292695e+11)\n"),
+])
+def test_reads_within_the_order_cap_still_answer(argv, out):
+    done, _ = run_qmf(argv)
+    assert (done.returncode, done.stdout, done.stderr) == (0, out, "")
+
+
 # ---------------------------------------------------------------------------
 # lambert-certify
 # ---------------------------------------------------------------------------

@@ -327,6 +327,64 @@ def test_reads_of_f_alone_never_differentiate(monkeypatch):
     assert calls == []
 
 
+ROUTED = ("E6", "X12_1", "X8_2")  # depth 0, 1 and 2
+
+
+def count_derivative_parts(monkeypatch) -> list:
+    numeric._inverting_route.cache_clear()
+    calls, parts = [], numeric.derivative_parts
+    monkeypatch.setattr(numeric, "derivative_parts", lambda ps, w: calls.append(w) or parts(ps, w))
+    return calls
+
+
+@pytest.mark.parametrize("bits", (128, 256))
+@pytest.mark.parametrize("label", ROUTED)
+def test_reads_of_f_build_none_of_dfs_parts(monkeypatch, label, bits):
+    # a route's build check sums F′ at t = 1 from Φ_0's derivative alone;
+    # DF's E2-parts wait for a DF or s read below t = 1
+    calls, cfg = count_derivative_parts(monkeypatch), EvalConfig(bits)
+    for t in (Fraction(3, 10), 3):
+        numeric.eval_at_it(label, t, cfg)
+    numeric.curve_points(label, 5, (Fraction(1, 20), Fraction(3, 10), 2), cfg)
+    numeric.limit_t0(12, cfg)
+    assert calls == []
+    numeric.s_at_it(label, 5, 1, cfg)
+    assert calls == []
+
+
+@pytest.mark.parametrize("label", ROUTED)
+def test_dfs_parts_are_built_once_per_route_on_the_first_read_below_one(monkeypatch, label):
+    calls, w = count_derivative_parts(monkeypatch), describe_label(label).weight
+    with mp.workprec(BITS):
+        route = numeric._axis_route(label, Fraction(1, 20), EvalConfig())
+        for t in (2, Fraction(3, 10), Fraction(1, 7)):
+            route.derivative(t)
+        route.s(w - 1, Fraction(3, 10))
+    assert calls == [w]
+    numeric._inverting_route.cache_clear()
+    numeric.monotonicity_scans([(label, w - 1), (label, w + 1)])
+    assert calls == [w, w]
+
+
+@pytest.mark.parametrize("label", ROUTED)
+def test_a_routes_psi0_is_its_f_derivative_and_its_first_reads_reuse_f_and_fp(label):
+    route = route_for(label)
+    assert route._psi0 == route._phi[0].derivative() == recompose_parts(derivative_parts(route._parts, route.w))
+    assert route._psi[0] is route._psi0
+    with mp.workprec(BITS):
+        assert route._below("phi")[0] == (0, route.f) and route._below("psi")[0] == (0, route.fp)
+
+
+def test_s_at_it_is_a_scans_read_on_the_cached_route():
+    numeric._inverting_route.cache_clear()
+    scan = numeric.monotonicity_scan("X8_1", 7, (Fraction(1, 2), 1, 2))
+    read = numeric.s_at_it("X8_1", 7, 1)
+    assert numeric._inverting_route.cache_info().misses == 1
+    assert read["value"] == scan.s_values[-1] and abs(read["value"]) <= read["tail_estimate"]
+    with pytest.raises(ValueError, match="no E2-parts"):
+        numeric.s_at_it("E2", 1, 1)
+
+
 @settings(max_examples=60, deadline=None)
 @given(form=st.one_of(st.sampled_from([label for label in extremal.known_labels() if describe_label(label).weight <= 24]),
                       st.builds(lambda nums, den, grain: FourierSeries.from_coefficients([Fraction(n, den) for n in nums], grain),

@@ -435,6 +435,28 @@ def test_json_rejects_bad_length():
         )
 
 
+@pytest.mark.parametrize("edit", [
+    {"grain": 2.9},
+    {"grain": True},
+    {"grain": "2 "},
+    {"grain": 0},
+    {"order": " 1 "},
+    {"order": 1.0},
+    {"order": -1, "coeffs": []},
+    {"coeffs": [[1.7, "1"], ["2", "3"]]},
+    {"coeffs": [["1", "-3"], ["2", "3"]]},
+    {"coeffs": [["1", "0"], ["2", "3"]]},
+    {"coeffs": [["1", "1"], ["2", "3", "4"]]},
+    {"coeffs": [["1", "1"], "2/3"]},
+    {"coeffs": {"0": ["1", "1"], "1": ["2", "3"]}},
+])
+def test_json_refuses_integers_and_pairs_it_did_not_write(edit):
+    data = {"grain": 2, "order": 1, "coeffs": [["1", "1"], ["2", "3"]]}
+    assert FourierSeries.from_json_dict(data) == FourierSeries.from_coefficients([1, F(2, 3)], grain=2)
+    with pytest.raises(ValueError):
+        FourierSeries.from_json_dict({**data, **edit})
+
+
 def test_str_golden_integer_case():
     s = FourierSeries.from_coefficients([0, 1, 2, 12, 4, 30])
     assert str(s) == "q + 2q^2 + 12q^3 + 4q^4 + 30q^5"
