@@ -11,10 +11,13 @@ of E2.  The same three recurrences, climbing from the weight-6 seed, descend
 to the components, which is how the component tables (and their
 leading-coefficient laws) are produced here independently of the full series.
 
-Depth 2: explicit weights 4, 8, 10, 12, 14 plus a general exact solver that
-finds the maximal-vanishing combination in the graded space spanned by
-E2^j E4^a E6^b (j <= 2); weight 16 is produced by the solver.  The solver's
-E2-parts, F = A_0 + E2 A_1 + E2^2 A_2, give every depth-2 weight its split.
+Depth 2: every depth <= 2 form of weight w is uniquely Σ_j D^j g_j with g_j
+in M_(w−2j), plus a multiple of D·E2 at w = 4 (Kaneko and Zagier, 1995;
+Zagier, *The 1-2-3 of Modular Forms*, §5.3).  The family member at each of
+the six weights is the combination of the columns D^j(E_k·Δ^i) that vanishes
+to the largest order, found by one exact solve.  A second solver finds the
+same form over the monomials E2^j E4^a E6^b (j <= 2) and keeps its E2-parts,
+F = A_0 + E2 A_1 + E2^2 A_2, which give every depth-2 weight its split.
 """
 
 from __future__ import annotations
@@ -81,7 +84,7 @@ def x_w1(w: int, order: int = DEFAULT_ORDER) -> FourierSeries:
     if w <= 12:
         # Ramanujan: X_w = D E_(w-2) / (its q-coefficient) for w <= 10, e.g.
         # 720 X_6 = E2 E4 - E6 = 3 D E4; at w = 12, Delta cancels the q term
-        d = eisenstein(w - 2, order).derivative().scale(F(1, forms._EIS_PARAMS[w - 2][1]))
+        d = eisenstein(w - 2, order).derivative().scale(F(1, forms._EIS_MULT[w - 2]))
         return d if w < 12 else (d - delta_series(max(order, 0))).scale(F(1, 1050))
     r = w % 6
     if r == 2:  # climb by +2 from the previous multiple of 6
@@ -171,21 +174,6 @@ def x_w1_components(w: int, order: int = DEFAULT_ORDER) -> Depth1Components:
 # ---------------------------------------------------------------------------
 
 
-def _antiderivative(f: FourierSeries) -> FourierSeries:
-    """Inverse of q d/dq with zero constant term (requires none present)."""
-    if f.nums[0]:
-        raise ValueError("cannot antidifferentiate a nonzero constant term")
-    # c_k -> c_k * g/k: divide k into the numerator where it goes, and put
-    # the lcm of the leftover divisors into the common denominator
-    g = f.grain
-    parts = [(0, 1)]
-    for k, c in enumerate(f.nums[1:], 1):
-        h = math.gcd(c * g, k)
-        parts.append((c * g // h, k // h))
-    extra = math.lcm(*{r for _, r in parts})
-    return FourierSeries(g, tuple(p * (extra // r) for p, r in parts), f.den * extra)
-
-
 _X_W2_WEIGHTS = (4, 8, 10, 12, 14, 16)
 
 
@@ -194,42 +182,62 @@ def _require_depth2_weight(w: int):
         raise BadWeight(f"depth-2 family implemented for weights {_X_W2_WEIGHTS}")
 
 
+def _maximal_vanishing(w: int, cols: list[FourierSeries]) -> list[Fraction]:
+    """λ with Σ λ_c·c vanishing through q^(dim−2) and q^(dim−1)-coefficient 1,
+    for dim columns stored through q^(dim−1); BadWeight if no unique λ does."""
+    v = len(cols) - 1
+    sol = _solve_exact([[c.coefficient(n) for c in cols] for n in range(v + 1)], [F(0)] * v + [F(1)])
+    if sol is None:
+        raise BadWeight(f"no unique maximal-vanishing combination at weight {w}")
+    return sol
+
+
+def _kz_columns(w: int) -> list[tuple[int, int, int]]:
+    """(j, k, i) for the columns D^j(E_k·Δ^i) spanning the depth <= 2 forms of
+    weight w (Kaneko and Zagier, 1995): the E_k·Δ^i with k = w − 2j − 12i != 2
+    and E_0 = 1 span M_(w−2j) for w − 2j > 0, and where the depth bound reaches
+    w/2 (at w = 4) the column D^(w/2−1)·E2 joins them."""
+    cols = [(j, m - 12 * i, i) for j in range(3) for m in [w - 2 * j] if m > 0
+            for i in range(m // 12 + 1) if m - 12 * i != 2]
+    return cols + ([(w // 2 - 1, 2, 0)] if w // 2 <= 2 else [])
+
+
+def _derivative(f: FourierSeries, j: int) -> FourierSeries:
+    """D^j f."""
+    for _ in range(j):
+        f = f.derivative()
+    return f
+
+
+def _kz_product(k: int, i: int, order: int) -> FourierSeries:
+    """E_k·Δ^i, with E_0 = 1."""
+    if not i:
+        return eisenstein(k, order)
+    power = delta_series(order) ** i
+    return eisenstein(k, order) * power if k else power
+
+
 @grow_only
 def x_w2(w: int, order: int = DEFAULT_ORDER) -> FourierSeries:
-    """Depth-2 maximal-vanishing forms at weights 4, 8, 10, 12, 14, 16.
-
-    Weights up to 12 come from closed derivative combinations of Eisenstein
-    series, weight 14 from exact antidifferentiation of its derivative
-    identity, weight 16 from the exact linear-algebra solver.
-    """
+    """The depth-2 maximal-vanishing form of weight w in {4, 8, 10, 12, 14, 16}:
+    G_0 + D(G_1 + D·G_2), G_j = Σ λ_c·E_k·Δ^i over the columns c = D^j(E_k·Δ^i)
+    of :func:`_kz_columns`, with λ from :func:`_maximal_vanishing`."""
     _require_depth2_weight(w)
-    if w == 4:
-        return eisenstein(2, order).derivative().scale(F(-1, 24))
-    if w == 8:
-        e4 = eisenstein(4, order)
-        e6 = eisenstein(6, order)
-        return (
-            e6.derivative().scale(F(-1, 15120))
-            - e4.derivative().derivative().scale(F(1, 7200))
-        )
-    if w == 10:  # D(E4²)/60480 + D²E6/63504, with E4² = E8 (M8 is one-dimensional)
-        e8 = eisenstein(8, order)
-        e6 = eisenstein(6, order)
-        return e8.derivative().scale(F(1, 60480)) + e6.derivative().derivative().scale(F(1, 63504))
-    if w == 12:
-        e8 = eisenstein(8, order)
-        e10 = eisenstein(10, order)
-        d = delta_series(order)
-        inner = (
-            d.scale(F(17, 21))
-            - e10.derivative().scale(F(1, 308))
-            - e8.derivative().derivative().scale(F(1, 288))
-        )
-        return inner.scale(F(1, 18000))
-    if w == 14:
-        prod = x_w2(4, order) * x_w1(12, order)
-        return _antiderivative(prod.scale(3))
-    return extremal_depth2(16, order)
+    cols = _kz_columns(w)
+    small = len(cols) - 1
+    lam = _maximal_vanishing(w, [_derivative(_kz_product(k, i, small), j) for j, k, i in cols])
+    groups: list[FourierSeries | None] = [None] * 3
+    for coef, (j, k, i) in zip(lam, cols):
+        if coef:
+            term = _kz_product(k, i, order).scale(coef)
+            groups[j] = term if groups[j] is None else groups[j] + term
+    total = None
+    for group in reversed(groups):  # Horner in D
+        if total is not None:
+            total = total.derivative()
+        if group is not None:
+            total = group if total is None else total + group
+    return total
 
 
 def _depth2_monomials(w: int) -> list[tuple[int, int, int]]:
@@ -255,35 +263,24 @@ def _monomial_series(j: int, a: int, b: int, order: int) -> FourierSeries:
 
 @grow_only
 def depth2_parts(w: int, order: int = DEFAULT_ORDER) -> tuple[FourierSeries, ...]:
-    """E2-parts (A_0, A_1, A_2) of :func:`extremal_depth2`, A_j free of E2 and of weight w − 2j.
+    """E2-parts (A_0, A_1, A_2), A_j free of E2 and of weight w − 2j, of the
+    maximal-vanishing form in the span of the E2^j·E4^a·E6^b (j <= 2) of weight w.
 
-    Solves the square linear system that kills the first dim-1 coefficients
-    and normalizes the next one to 1.  Raises BadWeight if the space is
-    empty or the system is singular (no unique extremal form).
+    Solves for λ over the monomials by :func:`_maximal_vanishing`, on its own:
+    it reads neither :func:`x_w2` nor its columns, so at the six depth-2
+    weights it is a second construction of the same form.  Raises BadWeight
+    if the space is empty or no unique λ exists.
     """
     _require_even(w, 4)
     monos = _depth2_monomials(w)
-    dim = len(monos)
-    if dim == 0:
+    if not monos:
         raise BadWeight(f"no depth<=2 forms of weight {w}")
-    v = dim - 1
-    cols = [_monomial_series(j, a, b, v) for (j, a, b) in monos]
-    # rows: coefficient of q^n for n = 0..v; rhs = e_v
-    mat = [[cols[i].coefficient(n) for i in range(dim)] for n in range(v + 1)]
-    rhs = [F(0)] * v + [F(1)]
-    sol = _solve_exact(mat, rhs)
-    if sol is None:
-        raise BadWeight(f"no unique maximal-vanishing combination at weight {w}")
+    sol = _maximal_vanishing(w, [_monomial_series(j, a, b, len(monos) - 1) for (j, a, b) in monos])
     parts = [FourierSeries.zero(order)] * 3
     for coef, (j, a, b) in zip(sol, monos):
         if coef:
             parts[j] = parts[j] + _monomial_series(0, a, b, order).scale(coef)
     return tuple(parts)
-
-
-def extremal_depth2(w: int, order: int = DEFAULT_ORDER) -> FourierSeries:
-    """Exact maximal-vanishing combination in the depth<=2 space of weight w."""
-    return recompose_parts(depth2_parts(w, order))
 
 
 def _solve_exact(mat: list[list[Fraction]], rhs: list[Fraction]):

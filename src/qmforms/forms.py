@@ -168,18 +168,19 @@ def delta_series(order: int) -> FourierSeries:
 # Eisenstein series
 # ---------------------------------------------------------------------------
 
-_EIS_PARAMS = {2: (1, -24), 4: (3, 240), 6: (5, -504), 8: (7, 480), 10: (9, -264)}
+# k -> -2k/B_k, the multiplier of sigma_(k-1)(n) in E_k
+_EIS_MULT = {2: -24, 4: 240, 6: -504, 8: 480, 10: -264, 12: Fraction(65520, 691), 14: -24,
+             16: Fraction(16320, 3617)}
 
 
 @grow_only
 def eisenstein(k: int, order: int = DEFAULT_ORDER) -> FourierSeries:
-    """Weight-k Eisenstein series, constant term 1, for k in {2,4,6,8,10}."""
-    if k not in _EIS_PARAMS:
-        raise ParameterRange(f"eisenstein weight must be one of {sorted(_EIS_PARAMS)}")
-    power, mult = _EIS_PARAMS[k]
-    sig = sigma_table(order, power)
-    coeffs = [1] + [mult * sig[n] for n in range(1, order + 1)]
-    return FourierSeries.from_coefficients(coeffs)
+    """Weight-k Eisenstein series 1 - (2k/B_k)·Σ σ_(k−1)(n)·q^n, for even 2 <= k <= 16."""
+    if k not in _EIS_MULT:
+        raise ParameterRange(f"eisenstein weight must be one of {sorted(_EIS_MULT)}")
+    mult = Fraction(_EIS_MULT[k])
+    sig = sigma_table(order, k - 1)
+    return FourierSeries(1, (mult.denominator, *(mult.numerator * s for s in sig[1:])), mult.denominator)
 
 
 def serre_derivative(f: FourierSeries, weight) -> FourierSeries:
@@ -311,10 +312,10 @@ def e2_half_arguments(order: int = DEFAULT_ORDER) -> tuple[FourierSeries, Fourie
 
 def form_f_parts(order: int = DEFAULT_ORDER) -> tuple[FourierSeries, ...]:
     """E2-parts (A_0, A_1, A_2) of :func:`form_f`: 49 E4 E6^2 - 25 E4^4,
-    -48 E4^2 E6 and 49 E4^3 - 25 E6^2, formed with E4^2 = E8 and E4 E6 = E10
-    (M8 and M10 are one-dimensional)."""
+    -48 E4^2 E6 and 49 E4^3 - 25 E6^2, formed with E4^2 = E8, E4 E6 = E10 and
+    E4^2 E6 = E14 (M8, M10 and M14 are one-dimensional)."""
     e4, e6, e8, e10 = (eisenstein(k, order) for k in (4, 6, 8, 10))
-    return ((e10 * e6).scale(49) - (e8 * e8).scale(25), (e8 * e6).scale(-48),
+    return ((e10 * e6).scale(49) - (e8 * e8).scale(25), eisenstein(14, order).scale(-48),
             (e8 * e4).scale(49) - (e6 * e6).scale(25))
 
 

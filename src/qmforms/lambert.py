@@ -437,8 +437,6 @@ def recheck_certificate(data: dict) -> bool:
 # the named blocks
 # ---------------------------------------------------------------------------
 
-# name -> m (the t-power), S coefficients, b, nu, series info, and whether
-# t^m times the summed series is expected to be monotone decreasing.
 # Each named case covers the blocks of one scaled divisor sum:
 #   E2    t^2 (1 - E2(it)) / 24          sigma_1 blocks
 #   X42   t^3 X_{4,2}(it)                n sigma_1 blocks
@@ -448,65 +446,19 @@ def recheck_certificate(data: dict) -> bool:
 #   X101  t^8 X_{10,1}(it)               n sigma_7 blocks
 #   E4    t^4 (E4(it) - 1) / 240         sigma_3 blocks; NOT decreasing
 #   X61   t^5 X_{6,1}(it)                n sigma_3 blocks; NOT decreasing
-# The series tuple is (description, k for lambert_block, with_m flag,
-# dilation); D2 is assembled from two blocks instead.
-_LEMMA_TABLE: dict[str, dict] = {
-    "E2": {
-        "m": 2,
-        "s": [0, 1],
-        "b": 1,
-        "nu": 2,
-        "series": ("sum sigma_1(n) q^n", 1, False, 1),
-        "decreasing": True,
-    },
-    "D2": {
-        "m": 2,
-        "s": [0, 1, 1, 1],
-        "b": 2,
-        "nu": 2,
-        "series": ("sum (sigma_1(n) - sigma_1(n/2)) q^n", None, False, 1),
-        "decreasing": True,
-    },
-    "X42": {
-        "m": 3,
-        "s": [0, 1, 1],
-        "b": 1,
-        "nu": 3,
-        "series": ("sum n sigma_1(n) q^n", 2, True, 1),
-        "decreasing": True,
-    },
-    "X81": {
-        "m": 6,
-        "s": [0] + eulerian_numerator(6),
-        "b": 1,
-        "nu": 7,
-        "series": ("sum n sigma_5(n) q^n", 6, True, 1),
-        "decreasing": True,
-    },
-    "X101": {
-        "m": 8,
-        "s": [0] + eulerian_numerator(8),
-        "b": 1,
-        "nu": 9,
-        "series": ("sum n sigma_7(n) q^n", 8, True, 1),
-        "decreasing": True,
-    },
-    "E4": {
-        "m": 4,
-        "s": [0] + eulerian_numerator(3),
-        "b": 1,
-        "nu": 4,
-        "series": ("sum sigma_3(n) q^n", 3, False, 1),
-        "decreasing": False,
-    },
-    "X61": {
-        "m": 5,
-        "s": [0] + eulerian_numerator(4),
-        "b": 1,
-        "nu": 5,
-        "series": ("sum n sigma_3(n) q^n", 4, True, 1),
-        "decreasing": False,
-    },
+# name -> m (the t-power), the series (description, k for lambert_block,
+# with_m flag, dilation), and whether t^m times the summed series is expected
+# to be monotone decreasing.  The blocks of lambert_block(k) (sigma_k, or
+# n sigma_(k-1) with the m flag) are sum_d d^k x^d = x W_k(x) / (1 - x)^(k+1):
+# S = [0] + W_k, b = 1 and nu = k + 1.  D2 is assembled from two blocks instead.
+_LEMMA_TABLE: dict[str, tuple[int, tuple, bool]] = {
+    "E2": (2, ("sum sigma_1(n) q^n", 1, False, 1), True),
+    "D2": (2, ("sum (sigma_1(n) - sigma_1(n/2)) q^n", None, False, 1), True),
+    "X42": (3, ("sum n sigma_1(n) q^n", 2, True, 1), True),
+    "X81": (6, ("sum n sigma_5(n) q^n", 6, True, 1), True),
+    "X101": (8, ("sum n sigma_7(n) q^n", 8, True, 1), True),
+    "E4": (4, ("sum sigma_3(n) q^n", 3, False, 1), False),
+    "X61": (5, ("sum n sigma_3(n) q^n", 4, True, 1), False),
 }
 
 
@@ -515,11 +467,13 @@ def lemma_names() -> list[str]:
 
 
 def lemma_parameters(name: str) -> dict:
+    """m, S coefficients, b, nu, series info and ``decreasing`` of a named block."""
     if name not in _LEMMA_TABLE:
         raise KeyError(f"unknown block name: {name!r}")
-    entry = dict(_LEMMA_TABLE[name])
-    entry["s"] = list(entry["s"])
-    return entry
+    m, series, decreasing = _LEMMA_TABLE[name]
+    k = series[1]
+    s, b, nu = ([0, 1, 1, 1], 2, 2) if k is None else ([0] + eulerian_numerator(k), 1, k + 1)
+    return {"m": m, "s": s, "b": b, "nu": nu, "series": series, "decreasing": decreasing}
 
 
 def certify_lemma(name: str, method: str = "auto") -> MonotonicityCertificate:

@@ -122,9 +122,19 @@ class Ball(NamedTuple):
     exp: int
 
     def __add__(self, other: Ball) -> Ball:
-        e = min(self.exp, other.exp)
-        a, b = self.exp - e, other.exp - e
-        return Ball((self.mid << a) + (other.mid << b), (self.rad << a) + (other.rad << b), e)
+        """Exact, but for a ball wholly below one unit of a midpoint of at least
+        mp.prec + 2·GUARD_BITS bits: that unit joins the radius, so terms whose
+        exponents lie far apart are not shifted together.  An exact 0 adds nothing."""
+        hi, lo = (self, other) if self.exp >= other.exp else (other, self)
+        if not (lo.mid or lo.rad):
+            return hi
+        if not (hi.mid or hi.rad):
+            return lo
+        a = hi.exp - lo.exp
+        if (a >= lo.mid.bit_length() and (abs(lo.mid) + lo.rad).bit_length() <= a
+                and hi.mid.bit_length() >= mp.prec + 2 * GUARD_BITS):
+            return Ball(hi.mid, hi.rad + 1, hi.exp)
+        return Ball((hi.mid << a) + lo.mid, (hi.rad << a) + lo.rad, lo.exp)
 
     def __mul__(self, other: Ball) -> Ball:
         rad = abs(self.mid) * other.rad + abs(other.mid) * self.rad + self.rad * other.rad

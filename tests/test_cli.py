@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import resource
 import subprocess
 import sys
 import threading
@@ -254,13 +255,30 @@ def test_plotdata_output_file(capsys, tmp_path):
     assert target.read_text().startswith("# dataset:")
 
 
-def run_qmf(argv, timeout=60):
+def run_qmf(argv, timeout=60, **options):
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     start = time.perf_counter()
     done = subprocess.run([sys.executable, "-m", "qmforms.cli", *argv], capture_output=True, text=True,
-                          env=env, timeout=timeout)
+                          env=env, timeout=timeout, **options)
     return done, time.perf_counter() - start
+
+
+def _cap_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+@pytest.mark.parametrize("argv, value", [
+    (["eval", "X12_1", "--t", "0.000000001"], "5.74152031356043779830028006394e+93"),
+    (["eval", "Delta", "--t", "1000000000"], "2.07165439191220457972721014951e-2728752708"),
+], ids=["X12_1", "Delta"])
+def test_reads_at_heights_far_from_one_do_not_grow_with_the_height(argv, value):
+    # at height 10^9, q is about 2^(-9·10^9): a read may neither build
+    # integers that wide (Delta at t) nor shift its terms that far to add them
+    # (X12_1 at u = 1/t took 7.5 s and 6.9 GB so), hence a child capped at 1 GiB
+    done, elapsed = run_qmf(argv, timeout=30, preexec_fn=_cap_memory)
+    assert done.returncode == 0 and f": {value} (tail " in done.stdout, done.stderr
+    assert elapsed < 5
 
 
 @pytest.mark.parametrize("argv", [

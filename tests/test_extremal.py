@@ -17,7 +17,6 @@ from qmforms.extremal import (
     alpha_w0,
     depth2_parts,
     describe_label,
-    extremal_depth2,
     form_by_label,
     known_labels,
     weak_family,
@@ -27,7 +26,7 @@ from qmforms.extremal import (
     xtilde_form,
     y_form,
 )
-from qmforms.forms import eisenstein, form_f_parts, recompose_parts, sigma, tau
+from qmforms.forms import delta_series, eisenstein, form_f_parts, recompose_parts, sigma, tau
 from qmforms.qseries import FourierSeries
 
 F = Fraction
@@ -225,7 +224,44 @@ def test_x162_golden_prefix():
 
 def test_solver_agrees_with_explicit_forms():
     for w in (4, 8, 10, 12, 14):
-        assert extremal_depth2(w, 20) == x_w2(w, 20), w
+        assert recompose_parts(depth2_parts(w, 20)) == x_w2(w, 20), w
+
+
+def closed_x_w2(w: int, order: int) -> FourierSeries:
+    """X_{w,2} at w = 4, 8, 10 and 12 as closed derivative combinations of
+    E2, E4, E6 and Delta (Ramanujan's identities), with products for E8 and E10."""
+    e2, e4, e6 = (eisenstein(k, order) for k in (2, 4, 6))
+    e8, e10 = e4 * e4, e4 * e6
+
+    def d(f, times=1):
+        for _ in range(times):
+            f = f.derivative()
+        return f
+
+    return {
+        4: d(e2).scale(F(-1, 24)),
+        8: d(e6).scale(F(-1, 15120)) - d(e4, 2).scale(F(1, 7200)),
+        10: d(e8).scale(F(1, 60480)) + d(e6, 2).scale(F(1, 63504)),
+        12: (delta_series(order).scale(F(17, 21)) - d(e10).scale(F(1, 308)) - d(e8, 2).scale(F(1, 288)))
+        .scale(F(1, 18000)),
+    }[w]
+
+
+def test_x_w2_equals_the_closed_forms_through_order_2000():
+    for w in (4, 8, 10, 12):
+        assert x_w2(w, 2000) == closed_x_w2(w, 2000), w
+
+
+def test_x_w2_builds_without_the_depth1_family_or_the_monomial_solver(monkeypatch):
+    # so D2-DERIV-4 (D X14_2 = 3 X4_2 X12_1) and the recomposition of
+    # depth2_parts check x_w2 against constructions it does not read
+    def refuse(*args):
+        raise AssertionError(f"x_w2 read another construction: {args}")
+
+    monkeypatch.setattr(extremal, "x_w1", refuse)
+    monkeypatch.setattr(extremal, "depth2_parts", refuse)
+    for w in (4, 8, 10, 12, 14, 16):
+        assert x_w2.__wrapped__(w, 40) == recompose_parts(depth2_parts(w, 40)), w
 
 
 def test_depth2_parts_recompose_to_the_family():
@@ -261,7 +297,7 @@ def test_builders_take_eisenstein_products_from_the_sieve(monkeypatch):
 def test_solver_recovers_depth1_seed():
     # at weight 6 the depth<=2 space is {E6, E2 E4}; the solver lands on the
     # depth-1 family seed
-    assert extremal_depth2(6, 20) == x_w1(6, 20)
+    assert recompose_parts(depth2_parts(6, 20)) == x_w1(6, 20)
 
 
 def test_vanishing_orders_table():

@@ -235,13 +235,19 @@ def test_eisenstein_first_coefficients():
 
 def test_higher_weights_factor():
     n = 100
-    assert eisenstein(8, n) == eisenstein(4, n) ** 2
-    assert eisenstein(10, n) == eisenstein(4, n) * eisenstein(6, n)
+    e4, e6 = eisenstein(4, n), eisenstein(6, n)
+    assert eisenstein(8, n) == e4**2
+    assert eisenstein(10, n) == e4 * e6
+    # M12 and M16 are two-dimensional and M14 one-dimensional
+    assert eisenstein(12, n).scale(691) == (e4**3).scale(441) + (e6**2).scale(250)
+    assert eisenstein(14, n) == e4 * eisenstein(10, n)
+    assert eisenstein(16, n).scale(3617) == (e4**4).scale(1617) + (e4 * e6**2).scale(2000)
 
 
 def test_eisenstein_rejects_other_weights():
-    with pytest.raises(ParameterRange):
-        eisenstein(12, 10)
+    for k in (18, 7):
+        with pytest.raises(ParameterRange):
+            eisenstein(k, 10)
 
 
 def test_serre_derivative_kills_discriminant():

@@ -89,6 +89,35 @@ def test_derivative_numerator_goldens():
         assert sum(q) == 0  # Q(1) = 0 structurally
 
 
+# the seven named blocks as a hand-written table gave them
+LEMMA_LITERALS = {
+    "E2": {"m": 2, "s": [0, 1], "b": 1, "nu": 2, "series": ("sum sigma_1(n) q^n", 1, False, 1), "decreasing": True},
+    "D2": {"m": 2, "s": [0, 1, 1, 1], "b": 2, "nu": 2,
+           "series": ("sum (sigma_1(n) - sigma_1(n/2)) q^n", None, False, 1), "decreasing": True},
+    "X42": {"m": 3, "s": [0, 1, 1], "b": 1, "nu": 3, "series": ("sum n sigma_1(n) q^n", 2, True, 1),
+            "decreasing": True},
+    "X81": {"m": 6, "s": [0, 1, 57, 302, 302, 57, 1], "b": 1, "nu": 7,
+            "series": ("sum n sigma_5(n) q^n", 6, True, 1), "decreasing": True},
+    "X101": {"m": 8, "s": [0, 1, 247, 4293, 15619, 15619, 4293, 247, 1], "b": 1, "nu": 9,
+             "series": ("sum n sigma_7(n) q^n", 8, True, 1), "decreasing": True},
+    "E4": {"m": 4, "s": [0, 1, 4, 1], "b": 1, "nu": 4, "series": ("sum sigma_3(n) q^n", 3, False, 1),
+           "decreasing": False},
+    "X61": {"m": 5, "s": [0, 1, 11, 11, 1], "b": 1, "nu": 5, "series": ("sum n sigma_3(n) q^n", 4, True, 1),
+            "decreasing": False},
+}
+
+
+def test_lemma_parameters_follow_one_rule_for_sigma_blocks():
+    # a sigma_k block has S = [0] + W_k, b = 1, nu = k + 1; an n sigma_k block
+    # reads W_(k+1) and nu = k + 2; D2 is the one two-scale block
+    assert lemma_names() == sorted(LEMMA_LITERALS)
+    for name, want in LEMMA_LITERALS.items():
+        assert lemma_parameters(name) == want, name
+    entry = lemma_parameters("X42")
+    entry["s"].append(7)
+    assert lemma_parameters("X42")["s"] == [0, 1, 1]
+
+
 def _pmul(a, b):
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import itertools
 import json
 import math
 import os
@@ -957,6 +958,24 @@ def test_ball_primitives_enclose_every_combination_of_their_endpoints(a, b, num,
             assert holds(total, x + y) and holds(product, x * y)
     assert abs(trimmed.mid).bit_length() <= width and trimmed.rad.bit_length() <= width
     assert holds(ratio, Fraction(num, den)) and abs(ratio.mid).bit_length() <= width + 1 and ratio.rad <= 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=BALLS, b=BALLS, gap=st.integers(0, 2000), bits=st.sampled_from((64, 128, 256)))
+def test_a_ball_far_below_a_wide_midpoint_adds_one_unit_to_its_radius(a, b, gap, bits):
+    # a's midpoint has more than bits + 2·GUARD_BITS bits and b lies wholly
+    # below one unit of a, ``gap`` bits further down: their sum, either way
+    # round, is a with one more unit of radius (none if b is an exact 0) and
+    # holds every sum of their endpoints; an exact 0 at any exponent adds nothing
+    a = numeric.Ball((1 << 300 | abs(a.mid)) * (-1 if a.mid < 0 else 1), a.rad, a.exp)
+    b = numeric.Ball(b.mid, b.rad, a.exp - (abs(b.mid) + b.rad).bit_length() - gap)
+    with mp.workprec(bits):
+        sums = a + b, b + a
+        zeros = numeric.Ball(0, 0, b.exp) + a, a + numeric.Ball(0, 0, a.exp + gap)
+    assert sums == (numeric.Ball(a.mid, a.rad + bool(b.mid or b.rad), a.exp),) * 2 and zeros == (a, a)
+    for x, y in itertools.product(*([Fraction(ball.mid + d * ball.rad) * Fraction(2) ** ball.exp for d in (-1, 1)]
+                                    for ball in (a, b))):
+        assert holds(sums[0], x + y)
 
 
 def reference_terms(route, read, m, t):
