@@ -36,7 +36,6 @@ from .extremal import (
     x_w1_components,
 )
 from .forms import OrderExceeded
-from .numeric import mp  # loads mpmath on its first read (``numeric._LazyMp``)
 from .qseries import FourierSeries
 
 
@@ -234,7 +233,7 @@ def _cmd_scan(args) -> tuple[int, dict, str]:
     payload = report.to_json_dict()
     lines = [f"{label} m={args.m}: {report.verdict}"]
     for lo, hi in report.sign_changes:
-        lines.append(f"  sign change inside ({mp.nstr(lo, 8)}, {mp.nstr(hi, 8)})")
+        lines.append(f"  sign change inside ({numeric.mp.nstr(lo, 8)}, {numeric.mp.nstr(hi, 8)})")
     return 0, payload, "\n".join(lines) + "\n"
 
 
@@ -275,7 +274,8 @@ def _cmd_limits(args) -> tuple[int, dict, str]:
     w = desc.weight
     cfg = _eval_config(args.bits)
     result = numeric.limit_t0(w, cfg)
-    with mp.workprec(cfg.precision_bits):
+    with numeric.mp.workprec(cfg.precision_bits):
+        mp = numeric.mp  # mpmath's context, loaded by the read above
         rel = abs(result["measured"] - result["predicted"]) / abs(result["predicted"])
         ok = rel < mp.mpf("1e-6")
         payload = {
@@ -302,8 +302,8 @@ def _cmd_eval(args) -> tuple[int, dict, str]:
     payload = {
         "label": label,
         "t": str(args.t),
-        "value": mp.nstr(report["value"], 30),
-        "tail_estimate": mp.nstr(report["tail_estimate"], 10),
+        "value": numeric.mp.nstr(report["value"], 30),
+        "tail_estimate": numeric.mp.nstr(report["tail_estimate"], 10),
     }
     text = f"{label}(it) at t = {args.t}: {payload['value']} (tail {payload['tail_estimate']})\n"
     return 0, payload, text
@@ -312,10 +312,10 @@ def _cmd_eval(args) -> tuple[int, dict, str]:
 def _cmd_plotdata(args) -> tuple[int, dict, str]:
     label = _checked_grid_args(args)
     cfg = _eval_config(args.bits)
-    with mp.workprec(cfg.precision_bits):
+    with numeric.mp.workprec(cfg.precision_bits):
         grid = numeric.geometric_grid(args.tmin, args.tmax, args.points)
     points = numeric.curve_points(label, args.m, grid, cfg)
-    rows = [[mp.nstr(t, 17), mp.nstr(v, 17)] for t, v in points]
+    rows = [[numeric.mp.nstr(t, 17), numeric.mp.nstr(v, 17)] for t, v in points]
     lines = [
         f"# dataset: t^{args.m} * {label}(it) on a geometric grid of {args.points} points",
         "# columns: t\tvalue",
@@ -513,7 +513,8 @@ def _criterion_lambert() -> dict:
 
 def _criterion_numeric_values() -> dict:
     cfg = numeric.EvalConfig()
-    with mp.workprec(cfg.precision_bits):
+    with numeric.mp.workprec(cfg.precision_bits):
+        mp = numeric.mp  # mpmath's context, loaded by the read above
         inversion_ok = True
         for t in (Fraction(3, 10), Fraction(1), Fraction(5, 2)):
             lhs = numeric.eval_at_it("E2", Fraction(1) / t, cfg)["value"]
@@ -548,7 +549,8 @@ def _criterion_limits() -> dict:
     cfg = numeric.EvalConfig()
     ok = True
     detail = {}
-    with mp.workprec(cfg.precision_bits):
+    with numeric.mp.workprec(cfg.precision_bits):
+        mp = numeric.mp  # mpmath's context, loaded by the read above
         ref = 1 / (55440 * mp.pi)  # the predicted limit at w = 12
         for w in (6, 12, 14):
             result = numeric.limit_t0(w, cfg)

@@ -182,14 +182,22 @@ def _require_depth2_weight(w: int):
         raise BadWeight(f"depth-2 family implemented for weights {_X_W2_WEIGHTS}")
 
 
-def _maximal_vanishing(w: int, cols: list[FourierSeries]) -> list[Fraction]:
-    """λ with Σ λ_c·c vanishing through q^(dim−2) and q^(dim−1)-coefficient 1,
-    for dim columns stored through q^(dim−1); BadWeight if no unique λ does."""
-    v = len(cols) - 1
-    sol = _solve_exact([[c.coefficient(n) for c in cols] for n in range(v + 1)], [F(0)] * v + [F(1)])
-    if sol is None:
-        raise BadWeight(f"no unique maximal-vanishing combination at weight {w}")
-    return sol
+_LAMBDAS: dict[tuple[str, int], list[Fraction]] = {}  # (solver, w) -> λ, at the six depth-2 weights only
+
+
+def _maximal_vanishing(solver: str, w: int, columns: Callable[[], list[FourierSeries]]) -> list[Fraction]:
+    """λ with Σ λ_c·c vanishing through q^(dim−2) and q^(dim−1)-coefficient 1, for the dim ``columns()``
+    stored through q^(dim−1), kept per ``solver`` at the depth-2 weights; BadWeight if no unique λ does."""
+    if (solver, w) not in _LAMBDAS:
+        cols = columns()
+        v = len(cols) - 1
+        sol = _solve_exact([[c.coefficient(n) for c in cols] for n in range(v + 1)], [F(0)] * v + [F(1)])
+        if sol is None:
+            raise BadWeight(f"no unique maximal-vanishing combination at weight {w}")
+        if w not in _X_W2_WEIGHTS:
+            return sol
+        _LAMBDAS[solver, w] = sol
+    return _LAMBDAS[solver, w]
 
 
 def _kz_columns(w: int) -> list[tuple[int, int, int]]:
@@ -225,7 +233,7 @@ def x_w2(w: int, order: int = DEFAULT_ORDER) -> FourierSeries:
     _require_depth2_weight(w)
     cols = _kz_columns(w)
     small = len(cols) - 1
-    lam = _maximal_vanishing(w, [_derivative(_kz_product(k, i, small), j) for j, k, i in cols])
+    lam = _maximal_vanishing("x_w2", w, lambda: [_derivative(_kz_product(k, i, small), j) for j, k, i in cols])
     groups: list[FourierSeries | None] = [None] * 3
     for coef, (j, k, i) in zip(lam, cols):
         if coef:
@@ -275,7 +283,7 @@ def depth2_parts(w: int, order: int = DEFAULT_ORDER) -> tuple[FourierSeries, ...
     monos = _depth2_monomials(w)
     if not monos:
         raise BadWeight(f"no depth<=2 forms of weight {w}")
-    sol = _maximal_vanishing(w, [_monomial_series(j, a, b, len(monos) - 1) for (j, a, b) in monos])
+    sol = _maximal_vanishing("depth2_parts", w, lambda: [_monomial_series(j, a, b, len(monos) - 1) for j, a, b in monos])
     parts = [FourierSeries.zero(order)] * 3
     for coef, (j, a, b) in zip(sol, monos):
         if coef:

@@ -23,11 +23,13 @@ read, point evaluation (``eval``) included:
 Every sum goes through :class:`AxisEvaluator`, an integer Horner sum of a
 series' exact numerators to each point's own cut (``EvalConfig.order_for``
 sets direct sums' build order); route reads combine the sums as integer
-:class:`Ball` values, and a value's tolerance is its ball's radius.  That
-radius bounds the dropped stored terms, every rounding and each constant's
-error, and holds a geometric heuristic (not yet a proven bound) for the terms
-past the stored order.  Scans are labelled "on grid": signs at grid points
-with stated tolerances, never a proof in between.
+:class:`Ball` values, and a value's tolerance is its ball's radius.  A height's
+q = e^(−2πt/grain), π, 1/π and u^k are integers too, with derived errors
+(:func:`_constants`); mpmath makes the grid, parses and prints.  The radius
+bounds the dropped stored terms, every rounding and each constant's error, and
+holds a geometric heuristic (not yet a proven bound) for the terms past the
+stored order.  Scans are labelled "on grid": signs at grid points with stated
+tolerances, never a proof in between.
 """
 
 from __future__ import annotations
@@ -92,8 +94,8 @@ def _mpf(x) -> mp.mpf:
 
 
 def _exact(t) -> Fraction:
-    """t as an exact rational: an mpf is a dyadic one."""
-    return t.man * Fraction(2) ** t.exp if isinstance(t, mp.mpf) else Fraction(t)
+    """t as an exact rational: a positive mpf man·2^exp is a dyadic one, formed by shifts."""
+    return Fraction(t.man << max(t.exp, 0), 1 << max(-t.exp, 0)) if isinstance(t, mp.mpf) else Fraction(t)
 
 
 def _require_positive(t) -> None:
@@ -159,24 +161,64 @@ def _ball(num: int, den: int) -> Ball:
     return Ball(mid, 1 if rest else 0, -s)
 
 
+def _arctan_inv(x: int, bits: int, sign: int) -> int:
+    """atan(1/x) (sign −1) or atanh(1/x) (sign 1), x >= 3, in units of 2^-bits: the sum of
+    sign^k·⌊⌊2^bits/x^(2k+1)⌋/(2k+1)⌋ to its first zero term, off by under 3 units a term and 2 for the rest."""
+    power, total, k = (1 << bits) // x, 0, 1
+    while power:
+        total += sign ** (k // 2) * (power // k)
+        power, k = power // (x * x), k + 2
+    return total
+
+
+@lru_cache(maxsize=16)
+def _wide_constants(bits: int) -> tuple:
+    """(π, ln 2)·2^bits within 1.02 units: π = 16·atan(1/5) − 4·atan(1/239) (Machin), ln 2 = 2·atanh(1/3),
+    at g = bit_length(bits) + 10 guard bits, whose error (under 12·(bits + g) + 100 units) stays below 2^g/50,
+    then floored (Brent and Zimmermann, *Modern Computer Arithmetic*, §4.4)."""
+    g = bits.bit_length() + 10
+    pi = 16 * _arctan_inv(5, bits + g, -1) - 4 * _arctan_inv(239, bits + g, -1)
+    return pi >> g, 2 * _arctan_inv(3, bits + g, 1) >> g
+
+
+def _constants(bits: int) -> tuple:
+    """(P, L) within 2 units of π·2^bits and ln 2·2^bits: :func:`_wide_constants` at ``bits`` rounded up to
+    a multiple of 64, so few widths are kept, floored by a shift (half of 1.02 units, plus one)."""
+    s = -bits % 64
+    return tuple(c >> s for c in _wide_constants(bits + s))
+
+
 @lru_cache(maxsize=64)
 def _x_power(p: int, prec: int) -> Ball:
-    """(−6/π)^p = x^p·u^p, x = −6/(πu), at mp.prec = ``prec``: from π of one ulp or 1/π
-    of two (π's rounding and its own), each mantissa first widened to ``prec`` bits."""
-    x = +mp.pi if p < 0 else 1 / mp.pi
-    s = prec - x.man.bit_length()
+    """(−6/π)^p = x^p·u^p, x = −6/(πu), at mp.prec = ``prec``: from P = π·2^prec within 2 units
+    (:func:`_constants`), or 1/π = ⌊2^(2·prec+2)/P⌋·2^-(prec+2) within 2 (P's error 0.85, the floor 1)."""
+    pi = _constants(prec)[0]
+    x = Ball(pi, 2, -prec) if p < 0 else Ball((1 << 2 * prec + 2) // pi, 2, -prec - 2)
     six = _ball((-6) ** p, 1) if p >= 0 else _ball(-1, 6)
-    return math.prod([Ball(x.man << s, 1 if p < 0 else 2, x.exp - s)] * abs(p), start=six).trim()
+    return math.prod([x] * abs(p), start=six).trim()
 
 
 def _fixed_q(t, grain: int, prec: int) -> tuple:
-    """(x, Q, F): x = 2πt/grain as a float, Q = ⌊e^(−x)·2^F⌋ >= 2^(prec+4),
-    off by 2^-(prec+2) relatively: (4x + 2)·2^-wp covers x's four roundings
-    and exp's own at the wp bits used."""
+    """(x, Q, F): x = 2πt/grain as a float, Q = e^(−x)·2^F >= 2^(prec+4), off by 2^-(prec+2) relatively,
+    in integers at W = V + 12 + bit_length(V) bits, V = prec + b, b the bits of ⌊x⌋ (Brent and Zimmermann,
+    §4.3).  For t = a/c, k, R = divmod(⌊2·a·P/(c·grain)⌋, L), P and L of :func:`_constants`(W), gives
+    r = R·2^-W within (3.6x + 2)·2^-W < 2^(b+3−W) of x − k·ln 2.  A Taylor sum of e^(−y), y = r/2^8 <
+    0.003, in n <= W/8 + 2 floored terms is within n + 2 units; eight squarings, each floored at a value near 1/2
+    or above, leave e^(−r) within 257·(n + 4)·2^-W < 2^-(prec+6).  A shift gives Q = ⌊e^(−r)·2^(prec+6)⌋,
+    within 2^-(prec+4) more, and F = prec + 6 + k."""
     xf = 2 * math.pi * float(t) / grain
-    with mp.workprec(prec + 8 + int(xf).bit_length()):
-        x, shift = 2 * mp.pi * _mpf(t) / grain, prec + 5 + ceil(xf / math.log(2))
-        return float(x), int(mp.ldexp(mp.exp(-x), shift)), shift
+    a, c = _exact(t).as_integer_ratio()
+    wp = (v := prec + int(xf).bit_length()) + 12 + v.bit_length()
+    pi, ln2 = _constants(wp)
+    k, r = divmod(2 * a * pi // (c * grain), ln2)
+    term, total, n = 1 << wp, 1 << wp, 0
+    while term:  # term n = ⌊−term·y/n⌋; a last −1 ends it
+        n += 1
+        term = (-term * r >> wp + 8) // n
+        total += term
+    for _ in range(8):
+        total = total * total >> wp
+    return xf, total >> wp - prec - 6, prec + 6 + k
 
 
 class AxisEvaluator:
@@ -376,22 +418,17 @@ class _Height:
         return _Height(1 / _exact(self.t))
 
     @cached_property
-    def _powers(self) -> list:  # u^k at u = t, one product past u^(k−1), for factors only
-        return [Ball(1, 0, 0), _ball(*_exact(self.t).as_integer_ratio())]
-
-    @cached_property
     def minus_two_pi_t(self) -> Ball:
         """−2πt = 12·t·(−π/6): 12 times t's factor at w = 0, p = −1."""
         return Ball(12, 0, 0) * self.factor(0, -1)
 
     def factor(self, w: int, p: int) -> Ball:
         """(−1)^(w/2)·u^w·x^p = (−1)^(w/2)·u^(w−p)·(−6/π)^p at u = t (w >= p:
-        no E2-part has negative weight)."""
+        no E2-part has negative weight), u^(w−p) the exact rational power
+        rounded once by :func:`_ball`."""
         if (w, p) not in self._factors:
-            powers = self._powers
-            while len(powers) <= w - p:
-                powers.append((powers[-1] * powers[1]).trim())
-            f = (powers[w - p] * _x_power(p, mp.prec)).trim()
+            a, c = _exact(self.t).as_integer_ratio()
+            f = (_ball(a ** (w - p), c ** (w - p)) * _x_power(p, mp.prec)).trim()
             self._factors[w, p] = f if w % 4 == 0 else Ball(-f.mid, f.rad, f.exp)
         return self._factors[w, p]
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from qmforms import cli
+from qmforms import cli, numeric
 from qmforms.qseries import FourierSeries
 
 
@@ -297,7 +297,7 @@ def test_direct_reads_past_the_order_cap_fail_up_front(argv):
 @pytest.mark.parametrize("argv, out", [
     (["eval", "E2", "--t", "0.0001"], "E2(it) at t = 1/10000: -99980901.4068289725597077339484 (tail 4.000339082e-28)\n"),
     # a routed label sums at u = 1/t, so the cap never applies to it
-    (["eval", "X12_1", "--t", "0.00001"], "X12_1(it) at t = 1/100000: 5.74152031356043779830028006394e+49 (tail 6.988292695e+11)\n"),
+    (["eval", "X12_1", "--t", "0.00001"], "X12_1(it) at t = 1/100000: 5.74152031356043779830028006394e+49 (tail 4.337917608e+11)\n"),
 ])
 def test_reads_within_the_order_cap_still_answer(argv, out):
     done, _ = run_qmf(argv)
@@ -603,6 +603,19 @@ def test_exact_commands_never_load_mpmath(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert "VALID X101" in done.stdout and "PASS stored certificate" in done.stdout
+
+
+def test_floating_commands_read_mpmath_directly_once_it_is_loaded(monkeypatch, capsys):
+    # the stand-in's __getattr__ runs an import per read; once mpmath is
+    # loaded, eval, plotdata, limits and scan read its context directly
+    assert cli.run(["eval", "X12_1", "--t", "1/2"]) == 0
+    reads = []
+    monkeypatch.setattr(numeric._LazyMp, "__getattr__", lambda self, name: reads.append(name) or getattr(mpmath.mp, name))
+    for argv in (["eval", "X12_1", "--t", "1/3"], ["plotdata", "X8_2", "--m", "7", "--points", "8"],
+                 ["limits", "X12_1"], ["scan", "X8_1", "--m", "7", "--points", "8"]):
+        assert cli.run(argv) == 0, argv
+    capsys.readouterr()
+    assert reads == []
 
 
 # ---------------------------------------------------------------------------

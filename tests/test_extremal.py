@@ -276,6 +276,32 @@ def test_depth2_parts_recompose_to_the_family():
     assert a1 == eisenstein(6, 10).scale(a1.coefficient(0)) and a2 == eisenstein(4, 10).scale(a2.coefficient(0))
 
 
+@pytest.mark.parametrize("w", (4, 8, 10, 12, 14, 16))
+def test_each_depth2_solver_solves_lambda_once_per_weight(monkeypatch, w):
+    # a route builds at 32 terms and again at 61: the second build of either
+    # solver reads the stored λ, which equals a fresh solve
+    solves, solve = [], extremal._solve_exact
+    monkeypatch.setattr(extremal, "_solve_exact", lambda *a: solves.append(a) or solve(*a))
+    monkeypatch.setattr(extremal, "_LAMBDAS", {})
+    for builder in (x_w2, depth2_parts):
+        builder.cache_clear()
+        builder(w, 32)
+        assert len(solves) == 1, builder
+        builder(w, 61)
+        assert len(solves) == 1, builder
+        solves.clear()
+    stored = dict(extremal._LAMBDAS)
+    assert set(stored) == {("x_w2", w), ("depth2_parts", w)}
+    extremal._LAMBDAS.clear()
+    for builder in (x_w2, depth2_parts):
+        builder.cache_clear()
+        builder(w, 8)
+    assert len(solves) == 2 and extremal._LAMBDAS == stored
+    # other weights solve as before, and keep nothing
+    depth2_parts(18, 20), depth2_parts(18, 30)
+    assert len(solves) == 4 and ("depth2_parts", 18) not in extremal._LAMBDAS
+
+
 def test_builders_take_eisenstein_products_from_the_sieve(monkeypatch):
     # M8 and M10 are one-dimensional, so E4·E4 = E8 and E4·E6 = E10 exactly;
     # each builder that reads E8 for E4² (or E10 for E4·E6) equals its form

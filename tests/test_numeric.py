@@ -278,10 +278,58 @@ def test_fixed_point_q_is_within_its_stated_error(t, grain, prec):
         assert abs(x - exact_x) <= 1e-15 * exact_x
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(64, 600))
+def test_integer_pi_and_ln2_are_within_two_units(bits):
+    pi, ln2 = numeric._constants(bits)
+    with mp.workprec(bits + 64):
+        assert abs(pi - mp.ldexp(mp.pi, bits)) <= 2 and abs(ln2 - mp.ldexp(mp.ln2, bits)) <= 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    t=st.one_of(st.fractions(min_value=Fraction(1, 10**9), max_value=Fraction(10**9), max_denominator=10**12),
+                st.floats(min_value=1e-9, max_value=1e9).map(mp.mpf)),
+    grain=st.integers(1, 3),
+    prec=st.sampled_from([64, 80, 144, 216, 400, 528]),
+)
+@example(t=Fraction(1, 10**9), grain=1, prec=528)
+@example(t=Fraction(10**9), grain=3, prec=528)
+@example(t=Fraction(10**9 - 1, 7), grain=2, prec=80)
+def test_integer_q_is_within_its_stated_error_from_1e_minus_9_to_1e9(t, grain, prec):
+    # the integer e^(−x) at heights far from 1, against mpmath at +120 bits:
+    # 80, and room for the up to 33 bits of x's integer part
+    x, big_q, shift = numeric._fixed_q(t, grain, prec)
+    assert 2 ** (prec + 4) <= big_q < 2 ** (prec + 7)
+    with mp.workprec(prec + 80 + 40):
+        exact_x = 2 * mp.pi * numeric._mpf(t) / grain
+        assert abs(mp.ldexp(big_q, -shift) / mp.exp(-exact_x) - 1) <= mp.ldexp(1, -prec - 2)
+        assert abs(x - exact_x) <= 1e-15 * exact_x
+
+
+def test_floating_reads_call_neither_mpmath_exp_nor_pi(monkeypatch, capsys):
+    # q, π, 1/π, ln 2 and the inversion factors are integers: no read on either
+    # side of t = 1, no route build and no plotdata, scan, limits or s_at_it
+    # value asks mpmath for them
+    def forbidden(*args):
+        raise AssertionError("mpmath's exp or pi was called")
+
+    numeric._inverting_route.cache_clear(), numeric._x_power.cache_clear()
+    monkeypatch.setattr(mp, "exp", forbidden)
+    monkeypatch.setattr(mp.pi, "func", forbidden)
+    for argv in (["eval", "X12_1", "--t", "3/10"], ["eval", "X12_1", "--t", "3"], ["eval", "E2", "--t", "1/3"],
+                 ["eval", "X16_2", "--t", "0.2"], ["plotdata", "X8_2", "--m", "7", "--points", "12"],
+                 ["limits", "X12_1"]):
+        assert cli.run(argv) == 0, argv
+    numeric.monotonicity_scans(cli.SCAN_PAIRS[:4])
+    numeric.s_at_it("X8_1", 7, Fraction(1, 2)), numeric.s_at_it("X8_1", 7, 2)
+    capsys.readouterr()
+
+
 def test_one_exp_per_height_for_all_evaluators_of_a_route(monkeypatch):
     route = route_for("X8_2")
-    calls, exp = [], mp.exp
-    monkeypatch.setattr(mp, "exp", lambda x: calls.append(x) or exp(x))
+    calls, fixed_q = [], numeric._fixed_q
+    monkeypatch.setattr(numeric, "_fixed_q", lambda *a: calls.append(a) or fixed_q(*a))
     with mp.workprec(BITS):
         for t in (Fraction(1, 3), numeric._mpf(Fraction(1, 7)), 2):
             # below t = 1 the four T_p evaluators, above it F and DF
@@ -820,8 +868,8 @@ def test_a_batch_forms_each_q_once_and_builds_each_route_once(monkeypatch):
     pairs = list(cli.SCAN_PAIRS)
     numeric._inverting_route.cache_clear()
     exps, routes = [], []
-    exp, init = mp.exp, numeric._AxisRoute.__init__
-    monkeypatch.setattr(mp, "exp", lambda x: exps.append(x) or exp(x))
+    fixed_q, init = numeric._fixed_q, numeric._AxisRoute.__init__
+    monkeypatch.setattr(numeric, "_fixed_q", lambda *a: exps.append(a) or fixed_q(*a))
     monkeypatch.setattr(numeric._AxisRoute, "__init__", lambda self, *a, **k: routes.append(a) or init(self, *a, **k))
     reports = numeric.monotonicity_scans(pairs)
     with mp.workprec(BITS):
