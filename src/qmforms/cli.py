@@ -228,12 +228,11 @@ def _checked_grid_args(args) -> str:
 
 def _cmd_scan(args) -> tuple[int, dict, str]:
     label = _checked_grid_args(args)
-    cfg = _eval_config(args.bits)
-    report = numeric.monotonicity_scan(label, args.m, (args.tmin, args.tmax, args.points), cfg)
+    report = numeric.monotonicity_scan(label, args.m, (args.tmin, args.tmax, args.points), _eval_config(args.bits))
     payload = report.to_json_dict()
+    from mpmath import nstr  # loaded by the scan above
     lines = [f"{label} m={args.m}: {report.verdict}"]
-    for lo, hi in report.sign_changes:
-        lines.append(f"  sign change inside ({numeric.mp.nstr(lo, 8)}, {numeric.mp.nstr(hi, 8)})")
+    lines += [f"  sign change inside ({nstr(lo, 8)}, {nstr(hi, 8)})" for lo, hi in report.sign_changes]
     return 0, payload, "\n".join(lines) + "\n"
 
 
@@ -272,19 +271,16 @@ def _cmd_limits(args) -> tuple[int, dict, str]:
     if desc.depth != 1 or desc.parts is None:
         raise UsageError(f"limits needs a depth-1 label like X12_1, got {label!r}")
     w = desc.weight
-    cfg = _eval_config(args.bits)
-    result = numeric.limit_t0(w, cfg)
-    with numeric.mp.workprec(cfg.precision_bits):
-        mp = numeric.mp  # mpmath's context, loaded by the read above
-        rel = abs(result["measured"] - result["predicted"]) / abs(result["predicted"])
-        ok = rel < mp.mpf("1e-6")
-        payload = {
-            "label": label,
-            "measured": mp.nstr(result["measured"], 30),
-            "predicted": mp.nstr(result["predicted"], 30),
-            "rel_error": mp.nstr(rel, 6),
-            "passed": bool(ok),
-        }
+    result = numeric.limit_t0(w, _eval_config(args.bits))
+    from mpmath import nstr  # loaded by the read above
+    ok = result["rel_error"] < 1e-6
+    payload = {
+        "label": label,
+        "measured": nstr(result["measured"], 30),
+        "predicted": nstr(result["predicted"], 30),
+        "rel_error": nstr(result["rel_error"], 6),
+        "passed": bool(ok),
+    }
     text = (
         f"{label}: limit of t^{w - 1} F(it) measured {payload['measured']} vs "
         f"predicted {payload['predicted']} (rel {payload['rel_error']})\n"
@@ -294,16 +290,13 @@ def _cmd_limits(args) -> tuple[int, dict, str]:
 
 def _cmd_eval(args) -> tuple[int, dict, str]:
     label = _checked_label(args.label)
-    cfg = _eval_config(args.bits)
-    try:
-        report = numeric.eval_at_it(label, args.t, cfg)
-    except numeric.NonPositiveT as exc:
-        raise UsageError(str(exc))
+    report = numeric.eval_at_it(label, args.t, _eval_config(args.bits))
+    from mpmath import nstr  # loaded by the read above
     payload = {
         "label": label,
         "t": str(args.t),
-        "value": numeric.mp.nstr(report["value"], 30),
-        "tail_estimate": numeric.mp.nstr(report["tail_estimate"], 10),
+        "value": nstr(report["value"], 30),
+        "tail_estimate": nstr(report["tail_estimate"], 10),
     }
     text = f"{label}(it) at t = {args.t}: {payload['value']} (tail {payload['tail_estimate']})\n"
     return 0, payload, text
@@ -312,10 +305,10 @@ def _cmd_eval(args) -> tuple[int, dict, str]:
 def _cmd_plotdata(args) -> tuple[int, dict, str]:
     label = _checked_grid_args(args)
     cfg = _eval_config(args.bits)
-    with numeric.mp.workprec(cfg.precision_bits):
-        grid = numeric.geometric_grid(args.tmin, args.tmax, args.points)
+    grid = numeric.geometric_grid(args.tmin, args.tmax, args.points, cfg)
     points = numeric.curve_points(label, args.m, grid, cfg)
-    rows = [[numeric.mp.nstr(t, 17), numeric.mp.nstr(v, 17)] for t, v in points]
+    from mpmath import nstr  # loaded by the grid above
+    rows = [[nstr(t, 17), nstr(v, 17)] for t, v in points]
     lines = [
         f"# dataset: t^{args.m} * {label}(it) on a geometric grid of {args.points} points",
         "# columns: t\tvalue",
@@ -512,9 +505,9 @@ def _criterion_lambert() -> dict:
 
 
 def _criterion_numeric_values() -> dict:
+    from mpmath import mp  # the independent oracle for π and Γ(1/4)
     cfg = numeric.EvalConfig()
-    with numeric.mp.workprec(cfg.precision_bits):
-        mp = numeric.mp  # mpmath's context, loaded by the read above
+    with mp.workprec(cfg.precision_bits):
         inversion_ok = True
         for t in (Fraction(3, 10), Fraction(1), Fraction(5, 2)):
             lhs = numeric.eval_at_it("E2", Fraction(1) / t, cfg)["value"]
@@ -546,17 +539,16 @@ def _criterion_numeric_values() -> dict:
 
 
 def _criterion_limits() -> dict:
+    from mpmath import mp  # the independent oracle for π
     cfg = numeric.EvalConfig()
     ok = True
     detail = {}
-    with numeric.mp.workprec(cfg.precision_bits):
-        mp = numeric.mp  # mpmath's context, loaded by the read above
+    with mp.workprec(cfg.precision_bits):
         ref = 1 / (55440 * mp.pi)  # the predicted limit at w = 12
         for w in (6, 12, 14):
             result = numeric.limit_t0(w, cfg)
-            rel = abs(result["measured"] - result["predicted"]) / abs(result["predicted"])
-            detail[f"w{w}_rel"] = mp.nstr(rel, 4)
-            ok = ok and rel < mp.mpf("1e-6")
+            detail[f"w{w}_rel"] = mp.nstr(result["rel_error"], 4)
+            ok = ok and result["rel_error"] < 1e-6
             if w == 12:
                 ok = ok and abs(result["predicted"] - ref) / ref < mp.mpf("1e-30")
     return {
@@ -804,7 +796,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         code, payload, text = args.handler(args)
         _write_out(_canonical_json(payload) if as_json else text, output)
         return code
-    except (UsageError, OrderExceeded) as exc:
+    except (UsageError, OrderExceeded, numeric.HeightOutOfRange) as exc:
         sys.stderr.write(f"qmf: {exc}\n")
         if as_json:
             with contextlib.suppress(UsageError):  # the output path may be what failed

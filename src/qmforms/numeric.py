@@ -4,9 +4,11 @@ Everything exact lives in the other modules; this one turns a truncated
 series with rational coefficients into floating values of F(it), F'(it)
 at configurable binary precision, with an error estimate on every value, and
 builds the three analytic tools of the monotonicity study of t ↦ t^m F(it).
-Only this module imports mpmath, on its first read of ``mp`` (``_LazyMp``),
-so the exact commands never load it.  Every value is one :class:`_AxisRoute`
-read, point evaluation (``eval``) included:
+Reads pass ``EvalConfig.precision_bits`` down as an argument, never reading
+mpmath's global context.  mpmath is imported on first use, only here and only
+in :func:`geometric_grid` (a grid's points) and :func:`_to_mpf` (the mpf values
+returned), so exact commands never load it.  Every value is one
+:class:`_AxisRoute` read, ``eval`` included:
 
 * one inversion route: a label with E2-parts F = Σ_j E2^j·A_j (every
   SL(2,Z) label but E2; a modular form is its own single part) is summed at
@@ -25,7 +27,7 @@ series' exact numerators to each point's own cut (``EvalConfig.order_for``
 sets direct sums' build order); route reads combine the sums as integer
 :class:`Ball` values, and a value's tolerance is its ball's radius.  A height's
 q = e^(−2πt/grain), π, 1/π and u^k are integers too, with derived errors
-(:func:`_constants`); mpmath makes the grid, parses and prints.  The radius
+(:func:`_constants`), and heights are exact rationals.  The radius
 bounds the dropped stored terms, every rounding and each constant's error, and
 holds a geometric heuristic (not yet a proven bound) for the terms past the
 stored order.  Scans are labelled "on grid": signs at grid points with stated
@@ -45,22 +47,6 @@ from typing import NamedTuple, Sequence
 from .extremal import describe_label, form_by_label
 from .forms import TAU_DEFAULT_CAP, OrderExceeded, derivative_parts, recompose_parts
 from .qseries import FourierSeries
-
-
-class _LazyMp:
-    """``mpmath.mp`` until read: the first read imports mpmath and rebinds this module's ``mp``."""
-
-    def __getattr__(self, name: str):
-        global mp
-        from mpmath import mp
-        return getattr(mp, name)
-
-
-mp = _LazyMp()
-
-
-class NonPositiveT(ValueError):
-    """Raised when an evaluation point t on the imaginary axis is <= 0."""
 
 
 @dataclass(frozen=True)
@@ -86,21 +72,28 @@ class EvalConfig:
         return max(200, ceil(40 * max(1, self.precision_bits / 256) / float(t)))
 
 
-def _mpf(x) -> mp.mpf:
-    """Exact-as-possible conversion to the current working precision."""
-    if isinstance(x, Fraction):
-        return mp.mpf(x.numerator) / x.denominator
-    return mp.mpf(x)
+# Reads refuse max(t, 1/t) > HEIGHT_CAP before any build.  Delta, E4, X12_1, X48_1, X96_1, F, L,
+# P1, G, X16_2, X42Delta and Y8_2 keep full precision through 10^17 (Delta matches mpmath to 30 digits
+# from 10^-18 to 10^18); at 10^18 F and L read 0.0 with a tail of their own size, at 10^30 Delta runs
+# out of memory in a shift, and 10^50 or 10^400 overflow conversions.
+HEIGHT_CAP = 10**15
 
 
-def _exact(t) -> Fraction:
-    """t as an exact rational: a positive mpf man·2^exp is a dyadic one, formed by shifts."""
-    return Fraction(t.man << max(t.exp, 0), 1 << max(-t.exp, 0)) if isinstance(t, mp.mpf) else Fraction(t)
+class HeightOutOfRange(ValueError):
+    """Raised, before any build, for a height t <= 0 or with max(t, 1/t) > HEIGHT_CAP."""
 
 
-def _require_positive(t) -> None:
+class NonPositiveT(HeightOutOfRange):
+    """Raised when an evaluation point t on the imaginary axis is <= 0."""
+
+
+def _require_height(t) -> None:
+    """Refuse t <= 0 (:class:`NonPositiveT`) and t past :data:`HEIGHT_CAP`; t is an int or a Fraction."""
     if not t > 0:
         raise NonPositiveT(f"evaluation point must satisfy t > 0, got {t}")
+    a, c = t.as_integer_ratio()
+    if a > HEIGHT_CAP * c or c > HEIGHT_CAP * a:
+        raise HeightOutOfRange(f"t of about 10^{math.log10(a) - math.log10(c):.0f} is past the cap: need 10^-15 <= t <= 10^15")
 
 
 # ---------------------------------------------------------------------------
@@ -117,46 +110,48 @@ TAIL_SAFETY = 10
 
 class Ball(NamedTuple):
     """The reals [mid − rad, mid + rad]·2^exp: ``+`` and ``*`` exact, ``trim``
-    rounding outward (after Arb: Johansson, IEEE Trans. Comput. 66, 2017)."""
+    rounding outward to the width it is passed, as Arb's operations take their
+    ``prec`` (Johansson, IEEE Trans. Comput. 66, 2017)."""
 
     mid: int
     rad: int  # >= 0
     exp: int
 
     def __add__(self, other: Ball) -> Ball:
-        """Exact, but for a ball wholly below one unit of a midpoint of at least
-        mp.prec + 2·GUARD_BITS bits: that unit joins the radius, so terms whose
-        exponents lie far apart are not shifted together.  An exact 0 adds nothing."""
         hi, lo = (self, other) if self.exp >= other.exp else (other, self)
-        if not (lo.mid or lo.rad):
-            return hi
-        if not (hi.mid or hi.rad):
-            return lo
         a = hi.exp - lo.exp
-        if (a >= lo.mid.bit_length() and (abs(lo.mid) + lo.rad).bit_length() <= a
-                and hi.mid.bit_length() >= mp.prec + 2 * GUARD_BITS):
-            return Ball(hi.mid, hi.rad + 1, hi.exp)
         return Ball((hi.mid << a) + lo.mid, (hi.rad << a) + lo.rad, lo.exp)
 
     def __mul__(self, other: Ball) -> Ball:
         rad = abs(self.mid) * other.rad + abs(other.mid) * self.rad + self.rad * other.rad
         return Ball(self.mid * other.mid, rad, self.exp + other.exp)
 
-    def trim(self) -> Ball:
-        """At most mp.prec + 2·GUARD_BITS bits each: mid floored, rad one unit up."""
-        s = max(abs(self.mid).bit_length(), self.rad.bit_length()) + 1 - mp.prec - 2 * GUARD_BITS
+    def trim(self, prec: int) -> Ball:
+        """At most prec + 2·GUARD_BITS bits each: mid floored, rad one unit up."""
+        s = max(abs(self.mid).bit_length(), self.rad.bit_length()) + 1 - prec - 2 * GUARD_BITS
         return self if s <= 0 else Ball(self.mid >> s, -(-self.rad >> s) + 1, self.exp + s)
 
-    def as_mpf(self) -> tuple:
-        """(mid at mp.prec bits, a bound rounded up on its distance from the ball)."""
-        units = self.rad + (abs(self.mid) >> mp.prec)  # with mid's own rounding
-        s = max(0, units.bit_length() - mp.prec)
-        return mp.mpf((self.mid, self.exp)), mp.mpf((-(-units >> s), self.exp + s))
+    def as_mpf(self, prec: int) -> tuple:
+        """(mid at ``prec`` bits, a bound rounded up on its distance from the ball), as mpf values."""
+        units = self.rad + (abs(self.mid) >> prec)  # with mid's own rounding
+        s = max(0, units.bit_length() - prec)
+        return _to_mpf(self, prec), _to_mpf(Ball(-(-units >> s), 0, self.exp + s), prec)
 
 
-def _ball(num: int, den: int) -> Ball:
-    """num/den, den > 0, floored to mp.prec + 2·GUARD_BITS + 1 bits at most."""
-    s = mp.prec + 2 * GUARD_BITS - 1 + den.bit_length() - abs(num).bit_length()
+def _to_mpf(x, prec: int):
+    """A ball's midpoint or a rational, rounded to nearest at ``prec`` bits: the
+    mpf that ``mpf((mid, exp))`` or an mpf quotient makes at working precision
+    ``prec``, whatever mpmath's own context holds."""
+    import mpmath  # once loaded, a plain import is a dict lookup; a from-import redoes importlib's fromlist work
+    libmp = mpmath.libmp
+    if isinstance(x, Ball):
+        return mpmath.mp.make_mpf(libmp.from_man_exp(x.mid, x.exp, prec, libmp.round_nearest))
+    return mpmath.mp.make_mpf(libmp.from_rational(*x.as_integer_ratio(), prec, libmp.round_nearest))
+
+
+def _ball(num: int, den: int, prec: int) -> Ball:
+    """num/den, den > 0, floored to prec + 2·GUARD_BITS + 1 bits at most."""
+    s = prec + 2 * GUARD_BITS - 1 + den.bit_length() - abs(num).bit_length()
     mid, rest = divmod(num << s, den) if s >= 0 else divmod(num, den << -s)
     return Ball(mid, 1 if rest else 0, -s)
 
@@ -190,12 +185,12 @@ def _constants(bits: int) -> tuple:
 
 @lru_cache(maxsize=64)
 def _x_power(p: int, prec: int) -> Ball:
-    """(−6/π)^p = x^p·u^p, x = −6/(πu), at mp.prec = ``prec``: from P = π·2^prec within 2 units
+    """(−6/π)^p = x^p·u^p, x = −6/(πu), at ``prec`` bits: from P = π·2^prec within 2 units
     (:func:`_constants`), or 1/π = ⌊2^(2·prec+2)/P⌋·2^-(prec+2) within 2 (P's error 0.85, the floor 1)."""
     pi = _constants(prec)[0]
     x = Ball(pi, 2, -prec) if p < 0 else Ball((1 << 2 * prec + 2) // pi, 2, -prec - 2)
-    six = _ball((-6) ** p, 1) if p >= 0 else _ball(-1, 6)
-    return math.prod([x] * abs(p), start=six).trim()
+    six = _ball((-6) ** p, 1, prec) if p >= 0 else _ball(-1, 6, prec)
+    return math.prod([x] * abs(p), start=six).trim(prec)
 
 
 def _fixed_q(t, grain: int, prec: int) -> tuple:
@@ -207,7 +202,7 @@ def _fixed_q(t, grain: int, prec: int) -> tuple:
     or above, leave e^(−r) within 257·(n + 4)·2^-W < 2^-(prec+6).  A shift gives Q = ⌊e^(−r)·2^(prec+6)⌋,
     within 2^-(prec+4) more, and F = prec + 6 + k."""
     xf = 2 * math.pi * float(t) / grain
-    a, c = _exact(t).as_integer_ratio()
+    a, c = t.as_integer_ratio()
     wp = (v := prec + int(xf).bit_length()) + 12 + v.bit_length()
     pi, ln2 = _constants(wp)
     k, r = divmod(2 * a * pi // (c * grain), ln2)
@@ -225,8 +220,8 @@ class AxisEvaluator:
     """Sums of one stored series at heights z = it, each to its cut, as balls
     that :class:`_Height` keeps and route reads combine.
 
-    Build and use it inside one ``mp.workprec`` block.  At wp = prec +
-    GUARD_BITS it sums the exact numerators by Horner in Python integers at a
+    At wp = prec + GUARD_BITS, ``prec`` the working precision it is built
+    for, it sums the exact numerators by Horner in Python integers at a
     fixed point; where q^k0 < 2^-wp for the first nonzero c_k0, it sums from
     c_k0 and scales by q^k0 = Q^k0·2^(−k0·F) once, so its width does not grow
     with the height.  At q = e^(−2πt/grain) a point sums c_0..c_(N−1), N the
@@ -241,9 +236,9 @@ class AxisEvaluator:
     log2 floats as an outward power of two.
     """
 
-    def __init__(self, series: FourierSeries):
+    def __init__(self, series: FourierSeries, prec: int):
         self._nums, self._den, self.grain = series.nums, series.den, series.grain
-        self._prec = mp.prec + GUARD_BITS
+        self._prec = prec + GUARD_BITS
         # 2^(d-1) < |c_n| < 2^(d+1) for d = bits of the numerator - bits of den
         bits = [abs(c).bit_length() - self._den.bit_length() if c else None for c in self._nums]
         self._low = [-math.inf if d is None else d - 1 for d in bits]
@@ -318,8 +313,8 @@ class _AxisRoute:
 
     with Φ_(−1) = 0, each T_p an exact series.  At m = w−1 on depth 1 the
     x-term T_1 is the zero series, so nothing cancels in floating point.
-    A route keeps only its exact series and the F, DF, Φ_p and Ψ_p
-    evaluators, so one route serves any number of calls.  F′ = Ψ_0, Φ_0's
+    A route keeps only its exact series and the F, DF, Φ_p and Ψ_p evaluators
+    at its working precision ``prec``, so one route serves any number of calls.  F′ = Ψ_0, Φ_0's
     derivative, and its evaluator are built on the first DF or s read at
     t >= 1 (for a cached route, its build's check at t = 1); DF's E2-parts
     and the Ψ_p for p >= 1 on the first DF or s read below t = 1, so reads
@@ -329,10 +324,10 @@ class _AxisRoute:
     form each once.
     """
 
-    def __init__(self, parts: Sequence[FourierSeries], weight: int | None = None):
-        self.w, self._parts, self._lazy = weight, parts, {}
+    def __init__(self, parts: Sequence[FourierSeries], weight: int | None, prec: int):
+        self.w, self._parts, self.prec, self._lazy = weight, parts, prec, {}
         self._phi = [parts[0]] if weight is None else _collected(parts)
-        self.f = AxisEvaluator(self._phi[0])
+        self.f = AxisEvaluator(self._phi[0], prec)
 
     @cached_property
     def _psi0(self) -> FourierSeries:
@@ -346,7 +341,7 @@ class _AxisRoute:
 
     @cached_property
     def fp(self) -> AxisEvaluator:
-        return AxisEvaluator(self._psi0)
+        return AxisEvaluator(self._psi0, self.prec)
 
     def _below(self, key, table: dict | None = None) -> list:
         """The (p, evaluator) pairs summed below t = 1, built on first use:
@@ -356,7 +351,8 @@ class _AxisRoute:
         if slot not in memo:
             series = self._phi if key == "phi" else self._psi if key == "psi" else self.t_series(key)
             own = self.f if key == "phi" else self.fp if key == "psi" else None  # Φ_0 = F, Ψ_0 = F′
-            memo[slot] = [(p, AxisEvaluator(g) if p or own is None else own) for p, g in enumerate(series) if not g.is_zero()]
+            memo[slot] = [(p, AxisEvaluator(g, self.prec) if p or own is None else own)
+                          for p, g in enumerate(series) if not g.is_zero()]
         return memo[slot]
 
     def t_series(self, m: int) -> list:
@@ -370,52 +366,57 @@ class _AxisRoute:
 
     def value(self, t, table: dict | None = None) -> Ball:
         """F(it)."""
-        if (height := _height(t, table)).above or self.w is None:
+        if (height := _height(t, table, self.prec)).above or self.w is None:
             return height.sum(((Ball(1, 0, 0), self.f),))
         return self._inverted(self.w, self._below("phi"), height)
 
     def derivative(self, t, table: dict | None = None) -> Ball:
         """DF(it), D = q·d/dq."""
-        if (height := _height(t, table)).above or self.w is None:
+        if (height := _height(t, table, self.prec)).above or self.w is None:
             return height.sum(((Ball(1, 0, 0), self.fp),))
         return self._inverted(self.w + 2, self._below("psi"), height)
 
     def s(self, m: int, t, table: dict | None = None) -> Ball:
         """s = m·F − 2πt·DF."""
-        if (height := _height(t, table)).above or self.w is None:
+        if (height := _height(t, table, self.prec)).above or self.w is None:
             return height.sum(((Ball(m, 0, 0), self.f), (height.minus_two_pi_t, self.fp)))
         return self._inverted(self.w, self._below(m, table), height, -1)
 
 
-def _height(t, table: dict | None) -> _Height:
+def _height(t, table: dict | None, prec: int) -> _Height:
     """``table``'s record of height t, formed on first use; without a table, a new one."""
-    return _Height(t) if table is None else table.get(t) or table.setdefault(t, _Height(t))
+    return _Height(t, prec) if table is None else table.get(t) or table.setdefault(t, _Height(t, prec))
 
 
 class _Height:
-    """One height t > 0 of a ``table``, shared by every read there of any route
-    or exponent: whether t >= 1, and, formed on first use at that read's
-    ``mp.prec`` (one per table), each :func:`_fixed_q`, each evaluator's ball
-    (its radius holds ``beyond``, a heuristic), u = 1/t's record, each factor."""
+    """One height t > 0, an int or a Fraction, of a ``table`` at working precision ``prec``, shared by
+    every read there of any route or exponent: whether t >= 1, and, formed on first use, each
+    :func:`_fixed_q`, each evaluator's ball (its radius holds ``beyond``, a heuristic), u = 1/t's record, each factor."""
 
-    def __init__(self, t):
-        _require_positive(t)
-        self.t, self.above, self._q, self._sums, self._factors = t, t >= 1, {}, {}, {}
+    def __init__(self, t, prec: int):
+        _require_height(t)
+        self.t, self.prec, self.above, self._q, self._sums, self._factors = t, prec, t >= 1, {}, {}, {}
 
     def sum(self, weighted: Sequence) -> Ball:
-        """Σ k·G(it) over ``(k, evaluator of G)``, k a ball, each G summed once here."""
-        total = Ball(0, 0, 0)
+        """Σ k·G(it) over ``(k, evaluator of G)``, k a ball, each G summed once
+        here, trimmed.  Of the total and the next term, one wholly below one unit
+        of the other, whose midpoint has prec + 2·GUARD_BITS bits or more, adds
+        that unit to its radius instead of a wide shift; an exact 0 adds nothing."""
+        total, width = Ball(0, 0, 0), self.prec + 2 * GUARD_BITS
         for k, e in weighted:
             if e not in self._sums:
                 if (key := (e.grain, e._prec)) not in self._q:
                     self._q[key] = _fixed_q(self.t, *key)
                 self._sums[e] = e._sum(self._q[key])[0]
-            total += k * self._sums[e]
-        return total.trim()
+            term = k * self._sums[e]
+            hi, lo = (total, term) if total.exp >= term.exp else (term, total)
+            zero, below = not (lo.mid or lo.rad), (abs(lo.mid) + lo.rad).bit_length() <= hi.exp - lo.exp
+            total = Ball(hi.mid, hi.rad + (not zero), hi.exp) if zero or (below and hi.mid.bit_length() >= width) else hi + lo
+        return total.trim(self.prec)
 
     @cached_property
     def inverse(self) -> _Height:
-        return _Height(1 / _exact(self.t))
+        return _Height(1 / Fraction(self.t), self.prec)
 
     @cached_property
     def minus_two_pi_t(self) -> Ball:
@@ -427,8 +428,8 @@ class _Height:
         no E2-part has negative weight), u^(w−p) the exact rational power
         rounded once by :func:`_ball`."""
         if (w, p) not in self._factors:
-            a, c = _exact(self.t).as_integer_ratio()
-            f = (_ball(a ** (w - p), c ** (w - p)) * _x_power(p, mp.prec)).trim()
+            a, c = self.t.as_integer_ratio()
+            f = (_ball(a ** (w - p), c ** (w - p), self.prec) * _x_power(p, self.prec)).trim(self.prec)
             self._factors[w, p] = f if w % 4 == 0 else Ball(-f.mid, f.rad, f.exp)
         return self._factors[w, p]
 
@@ -438,57 +439,56 @@ def _axis_route(label: str, t_min, cfg: EvalConfig) -> _AxisRoute:
     E2-parts, the label's :func:`_inverting_route` at this precision; without,
     a direct route built at ``cfg.order_for(t_min)`` for this call only, or
     :class:`OrderExceeded` before any build past ``TAU_DEFAULT_CAP`` terms."""
-    _require_positive(t_min)
+    _require_height(t_min)
     if describe_label(label).parts is None:
         if (order := cfg.order_for(t_min)) > TAU_DEFAULT_CAP:
             raise OrderExceeded(f"{label} at t = {t_min} needs {order} terms, above the cap of {TAU_DEFAULT_CAP}")
-        return _AxisRoute((form_by_label(label, order),))
-    return _inverting_route(label, cfg.precision_bits, mp.prec)
+        return _AxisRoute((form_by_label(label, order),), None, cfg.precision_bits)
+    return _inverting_route(label, cfg.precision_bits)
 
 
 @lru_cache(maxsize=64)
-def _inverting_route(label: str, bits: int, prec: int) -> _AxisRoute:
-    """The route of a label with E2-parts, kept per label, ``bits`` =
-    ``precision_bits`` and ``prec``, the ``mp.prec`` it is built at and must
-    be read at; the cache holds the 64 most recently used.  It sums only at
-    heights >= 1, so it is built at K = ⌈2·wp·ln 2/2π⌉ terms (q(1)^K =
-    2^(−2·wp), wp = bits + GUARD_BITS), doubled while F's or F′'s sum at t = 1
-    takes every stored term or has ``beyond`` above ``rounding``; both fall
-    with the height, ``beyond`` faster.  The check differentiates Φ_0 alone:
-    DF's E2-parts wait for a read below t = 1 that needs them."""
+def _inverting_route(label: str, bits: int) -> _AxisRoute:
+    """The route of a label with E2-parts, kept per label and ``bits`` =
+    ``precision_bits``, the working precision it is built for and read at;
+    the cache holds the 64 most recently used.  It sums only at heights >= 1,
+    so it is built at K = ⌈2·wp·ln 2/2π⌉ terms (q(1)^K = 2^(−2·wp), wp = bits
+    + GUARD_BITS), doubled while Φ_0 = F stores no nonzero term (X_(w,1)'s
+    first is at q^33 from w = 198 on), or F's or F′'s sum at t = 1 takes every
+    stored term or has ``beyond`` above ``rounding``; both fall with the
+    height, ``beyond`` faster.  The check differentiates Φ_0 alone: DF's
+    E2-parts wait for a read below t = 1 that needs them."""
     desc = describe_label(label)
     order = ceil(2 * (bits + GUARD_BITS) * math.log(2) / (2 * math.pi))
-    with mp.workprec(prec):
-        while True:
-            route = _AxisRoute(desc.parts(order), desc.weight)
-            q = _fixed_q(1, route.f.grain, route.f._prec)  # DF has F's grain and precision
-            at_one = [(e._sum(q), len(e._nums)) for e in (route.f, route.fp)]
-            if all(n < size and beyond <= rounding for (_, (_, beyond, rounding), n), size in at_one):
-                return route
-            order *= 2
+    while True:
+        route = _AxisRoute(desc.parts(order), desc.weight, bits)
+        q = _fixed_q(1, route.f.grain, route.f._prec)  # DF has F's grain and precision
+        at_one = [(e._sum(q), len(e._nums)) for e in (route.f, route.fp)]
+        if all(n < size and beyond <= rounding for (_, (_, beyond, rounding), n), size in at_one) and any(route._phi[0].nums):
+            return route
+        order *= 2
 
 
 def eval_at_it(form, t, cfg: EvalConfig | None = None) -> dict:
-    """Value of the series at z = it together with an error estimate.
+    """Value of the series at z = it, t an int or a Fraction, with an error estimate.
 
     One read of the route scans and curves use: a label's
     :func:`_axis_route` for heights >= t (E2 and every label without
     E2-parts built at ``cfg.order_for(t)``, so E2's inversion residual checks
     the law on its own), or a FourierSeries summed as stored.  Returns
     ``{"value", "tail_estimate"}``, the midpoint and radius of the read's
-    :class:`Ball`: the dropped-terms bound, every rounding, and the geometric
-    heuristic for the terms past the stored order.  Only F is summed; a
-    route's first build differentiates F once, for its check at t = 1, and
-    builds none of DF's E2-parts.
+    :class:`Ball` as mpf values at ``cfg.precision_bits``: the dropped-terms
+    bound, every rounding, and the geometric heuristic for the terms past the
+    stored order.  Only F is summed; a route's first build differentiates F
+    once, for its check at t = 1, and builds none of DF's E2-parts.
     """
-    cfg = cfg or EvalConfig()
-    with mp.workprec(cfg.precision_bits):
-        route = _axis_route(form, t, cfg) if isinstance(form, str) else _AxisRoute((form,))
-        if route.w is not None and t >= 1:
-            # by label: test_tracer_rebinds_every_import_and_keeps_cache_info counts it (ROADMAP item 6)
-            route = _AxisRoute((form_by_label(form, int(route._phi[0].order)),))
-        value, tail = route.value(t).as_mpf()
-        return {"value": value, "tail_estimate": tail}
+    prec = (cfg := cfg or EvalConfig()).precision_bits
+    route = _axis_route(form, t, cfg) if isinstance(form, str) else _AxisRoute((form,), None, prec)
+    if route.w is not None and t >= 1:
+        # by label: test_tracer_rebinds_every_import_and_keeps_cache_info counts it (ROADMAP item 6)
+        route = _AxisRoute((form_by_label(form, int(route._phi[0].order)),), None, prec)
+    value, tail = route.value(t).as_mpf(prec)
+    return {"value": value, "tail_estimate": tail}
 
 
 def s_at_it(label: str, m: int, t, cfg: EvalConfig | None = None) -> dict:
@@ -497,10 +497,10 @@ def s_at_it(label: str, m: int, t, cfg: EvalConfig | None = None) -> dict:
     make there, on the same cached :func:`_inverting_route`."""
     if describe_label(label).parts is None:
         raise ValueError(f"{label} has no E2-parts, so no route to read s on")
-    cfg = cfg or EvalConfig()
-    with mp.workprec(cfg.precision_bits):
-        value, tail = _inverting_route(label, cfg.precision_bits, mp.prec).s(m, t).as_mpf()
-        return {"value": value, "tail_estimate": tail}
+    _require_height(t)
+    prec = (cfg or EvalConfig()).precision_bits
+    value, tail = _inverting_route(label, prec).s(m, t).as_mpf(prec)
+    return {"value": value, "tail_estimate": tail}
 
 
 # ---------------------------------------------------------------------------
@@ -508,21 +508,20 @@ def s_at_it(label: str, m: int, t, cfg: EvalConfig | None = None) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def geometric_grid(t_min, t_max, points: int) -> tuple:
-    """``points`` geometrically spaced heights from t_min to t_max inclusive;
-    the 16 grids last used are kept, per ``mp.prec``."""
-    return _grid(t_min, t_max, points, mp.prec)
-
-
 @lru_cache(maxsize=16)
-def _grid(t_min, t_max, points: int, prec: int) -> tuple:
-    if points < 2:
-        raise ValueError("a grid needs at least two points")
-    lo, hi = _mpf(t_min), _mpf(t_max)
-    if not 0 < lo < hi:
-        raise ValueError("need 0 < t_min < t_max")
-    ratio = (hi / lo) ** (mp.mpf(1) / (points - 1))
-    return tuple(lo * ratio**k for k in range(points - 1)) + (hi,)
+def geometric_grid(t_min, t_max, points: int, cfg: EvalConfig | None = None) -> tuple:
+    """``points`` geometrically spaced heights from t_min to t_max inclusive, as
+    exact rationals: the dyadic values of the mpf points mpmath makes at
+    ``cfg.precision_bits``.  The 16 grids last used are kept."""
+    if points < 2 or not 0 < t_min < t_max:
+        raise ValueError("a grid needs at least two points and 0 < t_min < t_max")
+    _require_height(t_min), _require_height(t_max)
+    from mpmath import mp
+    with mp.workprec((cfg or EvalConfig()).precision_bits):
+        lo, hi = (mp.mpf(t.numerator) / t.denominator for t in (t_min, t_max))
+        ratio = (hi / lo) ** (mp.mpf(1) / (points - 1))
+        grid = [lo * ratio**k for k in range(points - 1)] + [hi]
+    return tuple(Fraction(x.man << max(x.exp, 0), 1 << max(-x.exp, 0)) for x in grid)
 
 
 @dataclass(frozen=True)
@@ -544,12 +543,13 @@ class ScanReport:
     verdict: str
 
     def to_json_dict(self) -> dict:
+        from mpmath import nstr
         return {
             "label": self.label,
             "m": self.m,
-            "grid": [mp.nstr(x, 17) for x in self.grid],
-            "s_values": [mp.nstr(x, 17) for x in self.s_values],
-            "sign_changes": [[mp.nstr(a, 17), mp.nstr(b, 17)] for a, b in self.sign_changes],
+            "grid": [nstr(x, 17) for x in self.grid],
+            "s_values": [nstr(x, 17) for x in self.s_values],
+            "sign_changes": [[nstr(a, 17), nstr(b, 17)] for a, b in self.sign_changes],
             "verdict": self.verdict,
         }
 
@@ -575,19 +575,18 @@ def monotonicity_scans(pairs: Sequence, grid_spec: tuple = DEFAULT_GRID_SPEC,
     """
     if (m := min((m for _, m in pairs), default=1)) <= 0:
         raise ValueError(f"the exponent m must be positive, got {m}")
-    cfg = cfg or EvalConfig()
-    t_min, t_max, points = grid_spec
-    with mp.workprec(cfg.precision_bits):
-        grid, table, reports = geometric_grid(t_min, t_max, points), {}, {}
-        routes = {label: _axis_route(label, t_min, cfg) for label in dict.fromkeys(label for label, _ in pairs)}
-        for label, m in pairs:
-            balls = [routes[label].s(m, t, table) for t in grid]
-            signs = [0 if abs(b.mid) <= b.rad else (1 if b.mid > 0 else -1) for b in balls]
-            signed = [(t, sig) for t, sig in zip(grid, signs) if sig]
-            changes = tuple((a, b) for (a, sa), (b, sb) in zip(signed, signed[1:]) if sa != sb)
-            verdict = ("sign_change_found" if changes else "monotone_decreasing_on_grid"
-                       if all(sig <= 0 for sig in signs) else "not_decreasing_on_grid")
-            reports[label, m] = ScanReport(label, m, grid, tuple(mp.mpf((b.mid, b.exp)) for b in balls), changes, verdict)
+    prec, (t_min, t_max, points) = (cfg := cfg or EvalConfig()).precision_bits, grid_spec
+    grid, table, reports = geometric_grid(t_min, t_max, points, cfg), {}, {}
+    shown = tuple(_to_mpf(t, prec) for t in grid)  # exact: each point has at most prec bits
+    routes = {label: _axis_route(label, t_min, cfg) for label in dict.fromkeys(label for label, _ in pairs)}
+    for label, m in pairs:
+        balls = [routes[label].s(m, t, table) for t in grid]
+        signs = [0 if abs(b.mid) <= b.rad else (1 if b.mid > 0 else -1) for b in balls]
+        signed = [(t, sig) for t, sig in zip(shown, signs) if sig]
+        changes = tuple((a, b) for (a, sa), (b, sb) in zip(signed, signed[1:]) if sa != sb)
+        verdict = ("sign_change_found" if changes else "monotone_decreasing_on_grid"
+                   if all(sig <= 0 for sig in signs) else "not_decreasing_on_grid")
+        reports[label, m] = ScanReport(label, m, shown, tuple(_to_mpf(b, prec) for b in balls), changes, verdict)
     return reports
 
 
@@ -598,14 +597,19 @@ def monotonicity_scan(form_label: str, m: int, grid_spec: tuple = DEFAULT_GRID_S
 
 
 def curve_points(form_label: str, m: int, grid: Sequence, cfg: EvalConfig | None = None) -> list:
-    """(t, t^m · F(it)) pairs over ``grid`` — the data behind sign scans.
+    """(t, t^m · F(it)) pairs over ``grid``, heights given as ints or
+    Fractions — the data behind sign scans — as mpf values at
+    ``cfg.precision_bits``, t^m·F(it) one ball product rounded once.
 
     Labels with E2-parts use the inversion route below t = 1, like the scans.
     """
-    cfg = cfg or EvalConfig()
-    with mp.workprec(cfg.precision_bits):
-        route, table = _axis_route(form_label, min(grid), cfg), {}
-        return [(t, t**m * route.value(t, table).as_mpf()[0]) for t in map(_mpf, grid)]
+    prec = (cfg := cfg or EvalConfig()).precision_bits
+    _require_height(max(grid))  # and _axis_route the least, before it builds
+    route, table, points = _axis_route(form_label, min(grid), cfg), {}, []
+    for t in grid:
+        power = _ball(*(x**m for x in t.as_integer_ratio()), prec)
+        points.append((_to_mpf(t, prec), _to_mpf(power * route.value(t, table), prec)))
+    return points
 
 
 # ---------------------------------------------------------------------------
@@ -619,14 +623,17 @@ def limit_t0(w: int, cfg: EvalConfig | None = None) -> dict:
     By :class:`_AxisRoute`'s inversion the limit is −6·sgn·β₀/π, with
     sgn = (−1)^(w/2) and β₀ the E2-companion's constant term; the measured
     value is the route's at t = 1/40.  Both are balls, rounded once to the
-    working precision.
+    working precision, and ``rel_error``, |measured − predicted|/|predicted|
+    of the rounded values, is exact until rounded once, as in mpf arithmetic,
+    whose difference is exact there (Sterbenz's lemma).
     """
     if w < 6 or w % 2:
         raise ValueError(f"the depth-1 family needs even weight >= 6, got {w}")
-    cfg = cfg or EvalConfig()
-    with mp.workprec(cfg.precision_bits):
-        route = _axis_route(f"X{w}_1", Fraction(1, 40), cfg)
-        beta0 = (-1) ** (w // 2) * Fraction(route._phi[1].coefficient(0))  # Φ_1: the E2-companion at depth 1
-        predicted = _ball(beta0.numerator, beta0.denominator) * _x_power(1, mp.prec)
-        measured = route.value(Fraction(1, 40)) * _ball(1, 40 ** (w - 1))
-        return {"measured": measured.as_mpf()[0], "predicted": predicted.as_mpf()[0]}
+    prec = (cfg := cfg or EvalConfig()).precision_bits
+    route = _axis_route(f"X{w}_1", Fraction(1, 40), cfg)
+    beta0 = (-1) ** (w // 2) * Fraction(route._phi[1].coefficient(0))  # Φ_1: the E2-companion at depth 1
+    predicted = _ball(beta0.numerator, beta0.denominator, prec) * _x_power(1, prec)
+    measured = route.value(Fraction(1, 40)) * _ball(1, 40 ** (w - 1), prec)
+    values = [_to_mpf(b, prec) for b in (measured, predicted)]
+    m, p = (Fraction(x.man if x > 0 else -x.man) * Fraction(2) ** x.exp for x in values)
+    return {"measured": values[0], "predicted": values[1], "rel_error": _to_mpf(abs(m - p) / abs(p), prec)}

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
+from mpmath.libmp import to_rational
 
 from qmforms import cli, extremal, forms, numeric
 from qmforms.extremal import a_w_exponent, describe_label, form_by_label, x_w1, x_w1_components
@@ -32,6 +33,16 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 def value_at(form, t, cfg=None):
     return numeric.eval_at_it(form, t, cfg)["value"]
+
+
+def mpf_of(x):
+    """A rational as an mpf at mpmath's working precision."""
+    return mp.mpf(x) if isinstance(x, int) else mp.mpf(x.numerator) / x.denominator
+
+
+def exact(x) -> Fraction:
+    """An mpf's exact value."""
+    return Fraction(*to_rational(x._mpf_))
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +175,7 @@ EVALUATOR_LABELS = (
 def horner(coeffs, q):
     acc = mp.mpf(0)
     for c in reversed(coeffs):
-        acc = acc * q + numeric._mpf(c)
+        acc = acc * q + mpf_of(c)
     return acc
 
 
@@ -177,27 +188,27 @@ class Point(NamedTuple):
     ball: numeric.Ball
 
 
-def point_at(series, t):
-    """One ``AxisEvaluator._sum`` of ``series`` at z = it, at mp.prec: the
+def point_at(series, t, prec):
+    """One ``AxisEvaluator._sum`` of ``series`` at z = it, at ``prec`` bits: the
     ball's midpoint, its radius split into the dropped-terms bound, the
     heuristic past the stored order and the rest (every rounding, the
-    midpoint's own at mp.prec bits included), the terms summed, and the ball."""
-    evaluator = numeric.AxisEvaluator(series)
+    midpoint's own at ``prec`` bits included), the terms summed, and the ball."""
+    evaluator = numeric.AxisEvaluator(series, prec)
     ball, logs, terms = evaluator._sum(numeric._fixed_q(t, evaluator.grain, evaluator._prec))
     dropped, beyond = (1 << max(0, math.ceil(lg + 2**-20) - ball.exp) if lg > -math.inf else 0 for lg in logs[:2])
-    rounding = ball.rad - dropped - beyond + (abs(ball.mid) >> mp.prec)
-    return Point(*(mp.mpf((k, ball.exp)) for k in (ball.mid, dropped, beyond, rounding)), terms, ball)
+    rounding = ball.rad - dropped - beyond + (abs(ball.mid) >> prec)
+    return Point(*(numeric._to_mpf(numeric.Ball(k, 0, ball.exp), prec) for k in (ball.mid, dropped, beyond, rounding)), terms, ball)
 
 
-def assert_tail_is_the_trimmed_radius(point, tail):
-    """``tail``, at mp.prec, is never below the sum's dropped + beyond +
+def assert_tail_is_the_trimmed_radius(point, tail, prec):
+    """``tail``, at ``prec`` bits, is never below the sum's dropped + beyond +
     rounding, and above them by under two units of the last place a route
     read trims the ball to (the radius rounded up to it, and one unit for the
-    floored midpoint) plus its own rounding up to mp.prec bits."""
-    ball, tail = point.ball, numeric._exact(tail)
-    parts = Fraction(ball.rad + (abs(ball.mid) >> mp.prec)) * Fraction(2) ** ball.exp
-    unit = Fraction(2) ** (numeric.Ball(0, 0, 0) + ball).trim().exp
-    assert parts <= tail < parts + 2 * unit + tail * Fraction(2) ** (1 - mp.prec)
+    floored midpoint) plus its own rounding up to ``prec`` bits."""
+    ball, tail = point.ball, exact(tail)
+    parts = Fraction(ball.rad + (abs(ball.mid) >> prec)) * Fraction(2) ** ball.exp
+    unit = Fraction(2) ** (numeric.Ball(0, 0, 0) + ball).trim(prec).exp
+    assert parts <= tail < parts + 2 * unit + tail * Fraction(2) ** (1 - prec)
 
 
 @settings(max_examples=60, deadline=None)
@@ -207,11 +218,10 @@ def assert_tail_is_the_trimmed_radius(point, tail):
 )
 def test_evaluator_dropped_bound_covers_the_skipped_terms(label, t):
     series = form_by_label(label, 800)
-    with mp.workprec(BITS):
-        point = point_at(series, t)
+    point = point_at(series, t, BITS)
     assert 0 < point.terms <= len(series.coeffs)
     with mp.workprec(BITS + 64):
-        q = mp.exp(-2 * mp.pi * numeric._mpf(t) / series.grain)
+        q = mp.exp(-2 * mp.pi * mpf_of(t) / series.grain)
         head = series.coeffs[: point.terms]
         skipped = q**point.terms * horner(series.coeffs[point.terms:], q)
         assert abs(skipped) <= point.dropped
@@ -229,16 +239,14 @@ def test_evaluator_dropped_bound_covers_the_skipped_terms(label, t):
 )
 def test_evaluator_rounding_bound_covers_the_summed_terms(label, t, bits):
     series = form_by_label(label, 800)
-    with mp.workprec(bits):
-        point = point_at(series, t)
+    point = point_at(series, t, bits)
     coeffs = series.coeffs
     with mp.workprec(bits + 64):
-        q = mp.exp(-2 * mp.pi * numeric._mpf(t) / series.grain)
+        q = mp.exp(-2 * mp.pi * mpf_of(t) / series.grain)
         assert abs(point.value - horner(coeffs[: point.terms], q)) <= point.rounding
         assert abs(point.value - horner(coeffs, q)) <= point.dropped + point.rounding
-    with mp.workprec(bits):
-        # eval's tail is the radius of a route read, which trims the ball outward
-        assert_tail_is_the_trimmed_radius(point, numeric.eval_at_it(series, t, EvalConfig(bits))["tail_estimate"])
+    # eval's tail is the radius of a route read, which trims the ball outward
+    assert_tail_is_the_trimmed_radius(point, numeric.eval_at_it(series, t, EvalConfig(bits))["tail_estimate"], bits)
 
 
 @settings(max_examples=80, deadline=None)
@@ -254,10 +262,9 @@ def test_evaluator_bounds_hold_on_random_series(grain, runs, den, t, bits):
     # the integer sum against an mpf Horner sum of the Fractions 64 bits higher
     coeffs = [c for zeros, num in runs for c in [0] * zeros + [Fraction(num, den)]]
     series = FourierSeries.from_coefficients(coeffs, grain)
-    with mp.workprec(bits):
-        point = point_at(series, t)
+    point = point_at(series, t, bits)
     with mp.workprec(bits + 64):
-        q = mp.exp(-2 * mp.pi * numeric._mpf(t) / grain)
+        q = mp.exp(-2 * mp.pi * mpf_of(t) / grain)
         assert abs(point.value - horner(series.coeffs[: point.terms], q)) <= point.rounding
         assert abs(point.value - horner(series.coeffs, q)) <= point.dropped + point.rounding
 
@@ -265,7 +272,7 @@ def test_evaluator_bounds_hold_on_random_series(grain, runs, den, t, bits):
 @settings(max_examples=80, deadline=None)
 @given(
     t=st.one_of(st.fractions(min_value=Fraction(1, 100), max_value=Fraction(200), max_denominator=10**6),
-                st.floats(min_value=0.01, max_value=200).map(mp.mpf)),
+                st.floats(min_value=0.01, max_value=200).map(Fraction)),
     grain=st.integers(1, 3),
     prec=st.sampled_from([80, 144, 216, 528]),
 )
@@ -273,7 +280,7 @@ def test_fixed_point_q_is_within_its_stated_error(t, grain, prec):
     x, big_q, shift = numeric._fixed_q(t, grain, prec)
     assert big_q >= 2 ** (prec + 4)
     with mp.workprec(prec + 64):
-        exact_x = 2 * mp.pi * numeric._mpf(t) / grain
+        exact_x = 2 * mp.pi * mpf_of(t) / grain
         assert abs(mp.ldexp(big_q, -shift) / mp.exp(-exact_x) - 1) <= mp.ldexp(1, -prec - 2)
         assert abs(x - exact_x) <= 1e-15 * exact_x
 
@@ -289,7 +296,7 @@ def test_integer_pi_and_ln2_are_within_two_units(bits):
 @settings(max_examples=150, deadline=None)
 @given(
     t=st.one_of(st.fractions(min_value=Fraction(1, 10**9), max_value=Fraction(10**9), max_denominator=10**12),
-                st.floats(min_value=1e-9, max_value=1e9).map(mp.mpf)),
+                st.floats(min_value=1e-9, max_value=1e9).map(Fraction)),
     grain=st.integers(1, 3),
     prec=st.sampled_from([64, 80, 144, 216, 400, 528]),
 )
@@ -302,7 +309,7 @@ def test_integer_q_is_within_its_stated_error_from_1e_minus_9_to_1e9(t, grain, p
     x, big_q, shift = numeric._fixed_q(t, grain, prec)
     assert 2 ** (prec + 4) <= big_q < 2 ** (prec + 7)
     with mp.workprec(prec + 80 + 40):
-        exact_x = 2 * mp.pi * numeric._mpf(t) / grain
+        exact_x = 2 * mp.pi * mpf_of(t) / grain
         assert abs(mp.ldexp(big_q, -shift) / mp.exp(-exact_x) - 1) <= mp.ldexp(1, -prec - 2)
         assert abs(x - exact_x) <= 1e-15 * exact_x
 
@@ -330,12 +337,11 @@ def test_one_exp_per_height_for_all_evaluators_of_a_route(monkeypatch):
     route = route_for("X8_2")
     calls, fixed_q = [], numeric._fixed_q
     monkeypatch.setattr(numeric, "_fixed_q", lambda *a: calls.append(a) or fixed_q(*a))
-    with mp.workprec(BITS):
-        for t in (Fraction(1, 3), numeric._mpf(Fraction(1, 7)), 2):
-            # below t = 1 the four T_p evaluators, above it F and DF
-            route.s(7, t)
-            assert len(calls) == 1, t
-            calls.clear()
+    for t in (Fraction(1, 3), Fraction(2**128 // 7, 2**128), 2):
+        # below t = 1 the four T_p evaluators, above it F and DF
+        route.s(7, t)
+        assert len(calls) == 1, t
+        calls.clear()
 
 
 def test_a_scan_builds_only_the_evaluators_it_sums(monkeypatch):
@@ -344,21 +350,20 @@ def test_a_scan_builds_only_the_evaluators_it_sums(monkeypatch):
     t_series = route_for("X8_2", EvalConfig().order_for(1)).t_series(7)
     numeric._inverting_route.cache_clear()
     built, init = [], numeric.AxisEvaluator.__init__
-    monkeypatch.setattr(numeric.AxisEvaluator, "__init__", lambda self, series: built.append(series) or init(self, series))
+    monkeypatch.setattr(numeric.AxisEvaluator, "__init__",
+                        lambda self, series, prec: built.append(series) or init(self, series, prec))
     numeric.monotonicity_scan("X8_2", 7)
     assert len(built) == 2 + sum(not series.is_zero() for series in t_series)
 
 
 def test_rounding_bound_of_a_zero_series_is_zero():
-    with mp.workprec(BITS):
-        point = point_at(FourierSeries.zero(5), Fraction(1, 3))
+    point = point_at(FourierSeries.zero(5), Fraction(1, 3), BITS)
     assert point.value == point.rounding == 0
 
 
 def test_evaluator_sums_each_point_only_as_far_as_it_needs():
     series = form_by_label("X12_2", 800)
-    with mp.workprec(BITS):
-        high, low = point_at(series, 20), point_at(series, Fraction(1, 20))
+    high, low = point_at(series, 20, BITS), point_at(series, Fraction(1, 20), BITS)
     assert high.terms < 10
     assert 100 < low.terms <= len(series.coeffs)
     assert high.dropped > 0 and high.value > 0
@@ -404,11 +409,10 @@ def test_reads_of_f_build_none_of_dfs_parts(monkeypatch, label, bits):
 @pytest.mark.parametrize("label", ROUTED)
 def test_dfs_parts_are_built_once_per_route_on_the_first_read_below_one(monkeypatch, label):
     calls, w = count_derivative_parts(monkeypatch), describe_label(label).weight
-    with mp.workprec(BITS):
-        route = numeric._axis_route(label, Fraction(1, 20), EvalConfig())
-        for t in (2, Fraction(3, 10), Fraction(1, 7)):
-            route.derivative(t)
-        route.s(w - 1, Fraction(3, 10))
+    route = numeric._axis_route(label, Fraction(1, 20), EvalConfig())
+    for t in (2, Fraction(3, 10), Fraction(1, 7)):
+        route.derivative(t)
+    route.s(w - 1, Fraction(3, 10))
     assert calls == [w]
     numeric._inverting_route.cache_clear()
     numeric.monotonicity_scans([(label, w - 1), (label, w + 1)])
@@ -420,8 +424,7 @@ def test_a_routes_psi0_is_its_f_derivative_and_its_first_reads_reuse_f_and_fp(la
     route = route_for(label)
     assert route._psi0 == route._phi[0].derivative() == recompose_parts(derivative_parts(route._parts, route.w))
     assert route._psi[0] is route._psi0
-    with mp.workprec(BITS):
-        assert route._below("phi")[0] == (0, route.f) and route._below("psi")[0] == (0, route.fp)
+    assert route._below("phi")[0] == (0, route.f) and route._below("psi")[0] == (0, route.fp)
 
 
 def test_s_at_it_is_a_scans_read_on_the_cached_route():
@@ -450,16 +453,15 @@ def test_eval_tolerance_is_the_radius_of_its_route_read(form, t, bits):
     # as the read trims it
     cfg = EvalConfig(bits)
     report = numeric.eval_at_it(form, t, cfg)
-    with mp.workprec(bits):
-        route = numeric._axis_route(form, t, cfg) if isinstance(form, str) else numeric._AxisRoute((form,))
-        if route.w is not None and t >= 1:
-            route = numeric._AxisRoute((form_by_label(form, int(route._phi[0].order)),))
-        value, tolerance = route.value(t).as_mpf()
-        assert (report["value"], report["tail_estimate"]) == (value, tolerance)
-        if route.w is None:
-            point = point_at(route._phi[0], t)
-            assert report["value"] == point.value
-            assert_tail_is_the_trimmed_radius(point, report["tail_estimate"])
+    route = numeric._axis_route(form, t, cfg) if isinstance(form, str) else numeric._AxisRoute((form,), None, bits)
+    if route.w is not None and t >= 1:
+        route = numeric._AxisRoute((form_by_label(form, int(route._phi[0].order)),), None, bits)
+    value, tolerance = route.value(t).as_mpf(bits)
+    assert (report["value"], report["tail_estimate"]) == (value, tolerance)
+    if route.w is None:
+        point = point_at(route._phi[0], t, bits)
+        assert report["value"] == point.value
+        assert_tail_is_the_trimmed_radius(point, report["tail_estimate"], bits)
 
 
 def test_series_input_matches_label_route():
@@ -559,8 +561,7 @@ def test_e2_inversion_residuals():
 def route_for(label, order=210, bits=BITS):
     """The inverting route of a label with E2-parts, built at ``order``."""
     desc = describe_label(label)
-    with mp.workprec(bits):
-        return numeric._AxisRoute(desc.parts(order), desc.weight)
+    return numeric._AxisRoute(desc.parts(order), desc.weight, bits)
 
 
 # the labels with E2-parts that the floating tests exercise
@@ -569,18 +570,16 @@ INVERTED_LABELS = tuple(f"X{w}_1" for w in range(6, 26, 2)) + tuple(f"X{w}_2" fo
 
 def test_transformed_route_domain():
     route = route_for("X6_1")
-    with mp.workprec(BITS):
-        for t in (0, -1):
-            for read in (route.value, route.derivative, lambda t: route.s(5, t)):
-                with pytest.raises(NonPositiveT):
-                    read(t)
-        # above t = 1 the route sums directly
-        assert route.value(Fraction(3, 2)).as_mpf()[0] == value_at(x_w1(6, 210), Fraction(3, 2))
+    for t in (0, -1):
+        for read in (route.value, route.derivative, lambda t: route.s(5, t)):
+            with pytest.raises(NonPositiveT):
+                read(t)
+    # above t = 1 the route sums directly
+    assert route.value(Fraction(3, 2)).as_mpf(BITS)[0] == value_at(x_w1(6, 210), Fraction(3, 2))
 
 
 def test_two_route_agreement_weight12_example():
-    with mp.workprec(BITS):
-        routed, tolerance = route_for("X12_1").value(Fraction(4, 5)).as_mpf()
+    routed, tolerance = route_for("X12_1").value(Fraction(4, 5)).as_mpf(BITS)
     direct = value_at("X12_1", Fraction(4, 5))
     assert abs(routed - direct) < mp.mpf("1e-20")
     assert tolerance < mp.mpf("1e-30") * abs(direct)
@@ -593,9 +592,8 @@ def test_two_route_agreement_all_depth1_weights():
         direct = form_by_label(label, 700)
         deriv = direct.derivative()
         for t in (Fraction(3, 10), Fraction(11, 20), Fraction(99, 100)):
-            with mp.workprec(BITS):
-                f_value, _ = route.value(t).as_mpf()
-                fp_value, _ = route.derivative(t).as_mpf()
+            f_value, _ = route.value(t).as_mpf(BITS)
+            fp_value, _ = route.derivative(t).as_mpf(BITS)
             dv = value_at(direct, t)
             dpv = value_at(deriv, t)
             assert abs(f_value - dv) / abs(dv) < mp.mpf("1e-30"), (label, t)
@@ -607,9 +605,9 @@ def test_inversion_fixed_point_at_t_one():
     for label in ("X12_1", "X8_2", "X16_2"):
         route = route_for(label)
         with mp.workprec(BITS):
-            inverted = route._inverted(route.w, route._below("phi"), numeric._Height(1)).as_mpf()[0]
-            inverted_d = route._inverted(route.w + 2, route._below("psi"), numeric._Height(1)).as_mpf()[0]
-            direct, direct_d = route.value(1).as_mpf()[0], route.derivative(1).as_mpf()[0]
+            inverted = route._inverted(route.w, route._below("phi"), numeric._Height(1, BITS)).as_mpf(BITS)[0]
+            inverted_d = route._inverted(route.w + 2, route._below("psi"), numeric._Height(1, BITS)).as_mpf(BITS)[0]
+            direct, direct_d = route.value(1).as_mpf(BITS)[0], route.derivative(1).as_mpf(BITS)[0]
             assert abs(inverted - direct) / abs(direct) < mp.mpf("1e-30"), label
             assert abs(inverted_d - direct_d) / abs(direct_d) < mp.mpf("1e-30"), label
 
@@ -624,12 +622,11 @@ def test_inverted_sums_match_direct_sums(label, t, bits):
     # built to order 1000 and summed with 64 more bits; X4_2's E2^2-part is
     # a constant, which must take no tail heuristic
     route = route_for(label, EvalConfig().order_for(1), bits)
-    with mp.workprec(bits):
-        routed = route.value(t).as_mpf(), route.derivative(t).as_mpf()
+    routed = route.value(t).as_mpf(bits), route.derivative(t).as_mpf(bits)
     series = form_by_label(label, 1000)
     with mp.workprec(bits + 64):
         for (value, tolerance), ref in zip(routed, (series, series.derivative())):
-            point = point_at(ref, t)
+            point = point_at(ref, t, bits + 64)
             error = abs(value - point.value)
             assert error <= tolerance + point.dropped + point.beyond + point.rounding, (label, t, bits)
             assert tolerance < mp.ldexp(abs(point.value), 20 - bits)
@@ -664,13 +661,21 @@ def test_derivative_parts_recompose_to_the_derivative():
 # ---------------------------------------------------------------------------
 
 
+def mpmath_grid(lo, hi, points, bits):
+    """The exact values of the geometric grid mpmath makes at ``bits``."""
+    with mp.workprec(bits):
+        lo, hi = mpf_of(lo), mpf_of(hi)
+        ratio = (hi / lo) ** (mp.mpf(1) / (points - 1))
+        return tuple(exact(x) for x in [lo * ratio**k for k in range(points - 1)] + [hi])
+
+
 def test_geometric_grid_shape():
-    with mp.workprec(BITS):
-        grid = numeric.geometric_grid(Fraction(1, 20), 20, 60)
-        assert len(grid) == 60
-        assert grid[0] == numeric._mpf(Fraction(1, 20)) and grid[-1] == 20
-        ratios = [grid[k + 1] / grid[k] for k in range(59)]
-        assert max(ratios) - min(ratios) < mp.mpf("1e-30")
+    grid = numeric.geometric_grid(Fraction(1, 20), 20, 60)
+    assert grid == mpmath_grid(Fraction(1, 20), 20, 60, BITS)
+    assert len(grid) == 60 and grid[-1] == 20 and abs(grid[0] - Fraction(1, 20)) < Fraction(1, 2**130)
+    ratios = [grid[k + 1] / grid[k] for k in range(59)]
+    assert max(ratios) - min(ratios) < Fraction(1, 10**30)
+    assert numeric.geometric_grid(Fraction(1, 20), 20, 60, EvalConfig(256)) == mpmath_grid(Fraction(1, 20), 20, 60, 256)
 
 
 def test_geometric_grid_validation():
@@ -687,11 +692,10 @@ def test_geometric_grid_validation():
     points=st.integers(min_value=2, max_value=40),
 )
 def test_geometric_grid_sorted_and_bounded(lo, span, points):
-    with mp.workprec(BITS):
-        grid = numeric.geometric_grid(lo, lo * span, points)
-        assert len(grid) == points
-        assert all(grid[k] < grid[k + 1] for k in range(points - 1))
-        assert grid[0] == numeric._mpf(lo) and grid[-1] == numeric._mpf(lo * span)
+    grid = numeric.geometric_grid(lo, lo * span, points)
+    assert len(grid) == points
+    assert all(grid[k] < grid[k + 1] for k in range(points - 1))
+    assert grid == mpmath_grid(lo, lo * span, points, BITS)
 
 
 def test_scan_rejects_nonpositive_exponent():
@@ -728,9 +732,8 @@ def test_scan_decreasing_pairs():
     for label, m in (("X12_1", 11), ("X16_1", 15)):
         report = numeric.monotonicity_scan(label, m, (Fraction(1, 20), Fraction(1, 5), 3))
         assert report.verdict == "monotone_decreasing_on_grid", (label, m)
-        with mp.workprec(BITS):
-            route = numeric._axis_route(label, Fraction(1, 20), EvalConfig())
-            assert all(ball.mid + ball.rad < 0 for ball in (route.s(m, t) for t in report.grid)), (label, m)
+        route, grid = numeric._axis_route(label, Fraction(1, 20), EvalConfig()), numeric.geometric_grid(Fraction(1, 20), Fraction(1, 5), 3)
+        assert all(ball.mid + ball.rad < 0 for ball in (route.s(m, t) for t in grid)), (label, m)
 
 
 def test_scan_weight8_exponent_seven_brackets_one():
@@ -776,8 +779,7 @@ def test_scan_report_serializes():
 
 
 def test_curve_points_show_interior_peak_for_weight8():
-    with mp.workprec(BITS):
-        grid = numeric.geometric_grid(Fraction(1, 2), Fraction(8, 5), 9)
+    grid = numeric.geometric_grid(Fraction(1, 2), Fraction(8, 5), 9)
     points = numeric.curve_points("X8_1", 7, grid)
     values = [v for _, v in points]
     peak = max(range(len(values)), key=lambda k: values[k])
@@ -798,9 +800,7 @@ def test_curve_points_build_depth1_labels_for_heights_from_one(monkeypatch):
     components, by_label = extremal.x_w1_components, numeric.form_by_label
     monkeypatch.setattr(extremal, "x_w1_components", lambda w, order: orders.append(order) or components(w, order))
     monkeypatch.setattr(numeric, "form_by_label", lambda label, order: labels.append(label) or by_label(label, order))
-    with mp.workprec(BITS):
-        grid = (mp.mpf("0.06"), mp.mpf(2))
-    numeric.curve_points("X6_1", 5, grid)
+    numeric.curve_points("X6_1", 5, (Fraction(3, 50), 2))
     assert orders == [ROUTE_ORDER_128] and ROUTE_ORDER_128 < EvalConfig().order_for(Fraction(1, 20))
     assert labels == []
 
@@ -828,9 +828,7 @@ def test_depth2_scans_and_curves_build_for_heights_from_one(monkeypatch):
     monkeypatch.setattr(numeric, "form_by_label", lambda label, order: labels.append(label) or by_label(label, order))
     report = numeric.monotonicity_scan("X8_2", 7, (Fraction(1, 20), 2, 4))
     assert report.verdict == "monotone_decreasing_on_grid"
-    with mp.workprec(BITS):
-        grid = (mp.mpf("0.07"), mp.mpf(2))
-    numeric.curve_points("X12_2", 11, grid)
+    numeric.curve_points("X12_2", 11, (Fraction(7, 100), 2))
     assert orders == [ROUTE_ORDER_128] * 2 and ROUTE_ORDER_128 < EvalConfig().order_for(Fraction(1, 20))
     assert labels == []
 
@@ -848,15 +846,15 @@ def test_a_route_built_for_height_one_holds_there_and_matches_order_for_one(labe
     # terms at t = 1, with the tail heuristic below the counted rounding, and
     # its s-values agree with a route built at order_for(1) within both tolerances
     desc = describe_label(label)
-    with mp.workprec(bits):
-        route = numeric._axis_route(label, Fraction(1, 20), EvalConfig(bits))
-        reference = numeric._AxisRoute(desc.parts(EvalConfig(bits).order_for(1)), desc.weight)
-        assert len(route.f._nums) - 1 < EvalConfig(bits).order_for(1)
-        for e in [route.f, route.fp] + [e for _, e in route._below(m)]:
-            _, (_, beyond, rounding), n = e._sum(numeric._fixed_q(1, e.grain, e._prec))
-            assert n < len(e._nums) and beyond <= rounding, (label, bits, m)
-        for t in heights:
-            (s, tol), (ref, ref_tol) = route.s(m, t).as_mpf(), reference.s(m, t).as_mpf()
+    route = numeric._axis_route(label, Fraction(1, 20), EvalConfig(bits))
+    reference = numeric._AxisRoute(desc.parts(EvalConfig(bits).order_for(1)), desc.weight, bits)
+    assert len(route.f._nums) - 1 < EvalConfig(bits).order_for(1)
+    for e in [route.f, route.fp] + [e for _, e in route._below(m)]:
+        _, (_, beyond, rounding), n = e._sum(numeric._fixed_q(1, e.grain, e._prec))
+        assert n < len(e._nums) and beyond <= rounding, (label, bits, m)
+    for t in heights:
+        (s, tol), (ref, ref_tol) = route.s(m, t).as_mpf(bits), reference.s(m, t).as_mpf(bits)
+        with mp.workprec(bits):
             assert abs(s - ref) <= tol + ref_tol, (label, bits, m, t)
 
 
@@ -872,9 +870,7 @@ def test_a_batch_forms_each_q_once_and_builds_each_route_once(monkeypatch):
     monkeypatch.setattr(numeric, "_fixed_q", lambda *a: exps.append(a) or fixed_q(*a))
     monkeypatch.setattr(numeric._AxisRoute, "__init__", lambda self, *a, **k: routes.append(a) or init(self, *a, **k))
     reports = numeric.monotonicity_scans(pairs)
-    with mp.workprec(BITS):
-        grid = numeric.geometric_grid(*numeric.DEFAULT_GRID_SPEC)
-    heights = {numeric._exact(t) if t >= 1 else 1 / numeric._exact(t) for t in grid}
+    heights = {t if t >= 1 else 1 / t for t in numeric.geometric_grid(*numeric.DEFAULT_GRID_SPEC)}
     assert len(pairs) == 18 and len(routes) == 14
     assert len(heights) == 60 and len(exps) == len(heights) + len(routes)
     exps.clear(), routes.clear()
@@ -898,10 +894,9 @@ def test_a_batch_sums_each_evaluator_once_per_height(monkeypatch):
     cold = len(sums)
     sums.clear()
     assert numeric.monotonicity_scans(pairs) == reports
-    grid = reports[pairs[0]].grid
+    grid = numeric.geometric_grid(*numeric.DEFAULT_GRID_SPEC)
     above, labels = sum(t >= 1 for t in grid), dict.fromkeys(label for label, _ in pairs)
-    with mp.workprec(BITS):
-        below = sum(len(numeric._axis_route(label, grid[0], EvalConfig())._below(m)) for label, m in pairs)
+    below = sum(len(numeric._axis_route(label, grid[0], EvalConfig())._below(m)) for label, m in pairs)
     assert len(sums) == 2 * above * len(labels) + below * (len(grid) - above) <= 2430
     assert cold == len(sums) + 2 * len(labels)
 
@@ -915,19 +910,18 @@ def test_reads_through_a_shared_table_equal_reads_through_a_fresh_one(label, m, 
     # a table that other routes, exponents and reads have already filled at
     # the same heights gives every read the same mpf as an empty table
     cfg = EvalConfig(bits)
-    with mp.workprec(bits):
-        route = numeric._axis_route(label, Fraction(1, 20), cfg)
-        other = numeric._axis_route("X8_1", Fraction(1, 20), cfg)
-        grid, table = [numeric._mpf(t) for t in heights], {}
-        for t in grid:
-            other.s(7, t, table)
-            other.value(t, table)
-            route.s(m + 1, t, table)
-            route.derivative(t, table)
-        for t in grid:
-            for read in (lambda tab: route.s(m, t, tab), lambda tab: route.value(t, tab),
-                         lambda tab: route.derivative(t, tab)):
-                assert read(table) == read({}), (label, m, t, bits)
+    route = numeric._axis_route(label, Fraction(1, 20), cfg)
+    other = numeric._axis_route("X8_1", Fraction(1, 20), cfg)
+    table = {}
+    for t in heights:
+        other.s(7, t, table)
+        other.value(t, table)
+        route.s(m + 1, t, table)
+        route.derivative(t, table)
+    for t in heights:
+        for read in (lambda tab: route.s(m, t, tab), lambda tab: route.value(t, tab),
+                     lambda tab: route.derivative(t, tab)):
+            assert read(table) == read({}), (label, m, t, bits)
 
 
 def test_delta_at_a_large_height_matches_its_product_within_the_tail():
@@ -943,7 +937,7 @@ def test_delta_below_one_is_right_to_the_working_bits(t):
     # value is t^(-12)·Δ(i/t) within a tail of 2^-120 of it, and positive
     report = numeric.eval_at_it("Delta", t)
     with mp.workprec(300):
-        u = 1 / numeric._mpf(t)
+        u = 1 / mpf_of(t)
         q = mp.exp(-2 * mp.pi * u)
         want = u**12 * q * mp.qp(q) ** 24
         assert report["value"] > 0
@@ -957,7 +951,20 @@ ROUTED_LABELS = ("E4", "E6", "E8", "E10", "Delta", "F", "X42Delta") + INVERTED_L
 def test_every_routed_label_builds_at_most_128_terms_at_128_bits():
     for label in ROUTED_LABELS:
         assert describe_label(label).parts is not None, label
-        assert numeric._inverting_route(label, 128, 128)._phi[0].order <= 128, label
+        assert numeric._inverting_route(label, 128)._phi[0].order <= 128, label
+
+
+@pytest.mark.parametrize("label", ["X198_1", "X240_1"])
+def test_labels_whose_first_terms_pass_a_routes_order_read_their_value(label):
+    # X_(w,1) first has a nonzero coefficient at q^33 from w = 198 on, past the
+    # 32 terms a 128-bit route starts from: a route that stored none read 0.0
+    # with a tail of 0.0 at t >= 1, so it doubles until F stores one
+    series = form_by_label(label, 200)
+    for t in (1, 2):
+        report = numeric.eval_at_it(label, t)
+        with mp.workprec(BITS + 64):
+            direct = horner(series.coeffs, mp.exp(-2 * mp.pi * t))
+            assert report["value"] != 0 and abs(report["value"] - direct) <= report["tail_estimate"], (label, t)
 
 
 @settings(max_examples=60, deadline=None)
@@ -972,12 +979,56 @@ def test_routed_eval_matches_a_deep_direct_sum(label, t, bits):
     series = form_by_label(label, 1000)
     magnitude = FourierSeries(series.grain, tuple(map(abs, series.nums)), series.den)
     with mp.workprec(bits + 64):
-        point, size = point_at(series, t), point_at(magnitude, t).value
+        point, size = point_at(series, t, bits + 64), point_at(magnitude, t, bits + 64).value
         if mp.ldexp(abs(point.value), 32) < size:
             return
         error = abs(report["value"] - point.value)
         bound = report["tail_estimate"] + mp.ldexp(abs(point.value), 8 - bits)
         assert error <= bound + point.dropped + point.beyond + point.rounding, (label, t, bits)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mid=st.integers(-(2**400), 2**400), exp=st.integers(-600, 600), den=st.integers(1, 2**400),
+       prec=st.integers(64, 300))
+def test_mpf_outputs_round_to_nearest_at_the_working_precision(mid, exp, den, prec):
+    # a ball's midpoint becomes the mpf that mp.mpf((mid, exp)) makes inside
+    # mp.workprec(prec), and a rational num/den the mpf quotient made there
+    num = mid >> max(0, abs(mid).bit_length() - prec)  # exact as an mpf
+    with mp.workprec(prec):
+        assert numeric._to_mpf(numeric.Ball(mid, 0, exp), prec)._mpf_ == mp.mpf((mid, exp))._mpf_
+        assert numeric._to_mpf(Fraction(num, den), prec)._mpf_ == (mp.mpf(num) / den)._mpf_
+
+
+def ambient_reads():
+    """Every public floating read, from cold caches."""
+    numeric._inverting_route.cache_clear(), numeric.geometric_grid.cache_clear()
+    grid = numeric.geometric_grid(Fraction(1, 3), 3, 7)
+    return [grid, numeric.eval_at_it("X12_1", Fraction(3, 10)), numeric.eval_at_it("X12_1", 3),
+            numeric.eval_at_it("E2", Fraction(1, 3)), numeric.s_at_it("X8_1", 7, Fraction(1, 2)),
+            numeric.monotonicity_scans([("X8_1", 7), ("Delta", 11)], (Fraction(1, 3), 3, 7)),
+            numeric.curve_points("X8_2", 7, grid), numeric.limit_t0(12)]
+
+
+def test_reads_do_not_depend_on_mpmaths_ambient_precision():
+    reads = ambient_reads()
+    for prec in (53, 700):
+        with mp.workprec(prec):
+            assert ambient_reads() == reads, prec
+
+
+def test_reads_past_the_height_cap_refuse_before_any_build(monkeypatch):
+    numeric._inverting_route.cache_clear()
+    built, init = [], numeric._AxisRoute.__init__
+    monkeypatch.setattr(numeric._AxisRoute, "__init__", lambda self, *a: built.append(a) or init(self, *a))
+    far, near = Fraction(10**15 + 1), Fraction(1, 10**15 + 1)
+    for read in (lambda: numeric.eval_at_it("X12_1", far), lambda: numeric.eval_at_it("E2", near),
+                 lambda: numeric.s_at_it("X8_1", 7, far), lambda: numeric.curve_points("X8_1", 7, (1, far)),
+                 lambda: numeric.monotonicity_scan("X8_1", 7, (near, 1, 3)),
+                 lambda: numeric.geometric_grid(1, far, 3)):
+        with pytest.raises(numeric.HeightOutOfRange):
+            read()
+    assert built == []
+    assert numeric.eval_at_it("X12_1", 10**15)["value"] > 0 and numeric.eval_at_it("X12_1", Fraction(1, 10**15))["value"] > 0
 
 
 def holds(ball, x):
@@ -997,8 +1048,7 @@ def test_ball_primitives_enclose_every_combination_of_their_endpoints(a, b, num,
     # endpoint of a and one of b; a trim holds both endpoints and keeps
     # bits + 2·GUARD_BITS bits; ⌊num/den⌋ holds num/den
     width = bits + 2 * numeric.GUARD_BITS
-    with mp.workprec(bits):
-        total, product, trimmed, ratio = a + b, a * b, a.trim(), numeric._ball(num, den)
+    total, product, trimmed, ratio = a + b, a * b, a.trim(bits), numeric._ball(num, den, bits)
     ends = [[Fraction(ball.mid + d * ball.rad) * Fraction(2) ** ball.exp for d in (-1, 1)] for ball in (a, b)]
     for x in ends[0]:
         assert holds(trimmed, x)
@@ -1012,15 +1062,19 @@ def test_ball_primitives_enclose_every_combination_of_their_endpoints(a, b, num,
 @given(a=BALLS, b=BALLS, gap=st.integers(0, 2000), bits=st.sampled_from((64, 128, 256)))
 def test_a_ball_far_below_a_wide_midpoint_adds_one_unit_to_its_radius(a, b, gap, bits):
     # a's midpoint has more than bits + 2·GUARD_BITS bits and b lies wholly
-    # below one unit of a, ``gap`` bits further down: their sum, either way
-    # round, is a with one more unit of radius (none if b is an exact 0) and
-    # holds every sum of their endpoints; an exact 0 at any exponent adds nothing
+    # below one unit of a, ``gap`` bits further down: a height's sum of the
+    # two, either way round, is a with one more unit of radius (none if b is
+    # an exact 0), trimmed, and holds every sum of their endpoints; an exact 0
+    # at any exponent adds nothing
     a = numeric.Ball((1 << 300 | abs(a.mid)) * (-1 if a.mid < 0 else 1), a.rad, a.exp)
     b = numeric.Ball(b.mid, b.rad, a.exp - (abs(b.mid) + b.rad).bit_length() - gap)
-    with mp.workprec(bits):
-        sums = a + b, b + a
-        zeros = numeric.Ball(0, 0, b.exp) + a, a + numeric.Ball(0, 0, a.exp + gap)
-    assert sums == (numeric.Ball(a.mid, a.rad + bool(b.mid or b.rad), a.exp),) * 2 and zeros == (a, a)
+    height, one = numeric._Height(1, bits), numeric.Ball(1, 0, 0)
+    # the balls stand in for evaluators' sums, under keys of their own
+    height._sums.update(a=a, b=b, low_zero=numeric.Ball(0, 0, b.exp), high_zero=numeric.Ball(0, 0, a.exp + gap))
+    sums = height.sum([(one, "a"), (one, "b")]), height.sum([(one, "b"), (one, "a")])
+    zeros = height.sum([(one, "low_zero"), (one, "a")]), height.sum([(one, "a"), (one, "high_zero")])
+    assert sums == (numeric.Ball(a.mid, a.rad + bool(b.mid or b.rad), a.exp).trim(bits),) * 2
+    assert zeros == (a.trim(bits),) * 2
     for x, y in itertools.product(*([Fraction(ball.mid + d * ball.rad) * Fraction(2) ** ball.exp for d in (-1, 1)]
                                     for ball in (a, b))):
         assert holds(sums[0], x + y)
@@ -1031,15 +1085,15 @@ def reference_terms(route, read, m, t):
     m·F and −2πt·DF; below, each (−1)^(w/2)·u^w·x^p·G_p(iu).  Each is summed
     over every stored coefficient in mpf at the working precision."""
     def at(series, height):
-        return horner(series.coeffs, mp.exp(-2 * mp.pi * numeric._mpf(height) / series.grain))
+        return horner(series.coeffs, mp.exp(-2 * mp.pi * mpf_of(height) / series.grain))
 
     if t >= 1:
         f, fp = route._phi[0], route._psi[0]
         return {"value": [at(f, t)], "derivative": [at(fp, t)],
-                "s": [m * at(f, t), -2 * mp.pi * numeric._mpf(t) * at(fp, t)]}[read]
+                "s": [m * at(f, t), -2 * mp.pi * mpf_of(t) * at(fp, t)]}[read]
     weight, series, first = {"value": (route.w, route._phi, 0), "derivative": (route.w + 2, route._psi, 0),
                              "s": (route.w, route.t_series(m), -1)}[read]
-    u = 1 / numeric._mpf(t)
+    u = 1 / mpf_of(t)
     x = -6 / (mp.pi * u)
     return [(-1) ** (weight // 2) * u**weight * x ** (p + first) * at(g, 1 / t) for p, g in enumerate(series)]
 
@@ -1053,9 +1107,8 @@ def reference_terms(route, read, m, t):
 def test_every_route_ball_holds_the_value_64_bits_higher(label, m, t, bits):
     # the balls of s, F and DF at an exact height against their terms summed
     # in mpf 64 bits higher; each radius is under 2^(20 − bits) of the largest
-    with mp.workprec(bits):
-        route = numeric._axis_route(label, Fraction(1, 20), EvalConfig(bits))
-        balls = {"s": route.s(m, t), "value": route.value(t), "derivative": route.derivative(t)}
+    route = numeric._axis_route(label, Fraction(1, 20), EvalConfig(bits))
+    balls = {"s": route.s(m, t), "value": route.value(t), "derivative": route.derivative(t)}
     with mp.workprec(bits + 64):
         for read, ball in balls.items():
             terms = reference_terms(route, read, m, t)
@@ -1066,8 +1119,7 @@ def test_every_route_ball_holds_the_value_64_bits_higher(label, m, t, bits):
 def test_a_short_mantissa_factor_keeps_its_tolerance_tight():
     # u^6 at t = 1/20 is 20^6, a 14-bit mantissa; its ulps must not set the
     # tolerance of s, which is about 2e-45 there
-    with mp.workprec(BITS):
-        s, tolerance = numeric._axis_route("X6_1", Fraction(1, 20), EvalConfig()).s(5, Fraction(1, 20)).as_mpf()
+    s, tolerance = numeric._axis_route("X6_1", Fraction(1, 20), EvalConfig()).s(5, Fraction(1, 20)).as_mpf(BITS)
     assert abs(s) > mp.mpf("1e-45") and tolerance <= mp.mpf("1e-81")
 
 
@@ -1091,15 +1143,14 @@ def test_a_warm_batch_forms_minus_two_pi_t_once_per_height(monkeypatch):
     calls, factor = [], numeric._Height.factor
     monkeypatch.setattr(numeric._Height, "factor", lambda self, w, p: calls.append((self.t, w, p)) or factor(self, w, p))
     assert numeric.monotonicity_scans(pairs) == reports
-    above = [t for t in reports[pairs[0]].grid if t >= 1]
+    above = [t for t in numeric.geometric_grid(*numeric.DEFAULT_GRID_SPEC) if t >= 1]
     assert len(above) == 30 and [t for t, w, p in calls if (w, p) == (0, -1)] == above
 
 
 def test_curve_points_match_direct_evaluation_above_one():
+    ((t, val),) = numeric.curve_points("X6_1", 5, (2,))
+    direct = value_at("X6_1", 2)
     with mp.workprec(BITS):
-        grid = (mp.mpf(2),)
-        ((t, val),) = numeric.curve_points("X6_1", 5, grid)
-        direct = value_at("X6_1", 2)
         assert abs(val - mp.mpf(2) ** 5 * direct) / abs(val) < mp.mpf("1e-30")
 
 
@@ -1130,7 +1181,7 @@ def test_limit_t0_matches_prediction():
         result = numeric.limit_t0(w)
         with mp.workprec(BITS):
             rel = abs(result["measured"] - result["predicted"]) / abs(result["predicted"])
-            assert rel < mp.mpf("1e-6")
+            assert rel < mp.mpf("1e-6") and result["rel_error"] == rel
             ref = 1 / (denominator * mp.pi)
             assert abs(result["predicted"] - ref) / ref < mp.mpf("1e-30")
 
