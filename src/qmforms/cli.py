@@ -221,8 +221,8 @@ def _checked_grid_args(args) -> str:
     label = _checked_label(args.label)
     if args.m <= 0:
         raise UsageError(f"--m must be positive, got {args.m}")
-    if args.points < 2 or not 0 < args.tmin < args.tmax:
-        raise UsageError("need --points >= 2 and 0 < --tmin < --tmax")
+    if not 2 <= args.points <= numeric.MAX_POINTS or not 0 < args.tmin < args.tmax:
+        raise UsageError(f"need 2 <= --points <= {numeric.MAX_POINTS} and 0 < --tmin < --tmax")
     return label
 
 
@@ -505,26 +505,26 @@ def _criterion_lambert() -> dict:
 
 
 def _criterion_numeric_values() -> dict:
-    from mpmath import mp  # the independent oracle for π and Γ(1/4)
-    cfg = numeric.EvalConfig()
-    with mp.workprec(cfg.precision_bits):
-        inversion_ok = True
-        for t in (Fraction(3, 10), Fraction(1), Fraction(5, 2)):
-            lhs = numeric.eval_at_it("E2", Fraction(1) / t, cfg)["value"]
-            rhs = numeric.eval_at_it("E2", t, cfg)["value"]
-            tm = mp.mpf(t.numerator) / t.denominator
-            inversion_ok = inversion_ok and abs(lhs + tm**2 * rhs - 6 * tm / mp.pi) < mp.mpf("1e-20")
+    import mpmath  # the independent oracle for π and Γ(1/4), in a context of its own that no other thread sets
+    cfg, mp = numeric.EvalConfig(), mpmath.MPContext()
+    mp.prec = cfg.precision_bits  # numeric's values enter it (mp.mpf) before any arithmetic
+    inversion_ok = True
+    for t in (Fraction(3, 10), Fraction(1), Fraction(5, 2)):
+        lhs = mp.mpf(numeric.eval_at_it("E2", Fraction(1) / t, cfg)["value"])
+        rhs = mp.mpf(numeric.eval_at_it("E2", t, cfg)["value"])
+        tm = mp.mpf(t.numerator) / t.denominator
+        inversion_ok = inversion_ok and abs(lhs + tm**2 * rhs - 6 * tm / mp.pi) < mp.mpf("1e-20")
 
-        e6_ok = abs(numeric.eval_at_it("E6", 1, cfg)["value"]) < mp.mpf("1e-25")
+    e6_ok = abs(mp.mpf(numeric.eval_at_it("E6", 1, cfg)["value"])) < mp.mpf("1e-25")
 
-        critical_ok = abs(numeric.s_at_it("X8_1", 7, 1, cfg)["value"]) < mp.mpf("1e-15")
+    critical_ok = abs(mp.mpf(numeric.s_at_it("X8_1", 7, 1, cfg)["value"])) < mp.mpf("1e-15")
 
-        x101_value = numeric.eval_at_it("X10_1", 1, cfg)["value"]
-        closed = 3 * mp.gamma(Fraction(1, 4)) ** 16 / (327680 * mp.pi**13)
-        x101_ok = (
-            abs(x101_value - closed) / closed < mp.mpf("1e-15")
-            and x101_value > 1 / (120 * mp.pi)
-        )
+    x101_value = mp.mpf(numeric.eval_at_it("X10_1", 1, cfg)["value"])
+    closed = 3 * mp.gamma(Fraction(1, 4)) ** 16 / (327680 * mp.pi**13)
+    x101_ok = (
+        abs(x101_value - closed) / closed < mp.mpf("1e-15")
+        and x101_value > 1 / (120 * mp.pi)
+    )
     return {
         "id": "C7",
         "title": "128-bit special values: inversion residuals, zeros, closed forms",
@@ -539,18 +539,17 @@ def _criterion_numeric_values() -> dict:
 
 
 def _criterion_limits() -> dict:
-    from mpmath import mp  # the independent oracle for π
-    cfg = numeric.EvalConfig()
-    ok = True
-    detail = {}
-    with mp.workprec(cfg.precision_bits):
-        ref = 1 / (55440 * mp.pi)  # the predicted limit at w = 12
-        for w in (6, 12, 14):
-            result = numeric.limit_t0(w, cfg)
-            detail[f"w{w}_rel"] = mp.nstr(result["rel_error"], 4)
-            ok = ok and result["rel_error"] < 1e-6
-            if w == 12:
-                ok = ok and abs(result["predicted"] - ref) / ref < mp.mpf("1e-30")
+    import mpmath  # the independent oracle for π, in a context of its own as in C7
+    cfg, mp = numeric.EvalConfig(), mpmath.MPContext()
+    mp.prec = cfg.precision_bits
+    ok, detail = True, {}
+    ref = 1 / (55440 * mp.pi)  # the predicted limit at w = 12
+    for w in (6, 12, 14):
+        result = {key: mp.mpf(value) for key, value in numeric.limit_t0(w, cfg).items()}
+        detail[f"w{w}_rel"] = mp.nstr(result["rel_error"], 4)
+        ok = ok and result["rel_error"] < 1e-6
+        if w == 12:
+            ok = ok and abs(result["predicted"] - ref) / ref < mp.mpf("1e-30")
     return {
         "id": "C8",
         "title": "small-t limits match companion constant-term predictions",

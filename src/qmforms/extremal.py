@@ -45,9 +45,9 @@ def _require_even(w: int, minimum: int):
         raise BadWeight(f"weight must be an even integer >= {minimum}, got {w}")
 
 
-# x_w1 and x_w1_components recurse about w/3 calls deep, so larger weights
-# are refused up front instead of overflowing the interpreter stack.
-MAX_DEPTH1_WEIGHT = 1000
+# Heavier weights are refused up front, for time: X_(w,1)'s route stores its first nonzero term, near q^(w/6),
+# and a cold `qmf eval X336_1 --t 1 --bits 256` takes 2.99 s, X338_1 3.02 s (2-core x86-64, CPython 3.11).
+MAX_DEPTH1_WEIGHT = 336
 
 
 def _require_depth1_weight(w: int):

@@ -4,34 +4,31 @@ Everything exact lives in the other modules; this one turns a truncated
 series with rational coefficients into floating values of F(it), F'(it)
 at configurable binary precision, with an error estimate on every value, and
 builds the three analytic tools of the monotonicity study of t ↦ t^m F(it).
-Reads pass ``EvalConfig.precision_bits`` down as an argument, never reading
-mpmath's global context.  mpmath is imported on first use, only here and only
-in :func:`geometric_grid` (a grid's points) and :func:`_to_mpf` (the mpf values
-returned), so exact commands never load it.  Every value is one
-:class:`_AxisRoute` read, ``eval`` included:
+Reads take ``EvalConfig.precision_bits`` as an argument and never read or set
+mpmath's global context, which is imported on first use, only in
+:func:`geometric_grid` and :func:`_to_mpf`, so exact commands never load it.
+Every value is one :class:`_AxisRoute` read, ``eval`` included:
 
-* one inversion route: a label with E2-parts F = Σ_j E2^j·A_j (every
-  SL(2,Z) label but E2; a modular form is its own single part) is summed at
-  i/t below t = 1, so small t costs nothing in convergence.  Its route is
-  built once for height 1 and kept, per label and precision, in one bounded
-  cache that ``eval``, scans, curves and limits share;
-* geometric-grid scans of s(t) = m·F(it) − 2πt·F'(it), whose sign is
-  the sign of d/dt [t^m F(it)], run as one batch: one grid, one route per
-  label, and one record per height (its q, −2π·t or u = 1/t and the inversion
-  factors, each evaluator's sum) that every pair and route reads;
+* one inversion route: a label with E2-parts (every SL(2,Z) label but E2)
+  is summed at i/t below t = 1, so small t costs nothing in convergence,
+  from F's x-parts Φ_p and DF's Ψ_p = DΦ_p + ((w − p + 1)/12)·Φ_(p−1), with
+  no E2 algebra on DF.  It is built once for height 1 and kept, per label and
+  precision, in one bounded cache that ``eval``, scans, curves and limits share;
+* geometric-grid scans of s(t) = m·F(it) − 2πt·F'(it), whose sign is that
+  of d/dt [t^m F(it)], run as one batch: one grid, one route per label, and
+  one record per height that every pair and route reads;
 * the small-t limit of t^(w−1)·X_(w,1)(it) as t → 0+, measured on the
   label's route and set against the limit the inversion predicts.
 
 Every sum goes through :class:`AxisEvaluator`, an integer Horner sum of a
-series' exact numerators to each point's own cut (``EvalConfig.order_for``
-sets direct sums' build order); route reads combine the sums as integer
-:class:`Ball` values, and a value's tolerance is its ball's radius.  A height's
-q = e^(−2πt/grain), π, 1/π and u^k are integers too, with derived errors
-(:func:`_constants`), and heights are exact rationals.  The radius
-bounds the dropped stored terms, every rounding and each constant's error, and
-holds a geometric heuristic (not yet a proven bound) for the terms past the
-stored order.  Scans are labelled "on grid": signs at grid points with stated
-tolerances, never a proof in between.
+series' exact numerators to each point's own cut; reads combine the sums as
+integer :class:`Ball` values, and a value's tolerance is its ball's radius.
+A height's q = e^(−2πt/grain), π, 1/π and u^k are integers too, with derived
+errors, and heights are exact rationals.  The radius bounds the dropped stored
+terms, every rounding and each constant's error, and holds a geometric
+heuristic (not yet a proven bound) for the terms past the stored order.  Scans
+are labelled "on grid": signs at grid points with stated tolerances, never a
+proof in between.
 """
 
 from __future__ import annotations
@@ -45,15 +42,20 @@ from math import ceil, comb
 from typing import NamedTuple, Sequence
 
 from .extremal import describe_label, form_by_label
-from .forms import TAU_DEFAULT_CAP, OrderExceeded, derivative_parts, recompose_parts
+from .forms import TAU_DEFAULT_CAP, OrderExceeded, recompose_parts
 from .qseries import FourierSeries
+
+
+# Requests past these caps exit 2 before any build: cold, `qmf eval X12_1 --t 0.5` takes 2.9 s at 28000 bits
+# (4.8 s at 32768), and `qmf scan L10 --m 1 --points 20000`, the slowest label per point, 2.9 s (2-core x86-64, CPython 3.11).
+MAX_PRECISION_BITS, MAX_POINTS = 28_000, 20_000
 
 
 @dataclass(frozen=True)
 class EvalConfig:
     """Working precision for axis evaluation.
 
-    ``precision_bits`` sets the working binary precision (at least 64).
+    ``precision_bits``, the working binary precision, runs from 64 to MAX_PRECISION_BITS.
     ``order_for`` gives the build order, for the smallest height it serves,
     of what no route inverts: E2, the Gamma0(N) labels, and series a caller
     builds and passes by value (:func:`_inverting_route` sets a route's);
@@ -63,8 +65,8 @@ class EvalConfig:
     precision_bits: int = 128
 
     def __post_init__(self) -> None:
-        if int(self.precision_bits) < 64:
-            raise ValueError(f"precision_bits must be >= 64, got {self.precision_bits}")
+        if not 64 <= int(self.precision_bits) <= MAX_PRECISION_BITS:
+            raise ValueError(f"precision_bits must be >= 64 and <= {MAX_PRECISION_BITS}, got {self.precision_bits}")
 
     def order_for(self, t) -> int:
         """Truncation order for an evaluation at z = it: q^N = e^(-80*pi),
@@ -287,11 +289,11 @@ class AxisEvaluator:
         return Ball(mid, rad, e), (dropped, beyond, math.log2(n * (n + 1)) + top - self._prec), n
 
 
-def _collected(parts: Sequence[FourierSeries], start: int = 0) -> list:
-    """Φ_p = Σ_j C(j, p)·E2^(j−p)·A_j for p = start..d: the coefficient of x^p
+def _collected(parts: Sequence[FourierSeries]) -> list:
+    """Φ_p = Σ_j C(j, p)·E2^(j−p)·A_j for p = 0..d: the coefficient of x^p
     when E2 is replaced by E2 + x in Σ_j E2^j·A_j."""
     return [recompose_parts([part.scale(comb(j, p)) for j, part in enumerate(parts[p:], p)])
-            for p in range(start, len(parts))]
+            for p in range(len(parts))]
 
 
 class _AxisRoute:
@@ -300,48 +302,46 @@ class _AxisRoute:
     ``parts`` are F's E2-parts A_0..A_d, F = Σ_j E2^j·A_j with A_j free of E2
     and of weight w − 2j; a modular form is its own single part (d = 0).
     Without a weight, F = parts[0] is summed directly at every height; with
-    one, directly at t >= 1 and at u = 1/t below, where every series
-    converges fast: by E2(−1/τ) = τ²·E2(τ) + 6τ/(πi) (Zagier,
-    *The 1-2-3 of Modular Forms*, §5.3) at τ = iu, with x = −6/(πu),
+    one, directly at t >= 1 and at u = 1/t below: by E2(−1/τ) = τ²·E2(τ) +
+    6τ/(πi) (Zagier, *The 1-2-3 of Modular Forms*, §5.3) at τ = iu, with
+    x = −6/(πu) = −6t/π and Φ_p the collected parts,
 
-        F(it)  = (−1)^(w/2)·u^w·Σ_p x^p·Φ_p(iu),
-        DF(it) = (−1)^(w/2+1)·u^(w+2)·Σ_p x^p·Ψ_p(iu),
+        F(it) = (−1)^(w/2)·u^w·Σ_p x^p·Φ_p(iu).
 
-    Φ_p and Ψ_p the collected parts of F and DF.  Since 2πu = −12/x,
+    D = q·d/dq is −(1/2π)·d/dt at τ = it, and takes u^w to u^(w+2)·w/(2πu),
+    x^p to 3p·x^(p−1)/π² and Φ_p(iu) to −u²·DΦ_p(iu); by 1/(2πu) = −x/12 and
+    1/π² = x²u²/36 ([∂/∂E2, D] = w/12 in x, Zagier §5.2), for p = 0..d+1,
+
+        DF(it) = (−1)^(w/2+1)·u^(w+2)·Σ_p x^p·Ψ_p(iu),  Ψ_p = DΦ_p + ((w − p + 1)/12)·Φ_(p−1),
+
+    with Φ_(−1) = Φ_(d+1) = 0.  Since 2πu = −12/x,
 
         s = (−1)^(w/2)·u^w·Σ_(p >= −1) x^p·T_p(iu),  T_p = m·Φ_p − 12·Ψ_(p+1),
 
-    with Φ_(−1) = 0, each T_p an exact series.  At m = w−1 on depth 1 the
-    x-term T_1 is the zero series, so nothing cancels in floating point.
-    A route keeps only its exact series and the F, DF, Φ_p and Ψ_p evaluators
-    at its working precision ``prec``, so one route serves any number of calls.  F′ = Ψ_0, Φ_0's
-    derivative, and its evaluator are built on the first DF or s read at
-    t >= 1 (for a cached route, its build's check at t = 1); DF's E2-parts
-    and the Ψ_p for p >= 1 on the first DF or s read below t = 1, so reads
-    of F alone never build them.  Each read returns a
-    :class:`Ball` and takes the caller's ``table``: each exponent's T_p
-    evaluators and a :class:`_Height` per height, so reads sharing a table
-    form each once.
+    each T_p an exact series; at m = w−1 on depth 1, T_1 is the zero series,
+    so nothing cancels in floating point.  A route keeps its exact series and
+    evaluators at its working precision ``prec`` for any number of calls:
+    F′ = DΦ_0's from the first DF or s read at t >= 1 (for a cached route, its
+    build's check at t = 1), the Ψ_p's from the first below t = 1, so reads of
+    F alone build neither.  Reads return a :class:`Ball` and take the caller's
+    ``table``: each exponent's T_p evaluators and a :class:`_Height` per
+    height, so reads sharing a table form each once.
     """
 
     def __init__(self, parts: Sequence[FourierSeries], weight: int | None, prec: int):
-        self.w, self._parts, self.prec, self._lazy = weight, parts, prec, {}
+        self.w, self.prec, self._lazy = weight, prec, {}
         self._phi = [parts[0]] if weight is None else _collected(parts)
         self.f = AxisEvaluator(self._phi[0], prec)
 
     @cached_property
-    def _psi0(self) -> FourierSeries:
-        """Ψ_0 = F′, from Φ_0 alone."""
-        return self._phi[0].derivative()
-
-    @cached_property
     def _psi(self) -> list:
-        """Ψ_0 and the collected Ψ_p of DF's E2-parts for p >= 1 (a weight's route only)."""
-        return [self._psi0, *_collected(derivative_parts(self._parts, self.w), 1)]
+        """Ψ_0..Ψ_(d+1), from the Φ_p alone (a weight's route only)."""
+        shifted = [g.scale(Fraction(self.w - p, 12)) for p, g in enumerate(self._phi)]  # Ψ_(p+1)'s Φ_p term
+        return [self._phi[0].derivative(), *(h + g.derivative() for h, g in zip(shifted, self._phi[1:])), shifted[-1]]
 
     @cached_property
     def fp(self) -> AxisEvaluator:
-        return AxisEvaluator(self._psi0, self.prec)
+        return AxisEvaluator(self._phi[0].derivative(), self.prec)
 
     def _below(self, key, table: dict | None = None) -> list:
         """The (p, evaluator) pairs summed below t = 1, built on first use:
@@ -456,8 +456,7 @@ def _inverting_route(label: str, bits: int) -> _AxisRoute:
     + GUARD_BITS), doubled while Φ_0 = F stores no nonzero term (X_(w,1)'s
     first is at q^33 from w = 198 on), or F's or F′'s sum at t = 1 takes every
     stored term or has ``beyond`` above ``rounding``; both fall with the
-    height, ``beyond`` faster.  The check differentiates Φ_0 alone: DF's
-    E2-parts wait for a read below t = 1 that needs them."""
+    height, ``beyond`` faster."""
     desc = describe_label(label)
     order = ceil(2 * (bits + GUARD_BITS) * math.log(2) / (2 * math.pi))
     while True:
@@ -479,8 +478,7 @@ def eval_at_it(form, t, cfg: EvalConfig | None = None) -> dict:
     ``{"value", "tail_estimate"}``, the midpoint and radius of the read's
     :class:`Ball` as mpf values at ``cfg.precision_bits``: the dropped-terms
     bound, every rounding, and the geometric heuristic for the terms past the
-    stored order.  Only F is summed; a route's first build differentiates F
-    once, for its check at t = 1, and builds none of DF's E2-parts.
+    stored order.  Only F is summed, so no Ψ_p is built.
     """
     prec = (cfg := cfg or EvalConfig()).precision_bits
     route = _axis_route(form, t, cfg) if isinstance(form, str) else _AxisRoute((form,), None, prec)
@@ -516,12 +514,13 @@ def geometric_grid(t_min, t_max, points: int, cfg: EvalConfig | None = None) -> 
     if points < 2 or not 0 < t_min < t_max:
         raise ValueError("a grid needs at least two points and 0 < t_min < t_max")
     _require_height(t_min), _require_height(t_max)
-    from mpmath import mp
-    with mp.workprec((cfg or EvalConfig()).precision_bits):
-        lo, hi = (mp.mpf(t.numerator) / t.denominator for t in (t_min, t_max))
-        ratio = (hi / lo) ** (mp.mpf(1) / (points - 1))
-        grid = [lo * ratio**k for k in range(points - 1)] + [hi]
-    return tuple(Fraction(x.man << max(x.exp, 0), 1 << max(-x.exp, 0)) for x in grid)
+    import mpmath  # libmp takes the precision as an argument, so no thread can change it under another
+    lib, prec, rnd = mpmath.libmp, (cfg or EvalConfig()).precision_bits, mpmath.libmp.round_nearest
+    lo, hi = (lib.mpf_div(lib.from_int(t.numerator, prec, rnd), lib.from_int(t.denominator), prec, rnd)
+              for t in (t_min, t_max))
+    ratio = lib.mpf_pow(lib.mpf_div(hi, lo, prec, rnd), lib.mpf_div(lib.fone, lib.from_int(points - 1), prec, rnd), prec, rnd)
+    grid = [lib.mpf_mul(lo, lib.mpf_pow_int(ratio, k, prec, rnd), prec, rnd) for k in range(points - 1)] + [hi]
+    return tuple(Fraction(man << max(exp, 0), 1 << max(-exp, 0)) for _, man, exp, _ in grid)
 
 
 @dataclass(frozen=True)

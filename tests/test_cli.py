@@ -15,7 +15,8 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from qmforms import cli
+from qmforms import cli, numeric
+from qmforms.extremal import MAX_DEPTH1_WEIGHT
 from qmforms.qseries import FourierSeries
 
 
@@ -88,7 +89,7 @@ def test_huge_depth1_weight_fails_up_front(capsys):
     # never exit 1: the recursive climb to weight 8000 once overflowed the stack
     code, out, err = run_capture(capsys, ["expand", "X8000_1", "--order", "2"])
     assert code == 2 and out == ""
-    assert "up to 1000" in err
+    assert f"up to {MAX_DEPTH1_WEIGHT}" in err
 
 
 def test_json_mode_error_detail(capsys):
@@ -313,6 +314,28 @@ def test_reads_past_the_height_cap_fail_up_front(argv):
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr.startswith("qmf: ") and "past the cap" in done.stderr
     assert elapsed < 5
+
+
+@pytest.mark.parametrize("argv, env", [
+    ([f"X{MAX_DEPTH1_WEIGHT + 2}_1", "--t", "1"], None),
+    (["X12_1", "--t", "0.5", "--bits", str(numeric.MAX_PRECISION_BITS + 1)], None),
+    (["X12_1", "--t", "0.5"], str(numeric.MAX_PRECISION_BITS + 1)),
+], ids=["weight", "bits", "QMF_BITS"])
+def test_evals_past_the_weight_and_precision_caps_fail_up_front(monkeypatch, argv, env):
+    # X_(cap+2,1) and one bit past the precision cap each answer in about 3 s; refused, they exit 2 at once
+    if env is not None:
+        monkeypatch.setenv("QMF_BITS", env)
+    done, elapsed = run_qmf(["eval", *argv], timeout=30, preexec_fn=_cap_memory)
+    assert (done.returncode, done.stdout) == (2, "") and done.stderr.startswith("qmf: "), done.stderr
+    assert elapsed < 1
+
+
+@pytest.mark.parametrize("command", ["scan", "plotdata"])
+def test_grids_past_the_points_cap_fail_up_front(command):
+    done, elapsed = run_qmf([command, "L10", "--m", "1", "--points", str(numeric.MAX_POINTS + 1)],
+                            timeout=30, preexec_fn=_cap_memory)
+    assert (done.returncode, done.stdout) == (2, "") and f"--points <= {numeric.MAX_POINTS}" in done.stderr
+    assert elapsed < 1
 
 
 @pytest.mark.parametrize("argv", [

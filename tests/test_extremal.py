@@ -420,7 +420,7 @@ def test_unknown_labels_raise():
 
 
 def test_depth1_weight_limit():
-    # the deepest accepted climb fits the interpreter stack
+    # the heaviest accepted weight builds; the next is refused
     assert form_by_label(f"X{MAX_DEPTH1_WEIGHT}_1", 2).order == 2
     for build in (x_w1, x_w1_components):
         with pytest.raises(BadWeight):

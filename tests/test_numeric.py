@@ -9,8 +9,10 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
@@ -384,33 +386,40 @@ def test_reads_of_f_alone_never_differentiate(monkeypatch):
 ROUTED = ("E6", "X12_1", "X8_2")  # depth 0, 1 and 2
 
 
-def count_derivative_parts(monkeypatch) -> list:
+def count_psi_builds(monkeypatch) -> list:
+    """The weight of each route whose Ψ_p are formed, from here on."""
     numeric._inverting_route.cache_clear()
-    calls, parts = [], numeric.derivative_parts
-    monkeypatch.setattr(numeric, "derivative_parts", lambda ps, w: calls.append(w) or parts(ps, w))
+    calls, build = [], numeric._AxisRoute._psi.func
+    spy = cached_property(lambda route: calls.append(route.w) or build(route))
+    spy.__set_name__(numeric._AxisRoute, "_psi")
+    monkeypatch.setattr(numeric._AxisRoute, "_psi", spy)
     return calls
 
 
 @pytest.mark.parametrize("bits", (128, 256))
 @pytest.mark.parametrize("label", ROUTED)
-def test_reads_of_f_build_none_of_dfs_parts(monkeypatch, label, bits):
+def test_reads_of_f_build_none_of_dfs_parts(label, bits):
     # a route's build check sums F′ at t = 1 from Φ_0's derivative alone;
-    # DF's E2-parts wait for a DF or s read below t = 1
-    calls, cfg = count_derivative_parts(monkeypatch), EvalConfig(bits)
+    # DF's parts Ψ_p wait for a DF or s read below t = 1
+    numeric._inverting_route.cache_clear()
+    cfg = EvalConfig(bits)
     for t in (Fraction(3, 10), 3):
         numeric.eval_at_it(label, t, cfg)
     numeric.curve_points(label, 5, (Fraction(1, 20), Fraction(3, 10), 2), cfg)
     numeric.limit_t0(12, cfg)
-    assert calls == []
+    routes = [numeric._inverting_route(name, bits) for name in (label, "X12_1")]
+    assert not any("_psi" in route.__dict__ for route in routes)
     numeric.s_at_it(label, 5, 1, cfg)
-    assert calls == []
+    assert not any("_psi" in route.__dict__ for route in routes)
 
 
 @pytest.mark.parametrize("label", ROUTED)
 def test_dfs_parts_are_built_once_per_route_on_the_first_read_below_one(monkeypatch, label):
-    calls, w = count_derivative_parts(monkeypatch), describe_label(label).weight
+    calls, w = count_psi_builds(monkeypatch), describe_label(label).weight
     route = numeric._axis_route(label, Fraction(1, 20), EvalConfig())
-    for t in (2, Fraction(3, 10), Fraction(1, 7)):
+    route.derivative(2)
+    assert calls == []
+    for t in (Fraction(3, 10), Fraction(1, 7)):
         route.derivative(t)
     route.s(w - 1, Fraction(3, 10))
     assert calls == [w]
@@ -422,9 +431,18 @@ def test_dfs_parts_are_built_once_per_route_on_the_first_read_below_one(monkeypa
 @pytest.mark.parametrize("label", ROUTED)
 def test_a_routes_psi0_is_its_f_derivative_and_its_first_reads_reuse_f_and_fp(label):
     route = route_for(label)
-    assert route._psi0 == route._phi[0].derivative() == recompose_parts(derivative_parts(route._parts, route.w))
-    assert route._psi[0] is route._psi0
+    assert route._psi[0] == route._phi[0].derivative()
     assert route._below("phi")[0] == (0, route.f) and route._below("psi")[0] == (0, route.fp)
+
+
+@pytest.mark.parametrize("order", (40, 210))
+def test_dfs_parts_are_the_collected_parts_of_its_e2_parts(order):
+    # Ψ_p = DΦ_p + ((w − p + 1)/12)·Φ_(p−1) against the E2 algebra it replaces:
+    # DF's E2-parts by Ramanujan's DE2, collected like F's
+    labels = [label for label in extremal.known_labels() if describe_label(label).parts is not None]
+    for label in (*labels, "X60_1", "X96_1", "X198_1"):
+        parts, w = describe_label(label).parts(order), describe_label(label).weight
+        assert numeric._AxisRoute(parts, w, BITS)._psi == numeric._collected(derivative_parts(parts, w)), label
 
 
 def test_s_at_it_is_a_scans_read_on_the_cached_route():
@@ -676,6 +694,31 @@ def test_geometric_grid_shape():
     ratios = [grid[k + 1] / grid[k] for k in range(59)]
     assert max(ratios) - min(ratios) < Fraction(1, 10**30)
     assert numeric.geometric_grid(Fraction(1, 20), 20, 60, EvalConfig(256)) == mpmath_grid(Fraction(1, 20), 20, 60, 256)
+
+
+def test_grids_built_in_two_threads_at_once_are_the_sequential_grids():
+    # a grid sets no global precision that the other thread could change or restore under it
+    specs = {bits: (Fraction(1, 20), 20, 60, EvalConfig(bits)) for bits in (64, 256)}
+    build = numeric.geometric_grid.__wrapped__
+    expected = {bits: build(*spec) for bits, spec in specs.items()}
+    assert all(grid == mpmath_grid(Fraction(1, 20), 20, 60, bits) for bits, grid in expected.items())
+    built = {bits: [] for bits in specs}
+
+    def build_often(bits):
+        built[bits].extend(build(*specs[bits]) for _ in range(40))
+
+    threads = [threading.Thread(target=build_often, args=(bits,)) for bits in specs]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(built[bits] == [expected[bits]] * 40 for bits in specs)
 
 
 def test_geometric_grid_validation():

@@ -4,9 +4,11 @@
 
 Runs every ``tables`` and ``axis`` op that ``bench/workloads.generate`` lists
 for the seed, then ``qmf report --format json``, then ``qmf scan L --m M
---format json`` for each of the report's scan pairs (``cli.SCAN_PAIRS``), in
-that order and in this process, through ``qmforms.cli.run`` of this checkout.
-The report prints only verdicts; the scans add every s-value.  Each line
+--format json`` for each of the report's scan pairs (``cli.SCAN_PAIRS``), then
+each of those scans again with ``--bits 256``, the ``axis`` workload's other
+precision, in that order and in this process, through ``qmforms.cli.run`` of
+this checkout.  The report prints only verdicts; the scans add every s-value
+at both precisions.  Each line
 holds the exit code, the sha256 of the op's stdout with its timing fields
 (``elapsed``, ``runtime_s``) masked, and the argv.  So ``diff`` of the lines
 of two checkouts at one seed lists every op whose output changed.  The
@@ -36,8 +38,9 @@ TIMING = re.compile(r'("(?:elapsed|runtime_s)": )[-+0-9.eE]+')
 
 
 def ops(seed: int, scale: float) -> list[list[str]]:
-    """The ops compared: the seed's tables and axis ops, the report, then each of its scans."""
-    scans = [["scan", label, "--m", str(m), "--format", "json"] for label, m in cli.SCAN_PAIRS]
+    """The ops compared: the seed's tables and axis ops, the report, then each of its scans at 128 and 256 bits."""
+    scans = [["scan", label, "--m", str(m), "--format", "json", *bits]
+             for bits in ([], ["--bits", "256"]) for label, m in cli.SCAN_PAIRS]
     return generate("tables", seed, scale) + generate("axis", seed, scale) + [["report", "--format", "json"]] + scans
 
 
