@@ -14,15 +14,16 @@ QMF_BITS environment variables, then defaults.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import json
 import os
+import re
 import sys
 import threading
 import time
 from contextvars import ContextVar
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Callable, Sequence
 
 from . import identities, lambert, numeric, positivity
@@ -680,118 +681,143 @@ def _cmd_report(args) -> tuple[int, dict, str]:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# the command table, and one pass over argv against it
 # ---------------------------------------------------------------------------
 
 
-def _add_output_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--format", choices=("text", "json"), default="text")
-    sub.add_argument("--output", default=None, metavar="PATH", help="write to PATH instead of stdout")
+def _height(raw: str) -> Fraction:
+    """A height option's value as an exact rational.  Python reads at most 4300 digits into an int, so a decimal
+    exponent beyond ±10000 is past numeric.HEIGHT_CAP whatever the mantissa; Fraction would expand it in full."""
+    _, e, exponent = raw.lower().partition("e")
+    with contextlib.suppress(ValueError):  # no integer after the "e": Fraction refuses the string
+        if e and abs(int(exponent)) > 10_000:
+            raise UsageError(f"height {raw!r}: a decimal exponent beyond ±10000 is past the cap")
+    return Fraction(raw)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qmf",
-        description="Exact and high-precision toolkit for quasimodular q-series.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("expand", help="print a form's q-expansion")
-    p.add_argument("label")
-    p.add_argument("--order", type=int, default=None)
-    _add_output_options(p)
-    p.set_defaults(handler=_cmd_expand)
-
-    p = sub.add_parser("identity", help="verify registry identities exactly")
-    p.add_argument("idents", nargs="*", metavar="IDENT")
-    p.add_argument("--all", action="store_true")
-    p.add_argument("--order", type=int, default=None)
-    _add_output_options(p)
-    p.set_defaults(handler=_cmd_identity)
-
-    p = sub.add_parser("positivity", help="scan coefficients for a first negative")
-    p.add_argument("label")
-    p.add_argument("--order", type=int, default=None)
-    _add_output_options(p)
-    p.set_defaults(handler=_cmd_positivity)
-
-    p = sub.add_parser("density", help="count positive coefficients up to a bound")
-    p.add_argument("label")
-    p.add_argument("--n", type=int, default=2000)
-    _add_output_options(p)
-    p.set_defaults(handler=_cmd_density)
-
-    p = sub.add_parser("ratio-inf", help="minimum dilation coefficient ratio")
-    p.add_argument("label")
-    p.add_argument("--dilate", type=int, default=2)
-    p.add_argument("--bound", type=int, default=4096)
-    _add_output_options(p)
-    p.set_defaults(handler=_cmd_ratio_inf)
-
-    p = sub.add_parser("scan", help="sign scan of m*F(it) - 2*pi*t*F'(it)")
-    p.add_argument("label")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--tmin", type=Fraction, default=Fraction(1, 20))
-    p.add_argument("--tmax", type=Fraction, default=Fraction(20))
-    p.add_argument("--points", type=int, default=60)
-    p.add_argument("--bits", type=int, default=None)
-    _add_output_options(p)
-    p.set_defaults(handler=_cmd_scan)
-
-    p = sub.add_parser("lambert-certify", help="build or re-verify a block certificate")
-    p.add_argument("name", nargs="?", default=None)
-    p.add_argument("--method", choices=("auto", "r-shift", "taylor"), default="auto")
-    p.add_argument("--emit", default=None, metavar="PATH", help="also write the certificate JSON to PATH")
-    p.add_argument("--recheck", default=None, metavar="PATH", help="re-verify a stored certificate")
-    _add_output_options(p)
-    p.set_defaults(handler=_cmd_lambert)
-
-    p = sub.add_parser("limits", help="small-t limit of t^(w-1) F(it) vs prediction")
-    p.add_argument("label")
-    p.add_argument("--bits", type=int, default=None)
-    _add_output_options(p)
-    p.set_defaults(handler=_cmd_limits)
-
-    p = sub.add_parser("eval", help="evaluate a form at z = it")
-    p.add_argument("label")
-    p.add_argument("--t", type=Fraction, required=True)
-    p.add_argument("--bits", type=int, default=None)
-    _add_output_options(p)
-    p.set_defaults(handler=_cmd_eval)
-
-    p = sub.add_parser("plotdata", help="TSV table of (t, t^m F(it))")
-    p.add_argument("label")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--tmin", type=Fraction, default=Fraction(1, 2))
-    p.add_argument("--tmax", type=Fraction, default=Fraction(8, 5))
-    p.add_argument("--points", type=int, default=40)
-    p.add_argument("--bits", type=int, default=None)
-    p.add_argument("--output", default=None, metavar="PATH")
-    p.set_defaults(handler=_cmd_plotdata)
-
-    p = sub.add_parser("report", help="run every suite; the single acceptance entry point")
-    _add_output_options(p)
-    p.set_defaults(handler=_cmd_report)
-
-    return parser
+# Each command's handler, help line, positional ("" for none; a name, followed by "?" if it is optional and by "*"
+# if it takes any number of words) and options, each with a type (a tuple of choices, or bool for a flag) and a
+# default (... if the option must be given).
+_OUTPUT = {"--format": (("text", "json"), "text"), "--output": (str, None)}
+COMMANDS: dict[str, tuple[Callable, str, str, dict[str, tuple]]] = {
+    "expand": (_cmd_expand, "print a form's q-expansion", "label", {"--order": (int, None), **_OUTPUT}),
+    "identity": (_cmd_identity, "verify registry identities exactly", "idents*",
+                 {"--all": (bool, False), "--order": (int, None), **_OUTPUT}),
+    "positivity": (_cmd_positivity, "scan coefficients for a first negative", "label",
+                   {"--order": (int, None), **_OUTPUT}),
+    "density": (_cmd_density, "count positive coefficients up to a bound", "label",
+                {"--n": (int, 2000), **_OUTPUT}),
+    "ratio-inf": (_cmd_ratio_inf, "minimum dilation coefficient ratio", "label",
+                  {"--dilate": (int, 2), "--bound": (int, 4096), **_OUTPUT}),
+    "scan": (_cmd_scan, "sign scan of m*F(it) - 2*pi*t*F'(it)", "label",
+             {"--m": (int, ...), "--tmin": (_height, Fraction(1, 20)), "--tmax": (_height, Fraction(20)),
+              "--points": (int, 60), "--bits": (int, None), **_OUTPUT}),
+    "lambert-certify": (_cmd_lambert, "build or re-verify a block certificate", "name?",
+                        {"--method": (("auto", "r-shift", "taylor"), "auto"), "--emit": (str, None),
+                         "--recheck": (str, None), **_OUTPUT}),
+    "limits": (_cmd_limits, "small-t limit of t^(w-1) F(it) vs prediction", "label",
+               {"--bits": (int, None), **_OUTPUT}),
+    "eval": (_cmd_eval, "evaluate a form at z = it", "label",
+             {"--t": (_height, ...), "--bits": (int, None), **_OUTPUT}),
+    "plotdata": (_cmd_plotdata, "TSV table of (t, t^m F(it))", "label",
+                 {"--m": (int, ...), "--tmin": (_height, Fraction(1, 2)), "--tmax": (_height, Fraction(8, 5)),
+                  "--points": (int, 40), "--bits": (int, None), "--output": (str, None)}),
+    "report": (_cmd_report, "run every suite; the single acceptance entry point", "", _OUTPUT),
+}
 
 
-# Built by the first ``run`` and kept: parsing leaves a parser unchanged, each
-# call starting from a fresh namespace of the defaults.
-_parser: argparse.ArgumentParser | None = None
+def _help(name: str | None, word: str) -> SimpleNamespace:
+    """What ``word`` (-h, or --help or a prefix of it) asks for: the help of command ``name``, or of qmf (None)."""
+    if "=" in word or word[:2] == "-h" and word != "-h":
+        raise UsageError(f"{word}: -h/--help takes no value")
+    if name is None:
+        head, rows = "qmf COMMAND ...   (qmf COMMAND --help lists its arguments)", [
+            (command, about) for command, (_, about, _, _) in COMMANDS.items()]
+    else:
+        _, about, positional, options = COMMANDS[name]
+        head = f"qmf {name} ...\n\n{about}"
+        rows = [(positional.rstrip("?*"), {"?": "optional", "*": "any number"}.get(positional[-1:], ""))]
+        rows += [(option, ("one of " + ", ".join(kind) + "; " if isinstance(kind, tuple) else "")
+                  + ("required" if default is ... else "" if default in (None, False) else f"default {default}"))
+                 for option, (kind, default) in options.items()]
+    text = f"usage: {head}\n\n" + "".join(f"  {shown:<17}{note}".rstrip() + "\n" for shown, note in rows if shown)
+    return SimpleNamespace(handler=lambda _: (0, {}, text))
+
+
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _option(word: str, options: dict) -> str | None:
+    """The option ``word`` names among ``options`` as argparse read it, in full or by a unique prefix ("--help" for
+    -h); "" for none (so for "--"); None for a value: not starting with "-", "-", a negative number, or with a space."""
+    if word[:1] != "-" or word == "-":
+        return None
+    if word[:2] == "-h":
+        return "--help"
+    name = word.partition("=")[0]
+    found = [name] if name in options else [
+        option for option in (*options, "--help") if option.startswith(name) and name[:2] == "--" and word != "--"]
+    if len(found) > 1:
+        raise UsageError(f"ambiguous option: {name} could match {', '.join(found)}")
+    return found[0] if found else None if _NEGATIVE_NUMBER.match(word) or " " in word else ""
+
+
+def parse_args(argv: Sequence[str]) -> SimpleNamespace:
+    """``argv`` read against ``COMMANDS`` in one pass, as argparse read it: ``--opt value`` or ``--opt=value``, by
+    full name or unique prefix, the last of a repeated option winning and a negative number passing as a value.
+    Anything else raises UsageError; -h or --help gives a namespace whose handler prints the help."""
+    name = argv[0] if argv else ""
+    if _option(name, {}) == "--help":
+        return _help(None, name)
+    if name not in COMMANDS:
+        raise UsageError(f"pass one of the commands {', '.join(COMMANDS)}" + (f", not {name!r}" if name else ""))
+    handler, _, positional, options = COMMANDS[name]
+    values = {option[2:]: default for option, (_, default) in options.items()}
+    positionals, extras, closed = [], [], False  # argparse read one run of positionals: an option closes it
+    # argparse read every word first, so an ambiguous option is refused even after -h
+    pairs = zip(argv[1:], [_option(word, options) for word in argv[1:]])
+    for word, kind in pairs:
+        if kind is None:
+            (extras if closed else positionals).append(word)
+            continue
+        closed = closed or bool(positionals)
+        if kind == "--help":
+            return _help(name, word)
+        if kind == "":
+            extras.append(word)
+            continue
+        option_type = options[kind][0]
+        if option_type is bool and "=" not in word:
+            values[kind[2:]] = True
+            continue
+        raw, raw_kind = (word.partition("=")[2], None) if "=" in word else next(pairs, (None, ""))
+        if option_type is bool or raw_kind is not None:
+            raise UsageError(f"{name}: {kind} takes {'no value' if option_type is bool else 'a value'}")
+        if isinstance(option_type, tuple) and raw not in option_type:
+            raise UsageError(f"{name}: {kind} must be one of {', '.join(option_type)}, got {raw!r}")
+        try:
+            values[kind[2:]] = raw if isinstance(option_type, tuple) else option_type(raw)
+        except (ValueError, ZeroDivisionError):
+            raise UsageError(f"{name}: invalid {kind} value {raw!r}")
+    dest, arity = positional.rstrip("?*"), positional[-1:]
+    if arity == "*":
+        values[dest], positionals = positionals, []
+    elif dest:
+        values[dest] = positionals.pop(0) if positionals else None if arity == "?" else ...
+    missing = [key for key, value in values.items() if value is ...]
+    if missing:
+        raise UsageError(f"{name}: missing {', '.join(missing)}")
+    if positionals or extras:
+        raise UsageError(f"{name}: unrecognized arguments: {' '.join(positionals + extras)}")
+    return SimpleNamespace(handler=handler, **values)
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    """Execute one subcommand; returns the process exit code."""
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
+    """Execute one command; returns the process exit code."""
+    as_json = output = None
     try:
-        args = _parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    as_json, output = getattr(args, "format", "text") == "json", getattr(args, "output", None)
-    try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        as_json, output = getattr(args, "format", "text") == "json", getattr(args, "output", None)
         code, payload, text = args.handler(args)
         _write_out(_canonical_json(payload) if as_json else text, output)
         return code

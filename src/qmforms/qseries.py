@@ -180,27 +180,6 @@ class FourierSeries:
     def one(cls, order: int, grain: int = 1) -> "FourierSeries":
         return cls(grain, (1,) + (0,) * (order * grain))
 
-    @classmethod
-    def from_terms(
-        cls, terms: Mapping, order: int, grain: int | None = None
-    ) -> "FourierSeries":
-        """Build from {exponent: coefficient}; exponents int or Fraction."""
-        items = [(Fraction(e), _as_fraction(c)) for e, c in terms.items()]
-        if grain is None:
-            grain = 1
-            for e, _ in items:
-                grain = grain * e.denominator // math.gcd(grain, e.denominator)
-        c = [Fraction(0)] * (order * grain + 1)
-        for e, v in items:
-            k = e * grain
-            if k.denominator != 1:
-                raise NonIntegerGrain(f"exponent {e} not representable at grain {grain}")
-            if e < 0:
-                raise ValueError("negative exponents are not supported")
-            if k <= order * grain:
-                c[int(k)] += v
-        return cls.from_coefficients(c, grain)
-
     # -- basic queries -----------------------------------------------------
 
     @property
@@ -236,13 +215,6 @@ class FourierSeries:
         if Fraction(klim, self.grain) > m:
             klim -= 1
         return not any(self.nums[: klim + 1])
-
-    def has_integer_exponents(self) -> bool:
-        if self.grain == 1:
-            return True
-        return all(
-            not c for k, c in enumerate(self.nums) if k % self.grain
-        )
 
     # -- grain and order management ----------------------------------------
 

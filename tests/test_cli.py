@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import resource
@@ -16,8 +17,27 @@ import mpmath
 import pytest
 
 from qmforms import cli, numeric
+from qmforms.cli import (
+    _cmd_density,
+    _cmd_eval,
+    _cmd_expand,
+    _cmd_identity,
+    _cmd_lambert,
+    _cmd_limits,
+    _cmd_plotdata,
+    _cmd_positivity,
+    _cmd_ratio_inf,
+    _cmd_report,
+    _cmd_scan,
+)
 from qmforms.extremal import MAX_DEPTH1_WEIGHT
 from qmforms.qseries import FourierSeries
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "bench"), str(ROOT / "tools")]
+
+from outputs import ops as output_ops  # noqa: E402
+from workloads import WORKLOADS, generate  # noqa: E402
 
 
 GOLDEN_Y42 = "q + 2q^2 + 12q^3 + 4q^4 + 30q^5"
@@ -211,6 +231,17 @@ def test_eval_rejects_nonpositive_t(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["eval", "E4", "--t", "1/0"],
+    ["scan", "X12_1", "--m", "11", "--tmin", "1/0"],
+    ["plotdata", "X12_1", "--m", "11", "--tmax", "1/0"],
+])
+def test_a_zero_denominator_is_a_usage_error(capsys, argv):
+    # argparse's type= caught only ValueError and TypeError, so Fraction's ZeroDivisionError escaped run
+    code, out, err = run_capture(capsys, argv)
+    assert (code, out) == (2, "") and err.startswith("qmf: ")
+
+
+@pytest.mark.parametrize("argv", [
     ["eval", "Delta", "--t", "100000"],
     ["eval", "X12_1", "--t", "100000"],
     ["plotdata", "X12_1", "--m", "11", "--tmin", "0.00001", "--points", "3"],
@@ -316,6 +347,18 @@ def test_reads_past_the_height_cap_fail_up_front(argv):
     assert elapsed < 5
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "E4", "--t", "1e100000000"],
+    ["scan", "X12_1", "--m", "11", "--tmin", "1e-100000000"],
+])
+def test_heights_with_huge_exponents_fail_before_they_expand(argv):
+    # Fraction("1e10000000") builds 10^(10^7), which took 5 s, and each further digit
+    # of the exponent costs about 20 times more
+    done, elapsed = run_qmf(argv, timeout=30)
+    assert (done.returncode, done.stdout) == (2, "") and done.stderr.startswith("qmf: "), done.stderr
+    assert elapsed < 1
+
+
 @pytest.mark.parametrize("argv, env", [
     ([f"X{MAX_DEPTH1_WEIGHT + 2}_1", "--t", "1"], None),
     (["X12_1", "--t", "0.5", "--bits", str(numeric.MAX_PRECISION_BITS + 1)], None),
@@ -344,6 +387,7 @@ def test_grids_past_the_points_cap_fail_up_front(command):
     ["eval", "L", "--t", "1e15"],
     ["eval", "X240_1", "--t", "1e15"],
     ["eval", "X240_1", "--t", "1e-15"],
+    ["eval", "E4", "--t", "1e15"],
 ])
 def test_reads_at_the_height_cap_still_answer(argv):
     done, _ = run_qmf([*argv, "--format", "json"])
@@ -496,6 +540,21 @@ def test_help_exits_zero(capsys):
     for name in ("expand", "identity", "positivity", "density", "ratio-inf", "scan", "lambert-certify",
                  "limits", "eval", "plotdata", "report"):
         assert name in out, name
+
+
+@pytest.mark.parametrize("argv, shown", [
+    (["eval", "--help"], ["usage: qmf eval", "evaluate a form at z = it", "  label", "--t      ", "required",
+                          "--bits", "--format", "one of text, json; default text", "--output"]),
+    (["scan", "-h"], ["usage: qmf scan", "  label", "--m", "required", "--tmin           default 1/20",
+                      "--tmax           default 20", "--points         default 60", "one of text, json"]),
+    (["lambert-certify", "--he"], ["  name             optional", "one of auto, r-shift, taylor; default auto",
+                                   "--emit", "--recheck"]),
+])
+def test_command_help_shows_positionals_options_defaults_and_choices(capsys, argv, shown):
+    code, out, err = run_capture(capsys, argv)
+    assert (code, err) == (0, "")
+    for text in shown:
+        assert text in out, text
 
 
 def test_missing_subcommand_is_usage_error(capsys):
@@ -653,6 +712,7 @@ def test_exact_commands_never_load_mpmath(tmp_path):
         "    assert 'mpmath' not in sys.modules, argv\n"
         "assert cli.run(['eval', 'X12_1', '--t', '1/2']) == 0\n"
         "assert 'mpmath' in sys.modules, 'eval'\n"
+        "assert 'argparse' not in sys.modules, 'argparse'\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", code, src, json.dumps(exact)],
@@ -662,25 +722,8 @@ def test_exact_commands_never_load_mpmath(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# one parser per process
+# runs share no state
 # ---------------------------------------------------------------------------
-
-
-def test_parser_is_built_once_across_runs(capsys, monkeypatch):
-    builds = []
-    real = cli.build_parser
-
-    def counting():
-        builds.append(1)
-        return real()
-
-    monkeypatch.setattr(cli, "_parser", None)
-    monkeypatch.setattr(cli, "build_parser", counting)
-    for argv in (["expand", "Y4_2", "--order", "5"], ["eval", "E4", "--t", "1"], ["expand", "NOPE"]):
-        cli.run(argv)
-    capsys.readouterr()
-    assert len(builds) == 1
-    assert cli.build_parser() is not cli.build_parser()
 
 
 def test_bits_do_not_carry_over_between_runs(capsys, monkeypatch):
@@ -716,3 +759,196 @@ def test_output_path_does_not_carry_over(capsys, tmp_path):
     assert code == 0
     assert out.strip() == "q + 2q^2 + 12q^3"
     assert target.read_text().strip() == GOLDEN_Y42
+
+
+# ---------------------------------------------------------------------------
+# the table parser against argparse
+# ---------------------------------------------------------------------------
+
+# The argparse parser that ``cli`` used before its command table, kept unchanged as the reference.
+
+def _add_output_options(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--format", choices=("text", "json"), default="text")
+    sub.add_argument("--output", default=None, metavar="PATH", help="write to PATH instead of stdout")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="qmf",
+        description="Exact and high-precision toolkit for quasimodular q-series.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("expand", help="print a form's q-expansion")
+    p.add_argument("label")
+    p.add_argument("--order", type=int, default=None)
+    _add_output_options(p)
+    p.set_defaults(handler=_cmd_expand)
+
+    p = sub.add_parser("identity", help="verify registry identities exactly")
+    p.add_argument("idents", nargs="*", metavar="IDENT")
+    p.add_argument("--all", action="store_true")
+    p.add_argument("--order", type=int, default=None)
+    _add_output_options(p)
+    p.set_defaults(handler=_cmd_identity)
+
+    p = sub.add_parser("positivity", help="scan coefficients for a first negative")
+    p.add_argument("label")
+    p.add_argument("--order", type=int, default=None)
+    _add_output_options(p)
+    p.set_defaults(handler=_cmd_positivity)
+
+    p = sub.add_parser("density", help="count positive coefficients up to a bound")
+    p.add_argument("label")
+    p.add_argument("--n", type=int, default=2000)
+    _add_output_options(p)
+    p.set_defaults(handler=_cmd_density)
+
+    p = sub.add_parser("ratio-inf", help="minimum dilation coefficient ratio")
+    p.add_argument("label")
+    p.add_argument("--dilate", type=int, default=2)
+    p.add_argument("--bound", type=int, default=4096)
+    _add_output_options(p)
+    p.set_defaults(handler=_cmd_ratio_inf)
+
+    p = sub.add_parser("scan", help="sign scan of m*F(it) - 2*pi*t*F'(it)")
+    p.add_argument("label")
+    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--tmin", type=Fraction, default=Fraction(1, 20))
+    p.add_argument("--tmax", type=Fraction, default=Fraction(20))
+    p.add_argument("--points", type=int, default=60)
+    p.add_argument("--bits", type=int, default=None)
+    _add_output_options(p)
+    p.set_defaults(handler=_cmd_scan)
+
+    p = sub.add_parser("lambert-certify", help="build or re-verify a block certificate")
+    p.add_argument("name", nargs="?", default=None)
+    p.add_argument("--method", choices=("auto", "r-shift", "taylor"), default="auto")
+    p.add_argument("--emit", default=None, metavar="PATH", help="also write the certificate JSON to PATH")
+    p.add_argument("--recheck", default=None, metavar="PATH", help="re-verify a stored certificate")
+    _add_output_options(p)
+    p.set_defaults(handler=_cmd_lambert)
+
+    p = sub.add_parser("limits", help="small-t limit of t^(w-1) F(it) vs prediction")
+    p.add_argument("label")
+    p.add_argument("--bits", type=int, default=None)
+    _add_output_options(p)
+    p.set_defaults(handler=_cmd_limits)
+
+    p = sub.add_parser("eval", help="evaluate a form at z = it")
+    p.add_argument("label")
+    p.add_argument("--t", type=Fraction, required=True)
+    p.add_argument("--bits", type=int, default=None)
+    _add_output_options(p)
+    p.set_defaults(handler=_cmd_eval)
+
+    p = sub.add_parser("plotdata", help="TSV table of (t, t^m F(it))")
+    p.add_argument("label")
+    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--tmin", type=Fraction, default=Fraction(1, 2))
+    p.add_argument("--tmax", type=Fraction, default=Fraction(8, 5))
+    p.add_argument("--points", type=int, default=40)
+    p.add_argument("--bits", type=int, default=None)
+    p.add_argument("--output", default=None, metavar="PATH")
+    p.set_defaults(handler=_cmd_plotdata)
+
+    p = sub.add_parser("report", help="run every suite; the single acceptance entry point")
+    _add_output_options(p)
+    p.set_defaults(handler=_cmd_report)
+
+    return parser
+
+
+PARSE_EDGE_CASES = [
+    ["eval", "E4", "--t=0.5"],
+    ["eval", "E4", "--tm", "0.1"],
+    ["scan", "X12_1", "--m", "11", "--tm", "0.1"],
+    ["eval", "E4", "--t", "1", "--bi", "256"],
+    ["scan", "X12_1", "--m", "11", "--t", "1"],
+    ["eval", "E4", "--t", "-1"],
+    ["eval", "E4", "--t", "-.5"],
+    ["eval", "E4", "--t", "-1/2"],
+    ["eval", "E4", "--t", "1", "--t", "2", "--bits", "200", "--bits=256"],
+    ["eval", "E4", "--t"],
+    ["eval", "E4", "--t", "--bits", "128"],
+    ["eval", "E4", "--t", "1", "--nope"],
+    ["eval", "E4", "--t", "1", "--nope", "-h"],
+    ["expand", "Y4_2", "--format", "xml"],
+    ["expand", "Y4_2", "--format=json", "--o", "x"],
+    ["expand", "Y4_2", "--ord=5", "--out", "x"],
+    ["scan", "X12_1", "--m", "eleven"],
+    ["identity", "--all"],
+    ["identity", "--all=1"],
+    ["identity", "AB-12", "DELTA", "--order", "5"],
+    ["identity", "--order", "5", "AB-12", "DELTA"],
+    ["identity", "AB-12", "--order", "5", "DELTA"],
+    ["lambert-certify"],
+    ["lambert-certify", "X101", "--method", "taylor"],
+    ["lambert-certify", "--method", "taylor", "X101"],
+    ["lambert-certify", "X101", "--method", "newton"],
+    ["lambert-certify", "--recheck", "cert.json"],
+    ["lambert-certify", "X42", "X61"],
+    ["expand", "Y4_2", "Y8_2"],
+    ["expand"],
+    ["expand", "Y4_2", "--order", "5", "--"],
+    ["report", "--"],
+    ["report", "extra"],
+    ["plotdata", "X8_1", "--m", "7", "--format", "json"],
+    ["plotdata", "X8_1", "--m", "7", "-h", "--t", "1"],
+    [],
+    ["--nope"],
+    ["--", "expand", "Y4_2"],
+    ["frobnicate", "Y4_2"],
+    ["exp", "Y4_2"],
+    ["--help"],
+    ["--he"],
+    ["-h=1"],
+    ["eval", "-h"],
+    ["scan", "--help"],
+    ["scan", "--h"],
+    ["scan", "-hx"],
+]
+
+# where the table parser refuses what argparse accepted, raised or answered with help, and why
+PARSE_DIVERGENCES = {
+    ("eval", "E4", "--t", "1/0"): "argparse's type= caught only ValueError and TypeError: ZeroDivisionError escaped",
+    ("scan", "X12_1", "--m", "11", "--tmin", "1/0"): "the same for --tmin",
+    ("plotdata", "X12_1", "--m", "11", "--tmax", "1/0"): "the same for --tmax",
+    ("eval", "E4", "--t", "1e10001"): "a decimal exponent beyond ±10000 is refused before Fraction expands it",
+    ("scan", "X12_1", "--m", "11", "--tmin", "1e-10001"): "the same for a negative exponent",
+    ("identity", "AB-12", "--", "DELTA"): "-- is an unknown option: no label, identity id or block name starts with -",
+    ("expand", "--", "Y4_2"): "the same",
+    ("--nope", "-h"): "the first word must be a command or ask for help; argparse put off --nope and printed help",
+}
+
+
+def _outcome(parse, argv):
+    """"help", "refused", the name of what a parse raised, or the values it read (argparse's ``command`` aside)."""
+    try:
+        values = vars(parse(list(argv)))
+    except SystemExit as exc:  # argparse
+        return "help" if exc.code == 0 else "refused"
+    except cli.UsageError:
+        return "refused"
+    except Exception as exc:
+        return type(exc).__name__
+    if set(values) == {"handler"}:  # the table parser's help
+        return "help"
+    values.pop("command", None)
+    return values
+
+
+def test_the_command_table_reads_argv_as_argparse_did(capsys):
+    reference = build_parser()
+    corpus = [op for seed in (1, 2, 3) for workload in WORKLOADS for op in generate(workload, seed, 1.0)]
+    corpus += [op for seed in (1, 2, 3) for op in output_ops(seed, 1.0)]
+    assert {op[0] for op in corpus} == set(cli.COMMANDS)
+    for argv in corpus + PARSE_EDGE_CASES:
+        assert _outcome(cli.parse_args, argv) == _outcome(reference.parse_args, argv), argv
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", PARSE_DIVERGENCES)
+def test_the_command_table_refuses_what_argparse_let_through(capsys, argv):
+    assert _outcome(cli.parse_args, argv) == "refused" != _outcome(build_parser().parse_args, argv)
+    capsys.readouterr()

@@ -122,7 +122,8 @@ def test_pass_is_order_monotone(ident, order):
 def test_failure_reporting():
     one = FourierSeries.one(10)
     case = IdentityCase(
-        "FAKE", "1 = 1 + q^3", 10, lambda order: [(one, one + FourierSeries.from_terms({3: 2}, order=order))]
+        "FAKE", "1 = 1 + q^3", 10,
+        lambda order: [(one, one + FourierSeries.from_coefficients([2 * (n == 3) for n in range(order + 1)]))],
     )
     result = _check_case(case, 10)
     assert result.status == "fail"
