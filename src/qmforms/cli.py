@@ -147,31 +147,32 @@ def _cmd_expand(args) -> tuple[int, dict, str]:
     return 0, payload, text + "\n"
 
 
+def _identity_row(ident: str, order: int | None) -> tuple[dict, str]:
+    """One registry entry checked: its JSON result and its line of text."""
+    r = identities.verify(ident, order)
+    extra = "" if r.passed else f"  first bad exponent {r.first_bad_exponent}"
+    mark = "PASS" if r.passed else "FAIL"
+    return r.to_json_dict(), f"{mark} {r.ident} (order {r.order}, checked through {r.through}, {r.elapsed:.3f}s){extra}"
+
+
 def _cmd_identity(args) -> tuple[int, dict, str]:
+    if args.all and args.idents:
+        raise UsageError(f"identity: pass ids or --all, not both (got --all and {' '.join(args.idents)})")
     if args.all:
-        idents = None
+        idents = identities.identity_ids()
     elif args.idents:
         unknown = sorted(set(args.idents) - set(identities.registry()))
         if unknown:
             raise UsageError(f"unknown identity ids: {', '.join(unknown)}")
-        idents = set(args.idents)
+        idents = sorted(set(args.idents))
     else:
         raise UsageError("pass one or more identity ids, or --all")
     order = _resolve_order(args.order, None)
-    results = identities.verify_all(order, only=idents)
-    all_passed = all(r.passed for r in results)
-    lines = []
-    for r in results:
-        mark = "PASS" if r.passed else "FAIL"
-        extra = "" if r.passed else f"  first bad exponent {r.first_bad_exponent}"
-        lines.append(f"{mark} {r.ident} (order {r.order}, checked through {r.through}, {r.elapsed:.3f}s){extra}")
-    payload = {
-        "order": order,
-        "results": [r.to_json_dict() for r in results],
-        "all_passed": all_passed,
-        "failures": [r.ident for r in results if not r.passed],
-    }
-    return (0 if all_passed else 1), payload, "\n".join(lines) + "\n"
+    rows = _two_lanes([lambda ident=ident: _identity_row(ident, order) for ident in idents])
+    failures = [result["ident"] for result, _ in rows if result["status"] != "pass"]
+    payload = {"order": order, "results": [result for result, _ in rows], "all_passed": not failures,
+               "failures": failures}
+    return (1 if failures else 0), payload, "".join(line + "\n" for _, line in rows)
 
 
 def _cmd_positivity(args) -> tuple[int, dict, str]:
@@ -239,6 +240,11 @@ def _cmd_scan(args) -> tuple[int, dict, str]:
 
 def _cmd_lambert(args) -> tuple[int, dict, str]:
     if args.recheck is not None:
+        conflicts = [shown for shown, given in ((f"block name {args.name}", args.name is not None),
+                     (f"--emit {args.emit}", args.emit is not None), (f"--method {args.method}", args.method != "auto"))
+                     if given]
+        if conflicts:
+            raise UsageError(f"lambert-certify: --recheck conflicts with {', '.join(conflicts)}")
         try:
             with open(args.recheck, encoding="utf-8") as handle:
                 data = json.load(handle)
@@ -622,51 +628,67 @@ def _timed(criterion: Callable[[], dict]) -> dict:
     return check
 
 
-def _forked(criterion: Callable[[], dict]) -> tuple[int, int]:
-    """Fork a worker that writes ``criterion``'s timed check, or its traceback, as JSON to a pipe and
-    leaves by ``os._exit``, so no inherited buffer or atexit hook runs; return (pid, read end)."""
+def _taken(queue_fd: int, first: int):
+    """``first``, then each index this lane takes from the queue, two bytes at a time, until it is empty."""
+    yield first
+    while raw := os.read(queue_fd, 2):
+        yield int.from_bytes(raw, "big")
+
+
+def _two_lanes(tasks: Sequence[Callable[[], object]]) -> list:
+    """The results of independent zero-argument tasks, in task order.  With ``os.fork``, one thread and 2 to 2048
+    tasks (a pipe holds at least one page), a forked worker runs task 0 and this process task 1, then each lane takes
+    the next untaken index from a pipe filled before the fork, so one heavy task leaves no CPU idle.  The worker
+    writes its results, or its traceback, as JSON to a second pipe and leaves by ``os._exit``; it is reaped, or killed
+    and reaped if this lane raises, before this returns, and its builds and memory die with it.  Otherwise (a fork
+    could copy a lock another thread holds) every task runs here, in order."""
+    if not 2 <= len(tasks) <= 2048 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [task() for task in tasks]
+    queue_fd, fill_fd = os.pipe()
+    with open(fill_fd, "wb") as fill:
+        fill.write(b"".join(index.to_bytes(2, "big") for index in range(2, len(tasks))))
     read_fd, write_fd = os.pipe()
-    if pid := os.fork():
-        os.close(write_fd)
-        return pid, read_fd
-    try:
-        with open(write_fd, "w", encoding="utf-8") as pipe:
-            try:
-                pipe.write(json.dumps({"check": _timed(criterion)}))
-            except Exception:
-                import traceback  # here, not at the top: only a failing worker pays for the import
-                pipe.write(json.dumps({"error": traceback.format_exc()}))
-        os._exit(0)
-    finally:
-        os._exit(1)
+    if not (pid := os.fork()):
+        try:
+            with open(write_fd, "w", encoding="utf-8") as pipe:
+                try:
+                    pipe.write(json.dumps({"results": [(index, tasks[index]()) for index in _taken(queue_fd, 0)]}))
+                except Exception:
+                    import traceback  # here, not at the top: only a failing worker pays for the import
+                    pipe.write(json.dumps({"error": traceback.format_exc()}))
+            os._exit(0)
+        finally:
+            os._exit(1)
+    os.close(write_fd)
+    with open(read_fd, "rb") as pipe, open(queue_fd, "rb"):
+        try:
+            results = {index: tasks[index]() for index in _taken(queue_fd, 1)}
+            payload = pipe.read()
+        except BaseException:
+            import signal  # likewise only on the failing path
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            status = os.waitpid(pid, 0)[1]
+    worker = json.loads(payload or "{}")
+    if "results" not in worker:
+        raise RuntimeError(f"the worker failed (wait status {status}):\n{worker.get('error', 'no output')}")
+    results.update(worker["results"])
+    return [results[index] for index in range(len(tasks))]
 
 
 def acceptance_checks() -> list[dict]:
-    """Run every acceptance criterion; each entry reports pass/fail and its runtime_s.
-    With ``os.fork`` in a process of one thread, C1 runs in a worker (reaped, or killed and
-    reaped, before this returns) while C2-C10 run here, sharing their scans; C1's memory shows
-    in RUSAGE_CHILDREN only.  A threaded caller runs all ten here: a fork could copy a held lock."""
+    """Run every acceptance criterion; each entry reports pass/fail and its runtime_s.  C1 and C2-C10 are the two
+    tasks of ``_two_lanes``, so C1 runs in the worker where it forks; C2-C10 share their scans, C4 last: it reads
+    what C5 built (x_w2 and E2-E10 at orders 4096-8192) by truncation."""
+    first, *rest = ACCEPTANCE_CRITERIA
+    lane = sorted(range(len(rest)), key=lambda k: rest[k] is _criterion_positivity)
     token = _RUN_SCANS.set({})
     try:
-        if not hasattr(os, "fork") or threading.active_count() > 1:
-            return [_timed(criterion) for criterion in ACCEPTANCE_CRITERIA]
-        pid, read_fd = _forked(ACCEPTANCE_CRITERIA[0])
-        with open(read_fd, "rb") as pipe:
-            try:
-                checks = [_timed(criterion) for criterion in ACCEPTANCE_CRITERIA[1:]]
-                payload = pipe.read()
-            except BaseException:
-                import signal  # likewise only on the failing path
-                os.kill(pid, signal.SIGKILL)
-                raise
-            finally:
-                status = os.waitpid(pid, 0)[1]
+        check, checks = _two_lanes([lambda: _timed(first), lambda: sorted((k, _timed(rest[k])) for k in lane)])
     finally:
         _RUN_SCANS.reset(token)
-    result = json.loads(payload or "{}")
-    if "check" not in result:
-        raise RuntimeError(f"the C1 worker failed (wait status {status}):\n{result.get('error', 'no output')}")
-    return [result["check"], *checks]
+    return [check, *(c for _, c in checks)]
 
 
 def _cmd_report(args) -> tuple[int, dict, str]:

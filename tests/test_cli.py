@@ -687,6 +687,124 @@ def test_a_threaded_caller_runs_every_criterion_in_process(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the two-lane runner behind report and identity
+# ---------------------------------------------------------------------------
+
+
+def _logged_tasks(log: Path, count: int, pause: float = 0.0):
+    """Tasks that append their index to ``log`` (one write each, so the lanes' lines never mix) and return
+    (pid, index)."""
+    def task(index):
+        time.sleep(pause)
+        with open(log, "a", encoding="utf-8") as handle:
+            handle.write(f"{index}\n")
+        return os.getpid(), index
+    return [lambda index=index: task(index) for index in range(count)]
+
+
+def test_two_lanes_run_every_task_once_and_return_them_in_order(tmp_path):
+    log = tmp_path / "ran.txt"
+    results = cli._two_lanes(_logged_tasks(log, 12, pause=0.01))
+    _no_child_left()
+    assert [index for _, index in results] == list(range(12))
+    assert sorted(int(line) for line in log.read_text().split()) == list(range(12))
+    pids = [pid for pid, _ in results]
+    assert pids[1] == os.getpid() != pids[0] and set(pids) == {os.getpid(), pids[0]}
+
+
+@pytest.mark.parametrize("count", [0, 1])
+def test_two_lanes_fork_nothing_for_fewer_than_two_tasks(tmp_path, count):
+    assert cli._two_lanes(_logged_tasks(tmp_path / "ran.txt", count)) == [(os.getpid(), 0)][:count]
+    _no_child_left()
+
+
+def test_two_lanes_fork_nothing_for_a_threaded_caller(tmp_path):
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait, args=(30,))
+    waiter.start()
+    try:
+        results = cli._two_lanes(_logged_tasks(tmp_path / "ran.txt", 4))
+    finally:
+        release.set()
+        waiter.join(30)
+    assert results == [(os.getpid(), index) for index in range(4)]
+    _no_child_left()
+
+
+def test_two_lanes_raise_a_worker_task_s_traceback_here():
+    def broken():
+        raise ValueError("broken worker task")
+
+    with pytest.raises(RuntimeError, match="ValueError: broken worker task"):
+        cli._two_lanes([broken, os.getpid, os.getpid])
+    _no_child_left()
+
+
+def test_two_lanes_raise_with_the_wait_status_of_a_vanishing_worker():
+    parent = os.getpid()
+
+    def vanishing():
+        if os.getpid() != parent:
+            os._exit(3)
+        return parent
+
+    with pytest.raises(RuntimeError, match=f"wait status {3 << 8}"):
+        cli._two_lanes([vanishing, os.getpid, os.getpid])
+    _no_child_left()
+
+
+def test_two_lanes_kill_and_reap_the_worker_when_this_lane_raises():
+    def broken():
+        raise ValueError("broken parent lane")
+
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="broken parent lane"):
+        cli._two_lanes([lambda: time.sleep(60), broken])
+    assert time.perf_counter() - start < 10
+    _no_child_left()
+
+
+def _elapsed_masked(payload: dict) -> dict:
+    return {**payload, "results": [{**result, "elapsed": None} for result in payload["results"]]}
+
+
+def test_identity_all_over_two_lanes_matches_the_registry_checked_in_process(capsys):
+    code, out, _ = run_capture(capsys, ["identity", "--all", "--order", "40", "--format", "json"])
+    _no_child_left()
+    results = cli.identities.verify_all(40)
+    failures = [r.ident for r in results if not r.passed]
+    expected = {"order": 40, "results": [r.to_json_dict() for r in results], "all_passed": not failures,
+                "failures": failures}
+    assert (code, _elapsed_masked(json.loads(out))) == (0, _elapsed_masked(expected))
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["identity", "DELTA", "--all", "--order", "12"], ["--all", "DELTA"]),
+    (["identity", "--all", "RAM-1", "RAM-2"], ["--all", "RAM-1 RAM-2"]),
+])
+def test_identity_ids_with_all_exit_two(argv, named):
+    done, _ = run_qmf(argv)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("qmf: ") and done.stderr.count("\n") == 1
+    assert all(word in done.stderr for word in named)
+
+
+@pytest.mark.parametrize("extra, named", [
+    (["X61"], ["block name X61"]),
+    (["--emit", "never.json"], ["--emit never.json"]),
+    (["--method", "taylor"], ["--method taylor"]),
+    (["X61", "--emit", "never.json", "--method", "taylor"], ["block name X61", "--emit never.json", "--method taylor"]),
+])
+def test_recheck_with_a_block_name_emit_or_method_exits_two(tmp_path, extra, named):
+    assert cli.run(["lambert-certify", "X42", "--emit", str(tmp_path / "c42.json"), "--output", os.devnull]) == 0
+    done, _ = run_qmf(["lambert-certify", "--recheck", "c42.json", *extra], cwd=tmp_path)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("qmf: ") and done.stderr.count("\n") == 1
+    assert "--recheck" in done.stderr and all(word in done.stderr for word in named)
+    assert not (tmp_path / "never.json").exists()
+
+
+# ---------------------------------------------------------------------------
 # mpmath loads on the first floating read, never for an exact command
 # ---------------------------------------------------------------------------
 
