@@ -619,6 +619,8 @@ ACCEPTANCE_CRITERIA: tuple[Callable[[], dict], ...] = (
     _criterion_scans,
     _criterion_reduction_chain,
 )
+# C4's place, kept by position: a tracer may rebind ACCEPTANCE_CRITERIA to wrappers
+_POSITIVITY = ACCEPTANCE_CRITERIA.index(_criterion_positivity)
 
 
 def _timed(criterion: Callable[[], dict]) -> dict:
@@ -682,7 +684,7 @@ def acceptance_checks() -> list[dict]:
     tasks of ``_two_lanes``, so C1 runs in the worker where it forks; C2-C10 share their scans, C4 last: it reads
     what C5 built (x_w2 and E2-E10 at orders 4096-8192) by truncation."""
     first, *rest = ACCEPTANCE_CRITERIA
-    lane = sorted(range(len(rest)), key=lambda k: rest[k] is _criterion_positivity)
+    lane = sorted(range(len(rest)), key=lambda k: k + 1 == _POSITIVITY)
     token = _RUN_SCANS.set({})
     try:
         check, checks = _two_lanes([lambda: _timed(first), lambda: sorted((k, _timed(rest[k])) for k in lane)])

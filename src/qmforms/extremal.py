@@ -15,9 +15,10 @@ Depth 2: every depth <= 2 form of weight w is uniquely Σ_j D^j g_j with g_j
 in M_(w−2j), plus a multiple of D·E2 at w = 4 (Kaneko and Zagier, 1995;
 Zagier, *The 1-2-3 of Modular Forms*, §5.3).  The family member at each of
 the six weights is the combination of the columns D^j(E_k·Δ^i) that vanishes
-to the largest order, found by one exact solve.  A second solver finds the
-same form over the monomials E2^j E4^a E6^b (j <= 2) and keeps its E2-parts,
-F = A_0 + E2 A_1 + E2^2 A_2, which give every depth-2 weight its split.
+to the largest order, found by one exact solve.  Its x-parts Φ_p, the
+coefficients of x^p when E2 becomes E2 + x, follow from the same columns by
+Horner in D and the rule for D on x-parts (:mod:`qmforms.forms`), so no E2
+product is formed; ``x_w2`` builds Φ_0 alone.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import math
 import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import reduce
 from typing import Callable
 
 from . import forms
@@ -123,6 +123,11 @@ class Depth1Components:
     def recompose(self) -> FourierSeries:
         return recompose_parts(self.parts)
 
+    @property
+    def x_parts(self) -> tuple[FourierSeries, FourierSeries]:
+        """The x-parts (pure + E2·e2_part, e2_part): the coefficients of 1 and x when E2 becomes E2 + x."""
+        return self.recompose(), self.e2_part
+
     def truncate(self, order) -> "Depth1Components":
         return Depth1Components(self.weight, self.pure.truncate(order), self.e2_part.truncate(order))
 
@@ -182,22 +187,20 @@ def _require_depth2_weight(w: int):
         raise BadWeight(f"depth-2 family implemented for weights {_X_W2_WEIGHTS}")
 
 
-_LAMBDAS: dict[tuple[str, int], list[Fraction]] = {}  # (solver, w) -> λ, at the six depth-2 weights only
+_LAMBDAS: dict[int, list[Fraction]] = {}  # w -> λ
 
 
-def _maximal_vanishing(solver: str, w: int, columns: Callable[[], list[FourierSeries]]) -> list[Fraction]:
+def _maximal_vanishing(w: int, columns: Callable[[], list[FourierSeries]]) -> list[Fraction]:
     """λ with Σ λ_c·c vanishing through q^(dim−2) and q^(dim−1)-coefficient 1, for the dim ``columns()``
-    stored through q^(dim−1), kept per ``solver`` at the depth-2 weights; BadWeight if no unique λ does."""
-    if (solver, w) not in _LAMBDAS:
+    stored through q^(dim−1), kept per depth-2 weight w; BadWeight if no unique λ does."""
+    if w not in _LAMBDAS:
         cols = columns()
         v = len(cols) - 1
         sol = _solve_exact([[c.coefficient(n) for c in cols] for n in range(v + 1)], [F(0)] * v + [F(1)])
         if sol is None:
             raise BadWeight(f"no unique maximal-vanishing combination at weight {w}")
-        if w not in _X_W2_WEIGHTS:
-            return sol
-        _LAMBDAS[solver, w] = sol
-    return _LAMBDAS[solver, w]
+        _LAMBDAS[w] = sol
+    return _LAMBDAS[w]
 
 
 def _kz_columns(w: int) -> list[tuple[int, int, int]]:
@@ -225,70 +228,31 @@ def _kz_product(k: int, i: int, order: int) -> FourierSeries:
     return eisenstein(k, order) * power if k else power
 
 
-@grow_only
-def x_w2(w: int, order: int = DEFAULT_ORDER) -> FourierSeries:
-    """The depth-2 maximal-vanishing form of weight w in {4, 8, 10, 12, 14, 16}:
-    G_0 + D(G_1 + D·G_2), G_j = Σ λ_c·E_k·Δ^i over the columns c = D^j(E_k·Δ^i)
-    of :func:`_kz_columns`, with λ from :func:`_maximal_vanishing`."""
+def x_w2_parts(w: int, order: int = DEFAULT_ORDER, keep: int | None = None) -> list:
+    """x-parts Φ_0..Φ_2 (the first ``keep``) of the depth-2 maximal-vanishing form
+    of weight w in {4, 8, 10, 12, 14, 16}, G_0 + D(G_1 + D·G_2) with
+    G_j = Σ λ_c·E_k·Δ^i over the columns c = D^j(E_k·Δ^i) of :func:`_kz_columns`,
+    λ from :func:`_maximal_vanishing`, by :func:`~qmforms.forms.horner_x_parts`.
+    Each E_k·Δ^i is its own x-part; weight 4's E2 column has x-parts (E2, 1)."""
     _require_depth2_weight(w)
     cols = _kz_columns(w)
     small = len(cols) - 1
-    lam = _maximal_vanishing("x_w2", w, lambda: [_derivative(_kz_product(k, i, small), j) for j, k, i in cols])
-    groups: list[FourierSeries | None] = [None] * 3
+    lam = _maximal_vanishing(w, lambda: [_derivative(_kz_product(k, i, small), j) for j, k, i in cols])
+    groups: list[list | None] = [None] * 3
     for coef, (j, k, i) in zip(lam, cols):
         if coef:
             term = _kz_product(k, i, order).scale(coef)
-            groups[j] = term if groups[j] is None else groups[j] + term
-    total = None
-    for group in reversed(groups):  # Horner in D
-        if total is not None:
-            total = total.derivative()
-        if group is not None:
-            total = group if total is None else total + group
-    return total
-
-
-def _depth2_monomials(w: int) -> list[tuple[int, int, int]]:
-    """Exponent triples (j, a, b) with E2^j E4^a E6^b of weight w, j <= 2."""
-    out = []
-    for j in range(3):
-        rest = w - 2 * j
-        if rest < 0:
-            continue
-        for b in range(rest // 6 + 1):
-            rem = rest - 6 * b
-            if rem % 4 == 0:
-                out.append((j, rem // 4, b))
-    return out
-
-
-def _monomial_series(j: int, a: int, b: int, order: int) -> FourierSeries:
-    """E2^j·E4^a·E6^b, with E4² = E8 (M8 is one-dimensional), multiplying only
-    the factors with nonzero exponents."""
-    powers = [eisenstein(k, order) ** e for k, e in ((2, j), (8, a // 2), (4, a % 2), (6, b)) if e]
-    return reduce(FourierSeries.__mul__, powers) if powers else FourierSeries.one(order)
+            # E2's constant x-part only where more than Φ_0 is asked
+            parts = [term, FourierSeries.one(order).scale(coef)] if k == 2 and keep != 1 else [term]
+            groups[j] = parts if groups[j] is None else forms.add_parts(groups[j], parts)
+    return forms.horner_x_parts(groups, w, keep)
 
 
 @grow_only
-def depth2_parts(w: int, order: int = DEFAULT_ORDER) -> tuple[FourierSeries, ...]:
-    """E2-parts (A_0, A_1, A_2), A_j free of E2 and of weight w − 2j, of the
-    maximal-vanishing form in the span of the E2^j·E4^a·E6^b (j <= 2) of weight w.
-
-    Solves for λ over the monomials by :func:`_maximal_vanishing`, on its own:
-    it reads neither :func:`x_w2` nor its columns, so at the six depth-2
-    weights it is a second construction of the same form.  Raises BadWeight
-    if the space is empty or no unique λ exists.
-    """
-    _require_even(w, 4)
-    monos = _depth2_monomials(w)
-    if not monos:
-        raise BadWeight(f"no depth<=2 forms of weight {w}")
-    sol = _maximal_vanishing("depth2_parts", w, lambda: [_monomial_series(j, a, b, len(monos) - 1) for j, a, b in monos])
-    parts = [FourierSeries.zero(order)] * 3
-    for coef, (j, a, b) in zip(sol, monos):
-        if coef:
-            parts[j] = parts[j] + _monomial_series(0, a, b, order).scale(coef)
-    return tuple(parts)
+def x_w2(w: int, order: int = DEFAULT_ORDER) -> FourierSeries:
+    """The depth-2 maximal-vanishing form of weight w in {4, 8, 10, 12, 14, 16}:
+    Φ_0 of :func:`x_w2_parts`, built alone."""
+    return x_w2_parts(w, order, 1)[0]
 
 
 def _solve_exact(mat: list[list[Fraction]], rhs: list[Fraction]):
@@ -341,8 +305,9 @@ def weak_family(w: int, n: int, order: int = DEFAULT_ORDER) -> FourierSeries:
 
 @dataclass(frozen=True)
 class FormDescriptor:
-    """A label's metadata, ``build(order)`` for its expansion and, for the SL(2,Z)
-    families, ``parts(order)``: its E2-parts A_0..A_d, A_j free of E2 and of weight − 2j."""
+    """A label's metadata, ``build(order)`` for its expansion and, for every SL(2,Z)
+    label but E2, ``parts(order)``: its x-parts Φ_0..Φ_d, the coefficients of x^p
+    when E2 becomes E2 + x, so Φ_0 is the form; the axis routes read them."""
 
     label: str
     weight: int
@@ -354,7 +319,7 @@ class FormDescriptor:
 
 
 def _modular(label: str, weight: int, summary: str, build: Callable[[int], FourierSeries]) -> FormDescriptor:
-    """An SL(2,Z) modular form: depth 0, its own single E2-part."""
+    """An SL(2,Z) modular form: depth 0, its own single x-part."""
     return FormDescriptor(label, weight, 0, "SL(2,Z)", summary, build, lambda order: (build(order),))
 
 
@@ -384,7 +349,7 @@ _FIXED_BUILDERS: dict[str, FormDescriptor] = {
         FormDescriptor("B", 2, 0, "Gamma0(4)", "even-index four-squares combination",
                        lambda order: forms.theta_forms(order)["B"]),
         FormDescriptor("F", 16, 2, "SL(2,Z)", "weight-16 depth-2 combination vanishing to order 3",
-                       lambda order: forms.form_f(order), lambda order: forms.form_f_parts(order)),
+                       lambda order: forms.form_f(order), lambda order: forms.form_f_x_parts(order)),
         FormDescriptor("G", 14, 0, "Gamma0(4)", "theta-side weight-14 product",
                        lambda order: forms.form_g(order)),
         FormDescriptor("K10", 10, 0, "Gamma0(4)", "theta-side weight-10 coefficient form",
@@ -407,7 +372,7 @@ _FIXED_BUILDERS: dict[str, FormDescriptor] = {
                        lambda order: _p4(order)),
         FormDescriptor("X42Delta", 16, 2, "SL(2,Z)", "weight-4 depth-2 form times the discriminant",
                        lambda order: x_w2(4, order) * delta_series(order),
-                       lambda order: tuple(part * delta_series(order) for part in depth2_parts(4, order))),
+                       lambda order: [part * delta_series(order) for part in x_w2_parts(4, order)]),
     )
 }
 _FIXED_BUILDERS["script_L10"] = replace(_FIXED_BUILDERS["L10"], label="script_L10")
@@ -415,12 +380,12 @@ _FIXED_BUILDERS["script_L10"] = replace(_FIXED_BUILDERS["L10"], label="script_L1
 # The families X{w}_1, X{w}_2, Y{w}_2 and Xtilde{w}_2, matched whole.
 _FAMILY_LABEL = re.compile(r"(Xtilde|X|Y)([1-9][0-9]*)_([12])")
 
-# (prefix, depth) -> (group, summary, builder of (weight, order), E2-parts of (weight, order) or None)
+# (prefix, depth) -> (group, summary, builder of (weight, order), x-parts of (weight, order) or None)
 _FAMILIES = {
     ("X", 1): ("SL(2,Z)", "depth-1 maximal-vanishing form", lambda w, order: x_w1(w, order),
-               lambda w, order: x_w1_components(w, order).parts),
+               lambda w, order: x_w1_components(w, order).x_parts),
     ("X", 2): ("SL(2,Z)", "depth-2 maximal-vanishing form", lambda w, order: x_w2(w, order),
-               lambda w, order: depth2_parts(w, order)),
+               lambda w, order: x_w2_parts(w, order)),
     ("Y", 2): ("Gamma0(2)", "difference with factor 2^(w-2)", lambda w, order: y_form(w, order), None),
     ("Xtilde", 2): ("Gamma0(2)", "difference with factor 2^(w-1)",
                     lambda w, order: xtilde_form(w, order), None),

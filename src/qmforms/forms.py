@@ -12,6 +12,11 @@ Each builder that takes an ``order`` keeps one entry per family member at the
 largest order asked so far (:func:`~qmforms.qseries.grow_only`).  The
 composites F, G, K10/K12/K14, L, L10 and P2 have one builder each, so asking
 for one builds only what it depends on.
+
+A form's x-parts Φ_p are the coefficients of x^p when E2 becomes E2 + x; the
+axis routes read them.  One rule gives D's (:func:`derivative_x_parts`), and
+Horner in D over Kaneko–Zagier groups (:func:`horner_x_parts`) builds F's and
+the depth-2 family's with no product by E2.
 """
 
 from __future__ import annotations
@@ -223,6 +228,42 @@ def derivative_parts(parts: Sequence[FourierSeries], w: int) -> list:
     return out
 
 
+def derivative_x_parts(parts: Sequence[FourierSeries], weight: int, keep: int | None = None) -> list:
+    """x-parts Ψ_0..Ψ_(d+1) of Df (the first ``keep``) from the x-parts Φ_0..Φ_d
+    of f, of weight ``weight``: Φ_p is the coefficient of x^p when E2 becomes
+    E2 + x in f, and by [∂/∂E2, D] = weight/12 (Zagier, *The 1-2-3 of Modular
+    Forms*, §5.2), with Φ_(−1) = Φ_(d+1) = 0,
+
+        Ψ_p = DΦ_p + ((weight − p + 1)/12)·Φ_(p−1).
+    """
+    count = len(parts) + 1 if keep is None else min(keep, len(parts) + 1)
+    out = [parts[0].derivative()]
+    for p in range(1, count):
+        term = parts[p - 1].scale(Fraction(weight - p + 1, 12))
+        out.append(term + parts[p].derivative() if p < len(parts) else term)
+    return out
+
+
+def add_parts(a: Sequence[FourierSeries], b: Sequence[FourierSeries]) -> list:
+    """The entrywise sum of two lists of parts, the shorter one padded with zeros."""
+    long, short = (a, b) if len(a) >= len(b) else (b, a)
+    return [x + y for x, y in zip(long, short)] + list(long[len(short):])
+
+
+def horner_x_parts(groups: Sequence, weight: int, keep: int | None = None) -> list:
+    """x-parts of Σ_j D^j·G_j, of weight ``weight`` (the first ``keep``), by
+    Horner in D over ``groups``: G_j's x-parts, of weight − 2j, or None for G_j = 0.
+    Every quasimodular form of depth below weight/2 is one such sum with each G_j
+    modular, its own single x-part (Kaneko and Zagier, 1995; Zagier, §5.3)."""
+    total = None
+    for j in reversed(range(len(groups))):
+        if total is not None:
+            total = derivative_x_parts(total, weight - 2 * j - 2, keep)
+        if groups[j] is not None:
+            total = groups[j][:keep] if total is None else add_parts(total, groups[j][:keep])
+    return total
+
+
 def martin_royer_bracket(
     f: FourierSeries,
     g: FourierSeries,
@@ -310,20 +351,25 @@ def e2_half_arguments(order: int = DEFAULT_ORDER) -> tuple[FourierSeries, Fourie
 # ---------------------------------------------------------------------------
 
 
-def form_f_parts(order: int = DEFAULT_ORDER) -> tuple[FourierSeries, ...]:
-    """E2-parts (A_0, A_1, A_2) of :func:`form_f`: 49 E4 E6^2 - 25 E4^4,
-    -48 E4^2 E6 and 49 E4^3 - 25 E6^2, formed with E4^2 = E8, E4 E6 = E10 and
-    E4^2 E6 = E14 (M8, M10 and M14 are one-dimensional)."""
-    e4, e6, e8, e10 = (eisenstein(k, order) for k in (4, 6, 8, 10))
-    return ((e10 * e6).scale(49) - (e8 * e8).scale(25), eisenstein(14, order).scale(-48),
-            (e8 * e4).scale(49) - (e6 * e6).scale(25))
+def form_f_x_parts(order: int = DEFAULT_ORDER, keep: int | None = None) -> list:
+    """F's x-parts Φ_0..Φ_2 (the first ``keep``), from its Kaneko–Zagier groups:
+    F = −(725760/13)·E4·Δ + D²((288/13)·E12 + (482630400/8983)·Δ)."""
+    delta = delta_series(order)
+    g0 = (eisenstein(4, order) * delta).scale(Fraction(-725760, 13))
+    g2 = eisenstein(12, order).scale(Fraction(288, 13)) + delta.scale(Fraction(482630400, 8983))
+    return horner_x_parts(([g0], None, [g2]), 16, keep)
 
 
 @grow_only
 def form_f(order: int = DEFAULT_ORDER) -> FourierSeries:
     """F: the weight-16 depth-2 combination of E2, E4, E6 vanishing to order 3,
-    (49 E4^3 - 25 E6^2) E2^2 - 48 E4^2 E6 E2 - 25 E4^4 + 49 E4 E6^2."""
-    return recompose_parts(form_f_parts(order))
+    (49 E4^3 - 25 E6^2) E2^2 - 48 E4^2 E6 E2 - 25 E4^4 + 49 E4 E6^2, built as
+    Φ_0 of :func:`form_f_x_parts`.  The two agree: both lie in the weight-16
+    forms of depth <= 2, Σ_j D^j·M_(16−2j), where M16, M14 and M12 have
+    dimensions 2, 1 and 2, and the coefficients through q^4 are independent
+    there (X16_2's solve inverts them), so agreement through q^4 is a proof;
+    a test checks it to order 2000."""
+    return form_f_x_parts(order, 1)[0]
 
 
 @grow_only

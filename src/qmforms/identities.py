@@ -15,7 +15,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .extremal import form_by_label, x_w1, x_w1_components, x_w2, xtilde_form, y_form
 from .forms import (
@@ -602,17 +602,10 @@ def verify(ident: str, order: int | None = None) -> IdentityResult:
     return _check_case(case, case.default_order if order is None else int(order))
 
 
-def verify_all(
-    order: int | None = None,
-    only: Iterable[str] | None = None,
-) -> list[IdentityResult]:
-    """Check the whole registry (or a filtered subset), sorted by id.
+def verify_all(order: int | None = None) -> list[IdentityResult]:
+    """Check the whole registry, sorted by id.
 
     ``order=None`` uses each entry's default; an explicit order applies to
     every entry.  Failures are reported in the results, never raised.
     """
-    idents = identity_ids() if only is None else sorted(only)
-    results = []
-    for ident in idents:
-        results.append(verify(ident, order))
-    return results
+    return [verify(ident, order) for ident in identity_ids()]

@@ -77,8 +77,10 @@ def _poly_deriv(p: Sequence[int]) -> list[int]:
     return [k * p[k] for k in range(1, len(p))]
 
 
-def _poly_eval_one(p: Sequence[int]) -> int:
-    return sum(p)
+def _poly_sub(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """a − b, the shorter one padded with zeros, trimmed."""
+    n = max(len(a), len(b))
+    return _trim([(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)])
 
 
 def _poly_shift_one(p: Sequence[int]) -> list[int]:
@@ -166,13 +168,8 @@ def derivative_numerator(
     xb_minus_1 = [-1] + [0] * (b - 1) + [1]
     p0 = [nu * b * c for c in _poly_mul(xb, u)]
     correction = _poly_mul([0, 1], _poly_mul(xb_minus_1, _poly_deriv(u)))
-    n = max(len(p0), len(correction))
-    p0 = [
-        (p0[i] if i < len(p0) else 0) - (correction[i] if i < len(correction) else 0)
-        for i in range(n)
-    ]
     q0 = [m * c for c in _poly_mul(xb_minus_1, u)]
-    return _strip_common(_trim(p0), _trim(q0))
+    return _strip_common(_poly_sub(p0, correction), _trim(q0))
 
 
 # ---------------------------------------------------------------------------
@@ -238,22 +235,8 @@ class MonotonicityCertificate:
 
 def _r_shift_data(p: Sequence[int], q: Sequence[int]):
     """R = P^2 - x (Q'P - QP') and its expansion around 1."""
-    p2 = _poly_mul(p, p)
-    cross = _poly_mul(_poly_deriv(q), p)
-    cross2 = _poly_mul(list(q), _poly_deriv(p))
-    n = max(len(cross), len(cross2))
-    diff = [
-        (cross[i] if i < len(cross) else 0) - (cross2[i] if i < len(cross2) else 0)
-        for i in range(n)
-    ]
-    xdiff = [0] + diff
-    n = max(len(p2), len(xdiff))
-    r = _trim(
-        [
-            (p2[i] if i < len(p2) else 0) - (xdiff[i] if i < len(xdiff) else 0)
-            for i in range(n)
-        ]
-    )
+    cross = _poly_sub(_poly_mul(_poly_deriv(q), p), _poly_mul(list(q), _poly_deriv(p)))
+    r = _poly_sub(_poly_mul(p, p), [0] + cross)
     return r, _poly_shift_one(r)
 
 
@@ -367,7 +350,7 @@ def certify(
     p = _trim(list(p))
     q = _trim(list(q))
     witnesses: list[dict] = []
-    if _poly_eval_one(q) != 0:
+    if sum(q) != 0:
         return MonotonicityCertificate(
             name, m, tuple(p), tuple(q), method if method != "auto" else "r-shift",
             "invalid",
@@ -375,7 +358,7 @@ def certify(
                 {
                     "method": "precondition",
                     "kind": "q-at-one-nonzero",
-                    "value": str(_poly_eval_one(q)),
+                    "value": str(sum(q)),
                 },
             ),
         )

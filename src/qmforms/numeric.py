@@ -9,11 +9,13 @@ mpmath's global context, which is imported on first use, only in
 :func:`geometric_grid` and :func:`_to_mpf`, so exact commands never load it.
 Every value is one :class:`_AxisRoute` read, ``eval`` included:
 
-* one inversion route: a label with E2-parts (every SL(2,Z) label but E2)
+* one inversion route: a label with x-parts (every SL(2,Z) label but E2)
   is summed at i/t below t = 1, so small t costs nothing in convergence,
-  from F's x-parts Φ_p and DF's Ψ_p = DΦ_p + ((w − p + 1)/12)·Φ_(p−1), with
-  no E2 algebra on DF.  It is built once for height 1 and kept, per label and
-  precision, in one bounded cache that ``eval``, scans, curves and limits share;
+  from F's x-parts Φ_p, the label's own (:mod:`qmforms.extremal`), and DF's
+  Ψ_p = DΦ_p + ((w − p + 1)/12)·Φ_(p−1) by
+  :func:`~qmforms.forms.derivative_x_parts`, with no E2 algebra on either.
+  It is built once for height 1 and kept, per label and precision, in one
+  bounded cache that ``eval``, scans, curves and limits share;
 * geometric-grid scans of s(t) = m·F(it) − 2πt·F'(it), whose sign is that
   of d/dt [t^m F(it)], run as one batch: one grid, one route per label, and
   one record per height that every pair and route reads;
@@ -38,11 +40,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
-from math import ceil, comb
+from math import ceil
 from typing import NamedTuple, Sequence
 
 from .extremal import describe_label, form_by_label
-from .forms import TAU_DEFAULT_CAP, OrderExceeded, recompose_parts
+from .forms import TAU_DEFAULT_CAP, OrderExceeded, derivative_x_parts
 from .qseries import FourierSeries
 
 
@@ -289,22 +291,15 @@ class AxisEvaluator:
         return Ball(mid, rad, e), (dropped, beyond, math.log2(n * (n + 1)) + top - self._prec), n
 
 
-def _collected(parts: Sequence[FourierSeries]) -> list:
-    """Φ_p = Σ_j C(j, p)·E2^(j−p)·A_j for p = 0..d: the coefficient of x^p
-    when E2 is replaced by E2 + x in Σ_j E2^j·A_j."""
-    return [recompose_parts([part.scale(comb(j, p)) for j, part in enumerate(parts[p:], p)])
-            for p in range(len(parts))]
-
-
 class _AxisRoute:
     """F and DF of one label at heights z = it, and s = m·F − 2πt·DF.
 
-    ``parts`` are F's E2-parts A_0..A_d, F = Σ_j E2^j·A_j with A_j free of E2
-    and of weight w − 2j; a modular form is its own single part (d = 0).
-    Without a weight, F = parts[0] is summed directly at every height; with
-    one, directly at t >= 1 and at u = 1/t below: by E2(−1/τ) = τ²·E2(τ) +
-    6τ/(πi) (Zagier, *The 1-2-3 of Modular Forms*, §5.3) at τ = iu, with
-    x = −6/(πu) = −6t/π and Φ_p the collected parts,
+    ``parts`` are F's x-parts Φ_0..Φ_d, Φ_p the coefficient of x^p when E2
+    becomes E2 + x in F (a `FormDescriptor`'s ``parts``), so Φ_0 = F; a modular
+    form is its own single part (d = 0).  Without a weight, F = parts[0] is
+    summed directly at every height; with one, directly at t >= 1 and at
+    u = 1/t below: by E2(−1/τ) = τ²·E2(τ) + 6τ/(πi) (Zagier, *The 1-2-3 of
+    Modular Forms*, §5.3) at τ = iu, with x = −6/(πu) = −6t/π,
 
         F(it) = (−1)^(w/2)·u^w·Σ_p x^p·Φ_p(iu).
 
@@ -330,14 +325,13 @@ class _AxisRoute:
 
     def __init__(self, parts: Sequence[FourierSeries], weight: int | None, prec: int):
         self.w, self.prec, self._lazy = weight, prec, {}
-        self._phi = [parts[0]] if weight is None else _collected(parts)
+        self._phi = list(parts)
         self.f = AxisEvaluator(self._phi[0], prec)
 
     @cached_property
     def _psi(self) -> list:
         """Ψ_0..Ψ_(d+1), from the Φ_p alone (a weight's route only)."""
-        shifted = [g.scale(Fraction(self.w - p, 12)) for p, g in enumerate(self._phi)]  # Ψ_(p+1)'s Φ_p term
-        return [self._phi[0].derivative(), *(h + g.derivative() for h, g in zip(shifted, self._phi[1:])), shifted[-1]]
+        return derivative_x_parts(self._phi, self.w)
 
     @cached_property
     def fp(self) -> AxisEvaluator:
@@ -436,7 +430,7 @@ class _Height:
 
 def _axis_route(label: str, t_min, cfg: EvalConfig) -> _AxisRoute:
     """How scans, curves and ``eval`` sum a label at heights >= t_min: with
-    E2-parts, the label's :func:`_inverting_route` at this precision; without,
+    x-parts, the label's :func:`_inverting_route` at this precision; without,
     a direct route built at ``cfg.order_for(t_min)`` for this call only, or
     :class:`OrderExceeded` before any build past ``TAU_DEFAULT_CAP`` terms."""
     _require_height(t_min)
@@ -449,7 +443,7 @@ def _axis_route(label: str, t_min, cfg: EvalConfig) -> _AxisRoute:
 
 @lru_cache(maxsize=64)
 def _inverting_route(label: str, bits: int) -> _AxisRoute:
-    """The route of a label with E2-parts, kept per label and ``bits`` =
+    """The route of a label with x-parts, kept per label and ``bits`` =
     ``precision_bits``, the working precision it is built for and read at;
     the cache holds the 64 most recently used.  It sums only at heights >= 1,
     so it is built at K = ⌈2·wp·ln 2/2π⌉ terms (q(1)^K = 2^(−2·wp), wp = bits
@@ -473,7 +467,7 @@ def eval_at_it(form, t, cfg: EvalConfig | None = None) -> dict:
 
     One read of the route scans and curves use: a label's
     :func:`_axis_route` for heights >= t (E2 and every label without
-    E2-parts built at ``cfg.order_for(t)``, so E2's inversion residual checks
+    x-parts built at ``cfg.order_for(t)``, so E2's inversion residual checks
     the law on its own), or a FourierSeries summed as stored.  Returns
     ``{"value", "tail_estimate"}``, the midpoint and radius of the read's
     :class:`Ball` as mpf values at ``cfg.precision_bits``: the dropped-terms
@@ -490,11 +484,11 @@ def eval_at_it(form, t, cfg: EvalConfig | None = None) -> dict:
 
 
 def s_at_it(label: str, m: int, t, cfg: EvalConfig | None = None) -> dict:
-    """s = m·F(it) − 2πt·DF(it) of a label with E2-parts at one height, as
+    """s = m·F(it) − 2πt·DF(it) of a label with x-parts at one height, as
     ``{"value", "tail_estimate"}`` like :func:`eval_at_it`: the read its scans
     make there, on the same cached :func:`_inverting_route`."""
     if describe_label(label).parts is None:
-        raise ValueError(f"{label} has no E2-parts, so no route to read s on")
+        raise ValueError(f"{label} has no x-parts, so no route to read s on")
     _require_height(t)
     prec = (cfg or EvalConfig()).precision_bits
     value, tail = _inverting_route(label, prec).s(m, t).as_mpf(prec)
@@ -600,7 +594,7 @@ def curve_points(form_label: str, m: int, grid: Sequence, cfg: EvalConfig | None
     Fractions — the data behind sign scans — as mpf values at
     ``cfg.precision_bits``, t^m·F(it) one ball product rounded once.
 
-    Labels with E2-parts use the inversion route below t = 1, like the scans.
+    Labels with x-parts use the inversion route below t = 1, like the scans.
     """
     prec = (cfg := cfg or EvalConfig()).precision_bits
     _require_height(max(grid))  # and _axis_route the least, before it builds

@@ -617,6 +617,26 @@ def test_acceptance_checks_match_the_criteria_run_in_process():
     assert [_masked(c) for c in checks] == [_masked(criterion()) for criterion in cli.ACCEPTANCE_CRITERIA]
 
 
+def test_positivity_runs_last_in_its_lane_when_the_criteria_are_wrapped(monkeypatch, tmp_path):
+    # a tracer rebinds ACCEPTANCE_CRITERIA to wrappers, so C4 is found by its place, not by identity
+    log = tmp_path / "order.log"
+
+    def wrapped(k, criterion):
+        def wrapper():
+            with open(log, "a", encoding="utf-8") as out:
+                out.write(f"C{k} {os.getpid()}\n")
+            return criterion()
+        return wrapper
+
+    monkeypatch.setattr(cli, "ACCEPTANCE_CRITERIA",
+                        tuple(wrapped(k, fn) for k, fn in enumerate(cli.ACCEPTANCE_CRITERIA, 1)))
+    checks = cli.acceptance_checks()
+    _no_child_left()
+    assert [c["id"] for c in checks] == [f"C{k}" for k in range(1, 11)]
+    here = [cid for cid, pid in (line.split() for line in log.read_text().splitlines()) if int(pid) == os.getpid()]
+    assert here == ["C2", "C3", "C5", "C6", "C7", "C8", "C9", "C10", "C4"]
+
+
 def test_identity_suite_runs_in_a_worker_beside_the_rest(monkeypatch):
     monkeypatch.setattr(cli, "ACCEPTANCE_CRITERIA", (_stand_in("C1"), _stand_in("C2")))
     first, second = cli.acceptance_checks()

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import replace
 from fractions import Fraction
-from functools import reduce
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +16,6 @@ from qmforms.extremal import (
     Depth1Components,
     a_w_exponent,
     alpha_w0,
-    depth2_parts,
     describe_label,
     form_by_label,
     known_labels,
@@ -23,11 +23,15 @@ from qmforms.extremal import (
     x_w1,
     x_w1_components,
     x_w2,
+    x_w2_parts,
     xtilde_form,
     y_form,
 )
-from qmforms.forms import delta_series, eisenstein, form_f_parts, recompose_parts, sigma, tau
+from qmforms.forms import delta_series, eisenstein, recompose_parts, sigma, tau
 from qmforms.qseries import FourierSeries
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+import e2_reference  # noqa: E402
 
 F = Fraction
 
@@ -223,8 +227,9 @@ def test_x162_golden_prefix():
 
 
 def test_solver_agrees_with_explicit_forms():
-    for w in (4, 8, 10, 12, 14):
-        assert recompose_parts(depth2_parts(w, 20)) == x_w2(w, 20), w
+    # the tests' monomial solve, over products of E2, E4 and E6, lands on x_w2
+    for w in (4, 8, 10, 12, 14, 16):
+        assert recompose_parts(e2_reference.depth2_parts(w, 20)) == x_w2(w, 20), w
 
 
 def closed_x_w2(w: int, order: int) -> FourierSeries:
@@ -253,77 +258,77 @@ def test_x_w2_equals_the_closed_forms_through_order_2000():
 
 
 def test_x_w2_builds_without_the_depth1_family_or_the_monomial_solver(monkeypatch):
-    # so D2-DERIV-4 (D X14_2 = 3 X4_2 X12_1) and the recomposition of
-    # depth2_parts check x_w2 against constructions it does not read
+    # so D2-DERIV-4 (D X14_2 = 3 X4_2 X12_1) and the tests' monomial solve
+    # check x_w2 against constructions it does not read
     def refuse(*args):
         raise AssertionError(f"x_w2 read another construction: {args}")
 
     monkeypatch.setattr(extremal, "x_w1", refuse)
-    monkeypatch.setattr(extremal, "depth2_parts", refuse)
     for w in (4, 8, 10, 12, 14, 16):
-        assert x_w2.__wrapped__(w, 40) == recompose_parts(depth2_parts(w, 40)), w
+        assert x_w2.__wrapped__(w, 40) == recompose_parts(e2_reference.depth2_parts(w, 40)), w
 
 
-def test_depth2_parts_recompose_to_the_family():
+def test_depth2_x_parts_lead_with_the_family():
     for w in (4, 8, 10, 12, 14, 16):
         for order in (40, 400):
             parts = describe_label(f"X{w}_2").parts(order)
             assert len(parts) == 3 and not parts[2].is_zero()
-            assert recompose_parts(parts) == x_w2(w, order), (w, order)
-    # each part is free of E2: a polynomial in E4 and E6 of weight w - 2j
-    a0, a1, a2 = depth2_parts(8, 10)
-    assert a0 == eisenstein(4, 10) * eisenstein(4, 10) * a0.coefficient(0)
-    assert a1 == eisenstein(6, 10).scale(a1.coefficient(0)) and a2 == eisenstein(4, 10).scale(a2.coefficient(0))
+            assert parts[0] == x_w2(w, order) == x_w2_parts(w, order, 1)[0], (w, order)
+    # the top x-part is the top E2-part, modular of weight w - 4: at w = 8 a multiple of E4
+    top = x_w2_parts(8, 10)[2]
+    assert top == eisenstein(4, 10).scale(top.coefficient(0))
+
+
+ROUTED_FAMILY = (*(f"X{w}_2" for w in (4, 8, 10, 12, 14, 16)), "F", "X42Delta",
+                 *(f"X{w}_1" for w in (6, 12, 14, 60, 198)))
+
+
+@pytest.mark.parametrize("label", ROUTED_FAMILY)
+def test_x_parts_are_the_taylor_shift_of_the_e2_parts(label):
+    # Φ_p, the coefficient of x^p when E2 becomes E2 + x, built by Horner in D
+    # from the Kaneko–Zagier groups, equals the shift of E2-parts built apart
+    for order in (32, 61, 300):
+        want = e2_reference.shifted(e2_reference.e2_parts(label, order))
+        assert list(describe_label(label).parts(order)) == want, (label, order)
 
 
 @pytest.mark.parametrize("w", (4, 8, 10, 12, 14, 16))
 def test_each_depth2_solver_solves_lambda_once_per_weight(monkeypatch, w):
-    # a route builds at 32 terms and again at 61: the second build of either
-    # solver reads the stored λ, which equals a fresh solve
+    # a route builds its x-parts at 32 terms and again at 61, and x_w2 its
+    # own: one solve serves them all, and a fresh solve gives the stored λ
     solves, solve = [], extremal._solve_exact
     monkeypatch.setattr(extremal, "_solve_exact", lambda *a: solves.append(a) or solve(*a))
     monkeypatch.setattr(extremal, "_LAMBDAS", {})
-    for builder in (x_w2, depth2_parts):
-        builder.cache_clear()
-        builder(w, 32)
-        assert len(solves) == 1, builder
-        builder(w, 61)
-        assert len(solves) == 1, builder
-        solves.clear()
+    x_w2.cache_clear()
+    for order in (32, 61):
+        x_w2_parts(w, order)
+        x_w2(w, order)
+    assert len(solves) == 1
     stored = dict(extremal._LAMBDAS)
-    assert set(stored) == {("x_w2", w), ("depth2_parts", w)}
+    assert set(stored) == {w}
     extremal._LAMBDAS.clear()
-    for builder in (x_w2, depth2_parts):
-        builder.cache_clear()
-        builder(w, 8)
+    x_w2.cache_clear()
+    x_w2(w, 8)
     assert len(solves) == 2 and extremal._LAMBDAS == stored
-    # other weights solve as before, and keep nothing
-    depth2_parts(18, 20), depth2_parts(18, 30)
-    assert len(solves) == 4 and ("depth2_parts", 18) not in extremal._LAMBDAS
 
 
-def test_builders_take_eisenstein_products_from_the_sieve(monkeypatch):
-    # M8 and M10 are one-dimensional, so E4·E4 = E8 and E4·E6 = E10 exactly;
-    # each builder that reads E8 for E4² (or E10 for E4·E6) equals its form
-    # built from products of E4 and E6
+def test_builders_take_eisenstein_products_from_the_sieve():
+    # M8, M10 and M14 are one-dimensional, so E4·E4 = E8, E4·E6 = E10 and
+    # E4²·E6 = E14 exactly; x_w2 reads the sieved E8..E16 for its columns, and
+    # equals the monomial solve over products of E4 and E6
     order = 600
     e4, e6 = eisenstein(4, order), eisenstein(6, order)
-    e4sq, e6sq = e4 * e4, e6 * e6
-    assert e4sq == eisenstein(8, order) and e4 * e6 == eisenstein(10, order)
+    e4sq = e4 * e4
+    assert e4sq == eisenstein(8, order) and e4 * e6 == eisenstein(10, order) and e4sq * e6 == eisenstein(14, order)
     assert x_w2(10, order) == e4sq.derivative().scale(F(1, 60480)) + e6.derivative().derivative().scale(F(1, 63504))
-    assert form_f_parts(order) == ((e4 * e6sq).scale(49) - (e4sq * e4sq).scale(25), (e4sq * e6).scale(-48),
-                                   (e4sq * e4).scale(49) - e6sq.scale(25))
-    # depth2_parts(16) rebuilt, uncached, with every monomial a product of powers of E2, E4 and E6
-    parts = depth2_parts(16, order)
-    monkeypatch.setattr(extremal, "_monomial_series", lambda j, a, b, n: reduce(
-        FourierSeries.__mul__, [eisenstein(k, n) ** e for k, e in ((2, j), (4, a), (6, b)) if e]))
-    assert depth2_parts.__wrapped__(16, order) == parts
+    for w in (12, 14, 16):
+        assert x_w2(w, order) == recompose_parts(e2_reference.depth2_parts(w, order)), w
 
 
 def test_solver_recovers_depth1_seed():
-    # at weight 6 the depth<=2 space is {E6, E2 E4}; the solver lands on the
-    # depth-1 family seed
-    assert recompose_parts(depth2_parts(6, 20)) == x_w1(6, 20)
+    # at weight 6 the depth<=2 space is {E6, E2 E4}; the tests' monomial
+    # solve lands on the depth-1 family seed
+    assert recompose_parts(e2_reference.depth2_parts(6, 20)) == x_w1(6, 20)
 
 
 def test_vanishing_orders_table():

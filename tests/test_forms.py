@@ -5,6 +5,7 @@ from __future__ import annotations
 import sys
 import threading
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,9 @@ from qmforms.forms import (
     theta_forms,
 )
 from qmforms.qseries import FourierSeries
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+import e2_reference  # noqa: E402
 
 F = Fraction
 
@@ -352,6 +356,13 @@ def test_composites_vanishing_orders():
     assert c["P2"].coefficient(1) == 1
 
 
+def test_f_is_the_papers_e2_polynomial_through_order_2000():
+    # F's Kaneko–Zagier build, Φ_0 of its x-parts, against
+    # (49E4³ − 25E6²)E2² − 48E4²E6·E2 − 25E4⁴ + 49E4E6² from products of E2, E4 and E6
+    want = forms.recompose_parts(e2_reference.f_parts(2000))
+    assert forms.form_f.__wrapped__(2000) == want == forms.form_f_x_parts(2000, 1)[0]
+
+
 def test_p2_coefficient_law():
     # coefficient of q^n is sigma_1(n) - 5 sigma_1(n/2) + 4 sigma_1(n/4)
     c = form_by_label("P2", 40)
@@ -390,7 +401,6 @@ CACHED_FAMILIES = {
     "x_w1": (lambda w, order: extremal.x_w1(w, order), st.integers(3, 9).map(lambda h: 2 * h)),
     "x_w1_components": (lambda w, order: extremal.x_w1_components(w, order), st.integers(3, 9).map(lambda h: 2 * h)),
     "x_w2": (lambda w, order: extremal.x_w2(w, order), st.sampled_from((4, 8, 10, 12, 14, 16))),
-    "depth2_parts": (lambda w, order: extremal.depth2_parts(w, order), st.sampled_from((4, 8, 16))),
     "theta_forms": (lambda _, order: forms.theta_forms(order), st.none()),
     "_theta_power": (lambda key, order: forms._theta_power(*key, order),
                      st.tuples(st.sampled_from(("H2", "H4")), st.integers(1, 6))),
@@ -434,7 +444,7 @@ def _fresh(family_key, order):
 
 
 def test_every_cached_builder_goes_through_one_cache():
-    assert len(CACHES) == 13
+    assert len(CACHES) == 12
     assert all(cache.cache_info().maxsize is None for cache in CACHES)
 
 

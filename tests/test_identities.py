@@ -80,6 +80,7 @@ def test_full_registry_passes_at_reduced_order():
     assert len(results) == len(identity_ids())
     assert all(r.passed for r in results), [r.ident for r in results if not r.passed]
     assert [r.ident for r in results] == sorted(r.ident for r in results)
+    assert {r.order for r in results} == {40}  # an explicit order applies to every entry
 
 
 def test_spot_checks_at_full_order():
@@ -100,13 +101,6 @@ def test_serre_cross_needs_each_factor_at_its_own_weight(monkeypatch):
 def test_unknown_identity():
     with pytest.raises(UnknownIdentity):
         verify("NOT-AN-ID")
-
-
-def test_filtered_runs():
-    assert verify_all(only=[]) == []
-    results = verify_all(order=20, only=["X42D", "RAM-1"])
-    assert [r.ident for r in results] == ["RAM-1", "X42D"]
-    assert all(r.passed and r.order == 20 for r in results)
 
 
 @settings(max_examples=12, deadline=None)

@@ -28,6 +28,9 @@ from qmforms.forms import derivative_parts, recompose_parts
 from qmforms.numeric import EvalConfig, NonPositiveT, ScanReport
 from qmforms.qseries import FourierSeries
 
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+import e2_reference  # noqa: E402
+
 
 BITS = 128
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -438,11 +441,28 @@ def test_a_routes_psi0_is_its_f_derivative_and_its_first_reads_reuse_f_and_fp(la
 @pytest.mark.parametrize("order", (40, 210))
 def test_dfs_parts_are_the_collected_parts_of_its_e2_parts(order):
     # Ψ_p = DΦ_p + ((w − p + 1)/12)·Φ_(p−1) against the E2 algebra it replaces:
-    # DF's E2-parts by Ramanujan's DE2, collected like F's
+    # DF's E2-parts by Ramanujan's DE2 from the tests' reference E2-parts,
+    # shifted E2 -> E2 + x like F's
     labels = [label for label in extremal.known_labels() if describe_label(label).parts is not None]
     for label in (*labels, "X60_1", "X96_1", "X198_1"):
         parts, w = describe_label(label).parts(order), describe_label(label).weight
-        assert numeric._AxisRoute(parts, w, BITS)._psi == numeric._collected(derivative_parts(parts, w)), label
+        want = e2_reference.shifted(derivative_parts(e2_reference.e2_parts(label, order), w))
+        assert numeric._AxisRoute(parts, w, BITS)._psi == want, label
+
+
+def test_kaneko_zagier_routes_build_without_e2_products(monkeypatch):
+    # F, X42Delta and X{4..16}_2 take their x-parts from Kaneko–Zagier groups
+    # by Horner in D, so their routes form no E2 product and no Serre derivative
+    def refuse(*args):
+        raise AssertionError("a route formed E2 algebra")
+
+    for module in (forms, extremal):
+        monkeypatch.setattr(module, "recompose_parts", refuse)
+        monkeypatch.setattr(module, "serre_derivative", refuse)
+    for label in ("F", "X42Delta", *(f"X{w}_2" for w in (4, 8, 10, 12, 14, 16))):
+        route = numeric._inverting_route.__wrapped__(label, BITS)
+        for read in (route.value(Fraction(1, 2)), route.s(describe_label(label).weight - 1, Fraction(1, 2))):
+            assert read.mid, label
 
 
 def test_s_at_it_is_a_scans_read_on_the_cached_route():
@@ -451,7 +471,7 @@ def test_s_at_it_is_a_scans_read_on_the_cached_route():
     read = numeric.s_at_it("X8_1", 7, 1)
     assert numeric._inverting_route.cache_info().misses == 1
     assert read["value"] == scan.s_values[-1] and abs(read["value"]) <= read["tail_estimate"]
-    with pytest.raises(ValueError, match="no E2-parts"):
+    with pytest.raises(ValueError, match="no x-parts"):
         numeric.s_at_it("E2", 1, 1)
 
 
@@ -466,7 +486,7 @@ def test_s_at_it_is_a_scans_read_on_the_cached_route():
 @example(form="Delta", t=Fraction(1, 20), bits=128)
 def test_eval_tolerance_is_the_radius_of_its_route_read(form, t, bits):
     # a label's read is its _axis_route's, the label built at the route's
-    # order at t >= 1 on a route with E2-parts; a series is read as stored.
+    # order at t >= 1 on a route with x-parts; a series is read as stored.
     # Where that read is one evaluator's sum, the tail is that sum's radius
     # as the read trims it
     cfg = EvalConfig(bits)
@@ -577,12 +597,12 @@ def test_e2_inversion_residuals():
 
 
 def route_for(label, order=210, bits=BITS):
-    """The inverting route of a label with E2-parts, built at ``order``."""
+    """The inverting route of a label with x-parts, built at ``order``."""
     desc = describe_label(label)
     return numeric._AxisRoute(desc.parts(order), desc.weight, bits)
 
 
-# the labels with E2-parts that the floating tests exercise
+# the labels with x-parts that the floating tests exercise
 INVERTED_LABELS = tuple(f"X{w}_1" for w in range(6, 26, 2)) + tuple(f"X{w}_2" for w in (4, 8, 10, 12, 14, 16))
 
 
@@ -667,9 +687,10 @@ def test_t1_vanishes_exactly_at_m_equal_w_minus_one_on_depth1():
 
 
 def test_derivative_parts_recompose_to_the_derivative():
+    # the E2-parts rule x_w1_components climbs by, on the tests' reference E2-parts
     for label in INVERTED_LABELS:
         desc = describe_label(label)
-        parts = desc.parts(60)
+        parts = e2_reference.e2_parts(label, 60)
         d_parts = derivative_parts(parts, desc.weight)
         assert recompose_parts(d_parts) == recompose_parts(parts).derivative(), label
 
@@ -866,8 +887,8 @@ def test_depth2_scans_and_curves_build_for_heights_from_one(monkeypatch):
     # builds their parts for height 1, not at order_for(1/20) = 800
     numeric._inverting_route.cache_clear()
     orders, labels = [], []
-    parts, by_label = extremal.depth2_parts, numeric.form_by_label
-    monkeypatch.setattr(extremal, "depth2_parts", lambda w, order: orders.append(order) or parts(w, order))
+    parts, by_label = extremal.x_w2_parts, numeric.form_by_label
+    monkeypatch.setattr(extremal, "x_w2_parts", lambda w, order, keep=None: orders.append(order) or parts(w, order, keep))
     monkeypatch.setattr(numeric, "form_by_label", lambda label, order: labels.append(label) or by_label(label, order))
     report = numeric.monotonicity_scan("X8_2", 7, (Fraction(1, 20), 2, 4))
     assert report.verdict == "monotone_decreasing_on_grid"
