@@ -7,9 +7,13 @@ possible.  Up to weight 12 it is a derivative of one Eisenstein series
 from those by three recurrences (one per residue of w mod 6).
 
 Every depth-1 member splits as  X_w = A_w + E2 * B_{w-2}  with A and B free
-of E2.  The same three recurrences, climbing from the weight-6 seed, descend
-to the components, which is how the component tables (and their
-leading-coefficient laws) are produced here independently of the full series.
+of E2, so each is a polynomial in E4, E6 and Δ.  The same three recurrences,
+climbing from the weight-6 seed, act on the components' exact coordinates in
+the basis E6^b·E4^(a−3i)·Δ^i (Kaneko and Zagier, 1995), with ϑE4 = −E6/3,
+ϑE6 = −E4²/2, ϑΔ = 0 and E6² = E4³ − 1728Δ; each component is then evaluated
+once, at the order asked.  So the component tables (and their
+leading-coefficient laws) come from polynomial algebra, independently of the
+series products that build the full series.
 
 Depth 2: every depth <= 2 form of weight w is uniquely Σ_j D^j g_j with g_j
 in M_(w−2j), plus a multiple of D·E2 at w = 4 (Kaneko and Zagier, 1995;
@@ -30,8 +34,8 @@ from fractions import Fraction
 from typing import Callable
 
 from . import forms
-from .forms import DEFAULT_ORDER, delta_series, derivative_parts, eisenstein, recompose_parts, serre_derivative
-from .qseries import FourierSeries, grow_only
+from .forms import DEFAULT_ORDER, delta_series, eisenstein, recompose_parts, serre_derivative
+from .qseries import FourierSeries, _intconv, grow_only
 
 F = Fraction
 
@@ -46,8 +50,8 @@ def _require_even(w: int, minimum: int):
 
 
 # Heavier weights are refused up front, for time: X_(w,1)'s route stores its first nonzero term, near q^(w/6),
-# and a cold `qmf eval X336_1 --t 1 --bits 256` takes 2.99 s, X338_1 3.02 s (2-core x86-64, CPython 3.11).
-MAX_DEPTH1_WEIGHT = 336
+# and a cold `qmf eval X704_1 --t 1 --bits 256` takes 2.97–2.99 s, X706_1 3.01 s (2-core x86-64, CPython 3.11).
+MAX_DEPTH1_WEIGHT = 704
 
 
 def _require_depth1_weight(w: int):
@@ -132,46 +136,116 @@ class Depth1Components:
         return Depth1Components(self.weight, self.pure.truncate(order), self.e2_part.truncate(order))
 
 
+# Depth-1 coordinates: a modular form of weight k is E6^b·Σ_i c_i·E4^(a−3i)·Δ^i
+# with b = 1 exactly when k ≡ 2 (mod 4), a = (k − 6b)/4 and 0 <= i <= a/3
+# (E6² = E4³ − 1728Δ removes every higher power of E6).  Each weight w keeps
+# the coordinates of (A_w, B_(w−2)) over one common denominator; threads that
+# race to extend the table store equal values.
+_COORDS: dict[int, tuple[list[int], list[int], int]] = {6: ([-1], [1], 720)}
+
+
+def _shape(k: int) -> tuple[int, int]:
+    """(b, a) of the weight-k coordinates."""
+    b = k // 2 % 2
+    return b, (k - 6 * b) // 4
+
+
+def _sized(c: list[int], k: int) -> list[int]:
+    """Coordinates c of weight k, cut or padded with zeros to their a/3 + 1 entries."""
+    n = _shape(k)[1] // 3 + 1
+    return c[:n] + [0] * (n - len(c))
+
+
+def _comb(x: list[int], y: list[int], cx: int = 1, cy: int = 1) -> list[int]:
+    """cx·x + cy·y, the shorter list padded with zeros."""
+    if len(x) < len(y):
+        x, y, cx, cy = y, x, cy, cx
+    return [cx * u + cy * v for u, v in zip(x, y)] + [cx * u for u in x[len(y):]]
+
+
+def _times_e6(c: list[int], k: int) -> list[int]:
+    """E6·f for f of weight k, by E6² = E4³ − 1728Δ where f holds E6 already."""
+    return _comb(c + [0], [0] + c, 1, -1728) if _shape(k)[0] else c
+
+
+def _theta6(c: list[int], k: int) -> list[int]:
+    """6·ϑf for f of weight k, ϑ its Serre derivative: ϑE4 = −E6/3, ϑE6 = −E4²/2, ϑΔ = 0."""
+    b, a = _shape(k)
+    m = [a - 3 * i for i in range(len(c))]  # the E4 exponents
+    if not b:  # ϑ(E4^m·Δ^i) = −(m/3)·E6·E4^(m−1)·Δ^i
+        return [-2 * e * x for e, x in zip(m, c)]
+    # ϑ(E6·E4^m·Δ^i) = −(1/2 + m/3)·E4^(m+2)·Δ^i + 576·m·E4^(m−1)·Δ^(i+1)
+    return _comb([-(3 + 2 * e) * x for e, x in zip(m, c)], [0] + [3456 * e * x for e, x in zip(m, c)])
+
+
+def _step(w: int) -> tuple[list[int], list[int], int]:
+    """(A_w, B_(w−2), den) from the lower weights, by the recurrence x_w1 climbs with."""
+    r = w % 6
+    if r == 4:  # X_w = E4·X_(w−4)
+        return _COORDS[w - 4]
+    if r == 2:  # X_w = (12/(w−1))·(D − ((w−3)/12)·E2)·X_(w−2), with DE2 = (E2² − E4)/12
+        a, b, den = _COORDS[w - 2]
+        return _comb(_theta6(a, w - 2), b, 2, -1), _comb(a, _theta6(b, w - 4), 1, 2), den * (w - 1)
+    # X_w = w·(E4·X_(w−4) − E6·X_(w−6)) / (864(w−1))
+    a4, b4, d4 = _COORDS[w - 4]
+    a6, b6, d6 = _COORDS[w - 6]
+    den = math.lcm(d4, d6)
+    s4, s6 = w * (den // d4), -w * (den // d6)
+    return _comb(a4, _times_e6(a6, w - 6), s4, s6), _comb(b4, _times_e6(b6, w - 8), s4, s6), den * 864 * (w - 1)
+
+
+def _coordinates(w: int) -> tuple[list[int], list[int], int]:
+    """(A_w, B_(w−2), den), with every lower weight's, kept per weight."""
+    if w not in _COORDS:
+        for v in range(max(_COORDS) + 2, w + 1, 2):
+            a, b, den = _step(v)
+            a, b = _sized(a, v), _sized(b, v - 2)
+            g = math.gcd(den, *a, *b)
+            _COORDS[v] = [x // g for x in a], [x // g for x in b], den // g
+    return _COORDS[w]
+
+
+@grow_only
+def _power(base: str, e: int, order: int) -> FourierSeries:
+    """E4^e or Δ^e (``base`` is "E4" or "Delta"), from the next lower power."""
+    series = eisenstein(4, order) if base == "E4" else delta_series(order)
+    return series if e == 1 else _power(base, e - 1, order) * series
+
+
+def _evaluate(c: list[int], k: int, den: int, order: int) -> FourierSeries:
+    """E6^b·Σ_i c_i·E4^(a−3i)·Δ^i / den through q^order, by Horner in U = E4³
+    over the Δ^i on integer numerators; Δ^i vanishes through q^(i−1), so terms
+    with i > order are skipped."""
+    b, a = _shape(k)
+    m = min(a // 3, order)
+    total = [c[0]]
+    for i in range(1, m + 1):
+        u, delta = _power("E4", 3, order).nums, _power("Delta", i, order).nums
+        total = _comb(_intconv(total, u, order), delta, 1, c[i])
+    if a > 3 * m:
+        total = _intconv(total, _power("E4", a - 3 * m, order).nums, order)
+    if b:
+        total = _intconv(total, eisenstein(6, order).nums, order)
+    return FourierSeries(1, tuple(total), den)
+
+
 @grow_only
 def x_w1_components(w: int, order: int = DEFAULT_ORDER) -> Depth1Components:
-    """Component pair of x_w1(w), built by the component recurrences.
+    """Component pair of x_w1(w), from exact coordinates.
 
-    The +2 recurrence X_w = (12/(w-1)) (D X_{w-2} - ((w-3)/12) E2 X_{w-2})
-    acts on components through the E2-parts B_0, B_1, B_2 of D X_{w-2}
-    (:func:`derivative_parts`; the E2^2 part cancels):
-
-        pure_{w}    = (12/(w-1)) B_0
-        e2part_{w}  = (12/(w-1)) ( B_1 - ((w-3)/12) pure_{w-2} )
-
-    and the +4 and +6 recurrences act term by term.  This never builds the
-    full series, so it is an independent route to the same forms (the
-    recomposition identity is checked in the registry).
+    The recurrences x_w1 climbs by act on X = A + E2·B componentwise.  The +4
+    and +6 steps multiply by E4 and E6; the +2 step, by DE2 = (E2² − E4)/12,
+    gives (A, B) -> (12ϑA − E4·B, A + 12ϑB) / (w − 1), ϑ the Serre derivative.
+    Here they run on the integer coordinates of A and B in E4, E6 and Δ
+    (:func:`_coordinates`), and each part is evaluated once at ``order``, so
+    no lower weight's series is built.  The result equals the series climb
+    (a test checks it), which makes the recomposition against ``x_w1`` a
+    check of one arithmetic against another.
     """
     _require_depth1_weight(w)
-    if w == 6:
-        e4 = eisenstein(4, order)
-        e6 = eisenstein(6, order)
-        return Depth1Components(6, e6.scale(F(-1, 720)), e4.scale(F(1, 720)))
-    r = w % 6
-    if r == 2:
-        prev = x_w1_components(w - 2, order)
-        b = derivative_parts(prev.parts, w - 2)
-        s = F(12, w - 1)
-        return Depth1Components(w, b[0].scale(s), (b[1] - prev.pure.scale(F(w - 3, 12))).scale(s))
-    if r == 4:
-        prev = x_w1_components(w - 4, order)
-        e4 = eisenstein(4, order)
-        return Depth1Components(w, e4 * prev.pure, e4 * prev.e2_part)
-    prev4 = x_w1_components(w - 4, order)
-    prev6 = x_w1_components(w - 6, order)
-    e4 = eisenstein(4, order)
-    e6 = eisenstein(6, order)
-    s = F(w, 864 * (w - 1))
-    return Depth1Components(
-        w,
-        (e4 * prev4.pure - e6 * prev6.pure).scale(s),
-        (e4 * prev4.e2_part - e6 * prev6.e2_part).scale(s),
-    )
+    a, b, den = _coordinates(w)
+    order = max(order, 0)
+    return Depth1Components(w, _evaluate(a, w, den, order), _evaluate(b, w - 2, den, order))
 
 
 # ---------------------------------------------------------------------------

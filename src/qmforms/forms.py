@@ -208,26 +208,6 @@ def recompose_parts(parts: Sequence[FourierSeries]) -> FourierSeries:
     return total
 
 
-def derivative_parts(parts: Sequence[FourierSeries], w: int) -> list:
-    """E2-parts B_0..B_(d+1) of DF for F = Σ_j E2^j·A_j of weight w, each A_j
-    free of E2 and of weight w − 2j:
-
-        D(E2^j·A_j) = ((w−j)/12)·E2^(j+1)·A_j + E2^j·ϑA_j − (j/12)·E2^(j−1)·E4·A_j
-
-    by Ramanujan's DE2 = (E2² − E4)/12, with ϑ the weight-(w−2j) Serre derivative.
-    """
-    order = int(min(part.order for part in parts))
-    out = [FourierSeries.zero(order)] * (len(parts) + 1)
-    for j, part in enumerate(parts):
-        if part.is_zero():
-            continue
-        out[j + 1] += part.scale(Fraction(w - j, 12))
-        out[j] += serre_derivative(part, w - 2 * j)
-        if j:
-            out[j - 1] -= (eisenstein(4, order) * part).scale(Fraction(j, 12))
-    return out
-
-
 def derivative_x_parts(parts: Sequence[FourierSeries], weight: int, keep: int | None = None) -> list:
     """x-parts Ψ_0..Ψ_(d+1) of Df (the first ``keep``) from the x-parts Φ_0..Φ_d
     of f, of weight ``weight``: Φ_p is the coefficient of x^p when E2 becomes

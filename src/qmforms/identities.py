@@ -134,15 +134,10 @@ def lcomb_combination(
     th = theta_forms(order)
     ab, bb = th["A"], th["B"]
     companion = xtilde_form if variant == "A" else y_form
-    x8, x10, x12 = x_w2(8, order), x_w2(10, order), x_w2(12, order)
-    return (
-        a[0] * (x8.dilate(2) * ab * bb)
-        + a[1] * (companion(8, order) * ab * bb)
-        + a[2] * (x10.dilate(2) * ab)
-        + a[3] * (companion(10, order) * ab)
-        + a[4] * (x12.dilate(2) * bb)
-        + a[5] * (companion(12, order) * bb)
-    )
+    # each weight's pair shares its theta factor, so four products, not eight
+    g8, g10, g12 = (a[k] * x_w2(w, order).dilate(2) + a[k + 1] * companion(w, order)
+                    for k, w in ((0, 8), (2, 10), (4, 12)))
+    return g8 * (ab * bb) + g10 * ab + g12 * bb
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +413,9 @@ def _registry() -> dict[str, IdentityCase]:
                 f"GRAB-{w}",
                 f"(w+1) X_{{w+2}} = 12(X_w' - ((w-1)/12) E2 X_w); "
                 f"X_{{w+4}} = E4 X_w; "
-                f"864(w+5) X_{{w+6}} = (w+6)(E4 X_{{w+2}} - E6 X_w)  [w = {w}]",
+                f"864(w+5) X_{{w+6}} = (w+6)(E4 X_{{w+2}} - E6 X_w)  [w = {w}; "
+                + ("X8, X10 and X12 come from Eisenstein derivatives]" if w == 6 else
+                   "each pair compares x_w1 with the recurrence that builds it]"),
                 DEFAULT_ORDER,
                 _grab(w),
             )
@@ -437,7 +434,8 @@ def _registry() -> dict[str, IdentityCase]:
         cases.append(
             IdentityCase(
                 f"AB-{w}",
-                f"X_{{w,1}} = A_w + E2 B_{{w-2}}  [w = {w}]",
+                f"X_{{w,1}} = A_w + E2 B_{{w-2}}  [w = {w}; x_w1's series climb against "
+                f"A and B built from their coordinates in E4, E6 and Delta]",
                 DEFAULT_ORDER,
                 _ab(w),
             )

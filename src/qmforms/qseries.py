@@ -14,9 +14,10 @@ absolute order of its inputs, so a result never claims more terms than its
 inputs support.
 
 A product is one integer convolution of the numerators over the product of
-the denominators.  Convolutions of operands with more than a few nonzero
-terms are packed into single signed big integers (Kronecker substitution),
-so that one native big-int product, or a square, does the work.
+the denominators.  Convolutions with more than a few pairs of nonzero terms
+per output term are packed into single signed big integers (Kronecker
+substitution), so that one native big-int product, or a square, does the
+work; sparser ones loop over the pairs.
 """
 
 from __future__ import annotations
@@ -55,8 +56,9 @@ def _as_fraction(x) -> Fraction:
 # integer convolution helpers
 # ---------------------------------------------------------------------------
 
-# Operands with at most this many nonzero terms (the eta cube, monomials)
-# stay on the double loop; denser ones go through one packed product.
+# Products with at most this many pairs of nonzero terms per output term
+# (a monomial times anything, the eta cube's square) take the loop over
+# those pairs; denser ones go through one packed product.
 _SPARSE_TERMS = 24
 
 
@@ -94,7 +96,8 @@ def _kronecker_conv(a: Sequence[int], b: Sequence[int], n_out: int) -> list[int]
 def _intconv(a: Sequence[int], b: Sequence[int], klimit: int) -> list[int]:
     """Truncated convolution: out[k] = sum_{i+j=k} a[i]*b[j] for k <= klimit.
 
-    Passing the same sequence twice squares it with one big-int square.
+    Passing the same sequence twice squares it (with one big-int square on
+    the packed route).
     """
     if not a or not b:
         return [0] * (klimit + 1)
@@ -106,18 +109,21 @@ def _intconv(a: Sequence[int], b: Sequence[int], klimit: int) -> list[int]:
     nzb = nza if square else len(b) - b.count(0)
     if nza == 0 or nzb == 0:
         return [0] * n_out
-    if min(nza, nzb) > _SPARSE_TERMS:
+    if nza * nzb > _SPARSE_TERMS * n_out:
         return _kronecker_conv(a, b, n_out)
-    if nzb < nza:
-        a, b = b, a
+    return _sparse_conv(a, b, n_out)
+
+
+def _sparse_conv(a: Sequence[int], b: Sequence[int], n_out: int) -> list[int]:
+    """The first n_out terms of the convolution, by a loop over pairs of nonzero terms."""
+    terms_a = [(i, x) for i, x in enumerate(a) if x]
+    terms_b = terms_a if a is b else [(j, y) for j, y in enumerate(b) if y]
     out = [0] * n_out
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        jmax = n_out - i
-        for j, bj in enumerate(b[:jmax]):
-            if bj:
-                out[i + j] += ai * bj
+    for i, x in terms_a:
+        for j, y in terms_b:
+            if i + j >= n_out:
+                break
+            out[i + j] += x * y
     return out
 
 

@@ -5,19 +5,63 @@ E2.  Here they come from constructions the library no longer uses: the
 depth-2 family from one exact solve over the monomials E2^j·E4^a·E6^b
 (j <= 2), each monomial a product of powers of E4 and E6; F from the paper's
 E2 polynomial; X42Delta from X4_2's parts times Δ; X_(w,1) from its component
-pair; a modular label from itself.  :func:`shifted` turns E2-parts into the
-x-parts the routes read, by the Taylor shift E2 -> E2 + x.
+pair, climbed as series (:func:`components`); a modular label from itself.
+:func:`shifted` turns E2-parts into the x-parts the routes read, by the
+Taylor shift E2 -> E2 + x.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from math import comb
 
-from qmforms.extremal import _solve_exact, describe_label, x_w1_components
-from qmforms.forms import delta_series, eisenstein, recompose_parts
+from qmforms.extremal import _solve_exact, describe_label
+from qmforms.forms import delta_series, eisenstein, recompose_parts, serre_derivative
 from qmforms.qseries import FourierSeries
+
+
+def derivative_parts(parts, w: int) -> list:
+    """E2-parts B_0..B_(d+1) of DF for F = Σ_j E2^j·A_j of weight w, each A_j
+    free of E2 and of weight w − 2j:
+
+        D(E2^j·A_j) = ((w−j)/12)·E2^(j+1)·A_j + E2^j·ϑA_j − (j/12)·E2^(j−1)·E4·A_j
+
+    by Ramanujan's DE2 = (E2² − E4)/12, with ϑ the weight-(w−2j) Serre derivative.
+    """
+    order = int(min(part.order for part in parts))
+    out = [FourierSeries.zero(order)] * (len(parts) + 1)
+    for j, part in enumerate(parts):
+        if part.is_zero():
+            continue
+        out[j + 1] += part.scale(Fraction(w - j, 12))
+        out[j] += serre_derivative(part, w - 2 * j)
+        if j:
+            out[j - 1] -= (eisenstein(4, order) * part).scale(Fraction(j, 12))
+    return out
+
+
+@cache
+def components(w: int, order: int) -> tuple[FourierSeries, FourierSeries]:
+    """E2-parts (A_w, B_(w−2)) of X_(w,1), climbed as series from the weight-6
+    seed (−E6, E4)/720 by the recurrences ``x_w1`` climbs with: the +2 step
+    through :func:`derivative_parts` (the E2² part cancels),
+
+        A_w = (12/(w−1))·B_0,   B_(w−2) = (12/(w−1))·(B_1 − ((w−3)/12)·A_(w−2)),
+
+    and the +4 and +6 steps term by term."""
+    if w == 6:
+        return eisenstein(6, order).scale(Fraction(-1, 720)), eisenstein(4, order).scale(Fraction(1, 720))
+    e4, e6 = eisenstein(4, order), eisenstein(6, order)
+    if w % 6 == 2:
+        prev = components(w - 2, order)
+        b = derivative_parts(prev, w - 2)
+        s = Fraction(12, w - 1)
+        return b[0].scale(s), (b[1] - prev[0].scale(Fraction(w - 3, 12))).scale(s)
+    if w % 6 == 4:
+        return tuple(e4 * part for part in components(w - 4, order))
+    s = Fraction(w, 864 * (w - 1))
+    return tuple((e4 * p4 - e6 * p6).scale(s) for p4, p6 in zip(components(w - 4, order), components(w - 6, order)))
 
 
 def depth2_monomials(w: int) -> list[tuple[int, int, int]]:
@@ -68,7 +112,7 @@ def e2_parts(label: str, order: int) -> tuple[FourierSeries, ...]:
     if label == "X42Delta":
         return tuple(part * delta_series(order) for part in depth2_parts(4, order))
     if label.startswith("X") and desc.depth == 1:
-        return x_w1_components(desc.weight, order).parts
+        return components(desc.weight, order)
     if label.startswith("X") and desc.depth == 2:
         return depth2_parts(desc.weight, order)
     assert desc.depth == 0, label

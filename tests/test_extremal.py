@@ -108,6 +108,27 @@ def test_components_recompose_to_family():
         assert comp.recompose() == x_w1(w, 25), w
 
 
+def test_components_equal_the_series_climb():
+    # the coordinate build against the reference climb by series products
+    sizes = [(w, order) for order in (2, 32, 61, 300) for w in range(6, 61, 2)] + [(w, 64) for w in (120, 198, 336)]
+    for w, order in sizes:
+        assert x_w1_components(w, order).parts == e2_reference.components(w, order), (w, order)
+
+
+def test_components_build_without_e2(monkeypatch):
+    # A and B come from polynomial algebra in E4, E6 and Δ: no E2 series and
+    # no Serre derivative, so AB-w checks them against x_w1's series climb
+    def refuse(*args):
+        raise AssertionError(f"the components read E2 algebra: {args}")
+
+    monkeypatch.setattr(extremal, "eisenstein", lambda k, order: refuse(k, order) if k == 2 else eisenstein(k, order))
+    monkeypatch.setattr(extremal, "serre_derivative", refuse)
+    monkeypatch.setattr(extremal, "_COORDS", {6: extremal._COORDS[6]})
+    for w in (6, 8, 10, 12, 14, 48, 120):
+        for order in (0, 2, 40):
+            assert x_w1_components.__wrapped__(w, order).parts == e2_reference.components(w, order), (w, order)
+
+
 def test_component_seeds():
     c6 = x_w1_components(6, 4)
     assert c6.pure.coefficient(0) == F(-1, 720)

@@ -401,6 +401,8 @@ CACHED_FAMILIES = {
     "x_w1": (lambda w, order: extremal.x_w1(w, order), st.integers(3, 9).map(lambda h: 2 * h)),
     "x_w1_components": (lambda w, order: extremal.x_w1_components(w, order), st.integers(3, 9).map(lambda h: 2 * h)),
     "x_w2": (lambda w, order: extremal.x_w2(w, order), st.sampled_from((4, 8, 10, 12, 14, 16))),
+    "_power": (lambda key, order: extremal._power(*key, order),
+               st.tuples(st.sampled_from(("E4", "Delta")), st.integers(1, 6))),
     "theta_forms": (lambda _, order: forms.theta_forms(order), st.none()),
     "_theta_power": (lambda key, order: forms._theta_power(*key, order),
                      st.tuples(st.sampled_from(("H2", "H4")), st.integers(1, 6))),
@@ -444,7 +446,7 @@ def _fresh(family_key, order):
 
 
 def test_every_cached_builder_goes_through_one_cache():
-    assert len(CACHES) == 12
+    assert len(CACHES) == 13
     assert all(cache.cache_info().maxsize is None for cache in CACHES)
 
 

@@ -24,7 +24,7 @@ from mpmath.libmp import to_rational
 
 from qmforms import cli, extremal, forms, numeric
 from qmforms.extremal import a_w_exponent, describe_label, form_by_label, x_w1, x_w1_components
-from qmforms.forms import derivative_parts, recompose_parts
+from qmforms.forms import recompose_parts
 from qmforms.numeric import EvalConfig, NonPositiveT, ScanReport
 from qmforms.qseries import FourierSeries
 
@@ -446,7 +446,7 @@ def test_dfs_parts_are_the_collected_parts_of_its_e2_parts(order):
     labels = [label for label in extremal.known_labels() if describe_label(label).parts is not None]
     for label in (*labels, "X60_1", "X96_1", "X198_1"):
         parts, w = describe_label(label).parts(order), describe_label(label).weight
-        want = e2_reference.shifted(derivative_parts(e2_reference.e2_parts(label, order), w))
+        want = e2_reference.shifted(e2_reference.derivative_parts(e2_reference.e2_parts(label, order), w))
         assert numeric._AxisRoute(parts, w, BITS)._psi == want, label
 
 
@@ -687,11 +687,11 @@ def test_t1_vanishes_exactly_at_m_equal_w_minus_one_on_depth1():
 
 
 def test_derivative_parts_recompose_to_the_derivative():
-    # the E2-parts rule x_w1_components climbs by, on the tests' reference E2-parts
+    # the E2-parts rule the reference component climb takes, on the tests' reference E2-parts
     for label in INVERTED_LABELS:
         desc = describe_label(label)
         parts = e2_reference.e2_parts(label, 60)
-        d_parts = derivative_parts(parts, desc.weight)
+        d_parts = e2_reference.derivative_parts(parts, desc.weight)
         assert recompose_parts(d_parts) == recompose_parts(parts).derivative(), label
 
 
@@ -877,9 +877,8 @@ def test_limit_t0_builds_its_depth1_label_at_the_route_order(monkeypatch):
     components = extremal.x_w1_components
     monkeypatch.setattr(extremal, "x_w1_components", lambda w, order: orders.append((w, order)) or components(w, order))
     numeric.limit_t0(12)
-    # X12_1's climb asks for X8_1 and X6_1 at the same order unless they are cached
-    assert orders[0] == (12, ROUTE_ORDER_128)
-    assert {order for _, order in orders} == {ROUTE_ORDER_128}
+    # the components come from X12_1's coordinates alone, with no lower weight's series
+    assert orders == [(12, ROUTE_ORDER_128)]
 
 
 def test_depth2_scans_and_curves_build_for_heights_from_one(monkeypatch):

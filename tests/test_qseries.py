@@ -17,6 +17,7 @@ from qmforms.qseries import (
     NonIntegerGrain,
     _intconv,
     _kronecker_conv,
+    _sparse_conv,
     lambert_block,
 )
 
@@ -80,7 +81,30 @@ def test_kronecker_conv_matches_oracle(case):
     a, b, klim = _kronecker_cases()[case]
     want = conv_oracle(a, b, klim)
     assert _kronecker_conv(a, b, klim + 1) == want
-    # dense enough for _intconv to take the packed route itself
+    # and _intconv, by whichever route it takes (long zero runs take the loop)
+    assert _intconv(a, b, klim) == want
+
+
+@st.composite
+def signed_operands(draw):
+    """Signed values up to 2^80 in magnitude, from every term nonzero to none."""
+    n = draw(st.integers(1, 200))
+    nonzero = draw(st.sets(st.integers(0, n - 1), max_size=n))
+    return [draw(st.integers(-(2**80), 2**80)) if i in nonzero else 0 for i in range(n)]
+
+
+@given(signed_operands(), signed_operands(), st.booleans(), st.integers(0, 400))
+@settings(max_examples=80, deadline=None)
+def test_packed_and_sparse_routes_agree(a, b, square, klim):
+    # _intconv picks a route by the operands' nonzero counts; both give the same terms
+    if square:
+        b = a
+    n_out = min(len(a) + len(b) - 2, klim) + 1
+    x = a[:n_out]
+    y = x if square else b[:n_out]
+    # the packed route takes operands with a nonzero term; _intconv answers the rest itself
+    want = _kronecker_conv(x, y, n_out) if any(x) and any(y) else [0] * n_out
+    assert _sparse_conv(x, y, n_out) == want
     assert _intconv(a, b, klim) == want
 
 
