@@ -619,8 +619,9 @@ ACCEPTANCE_CRITERIA: tuple[Callable[[], dict], ...] = (
     _criterion_scans,
     _criterion_reduction_chain,
 )
-# C4's place, kept by position: a tracer may rebind ACCEPTANCE_CRITERIA to wrappers
-_POSITIVITY = ACCEPTANCE_CRITERIA.index(_criterion_positivity)
+# acceptance_checks' queue of criteria, by position (a tracer may rebind ACCEPTANCE_CRITERIA to wrappers): C1; C9,
+# then C10, which reads its scans; C5, then C4, which reads its builds; the rest singly, heaviest first
+_QUEUE = ((0,), (8, 9), (4, 3), (6,), (1,), (7,), (5,), (2,))
 
 
 def _timed(criterion: Callable[[], dict]) -> dict:
@@ -680,17 +681,17 @@ def _two_lanes(tasks: Sequence[Callable[[], object]]) -> list:
 
 
 def acceptance_checks() -> list[dict]:
-    """Run every acceptance criterion; each entry reports pass/fail and its runtime_s.  C1 and C2-C10 are the two
-    tasks of ``_two_lanes``, so C1 runs in the worker where it forks; C2-C10 share their scans, C4 last: it reads
-    what C5 built (x_w2 and E2-E10 at orders 4096-8192) by truncation."""
-    first, *rest = ACCEPTANCE_CRITERIA
-    lane = sorted(range(len(rest)), key=lambda k: k + 1 == _POSITIVITY)
+    """Run every acceptance criterion; each entry reports pass/fail and its runtime_s, in criterion order.  The
+    groups of ``_QUEUE`` are the tasks of ``_two_lanes``: C1 runs in the worker where it forks, C9 and C10 here, and
+    each lane then takes the next group.  A group runs in one lane, in order, so C10 reads C9's scans and C4 what C5
+    built (x_w2 and E2-E10 at orders 4096-8192) by truncation."""
     token = _RUN_SCANS.set({})
     try:
-        check, checks = _two_lanes([lambda: _timed(first), lambda: sorted((k, _timed(rest[k])) for k in lane)])
+        groups = _two_lanes([lambda group=group: [(k, _timed(ACCEPTANCE_CRITERIA[k])) for k in group]
+                             for group in _QUEUE])
     finally:
         _RUN_SCANS.reset(token)
-    return [check, *(c for _, c in checks)]
+    return [check for _, check in sorted((pair for group in groups for pair in group), key=lambda pair: pair[0])]
 
 
 def _cmd_report(args) -> tuple[int, dict, str]:

@@ -13,6 +13,12 @@ largest order asked so far (:func:`~qmforms.qseries.grow_only`).  The
 composites F, G, K10/K12/K14, L, L10 and P2 have one builder each, so asking
 for one builds only what it depends on.
 
+On the theta side, A = H2² and B = H2 + 2·H4 generate the modular forms for
+Γ0(2).  K10-K14 are polynomials in them, built by Horner in A over powers of
+B; L = K10·E2² + K12·E2 + K14, and G = H2·A²·(A + 7B²)/4.  Every term of A, B
+and E2 sits at an integer exponent, and every term of H2 at an odd multiple of
+1/2, so each product convolves one residue class of each operand.
+
 A form's x-parts Φ_p are the coefficients of x^p when E2 becomes E2 + x; the
 axis routes read them.  One rule gives D's (:func:`derivative_x_parts`), and
 Horner in D over Kaneko–Zagier groups (:func:`horner_x_parts`) builds F's and
@@ -293,7 +299,7 @@ def martin_royer_bracket(
 
 
 def theta_forms(order: int = DEFAULT_ORDER) -> dict[str, FourierSeries]:
-    """The four weight-2 building blocks on the theta side.
+    """The four building blocks on the theta side, of weights 2, 2, 4 and 2.
 
     H2 = 2 * sum over odd n of r4(n) q^(n/2)
     H4 = sum over n >= 0 of (-1)^n r4(n) q^(n/2)        (constant term 1)
@@ -302,8 +308,19 @@ def theta_forms(order: int = DEFAULT_ORDER) -> dict[str, FourierSeries]:
 
     All are grain-2 series truncated at absolute order ``order``.
     """
-    H2, H4 = _theta_power("H2", 1, order), _theta_power("H4", 1, order)
-    return {"H2": H2, "H4": H4, "A": _theta_power("H2", 2, order), "B": H2 + H4.scale(2)}
+    return {name: _theta_block(name, order) for name in ("H2", "H4", "A", "B")}
+
+
+@grow_only
+def _theta_block(name: str, order: int) -> FourierSeries:
+    """H2 or H4 from r4, A = H2·H2 or B = H2 + 2·H4 (``name``), at grain 2."""
+    if name == "A":
+        h2 = _theta_block("H2", order)
+        return h2 * h2
+    if name == "B":
+        return _theta_block("H2", order) + _theta_block("H4", order).scale(2)
+    odd, even = (2, 0) if name == "H2" else (-1, 1)
+    return FourierSeries(2, tuple((odd if k % 2 else even) * r for k, r in enumerate(r4_table(2 * order))))
 
 
 def e2_half_arguments(order: int = DEFAULT_ORDER) -> tuple[FourierSeries, FourierSeries]:
@@ -353,48 +370,34 @@ def form_f(order: int = DEFAULT_ORDER) -> FourierSeries:
 
 
 @grow_only
-def _theta_power(block: str, n: int, order: int) -> FourierSeries:
-    """H2^n or H4^n (``block`` is "H2" or "H4"): from r4 at n = 1, else from the next lower power."""
-    if n > 1:
-        return _theta_power(block, n - 1, order) * _theta_power(block, 1, order)
-    odd, even = (2, 0) if block == "H2" else (-1, 1)
-    return FourierSeries(2, tuple((odd if k % 2 else even) * r for k, r in enumerate(r4_table(2 * order))))
-
-
-def _theta_poly(coeffs: tuple[int, ...], order: int) -> FourierSeries:
-    """sum_j coeffs[j] H2^(d-j) H4^j, homogeneous of degree d = len(coeffs) - 1."""
-    d = len(coeffs) - 1
-    total = None
-    for j, c in enumerate(coeffs):
-        i = d - j
-        if i and j:
-            mono = _theta_power("H2", i, order) * _theta_power("H4", j, order)
-        else:
-            mono = _theta_power("H2", i, order) if i else _theta_power("H4", j, order)
-        term = mono.scale(c)
-        total = term if total is None else total + term
-    return total
-
-
-@grow_only
 def form_g(order: int = DEFAULT_ORDER) -> FourierSeries:
-    """G = H2^5 (2 H2^2 + 7 H2 H4 + 7 H4^2): weight 14, vanishing to order 5/2."""
-    return _theta_power("H2", 5, order) * _theta_poly((2, 7, 7), order)
+    """G = H2^5 (2 H2^2 + 7 H2 H4 + 7 H4^2) = H2·A²·(A + 7B²)/4: weight 14, vanishing to order 5/2."""
+    h2, a, b = _theta_block("H2", order), _theta_block("A", order), _theta_block("B", order)
+    return h2 * ((a * a) * (a + (b * b).scale(7))).scale(Fraction(1, 4))
 
 
-# weight -> (homogeneous polynomial in H2, H4; its scale; cofactor polynomial)
-_K_FORMS = {
-    10: ((23, 46, 54, 16, 8), -2, (1, 2)),
-    12: ((10, 35, 3, -64, -32), -2, (1, 1, 1)),
-    14: ((26, 78, 177, 182, 51, -48, -16), 1, (1, 2)),
+# weight -> c_0, c_1, ...: K_w = Σ_i c_i·A^i·B^(w/2 − 2i), from the paper's H2/H4 polynomials at
+# H2 = u, H4 = (B − u)/2, where every odd power of u cancels
+_K_IN_AB = {
+    10: (-1, -21, -24),
+    12: (1, Fraction(-27, 8), Fraction(-75, 4), Fraction(9, 8)),
+    14: (Fraction(-1, 4), Fraction(111, 16), Fraction(51, 8), Fraction(207, 16)),
 }
 
 
 @grow_only
 def form_k(weight: int, order: int = DEFAULT_ORDER) -> FourierSeries:
-    """The theta-side coefficient forms K10, K12, K14 of L."""
-    poly, scale, cofactor = _K_FORMS[weight]
-    return _theta_poly(poly, order).scale(scale) * _theta_poly(cofactor, order)
+    """The theta-side coefficient forms K10, K12, K14 of L, by Horner in A over powers of B."""
+    coeffs = _K_IN_AB[weight]
+    a, b = _theta_block("A", order), _theta_block("B", order)
+    b2 = b * b
+    powers = [b ** (weight // 2 % 2)]  # B's power at A's top power, then two more at each lower one
+    while len(powers) < len(coeffs):
+        powers.append(powers[-1] * b2)
+    total = powers[0].scale(coeffs[-1])
+    for c, power in zip(reversed(coeffs[:-1]), powers[1:]):
+        total = total * a + power.scale(c)
+    return total
 
 
 @grow_only

@@ -304,8 +304,9 @@ def _e1_b(order: int) -> list[Pair]:
 
 def _lfact(order: int) -> list[Pair]:
     th = theta_forms(order)
-    h2, h4 = th["H2"], th["H4"]
-    factor = (h2**5) * (h4 * h4) * ((h2 + h4) * (h2 + h4))
+    h2, a, b = th["H2"], th["A"], th["B"]
+    square = a - b * b  # −4·H4·(H2 + H4), so H2^5 H4^2 (H2+H4)^2 = H2·A²·(A − B²)²/16
+    factor = h2 * ((a * a) * (square * square)).scale(Fraction(1, 16))
     l10, l = form_by_label("L10", order), form_by_label("L", order)
     return [(l10, Fraction(105, 8) * (factor * l))]
 

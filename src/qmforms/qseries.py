@@ -14,10 +14,13 @@ absolute order of its inputs, so a result never claims more terms than its
 inputs support.
 
 A product is one integer convolution of the numerators over the product of
-the denominators.  Convolutions with more than a few pairs of nonzero terms
-per output term are packed into single signed big integers (Kronecker
-substitution), so that one native big-int product, or a square, does the
-work; sparser ones loop over the pairs.
+the denominators.  Where each operand has every nonzero term in one residue
+class mod the common grain (integer exponents at grain 2, or only odd
+multiples of 1/2), it convolves those classes alone and scatters the result.
+Convolutions with more than a few pairs of nonzero terms per output term are
+packed into single signed big integers (Kronecker substitution), so that one
+native big-int product, or a square, does the work; sparser ones loop over
+the pairs.
 """
 
 from __future__ import annotations
@@ -112,6 +115,12 @@ def _intconv(a: Sequence[int], b: Sequence[int], klimit: int) -> list[int]:
     if nza * nzb > _SPARSE_TERMS * n_out:
         return _kronecker_conv(a, b, n_out)
     return _sparse_conv(a, b, n_out)
+
+
+def _residue(nums: Sequence[int], g: int) -> int | None:
+    """r when every nonzero term of nums sits at an index congruent to r mod g, else None (also when none is)."""
+    classes = [r for r in range(g) if any(nums[r::g])]
+    return classes[0] if len(classes) == 1 else None
 
 
 def _sparse_conv(a: Sequence[int], b: Sequence[int], n_out: int) -> list[int]:
@@ -314,7 +323,16 @@ class FourierSeries:
             return NotImplemented
         g, a, b = self._aligned(other)
         klim = min(len(a), len(b)) - 1
-        return FourierSeries(g, tuple(_intconv(a, b, klim)), self.den * other.den)
+        r, s = (_residue(a, g), _residue(b, g)) if g > 1 else (None, None)
+        if r is None or s is None:
+            return FourierSeries(g, tuple(_intconv(a, b, klim)), self.den * other.den)
+        # every nonzero term of a at r mod g, of b at s: convolve a[r::g] and b[s::g], scatter from r + s.  Both
+        # reach index n = (klim − r − s)//g, since r + n·g and s + n·g are at most klim, so conv fills the slice
+        out = [0] * (klim + 1)
+        if r + s <= klim:
+            ca = a[r::g]
+            out[r + s :: g] = _intconv(ca, ca if a is b else b[s::g], (klim - r - s) // g)
+        return FourierSeries(g, tuple(out), self.den * other.den)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -1,4 +1,6 @@
-"""E2-parts of every routed label, built apart from the library's x-parts.
+"""Reference constructions the library no longer uses: E2-parts of every
+routed label, apart from the library's x-parts, and the theta-side forms as
+the paper writes them, polynomials in H2 and H4.
 
 A label's E2-parts are A_0..A_d with F = Σ_j E2^j·A_j and each A_j free of
 E2.  Here they come from constructions the library no longer uses: the
@@ -8,6 +10,10 @@ E2 polynomial; X42Delta from X4_2's parts times Δ; X_(w,1) from its component
 pair, climbed as series (:func:`components`); a modular label from itself.
 :func:`shifted` turns E2-parts into the x-parts the routes read, by the
 Taylor shift E2 -> E2 + x.
+
+The theta side (:func:`theta_power` on) builds H2 and H4 from r4 by divisor
+enumeration and every form as a sum of monomials H2^i·H4^j, each a product of
+powers: K10-K14, L, G, L10 = F'G - FG' and LFACT's factor.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from functools import cache, reduce
 from math import comb
 
 from qmforms.extremal import _solve_exact, describe_label
-from qmforms.forms import delta_series, eisenstein, recompose_parts, serre_derivative
+from qmforms.forms import delta_series, eisenstein, form_f, r4, recompose_parts, serre_derivative
 from qmforms.qseries import FourierSeries
 
 
@@ -124,3 +130,76 @@ def shifted(parts) -> list:
     when E2 becomes E2 + x in Σ_j E2^j·A_j."""
     return [recompose_parts([part.scale(comb(j, p)) for j, part in enumerate(parts[p:], p)])
             for p in range(len(parts))]
+
+
+@cache
+def theta_power(block: str, n: int, order: int) -> FourierSeries:
+    """H2^n or H4^n (``block`` is "H2" or "H4") at grain 2: from r4 at n = 1, else
+    from the next lower power."""
+    if n > 1:
+        return theta_power(block, n - 1, order) * theta_power(block, 1, order)
+    odd, even = (2, 0) if block == "H2" else (-1, 1)
+    return FourierSeries(2, tuple((odd if k % 2 else even) * r4(k) for k in range(2 * order + 1)))
+
+
+def theta_poly(coeffs: tuple[int, ...], order: int) -> FourierSeries:
+    """Σ_j coeffs[j]·H2^(d−j)·H4^j, homogeneous of degree d = len(coeffs) − 1."""
+    d = len(coeffs) - 1
+    terms = []
+    for j, c in enumerate(coeffs):
+        powers = [theta_power(block, n, order) for block, n in (("H2", d - j), ("H4", j)) if n]
+        terms.append(reduce(FourierSeries.__mul__, powers).scale(c))
+    return reduce(FourierSeries.__add__, terms)
+
+
+# weight -> (homogeneous polynomial in H2, H4; its scale; cofactor polynomial)
+K_FORMS = {
+    10: ((23, 46, 54, 16, 8), -2, (1, 2)),
+    12: ((10, 35, 3, -64, -32), -2, (1, 1, 1)),
+    14: ((26, 78, 177, 182, 51, -48, -16), 1, (1, 2)),
+}
+
+
+def theta_blocks(order: int) -> dict[str, FourierSeries]:
+    """H2, H4, A = H2² and B = H2 + 2·H4."""
+    h2, h4 = theta_power("H2", 1, order), theta_power("H4", 1, order)
+    return {"H2": h2, "H4": h4, "A": theta_power("H2", 2, order), "B": h2 + h4.scale(2)}
+
+
+@cache
+def form_k(weight: int, order: int) -> FourierSeries:
+    poly, scale, cofactor = K_FORMS[weight]
+    return theta_poly(poly, order).scale(scale) * theta_poly(cofactor, order)
+
+
+@cache
+def form_g(order: int) -> FourierSeries:
+    """G = H2^5 (2 H2^2 + 7 H2 H4 + 7 H4^2)."""
+    return theta_power("H2", 5, order) * theta_poly((2, 7, 7), order)
+
+
+@cache
+def form_l(order: int) -> FourierSeries:
+    """L = K10·E2² + K12·E2 + K14."""
+    e2 = eisenstein(2, order)
+    return form_k(10, order) * (e2 * e2) + form_k(12, order) * e2 + form_k(14, order)
+
+
+def form_l10(order: int) -> FourierSeries:
+    """L10 = F'G − FG'."""
+    f, g = form_f(order), form_g(order)
+    return f.derivative() * g - f * g.derivative()
+
+
+def lfact_factor(order: int) -> FourierSeries:
+    """H2^5·H4^2·(H2 + H4)^2, the factor LFACT multiplies L by."""
+    return theta_power("H2", 5, order) * theta_power("H4", 2, order) * theta_poly((1, 2, 1), order)
+
+
+def theta_side(label: str, order: int) -> FourierSeries:
+    """H2, H4, A, B, G, K10, K12, K14, L or L10 from the paper's H2/H4 polynomials."""
+    if label in ("H2", "H4", "A", "B"):
+        return theta_blocks(order)[label]
+    if label.startswith("K"):
+        return form_k(int(label[1:]), order)
+    return {"G": form_g, "L": form_l, "L10": form_l10}[label](order)

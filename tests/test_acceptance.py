@@ -7,6 +7,8 @@ message on failure.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from qmforms import cli, numeric
 
 
@@ -73,23 +75,41 @@ def test_criterion_09_scan_verdicts_within_budget():
     assert result["detail"]["runtime_s"] < 60
 
 
-def test_criterion_09_runs_each_distinct_scan_once(monkeypatch):
+def test_criterion_09_runs_each_distinct_scan_once(monkeypatch, tmp_path):
     # (X6_1, 5), (X8_1, 6) and (X10_1, 8) are both decreasing pairs and family
     # members, and C10 reads C9's (X12_1, 11): 18 scans over 14 labels, one
-    # route each, per report; before them C7 reads a route per eval of a label
-    # (E2 at three heights and their inverses, E6 and X10_1) and C8 one per limit
-    pairs, labels = [], []
+    # route each, per report; C7 reads a route per eval of a label (E2 at three
+    # heights and their inverses, E6 and X10_1) and C8 one per limit.  The
+    # criteria run on two lanes, so each call is one line appended to a log.
+    log = tmp_path / "calls.log"
+
+    def logged(kind, *names):
+        with open(log, "a", encoding="utf-8") as out:
+            out.write("".join(f"{kind} {name}\n" for name in names))
+
+    def logged_scans(ps, *rest):
+        logged("pair", *(f"{label}:{m}" for label, m in ps))
+        return scans(ps, *rest)
+
+    def logged_route(label, *rest):
+        logged("route", label)
+        return route(label, *rest)
+
     scans, route = numeric.monotonicity_scans, numeric._axis_route
-    monkeypatch.setattr(numeric, "monotonicity_scans", lambda ps, *rest: pairs.extend(ps) or scans(ps, *rest))
-    monkeypatch.setattr(numeric, "_axis_route", lambda label, *rest: labels.append(label) or route(label, *rest))
+    monkeypatch.setattr(numeric, "monotonicity_scans", logged_scans)
+    monkeypatch.setattr(numeric, "_axis_route", logged_route)
+
+    def calls(kind):
+        return [name for k, name in (line.split() for line in log.read_text().splitlines()) if k == kind]
+
     assert all(check["passed"] for check in cli.acceptance_checks())
-    assert len(pairs) == len(set(pairs)) == 18
-    assert labels[:8] == ["E2"] * 6 + ["E6", "X10_1"]
-    assert labels[8:11] == ["X6_1", "X12_1", "X14_1"]
-    assert len(labels[11:]) == len(set(labels[11:])) == 14
+    pairs, labels = calls("pair"), calls("route")
+    scanned = [pair.split(":")[0] for pair in pairs]
+    assert len(pairs) == len(set(pairs)) == 18 and len(set(scanned)) == 14
+    assert Counter(labels) == Counter(["E2"] * 6 + ["E6", "X10_1", "X6_1", "X12_1", "X14_1", *set(scanned)])
     # results are shared within one call only: C10 on its own scans again
     run_criterion(cli._criterion_reduction_chain)
-    assert pairs[18:] == [("X12_1", 11)] and len(labels) == 8 + 18
+    assert calls("pair")[18:] == ["X12_1:11"] and calls("route")[len(labels):] == ["X12_1"]
 
 
 def test_criterion_10_derivative_chain():

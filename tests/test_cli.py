@@ -570,11 +570,11 @@ def test_report_times_every_criterion(capsys, monkeypatch):
         time.sleep(0.05)
         return {"id": "C2", "title": "stand-in", "passed": True, "detail": {}}
 
-    monkeypatch.setattr(cli, "ACCEPTANCE_CRITERIA", (quick, slow))
+    monkeypatch.setattr(cli, "ACCEPTANCE_CRITERIA", _criteria(C1=quick, C2=slow))
     code, out, _ = run_capture(capsys, ["report", "--format", "json"])
     assert code == 0
     checks = json.loads(out)["checks"]
-    assert [c["id"] for c in checks] == ["C1", "C2"]
+    assert [c["id"] for c in checks] == [f"C{k}" for k in range(1, 11)]
     assert all(isinstance(c["runtime_s"], float) for c in checks)
     assert 0 <= checks[0]["runtime_s"] < checks[1]["runtime_s"]
     assert checks[1]["runtime_s"] >= 0.05
@@ -593,7 +593,7 @@ def test_report_aggregates_all_suites(capsys):
 
 
 # ---------------------------------------------------------------------------
-# report: C1 in a forked worker
+# report: the criteria queued on two lanes, C1 in a forked worker
 # ---------------------------------------------------------------------------
 
 
@@ -611,14 +611,19 @@ def _stand_in(cid: str, passed: bool = True):
     return lambda: {"id": cid, "title": "stand-in", "passed": passed, "detail": {"pid": os.getpid()}}
 
 
+def _criteria(**replaced):
+    """Ten stand-in criteria, C<k> taken from ``replaced`` where it names one."""
+    return tuple(replaced.get(f"C{k}", _stand_in(f"C{k}")) for k in range(1, 11))
+
+
 def test_acceptance_checks_match_the_criteria_run_in_process():
     checks = cli.acceptance_checks()
     _no_child_left()
     assert [_masked(c) for c in checks] == [_masked(criterion()) for criterion in cli.ACCEPTANCE_CRITERIA]
 
 
-def test_positivity_runs_last_in_its_lane_when_the_criteria_are_wrapped(monkeypatch, tmp_path):
-    # a tracer rebinds ACCEPTANCE_CRITERIA to wrappers, so C4 is found by its place, not by identity
+def test_grouped_criteria_share_a_lane_when_the_criteria_are_wrapped(monkeypatch, tmp_path):
+    # a tracer rebinds ACCEPTANCE_CRITERIA to wrappers, so the groups are found by place, not by identity
     log = tmp_path / "order.log"
 
     def wrapped(k, criterion):
@@ -633,14 +638,22 @@ def test_positivity_runs_last_in_its_lane_when_the_criteria_are_wrapped(monkeypa
     checks = cli.acceptance_checks()
     _no_child_left()
     assert [c["id"] for c in checks] == [f"C{k}" for k in range(1, 11)]
-    here = [cid for cid, pid in (line.split() for line in log.read_text().splitlines()) if int(pid) == os.getpid()]
-    assert here == ["C2", "C3", "C5", "C6", "C7", "C8", "C9", "C10", "C4"]
+    ran = [line.split() for line in log.read_text().splitlines()]
+    assert sorted(cid for cid, _ in ran) == sorted(f"C{k}" for k in range(1, 11))
+    lanes = {pid: [cid for cid, p in ran if p == pid] for _, pid in ran}
+    assert len(lanes) == 2 and lanes[str(os.getpid())][:2] == ["C9", "C10"]  # C10 reads C9's scans
+    worker = lanes.pop(next(pid for pid in lanes if pid != str(os.getpid())))
+    assert worker[0] == "C1"
+    lane = next(lane for lane in (worker, *lanes.values()) if "C5" in lane)
+    assert lane[lane.index("C5") + 1] == "C4"  # C4 reads C5's builds
 
 
 def test_identity_suite_runs_in_a_worker_beside_the_rest(monkeypatch):
-    monkeypatch.setattr(cli, "ACCEPTANCE_CRITERIA", (_stand_in("C1"), _stand_in("C2")))
-    first, second = cli.acceptance_checks()
-    assert second["detail"]["pid"] == os.getpid() != first["detail"]["pid"]
+    monkeypatch.setattr(cli, "ACCEPTANCE_CRITERIA", _criteria())
+    checks = cli.acceptance_checks()
+    pids = {c["id"]: c["detail"]["pid"] for c in checks}
+    assert pids["C9"] == pids["C10"] == os.getpid() != pids["C1"]
+    assert set(pids.values()) == {os.getpid(), pids["C1"]}
     _no_child_left()
 
 
@@ -648,7 +661,7 @@ def test_a_criterion_raising_in_the_worker_raises_here_with_its_message(monkeypa
     def broken():
         raise ValueError("broken stand-in")
 
-    monkeypatch.setattr(cli, "ACCEPTANCE_CRITERIA", (broken, _stand_in("C2")))
+    monkeypatch.setattr(cli, "ACCEPTANCE_CRITERIA", _criteria(C1=broken))
     with pytest.raises(RuntimeError, match="ValueError: broken stand-in"):
         cli.acceptance_checks()
     _no_child_left()
@@ -662,17 +675,17 @@ def test_a_worker_that_writes_nothing_raises_with_its_wait_status(monkeypatch):
             os._exit(3)
         return _stand_in("C1")()
 
-    monkeypatch.setattr(cli, "ACCEPTANCE_CRITERIA", (vanishing, _stand_in("C2")))
+    monkeypatch.setattr(cli, "ACCEPTANCE_CRITERIA", _criteria(C1=vanishing))
     with pytest.raises(RuntimeError, match=f"wait status {3 << 8}"):
         cli.acceptance_checks()
     _no_child_left()
 
 
 def test_a_failing_worker_check_fails_the_report(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "ACCEPTANCE_CRITERIA", (_stand_in("C1", passed=False), _stand_in("C2")))
+    monkeypatch.setattr(cli, "ACCEPTANCE_CRITERIA", _criteria(C1=_stand_in("C1", passed=False)))
     code, out, _ = run_capture(capsys, ["report"])
     assert code == 1
-    assert out.splitlines() == ["FAIL C1: stand-in", "PASS C2: stand-in", "FAILURES PRESENT"]
+    assert out.splitlines() == ["FAIL C1: stand-in", *(f"PASS C{k}: stand-in" for k in range(2, 11)), "FAILURES PRESENT"]
 
 
 def test_a_raising_parent_lane_kills_and_reaps_the_worker(monkeypatch):
@@ -683,7 +696,7 @@ def test_a_raising_parent_lane_kills_and_reaps_the_worker(monkeypatch):
     def broken():
         raise ValueError("broken parent lane")
 
-    monkeypatch.setattr(cli, "ACCEPTANCE_CRITERIA", (stuck, broken))
+    monkeypatch.setattr(cli, "ACCEPTANCE_CRITERIA", _criteria(C1=stuck, C9=broken))
     start = time.perf_counter()
     with pytest.raises(ValueError, match="broken parent lane"):
         cli.acceptance_checks()
@@ -692,17 +705,18 @@ def test_a_raising_parent_lane_kills_and_reaps_the_worker(monkeypatch):
 
 
 def test_a_threaded_caller_runs_every_criterion_in_process(monkeypatch):
-    monkeypatch.setattr(cli, "ACCEPTANCE_CRITERIA", (_stand_in("C1"), _stand_in("C2")))
+    monkeypatch.setattr(cli, "ACCEPTANCE_CRITERIA", _criteria())
     release = threading.Event()
     waiter = threading.Thread(target=release.wait, args=(30,))
     waiter.start()
     try:
-        first, second = cli.acceptance_checks()
+        checks = cli.acceptance_checks()
     finally:
         release.set()
         waiter.join(30)
     assert not waiter.is_alive()
-    assert first["detail"]["pid"] == second["detail"]["pid"] == os.getpid()
+    assert [c["id"] for c in checks] == [f"C{k}" for k in range(1, 11)]
+    assert {c["detail"]["pid"] for c in checks} == {os.getpid()}
     _no_child_left()
 
 

@@ -323,6 +323,14 @@ def test_theta_block_basics():
     assert th["B"].reduced().grain == 1  # grain 2 as built, every exponent an integer
 
 
+@pytest.mark.parametrize("order", [2, 30, 120, 275, 2000])
+def test_theta_side_forms_are_the_papers_h2_h4_polynomials(order):
+    # built in A and B, they equal the paper's H2/H4 polynomials, grain and stored form included
+    for label in ("H2", "H4", "A", "B", "G", "K10", "K12", "K14", "L", "L10"):
+        got, want = form_by_label(label, order), e2_reference.theta_side(label, order)
+        assert (got.grain, got.nums, got.den) == (want.grain, want.nums, want.den), label
+
+
 def test_e2_half_argument_trace():
     # averaging over the two half-argument translates:
     # E2(z/2) + E2((z+1)/2) = 6 E2(z) - 4 E2(2z)
@@ -404,8 +412,7 @@ CACHED_FAMILIES = {
     "_power": (lambda key, order: extremal._power(*key, order),
                st.tuples(st.sampled_from(("E4", "Delta")), st.integers(1, 6))),
     "theta_forms": (lambda _, order: forms.theta_forms(order), st.none()),
-    "_theta_power": (lambda key, order: forms._theta_power(*key, order),
-                     st.tuples(st.sampled_from(("H2", "H4")), st.integers(1, 6))),
+    "_theta_block": (lambda name, order: forms._theta_block(name, order), st.sampled_from(("H2", "H4", "A", "B"))),
     "form_f": (lambda _, order: forms.form_f(order), st.none()),
     "form_g": (lambda _, order: forms.form_g(order), st.none()),
     "form_k": (lambda weight, order: forms.form_k(weight, order), st.sampled_from((10, 12, 14))),

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,9 @@ from qmforms.identities import (
     verify_all,
 )
 from qmforms.qseries import FourierSeries
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+import e2_reference  # noqa: E402
 
 F = Fraction
 
@@ -172,6 +177,23 @@ def test_negative_control_perturbed_combination():
         lcomb_combination(order, coeffs=[1, 2, 3])
     with pytest.raises(ValueError):
         lcomb_combination(order, variant="B")
+
+
+@pytest.mark.parametrize("order", [2, 30, 120, 275])
+def test_lcomb_and_lfact_sides_are_the_papers_h2_h4_polynomials(order):
+    want = e2_reference.form_l(order)
+    for variant in ("A", "APRIME"):
+        assert lcomb_combination(order, variant=variant) == want
+    (l10, right), = registry()["LFACT"].build(order)
+    assert l10 == e2_reference.form_l10(order)
+    assert right == F(105, 8) * (e2_reference.lfact_factor(order) * want)
+
+
+def test_perturbed_combination_trips_at_the_same_exponent_against_the_papers_l():
+    # C1's negative control, against L from the paper's H2/H4 polynomials
+    perturbed = [78278401, 550800, 90823680, 116640, 678813696000, 331776000]
+    diff = e2_reference.form_l(30).first_difference(lcomb_combination(30, coeffs=perturbed), 28)
+    assert diff is not None and diff[0] == 5
 
 
 def test_eulerian_expansion_oracle():

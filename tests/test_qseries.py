@@ -108,6 +108,41 @@ def test_packed_and_sparse_routes_agree(a, b, square, klim):
     assert _intconv(a, b, klim) == want
 
 
+@st.composite
+def graded_series(draw):
+    """A signed series of grain 1-4: every nonzero term in one residue class (from an offset in it), dense,
+    zero, or one term."""
+    grain, size = draw(st.integers(1, 4)), draw(st.integers(1, 40))
+    value = st.one_of(st.just(0), st.integers(-(2**70), 2**70))
+    kind = draw(st.sampled_from(("one class", "dense", "zero", "one term")))
+    nums = [0] * size
+    if kind == "one class":
+        start = draw(st.integers(0, grain - 1)) + grain * draw(st.integers(0, 4))
+        nums[start::grain] = [draw(value) for _ in nums[start::grain]]
+    elif kind == "dense":
+        nums = [draw(value) for _ in nums]
+    elif kind == "one term":
+        nums[draw(st.integers(0, size - 1))] = draw(st.integers(1, 2**70)) * draw(st.sampled_from((-1, 1)))
+    return FourierSeries(grain, tuple(nums), draw(st.integers(1, 12)))
+
+
+def _product_by_intconv(f, g):
+    grain, a, b = f._aligned(g)
+    return FourierSeries(grain, tuple(_intconv(a, b, min(len(a), len(b)) - 1)), f.den * g.den)
+
+
+@given(graded_series(), graded_series())
+@settings(max_examples=150, deadline=None)
+def test_products_by_residue_class_equal_the_full_convolution(f, g):
+    # __mul__ convolves compressed residue classes where it can; the stored form is _intconv's on the aligned
+    # numerators, at every truncation of f, on either side, and for squares
+    for k in range(len(f.nums)):
+        cut = f.truncate(F(k, f.grain))
+        for left, right in ((cut, g), (g, cut), (cut, cut)):
+            got, want = left * right, _product_by_intconv(left, right)
+            assert (got.grain, got.nums, got.den) == (want.grain, want.nums, want.den)
+
+
 # ---------------------------------------------------------------------------
 # construction and access
 # ---------------------------------------------------------------------------
