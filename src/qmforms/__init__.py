@@ -14,7 +14,7 @@ Subpackages by responsibility:
 - ``cli``       the ``qmf`` command-line tool
 """
 
-from .qseries import FourierSeries, NonIntegerGrain, lambert_block
+from .qseries import FourierSeries, lambert_block
 
-__all__ = ["FourierSeries", "NonIntegerGrain", "lambert_block"]
+__all__ = ["FourierSeries", "lambert_block"]
 __version__ = "0.1.0"

@@ -496,8 +496,9 @@ def form_by_label(label: str, order: int = DEFAULT_ORDER) -> FourierSeries:
     return describe_label(label).build(order)
 
 
-def known_labels(max_depth1_weight: int = 48) -> list[str]:
+def known_labels() -> list[str]:
+    """The named labels, X6_1 to X48_1, and X, Y and Xtilde at each depth-2 weight, sorted."""
     out = list(_FIXED_BUILDERS)
-    out += [f"X{w}_1" for w in range(6, max_depth1_weight + 1, 2)]
+    out += [f"X{w}_1" for w in range(6, 49, 2)]
     out += [f"{prefix}{w}_2" for prefix in ("X", "Y", "Xtilde") for w in _X_W2_WEIGHTS]
     return sorted(out)

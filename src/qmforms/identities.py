@@ -594,17 +594,21 @@ def _check_case(case: IdentityCase, order: int) -> IdentityResult:
 
 
 def verify(ident: str, order: int | None = None) -> IdentityResult:
-    """Check one registry entry, at its default order unless overridden."""
+    """Check one registry entry, at its default order unless overridden; a
+    negative order raises ``ValueError`` before any build."""
     if ident not in _REGISTRY:
         raise UnknownIdentity(ident)
     case = _REGISTRY[ident]
-    return _check_case(case, case.default_order if order is None else int(order))
+    if (order := case.default_order if order is None else int(order)) < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
+    return _check_case(case, order)
 
 
 def verify_all(order: int | None = None) -> list[IdentityResult]:
     """Check the whole registry, sorted by id.
 
     ``order=None`` uses each entry's default; an explicit order applies to
-    every entry.  Failures are reported in the results, never raised.
+    every entry, and a negative one raises ``ValueError`` as :func:`verify`
+    does.  Failures are reported in the results, never raised.
     """
     return [verify(ident, order) for ident in identity_ids()]

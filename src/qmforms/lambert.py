@@ -43,11 +43,18 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .qseries import FourierSeries, _json_int, lambert_block
+from .qseries import FourierSeries, lambert_block
 
 
 class UnsupportedShape(ValueError):
     """The block is outside the t^m * S / (1 - x^b)^nu shape this handles."""
+
+
+def _json_int(v) -> int:
+    """An integer as JSON holds it: an int (not a bool) or its canonical decimal string."""
+    if type(v) is int or isinstance(v, str) and str(int(v)) == v:
+        return int(v)
+    raise ValueError(f"not a JSON integer: {v!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +354,8 @@ def certify(
     taylor).  The result's ``status`` says whether a certificate was found;
     failures carry explicit witnesses.
     """
+    if method not in ("auto", "r-shift", "taylor"):
+        raise ValueError(f"unknown method {method!r}")
     p = _trim(list(p))
     q = _trim(list(q))
     witnesses: list[dict] = []
@@ -362,8 +371,6 @@ def certify(
                 },
             ),
         )
-    if method not in ("auto", "r-shift", "taylor"):
-        raise ValueError(f"unknown method {method!r}")
     if method in ("auto", "r-shift"):
         data, witness = _try_r_shift(p, q)
         if data is not None:

@@ -1,13 +1,15 @@
 """High-precision evaluation of q-series on the positive imaginary axis.
 
-Everything exact lives in the other modules; this one turns a truncated
-series with rational coefficients into floating values of F(it), F'(it)
-at configurable binary precision, with an error estimate on every value, and
-builds the three analytic tools of the monotonicity study of t ↦ t^m F(it).
-Reads take ``EvalConfig.precision_bits`` as an argument and never read or set
-mpmath's global context, which is imported on first use, only in
-:func:`geometric_grid` and :func:`_to_mpf`, so exact commands never load it.
-Every value is one :class:`_AxisRoute` read, ``eval`` included:
+Everything exact lives in the other modules; this one turns the truncated
+series of a labelled form into floating values of F(it) and of
+s = m·F(it) − 2πt·F'(it) at configurable binary precision, with an error
+estimate on every value, and builds the three analytic tools of the
+monotonicity study of t ↦ t^m F(it).  Every read names its form by a label,
+never by a series passed by value, and takes ``EvalConfig.precision_bits``
+as an argument; none reads or sets mpmath's global context, which is
+imported on first use, only in :func:`geometric_grid` and :func:`_to_mpf`,
+so exact commands never load it.  Every value is one :class:`_AxisRoute`
+read, ``eval`` included:
 
 * one inversion route: a label with x-parts (every SL(2,Z) label but E2)
   is summed at i/t below t = 1, so small t costs nothing in convergence,
@@ -59,15 +61,18 @@ class EvalConfig:
 
     ``precision_bits``, the working binary precision, runs from 64 to MAX_PRECISION_BITS.
     ``order_for`` gives the build order, for the smallest height it serves,
-    of what no route inverts: E2, the Gamma0(N) labels, and series a caller
-    builds and passes by value (:func:`_inverting_route` sets a route's);
-    the terms summed at each point are chosen by :class:`AxisEvaluator`.
+    of the labels no route inverts: E2 and the Gamma0(N) labels
+    (:func:`_inverting_route` sets a route's); the terms summed at each point
+    are chosen by :class:`AxisEvaluator`.  A ``precision_bits`` that is not an
+    ``int``, a ``bool`` included, raises ``TypeError``.
     """
 
     precision_bits: int = 128
 
     def __post_init__(self) -> None:
-        if not 64 <= int(self.precision_bits) <= MAX_PRECISION_BITS:
+        if type(self.precision_bits) is not int:
+            raise TypeError(f"precision_bits must be an int, got {self.precision_bits!r}")
+        if not 64 <= self.precision_bits <= MAX_PRECISION_BITS:
             raise ValueError(f"precision_bits must be >= 64 and <= {MAX_PRECISION_BITS}, got {self.precision_bits}")
 
     def order_for(self, t) -> int:
@@ -292,7 +297,7 @@ class AxisEvaluator:
 
 
 class _AxisRoute:
-    """F and DF of one label at heights z = it, and s = m·F − 2πt·DF.
+    """F of one label at heights z = it, and s = m·F − 2πt·DF.
 
     ``parts`` are F's x-parts Φ_0..Φ_d, Φ_p the coefficient of x^p when E2
     becomes E2 + x in F (a `FormDescriptor`'s ``parts``), so Φ_0 = F; a modular
@@ -316,7 +321,7 @@ class _AxisRoute:
     each T_p an exact series; at m = w−1 on depth 1, T_1 is the zero series,
     so nothing cancels in floating point.  A route keeps its exact series and
     evaluators at its working precision ``prec`` for any number of calls:
-    F′ = DΦ_0's from the first DF or s read at t >= 1 (for a cached route, its
+    F′ = DΦ_0's from the first s read at t >= 1 (for a cached route, its
     build's check at t = 1), the Ψ_p's from the first below t = 1, so reads of
     F alone build neither.  Reads return a :class:`Ball` and take the caller's
     ``table``: each exponent's T_p evaluators and a :class:`_Height` per
@@ -324,7 +329,7 @@ class _AxisRoute:
     """
 
     def __init__(self, parts: Sequence[FourierSeries], weight: int | None, prec: int):
-        self.w, self.prec, self._lazy = weight, prec, {}
+        self.w, self.prec = weight, prec
         self._phi = list(parts)
         self.f = AxisEvaluator(self._phi[0], prec)
 
@@ -337,16 +342,17 @@ class _AxisRoute:
     def fp(self) -> AxisEvaluator:
         return AxisEvaluator(self._phi[0].derivative(), self.prec)
 
-    def _below(self, key, table: dict | None = None) -> list:
-        """The (p, evaluator) pairs summed below t = 1, built on first use:
-        Φ_p for key "phi" and Ψ_p for "psi", kept by the route, p = 0 reusing
-        ``f`` or ``fp``; T_p for an exponent m, kept in the caller's ``table``."""
-        memo, slot = (self._lazy, key) if key in ("phi", "psi") else ({} if table is None else table, (self, key))
+    @cached_property
+    def _phi_below(self) -> list:
+        """The (p, evaluator of Φ_p) pairs summed below t = 1, Φ_0 = F reusing ``f``."""
+        return [(p, AxisEvaluator(g, self.prec) if p else self.f) for p, g in enumerate(self._phi) if not g.is_zero()]
+
+    def _below(self, m: int, table: dict | None = None) -> list:
+        """The (p, evaluator of T_p) pairs for exponent m summed below t = 1,
+        built on first use and kept in the caller's ``table``."""
+        memo, slot = {} if table is None else table, (self, m)
         if slot not in memo:
-            series = self._phi if key == "phi" else self._psi if key == "psi" else self.t_series(key)
-            own = self.f if key == "phi" else self.fp if key == "psi" else None  # Φ_0 = F, Ψ_0 = F′
-            memo[slot] = [(p, AxisEvaluator(g, self.prec) if p or own is None else own)
-                          for p, g in enumerate(series) if not g.is_zero()]
+            memo[slot] = [(p, AxisEvaluator(g, self.prec)) for p, g in enumerate(self.t_series(m)) if not g.is_zero()]
         return memo[slot]
 
     def t_series(self, m: int) -> list:
@@ -362,13 +368,7 @@ class _AxisRoute:
         """F(it)."""
         if (height := _height(t, table, self.prec)).above or self.w is None:
             return height.sum(((Ball(1, 0, 0), self.f),))
-        return self._inverted(self.w, self._below("phi"), height)
-
-    def derivative(self, t, table: dict | None = None) -> Ball:
-        """DF(it), D = q·d/dq."""
-        if (height := _height(t, table, self.prec)).above or self.w is None:
-            return height.sum(((Ball(1, 0, 0), self.fp),))
-        return self._inverted(self.w + 2, self._below("psi"), height)
+        return self._inverted(self.w, self._phi_below, height)
 
     def s(self, m: int, t, table: dict | None = None) -> Ball:
         """s = m·F − 2πt·DF."""
@@ -462,23 +462,23 @@ def _inverting_route(label: str, bits: int) -> _AxisRoute:
         order *= 2
 
 
-def eval_at_it(form, t, cfg: EvalConfig | None = None) -> dict:
-    """Value of the series at z = it, t an int or a Fraction, with an error estimate.
+def eval_at_it(label: str, t, cfg: EvalConfig | None = None) -> dict:
+    """Value of the labelled form at z = it, t an int or a Fraction, with an error estimate.
 
-    One read of the route scans and curves use: a label's
+    One read of the route scans and curves use: the label's
     :func:`_axis_route` for heights >= t (E2 and every label without
     x-parts built at ``cfg.order_for(t)``, so E2's inversion residual checks
-    the law on its own), or a FourierSeries summed as stored.  Returns
+    the law on its own).  Returns
     ``{"value", "tail_estimate"}``, the midpoint and radius of the read's
     :class:`Ball` as mpf values at ``cfg.precision_bits``: the dropped-terms
     bound, every rounding, and the geometric heuristic for the terms past the
     stored order.  Only F is summed, so no Ψ_p is built.
     """
     prec = (cfg := cfg or EvalConfig()).precision_bits
-    route = _axis_route(form, t, cfg) if isinstance(form, str) else _AxisRoute((form,), None, prec)
+    route = _axis_route(label, t, cfg)
     if route.w is not None and t >= 1:
         # by label: test_tracer_rebinds_every_import_and_keeps_cache_info counts it (ROADMAP item 6)
-        route = _AxisRoute((form_by_label(form, int(route._phi[0].order)),), None, prec)
+        route = _AxisRoute((form_by_label(label, int(route._phi[0].order)),), None, prec)
     value, tail = route.value(t).as_mpf(prec)
     return {"value": value, "tail_estimate": tail}
 

@@ -8,14 +8,11 @@ explicit rational upper bounds replacing the irrational constants.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 from .extremal import form_by_label, x_w2
 from .forms import sigma_table
-from .qseries import FourierSeries
 
 __all__ = [
     "DensityReport",
@@ -27,8 +24,6 @@ __all__ = [
     "sign_pattern",
     "x122_doubling_check",
 ]
-
-FormLike = Union[str, FourierSeries]
 
 # Natural densities of {n : a_n > 0} on record for the difference
 # constructions.  These are attached to density reports for comparison,
@@ -110,42 +105,20 @@ class RatioReport:
         }
 
 
-def _resolve(form: FormLike, order: int) -> tuple[str, FourierSeries]:
-    if isinstance(form, FourierSeries):
-        return "<series>", form
-    return form, form_by_label(form, order)
-
-
-def check_complete_positivity(form: FormLike, order: int = 2000) -> PositivityReport:
-    """Scan all stored coefficients with exponent <= order for a negative one.
-
-    ``form`` is a label or a series.  A label is built exactly to the
-    requested order; a supplied series must already store that far.
-    """
-    label, series = _resolve(form, order)
-    through = Fraction(order)
-    if through > series.order:
-        raise ValueError(
-            f"series stores only up to order {series.order}, cannot scan to {through}"
-        )
-    first: tuple[Fraction, Fraction] | None = None
-    g = series.grain
-    top = math.floor(through * g)  # last index with exponent <= through
+def check_complete_positivity(label: str, order: int = 2000) -> PositivityReport:
+    """Scan the coefficients of the labelled form, built to ``order``, for a negative one."""
+    series, first = form_by_label(label, order), None
     # the common denominator is positive, so numerators carry the signs
-    for k, c in enumerate(series.nums[: max(top + 1, 0)]):
+    for k, c in enumerate(series.nums):
         if c < 0:
-            first = (Fraction(k, g), Fraction(c, series.den))
+            first = (Fraction(k, series.grain), Fraction(c, series.den))
             break
-    return PositivityReport(label, through, first, first is None)
+    return PositivityReport(label, Fraction(order), first, first is None)
 
 
-def sign_pattern(form: FormLike, n_limit: int) -> DensityReport:
+def sign_pattern(label: str, n_limit: int) -> DensityReport:
     """Count n in 1..n_limit with a_n > 0 and attach any recorded density."""
-    label, series = _resolve(form, n_limit)
-    if series.order < n_limit:
-        raise ValueError(
-            f"series stores only up to order {series.order}, need {n_limit}"
-        )
+    series = form_by_label(label, n_limit)
     # the common denominator is positive, so numerators carry the signs
     nums, g = series.nums, series.grain
     count = sum(1 for n in range(1, n_limit + 1) if nums[n * g] > 0)
@@ -154,16 +127,11 @@ def sign_pattern(form: FormLike, n_limit: int) -> DensityReport:
     )
 
 
-def ratio_infimum(form: FormLike, n_dilate: int, bound: int) -> RatioReport:
+def ratio_infimum(label: str, n_dilate: int, bound: int) -> RatioReport:
     """Exact minimum of a_{n_dilate * n} / a_n over 1 <= n <= bound."""
     if n_dilate < 1 or bound < 1:
         raise ValueError("n_dilate and bound must be positive")
-    label, series = _resolve(form, n_dilate * bound)
-    if series.order < n_dilate * bound:
-        raise ValueError(
-            f"series stores only up to order {series.order}, "
-            f"need {n_dilate * bound}"
-        )
+    series = form_by_label(label, n_dilate * bound)
     violations: list[int] = []
     argmin: int | None = None
     # the common denominator cancels from every ratio; the minimum num/den (den > 0) is kept as ints

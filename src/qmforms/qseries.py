@@ -32,19 +32,7 @@ import threading
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
-
-
-class NonIntegerGrain(ValueError):
-    """Raised when an operation needs integer exponents but the series has
-    genuinely fractional ones."""
-
-
-def _json_int(v) -> int:
-    """An integer as JSON holds it: an int (not a bool) or its canonical decimal string."""
-    if type(v) is int or isinstance(v, str) and str(int(v)) == v:
-        return int(v)
-    raise ValueError(f"not a JSON integer: {v!r}")
+from typing import Iterable, Sequence
 
 
 def _as_fraction(x) -> Fraction:
@@ -220,16 +208,8 @@ class FourierSeries:
                 return Fraction(k, self.grain), Fraction(c, self.den)
         return None
 
-    def is_zero(self, through=None) -> bool:
-        if through is None:
-            return not any(self.nums)
-        m = Fraction(through)
-        if m > self.order:
-            raise ValueError(f"bound {m} beyond stored order {self.order}")
-        klim = int(m * self.grain)  # floor
-        if Fraction(klim, self.grain) > m:
-            klim -= 1
-        return not any(self.nums[: klim + 1])
+    def is_zero(self) -> bool:
+        return not any(self.nums)
 
     # -- grain and order management ----------------------------------------
 
@@ -242,9 +222,6 @@ class FourierSeries:
         out = [0] * ((len(self.nums) - 1) * step + 1)
         out[::step] = self.nums
         return out
-
-    def with_grain(self, g2: int) -> "FourierSeries":
-        return FourierSeries(g2, tuple(self._nums_at_grain(g2)), self.den)
 
     def reduced(self) -> "FourierSeries":
         """Smallest grain representing the same expansion (lossless).
@@ -389,22 +366,6 @@ class FourierSeries:
         out[::step] = self.nums[: (size - 1) // step + 1]
         return FourierSeries(g2, tuple(out), self.den)
 
-    def half_shift(self) -> "FourierSeries":
-        """Shift z by 1/2: the coefficient of q^n picks up a factor (-1)^n.
-
-        Requires integer exponents; a fractional exponent would pick up a
-        genuinely complex factor, which this exact rational engine excludes.
-        """
-        s = self.reduced()
-        if s.grain != 1:
-            raise NonIntegerGrain(
-                "half-integer exponents present; the shifted series would "
-                "have non-rational coefficients"
-            )
-        nums = list(s.nums)
-        nums[1::2] = [-x for x in nums[1::2]]
-        return FourierSeries(1, tuple(nums), s.den)
-
     # -- comparison ----------------------------------------------------------
 
     def first_difference(self, other: "FourierSeries", through=None):
@@ -432,9 +393,6 @@ class FourierSeries:
                 return Fraction(k, g), Fraction(a[k], da), Fraction(b[k], db)
         return None
 
-    def equality_up_to(self, other: "FourierSeries", through) -> bool:
-        return self.first_difference(other, through) is None
-
     def __eq__(self, other):
         if not isinstance(other, FourierSeries):
             return NotImplemented
@@ -450,34 +408,7 @@ class FourierSeries:
         r = self.reduced()
         return hash((self.order, r.grain, r.den, r.nums))
 
-    # -- serialization and rendering ----------------------------------------
-
-    def to_json_dict(self) -> dict:
-        """Canonical JSON form; integers as decimal strings (arbitrary size).
-
-        ``order`` is the truncation index in units of 1/grain, i.e. the
-        stored absolute order times the grain.
-        """
-        return {
-            "grain": self.grain,
-            "order": len(self.nums) - 1,
-            "coeffs": [[str(c.numerator), str(c.denominator)] for c in self.coeffs],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "FourierSeries":
-        """The series ``to_json_dict`` wrote: every integer through :func:`_json_int`."""
-        grain, order, pairs = _json_int(data["grain"]), _json_int(data["order"]), data["coeffs"]
-        if grain < 1 or order < 0:
-            raise ValueError(f"need grain >= 1 and order >= 0, got {grain} and {order}")
-        if not isinstance(pairs, list) or not all(isinstance(p, list) and len(p) == 2 for p in pairs):
-            raise ValueError("coeffs must be a list of [numerator, denominator] pairs")
-        if len(pairs) != order + 1:
-            raise ValueError("coefficient list length disagrees with order")
-        dens = [_json_int(d) for _, d in pairs]
-        if min(dens) < 1:
-            raise ValueError(f"denominators must be >= 1, got {min(dens)}")
-        return cls.from_coefficients([Fraction(_json_int(n), d) for (n, _), d in zip(pairs, dens)], grain)
+    # -- rendering ----------------------------------------------------------
 
     def __str__(self):
         parts = []

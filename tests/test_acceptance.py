@@ -50,12 +50,19 @@ def test_criterion_07_high_precision_special_values():
     run_criterion(cli._criterion_numeric_values)
 
 
-def test_no_criterion_evaluates_a_series_passed_by_value(monkeypatch):
-    # C7's weight-8 critical point is X8_1's s at t = 1, read on the route C9 reuses
-    forms, eval_at_it = [], numeric.eval_at_it
-    monkeypatch.setattr(numeric, "eval_at_it", lambda form, *rest: forms.append(form) or eval_at_it(form, *rest))
+def test_no_criterion_evaluates_a_series_passed_by_value(monkeypatch, tmp_path):
+    # C7's weight-8 critical point is X8_1's s at t = 1, read on the route C9 reuses.
+    # The reads are logged to a file, so those of the forked worker's lane count too
+    log, eval_at_it = tmp_path / "forms.log", numeric.eval_at_it
+
+    def logged(form, *rest):
+        with open(log, "a", encoding="utf-8") as out:
+            out.write(f"{form!r}\n")
+        return eval_at_it(form, *rest)
+
+    monkeypatch.setattr(numeric, "eval_at_it", logged)
     assert all(check["passed"] for check in cli.acceptance_checks())
-    assert forms == ["E2"] * 6 + ["E6", "X10_1"]
+    assert log.read_text().splitlines() == [repr(form) for form in ["E2"] * 6 + ["E6", "X10_1"]]
 
 
 def test_criterion_08_small_t_limits():

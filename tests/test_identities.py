@@ -108,6 +108,18 @@ def test_unknown_identity():
         verify("NOT-AN-ID")
 
 
+def test_a_negative_order_is_refused_before_any_build(monkeypatch):
+    # at order -3 nothing is compared, so a pass there would claim nothing
+    checked = []
+    monkeypatch.setattr(identities, "_check_case", lambda case, order: checked.append(order))
+    for call in (lambda: verify("RAM-1", -3), lambda: verify_all(-1)):
+        with pytest.raises(ValueError, match="order must be >= 0"):
+            call()
+    assert checked == []
+    verify("RAM-1", 0)
+    assert checked == [0]
+
+
 @settings(max_examples=12, deadline=None)
 @given(
     ident=st.sampled_from(["RAM-1", "DELTA", "E2L2", "X121-DERIV", "XW2-COEFF"]),
@@ -218,7 +230,7 @@ def series_divide(num: FourierSeries, den: FourierSeries, through) -> FourierSer
     if lead is None:
         raise ZeroDivisionError("division by the zero series")
     grain = math.lcm(den.grain, num.grain)
-    num, den = num.with_grain(grain), den.with_grain(grain)
+    num, den = (FourierSeries(grain, tuple(s._nums_at_grain(grain)), s.den) for s in (num, den))
     shift = int(lead[0] * grain)
     dvals = den.nums[shift:]
     nvals = num.nums

@@ -397,8 +397,11 @@ def test_q_at_one_precondition():
 
 
 def test_unknown_method_rejected():
-    with pytest.raises(ValueError):
-        certify([1, 1], [-2, 2], method="bogus")
+    # the method is checked before Q(1) = 0, so Q = [1, 1] raises too rather
+    # than giving an invalid certificate whose method reads "bogus"
+    for q in ([-2, 2], [1, -1], [1, 1]):
+        with pytest.raises(ValueError, match="unknown method"):
+            certify([1, 2], q, method="bogus")
     with pytest.raises(KeyError):
         certify_lemma("no-such-block")
 

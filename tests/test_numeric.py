@@ -36,8 +36,29 @@ BITS = 128
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
+def series_read(series, t, bits=BITS) -> dict:
+    """``{"value", "tail_estimate"}`` of a series summed as stored: the one-series
+    direct route that ``eval_at_it`` reads for a label without x-parts."""
+    value, tail = numeric._AxisRoute((series,), None, bits).value(t).as_mpf(bits)
+    return {"value": value, "tail_estimate": tail}
+
+
 def value_at(form, t, cfg=None):
-    return numeric.eval_at_it(form, t, cfg)["value"]
+    """F(it) of a label, or of a series summed as stored."""
+    if isinstance(form, str):
+        return numeric.eval_at_it(form, t, cfg)["value"]
+    return series_read(form, t, (cfg or EvalConfig()).precision_bits)["value"]
+
+
+def df_ball(route, t, table=None) -> numeric.Ball:
+    """DF(it) off a route, D = q·d/dq: its F′ summed directly at t >= 1 or
+    without a weight, else (−1)^(w/2+1)·u^(w+2)·Σ_p x^p·Ψ_p(iu) from Ψ_p
+    evaluators built here."""
+    height = numeric._height(t, table, route.prec)
+    if height.above or route.w is None:
+        return height.sum(((numeric.Ball(1, 0, 0), route.fp),))
+    psi = [(p, numeric.AxisEvaluator(g, route.prec)) for p, g in enumerate(route._psi) if not g.is_zero()]
+    return route._inverted(route.w + 2, psi, height)
 
 
 def mpf_of(x):
@@ -58,6 +79,13 @@ def exact(x) -> Fraction:
 def test_config_rejects_low_precision():
     with pytest.raises(ValueError):
         EvalConfig(precision_bits=32)
+
+
+@pytest.mark.parametrize("bits", (100.5, "128", True, 128.0))
+def test_config_refuses_a_precision_that_is_not_an_int(bits):
+    # a float or a string once passed and failed deep in the sums; a bool is not a precision
+    with pytest.raises(TypeError, match="precision_bits must be an int"):
+        EvalConfig(precision_bits=bits)
 
 
 def test_config_defaults_and_order_floor():
@@ -149,7 +177,7 @@ def test_delta_small_at_height_ten():
 
 
 def test_tail_estimate_is_honest_for_truncated_series():
-    coarse = numeric.eval_at_it(x_w1(6, 60), Fraction(3, 10))
+    coarse = series_read(x_w1(6, 60), Fraction(3, 10))
     fine = value_at(x_w1(6, 600), Fraction(3, 10))
     assert abs(coarse["value"] - fine) < coarse["tail_estimate"]
 
@@ -158,16 +186,16 @@ def test_tail_skips_trailing_structural_zeros():
     padded = FourierSeries.from_coefficients([0, 1, 0, 0])
     bare = FourierSeries.from_coefficients([0, 1])
     t = Fraction(1, 2)
-    assert numeric.eval_at_it(padded, t)["tail_estimate"] == numeric.eval_at_it(bare, t)["tail_estimate"]
+    assert series_read(padded, t)["tail_estimate"] == series_read(bare, t)["tail_estimate"]
     zero = FourierSeries.from_coefficients([0, 0])
-    assert numeric.eval_at_it(zero, t)["tail_estimate"] == 0
+    assert series_read(zero, t)["tail_estimate"] == 0
 
 
 def test_a_constant_series_has_no_tail_heuristic():
     # with no nonconstant term stored there is no decay to extrapolate, so
     # only the rounding of the sum is left
     for t in (Fraction(1, 20), 1, 20):
-        point = numeric.eval_at_it(FourierSeries.one(10), t)
+        point = series_read(FourierSeries.one(10), t)
         assert point["value"] == 1 and point["tail_estimate"] < mp.ldexp(1, -100)
 
 
@@ -233,7 +261,7 @@ def test_evaluator_dropped_bound_covers_the_skipped_terms(label, t):
         # the working-precision sum may also be off by its own rounding
         rounding = mp.ldexp(horner([abs(c) for c in head], q), 1 - BITS)
         assert abs(point.value - horner(series.coeffs, q)) <= point.dropped + rounding
-    assert numeric.eval_at_it(series, t)["tail_estimate"] >= point.dropped
+    assert series_read(series, t)["tail_estimate"] >= point.dropped
 
 
 @settings(max_examples=60, deadline=None)
@@ -251,7 +279,7 @@ def test_evaluator_rounding_bound_covers_the_summed_terms(label, t, bits):
         assert abs(point.value - horner(coeffs[: point.terms], q)) <= point.rounding
         assert abs(point.value - horner(coeffs, q)) <= point.dropped + point.rounding
     # eval's tail is the radius of a route read, which trims the ball outward
-    assert_tail_is_the_trimmed_radius(point, numeric.eval_at_it(series, t, EvalConfig(bits))["tail_estimate"], bits)
+    assert_tail_is_the_trimmed_radius(point, series_read(series, t, bits)["tail_estimate"], bits)
 
 
 @settings(max_examples=80, deadline=None)
@@ -376,12 +404,12 @@ def test_evaluator_sums_each_point_only_as_far_as_it_needs():
 
 def test_reads_of_f_alone_never_differentiate(monkeypatch):
     # eval and plotdata read only F, so neither builds F′ nor DF's parts
-    series, grid = x_w1(6, 300), (Fraction(1, 20), 1, Fraction(5, 2))
+    grid = (Fraction(1, 20), 1, Fraction(5, 2))
     calls, derivative = [], FourierSeries.derivative
     monkeypatch.setattr(FourierSeries, "derivative", lambda self: calls.append(self) or derivative(self))
     for t in grid:
         numeric.eval_at_it("E2", t)
-        numeric.eval_at_it(series, t)
+        numeric.eval_at_it("Y8_2", t)
     numeric.curve_points("L", 3, grid)
     assert calls == []
 
@@ -420,11 +448,11 @@ def test_reads_of_f_build_none_of_dfs_parts(label, bits):
 def test_dfs_parts_are_built_once_per_route_on_the_first_read_below_one(monkeypatch, label):
     calls, w = count_psi_builds(monkeypatch), describe_label(label).weight
     route = numeric._axis_route(label, Fraction(1, 20), EvalConfig())
-    route.derivative(2)
+    route.s(w - 1, 2)
     assert calls == []
     for t in (Fraction(3, 10), Fraction(1, 7)):
-        route.derivative(t)
-    route.s(w - 1, Fraction(3, 10))
+        route.s(w - 1, t)
+    route.s(w + 1, Fraction(3, 10))
     assert calls == [w]
     numeric._inverting_route.cache_clear()
     numeric.monotonicity_scans([(label, w - 1), (label, w + 1)])
@@ -433,9 +461,12 @@ def test_dfs_parts_are_built_once_per_route_on_the_first_read_below_one(monkeypa
 
 @pytest.mark.parametrize("label", ROUTED)
 def test_a_routes_psi0_is_its_f_derivative_and_its_first_reads_reuse_f_and_fp(label):
-    route = route_for(label)
+    # F′ sums Ψ_0; s above t = 1 reads f and fp, and Φ_0 below it reuses f
+    route, table = route_for(label), {}
     assert route._psi[0] == route._phi[0].derivative()
-    assert route._below("phi")[0] == (0, route.f) and route._below("psi")[0] == (0, route.fp)
+    route.s(5, 2, table)
+    assert set(table[2]._sums) == {route.f, route.fp}
+    assert route._phi_below[0] == (0, route.f)
 
 
 @pytest.mark.parametrize("order", (40, 210))
@@ -490,7 +521,7 @@ def test_eval_tolerance_is_the_radius_of_its_route_read(form, t, bits):
     # Where that read is one evaluator's sum, the tail is that sum's radius
     # as the read trims it
     cfg = EvalConfig(bits)
-    report = numeric.eval_at_it(form, t, cfg)
+    report = numeric.eval_at_it(form, t, cfg) if isinstance(form, str) else series_read(form, t, bits)
     route = numeric._axis_route(form, t, cfg) if isinstance(form, str) else numeric._AxisRoute((form,), None, bits)
     if route.w is not None and t >= 1:
         route = numeric._AxisRoute((form_by_label(form, int(route._phi[0].order)),), None, bits)
@@ -609,7 +640,7 @@ INVERTED_LABELS = tuple(f"X{w}_1" for w in range(6, 26, 2)) + tuple(f"X{w}_2" fo
 def test_transformed_route_domain():
     route = route_for("X6_1")
     for t in (0, -1):
-        for read in (route.value, route.derivative, lambda t: route.s(5, t)):
+        for read in (route.value, lambda t: route.s(5, t)):
             with pytest.raises(NonPositiveT):
                 read(t)
     # above t = 1 the route sums directly
@@ -631,7 +662,7 @@ def test_two_route_agreement_all_depth1_weights():
         deriv = direct.derivative()
         for t in (Fraction(3, 10), Fraction(11, 20), Fraction(99, 100)):
             f_value, _ = route.value(t).as_mpf(BITS)
-            fp_value, _ = route.derivative(t).as_mpf(BITS)
+            fp_value, _ = df_ball(route, t).as_mpf(BITS)
             dv = value_at(direct, t)
             dpv = value_at(deriv, t)
             assert abs(f_value - dv) / abs(dv) < mp.mpf("1e-30"), (label, t)
@@ -642,10 +673,11 @@ def test_inversion_fixed_point_at_t_one():
     # at t = 1 the route sums directly; its inverted sums must agree there
     for label in ("X12_1", "X8_2", "X16_2"):
         route = route_for(label)
+        psi = [(p, numeric.AxisEvaluator(g, BITS)) for p, g in enumerate(route._psi) if not g.is_zero()]
         with mp.workprec(BITS):
-            inverted = route._inverted(route.w, route._below("phi"), numeric._Height(1, BITS)).as_mpf(BITS)[0]
-            inverted_d = route._inverted(route.w + 2, route._below("psi"), numeric._Height(1, BITS)).as_mpf(BITS)[0]
-            direct, direct_d = route.value(1).as_mpf(BITS)[0], route.derivative(1).as_mpf(BITS)[0]
+            inverted = route._inverted(route.w, route._phi_below, numeric._Height(1, BITS)).as_mpf(BITS)[0]
+            inverted_d = route._inverted(route.w + 2, psi, numeric._Height(1, BITS)).as_mpf(BITS)[0]
+            direct, direct_d = route.value(1).as_mpf(BITS)[0], df_ball(route, 1).as_mpf(BITS)[0]
             assert abs(inverted - direct) / abs(direct) < mp.mpf("1e-30"), label
             assert abs(inverted_d - direct_d) / abs(direct_d) < mp.mpf("1e-30"), label
 
@@ -660,7 +692,7 @@ def test_inverted_sums_match_direct_sums(label, t, bits):
     # built to order 1000 and summed with 64 more bits; X4_2's E2^2-part is
     # a constant, which must take no tail heuristic
     route = route_for(label, EvalConfig().order_for(1), bits)
-    routed = route.value(t).as_mpf(bits), route.derivative(t).as_mpf(bits)
+    routed = route.value(t).as_mpf(bits), df_ball(route, t).as_mpf(bits)
     series = form_by_label(label, 1000)
     with mp.workprec(bits + 64):
         for (value, tolerance), ref in zip(routed, (series, series.derivative())):
@@ -980,10 +1012,10 @@ def test_reads_through_a_shared_table_equal_reads_through_a_fresh_one(label, m, 
         other.s(7, t, table)
         other.value(t, table)
         route.s(m + 1, t, table)
-        route.derivative(t, table)
+        df_ball(route, t, table)
     for t in heights:
         for read in (lambda tab: route.s(m, t, tab), lambda tab: route.value(t, tab),
-                     lambda tab: route.derivative(t, tab)):
+                     lambda tab: df_ball(route, t, tab)):
             assert read(table) == read({}), (label, m, t, bits)
 
 
@@ -1171,7 +1203,7 @@ def test_every_route_ball_holds_the_value_64_bits_higher(label, m, t, bits):
     # the balls of s, F and DF at an exact height against their terms summed
     # in mpf 64 bits higher; each radius is under 2^(20 − bits) of the largest
     route = numeric._axis_route(label, Fraction(1, 20), EvalConfig(bits))
-    balls = {"s": route.s(m, t), "value": route.value(t), "derivative": route.derivative(t)}
+    balls = {"s": route.s(m, t), "value": route.value(t), "derivative": df_ball(route, t)}
     with mp.workprec(bits + 64):
         for read, ball in balls.items():
             terms = reference_terms(route, read, m, t)

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager, nullcontext
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qmforms.extremal import form_by_label, x_w2
+from qmforms import positivity
+from qmforms.extremal import form_by_label, known_labels, x_w2
 from qmforms.forms import eisenstein, sigma_table
 from qmforms.positivity import (
     PREDICTED_DENSITY,
@@ -25,9 +28,37 @@ from qmforms.positivity import (
 from qmforms.qseries import FourierSeries
 
 
+@contextmanager
+def labelled(series: FourierSeries, label: str = "S"):
+    """``label`` names ``series`` to the reads here, built to an order as its truncation there."""
+    def build(name, order):
+        return series.truncate(order) if name == label else form_by_label(name, order)
+
+    with mock.patch.object(positivity, "form_by_label", build):
+        yield label
+
+
+def half_shifted(series: FourierSeries) -> FourierSeries:
+    """z -> z + 1/2 on integer exponents: the coefficient of q^n times (-1)^n."""
+    r = series.reduced()
+    assert r.grain == 1
+    nums = list(r.nums)
+    nums[1::2] = [-x for x in nums[1::2]]
+    return FourierSeries(1, tuple(nums), r.den)
+
+
 # ---------------------------------------------------------------------------
 # complete positivity scans
 # ---------------------------------------------------------------------------
+
+
+def test_every_label_builds_to_the_order_asked():
+    # the reads take every stored coefficient of a label's build, so each
+    # build must store exactly through the order it was asked for
+    for label in known_labels():
+        for order in (0, 1, 2, 7, 40):
+            series = form_by_label(label, order)
+            assert series.order == order and len(series.nums) == order * series.grain + 1, (label, order)
 
 
 def test_p1_first_negative():
@@ -60,20 +91,21 @@ def test_alternating_difference_constructions_positive():
     # flips every negative even-index coefficient, giving fully nonnegative
     # series.
     for label in ("P1", "P3"):
-        series = -form_by_label(label, 2000).half_shift()
-        report = check_complete_positivity(series, 2000)
+        with labelled(-half_shifted(form_by_label(label, 2000))) as shifted:
+            report = check_complete_positivity(shifted, 2000)
         assert report.completely_positive_up_to_order, (label, report.first_negative)
 
 
 def test_odd_sigma_combination_exact():
     # (-E2(z) + E2(z + 1/2)) / 48 equals the odd-index divisor-sum series.
     e2 = eisenstein(2, 2000)
-    combo = (-e2 + e2.half_shift()).scale(Fraction(1, 48))
+    combo = (-e2 + half_shifted(e2)).scale(Fraction(1, 48))
     s1 = sigma_table(2000, 1)
     odd = [s1[n] if n % 2 else 0 for n in range(2001)]
     expected = FourierSeries.from_coefficients(odd)
     assert combo.first_difference(expected, through=2000) is None
-    assert check_complete_positivity(combo, 2000).completely_positive_up_to_order
+    with labelled(combo) as name:
+        assert check_complete_positivity(name, 2000).completely_positive_up_to_order
 
 
 def test_three_level_e2_combination_positive():
@@ -92,16 +124,10 @@ def test_three_level_e2_combination_positive():
         if n % 4 == 0:
             expected -= 6 * s1[n // 4]
         assert combo.coefficient(n) == expected
-    report = check_complete_positivity(combo, 2000)
-    assert report.completely_positive_up_to_order
+    with labelled(combo) as name:
+        assert check_complete_positivity(name, 2000).completely_positive_up_to_order
     for k in range(1, 11):
         assert combo.coefficient(2**k) == 2 ** (k + 2)
-
-
-def test_scan_order_beyond_storage_rejected():
-    series = form_by_label("E4", 50)
-    with pytest.raises(ValueError):
-        check_complete_positivity(series, 60)
 
 
 # ---------------------------------------------------------------------------
@@ -188,11 +214,6 @@ def test_density_generic_series_path():
     assert report.count_positive == 50
     assert report.density == 1
     assert report.predicted is None
-    # a supplied series works too and must store enough terms
-    report = sign_pattern(form_by_label("E4", 50), 50)
-    assert report.density == 1
-    with pytest.raises(ValueError):
-        sign_pattern(form_by_label("E4", 50), 60)
 
 
 def test_density_report_json():
@@ -239,8 +260,8 @@ def test_ratio_infimum_higher_weights():
 
 
 def test_ratio_infimum_trivial_series():
-    q = FourierSeries.from_coefficients([0, 1] + [0] * 7)
-    report = ratio_infimum(q, 2, 4)
+    with labelled(FourierSeries.from_coefficients([0, 1] + [0] * 7)) as q:
+        report = ratio_infimum(q, 2, 4)
     assert report.min_ratio == 0
     assert report.argmin == 1
     assert report.violations == (2, 3, 4)
@@ -250,7 +271,7 @@ def test_ratio_infimum_errors():
     with pytest.raises(ValueError):
         ratio_infimum("X4_2", 0, 10)
     with pytest.raises(ValueError):
-        ratio_infimum(FourierSeries.from_coefficients([0, 1]), 2, 4)
+        ratio_infimum("X4_2", 2, 0)
 
 
 def reference_ratio_infimum(series: FourierSeries, n_dilate: int, bound: int):
@@ -279,8 +300,9 @@ def reference_ratio_infimum(series: FourierSeries, n_dilate: int, bound: int):
 @example("Y4_2", 3, 1000)
 @settings(max_examples=80, deadline=None)
 def test_ratio_infimum_matches_the_fraction_loop(form, n_dilate, bound):
-    report = ratio_infimum(form, n_dilate, bound)
     series = form if isinstance(form, FourierSeries) else form_by_label(form, n_dilate * bound)
+    with labelled(form) if isinstance(form, FourierSeries) else nullcontext(form) as label:
+        report = ratio_infimum(label, n_dilate, bound)
     assert (report.min_ratio, report.argmin, report.violations) == reference_ratio_infimum(series, n_dilate, bound)
 
 
@@ -365,7 +387,8 @@ coeff_lists = st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_s
 @settings(max_examples=60)
 def test_positivity_report_invariant(values):
     series = FourierSeries.from_coefficients(values)
-    report = check_complete_positivity(series, len(values) - 1)
+    with labelled(series) as label:
+        report = check_complete_positivity(label, len(values) - 1)
     assert report.completely_positive_up_to_order == (report.first_negative is None)
     if report.first_negative is not None:
         exponent, value = report.first_negative
@@ -384,6 +407,7 @@ def test_density_bounds_invariant(values):
     n = len(values) - 1
     if n < 1:
         return
-    report = sign_pattern(series, n)
+    with labelled(series) as label:
+        report = sign_pattern(label, n)
     assert 0 <= report.density <= 1
     assert report.count_positive == sum(1 for v in values[1 : n + 1] if v > 0)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from fractions import Fraction
@@ -14,7 +13,6 @@ from hypothesis import strategies as st
 from qmforms.positivity import ratio_infimum, sign_pattern
 from qmforms.qseries import (
     FourierSeries,
-    NonIntegerGrain,
     _intconv,
     _kronecker_conv,
     _sparse_conv,
@@ -168,8 +166,7 @@ def test_leading_and_zero():
     assert z.is_zero()
     s = FourierSeries.from_coefficients([0, 0, 4, 1])
     assert s.leading() == (2, 4)
-    assert s.is_zero(through=1)
-    assert not s.is_zero(through=2)
+    assert not s.is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +267,11 @@ def _at_grain(s, g):
     return out
 
 
+def at_grain(s, g):
+    """The same expansion stored at grain g, a multiple of s's."""
+    return FourierSeries.from_coefficients(_at_grain(s, g), g)
+
+
 def _oracle_mul(a, b):
     n = min(len(a), len(b))
     return [sum((a[i] * b[k - i] for i in range(k + 1)), F(0)) for k in range(n)]
@@ -299,7 +301,6 @@ def test_integer_storage_matches_fraction_oracle(f, g, x):
     _same(f + x, f.grain, [fc[0] + x] + fc[1:])
     _same(f.scale(x), f.grain, [c * x for c in fc])
     _same(f.derivative(), f.grain, [c * F(k, f.grain) for k, c in enumerate(fc)])
-    _same(f.with_grain(2 * f.grain), 2 * f.grain, _at_grain(f, 2 * f.grain))
     cut = f.order / 2
     _same(f.truncate(cut), f.grain, fc[: math.floor(cut * f.grain) + 1])
     for m in (2, 3):
@@ -314,8 +315,6 @@ def test_integer_storage_matches_fraction_oracle(f, g, x):
     step = f.grain // r.grain
     assert all(not c for k, c in enumerate(fc) if k % step)
     _same(r, r.grain, fc[: (len(fc) - 1) // step * step + 1 : step])
-    if r.grain == 1:
-        _same(f.half_shift(), 1, [-c if k % 2 else c for k, c in enumerate(r.coeffs)])
     klim = math.floor(min(f.order, g.order) * grain)
     diff = next((k for k in range(klim + 1) if a[k] != b[k]), None)
     want_diff = None if diff is None else (F(diff, grain), a[diff], b[diff])
@@ -328,7 +327,7 @@ def test_integer_storage_matches_fraction_oracle(f, g, x):
 @given(mixed_series, st.sampled_from([2, 3, 6]))
 @settings(max_examples=60, deadline=None)
 def test_hash_and_eq_agree_across_grains(f, k):
-    h = f.with_grain(k * f.grain)
+    h = at_grain(f, k * f.grain)
     assert h == f and hash(h) == hash(f)
     assert h.den == f.den
 
@@ -338,7 +337,7 @@ def test_hash_and_eq_across_grains_with_a_denominator():
     h = FourierSeries.from_coefficients([F(1, 2), 0, F(1, 3), 0, F(5, 6)], grain=2)
     assert (f.den, h.den) == (6, 6)
     assert f == h and hash(f) == hash(h)
-    assert len({f, h, f.with_grain(3)}) == 1
+    assert len({f, h, at_grain(f, 3)}) == 1
     other = FourierSeries.from_coefficients([F(1, 2), 0, F(1, 3), 0, F(5, 7)], grain=2)
     assert other != f and len({f, other}) == 2
 
@@ -374,7 +373,7 @@ def test_ratio_and_sign_scans_match_fraction_coefficients(label):
 
 
 # ---------------------------------------------------------------------------
-# dilate / half_shift / grain handling
+# dilate / grain handling
 # ---------------------------------------------------------------------------
 
 
@@ -402,27 +401,6 @@ def test_dilate_composes(f):
     assert f.dilate(2).dilate(3) == f.dilate(6)
 
 
-def test_half_shift_signs():
-    f = FourierSeries.from_coefficients([1, 1, 1, 1])
-    s = f.half_shift()
-    assert [s.coefficient(k) for k in range(4)] == [1, -1, 1, -1]
-    # applying it twice is the identity
-    assert s.half_shift() == f
-
-
-def test_half_shift_accepts_even_support_grain2():
-    h = FourierSeries.from_coefficients([1, 0, 2, 0, 3], grain=2)
-    s = h.half_shift()
-    assert s.grain == 1
-    assert s.coefficient(1) == -2
-
-
-def test_half_shift_rejects_true_half_exponents():
-    h = FourierSeries.from_coefficients([0, 1, 0], grain=2)
-    with pytest.raises(NonIntegerGrain):
-        h.half_shift()
-
-
 def test_reduced_is_lossless_on_even_support():
     h = FourierSeries.from_coefficients([1, 0, 2, 0, 3], grain=2)
     r = h.reduced()
@@ -435,12 +413,12 @@ def test_reduced_is_lossless_on_even_support():
 # ---------------------------------------------------------------------------
 
 
-def test_equality_up_to_refuses_beyond_order():
+def test_first_difference_refuses_beyond_order():
     f = FourierSeries.from_coefficients([1, 2, 3])
     g = FourierSeries.from_coefficients([1, 2])
-    assert f.equality_up_to(g, 1)
+    assert f.first_difference(g, 1) is None
     with pytest.raises(ValueError):
-        f.equality_up_to(g, 2)
+        f.first_difference(g, 2)
 
 
 def test_first_difference_reports_exponent():
@@ -467,46 +445,8 @@ def test_cross_grain_equality():
 
 
 # ---------------------------------------------------------------------------
-# serialization / rendering
+# rendering
 # ---------------------------------------------------------------------------
-
-
-def test_json_round_trip_byte_identical():
-    h = FourierSeries.from_coefficients([F(1), F(-3, 2), F(0), F(7)], grain=2)
-    d = h.to_json_dict()
-    blob = json.dumps(d, sort_keys=True)
-    back = FourierSeries.from_json_dict(json.loads(blob))
-    assert back == h
-    assert json.dumps(back.to_json_dict(), sort_keys=True) == blob
-
-
-def test_json_rejects_bad_length():
-    with pytest.raises(ValueError):
-        FourierSeries.from_json_dict(
-            {"grain": 1, "order": 3, "coeffs": [["1", "1"]]}
-        )
-
-
-@pytest.mark.parametrize("edit", [
-    {"grain": 2.9},
-    {"grain": True},
-    {"grain": "2 "},
-    {"grain": 0},
-    {"order": " 1 "},
-    {"order": 1.0},
-    {"order": -1, "coeffs": []},
-    {"coeffs": [[1.7, "1"], ["2", "3"]]},
-    {"coeffs": [["1", "-3"], ["2", "3"]]},
-    {"coeffs": [["1", "0"], ["2", "3"]]},
-    {"coeffs": [["1", "1"], ["2", "3", "4"]]},
-    {"coeffs": [["1", "1"], "2/3"]},
-    {"coeffs": {"0": ["1", "1"], "1": ["2", "3"]}},
-])
-def test_json_refuses_integers_and_pairs_it_did_not_write(edit):
-    data = {"grain": 2, "order": 1, "coeffs": [["1", "1"], ["2", "3"]]}
-    assert FourierSeries.from_json_dict(data) == FourierSeries.from_coefficients([1, F(2, 3)], grain=2)
-    with pytest.raises(ValueError):
-        FourierSeries.from_json_dict({**data, **edit})
 
 
 def test_str_golden_integer_case():

@@ -1,7 +1,9 @@
-"""tools/outputs.py: one line per benchmark op, comparable across checkouts."""
+"""tools/outputs.py: one line per benchmark op, comparable across checkouts;
+tools/traffic.py: the lines of src that those ops never run."""
 
 from __future__ import annotations
 
+import inspect
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +13,7 @@ sys.path.insert(0, str(ROOT / "bench"))
 
 from workloads import WORK_DIR, generate  # noqa: E402
 
-from qmforms import cli  # noqa: E402
+from qmforms import cli, forms  # noqa: E402
 
 
 def test_outputs_prints_one_stable_line_per_op():
@@ -29,4 +31,18 @@ def test_outputs_prints_one_stable_line_per_op():
     assert len(scans) == 36
     assert [op for _, _, op in lines] == [" ".join(op) for op in ops]
     assert all(code in ("0", "1") and len(digest) == 64 for code, digest, _ in lines)
+    assert not (ROOT / WORK_DIR).exists()
+
+
+def test_traffic_lists_the_lines_no_op_runs():
+    # forms.sigma is a reference the tests compare against, so no op runs its
+    # body; cli.run serves every op, so its first body line is never listed
+    argv = [sys.executable, str(ROOT / "tools" / "traffic.py"), "--seed", "1", "--scale", "0.1"]
+    done = subprocess.run(argv, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    listed = {line.split(": ", 1)[0] for line in done.stdout.splitlines()}
+    sigma, run = (inspect.getsourcelines(f)[1] for f in (forms.sigma, cli.run))
+    assert f"src/qmforms/forms.py:{sigma + 2}" in listed
+    assert f"src/qmforms/cli.py:{run + 2}" not in listed
+    assert done.stdout.splitlines()[-1].startswith("total: ")
     assert not (ROOT / WORK_DIR).exists()
