@@ -685,6 +685,7 @@ def acceptance_checks() -> list[dict]:
     groups of ``_QUEUE`` are the tasks of ``_two_lanes``: C1 runs in the worker where it forks, C9 and C10 here, and
     each lane then takes the next group.  A group runs in one lane, in order, so C10 reads C9's scans and C4 what C5
     built (x_w2 and E2-E10 at orders 4096-8192) by truncation."""
+    import mpmath  # noqa: F401  loaded before the fork, so neither lane imports it again
     token = _RUN_SCANS.set({})
     try:
         groups = _two_lanes([lambda group=group: [(k, _timed(ACCEPTANCE_CRITERIA[k])) for k in group]

@@ -466,8 +466,11 @@ _FAMILIES = {
 }
 
 
+_FAMILY_DESCRIPTORS: dict[str, FormDescriptor] = {}  # each family label's, once it validates: bounded by the label set
+
+
 def describe_label(label: str) -> FormDescriptor:
-    """Metadata and builder for a label.
+    """Metadata and builder for a label, one descriptor per label.
 
     Named labels: E2..E10, Delta, theta blocks H2/H4/A/B, composites
     F/G/K10/K12/K14/L/L10/script_L10, P1..P4, X42Delta.  Families: X{w}_1
@@ -475,8 +478,8 @@ def describe_label(label: str) -> FormDescriptor:
     the depth-2 weights.
     Raises KeyError for unknown labels, BadWeight for bad weights.
     """
-    if label in _FIXED_BUILDERS:
-        return _FIXED_BUILDERS[label]
+    if (desc := _FIXED_BUILDERS.get(label) or _FAMILY_DESCRIPTORS.get(label)) is not None:
+        return desc
     match = _FAMILY_LABEL.fullmatch(label)
     key = (match.group(1), int(match.group(3))) if match else None
     if key not in _FAMILIES:
@@ -487,8 +490,9 @@ def describe_label(label: str) -> FormDescriptor:
     else:
         _require_depth2_weight(w)
     group, summary, build, parts = _FAMILIES[key]
-    return FormDescriptor(label, w, depth, group, summary, lambda order: build(w, order),
+    desc = FormDescriptor(label, w, depth, group, summary, lambda order: build(w, order),
                           None if parts is None else lambda order: parts(w, order))
+    return _FAMILY_DESCRIPTORS.setdefault(label, desc)
 
 
 def form_by_label(label: str, order: int = DEFAULT_ORDER) -> FourierSeries:

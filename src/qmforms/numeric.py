@@ -25,14 +25,16 @@ read, ``eval`` included:
   label's route and set against the limit the inversion predicts.
 
 Every sum goes through :class:`AxisEvaluator`, an integer Horner sum of a
-series' exact numerators to each point's own cut; reads combine the sums as
-integer :class:`Ball` values, and a value's tolerance is its ball's radius.
-A height's q = e^(−2πt/grain), π, 1/π and u^k are integers too, with derived
-errors, and heights are exact rationals.  The radius bounds the dropped stored
-terms, every rounding and each constant's error, and holds a geometric
-heuristic (not yet a proven bound) for the terms past the stored order.  Scans
-are labelled "on grid": signs at grid points with stated tolerances, never a
-proof in between.
+series' exact numerators to a cut found in the same pass; reads combine the
+sums on plain integers into one :class:`Ball`, whose radius is the value's
+tolerance.  Heights are exact rationals, and a height's q = e^(−2πt/grain),
+π, 1/π and u^k are integers with derived errors: one :class:`_Height` record
+per height keeps q per grain, each evaluator's ball, u's powers rounded by
+exponent and the factors made from them, each formed once.  The radius
+bounds the dropped stored terms, every rounding and each constant's error,
+and holds a geometric heuristic (not yet a proven bound) for the terms past
+the stored order.  Scans are labelled "on grid": signs at grid points with
+stated tolerances, never a proof in between.
 """
 
 from __future__ import annotations
@@ -118,18 +120,13 @@ TAIL_SAFETY = 10
 
 
 class Ball(NamedTuple):
-    """The reals [mid − rad, mid + rad]·2^exp: ``+`` and ``*`` exact, ``trim``
-    rounding outward to the width it is passed, as Arb's operations take their
-    ``prec`` (Johansson, IEEE Trans. Comput. 66, 2017)."""
+    """The reals [mid − rad, mid + rad]·2^exp: ``*`` exact, ``trim`` rounding
+    outward to the width it is passed, as Arb's operations take their ``prec``
+    (Johansson, IEEE Trans. Comput. 66, 2017); :meth:`_Height.sum` adds them."""
 
     mid: int
     rad: int  # >= 0
     exp: int
-
-    def __add__(self, other: Ball) -> Ball:
-        hi, lo = (self, other) if self.exp >= other.exp else (other, self)
-        a = hi.exp - lo.exp
-        return Ball((hi.mid << a) + lo.mid, (hi.rad << a) + lo.rad, lo.exp)
 
     def __mul__(self, other: Ball) -> Ball:
         rad = abs(self.mid) * other.rad + abs(other.mid) * self.rad + self.rad * other.rad
@@ -258,42 +255,42 @@ class AxisEvaluator:
         self._last = last = max((n for n, d in enumerate(bits) if d is not None), default=0)
         self._top = math.log2(TAIL_SAFETY * abs(self._nums[last])) - math.log2(self._den) if last else -math.inf
 
-    def _cut(self, step: float, offset: float) -> tuple[int, float]:
-        """First N whose dropped-terms bound 2^(_suffix[N] − N·step + offset)
-        is below the budget (0 for the zero series), and the peak: |c_n|·q^n < 2^(peak + 2), n < N."""
-        peak, budget, suffix, prec = -math.inf, -math.inf, self._suffix, self._prec
+    def _sum(self, fixed_q: tuple) -> tuple:
+        """(ball, log2 of (dropped, beyond, rounding), N) at a :func:`_fixed_q` height: N is the first
+        index whose dropped-terms bound 2^(_suffix[N] − N·step + offset) is below the budget (0 for the
+        zero series), found in the loop that keeps the peak, |c_n|·q^n < 2^(peak + 2) for n < N.  A
+        :class:`_Height` keeps the ball, with q per grain, u's powers by exponent and the factors."""
+        x, big_q, shift = fixed_q
+        step, offset, suffix, wp = x / math.log(2), -math.log2(-math.expm1(-x)), self._suffix, self._prec
+        peak = budget = -math.inf
         for n, low in enumerate(self._low):
             ns = n * step
-            if suffix[n] - ns + offset <= budget:
-                return n, peak
+            if (dropped := suffix[n] - ns + offset) <= budget:
+                break
             if low - ns > peak:
-                peak, budget = low - ns, low - ns - prec
-        return len(self._low), peak
-
-    def _sum(self, fixed_q: tuple) -> tuple:
-        """(ball, log2 of (dropped, beyond, rounding), N) at a :func:`_fixed_q` height."""
-        x, big_q, shift = fixed_q
-        step, offset = x / math.log(2), -math.log2(-math.expm1(-x))
-        n, peak = self._cut(step, offset)
-        dropped = self._suffix[n] - n * step + offset
+                peak, budget = low - ns, low - ns - wp
+        else:
+            n, dropped = len(self._low), -math.inf  # _suffix ends in -inf
         beyond = self._top - self._last * step - math.log2(-math.expm1(-self.grain * x))
         if peak == -math.inf:
             return Ball(0, 0, 0), (dropped, beyond, -math.inf), n
         top = ceil(peak) + 3  # a bit to spare over the float peak
-        k0 = self._first if self._first * step > self._prec else 0
+        k0 = self._first if self._first * step > wp else 0
         # finer, for sums that cancel; Σ c_(k0+j)·q^j peaks near peak + k0·step
-        f = max(0, self._prec + GUARD_BITS - ceil(peak + k0 * step) - 2 - self._den.bit_length())
+        f = max(0, wp + GUARD_BITS - ceil(peak + k0 * step) - 2 - self._den.bit_length())
         nums, acc = self._nums, 0
         for k in range(n - 1, k0 - 1, -1):
             acc = (nums[k] << f) + (acc * big_q >> shift)
         scaled = acc * big_q**k0  # q^k0 = Q^k0·2^(−k0·F), exact apart from Q's own error
-        e = top - self._prec - GUARD_BITS
+        e = top - wp - GUARD_BITS
         s = -f - k0 * shift - e  # ⌊scaled·2^s / den⌋ is the sum in units of 2^e
         mid = (scaled << s) // self._den if s >= 0 else (scaled >> -s) // self._den
         # 2^⌈l + 2^-20⌉ >= 2^l, 2^-20 covering l's float error, and one unit at least
-        parts = sum(1 << max(0, ceil(lg + 2**-20) - e) for lg in (dropped, beyond) if lg > -math.inf)
-        rad = 1 + (n * (n + 1) << GUARD_BITS) + parts
-        return Ball(mid, rad, e), (dropped, beyond, math.log2(n * (n + 1)) + top - self._prec), n
+        rad = 1 + (n * (n + 1) << GUARD_BITS)
+        for lg in (dropped, beyond):
+            if lg > -math.inf:
+                rad += 1 << max(0, ceil(lg + 2**-20) - e)
+        return Ball(mid, rad, e), (dropped, beyond, math.log2(n * (n + 1)) + top - wp), n
 
 
 class _AxisRoute:
@@ -367,50 +364,61 @@ class _AxisRoute:
     def value(self, t, table: dict | None = None) -> Ball:
         """F(it)."""
         if (height := _height(t, table, self.prec)).above or self.w is None:
-            return height.sum(((Ball(1, 0, 0), self.f),))
+            return height.sum((((1, 0, 0), self.f),))
         return self._inverted(self.w, self._phi_below, height)
 
     def s(self, m: int, t, table: dict | None = None) -> Ball:
         """s = m·F − 2πt·DF."""
         if (height := _height(t, table, self.prec)).above or self.w is None:
-            return height.sum(((Ball(m, 0, 0), self.f), (height.minus_two_pi_t, self.fp)))
+            return height.sum((((m, 0, 0), self.f), (height.minus_two_pi_t, self.fp)))
         return self._inverted(self.w, self._below(m, table), height, -1)
 
 
 def _height(t, table: dict | None, prec: int) -> _Height:
-    """``table``'s record of height t, formed on first use; without a table, a new one."""
-    return _Height(t, prec) if table is None else table.get(t) or table.setdefault(t, _Height(t, prec))
+    """``table``'s record of height t, formed on first use; without a table, a new one.  A record
+    is formed only here, after :func:`_require_height`, and as a checked record's ``inverse``."""
+    if table is not None and (height := table.get(t)) is not None:
+        return height
+    _require_height(t)
+    return _Height(t, prec) if table is None else table.setdefault(t, _Height(t, prec))
 
 
 class _Height:
     """One height t > 0, an int or a Fraction, of a ``table`` at working precision ``prec``, shared by
-    every read there of any route or exponent: whether t >= 1, and, formed on first use, each
-    :func:`_fixed_q`, each evaluator's ball (its radius holds ``beyond``, a heuristic), u = 1/t's record, each factor."""
+    every read there of any route or exponent.  It keeps whether t >= 1 and, each formed on first use:
+    q = :func:`_fixed_q` per grain, each evaluator's ball (its radius holds ``beyond``, a heuristic),
+    u = 1/t's record, and, for reads in which this t is u, its powers rounded once per exponent and the
+    factors made from them."""
 
     def __init__(self, t, prec: int):
-        _require_height(t)
-        self.t, self.prec, self.above, self._q, self._sums, self._factors = t, prec, t >= 1, {}, {}, {}
+        self.t, self.prec, self.above = t, prec, t >= 1
+        self._q, self._sums, self._powers, self._factors = {}, {}, {}, {}
 
     def sum(self, weighted: Sequence) -> Ball:
-        """Σ k·G(it) over ``(k, evaluator of G)``, k a ball, each G summed once
-        here, trimmed.  Of the total and the next term, one wholly below one unit
-        of the other, whose midpoint has prec + 2·GUARD_BITS bits or more, adds
-        that unit to its radius instead of a wide shift; an exact 0 adds nothing."""
-        total, width = Ball(0, 0, 0), self.prec + 2 * GUARD_BITS
-        for k, e in weighted:
-            if e not in self._sums:
+        """Σ k·G(it) over ``(k, evaluator of G)``, k a ball or its (mid, rad, exp), each G summed once
+        here, combined as integers and trimmed.  Of the total and the next term, one wholly below one
+        unit of the other, whose midpoint has prec + 2·GUARD_BITS bits or more, adds that unit to its
+        radius instead of a wide shift; an exact 0 adds nothing."""
+        mid = rad = exp = 0
+        width, sums = self.prec + 2 * GUARD_BITS, self._sums
+        for (km, kr, ke), e in weighted:
+            if (ball := sums.get(e)) is None:
                 if (key := (e.grain, e._prec)) not in self._q:
                     self._q[key] = _fixed_q(self.t, *key)
-                self._sums[e] = e._sum(self._q[key])[0]
-            term = k * self._sums[e]
-            hi, lo = (total, term) if total.exp >= term.exp else (term, total)
-            zero, below = not (lo.mid or lo.rad), (abs(lo.mid) + lo.rad).bit_length() <= hi.exp - lo.exp
-            total = Ball(hi.mid, hi.rad + (not zero), hi.exp) if zero or (below and hi.mid.bit_length() >= width) else hi + lo
-        return total.trim(self.prec)
+                ball = sums[e] = e._sum(self._q[key])[0]
+            gm, gr, ge = ball  # the term k·G, as Ball.__mul__ forms it
+            lm, lr, le = km * gm, abs(km) * gr + abs(gm) * kr + kr * gr, ke + ge
+            if le > exp:  # the term is the higher
+                mid, rad, exp, lm, lr, le = lm, lr, le, mid, rad, exp
+            if not (lm or lr) or (abs(lm) + lr).bit_length() <= exp - le and mid.bit_length() >= width:
+                rad += bool(lm or lr)
+            else:
+                mid, rad, exp = (mid << exp - le) + lm, (rad << exp - le) + lr, le
+        return Ball(mid, rad, exp).trim(self.prec)
 
     @cached_property
     def inverse(self) -> _Height:
-        return _Height(1 / Fraction(self.t), self.prec)
+        return _Height(1 / Fraction(self.t), self.prec)  # in range as t is
 
     @cached_property
     def minus_two_pi_t(self) -> Ball:
@@ -420,10 +428,12 @@ class _Height:
     def factor(self, w: int, p: int) -> Ball:
         """(−1)^(w/2)·u^w·x^p = (−1)^(w/2)·u^(w−p)·(−6/π)^p at u = t (w >= p:
         no E2-part has negative weight), u^(w−p) the exact rational power
-        rounded once by :func:`_ball`."""
+        rounded once by :func:`_ball` and kept per exponent w − p."""
         if (w, p) not in self._factors:
-            a, c = self.t.as_integer_ratio()
-            f = (_ball(a ** (w - p), c ** (w - p), self.prec) * _x_power(p, self.prec)).trim(self.prec)
+            if (e := w - p) not in self._powers:
+                a, c = self.t.as_integer_ratio()
+                self._powers[e] = _ball(a**e, c**e, self.prec)
+            f = (self._powers[e] * _x_power(p, self.prec)).trim(self.prec)
             self._factors[w, p] = f if w % 4 == 0 else Ball(-f.mid, f.rad, f.exp)
         return self._factors[w, p]
 
@@ -525,15 +535,21 @@ class ScanReport:
     factor t^(m-1)), so s <= 0 everywhere means the scanned power-weighted
     form is non-increasing across the grid.  ``sign_changes`` lists
     consecutive grid pairs whose s-values have strictly opposite signs
-    beyond tolerance.
+    beyond tolerance.  ``s_balls`` are the s-values as balls; ``s_values``,
+    their midpoints as mpf values at ``prec`` bits, are converted on first read.
     """
 
     label: str
     m: int
     grid: tuple
-    s_values: tuple
+    s_balls: tuple
     sign_changes: tuple
     verdict: str
+    prec: int
+
+    @cached_property
+    def s_values(self) -> tuple:
+        return tuple(_to_mpf(b, self.prec) for b in self.s_balls)
 
     def to_json_dict(self) -> dict:
         from mpmath import nstr
@@ -579,7 +595,7 @@ def monotonicity_scans(pairs: Sequence, grid_spec: tuple = DEFAULT_GRID_SPEC,
         changes = tuple((a, b) for (a, sa), (b, sb) in zip(signed, signed[1:]) if sa != sb)
         verdict = ("sign_change_found" if changes else "monotone_decreasing_on_grid"
                    if all(sig <= 0 for sig in signs) else "not_decreasing_on_grid")
-        reports[label, m] = ScanReport(label, m, shown, tuple(_to_mpf(b, prec) for b in balls), changes, verdict)
+        reports[label, m] = ScanReport(label, m, shown, tuple(balls), changes, verdict, prec)
     return reports
 
 

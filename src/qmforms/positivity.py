@@ -106,7 +106,9 @@ class RatioReport:
 
 
 def check_complete_positivity(label: str, order: int = 2000) -> PositivityReport:
-    """Scan the coefficients of the labelled form, built to ``order``, for a negative one."""
+    """Scan the labelled form's coefficients, built to ``order`` (>= 0, checked first), for a negative one."""
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
     series, first = form_by_label(label, order), None
     # the common denominator is positive, so numerators carry the signs
     for k, c in enumerate(series.nums):
@@ -117,7 +119,9 @@ def check_complete_positivity(label: str, order: int = 2000) -> PositivityReport
 
 
 def sign_pattern(label: str, n_limit: int) -> DensityReport:
-    """Count n in 1..n_limit with a_n > 0 and attach any recorded density."""
+    """Count n in 1..n_limit (>= 1, checked first) with a_n > 0 and attach any recorded density."""
+    if n_limit < 1:
+        raise ValueError(f"n_limit must be >= 1, got {n_limit}")
     series = form_by_label(label, n_limit)
     # the common denominator is positive, so numerators carry the signs
     nums, g = series.nums, series.grain

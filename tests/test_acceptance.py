@@ -7,7 +7,10 @@ message on failure.
 
 from __future__ import annotations
 
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 from qmforms import cli, numeric
 
@@ -63,6 +66,22 @@ def test_no_criterion_evaluates_a_series_passed_by_value(monkeypatch, tmp_path):
     monkeypatch.setattr(numeric, "eval_at_it", logged)
     assert all(check["passed"] for check in cli.acceptance_checks())
     assert log.read_text().splitlines() == [repr(form) for form in ["E2"] * 6 + ["E6", "X10_1"]]
+
+
+def test_mpmath_is_loaded_before_the_lanes_fork():
+    # C7 and C8 read mpmath in whichever lane takes them; loaded before the fork, neither imports it again
+    code = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import qmforms.cli as cli\n"
+        "assert 'mpmath' not in sys.modules\n"
+        "seen = []\n"
+        "cli._two_lanes = lambda tasks: seen.append('mpmath' in sys.modules) or []\n"
+        "assert cli.acceptance_checks() == [] and seen == [True], seen\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 def test_criterion_08_small_t_limits():

@@ -445,6 +445,22 @@ def test_unknown_labels_raise():
             describe_label(label)
 
 
+def test_each_label_keeps_one_descriptor_and_no_refused_label_is_kept(monkeypatch):
+    for label in ("X12_1", "Y8_2", "Xtilde4_2", "X4_2", "F"):
+        assert describe_label(label) is describe_label(label), label
+    kept = dict(extremal._FAMILY_DESCRIPTORS)
+    refused = [(label, KeyError) for label in MALFORMED_LABELS] + [(label, BadWeight) for label in BAD_WEIGHT_LABELS]
+    for label, error in refused * 2:
+        with pytest.raises(error):
+            describe_label(label)
+    assert extremal._FAMILY_DESCRIPTORS == kept
+    # a kept descriptor's builder looks its function up by name, so a double bound afterwards sees the call
+    calls, build = [], extremal.x_w1
+    monkeypatch.setattr(extremal, "x_w1", lambda *a: calls.append(a) or build(*a))
+    describe_label("X12_1").build(6)
+    assert calls == [(12, 6)]
+
+
 def test_depth1_weight_limit():
     # the heaviest accepted weight builds; the next is refused
     assert form_by_label(f"X{MAX_DEPTH1_WEIGHT}_1", 2).order == 2

@@ -30,6 +30,7 @@ from qmforms.qseries import FourierSeries
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 import e2_reference  # noqa: E402
+import numeric_reference  # noqa: E402
 
 
 BITS = 128
@@ -240,7 +241,7 @@ def assert_tail_is_the_trimmed_radius(point, tail, prec):
     floored midpoint) plus its own rounding up to ``prec`` bits."""
     ball, tail = point.ball, exact(tail)
     parts = Fraction(ball.rad + (abs(ball.mid) >> prec)) * Fraction(2) ** ball.exp
-    unit = Fraction(2) ** (numeric.Ball(0, 0, 0) + ball).trim(prec).exp
+    unit = Fraction(2) ** ball.trim(prec).exp
     assert parts <= tail < parts + 2 * unit + tail * Fraction(2) ** (1 - prec)
 
 
@@ -996,6 +997,58 @@ def test_a_batch_sums_each_evaluator_once_per_height(monkeypatch):
     assert cold == len(sums) + 2 * len(labels)
 
 
+ROUTED_LABELS = [label for label in extremal.known_labels() if describe_label(label).parts is not None]
+
+
+@pytest.mark.parametrize("label", ROUTED_LABELS)
+@settings(max_examples=6, deadline=None)
+@given(m=st.integers(1, 50), heights=st.lists(st.fractions(Fraction(1, 200), 200), min_size=1, max_size=3),
+       bits=st.sampled_from((64, 128, 256, 1024)))
+@example(m=1, heights=[Fraction(1, 200), Fraction(1), Fraction(200)], bits=64)
+@example(m=50, heights=[Fraction(1, 200), Fraction(200)], bits=1024)
+def test_reads_give_the_reference_arithmetics_integers(label, m, heights, bits):
+    # factors by exponent, sums combined as ints and the cut inside each sum
+    # leave every ball as the per-(w, p) factors, Ball-by-Ball sums and
+    # separate cut give it, through one table and without one; s is read at
+    # m and at w − 1, where at t = 200 a modular label's two terms take the
+    # one-unit rule
+    route, table, reference = numeric._inverting_route(label, bits), {}, {}
+    for t in heights:
+        reads = [(lambda tab: route.value(t, tab), numeric_reference.value(route, t, reference))]
+        reads += [(lambda tab, k=k: route.s(k, t, tab), numeric_reference.s(route, k, t, reference)) for k in (m, route.w - 1)]
+        for read, want in reads:
+            assert tuple(read(table)) == tuple(read(None)) == tuple(want), (t, want)
+
+
+def counted(monkeypatch, name: str) -> list:
+    """Calls of ``numeric.<name>`` from here on, one entry each."""
+    calls, real = [], getattr(numeric, name)
+    monkeypatch.setattr(numeric, name, lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+def test_a_batch_rounds_each_height_power_once(monkeypatch):
+    # one _ball per (height, w − p), not per (height, w, p): 630 in a warm
+    # C9 batch where the per-(w, p) factors made 1,020
+    numeric.monotonicity_scans(cli.SCAN_PAIRS)
+    balls = counted(monkeypatch, "_ball")
+    numeric.monotonicity_scans(cli.SCAN_PAIRS)
+    assert len(balls) <= 630
+
+
+def test_a_batch_read_for_its_verdicts_converts_only_its_grid(monkeypatch):
+    # verdicts and sign changes read the 60 grid points; the 1,080 s-values
+    # are converted to mpf only when read
+    numeric.monotonicity_scans(cli.SCAN_PAIRS)
+    conversions = counted(monkeypatch, "_to_mpf")
+    reports = numeric.monotonicity_scans(cli.SCAN_PAIRS)
+    assert [r.verdict for r in reports.values()] and [r.sign_changes for r in reports.values()]
+    assert len(conversions) <= 60
+    scan, before = reports["X8_1", 7], len(conversions)
+    assert scan.s_values is scan.s_values and len(scan.s_values) == len(scan.s_balls) == 60
+    assert len(conversions) == before + 60
+
+
 @settings(max_examples=40, deadline=None)
 @given(label=st.sampled_from(INVERTED_LABELS + ("Delta", "F", "E2")), m=st.integers(1, 25),
        heights=st.lists(st.fractions(Fraction(1, 20), 20), min_size=1, max_size=4),
@@ -1139,11 +1192,13 @@ BALLS = st.builds(numeric.Ball, st.integers(-(2**400), 2**400), st.integers(0, 2
        bits=st.sampled_from((64, 128, 256)))
 @example(a=numeric.Ball(-(2**300) + 1, 2**300 - 1, 0), b=numeric.Ball(0, 0, 0), num=1, den=3, bits=64)
 def test_ball_primitives_enclose_every_combination_of_their_endpoints(a, b, num, den, bits):
-    # against exact rationals: a + b and a·b hold every sum and product of an
-    # endpoint of a and one of b; a trim holds both endpoints and keeps
-    # bits + 2·GUARD_BITS bits; ⌊num/den⌋ holds num/den
-    width = bits + 2 * numeric.GUARD_BITS
-    total, product, trimmed, ratio = a + b, a * b, a.trim(bits), numeric._ball(num, den, bits)
+    # against exact rationals: a height's sum of a and b, and a·b, hold every
+    # sum and product of an endpoint of a and one of b; a trim holds both
+    # endpoints and keeps bits + 2·GUARD_BITS bits; ⌊num/den⌋ holds num/den
+    width, height = bits + 2 * numeric.GUARD_BITS, numeric._Height(1, bits)
+    height._sums.update(a=a, b=b)  # the balls stand in for evaluators' sums
+    total = height.sum([((1, 0, 0), "a"), ((1, 0, 0), "b")])
+    product, trimmed, ratio = a * b, a.trim(bits), numeric._ball(num, den, bits)
     ends = [[Fraction(ball.mid + d * ball.rad) * Fraction(2) ** ball.exp for d in (-1, 1)] for ball in (a, b)]
     for x in ends[0]:
         assert holds(trimmed, x)

@@ -274,6 +274,25 @@ def test_ratio_infimum_errors():
         ratio_infimum("X4_2", 2, 0)
 
 
+def refused_before_any_build(monkeypatch, read, *args):
+    """``read(*args)`` raises ``ValueError`` without building a form."""
+    builds = []
+    monkeypatch.setattr(positivity, "form_by_label", lambda *a: builds.append(a) or form_by_label(*a))
+    with pytest.raises(ValueError):
+        read(*args)
+    assert builds == []
+
+
+def test_a_negative_positivity_order_is_refused_before_any_build(monkeypatch):
+    refused_before_any_build(monkeypatch, check_complete_positivity, "P1", -2)
+    assert check_complete_positivity("P1", 0).order == 0  # order 0 reads the constant term, as identities.verify allows
+
+
+@pytest.mark.parametrize("n_limit", [-3, 0])
+def test_a_sign_pattern_below_one_term_is_refused_before_any_build(monkeypatch, n_limit):
+    refused_before_any_build(monkeypatch, sign_pattern, "E4", n_limit)
+
+
 def reference_ratio_infimum(series: FourierSeries, n_dilate: int, bound: int):
     """One exact ``Fraction`` per n, as ``ratio_infimum`` once did: its reference."""
     violations, min_ratio, argmin = [], None, None

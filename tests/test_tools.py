@@ -46,3 +46,12 @@ def test_traffic_lists_the_lines_no_op_runs():
     assert f"src/qmforms/cli.py:{run + 2}" not in listed
     assert done.stdout.splitlines()[-1].startswith("total: ")
     assert not (ROOT / WORK_DIR).exists()
+
+
+def test_criteria_times_each_criterion_of_cold_reports():
+    argv = [sys.executable, str(ROOT / "tools" / "criteria.py"), "--runs", "1"]
+    done = subprocess.run(argv, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    rows = [line.split() for line in done.stdout.splitlines()]
+    assert [row[0] for row in rows] == [f"C{k}" for k in range(1, 11)] + ["wall"]
+    assert all(row[1::2] == ["median", "q1", "q3"] and row[2] == row[4] == row[6] for row in rows)
