@@ -5,7 +5,8 @@ Subcommands mirror the library: ``expand`` prints q-expansions,
 ``density`` / ``ratio-inf`` emit coefficient-sign reports,
 ``scan`` / ``limits`` / ``eval`` / ``plotdata`` drive the floating layer,
 ``lambert-certify`` builds and re-verifies monotonicity certificates, and
-``report`` aggregates every suite into the single pass/fail entry point.
+``report`` aggregates every suite into the single pass/fail entry point:
+the table ``ACCEPTANCE_CRITERIA``, where a criterion's id is its place.
 
 Exit codes: 0 all checks passed, 1 a verification failed, 2 usage or
 configuration error.  Configuration precedence: flags, then QMF_ORDER /
@@ -71,16 +72,10 @@ def _resolve_order(flag_value: int | None, fallback: int | None) -> int | None:
     return fallback if order is None else _positive(name, order)
 
 
-def _resolve_bits(flag_value: int | None) -> int:
-    if flag_value is not None:
-        return flag_value
-    env = _env_int("QMF_BITS")
-    return env if env is not None else 128
-
-
 def _eval_config(bits: int | None) -> numeric.EvalConfig:
+    bits = bits if bits is not None else _env_int("QMF_BITS")
     try:
-        return numeric.EvalConfig(precision_bits=_resolve_bits(bits))
+        return numeric.EvalConfig() if bits is None else numeric.EvalConfig(precision_bits=bits)
     except ValueError as exc:
         raise UsageError(str(exc))
 
@@ -348,6 +343,29 @@ SCAN_PAIRS = tuple(dict.fromkeys((*_SCAN_DECREASING_PAIRS, ("X8_1", 7), ("X10_1"
 # C9's scans for C10, inside one acceptance_checks call only (None outside one)
 _RUN_SCANS: ContextVar[dict | None] = ContextVar("_RUN_SCANS", default=None)
 
+# The orders, bounds, ranges and expected values the criteria check, each written once; details are formed from them.
+# C1: LCOMB-A with its first coefficient raised by one, built to this order, must differ from L early among the
+# exponents through this bound
+_C1_CONTROL_ORDER, _C1_CONTROL_THROUGH = 30, 28
+# C2: the weights of the constant term's closed form, of the companion's negated constant term, of the ratio laws
+_C2_WEIGHTS = {"closed_form_weights": range(6, 121, 6), "negation_weights": range(6, 121, 2),
+               "ratio_weights": range(12, 61, 6)}
+# C3: each detail key's label, first exponent and the coefficients from there
+_C3_GOLDENS = {"Y4_2": ("Y4_2", 1, [1, 2, 12, 4, 30]), "Y16_2_q5": ("Y16_2", 5, [Fraction(864, 25)]),
+               "X42Delta": ("X42Delta", 2, [1, -18, 120, -220, -1620, 11676])}
+# C4: the order of complete positivity and of the alternation patterns, and the doubling bound
+_C4_ORDER, _C4_DOUBLING_BOUND = 2000, 500
+# C5: floors on min a(2n)/a(n) over n <= the bound they are listed under; X4_2's minimum, at n = its bound with no
+# a(n) <= 0, is also at most the ceiling
+_C5_FLOORS, _C5_X42_CEILING = {4096: {"X4_2": 4}, 2048: {"X8_2": 2**6, "X10_2": 2**8}}, Fraction(4002, 1000)
+# C6: X101's Taylor certificate stops at this n_star, and its c_prefix holds that many terms
+_C6_X101_N_STAR = 65
+
+
+def _result(title: str, passed, detail: dict) -> dict:
+    """Every criterion's result; _timed adds its id, from its place in ACCEPTANCE_CRITERIA, and its runtime."""
+    return {"title": title, "passed": bool(passed), "detail": detail}
+
 
 def _criterion_identity_suite() -> dict:
     start = time.perf_counter()
@@ -355,126 +373,85 @@ def _criterion_identity_suite() -> dict:
     elapsed = time.perf_counter() - start
     failures = [r.ident for r in results if not r.passed]
 
-    control_order = 30
-    target = form_by_label("L", control_order)
-    perturbed = [78278401, 550800, 90823680, 116640, 678813696000, 331776000]
-    bad = identities.lcomb_combination(control_order, coeffs=perturbed)
-    diff = target.first_difference(bad, 28)
+    target = form_by_label("L", _C1_CONTROL_ORDER)
+    first, *rest = identities._LCOMB_COEFFS["A"]
+    bad = identities.lcomb_combination(_C1_CONTROL_ORDER, coeffs=(first + 1, *rest))
+    diff = target.first_difference(bad, _C1_CONTROL_THROUGH)
     control_ok = diff is not None and diff[0] <= 10
 
     passed = not failures and elapsed < 120 and control_ok
-    return {
-        "id": "C1",
-        "title": "identity registry exact at stated orders; perturbation caught early",
-        "passed": bool(passed),
-        "detail": {
-            "identities": len(results),
-            "failures": failures,
-            "runtime_s": round(elapsed, 3),
-            "perturbation_exponent": None if diff is None else str(diff[0]),
-        },
-    }
+    return _result("identity registry exact at stated orders; perturbation caught early", passed, {
+        "identities": len(results),
+        "failures": failures,
+        "runtime_s": round(elapsed, 3),
+        "perturbation_exponent": None if diff is None else str(diff[0]),
+    })
 
 
 def _criterion_coefficient_laws() -> dict:
+    closed, negation, ratios = _C2_WEIGHTS.values()
     closed_ok = all(
         alpha_w0(w) == x_w1_components(w, 2).pure.coefficient(0)
-        for w in range(6, 121, 6)
+        for w in closed
     )
     beta_ok = all(
         x_w1_components(w, 2).e2_part.coefficient(0)
         == -x_w1_components(w, 2).pure.coefficient(0)
-        for w in range(6, 121, 2)
+        for w in negation
     )
 
-    def ratio(series: FourierSeries) -> Fraction:
-        return series.coefficient(1) / series.coefficient(0)
-
-    ratios_ok = True
-    for w in range(12, 61, 6):
-        cw = x_w1_components(w, 2)
-        cw2 = x_w1_components(w + 2, 2)
-        cw4 = x_w1_components(w + 4, 2)
-        ratios_ok = ratios_ok and (
-            ratio(cw.pure) == Fraction(-12 * (w - 3) * (w + 4), w - 6)
-            and ratio(cw2.pure) == Fraction(-12 * (w * w - 9 * w - 24), w - 6)
-            and ratio(cw4.pure) == Fraction(-12 * (w * w - 19 * w + 108), w - 6)
-            and ratio(cw.e2_part) == Fraction(-12 * (w - 1) * w, w - 6)
-            and ratio(cw2.e2_part) == Fraction(-12 * (w - 12) * (w + 1), w - 6)
-            and ratio(cw4.e2_part) == Fraction(-12 * (w * w - 21 * w + 120), w - 6)
+    def ratios_hold(w: int) -> bool:
+        cs = [x_w1_components(w + step, 2) for step in (0, 2, 4)]
+        numerators = (  # c1/c0 of each part of weights w, w + 2 and w + 4 is −12/(w − 6) times its numerator
+            (w - 3) * (w + 4), w * w - 9 * w - 24, w * w - 19 * w + 108,  # the pure parts
+            (w - 1) * w, (w - 12) * (w + 1), w * w - 21 * w + 120,  # the E2 parts
         )
+        parts = (*(c.pure for c in cs), *(c.e2_part for c in cs))
+        return all(s.coefficient(1) / s.coefficient(0) == Fraction(-12 * n, w - 6) for s, n in zip(parts, numerators))
 
-    return {
-        "id": "C2",
-        "title": "constant-term closed form, companion negation, second-coefficient ratios",
-        "passed": bool(closed_ok and beta_ok and ratios_ok),
-        "detail": {
-            "closed_form_weights": "6..120 step 6",
-            "negation_weights": "6..120 step 2",
-            "ratio_weights": "12..60 step 6",
-        },
-    }
+    passed = closed_ok and beta_ok and all(map(ratios_hold, ratios))
+    return _result("constant-term closed form, companion negation, second-coefficient ratios", passed,
+                   {key: f"{r[0]}..{r[-1]} step {r.step}" for key, r in _C2_WEIGHTS.items()})
 
 
 def _criterion_goldens() -> dict:
-    y42 = form_by_label("Y4_2", 5)
-    y42_ok = [y42.coefficient(n) for n in range(1, 6)] == [1, 2, 12, 4, 30]
-    y162_ok = form_by_label("Y16_2", 5).coefficient(5) == Fraction(864, 25)
-    xd = form_by_label("X42Delta", 7)
-    xd_ok = [xd.coefficient(n) for n in range(2, 8)] == [1, -18, 120, -220, -1620, 11676]
-    return {
-        "id": "C3",
-        "title": "golden expansions for the depth-2 table and the weight-16 product",
-        "passed": bool(y42_ok and y162_ok and xd_ok),
-        "detail": {"Y4_2": y42_ok, "Y16_2_q5": y162_ok, "X42Delta": xd_ok},
-    }
+    detail = {}
+    for key, (label, first, want) in _C3_GOLDENS.items():
+        series = form_by_label(label, first + len(want) - 1)
+        detail[key] = [series.coefficient(n) for n in range(first, first + len(want))] == want
+    return _result("golden expansions for the depth-2 table and the weight-16 product", all(detail.values()), detail)
 
 
 def _criterion_positivity() -> dict:
     cp_ok = all(
-        positivity.check_complete_positivity(label, 2000).completely_positive_up_to_order
+        positivity.check_complete_positivity(label, _C4_ORDER).completely_positive_up_to_order
         for label in ("Y4_2", "Y8_2", "Y10_2", "Y12_2")
     )
-    doubling_ok = bool(positivity.x122_doubling_check(500)["ok"])
-    patterns_ok = True
-    for label in ("P1", "P2", "P3"):
-        values = form_by_label(label, 2000).nums
-        patterns_ok = patterns_ok and all(
-            (values[n] > 0) == (n % 2 == 1) for n in range(1, 2001)
-        )
-    return {
-        "id": "C4",
-        "title": "depth-2 complete positivity, doubling bound, alternation patterns",
-        "passed": bool(cp_ok and doubling_ok and patterns_ok),
-        "detail": {
-            "complete_positivity": cp_ok,
-            "doubling": doubling_ok,
-            "sign_patterns": patterns_ok,
-        },
+    doubling_ok = bool(positivity.x122_doubling_check(_C4_DOUBLING_BOUND)["ok"])
+    patterns_ok = all(
+        all((values[n] > 0) == (n % 2 == 1) for n in range(1, _C4_ORDER + 1))
+        for values in (form_by_label(label, _C4_ORDER).nums for label in ("P1", "P2", "P3"))
+    )
+    detail = {
+        "complete_positivity": cp_ok,
+        "doubling": doubling_ok,
+        "sign_patterns": patterns_ok,
     }
+    return _result("depth-2 complete positivity, doubling bound, alternation patterns", all(detail.values()), detail)
 
 
 def _criterion_ratio_infima() -> dict:
-    r42 = positivity.ratio_infimum("X4_2", 2, 4096)
-    r42_ok = (
-        Fraction(4) < r42.min_ratio <= Fraction(4002, 1000)
-        and r42.argmin == 4096
-        and r42.violations == ()
+    reports = {label: (bound, floor, positivity.ratio_infimum(label, 2, bound))
+               for bound, floors in _C5_FLOORS.items() for label, floor in floors.items()}
+    x42_bound, _, x42 = reports["X4_2"]
+    x42_ok = (
+        x42.min_ratio <= _C5_X42_CEILING
+        and x42.argmin == x42_bound
+        and x42.violations == ()
     )
-    r82 = positivity.ratio_infimum("X8_2", 2, 2048)
-    r102 = positivity.ratio_infimum("X10_2", 2, 2048)
-    r82_ok = r82.min_ratio > 2**6
-    r102_ok = r102.min_ratio > 2**8
-    return {
-        "id": "C5",
-        "title": "dilation-2 coefficient-ratio minima stay above the stated floors",
-        "passed": bool(r42_ok and r82_ok and r102_ok),
-        "detail": {
-            "X4_2_min": str(r42.min_ratio),
-            "X8_2_min": str(r82.min_ratio),
-            "X10_2_min": str(r102.min_ratio),
-        },
-    }
+    passed = x42_ok and all(r.min_ratio > floor for _, floor, r in reports.values())
+    return _result("dilation-2 coefficient-ratio minima stay above the stated floors", passed,
+                   {f"{label}_min": str(r.min_ratio) for label, (_, _, r) in reports.items()})
 
 
 def _criterion_lambert() -> dict:
@@ -488,9 +465,9 @@ def _criterion_lambert() -> dict:
     x101 = certs["X101"]
     x101_ok = (
         x101.method == "taylor"
-        and x101.n_star == 65
+        and x101.n_star == _C6_X101_N_STAR
         and x101.c_prefix is not None
-        and len(x101.c_prefix) == 65
+        and len(x101.c_prefix) == _C6_X101_N_STAR
         and x101.c_prefix[0] == 8
         and all(c > 0 for c in x101.c_prefix[1:])
     )
@@ -498,17 +475,13 @@ def _criterion_lambert() -> dict:
         lambert.recheck_certificate(json.loads(json.dumps(certs[n].to_json_dict())))
         for n in valid_names
     )
-    return {
-        "id": "C6",
-        "title": "block certificates: five established, two refused with witnesses, stable reloads",
-        "passed": bool(valid_ok and invalid_ok and x101_ok and roundtrip_ok),
-        "detail": {
-            "valid": valid_names,
-            "invalid": invalid_names,
-            "X101_n_star": x101.n_star,
-            "roundtrip": roundtrip_ok,
-        },
-    }
+    passed = valid_ok and invalid_ok and x101_ok and roundtrip_ok
+    return _result("block certificates: five established, two refused with witnesses, stable reloads", passed, {
+        "valid": valid_names,
+        "invalid": invalid_names,
+        "X101_n_star": x101.n_star,
+        "roundtrip": roundtrip_ok,
+    })
 
 
 def _criterion_numeric_values() -> dict:
@@ -532,17 +505,13 @@ def _criterion_numeric_values() -> dict:
         abs(x101_value - closed) / closed < mp.mpf("1e-15")
         and x101_value > 1 / (120 * mp.pi)
     )
-    return {
-        "id": "C7",
-        "title": "128-bit special values: inversion residuals, zeros, closed forms",
-        "passed": bool(inversion_ok and e6_ok and critical_ok and x101_ok),
-        "detail": {
-            "e2_inversion": inversion_ok,
-            "e6_zero": e6_ok,
-            "weight8_critical_point": critical_ok,
-            "weight10_closed_form": x101_ok,
-        },
+    detail = {
+        "e2_inversion": inversion_ok,
+        "e6_zero": e6_ok,
+        "weight8_critical_point": critical_ok,
+        "weight10_closed_form": x101_ok,
     }
+    return _result("128-bit special values: inversion residuals, zeros, closed forms", all(detail.values()), detail)
 
 
 def _criterion_limits() -> dict:
@@ -557,12 +526,7 @@ def _criterion_limits() -> dict:
         ok = ok and result["rel_error"] < 1e-6
         if w == 12:
             ok = ok and abs(result["predicted"] - ref) / ref < mp.mpf("1e-30")
-    return {
-        "id": "C8",
-        "title": "small-t limits match companion constant-term predictions",
-        "passed": bool(ok),
-        "detail": detail,
-    }
+    return _result("small-t limits match companion constant-term predictions", ok, detail)
 
 
 def _criterion_scans() -> dict:
@@ -581,30 +545,23 @@ def _criterion_scans() -> dict:
     r101 = scans["X10_1", 9]
     r101_ok = r101.verdict == "sign_change_found" and len(r101.sign_changes) >= 1
     elapsed = time.perf_counter() - start
-    return {
-        "id": "C9",
-        "title": "grid scans: nine decreasing pairs, two crossings, slow-exponent family",
-        "passed": bool(nine_ok and r81_ok and r101_ok and family_ok and elapsed < 60),
-        "detail": {
-            "nine_pairs": nine_ok,
-            "weight8_bracket_holds_one": r81_ok,
-            "weight10_crossings": len(r101.sign_changes),
-            "family": family_ok,
-            "runtime_s": round(elapsed, 3),
-        },
-    }
+    passed = nine_ok and r81_ok and r101_ok and family_ok and elapsed < 60
+    return _result("grid scans: nine decreasing pairs, two crossings, slow-exponent family", passed, {
+        "nine_pairs": nine_ok,
+        "weight8_bracket_holds_one": r81_ok,
+        "weight10_crossings": len(r101.sign_changes),
+        "family": family_ok,
+        "runtime_s": round(elapsed, 3),
+    })
 
 
 def _criterion_reduction_chain() -> dict:
     idents_ok = all(identities.verify(i).passed for i in ("E1-A", "E1-B", "X121-DERIV"))
-    scan = (_RUN_SCANS.get() or {}).get(("X12_1", 11)) or numeric.monotonicity_scan("X12_1", 11)
+    pair = ("X12_1", 11)
+    scan = (_RUN_SCANS.get() or {}).get(pair) or numeric.monotonicity_scan(*pair)
     scan_ok = scan.verdict == "monotone_decreasing_on_grid"
-    return {
-        "id": "C10",
-        "title": "derivative-combination chain verified exactly and its scan decreases",
-        "passed": bool(idents_ok and scan_ok),
-        "detail": {"identities": idents_ok, "scan": scan_ok},
-    }
+    detail = {"identities": idents_ok, "scan": scan_ok}
+    return _result("derivative-combination chain verified exactly and its scan decreases", all(detail.values()), detail)
 
 
 ACCEPTANCE_CRITERIA: tuple[Callable[[], dict], ...] = (
@@ -619,15 +576,16 @@ ACCEPTANCE_CRITERIA: tuple[Callable[[], dict], ...] = (
     _criterion_scans,
     _criterion_reduction_chain,
 )
-# acceptance_checks' queue of criteria, by position (a tracer may rebind ACCEPTANCE_CRITERIA to wrappers): C1; C9,
+# acceptance_checks' queue of criteria, by place (a tracer may rebind ACCEPTANCE_CRITERIA to wrappers): C1; C9,
 # then C10, which reads its scans; C5, then C4, which reads its builds; the rest singly, heaviest first
 _QUEUE = ((0,), (8, 9), (4, 3), (6,), (1,), (7,), (5,), (2,))
 
 
-def _timed(criterion: Callable[[], dict]) -> dict:
+def _timed(k: int) -> dict:
+    """The result of the criterion at place k (from 0), with its id, C<k + 1>, and its runtime."""
     start = time.perf_counter()
-    check = criterion()
-    check["runtime_s"] = round(time.perf_counter() - start, 3)
+    check = ACCEPTANCE_CRITERIA[k]()
+    check.update(id=f"C{k + 1}", runtime_s=round(time.perf_counter() - start, 3))
     return check
 
 
@@ -681,14 +639,14 @@ def _two_lanes(tasks: Sequence[Callable[[], object]]) -> list:
 
 
 def acceptance_checks() -> list[dict]:
-    """Run every acceptance criterion; each entry reports pass/fail and its runtime_s, in criterion order.  The
-    groups of ``_QUEUE`` are the tasks of ``_two_lanes``: C1 runs in the worker where it forks, C9 and C10 here, and
-    each lane then takes the next group.  A group runs in one lane, in order, so C10 reads C9's scans and C4 what C5
-    built (x_w2 and E2-E10 at orders 4096-8192) by truncation."""
+    """Run every acceptance criterion; each entry reports its id (C<k> for place k), pass/fail and its runtime_s, in
+    criterion order.  The groups of ``_QUEUE`` are the tasks of ``_two_lanes``: C1 runs in the worker where it forks,
+    C9 and C10 here, and each lane then takes the next group.  A group runs in one lane, in order, so C10 reads C9's
+    scans and C4 what C5 built (x_w2 and E2-E10 at orders 4096-8192) by truncation."""
     import mpmath  # noqa: F401  loaded before the fork, so neither lane imports it again
     token = _RUN_SCANS.set({})
     try:
-        groups = _two_lanes([lambda group=group: [(k, _timed(ACCEPTANCE_CRITERIA[k])) for k in group]
+        groups = _two_lanes([lambda group=group: [(k, _timed(k)) for k in group]
                              for group in _QUEUE])
     finally:
         _RUN_SCANS.reset(token)
@@ -725,6 +683,7 @@ def _height(raw: str) -> Fraction:
 # if it takes any number of words) and options, each with a type (a tuple of choices, or bool for a flag) and a
 # default (... if the option must be given).
 _OUTPUT = {"--format": (("text", "json"), "text"), "--output": (str, None)}
+_GRID_MIN, _GRID_MAX, _GRID_POINTS = numeric.DEFAULT_GRID_SPEC  # scan's default grid, the one C9 scans on
 COMMANDS: dict[str, tuple[Callable, str, str, dict[str, tuple]]] = {
     "expand": (_cmd_expand, "print a form's q-expansion", "label", {"--order": (int, None), **_OUTPUT}),
     "identity": (_cmd_identity, "verify registry identities exactly", "idents*",
@@ -736,8 +695,8 @@ COMMANDS: dict[str, tuple[Callable, str, str, dict[str, tuple]]] = {
     "ratio-inf": (_cmd_ratio_inf, "minimum dilation coefficient ratio", "label",
                   {"--dilate": (int, 2), "--bound": (int, 4096), **_OUTPUT}),
     "scan": (_cmd_scan, "sign scan of m*F(it) - 2*pi*t*F'(it)", "label",
-             {"--m": (int, ...), "--tmin": (_height, Fraction(1, 20)), "--tmax": (_height, Fraction(20)),
-              "--points": (int, 60), "--bits": (int, None), **_OUTPUT}),
+             {"--m": (int, ...), "--tmin": (_height, _GRID_MIN), "--tmax": (_height, _GRID_MAX),
+              "--points": (int, _GRID_POINTS), "--bits": (int, None), **_OUTPUT}),
     "lambert-certify": (_cmd_lambert, "build or re-verify a block certificate", "name?",
                         {"--method": (("auto", "r-shift", "taylor"), "auto"), "--emit": (str, None),
                          "--recheck": (str, None), **_OUTPUT}),

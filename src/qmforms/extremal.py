@@ -415,13 +415,13 @@ _FIXED_BUILDERS: dict[str, FormDescriptor] = {
         _modular("E10", 10, "weight-10 Eisenstein series", lambda order: eisenstein(10, order)),
         _modular("Delta", 12, "the discriminant cusp form", lambda order: delta_series(order)),
         FormDescriptor("H2", 2, 0, "Gamma0(4)", "odd-index four-squares theta block",
-                       lambda order: forms.theta_forms(order)["H2"]),
+                       lambda order: forms._theta_block("H2", order)),
         FormDescriptor("H4", 2, 0, "Gamma0(4)", "sign-alternating four-squares theta block",
-                       lambda order: forms.theta_forms(order)["H4"]),
+                       lambda order: forms._theta_block("H4", order)),
         FormDescriptor("A", 4, 0, "Gamma0(4)", "square of the odd theta block",
-                       lambda order: forms.theta_forms(order)["A"]),
+                       lambda order: forms._theta_block("A", order)),
         FormDescriptor("B", 2, 0, "Gamma0(4)", "even-index four-squares combination",
-                       lambda order: forms.theta_forms(order)["B"]),
+                       lambda order: forms._theta_block("B", order)),
         FormDescriptor("F", 16, 2, "SL(2,Z)", "weight-16 depth-2 combination vanishing to order 3",
                        lambda order: forms.form_f(order), lambda order: forms.form_f_x_parts(order)),
         FormDescriptor("G", 14, 0, "Gamma0(4)", "theta-side weight-14 product",

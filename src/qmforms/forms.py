@@ -298,22 +298,17 @@ def martin_royer_bracket(
 # ---------------------------------------------------------------------------
 
 
-def theta_forms(order: int = DEFAULT_ORDER) -> dict[str, FourierSeries]:
-    """The four building blocks on the theta side, of weights 2, 2, 4 and 2.
+@grow_only
+def _theta_block(name: str, order: int) -> FourierSeries:
+    """One of the four building blocks on the theta side (``name``), of weights 2, 2, 4 and 2:
 
     H2 = 2 * sum over odd n of r4(n) q^(n/2)
     H4 = sum over n >= 0 of (-1)^n r4(n) q^(n/2)        (constant term 1)
     A  = H2^2
     B  = H2 + 2 H4 = 2 (1 + sum r4(2n) q^n)
 
-    All are grain-2 series truncated at absolute order ``order``.
+    A grain-2 series truncated at absolute order ``order``; each block builds only the blocks it is made of.
     """
-    return {name: _theta_block(name, order) for name in ("H2", "H4", "A", "B")}
-
-
-@grow_only
-def _theta_block(name: str, order: int) -> FourierSeries:
-    """H2 or H4 from r4, A = H2·H2 or B = H2 + 2·H4 (``name``), at grain 2."""
     if name == "A":
         h2 = _theta_block("H2", order)
         return h2 * h2

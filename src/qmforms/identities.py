@@ -20,13 +20,13 @@ from typing import Callable, Sequence
 from .extremal import form_by_label, x_w1, x_w1_components, x_w2, xtilde_form, y_form
 from .forms import (
     DEFAULT_ORDER,
+    _theta_block,
     delta_series,
     e2_half_arguments,
     eisenstein,
     martin_royer_bracket,
     serre_derivative,
     sigma_table,
-    theta_forms,
 )
 from .lambert import eulerian_numerator
 from .qseries import FourierSeries, lambert_block
@@ -131,8 +131,7 @@ def lcomb_combination(
     a = tuple(coeffs) if coeffs is not None else _LCOMB_COEFFS[variant]
     if len(a) != 6:
         raise ValueError("exactly six coefficients required")
-    th = theta_forms(order)
-    ab, bb = th["A"], th["B"]
+    ab, bb = _theta_block("A", order), _theta_block("B", order)
     companion = xtilde_form if variant == "A" else y_form
     # each weight's pair shares its theta factor, so four products, not eight
     g8, g10, g12 = (a[k] * x_w2(w, order).dilate(2) + a[k + 1] * companion(w, order)
@@ -303,8 +302,7 @@ def _e1_b(order: int) -> list[Pair]:
 
 
 def _lfact(order: int) -> list[Pair]:
-    th = theta_forms(order)
-    h2, a, b = th["H2"], th["A"], th["B"]
+    h2, a, b = _theta_block("H2", order), _theta_block("A", order), _theta_block("B", order)
     square = a - b * b  # −4·H4·(H2 + H4), so H2^5 H4^2 (H2+H4)^2 = H2·A²·(A − B²)²/16
     factor = h2 * ((a * a) * (square * square)).scale(Fraction(1, 16))
     l10, l = form_by_label("L10", order), form_by_label("L", order)

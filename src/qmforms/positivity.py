@@ -8,7 +8,7 @@ explicit rational upper bounds replacing the irrational constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .extremal import form_by_label, x_w2
@@ -40,8 +40,21 @@ PREDICTED_DENSITY: dict[str, Fraction] = {
 }
 
 
+def _json(value):
+    """A report field as JSON: a Fraction as its string, a tuple as a list (its members likewise), else as is."""
+    if isinstance(value, Fraction):
+        return str(value)
+    return [_json(item) for item in value] if isinstance(value, tuple) else value
+
+
+class _Report:
+    def to_json_dict(self) -> dict:
+        """Every field by name, by the one rule of ``_json``."""
+        return {field.name: _json(getattr(self, field.name)) for field in fields(self)}
+
+
 @dataclass(frozen=True)
-class PositivityReport:
+class PositivityReport(_Report):
     """Result of an exact sign scan of one series up to a cutoff."""
 
     label: str
@@ -49,18 +62,9 @@ class PositivityReport:
     first_negative: tuple[Fraction, Fraction] | None
     completely_positive_up_to_order: bool
 
-    def to_json_dict(self) -> dict:
-        first = self.first_negative
-        return {
-            "label": self.label,
-            "order": str(self.order),
-            "first_negative": None if first is None else [str(first[0]), str(first[1])],
-            "completely_positive_up_to_order": self.completely_positive_up_to_order,
-        }
-
 
 @dataclass(frozen=True)
-class DensityReport:
+class DensityReport(_Report):
     """Exact count of positive coefficients a_n for 1 <= n <= n_limit."""
 
     label: str
@@ -69,18 +73,9 @@ class DensityReport:
     density: Fraction
     predicted: Fraction | None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "n_limit": self.n_limit,
-            "count_positive": self.count_positive,
-            "density": str(self.density),
-            "predicted": None if self.predicted is None else str(self.predicted),
-        }
-
 
 @dataclass(frozen=True)
-class RatioReport:
+class RatioReport(_Report):
     """Minimum of a_{dilate*n}/a_n over n <= bound with a_n > 0.
 
     Positions n <= bound where a_n <= 0 cannot be used as denominators;
@@ -93,16 +88,6 @@ class RatioReport:
     min_ratio: Fraction | None
     argmin: int | None
     violations: tuple[int, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "dilate": self.dilate,
-            "bound": self.bound,
-            "min_ratio": None if self.min_ratio is None else str(self.min_ratio),
-            "argmin": self.argmin,
-            "violations": list(self.violations),
-        }
 
 
 def check_complete_positivity(label: str, order: int = 2000) -> PositivityReport:

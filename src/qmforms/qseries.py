@@ -453,19 +453,14 @@ class FourierSeries:
 CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 
-def _truncate(value, order):
-    """``value.truncate(order)``, or each member's for a tuple of series."""
-    return tuple(part.truncate(order) for part in value) if isinstance(value, tuple) else value.truncate(order)
-
-
 def grow_only(build):
     """Cache ``build(*key, order)`` with one entry per key, at the largest order
     asked so far: a smaller order is served by the entry's ``truncate(order)``
-    (each member's, for a tuple of series), the same series a fresh build
-    gives, and a larger one is built and replaces the entry under a lock, so
-    an entry only grows.  A negative order is built
-    and not kept.  ``cache_info()`` and ``cache_clear()`` read as on the
-    standard library's function caches, with ``maxsize`` None."""
+    (a series, or a value with its own ``truncate``), the same value a fresh
+    build gives, and a larger one is built and replaces the entry under a
+    lock, so an entry only grows.  A negative order is built and not kept.
+    ``cache_info()`` and ``cache_clear()`` read as on the standard library's
+    function caches, with ``maxsize`` None."""
     params = inspect.signature(build).parameters
     arity, default = len(params), params["order"].default
     entries, counts, lock = {}, [0, 0], threading.Lock()
@@ -478,7 +473,7 @@ def grow_only(build):
             hit = 0 <= order <= top
             counts[not hit] += 1
         if hit:
-            return value if order == top else _truncate(value, order)
+            return value if order == top else value.truncate(order)
         value = build(*key, order)
         with lock:
             if order > entries.get(key, (-1,))[0]:

@@ -12,13 +12,13 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from qmforms import cli, numeric
+from qmforms import cli, identities, numeric
 
 
 def run_criterion(criterion) -> dict:
     result = criterion()
     status = "PASS" if result["passed"] else "FAIL"
-    print(f"{status} {result['id']}: {result['title']}")
+    print(f"{status} C{cli.ACCEPTANCE_CRITERIA.index(criterion) + 1}: {result['title']}")  # the id is the place
     assert result["passed"], result
     return result
 
@@ -29,8 +29,31 @@ def test_criterion_01_identity_registry_exact_and_fast():
     assert result["detail"]["perturbation_exponent"] is not None
 
 
+def test_criterion_01_control_raises_lcomb_as_first_coefficient_by_one(monkeypatch):
+    # the control's coefficients are the registry's, so a change there reaches the control
+    given, combination = [], identities.lcomb_combination
+
+    def recorded(order, coeffs=None, variant="A"):
+        if coeffs is not None:
+            given.append(tuple(coeffs))
+        return combination(order, coeffs, variant)
+
+    monkeypatch.setattr(identities, "lcomb_combination", recorded)
+    result = run_criterion(cli._criterion_identity_suite)
+    first, *rest = identities._LCOMB_COEFFS["A"]
+    assert given == [(first + 1, *rest)]
+    assert result["detail"]["perturbation_exponent"] == "5"
+
+
 def test_criterion_02_coefficient_laws_exact():
     run_criterion(cli._criterion_coefficient_laws)
+
+
+def test_criterion_02_details_follow_its_ranges(monkeypatch):
+    monkeypatch.setattr(cli, "_C2_WEIGHTS", {"closed_form_weights": range(6, 19, 6),
+                                             "negation_weights": range(8, 15, 2), "ratio_weights": range(12, 13)})
+    assert run_criterion(cli._criterion_coefficient_laws)["detail"] == {
+        "closed_form_weights": "6..18 step 6", "negation_weights": "8..14 step 2", "ratio_weights": "12..12 step 1"}
 
 
 def test_criterion_03_golden_expansions():

@@ -564,11 +564,11 @@ def test_missing_subcommand_is_usage_error(capsys):
 
 def test_report_times_every_criterion(capsys, monkeypatch):
     def quick():
-        return {"id": "C1", "title": "stand-in", "passed": True, "detail": {"runtime_s": 0.5}}
+        return {"title": "stand-in", "passed": True, "detail": {"runtime_s": 0.5}}
 
     def slow():
         time.sleep(0.05)
-        return {"id": "C2", "title": "stand-in", "passed": True, "detail": {}}
+        return {"title": "stand-in", "passed": True, "detail": {}}
 
     monkeypatch.setattr(cli, "ACCEPTANCE_CRITERIA", _criteria(C1=quick, C2=slow))
     code, out, _ = run_capture(capsys, ["report", "--format", "json"])
@@ -607,19 +607,32 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def _stand_in(cid: str, passed: bool = True):
-    return lambda: {"id": cid, "title": "stand-in", "passed": passed, "detail": {"pid": os.getpid()}}
+def _stand_in(passed: bool = True):
+    """A criterion's stand-in; like every criterion, it carries no id, which is its place."""
+    return lambda: {"title": "stand-in", "passed": passed, "detail": {"pid": os.getpid()}}
 
 
 def _criteria(**replaced):
     """Ten stand-in criteria, C<k> taken from ``replaced`` where it names one."""
-    return tuple(replaced.get(f"C{k}", _stand_in(f"C{k}")) for k in range(1, 11))
+    return tuple(replaced.get(f"C{k}", _stand_in()) for k in range(1, 11))
 
 
 def test_acceptance_checks_match_the_criteria_run_in_process():
     checks = cli.acceptance_checks()
     _no_child_left()
-    assert [_masked(c) for c in checks] == [_masked(criterion()) for criterion in cli.ACCEPTANCE_CRITERIA]
+    assert [_masked(c) for c in checks] == [
+        {**_masked(criterion()), "id": f"C{k}"} for k, criterion in enumerate(cli.ACCEPTANCE_CRITERIA, 1)]
+
+
+def test_a_criterions_id_is_its_place(monkeypatch):
+    # reversed, the table's first place holds C10's check and its last C1's, and each takes the id of its place
+    monkeypatch.setattr(cli, "ACCEPTANCE_CRITERIA", tuple(reversed(cli.ACCEPTANCE_CRITERIA)))
+    checks = cli.acceptance_checks()
+    _no_child_left()
+    assert [c["id"] for c in checks] == [f"C{k}" for k in range(1, 11)]
+    assert all(c["passed"] for c in checks)
+    assert set(checks[0]["detail"]) == {"identities", "scan"}
+    assert set(checks[-1]["detail"]) == {"identities", "failures", "runtime_s", "perturbation_exponent"}
 
 
 def test_grouped_criteria_share_a_lane_when_the_criteria_are_wrapped(monkeypatch, tmp_path):
@@ -673,7 +686,7 @@ def test_a_worker_that_writes_nothing_raises_with_its_wait_status(monkeypatch):
     def vanishing():
         if os.getpid() != parent:
             os._exit(3)
-        return _stand_in("C1")()
+        return _stand_in()()
 
     monkeypatch.setattr(cli, "ACCEPTANCE_CRITERIA", _criteria(C1=vanishing))
     with pytest.raises(RuntimeError, match=f"wait status {3 << 8}"):
@@ -682,7 +695,7 @@ def test_a_worker_that_writes_nothing_raises_with_its_wait_status(monkeypatch):
 
 
 def test_a_failing_worker_check_fails_the_report(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "ACCEPTANCE_CRITERIA", _criteria(C1=_stand_in("C1", passed=False)))
+    monkeypatch.setattr(cli, "ACCEPTANCE_CRITERIA", _criteria(C1=_stand_in(passed=False)))
     code, out, _ = run_capture(capsys, ["report"])
     assert code == 1
     assert out.splitlines() == ["FAIL C1: stand-in", *(f"PASS C{k}: stand-in" for k in range(2, 11)), "FAILURES PRESENT"]
@@ -691,7 +704,7 @@ def test_a_failing_worker_check_fails_the_report(capsys, monkeypatch):
 def test_a_raising_parent_lane_kills_and_reaps_the_worker(monkeypatch):
     def stuck():
         time.sleep(60)
-        return _stand_in("C1")()
+        return _stand_in()()
 
     def broken():
         raise ValueError("broken parent lane")

@@ -12,11 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmforms import extremal, forms
-from qmforms.extremal import Depth1Components, form_by_label
+from qmforms.extremal import form_by_label
 from qmforms.forms import (
     OrderExceeded,
     ParameterRange,
     _tau_ints,
+    _theta_block,
     delta_series,
     e2_half_arguments,
     eisenstein,
@@ -27,7 +28,6 @@ from qmforms.forms import (
     sigma,
     sigma_table,
     tau,
-    theta_forms,
 )
 from qmforms.qseries import FourierSeries
 
@@ -307,7 +307,7 @@ def test_bracket_rejects_bad_parameters():
 
 
 def test_theta_block_basics():
-    th = theta_forms(30)
+    th = {name: _theta_block(name, 30) for name in ("H2", "H4", "A", "B")}
     assert th["H2"].leading() == (F(1, 2), 16)
     assert th["H4"].coefficient(0) == 1
     assert th["A"].leading() == (1, 256)
@@ -321,6 +321,16 @@ def test_theta_block_basics():
     for n in range(1, 31):
         assert th["B"].coefficient(n) == 2 * table[2 * n]
     assert th["B"].reduced().grain == 1  # grain 2 as built, every exponent an integer
+
+
+@pytest.mark.parametrize("label, products", [("H2", 0), ("H4", 0), ("B", 0), ("A", 1)])
+def test_each_theta_block_builds_only_the_blocks_it_is_made_of(monkeypatch, label, products):
+    # expand H2, eval H4 and the B descriptor form no A = H2·H2
+    made, mul = [], FourierSeries.__mul__
+    monkeypatch.setattr(FourierSeries, "__mul__", lambda self, other: made.append(1) or mul(self, other))
+    forms._theta_block.cache_clear()
+    form_by_label(label, 200)
+    assert len(made) == products
 
 
 @pytest.mark.parametrize("order", [2, 30, 120, 275, 2000])
@@ -411,7 +421,6 @@ CACHED_FAMILIES = {
     "x_w2": (lambda w, order: extremal.x_w2(w, order), st.sampled_from((4, 8, 10, 12, 14, 16))),
     "_power": (lambda key, order: extremal._power(*key, order),
                st.tuples(st.sampled_from(("E4", "Delta")), st.integers(1, 6))),
-    "theta_forms": (lambda _, order: forms.theta_forms(order), st.none()),
     "_theta_block": (lambda name, order: forms._theta_block(name, order), st.sampled_from(("H2", "H4", "A", "B"))),
     "form_f": (lambda _, order: forms.form_f(order), st.none()),
     "form_g": (lambda _, order: forms.form_g(order), st.none()),
@@ -433,11 +442,7 @@ def _stored(value):
     """The exact stored form of a result: grain, numerators and denominator of each series."""
     if isinstance(value, FourierSeries):
         return value.grain, value.nums, value.den
-    if isinstance(value, Depth1Components):
-        return value.weight, _stored(value.pure), _stored(value.e2_part)
-    if isinstance(value, tuple):
-        return tuple(map(_stored, value))
-    return {name: _stored(series) for name, series in value.items()}
+    return value.weight, _stored(value.pure), _stored(value.e2_part)
 
 
 _FRESH: dict = {}

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from qmforms import identities
 from qmforms.extremal import form_by_label
-from qmforms.forms import eisenstein, serre_derivative, sigma_table, theta_forms
+from qmforms.forms import _theta_block, eisenstein, serre_derivative, sigma_table
 from qmforms.identities import (
     IdentityCase,
     UnknownIdentity,
@@ -267,8 +267,7 @@ def test_series_divide_basics():
 def test_lfact_division_assertion():
     # the theta-side product divides the cross-derivative combination exactly
     order = 60
-    th = theta_forms(order)
-    h2, h4 = th["H2"], th["H4"]
+    h2, h4 = _theta_block("H2", order), _theta_block("H4", order)
     divisor = (h2**5) * (h4 * h4) * ((h2 + h4) * (h2 + h4))
     lead_exp, _ = divisor.leading()
     assert lead_exp == F(5, 2)
