@@ -698,7 +698,7 @@ COMMANDS: dict[str, tuple[Callable, str, str, dict[str, tuple]]] = {
              {"--m": (int, ...), "--tmin": (_height, _GRID_MIN), "--tmax": (_height, _GRID_MAX),
               "--points": (int, _GRID_POINTS), "--bits": (int, None), **_OUTPUT}),
     "lambert-certify": (_cmd_lambert, "build or re-verify a block certificate", "name?",
-                        {"--method": (("auto", "r-shift", "taylor"), "auto"), "--emit": (str, None),
+                        {"--method": (("auto", *lambert.METHODS), "auto"), "--emit": (str, None),
                          "--recheck": (str, None), **_OUTPUT}),
     "limits": (_cmd_limits, "small-t limit of t^(w-1) F(it) vs prediction", "label",
                {"--bits": (int, None), **_OUTPUT}),

@@ -321,21 +321,11 @@ def _theta_block(name: str, order: int) -> FourierSeries:
 def e2_half_arguments(order: int = DEFAULT_ORDER) -> tuple[FourierSeries, FourierSeries]:
     """E2 at z/2 and at (z+1)/2, as grain-2 expansions.
 
-    E2(z/2) = 1 - 24 sum sigma_1(n) q^(n/2); the shifted variant picks up
-    (-1)^n on the q^(n/2) coefficient.
+    E2(z/2) = 1 - 24 sum sigma_1(n) q^(n/2) holds E2's own numerators at
+    grain 2; the shifted variant picks up (-1)^n on the q^(n/2) coefficient.
     """
-    limit = 2 * order
-    sig = sigma_table(limit, 1)
-    plain = [0] * (limit + 1)
-    shifted = [0] * (limit + 1)
-    plain[0] = shifted[0] = 1
-    for n in range(1, limit + 1):
-        plain[n] = -24 * sig[n]
-        shifted[n] = -24 * sig[n] * (1 if n % 2 == 0 else -1)
-    return (
-        FourierSeries.from_coefficients(plain, grain=2),
-        FourierSeries.from_coefficients(shifted, grain=2),
-    )
+    nums = eisenstein(2, 2 * order).nums
+    return FourierSeries(2, nums), FourierSeries(2, tuple(-c if n % 2 else c for n, c in enumerate(nums)))
 
 
 # ---------------------------------------------------------------------------

@@ -564,29 +564,20 @@ def identity_ids() -> list[str]:
 
 def _check_case(case: IdentityCase, order: int) -> IdentityResult:
     start = time.perf_counter()
-    checked = Fraction(order)
+    checked, diff = Fraction(order), None
     for lhs, rhs in case.build(order):
         through = min(Fraction(order), lhs.order, rhs.order)
         checked = min(checked, through)
-        diff = lhs.first_difference(rhs, through)
-        if diff is not None:
-            exponent, left, right = diff
-            return IdentityResult(
-                ident=case.ident,
-                status="fail",
-                order=order,
-                through=checked,
-                first_bad_exponent=exponent,
-                residual=left - right,
-                elapsed=time.perf_counter() - start,
-            )
+        if (diff := lhs.first_difference(rhs, through)) is not None:
+            break
+    exponent, residual = (None, None) if diff is None else (diff[0], diff[1] - diff[2])
     return IdentityResult(
         ident=case.ident,
-        status="pass",
+        status="pass" if diff is None else "fail",
         order=order,
         through=checked,
-        first_bad_exponent=None,
-        residual=None,
+        first_bad_exponent=exponent,
+        residual=residual,
         elapsed=time.perf_counter() - start,
     )
 

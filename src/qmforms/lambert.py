@@ -15,7 +15,10 @@ into the positivity of
     f(t) = t * P(e^t) - Q(e^t)
 
 for explicit integer polynomials P, Q produced by :func:`derivative_numerator`
-(Q always vanishes at 1, so f(0) = 0).  Two certificate methods:
+(Q always vanishes at 1, so f(0) = 0).  The certificate methods are the
+entries of :data:`METHODS`, in the order ``auto`` tries them; each is one
+function of (P, Q) that returns the certificate fields it proves, or one
+witness of why it does not apply:
 
 * **r-shift**: when P has nonnegative coefficients, f > 0 on t > 0 follows
   if R := P^2 - x (Q'P - QP') is nonnegative on x >= 1, which is certified
@@ -33,8 +36,10 @@ for explicit integer polynomials P, Q produced by :func:`derivative_numerator`
   (c_0 is recorded as -Q(0); the true f(0) is always 0) and validity means
   the prefix is nonnegative, every a_k >= 0, and k b_k >= 0 whenever a_k = 0.
 
-Certificates serialize to JSON-friendly dicts; :func:`recheck_certificate`
-re-derives everything from the serialized P and Q alone.
+A new method joins as one more entry of the table.  Certificates serialize
+to JSON-friendly dicts through one key table; :func:`recheck_certificate`
+re-derives everything from the serialized P and Q, and a certificate named
+after one of the blocks below must carry that block's own m, P and Q.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .qseries import FourierSeries, lambert_block
+from .qseries import FourierSeries, _intconv, lambert_block
 
 
 class UnsupportedShape(ValueError):
@@ -69,13 +74,7 @@ def _trim(p: list[int]) -> list[int]:
 
 
 def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return _trim(out)
+    return _trim(_intconv(a, b, len(a) + len(b) - 2))
 
 
 def _poly_deriv(p: Sequence[int]) -> list[int]:
@@ -91,29 +90,18 @@ def _poly_sub(a: Sequence[int], b: Sequence[int]) -> list[int]:
 
 
 def _poly_shift_one(p: Sequence[int]) -> list[int]:
-    """Coefficients of p(1 + u) as a polynomial in u (Horner in 1+u)."""
-    out = [0]
-    for c in reversed(p):
-        # out = out * (1 + u) + c
-        nxt = [0] * (len(out) + 1)
-        for i, v in enumerate(out):
-            nxt[i] += v
-            nxt[i + 1] += v
-        nxt[0] += c
-        out = _trim(nxt)
-    return out
+    """Coefficients of p(1 + u) as a polynomial in u: the u^j one is sum_k p_k C(k, j)."""
+    return _trim([sum(c * math.comb(k, j) for k, c in enumerate(p)) for j in range(max(len(p), 1))])
 
 
 def _strip_common(p: list[int], q: list[int]) -> tuple[list[int], list[int]]:
     """Remove the joint power of x and the joint positive integer content."""
     val = 0
-    while val < min(len(p), len(q)) - 0 and p[val] == 0 and q[val] == 0:
+    while val < min(len(p), len(q)) and p[val] == 0 and q[val] == 0:
         val += 1
     p = _trim(p[val:] or [0])
     q = _trim(q[val:] or [0])
-    content = 0
-    for c in p + q:
-        content = math.gcd(content, c)
+    content = math.gcd(*p, *q)
     if content > 1:
         p = [c // content for c in p]
         q = [c // content for c in q]
@@ -184,6 +172,32 @@ def derivative_numerator(
 # ---------------------------------------------------------------------------
 
 
+def _ints_from_json(v):
+    if v is not None and not isinstance(v, list):
+        raise TypeError(f"not a JSON list: {v!r}")
+    return None if v is None else tuple(map(_json_int, v))
+
+
+_AS_IS = lambda v: v  # noqa: E731
+_INTS = (lambda seq: None if seq is None else [str(v) for v in seq], _ints_from_json)
+# each certificate field's JSON key, in the order the JSON lists them, and its
+# (to JSON, from JSON) pair; from JSON sees None where an optional key is absent
+_JSON_KEYS = {
+    "name": ("name", _AS_IS, _AS_IS),
+    "m": ("m", _AS_IS, _json_int),
+    "p_coeffs": ("P", *_INTS),
+    "q_coeffs": ("Q", *_INTS),
+    "method": ("method", _AS_IS, _AS_IS),
+    "status": ("status", _AS_IS, _AS_IS),
+    "r_coeffs": ("R", *_INTS),
+    "r_shifted": ("R_shifted", *_INTS),
+    "c_prefix": ("c_prefix", *_INTS),
+    "n_star": ("n_star", _AS_IS, lambda v: None if v is None else _json_int(v)),
+    "witnesses": ("witnesses", list, lambda v: tuple(v or ())),
+}
+_REQUIRED_KEYS = ("m", "method", "status")
+
+
 @dataclass(frozen=True)
 class MonotonicityCertificate:
     """Outcome of a certificate attempt for one block."""
@@ -192,7 +206,7 @@ class MonotonicityCertificate:
     m: int
     p_coeffs: tuple[int, ...]
     q_coeffs: tuple[int, ...]
-    method: str  # "r-shift" or "taylor"
+    method: str  # a key of METHODS
     status: str  # "valid" or "invalid"
     r_coeffs: tuple[int, ...] | None = None
     r_shifted: tuple[int, ...] | None = None
@@ -201,43 +215,22 @@ class MonotonicityCertificate:
     witnesses: tuple[dict, ...] = field(default_factory=tuple)
 
     def to_json_dict(self) -> dict:
-        def ints(seq):
-            return None if seq is None else [str(v) for v in seq]
-
-        return {
-            "name": self.name,
-            "m": self.m,
-            "P": ints(self.p_coeffs),
-            "Q": ints(self.q_coeffs),
-            "method": self.method,
-            "status": self.status,
-            "R": ints(self.r_coeffs),
-            "R_shifted": ints(self.r_shifted),
-            "c_prefix": ints(self.c_prefix),
-            "n_star": self.n_star,
-            "witnesses": list(self.witnesses),
-        }
+        return {key: out(getattr(self, f)) for f, (key, out, _) in _JSON_KEYS.items()}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "MonotonicityCertificate":
-        def seq(key):
-            if (v := data.get(key)) is not None and not isinstance(v, list):
-                raise TypeError(f"{key} must be a list, got {v!r}")
-            return None if v is None else tuple(map(_json_int, v))
+        return cls(**{f: back(data[key] if key in _REQUIRED_KEYS else data.get(key))
+                      for f, (key, _, back) in _JSON_KEYS.items()})
 
-        return cls(
-            name=data.get("name"),
-            m=_json_int(data["m"]),
-            p_coeffs=seq("P"),
-            q_coeffs=seq("Q"),
-            method=data["method"],
-            status=data["status"],
-            r_coeffs=seq("R"),
-            r_shifted=seq("R_shifted"),
-            c_prefix=seq("c_prefix"),
-            n_star=None if data.get("n_star") is None else _json_int(data["n_star"]),
-            witnesses=tuple(data.get("witnesses") or ()),
-        )
+
+def _witness(method: str, kind: str, *, index: int | None = None, value: int | None = None, **extra) -> dict:
+    """Why ``method`` does not apply: its kind, the index and value (as a string) where given, then ``extra``."""
+    found = {"index": index, "value": None if value is None else str(value)}
+    return {"method": method, "kind": kind, **{k: v for k, v in found.items() if v is not None}, **extra}
+
+
+def _first_negative(values: Sequence[int]) -> int | None:
+    return next((i for i, c in enumerate(values) if c < 0), None)
 
 
 def _r_shift_data(p: Sequence[int], q: Sequence[int]):
@@ -247,22 +240,22 @@ def _r_shift_data(p: Sequence[int], q: Sequence[int]):
     return r, _poly_shift_one(r)
 
 
+def _linear_forms(p: Sequence[int], q: Sequence[int]):
+    """(k, a_k, b_k) for k >= 1 with a = P and b = -Q, the shorter padded with zeros."""
+    n = max(len(p), len(q))
+    a, b = list(p) + [0] * (n - len(p)), [-c for c in q] + [0] * (n - len(q))
+    return zip(range(1, n), a[1:], b[1:])
+
+
 def taylor_coefficient(p: Sequence[int], q: Sequence[int], n: int) -> int:
     """Exact n-th Taylor coefficient (times n!) of f(t) = t P(e^t) - Q(e^t).
 
     By convention the stored n = 0 value is -Q(0) (the constant of the
     non-exponential part); the genuine f(0) is always 0 because Q(1) = 0.
     """
-    b = [-c for c in q]
     if n == 0:
-        return b[0]
-    total = p[0] if n == 1 else 0
-    for k in range(1, max(len(p), len(b))):
-        ak = p[k] if k < len(p) else 0
-        bk = b[k] if k < len(b) else 0
-        if ak or bk:
-            total += (n * ak + k * bk) * k ** (n - 1)
-    return total
+        return -q[0]
+    return (p[0] if n == 1 else 0) + sum((n * a + k * b) * k ** (n - 1) for k, a, b in _linear_forms(p, q))
 
 
 def taylor_threshold(p: Sequence[int], q: Sequence[int]) -> tuple[int | None, dict | None]:
@@ -272,72 +265,44 @@ def taylor_threshold(p: Sequence[int], q: Sequence[int]) -> tuple[int | None, di
     (some a_k < 0, or a_k = 0 with k b_k < 0: that form stays negative for
     every n).  n_star is clamped to at least 2.
     """
-    b = [-c for c in q]
     n_star = 2
-    for k in range(1, max(len(p), len(b))):
-        ak = p[k] if k < len(p) else 0
-        bk = b[k] if k < len(b) else 0
-        if ak < 0:
-            return None, {
-                "method": "taylor",
-                "kind": "negative-p-coefficient",
-                "index": k,
-                "value": str(ak),
-            }
-        if ak == 0:
-            if k * bk < 0:
-                return None, {
-                    "method": "taylor",
-                    "kind": "permanently-negative-form",
-                    "index": k,
-                    "value": str(k * bk),
-                }
-            continue
-        if bk < 0:
+    for k, a, b in _linear_forms(p, q):
+        if a < 0:
+            return None, _witness("taylor", "negative-p-coefficient", index=k, value=a)
+        if a == 0 and k * b < 0:
+            return None, _witness("taylor", "permanently-negative-form", index=k, value=k * b)
+        if a and b < 0:
             # n a_k + k b_k > 0 iff n > -k b_k / a_k
-            n_star = max(n_star, (-k * bk) // ak + 1)
+            n_star = max(n_star, (-k * b) // a + 1)
     return n_star, None
 
 
-def _try_r_shift(p, q):
-    for k, c in enumerate(p):
-        if c < 0:
-            return None, {
-                "method": "r-shift",
-                "kind": "negative-p-coefficient",
-                "index": k,
-                "value": str(c),
-            }
+def _r_shift(p: list[int], q: list[int]) -> dict:
+    if (k := _first_negative(p)) is not None:
+        return _witness("r-shift", "negative-p-coefficient", index=k, value=p[k])
     r, shifted = _r_shift_data(p, q)
     if r == [0]:
-        return None, {"method": "r-shift", "kind": "zero-remainder"}
-    for j, c in enumerate(shifted):
-        if c < 0:
-            return None, {
-                "method": "r-shift",
-                "kind": "negative-shifted-coefficient",
-                "index": j,
-                "value": str(c),
-            }
-    return (r, shifted), None
+        return _witness("r-shift", "zero-remainder")
+    if (j := _first_negative(shifted)) is not None:
+        return _witness("r-shift", "negative-shifted-coefficient", index=j, value=shifted[j])
+    return {"r_coeffs": tuple(r), "r_shifted": tuple(shifted)}
 
 
-def _try_taylor(p, q):
+def _taylor(p: list[int], q: list[int]) -> dict:
     n_star, witness = taylor_threshold(p, q)
-    if n_star is None:
-        return None, witness
+    if witness is not None:
+        return witness
     prefix = [taylor_coefficient(p, q, n) for n in range(n_star)]
-    for n, c in enumerate(prefix):
-        if c < 0:
-            return None, {
-                "method": "taylor",
-                "kind": "negative-taylor-coefficient",
-                "index": n,
-                "value": str(c),
-                "n_star": n_star,
-                "c_prefix": [str(v) for v in prefix[: n + 1]],
-            }
-    return (tuple(prefix), n_star), None
+    if (n := _first_negative(prefix)) is not None:
+        return _witness("taylor", "negative-taylor-coefficient", index=n, value=prefix[n], n_star=n_star,
+                        c_prefix=[str(v) for v in prefix[: n + 1]])
+    return {"c_prefix": tuple(prefix), "n_star": n_star}
+
+
+# name -> the method: a function of the trimmed (P, Q), with Q(1) = 0, that
+# returns the certificate fields it proves, or a witness (the only result
+# with a "kind"); ``auto`` tries them in this order
+METHODS = {"r-shift": _r_shift, "taylor": _taylor}
 
 
 def certify(
@@ -350,62 +315,38 @@ def certify(
 ) -> MonotonicityCertificate:
     """Attempt a positivity certificate for f(t) = t P(e^t) - Q(e^t).
 
-    ``method`` is "r-shift", "taylor", or "auto" (r-shift first, then
-    taylor).  The result's ``status`` says whether a certificate was found;
-    failures carry explicit witnesses.
+    ``method`` is a key of :data:`METHODS`, or "auto" (each in the table's
+    order until one succeeds).  The result's ``status`` says whether a
+    certificate was found; a valid one carries no witnesses, and a failure
+    carries one witness per method tried and names the last (the first
+    when Q(1) != 0, which no method is tried on).
     """
-    if method not in ("auto", "r-shift", "taylor"):
+    if method != "auto" and method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    p = _trim(list(p))
-    q = _trim(list(q))
-    witnesses: list[dict] = []
+    tried = list(METHODS) if method == "auto" else [method]
+    p, q = _trim(list(p)), _trim(list(q))
     if sum(q) != 0:
-        return MonotonicityCertificate(
-            name, m, tuple(p), tuple(q), method if method != "auto" else "r-shift",
-            "invalid",
-            witnesses=(
-                {
-                    "method": "precondition",
-                    "kind": "q-at-one-nonzero",
-                    "value": str(sum(q)),
-                },
-            ),
-        )
-    if method in ("auto", "r-shift"):
-        data, witness = _try_r_shift(p, q)
-        if data is not None:
-            r, shifted = data
-            return MonotonicityCertificate(
-                name, m, tuple(p), tuple(q), "r-shift", "valid",
-                r_coeffs=tuple(r), r_shifted=tuple(shifted),
-            )
-        witnesses.append(witness)
-        if method == "r-shift":
-            return MonotonicityCertificate(
-                name, m, tuple(p), tuple(q), "r-shift", "invalid",
-                witnesses=tuple(witnesses),
-            )
-    data, witness = _try_taylor(p, q)
-    if data is not None:
-        prefix, n_star = data
-        return MonotonicityCertificate(
-            name, m, tuple(p), tuple(q), "taylor", "valid",
-            c_prefix=prefix, n_star=n_star,
-        )
-    witnesses.append(witness)
-    return MonotonicityCertificate(
-        name, m, tuple(p), tuple(q), "taylor", "invalid", witnesses=tuple(witnesses)
-    )
+        tried, witnesses = tried[:1], [_witness("precondition", "q-at-one-nonzero", value=sum(q))]
+    else:
+        witnesses = []
+        for method in tried:
+            found = METHODS[method](p, q)
+            if "kind" not in found:
+                return MonotonicityCertificate(name, m, tuple(p), tuple(q), method, "valid", **found)
+            witnesses.append(found)
+    return MonotonicityCertificate(name, m, tuple(p), tuple(q), tried[-1], "invalid", witnesses=tuple(witnesses))
 
 
 def recheck_certificate(data: dict) -> bool:
-    """Re-verify a serialized certificate from its P and Q alone.
+    """Re-verify a serialized certificate from its P and Q.
 
-    Re-runs :func:`certify` with the stored method and compares the stored
-    method data where present (R and R_shifted, or c_prefix, with n_star
-    always compared).  Returns True only for a stored "valid" certificate
-    of a known method and nonnegative P that certifies again; False for
-    anything that is not a certificate's JSON object.
+    Re-runs :func:`certify` with the stored method and compares each field
+    that method proves where it is stored (R and R_shifted, or c_prefix;
+    n_star always).  Returns True only for a stored "valid" certificate of
+    a method in :data:`METHODS` and nonnegative P that certifies again, and
+    whose m, P and Q are its block's own when it is named after one of
+    :func:`lemma_names`; False for anything that is not a certificate's JSON
+    object.
     """
     if not isinstance(data, dict):
         return False
@@ -414,13 +355,14 @@ def recheck_certificate(data: dict) -> bool:
     except (KeyError, ValueError, TypeError):
         return False
     p, q = cert.p_coeffs or (), cert.q_coeffs or ()
-    if cert.status != "valid" or cert.method not in ("r-shift", "taylor") or not p or not q or min(p) < 0:
+    if cert.status != "valid" or cert.method not in METHODS or not p or not q or min(p) < 0:
+        return False
+    if cert.name in lemma_names() and _lemma_block(cert.name) != (cert.m, list(p), list(q)):
         return False
     again = certify(p, q, m=cert.m, method=cert.method)
-    stored = {"r-shift": [(cert.r_coeffs, again.r_coeffs), (cert.r_shifted, again.r_shifted)],
-              "taylor": [(cert.c_prefix, again.c_prefix)]}[cert.method]
-    return (again.status == "valid" and all(mine is None or mine == theirs for mine, theirs in stored)
-            and (cert.method == "r-shift" or cert.n_star == again.n_star))
+    proved = [(getattr(cert, f), getattr(again, f)) for f in ("r_coeffs", "r_shifted", "c_prefix")]
+    return (again.status == "valid" and all(mine in (None, theirs) for mine, theirs in proved if theirs is not None)
+            and again.n_star in (None, cert.n_star))
 
 
 # ---------------------------------------------------------------------------
@@ -466,11 +408,16 @@ def lemma_parameters(name: str) -> dict:
     return {"m": m, "s": s, "b": b, "nu": nu, "series": series, "decreasing": decreasing}
 
 
+def _lemma_block(name: str) -> tuple[int, list[int], list[int]]:
+    """(m, P, Q) of a named block."""
+    entry = lemma_parameters(name)
+    return entry["m"], *derivative_numerator(entry["m"], entry["s"], entry["b"], entry["nu"])
+
+
 def certify_lemma(name: str, method: str = "auto") -> MonotonicityCertificate:
     """Derive (P, Q) for a named block and run the certificate machinery."""
-    entry = lemma_parameters(name)
-    p, q = derivative_numerator(entry["m"], entry["s"], entry["b"], entry["nu"])
-    return certify(p, q, m=entry["m"], method=method, name=name)
+    m, p, q = _lemma_block(name)
+    return certify(p, q, m=m, method=method, name=name)
 
 
 def series_for(name: str, order: int) -> FourierSeries:

@@ -11,10 +11,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import lambert_reference as reference
 from qmforms.lambert import (
     MonotonicityCertificate,
     UnsupportedShape,
     _poly_mul,
+    _poly_shift_one,
     _r_shift_data,
     certify,
     certify_lemma,
@@ -472,7 +474,8 @@ def test_recheck_refuses_padded_list_entries():
 
 def reference_recheck(data) -> bool:
     """Each method's checks written out on their own: the reference that
-    ``recheck_certificate``, which re-runs ``certify``, must agree with."""
+    ``recheck_certificate``, which re-runs ``certify``, must agree with.  A
+    certificate named after a block must hold that block's own m, P and Q."""
     if not isinstance(data, dict):
         return False
     try:
@@ -487,6 +490,10 @@ def reference_recheck(data) -> bool:
         return False
     if any(c < 0 for c in p):
         return False
+    if cert.name in lemma_names():
+        e = lemma_parameters(cert.name)
+        if (cert.m, p, q) != (e["m"], *derivative_numerator(e["m"], e["s"], e["b"], e["nu"])):
+            return False
     if cert.method == "r-shift":
         r, shifted = _r_shift_data(p, q)
         if cert.r_coeffs is not None and list(cert.r_coeffs) != r:
@@ -548,3 +555,66 @@ def tampered_certificates(draw):
 @example(data={"m": 2, "P": ["1", "1"], "Q": ["-2", "2"], "method": "taylor", "status": "valid", "n_star": 3})
 def test_recheck_agrees_with_each_methods_checks_on_tampered_certificates(data):
     assert recheck_certificate(data) == reference_recheck(data)
+
+
+def test_a_named_certificate_rechecks_only_as_its_own_block():
+    # each of these passes on P and Q alone; the name ties m, P and Q to one block
+    x81, e2 = (certify_lemma(name).to_json_dict() for name in ("X81", "E2"))
+    assert recheck_certificate(x81) and recheck_certificate(e2)
+    assert not recheck_certificate({**x81, "name": "X101"})
+    assert not recheck_certificate({**e2, "m": 7})
+    doubled = {**e2, "P": ["2", "2"], "R": None, "R_shifted": None}
+    assert not recheck_certificate(doubled)
+    # without a block's name, P and Q alone decide, as before
+    assert recheck_certificate({**doubled, "name": None})
+    assert recheck_certificate({**doubled, "name": "mine"})
+    assert recheck_certificate({**x81, "name": "x81"})
+
+
+@st.composite
+def certificate_arguments(draw):
+    """(P, Q, m, method, name): a block's own (P, Q), or small random
+    polynomials with negative entries allowed and Q(1) = 0 most of the time."""
+    if draw(st.booleans()):
+        s = draw(st.lists(st.integers(0, 5), min_size=1, max_size=5))
+        b, nu = draw(st.integers(1, 2)), draw(st.integers(1, 5))
+        try:
+            p, q = derivative_numerator(draw(st.integers(1, 9)), [0] + s, b, nu)
+        except UnsupportedShape:
+            p, q = [1], [0]
+    else:
+        p = draw(st.lists(st.integers(-3, 30), min_size=1, max_size=7))
+        q = draw(st.lists(st.integers(-40, 40), min_size=1, max_size=7))
+        if draw(st.integers(0, 3)):
+            q = q + [-sum(q)]
+    m = draw(st.integers(0, 9))
+    method = draw(st.sampled_from(("auto", "r-shift", "taylor", "bogus")))
+    return p, q, m, method, draw(st.sampled_from((None, "E2", "mine")))
+
+
+@settings(max_examples=400, deadline=None)
+@given(args=certificate_arguments())
+@example(args=([1, 1], [1, 2], 1, "auto", None))  # Q(1) != 0
+@example(args=([1, -2, 5], [-2, 2], 2, "auto", None))  # a negative P entry
+@example(args=([1, 1], [1, 1], 0, "bogus", None))  # an unknown method raises before Q(1) is read
+@example(args=([0], [0], 1, "r-shift", None))  # R = 0
+@example(args=([1, 120, 1191, 2416, 1191, 120, 1], [-6, -336, -1470, 0, 1470, 336, 6], 6, "auto", "X81"))
+def test_certificates_match_the_reference_byte_for_byte(args):
+    p, q, m, method, name = args
+    try:
+        want = reference.certify_json(p, q, m=m, method=method, name=name)
+    except ValueError:
+        with pytest.raises(ValueError, match="unknown method"):
+            certify(p, q, m=m, method=method, name=name)
+        return
+    assert json.dumps(certify(p, q, m=m, method=method, name=name).to_json_dict()) == json.dumps(want)
+    assert taylor_threshold(p, q) == reference.taylor_threshold(p, q)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.lists(st.integers(-50, 50), max_size=9), b=st.lists(st.integers(-50, 50), max_size=9))
+def test_polynomial_helpers_match_the_reference(a, b):
+    assert _poly_mul(a, b) == reference.poly_mul(a, b)
+    assert _poly_mul(a, a) == reference.poly_mul(a, a)
+    if a:
+        assert _poly_shift_one(a) == reference.poly_shift_one(a)

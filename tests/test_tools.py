@@ -4,6 +4,7 @@ tools/traffic.py: the lines of src that those ops never run."""
 from __future__ import annotations
 
 import inspect
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -32,6 +33,22 @@ def test_outputs_prints_one_stable_line_per_op():
     assert [op for _, _, op in lines] == [" ".join(op) for op in ops]
     assert all(code in ("0", "1") and len(digest) == 64 for code, digest, _ in lines)
     assert not (ROOT / WORK_DIR).exists()
+
+
+def test_outputs_leaves_the_checkouts_bench_work_alone():
+    # the certificate ops write into a private directory, so a benchmark
+    # writing into the checkout's .bench_work/ at the same time is not disturbed
+    work = ROOT / WORK_DIR
+    work.mkdir()
+    try:
+        sentinel = work / "sentinel.txt"
+        sentinel.write_text("kept\n")
+        argv = [sys.executable, str(ROOT / "tools" / "outputs.py"), "--seed", "1", "--scale", "0.1"]
+        done = subprocess.run(argv, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert sorted(work.iterdir()) == [sentinel] and sentinel.read_text() == "kept\n"
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
 
 
 def test_traffic_lists_the_lines_no_op_runs():

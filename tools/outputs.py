@@ -12,8 +12,8 @@ at both precisions.  Each line
 holds the exit code, the sha256 of the op's stdout with its timing fields
 (``elapsed``, ``runtime_s``) masked, and the argv.  So ``diff`` of the lines
 of two checkouts at one seed lists every op whose output changed.  The
-certificate ops write into ``.bench_work/``, which is created before the
-first op and removed after the last.
+certificate ops write into the ``.bench_work/`` of a private temporary
+directory, so the checkout's own ``.bench_work/`` is left as it was.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ import hashlib
 import io
 import os
 import re
-import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -56,22 +56,26 @@ def line(argv: list[str]) -> str:
     return f"{code} {digest} {' '.join(argv)}"
 
 
+def lines(seed: int, scale: float):
+    """``line(op)`` for each op of ``ops(seed, scale)``, run with the working directory set to a private
+    temporary directory that holds its own ``.bench_work/``; the directory is removed after the last op."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory(prefix="qmf-outputs-") as tmp:
+        os.mkdir(os.path.join(tmp, WORK_DIR))
+        os.chdir(tmp)  # the certificate ops name their files relative to the working directory
+        try:
+            yield from map(line, ops(seed, scale))
+        finally:
+            os.chdir(cwd)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--scale", type=float, default=1.0)
     args = parser.parse_args(argv)
-    work = ROOT / WORK_DIR
-    shutil.rmtree(work, ignore_errors=True)
-    work.mkdir(parents=True)
-    cwd = os.getcwd()
-    try:
-        os.chdir(ROOT)  # the certificate ops name their files relative to the checkout
-        for op in ops(args.seed, args.scale):
-            print(line(op), flush=True)
-    finally:
-        os.chdir(cwd)
-        shutil.rmtree(work, ignore_errors=True)
+    for text in lines(args.seed, args.scale):
+        print(text, flush=True)
     return 0
 
 

@@ -2,9 +2,10 @@
 
     python3 tools/traffic.py --seed N [--scale S] > unreached.txt
 
-Runs the ops of ``tools/outputs.py`` for the seed (its ``ops(seed, scale)``:
-the ``tables`` and ``axis`` ops, ``qmf report`` and its scans) in this
-process under a line tracer limited to ``src/qmforms``.  The tracer is on
+Runs the ops of ``tools/outputs.py`` for the seed (its ``lines(seed, scale)``:
+the ``tables`` and ``axis`` ops, ``qmf report`` and its scans, in a private
+temporary directory) in this process under a line tracer limited to
+``src/qmforms``.  The tracer is on
 before ``qmforms`` is imported, so module-level lines count as run.  A
 second thread stays alive while the ops run, so ``cli._two_lanes`` takes its
 one-process path and runs every task here, the forked worker's included,
@@ -17,10 +18,7 @@ count per file and the total.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import io
 import os
-import shutil
 import sys
 import threading
 from collections import defaultdict
@@ -63,19 +61,8 @@ def trace(seed: int, scale: float) -> dict[str, set[int]]:
         sys.path[:0] = [str(ROOT / "tools")]
         import outputs  # imports qmforms.cli of this checkout, traced
 
-        work = ROOT / outputs.WORK_DIR
-        shutil.rmtree(work, ignore_errors=True)
-        work.mkdir(parents=True)
-        cwd = os.getcwd()
-        try:
-            os.chdir(ROOT)  # the certificate ops name their files relative to the checkout
-            for op in outputs.ops(seed, scale):
-                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-                    with contextlib.suppress(Exception):  # an op that raises has still run its lines
-                        outputs.cli.run(op)
-        finally:
-            os.chdir(cwd)
-            shutil.rmtree(work, ignore_errors=True)
+        for _ in outputs.lines(seed, scale):  # an op that raises has still run its lines
+            pass
     finally:
         sys.settrace(None)
         idle.set()
