@@ -29,13 +29,12 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import forms
 from .forms import DEFAULT_ORDER, delta_series, eisenstein, recompose_parts, serre_derivative
-from .qseries import FourierSeries, _intconv, grow_only
+from .qseries import FourierSeries, Record, _intconv, grow_only
 
 F = Fraction
 
@@ -108,8 +107,7 @@ def x_w1(w: int, order: int = DEFAULT_ORDER) -> FourierSeries:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Depth1Components:
+class Depth1Components(NamedTuple):
     """X = pure + E2 * e2_part, both components free of E2.
 
     ``pure`` has the weight of X, ``e2_part`` has weight - 2.
@@ -377,19 +375,23 @@ def weak_family(w: int, n: int, order: int = DEFAULT_ORDER) -> FourierSeries:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FormDescriptor:
+class FormDescriptor(Record):
     """A label's metadata, ``build(order)`` for its expansion and, for every SL(2,Z)
     label but E2, ``parts(order)``: its x-parts Φ_0..Φ_d, the coefficients of x^p
-    when E2 becomes E2 + x, so Φ_0 is the form; the axis routes read them."""
+    when E2 becomes E2 + x, so Φ_0 is the form; the axis routes read them.
+    Equality, hash and repr read the metadata alone."""
 
-    label: str
-    weight: int
-    depth: int
-    group: str
-    summary: str
-    build: Callable[[int], FourierSeries] = field(compare=False, repr=False)
-    parts: Callable[[int], tuple[FourierSeries, ...]] | None = field(default=None, compare=False, repr=False)
+    _compared = ("label", "weight", "depth", "group", "summary")
+    __slots__ = _compared + ("build", "parts")
+
+    def __init__(self, label: str, weight: int, depth: int, group: str, summary: str,
+                 build: Callable[[int], FourierSeries], parts: Callable[[int], tuple] | None = None):
+        for name, value in zip(self.__slots__, (label, weight, depth, group, summary, build, parts)):
+            object.__setattr__(self, name, value)
+
+    def relabel(self, label: str) -> "FormDescriptor":
+        """This descriptor under another label, with the same builders."""
+        return FormDescriptor(label, self.weight, self.depth, self.group, self.summary, self.build, self.parts)
 
 
 def _modular(label: str, weight: int, summary: str, build: Callable[[int], FourierSeries]) -> FormDescriptor:
@@ -449,7 +451,7 @@ _FIXED_BUILDERS: dict[str, FormDescriptor] = {
                        lambda order: [part * delta_series(order) for part in x_w2_parts(4, order)]),
     )
 }
-_FIXED_BUILDERS["script_L10"] = replace(_FIXED_BUILDERS["L10"], label="script_L10")
+_FIXED_BUILDERS["script_L10"] = _FIXED_BUILDERS["L10"].relabel("script_L10")
 
 # The families X{w}_1, X{w}_2, Y{w}_2 and Xtilde{w}_2, matched whole.
 _FAMILY_LABEL = re.compile(r"(Xtilde|X|Y)([1-9][0-9]*)_([12])")

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .extremal import form_by_label, x_w1, x_w1_components, x_w2, xtilde_form, y_form
 from .forms import (
@@ -38,8 +37,7 @@ class UnknownIdentity(KeyError):
     """Raised when an identity id is not in the registry."""
 
 
-@dataclass(frozen=True)
-class IdentityCase:
+class IdentityCase(NamedTuple):
     """One registry entry: an id, a human-readable statement, and a builder.
 
     ``build(order)`` returns one or more (lhs, rhs) series pairs; the case
@@ -52,8 +50,7 @@ class IdentityCase:
     build: Callable[[int], Sequence[Pair]]
 
 
-@dataclass(frozen=True)
-class IdentityResult:
+class IdentityResult(NamedTuple):
     ident: str
     status: str  # "pass" or "fail"
     order: int

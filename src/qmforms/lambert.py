@@ -45,8 +45,7 @@ after one of the blocks below must carry that block's own m, P and Q.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .qseries import FourierSeries, _intconv, lambert_block
 
@@ -198,8 +197,7 @@ _JSON_KEYS = {
 _REQUIRED_KEYS = ("m", "method", "status")
 
 
-@dataclass(frozen=True)
-class MonotonicityCertificate:
+class MonotonicityCertificate(NamedTuple):
     """Outcome of a certificate attempt for one block."""
 
     name: str | None
@@ -212,7 +210,7 @@ class MonotonicityCertificate:
     r_shifted: tuple[int, ...] | None = None
     c_prefix: tuple[int, ...] | None = None
     n_star: int | None = None
-    witnesses: tuple[dict, ...] = field(default_factory=tuple)
+    witnesses: tuple[dict, ...] = ()
 
     def to_json_dict(self) -> dict:
         return {key: out(getattr(self, f)) for f, (key, out, _) in _JSON_KEYS.items()}

@@ -40,7 +40,6 @@ stated tolerances, never a proof in between.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
@@ -49,7 +48,7 @@ from typing import NamedTuple, Sequence
 
 from .extremal import describe_label, form_by_label
 from .forms import TAU_DEFAULT_CAP, OrderExceeded, derivative_x_parts
-from .qseries import FourierSeries
+from .qseries import FourierSeries, Record
 
 
 # Requests past these caps exit 2 before any build: cold, `qmf eval X12_1 --t 0.5` takes 2.9 s at 28000 bits
@@ -57,8 +56,7 @@ from .qseries import FourierSeries
 MAX_PRECISION_BITS, MAX_POINTS = 28_000, 20_000
 
 
-@dataclass(frozen=True)
-class EvalConfig:
+class EvalConfig(Record):
     """Working precision for axis evaluation.
 
     ``precision_bits``, the working binary precision, runs from 64 to MAX_PRECISION_BITS.
@@ -69,13 +67,14 @@ class EvalConfig:
     ``int``, a ``bool`` included, raises ``TypeError``.
     """
 
-    precision_bits: int = 128
+    __slots__ = _compared = ("precision_bits",)
 
-    def __post_init__(self) -> None:
-        if type(self.precision_bits) is not int:
-            raise TypeError(f"precision_bits must be an int, got {self.precision_bits!r}")
-        if not 64 <= self.precision_bits <= MAX_PRECISION_BITS:
-            raise ValueError(f"precision_bits must be >= 64 and <= {MAX_PRECISION_BITS}, got {self.precision_bits}")
+    def __init__(self, precision_bits: int = 128) -> None:
+        if type(precision_bits) is not int:
+            raise TypeError(f"precision_bits must be an int, got {precision_bits!r}")
+        if not 64 <= precision_bits <= MAX_PRECISION_BITS:
+            raise ValueError(f"precision_bits must be >= 64 and <= {MAX_PRECISION_BITS}, got {precision_bits}")
+        object.__setattr__(self, "precision_bits", precision_bits)
 
     def order_for(self, t) -> int:
         """Truncation order for an evaluation at z = it: q^N = e^(-80*pi),
@@ -527,8 +526,7 @@ def geometric_grid(t_min, t_max, points: int, cfg: EvalConfig | None = None) -> 
     return tuple(Fraction(man << max(exp, 0), 1 << max(-exp, 0)) for _, man, exp, _ in grid)
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(Record):
     """Signs of s(t) = m·F(it) − 2πt·F'(it) on a grid.
 
     s(t) carries the sign of d/dt [t^m F(it)] (they differ by the positive
@@ -539,17 +537,18 @@ class ScanReport:
     their midpoints as mpf values at ``prec`` bits, are converted on first read.
     """
 
-    label: str
-    m: int
-    grid: tuple
-    s_balls: tuple
-    sign_changes: tuple
-    verdict: str
-    prec: int
+    _compared = ("label", "m", "grid", "s_balls", "sign_changes", "verdict", "prec")
+    __slots__ = _compared + ("_s_values",)
 
-    @cached_property
+    def __init__(self, label: str, m: int, grid: tuple, s_balls: tuple, sign_changes: tuple, verdict: str, prec: int):
+        for name, value in zip(self.__slots__, (label, m, grid, s_balls, sign_changes, verdict, prec, None)):
+            object.__setattr__(self, name, value)
+
+    @property
     def s_values(self) -> tuple:
-        return tuple(_to_mpf(b, self.prec) for b in self.s_balls)
+        if self._s_values is None:
+            object.__setattr__(self, "_s_values", tuple(_to_mpf(b, self.prec) for b in self.s_balls))
+        return self._s_values
 
     def to_json_dict(self) -> dict:
         from mpmath import nstr

@@ -8,8 +8,8 @@ explicit rational upper bounds replacing the irrational constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from fractions import Fraction
+from typing import NamedTuple
 
 from .extremal import form_by_label, x_w2
 from .forms import sigma_table
@@ -47,24 +47,22 @@ def _json(value):
     return [_json(item) for item in value] if isinstance(value, tuple) else value
 
 
-class _Report:
-    def to_json_dict(self) -> dict:
-        """Every field by name, by the one rule of ``_json``."""
-        return {field.name: _json(getattr(self, field.name)) for field in fields(self)}
+def _to_json_dict(report) -> dict:
+    """Every field of a report by name, by the one rule of ``_json``."""
+    return {name: _json(value) for name, value in zip(report._fields, report)}
 
 
-@dataclass(frozen=True)
-class PositivityReport(_Report):
+class PositivityReport(NamedTuple):
     """Result of an exact sign scan of one series up to a cutoff."""
 
     label: str
     order: Fraction
     first_negative: tuple[Fraction, Fraction] | None
     completely_positive_up_to_order: bool
+    to_json_dict = _to_json_dict
 
 
-@dataclass(frozen=True)
-class DensityReport(_Report):
+class DensityReport(NamedTuple):
     """Exact count of positive coefficients a_n for 1 <= n <= n_limit."""
 
     label: str
@@ -72,10 +70,10 @@ class DensityReport(_Report):
     count_positive: int
     density: Fraction
     predicted: Fraction | None
+    to_json_dict = _to_json_dict
 
 
-@dataclass(frozen=True)
-class RatioReport(_Report):
+class RatioReport(NamedTuple):
     """Minimum of a_{dilate*n}/a_n over n <= bound with a_n > 0.
 
     Positions n <= bound where a_n <= 0 cannot be used as denominators;
@@ -88,6 +86,7 @@ class RatioReport(_Report):
     min_ratio: Fraction | None
     argmin: int | None
     violations: tuple[int, ...]
+    to_json_dict = _to_json_dict
 
 
 def check_complete_positivity(label: str, order: int = 2000) -> PositivityReport:

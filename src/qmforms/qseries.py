@@ -26,11 +26,9 @@ the pairs.
 from __future__ import annotations
 
 import functools
-import inspect
 import math
 import threading
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -129,8 +127,31 @@ def _sparse_conv(a: Sequence[int], b: Sequence[int], n_out: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FourierSeries:
+class Record:
+    """A slotted record whose fields its ``__init__`` sets once: assigning or deleting one raises
+    ``AttributeError``.  Equality, hash and repr read the fields a subclass names in ``_compared``."""
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._compared)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(f'{name}={getattr(self, name)!r}' for name in self._compared)})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"a {type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class FourierSeries(Record):
     """Immutable truncated expansion sum c_k q^(k/grain), exact coefficients.
 
     ``c_k = nums[k] / den``: integer numerators over one positive common
@@ -140,22 +161,20 @@ class FourierSeries:
     including that bound are stored (zeros included).
     """
 
-    grain: int
-    nums: tuple[int, ...]
-    den: int = 1
+    __slots__ = ("grain", "nums", "den")
 
-    def __post_init__(self):
-        if not isinstance(self.grain, int) or self.grain < 1:
+    def __init__(self, grain: int, nums: tuple[int, ...], den: int = 1):
+        if not isinstance(grain, int) or grain < 1:
             raise ValueError("grain must be a positive integer")
-        if not self.nums:
+        if not nums:
             raise ValueError("a series must store at least the constant term")
-        if not isinstance(self.den, int) or self.den < 1:
+        if not isinstance(den, int) or den < 1:
             raise ValueError("the common denominator must be a positive integer")
-        if self.den != 1:
-            g = math.gcd(self.den, *self.nums)
-            if g != 1:
-                object.__setattr__(self, "nums", tuple(n // g for n in self.nums))
-                object.__setattr__(self, "den", self.den // g)
+        if den != 1 and (g := math.gcd(den, *nums)) != 1:
+            nums, den = tuple(n // g for n in nums), den // g
+        object.__setattr__(self, "grain", grain)
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -460,14 +479,19 @@ def grow_only(build):
     build gives, and a larger one is built and replaces the entry under a
     lock, so an entry only grows.  A negative order is built and not kept.
     ``cache_info()`` and ``cache_clear()`` read as on the standard library's
-    function caches, with ``maxsize`` None."""
-    params = inspect.signature(build).parameters
-    arity, default = len(params), params["order"].default
+    function caches, with ``maxsize`` None.  The builder's last positional
+    parameter must be ``order``; its code object gives the arity."""
+    arity, default = build.__code__.co_argcount, (build.__defaults__ or ())[-1:]  # order's default, if it has one
+    if build.__code__.co_varnames[arity - 1 : arity] != ("order",):
+        raise TypeError(f"grow_only needs a builder whose last positional parameter is order, not {build.__qualname__}")
     entries, counts, lock = {}, [0, 0], threading.Lock()
 
     @functools.wraps(build)
     def cached(*args):
-        key, order = (args[:-1], args[-1]) if len(args) == arity else (args, default)
+        args += default if len(args) == arity - 1 else ()
+        if len(args) != arity:
+            return build(*args)  # raises the ordinary TypeError that names the builder
+        key, order = args[:-1], args[-1]
         with lock:
             top, value = entries.get(key, (-1, None))
             hit = 0 <= order <= top

@@ -23,8 +23,10 @@ from functools import cache, reduce
 from math import comb
 
 from qmforms.extremal import _solve_exact, describe_label
-from qmforms.forms import delta_series, eisenstein, form_f, r4, recompose_parts, serre_derivative
+from qmforms.forms import delta_series, eisenstein, form_f, recompose_parts, serre_derivative
 from qmforms.qseries import FourierSeries
+
+from divisor_reference import r4
 
 
 def derivative_parts(parts, w: int) -> list:

@@ -852,7 +852,8 @@ def test_recheck_with_a_block_name_emit_or_method_exits_two(tmp_path, extra, nam
 
 
 # ---------------------------------------------------------------------------
-# mpmath loads on the first floating read, never for an exact command
+# mpmath loads on the first floating read, never for an exact command, and
+# neither dataclasses nor inspect loads at all
 # ---------------------------------------------------------------------------
 
 
@@ -871,12 +872,13 @@ def test_exact_commands_never_load_mpmath(tmp_path):
         "import json, sys\n"
         "sys.path.insert(0, sys.argv[1])\n"
         "import qmforms.cli as cli\n"
-        "assert 'mpmath' not in sys.modules, 'import qmforms.cli'\n"
+        "unused = {'dataclasses', 'inspect'}\n"  # records and caches generate no code at start-up
+        "assert not {'mpmath', *unused} & set(sys.modules), 'import qmforms.cli'\n"
         "for argv in json.loads(sys.argv[2]):\n"
         "    assert cli.run(argv) == 0, argv\n"
-        "    assert 'mpmath' not in sys.modules, argv\n"
+        "    assert not {'mpmath', *unused} & set(sys.modules), argv\n"
         "assert cli.run(['eval', 'X12_1', '--t', '1/2']) == 0\n"
-        "assert 'mpmath' in sys.modules, 'eval'\n"
+        "assert 'mpmath' in sys.modules and not unused & set(sys.modules), 'eval'\n"
         "assert 'argparse' not in sys.modules, 'argparse'\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])

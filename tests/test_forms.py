@@ -22,17 +22,16 @@ from qmforms.forms import (
     e2_half_arguments,
     eisenstein,
     martin_royer_bracket,
-    r4,
     r4_table,
     serre_derivative,
-    sigma,
     sigma_table,
     tau,
 )
-from qmforms.qseries import FourierSeries
+from qmforms.qseries import FourierSeries, grow_only
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 import e2_reference  # noqa: E402
+from divisor_reference import r4, sigma  # noqa: E402
 
 F = Fraction
 
@@ -467,6 +466,22 @@ def test_a_negative_order_is_built_and_not_kept():
     forms.eisenstein(4, 50)
     assert forms.eisenstein(4, -3) == FourierSeries.one(0)  # as a fresh build gives
     assert forms.eisenstein(4, 50).order == 50 and forms.eisenstein.cache_info()[1:] == (2, None, 1)
+
+
+def test_grow_only_fills_in_a_default_order_and_refuses_a_missing_one():
+    assert forms.eisenstein(4) == forms.eisenstein(4, forms.DEFAULT_ORDER)
+    assert forms.form_f().order == forms.DEFAULT_ORDER
+    # delta_series' order has no default: the ordinary TypeError, naming the builder
+    with pytest.raises(TypeError, match=r"^delta_series\(\) missing 1 required positional argument: 'order'$"):
+        forms.delta_series()
+    with pytest.raises(TypeError, match=r"^eisenstein\(\) takes from 1 to 2 positional arguments but 3 were given$"):
+        forms.eisenstein(4, 10, 20)
+
+
+@pytest.mark.parametrize("build", [lambda order, k: order, lambda: 0, lambda *order: 0, lambda k, *, order: k])
+def test_grow_only_refuses_a_builder_whose_last_positional_parameter_is_not_order(build):
+    with pytest.raises(TypeError, match="last positional parameter is order"):
+        grow_only(build)
 
 
 @given(_CACHE_REQUESTS)

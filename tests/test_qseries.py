@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmforms import extremal, identities, lambert, numeric, positivity
 from qmforms.positivity import ratio_infimum, sign_pattern
 from qmforms.qseries import (
     FourierSeries,
@@ -442,6 +443,71 @@ def test_cross_grain_equality():
     longer = FourierSeries.from_coefficients([1, 0, 2, 0], grain=2)
     assert longer != short
     assert len({short, half, longer}) == 2
+
+
+# ---------------------------------------------------------------------------
+# the records of every layer: immutable, equal ones hash equal
+# ---------------------------------------------------------------------------
+
+
+def _pair_case(order):
+    return [(FourierSeries.one(order), FourierSeries.one(order))]
+
+
+_SERIES = FourierSeries(2, (2, 0, 6), 4)
+RECORDS = {
+    "FourierSeries": lambda: FourierSeries(2, (2, 0, 6), 4),
+    "EvalConfig": lambda: numeric.EvalConfig(256),
+    "ScanReport": lambda: numeric.ScanReport("X8_2", 7, (F(1, 2), F(2)), (), (), "no_sign_change", 128),
+    "FormDescriptor": lambda: extremal.FormDescriptor("L", 14, 2, "Gamma0(4)", "summary", lambda order: None),
+    "Depth1Components": lambda: extremal.Depth1Components(12, _SERIES, _SERIES),
+    "IdentityCase": lambda: identities.IdentityCase("ONE", "1 = 1", 10, _pair_case),
+    "IdentityResult": lambda: identities.IdentityResult("ONE", "pass", 10, F(10), None, None, 0.5),
+    "MonotonicityCertificate": lambda: lambert.certify([1, 1], [1, -1], m=2, name="block"),
+    "PositivityReport": lambda: positivity.check_complete_positivity("Y8_2", 20),
+    "DensityReport": lambda: positivity.sign_pattern("P3", 20),
+    "RatioReport": lambda: positivity.ratio_infimum("X4_2", 2, 16),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_are_immutable_and_equal_ones_hash_equal(name):
+    record, again = RECORDS[name](), RECORDS[name]()
+    assert type(record).__name__ == name and record is not again
+    assert record == again and hash(record) == hash(again)
+    fields = getattr(record, "_fields", None) or type(record).__slots__
+    for field in (*fields, "unknown"):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+    assert record == again
+
+
+def test_a_descriptor_compares_hashes_and_prints_its_metadata_alone():
+    def build(order):
+        return FourierSeries.one(order)
+
+    def parts(order):
+        return (build(order),)
+
+    plain, with_parts = RECORDS["FormDescriptor"](), extremal.FormDescriptor("L", 14, 2, "Gamma0(4)", "summary", build, parts)
+    assert plain == with_parts and hash(plain) == hash(with_parts) and repr(plain) == repr(with_parts)
+    assert repr(plain) == "FormDescriptor(label='L', weight=14, depth=2, group='Gamma0(4)', summary='summary')"
+    assert plain.parts is None and with_parts.parts is parts and with_parts.relabel("M").build is build
+    assert plain.relabel("M") != plain and plain.relabel("M").relabel("L") == plain
+
+
+def test_eval_config_validates_its_bits_and_keys_the_grid_cache_by_value():
+    # test_numeric checks the lower bound and the type; the cap is checked here in process
+    with pytest.raises(ValueError):
+        numeric.EvalConfig(numeric.MAX_PRECISION_BITS + 1)
+    assert repr(numeric.EvalConfig()) == "EvalConfig(precision_bits=128)"
+    numeric.geometric_grid.cache_clear()
+    first = numeric.geometric_grid(F(1, 20), 20, 5, numeric.EvalConfig(256))
+    assert numeric.geometric_grid(F(1, 20), 20, 5, numeric.EvalConfig(256)) is first
+    assert numeric.geometric_grid(F(1, 20), 20, 5, numeric.EvalConfig(257)) is not first
+    assert numeric.geometric_grid.cache_info().hits == 1
 
 
 # ---------------------------------------------------------------------------

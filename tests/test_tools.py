@@ -52,14 +52,15 @@ def test_outputs_leaves_the_checkouts_bench_work_alone():
 
 
 def test_traffic_lists_the_lines_no_op_runs():
-    # forms.sigma is a reference the tests compare against, so no op runs its
-    # body; cli.run serves every op, so its first body line is never listed
+    # only the tests call forms.tau (to check its cap), so no op runs its last
+    # line, the return; cli.run serves every op, so its first body line is never listed
     argv = [sys.executable, str(ROOT / "tools" / "traffic.py"), "--seed", "1", "--scale", "0.1"]
     done = subprocess.run(argv, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     listed = {line.split(": ", 1)[0] for line in done.stdout.splitlines()}
-    sigma, run = (inspect.getsourcelines(f)[1] for f in (forms.sigma, cli.run))
-    assert f"src/qmforms/forms.py:{sigma + 2}" in listed
+    tau_lines, tau = inspect.getsourcelines(forms.tau)
+    run = inspect.getsourcelines(cli.run)[1]
+    assert f"src/qmforms/forms.py:{tau + len(tau_lines) - 1}" in listed
     assert f"src/qmforms/cli.py:{run + 2}" not in listed
     assert done.stdout.splitlines()[-1].startswith("total: ")
     assert not (ROOT / WORK_DIR).exists()
