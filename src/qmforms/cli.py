@@ -156,7 +156,7 @@ def _cmd_identity(args) -> tuple[int, dict, str]:
     if args.all:
         idents = identities.identity_ids()
     elif args.idents:
-        unknown = sorted(set(args.idents) - set(identities.registry()))
+        unknown = sorted(set(args.idents) - set(identities.identity_ids()))
         if unknown:
             raise UsageError(f"unknown identity ids: {', '.join(unknown)}")
         idents = sorted(set(args.idents))

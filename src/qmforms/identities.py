@@ -7,6 +7,20 @@ and the residual there, which makes normalization mistakes immediately
 visible.  Finite-order agreement is a verification, not a proof; the
 default order (120) is far above the classical coefficient bounds for
 the weights and levels that occur here.
+
+The registry is one table, ``_ROWS``: each row gives an id, its
+statement and the builder of its (lhs, rhs) pairs.  Every identity is
+checked at ``DEFAULT_ORDER`` unless ``_ORDER_EXCEPTIONS`` names it (only
+LFACT).  A single-pair identity states its two sides in its row;
+BR-61, BR-121 and BR-141 share one Bol-bracket rule.  LAMBERT-1 … 5 read
+their divisor sums, and the Eulerian k and weighting, from
+:mod:`~qmforms.lambert`'s block table (``series_for`` and
+``lemma_parameters``), so each checks the very series whose blocks its
+certificate (X81, X101, X61, E4, D2) covers.  GRAB-w compares
+``x_w1``'s series with its own restatement of the steps ``x_w1`` climbs
+by, never with a call into that climb: it is the registry's independent
+copy of the recurrence, so a slip in the climb shows as a failing pair
+instead of agreeing with itself.
 """
 
 from __future__ import annotations
@@ -14,6 +28,7 @@ from __future__ import annotations
 import math
 import time
 from fractions import Fraction
+from functools import partial
 from typing import Callable, NamedTuple, Sequence
 
 from .extremal import form_by_label, x_w1, x_w1_components, x_w2, xtilde_form, y_form
@@ -27,8 +42,8 @@ from .forms import (
     serre_derivative,
     sigma_table,
 )
-from .lambert import eulerian_numerator
-from .qseries import FourierSeries, lambert_block
+from .lambert import eulerian_numerator, lemma_parameters, series_for
+from .qseries import FourierSeries
 
 Pair = tuple[FourierSeries, FourierSeries]
 
@@ -167,121 +182,57 @@ def _e2l2(order: int) -> list[Pair]:
     return [(half + half_shifted, 6 * e2 - 4 * e2.dilate(2))]
 
 
-def _lambert_x(w: int, k: int) -> Callable[[int], list[Pair]]:
-    def build(order: int) -> list[Pair]:
-        x = x_w1(w, order)
-        return [
-            (x, lambert_block(k, order, with_m_factor=True)),
-            (x, eulerian_expansion(k, order, weighted=True)),
-        ]
+def _lambert(name: str, lhs: FourierSeries, order: int, scale: int = 1) -> list[Pair]:
+    """``lhs`` against ``scale`` times the divisor sum whose blocks the named
+    certificate covers, and, where that sum is one Lambert block, against
+    its Eulerian expansion with the block table's k and weighting."""
+    _, k, weighted, _ = lemma_parameters(name)["series"]
+    pairs = [(lhs, scale * series_for(name, order))]
+    if k is not None:
+        pairs.append((lhs, scale * eulerian_expansion(k, order, weighted=weighted)))
+    return pairs
 
-    return build
 
-
-def _lambert_4(order: int) -> list[Pair]:
-    e4 = eisenstein(4, order)
+def _grab(w: int, order: int) -> list[Pair]:
+    # each right side restates one step of x_w1's climb rather than calling it
+    xw = x_w1(w, order)
+    e4, e6 = eisenstein(4, order), eisenstein(6, order)
     return [
-        (e4 - 1, 240 * lambert_block(3, order)),
-        (e4 - 1, 240 * eulerian_expansion(3, order, weighted=False)),
+        (x_w1(w + 2, order), Fraction(12, w + 1) * serre_derivative(xw, w - 1)),
+        (x_w1(w + 4, order), e4 * xw),
+        (
+            x_w1(w + 6, order),
+            Fraction(w + 6, 864 * (w + 5)) * (e4 * x_w1(w + 2, order) - e6 * xw),
+        ),
     ]
 
 
-def _lambert_5(order: int) -> list[Pair]:
-    e2 = eisenstein(2, order)
-    lhs = e2.dilate(2) - e2
-    rhs = 24 * (lambert_block(1, order) - lambert_block(1, order, dilation=2))
-    return [(lhs, rhs)]
-
-
-def _grab(w: int) -> Callable[[int], list[Pair]]:
-    def build(order: int) -> list[Pair]:
-        xw = x_w1(w, order)
-        e4, e6 = eisenstein(4, order), eisenstein(6, order)
-        return [
-            (x_w1(w + 2, order), Fraction(12, w + 1) * serre_derivative(xw, w - 1)),
-            (x_w1(w + 4, order), e4 * xw),
-            (
-                x_w1(w + 6, order),
-                Fraction(w + 6, 864 * (w + 5)) * (e4 * x_w1(w + 2, order) - e6 * xw),
-            ),
-        ]
-
-    return build
-
-
-def _lee(w: int) -> Callable[[int], list[Pair]]:
-    def build(order: int) -> list[Pair]:
-        x6, x8, x10 = x_w1(6, order), x_w1(8, order), x_w1(10, order)
-        c5, c7 = Fraction(5 * w, 72), Fraction(7 * w, 72)
-        return [
-            (
-                x_w1(w, order).derivative(),
-                c5 * (x6 * x_w1(w - 4, order)) + c7 * (x8 * x_w1(w - 6, order)),
-            ),
-            (
-                x_w1(w + 2, order).derivative(),
-                c5 * (x6 * x_w1(w - 2, order)) + c7 * (x8 * x_w1(w - 4, order)),
-            ),
-            (
-                x_w1(w + 4, order).derivative(),
-                240 * (x6 * x_w1(w, order))
-                + c7 * (x8 * x_w1(w - 2, order))
-                + c5 * (x10 * x_w1(w - 4, order)),
-            ),
-        ]
-
-    return build
-
-
-def _ab(w: int) -> Callable[[int], list[Pair]]:
-    def build(order: int) -> list[Pair]:
-        return [(x_w1(w, order), x_w1_components(w, order).recompose())]
-
-    return build
-
-
-def _br_61(order: int) -> list[Pair]:
-    x = x_w1(6, order)
-    d, dd = x.derivative(), x.derivative().derivative()
-    return [(6 * (d * d) - 5 * (dd * x), delta_series(order) * x_w2(4, order))]
-
-
-def _br_121(order: int) -> list[Pair]:
-    x = x_w1(12, order)
-    d, dd = x.derivative(), x.derivative().derivative()
-    f = form_by_label("F", order)
+def _lee(w: int, order: int) -> list[Pair]:
+    x6, x8, x10 = x_w1(6, order), x_w1(8, order), x_w1(10, order)
+    c5, c7 = Fraction(5 * w, 72), Fraction(7 * w, 72)
     return [
-        (12 * (d * d) - 11 * (dd * x), Fraction(1, 914457600) * (delta_series(order) * f))
+        (
+            x_w1(w, order).derivative(),
+            c5 * (x6 * x_w1(w - 4, order)) + c7 * (x8 * x_w1(w - 6, order)),
+        ),
+        (
+            x_w1(w + 2, order).derivative(),
+            c5 * (x6 * x_w1(w - 2, order)) + c7 * (x8 * x_w1(w - 4, order)),
+        ),
+        (
+            x_w1(w + 4, order).derivative(),
+            240 * (x6 * x_w1(w, order))
+            + c7 * (x8 * x_w1(w - 2, order))
+            + c5 * (x10 * x_w1(w - 4, order)),
+        ),
     ]
 
 
-def _br_141(order: int) -> list[Pair]:
-    x = x_w1(14, order)
-    d, dd = x.derivative(), x.derivative().derivative()
-    delta = delta_series(order)
-    return [(14 * (d * d) - 13 * (dd * x), 4 * ((delta * delta) * x_w2(8, order)))]
-
-
-def _d2_deriv_1(order: int) -> list[Pair]:
-    x42, x61, x81 = x_w2(4, order), x_w1(6, order), x_w1(8, order)
-    rhs = Fraction(8, 9) * (x42 * x81) + Fraction(10, 9) * (x61 * x61)
-    return [(x_w2(10, order).derivative(), rhs)]
-
-
-def _d2_deriv_2(order: int) -> list[Pair]:
-    return [(x_w2(12, order).derivative(), 3 * (x_w1(6, order) * x_w2(8, order)))]
-
-
-def _d2_deriv_3(order: int) -> list[Pair]:
-    return [(x_w2(8, order).derivative(), 2 * (x_w2(4, order) * x_w1(6, order)))]
-
-
-def _d2_deriv_4(order: int) -> list[Pair]:
-    return [(x_w2(14, order).derivative(), 3 * (x_w2(4, order) * x_w1(12, order)))]
-
-
-def _x121_deriv(order: int) -> list[Pair]:
-    return [(x_w1(12, order).derivative(), 2 * (x_w1(6, order) * x_w1(8, order)))]
+def _bol(w: int, order: int) -> FourierSeries:
+    """The Bol bracket w (X')^2 - (w-1) X'' X of X = X_{w,1}, the left side of BR-w1."""
+    x = x_w1(w, order)
+    d = x.derivative()
+    return w * (d * d) - (w - 1) * (d.derivative() * x)
 
 
 def _e1_a(order: int) -> list[Pair]:
@@ -304,13 +255,6 @@ def _lfact(order: int) -> list[Pair]:
     factor = h2 * ((a * a) * (square * square)).scale(Fraction(1, 16))
     l10, l = form_by_label("L10", order), form_by_label("L", order)
     return [(l10, Fraction(105, 8) * (factor * l))]
-
-
-def _lcomb(variant: str) -> Callable[[int], list[Pair]]:
-    def build(order: int) -> list[Pair]:
-        return [(form_by_label("L", order), lcomb_combination(order, variant=variant))]
-
-    return build
 
 
 def _serre_cross(order: int) -> list[Pair]:
@@ -337,12 +281,6 @@ def _mrb(order: int) -> list[Pair]:
     ]
 
 
-def _x42d(order: int) -> list[Pair]:
-    delta = delta_series(order)
-    lhs = 312 * (x_w2(4, order) * delta)
-    return [(lhs, eisenstein(4, order) * delta - delta.derivative().derivative())]
-
-
 def _xw2_coeff(order: int) -> list[Pair]:
     s3 = sigma_table(order, 3)
     s5 = sigma_table(order, 5)
@@ -355,199 +293,88 @@ def _xw2_coeff(order: int) -> list[Pair]:
     ]
 
 
-def _registry() -> dict[str, IdentityCase]:
-    cases: list[IdentityCase] = [
-        IdentityCase("RAM-1", "12 E2' = E2^2 - E4", DEFAULT_ORDER, _ram_1),
-        IdentityCase("RAM-2", "3 E4' = E2 E4 - E6", DEFAULT_ORDER, _ram_2),
-        IdentityCase("RAM-3", "2 E6' = E2 E6 - E4^2", DEFAULT_ORDER, _ram_3),
-        IdentityCase(
-            "DELTA",
-            "1728 q prod(1-q^n)^24 = E4^3 - E6^2",
-            DEFAULT_ORDER,
-            _delta,
-        ),
-        IdentityCase(
-            "E2L2",
-            "E2(z/2) + E2((z+1)/2) = 6 E2(z) - 4 E2(2z)",
-            DEFAULT_ORDER,
-            _e2l2,
-        ),
-        IdentityCase(
-            "LAMBERT-1",
-            "X_{8,1} = sum n sigma_5(n) q^n = sum_m m q^m W6(q^m)/(1-q^m)^7",
-            DEFAULT_ORDER,
-            _lambert_x(8, 6),
-        ),
-        IdentityCase(
-            "LAMBERT-2",
-            "X_{10,1} = sum n sigma_7(n) q^n = sum_m m q^m W8(q^m)/(1-q^m)^9",
-            DEFAULT_ORDER,
-            _lambert_x(10, 8),
-        ),
-        IdentityCase(
-            "LAMBERT-3",
-            "X_{6,1} = sum n sigma_3(n) q^n = sum_m m q^m W4(q^m)/(1-q^m)^5",
-            DEFAULT_ORDER,
-            _lambert_x(6, 4),
-        ),
-        IdentityCase(
-            "LAMBERT-4",
-            "E4 - 1 = 240 sum sigma_3(n) q^n = 240 sum_m q^m W3(q^m)/(1-q^m)^4",
-            DEFAULT_ORDER,
-            _lambert_4,
-        ),
-        IdentityCase(
-            "LAMBERT-5",
-            "E2(2z) - E2(z) = 24 sum (sigma_1(n) - sigma_1(n/2)) q^n",
-            DEFAULT_ORDER,
-            _lambert_5,
-        ),
-    ]
-    for w in range(6, 48, 6):
-        cases.append(
-            IdentityCase(
-                f"GRAB-{w}",
-                f"(w+1) X_{{w+2}} = 12(X_w' - ((w-1)/12) E2 X_w); "
-                f"X_{{w+4}} = E4 X_w; "
-                f"864(w+5) X_{{w+6}} = (w+6)(E4 X_{{w+2}} - E6 X_w)  [w = {w}; "
-                + ("X8, X10 and X12 come from Eisenstein derivatives]" if w == 6 else
-                   "each pair compares x_w1 with the recurrence that builds it]"),
-                DEFAULT_ORDER,
-                _grab(w),
-            )
-        )
-    for w in range(12, 54, 6):
-        cases.append(
-            IdentityCase(
-                f"LEE-{w}",
-                f"X_w' = (5w/72) X_{{6,1}} X_{{w-4}} + (7w/72) X_{{8,1}} X_{{w-6}} "
-                f"and the w+2, w+4 variants  [w = {w}]",
-                DEFAULT_ORDER,
-                _lee(w),
-            )
-        )
-    for w in range(12, 54, 6):
-        cases.append(
-            IdentityCase(
-                f"AB-{w}",
-                f"X_{{w,1}} = A_w + E2 B_{{w-2}}  [w = {w}; x_w1's series climb against "
-                f"A and B built from their coordinates in E4, E6 and Delta]",
-                DEFAULT_ORDER,
-                _ab(w),
-            )
-        )
-    cases += [
-        IdentityCase(
-            "BR-61",
-            "6 (X_{6,1}')^2 - 5 X_{6,1}'' X_{6,1} = Delta X_{4,2}",
-            DEFAULT_ORDER,
-            _br_61,
-        ),
-        IdentityCase(
-            "BR-121",
-            "12 (X_{12,1}')^2 - 11 X_{12,1}'' X_{12,1} = Delta F / 914457600",
-            DEFAULT_ORDER,
-            _br_121,
-        ),
-        IdentityCase(
-            "BR-141",
-            "14 (X_{14,1}')^2 - 13 X_{14,1}'' X_{14,1} = 4 Delta^2 X_{8,2}",
-            DEFAULT_ORDER,
-            _br_141,
-        ),
-        IdentityCase(
-            "D2-DERIV-1",
-            "X_{10,2}' = (8/9) X_{4,2} X_{8,1} + (10/9) X_{6,1}^2",
-            DEFAULT_ORDER,
-            _d2_deriv_1,
-        ),
-        IdentityCase(
-            "D2-DERIV-2",
-            "X_{12,2}' = 3 X_{6,1} X_{8,2}",
-            DEFAULT_ORDER,
-            _d2_deriv_2,
-        ),
-        IdentityCase(
-            "D2-DERIV-3",
-            "X_{8,2}' = 2 X_{4,2} X_{6,1}",
-            DEFAULT_ORDER,
-            _d2_deriv_3,
-        ),
-        IdentityCase(
-            "D2-DERIV-4",
-            "X_{14,2}' = 3 X_{4,2} X_{12,1}",
-            DEFAULT_ORDER,
-            _d2_deriv_4,
-        ),
-        IdentityCase(
-            "X121-DERIV",
-            "X_{12,1}' = 2 X_{6,1} X_{8,1}",
-            DEFAULT_ORDER,
-            _x121_deriv,
-        ),
-        IdentityCase(
-            "E1-A",
-            "-12 E2 E4 E6 + 5 E4^3 + 7 E6^2 = 3991680 X_{12,1}",
-            DEFAULT_ORDER,
-            _e1_a,
-        ),
-        IdentityCase(
-            "E1-B",
-            "X_{12,1}' = (11/3991680)(-E2^2 E4 E6 + E2 E4^3 + E2 E6^2 - E4^2 E6)",
-            DEFAULT_ORDER,
-            _e1_b,
-        ),
-        IdentityCase(
-            "LFACT",
-            "F'G - FG' = (105/8) H2^5 H4^2 (H2+H4)^2 L",
-            60,
-            _lfact,
-        ),
-        IdentityCase(
-            "LCOMB-A",
-            "L = a1 X_{8,2}(2z) A B + a2 Xt_{8,2} A B + a3 X_{10,2}(2z) A "
-            "+ a4 Xt_{10,2} A + a5 X_{12,2}(2z) B + a6 Xt_{12,2} B",
-            DEFAULT_ORDER,
-            _lcomb("A"),
-        ),
-        IdentityCase(
-            "LCOMB-APRIME",
-            "L = a1' X_{8,2}(2z) A B + a2' Y_{8,2} A B + a3' X_{10,2}(2z) A "
-            "+ a4' Y_{10,2} A + a5' X_{12,2}(2z) B + a6' Y_{12,2} B",
-            DEFAULT_ORDER,
-            _lcomb("APRIME"),
-        ),
-        IdentityCase(
-            "SERRE-CROSS",
-            "F'G - FG' = (serre_16 F) G - F (serre_14 G) + (1/6) E2 F G",
-            DEFAULT_ORDER,
-            _serre_cross,
-        ),
-        IdentityCase(
-            "MRB",
-            "bracket(X_{6,1}, X_{6,1}) = -6 Delta X_{4,2}; "
-            "bracket(X_{12,1}, X_{12,1}) = -12 Delta F / 914457600",
-            DEFAULT_ORDER,
-            _mrb,
-        ),
-        IdentityCase(
-            "X42D",
-            "312 X_{4,2} Delta = E4 Delta - Delta''",
-            DEFAULT_ORDER,
-            _x42d,
-        ),
-        IdentityCase(
-            "XW2-COEFF",
-            "X_{8,2} = sum (n sigma_5 - n^2 sigma_3)/30 q^n; "
-            "X_{10,2} = sum (n sigma_7 - n^2 sigma_5)/126 q^n",
-            DEFAULT_ORDER,
-            _xw2_coeff,
-        ),
-    ]
-    return {case.ident: case for case in cases}
-
-
-_REGISTRY = _registry()
+# id, statement and the builder of its (lhs, rhs) pairs, one row per identity
+_ROWS: tuple[tuple[str, str, Callable[[int], Sequence[Pair]]], ...] = (
+    ("RAM-1", "12 E2' = E2^2 - E4", _ram_1),
+    ("RAM-2", "3 E4' = E2 E4 - E6", _ram_2),
+    ("RAM-3", "2 E6' = E2 E6 - E4^2", _ram_3),
+    ("DELTA", "1728 q prod(1-q^n)^24 = E4^3 - E6^2", _delta),
+    ("E2L2", "E2(z/2) + E2((z+1)/2) = 6 E2(z) - 4 E2(2z)", _e2l2),
+    ("LAMBERT-1", "X_{8,1} = sum n sigma_5(n) q^n = sum_m m q^m W6(q^m)/(1-q^m)^7",
+     lambda order: _lambert("X81", x_w1(8, order), order)),
+    ("LAMBERT-2", "X_{10,1} = sum n sigma_7(n) q^n = sum_m m q^m W8(q^m)/(1-q^m)^9",
+     lambda order: _lambert("X101", x_w1(10, order), order)),
+    ("LAMBERT-3", "X_{6,1} = sum n sigma_3(n) q^n = sum_m m q^m W4(q^m)/(1-q^m)^5",
+     lambda order: _lambert("X61", x_w1(6, order), order)),
+    ("LAMBERT-4", "E4 - 1 = 240 sum sigma_3(n) q^n = 240 sum_m q^m W3(q^m)/(1-q^m)^4",
+     lambda order: _lambert("E4", eisenstein(4, order) - 1, order, 240)),
+    ("LAMBERT-5", "E2(2z) - E2(z) = 24 sum (sigma_1(n) - sigma_1(n/2)) q^n",
+     lambda order: _lambert("D2", eisenstein(2, order).dilate(2) - eisenstein(2, order), order, 24)),
+    *((f"GRAB-{w}",
+       f"(w+1) X_{{w+2}} = 12(X_w' - ((w-1)/12) E2 X_w); "
+       f"X_{{w+4}} = E4 X_w; "
+       f"864(w+5) X_{{w+6}} = (w+6)(E4 X_{{w+2}} - E6 X_w)  [w = {w}; "
+       + ("X8, X10 and X12 come from Eisenstein derivatives]" if w == 6 else
+          "each pair compares x_w1 with the recurrence that builds it]"),
+       partial(_grab, w))
+      for w in range(6, 48, 6)),
+    *((f"LEE-{w}",
+       f"X_w' = (5w/72) X_{{6,1}} X_{{w-4}} + (7w/72) X_{{8,1}} X_{{w-6}} "
+       f"and the w+2, w+4 variants  [w = {w}]",
+       partial(_lee, w))
+      for w in range(12, 54, 6)),
+    *((f"AB-{w}",
+       f"X_{{w,1}} = A_w + E2 B_{{w-2}}  [w = {w}; x_w1's series climb against "
+       f"A and B built from their coordinates in E4, E6 and Delta]",
+       lambda order, w=w: [(x_w1(w, order), x_w1_components(w, order).recompose())])
+      for w in range(12, 54, 6)),
+    ("BR-61", "6 (X_{6,1}')^2 - 5 X_{6,1}'' X_{6,1} = Delta X_{4,2}",
+     lambda order: [(_bol(6, order), delta_series(order) * x_w2(4, order))]),
+    ("BR-121", "12 (X_{12,1}')^2 - 11 X_{12,1}'' X_{12,1} = Delta F / 914457600",
+     lambda order: [(_bol(12, order), Fraction(1, 914457600) * (delta_series(order) * form_by_label("F", order)))]),
+    ("BR-141", "14 (X_{14,1}')^2 - 13 X_{14,1}'' X_{14,1} = 4 Delta^2 X_{8,2}",
+     lambda order: [(_bol(14, order), 4 * ((delta_series(order) * delta_series(order)) * x_w2(8, order)))]),
+    ("D2-DERIV-1", "X_{10,2}' = (8/9) X_{4,2} X_{8,1} + (10/9) X_{6,1}^2",
+     lambda order: [(x_w2(10, order).derivative(), Fraction(8, 9) * (x_w2(4, order) * x_w1(8, order))
+                     + Fraction(10, 9) * (x_w1(6, order) * x_w1(6, order)))]),
+    ("D2-DERIV-2", "X_{12,2}' = 3 X_{6,1} X_{8,2}",
+     lambda order: [(x_w2(12, order).derivative(), 3 * (x_w1(6, order) * x_w2(8, order)))]),
+    ("D2-DERIV-3", "X_{8,2}' = 2 X_{4,2} X_{6,1}",
+     lambda order: [(x_w2(8, order).derivative(), 2 * (x_w2(4, order) * x_w1(6, order)))]),
+    ("D2-DERIV-4", "X_{14,2}' = 3 X_{4,2} X_{12,1}",
+     lambda order: [(x_w2(14, order).derivative(), 3 * (x_w2(4, order) * x_w1(12, order)))]),
+    ("X121-DERIV", "X_{12,1}' = 2 X_{6,1} X_{8,1}",
+     lambda order: [(x_w1(12, order).derivative(), 2 * (x_w1(6, order) * x_w1(8, order)))]),
+    ("E1-A", "-12 E2 E4 E6 + 5 E4^3 + 7 E6^2 = 3991680 X_{12,1}", _e1_a),
+    ("E1-B", "X_{12,1}' = (11/3991680)(-E2^2 E4 E6 + E2 E4^3 + E2 E6^2 - E4^2 E6)", _e1_b),
+    ("LFACT", "F'G - FG' = (105/8) H2^5 H4^2 (H2+H4)^2 L", _lfact),
+    ("LCOMB-A",
+     "L = a1 X_{8,2}(2z) A B + a2 Xt_{8,2} A B + a3 X_{10,2}(2z) A "
+     "+ a4 Xt_{10,2} A + a5 X_{12,2}(2z) B + a6 Xt_{12,2} B",
+     lambda order: [(form_by_label("L", order), lcomb_combination(order, variant="A"))]),
+    ("LCOMB-APRIME",
+     "L = a1' X_{8,2}(2z) A B + a2' Y_{8,2} A B + a3' X_{10,2}(2z) A "
+     "+ a4' Y_{10,2} A + a5' X_{12,2}(2z) B + a6' Y_{12,2} B",
+     lambda order: [(form_by_label("L", order), lcomb_combination(order, variant="APRIME"))]),
+    ("SERRE-CROSS", "F'G - FG' = (serre_16 F) G - F (serre_14 G) + (1/6) E2 F G", _serre_cross),
+    ("MRB",
+     "bracket(X_{6,1}, X_{6,1}) = -6 Delta X_{4,2}; "
+     "bracket(X_{12,1}, X_{12,1}) = -12 Delta F / 914457600",
+     _mrb),
+    ("X42D", "312 X_{4,2} Delta = E4 Delta - Delta''",
+     lambda order: [(312 * (x_w2(4, order) * delta_series(order)),
+                     eisenstein(4, order) * delta_series(order) - delta_series(order).derivative().derivative())]),
+    ("XW2-COEFF",
+     "X_{8,2} = sum (n sigma_5 - n^2 sigma_3)/30 q^n; "
+     "X_{10,2} = sum (n sigma_7 - n^2 sigma_5)/126 q^n",
+     _xw2_coeff),
+)
+# every identity is checked at DEFAULT_ORDER but these
+_ORDER_EXCEPTIONS = {"LFACT": 60}
+_REGISTRY = {
+    ident: IdentityCase(ident, anchor, _ORDER_EXCEPTIONS.get(ident, DEFAULT_ORDER), build)
+    for ident, anchor, build in _ROWS
+}
 
 
 def registry() -> dict[str, IdentityCase]:
@@ -580,12 +407,18 @@ def _check_case(case: IdentityCase, order: int) -> IdentityResult:
 
 
 def verify(ident: str, order: int | None = None) -> IdentityResult:
-    """Check one registry entry, at its default order unless overridden; a
-    negative order raises ``ValueError`` before any build."""
+    """Check one registry entry, at its default order unless overridden.
+
+    An order that is not an ``int`` (a ``bool`` included) raises
+    ``TypeError`` and a negative one ``ValueError``, both before any build:
+    a float would be checked at a smaller order than the one asked.
+    """
     if ident not in _REGISTRY:
         raise UnknownIdentity(ident)
     case = _REGISTRY[ident]
-    if (order := case.default_order if order is None else int(order)) < 0:
+    if order is not None and type(order) is not int:
+        raise TypeError(f"order must be an int, got {order!r}")
+    if (order := case.default_order if order is None else order) < 0:
         raise ValueError(f"order must be >= 0, got {order}")
     return _check_case(case, order)
 
@@ -594,7 +427,7 @@ def verify_all(order: int | None = None) -> list[IdentityResult]:
     """Check the whole registry, sorted by id.
 
     ``order=None`` uses each entry's default; an explicit order applies to
-    every entry, and a negative one raises ``ValueError`` as :func:`verify`
-    does.  Failures are reported in the results, never raised.
+    every entry, and one that is not an ``int``, or is negative, raises as
+    :func:`verify` does.  Failures are reported in the results, never raised.
     """
     return [verify(ident, order) for ident in identity_ids()]

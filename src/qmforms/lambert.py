@@ -7,7 +7,11 @@ A *block* is a function of the shape
 with S an integer polynomial without constant term.  Summing dilates of a
 block over all scales produces the familiar divisor-sum q-expansions (the
 ``series_for`` helper states which one), so a termwise certificate that a
-block decreases transfers to the whole sum.
+block decreases transfers to the whole sum.  The identity registry's
+LAMBERT-1 … 5 read ``series_for`` and ``lemma_parameters`` too, so each
+checks against its form the very series the X81, X101, X61, E4 or D2
+certificate covers: the block table below is the one place that says
+which divisor sum a named block sums to.
 
 Differentiating and clearing denominators turns "g is decreasing on t > 0"
 into the positivity of

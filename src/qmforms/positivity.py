@@ -89,8 +89,17 @@ class RatioReport(NamedTuple):
     to_json_dict = _to_json_dict
 
 
+def _require_ints(**values) -> None:
+    """Refuse, before any build, a value that is not an ``int`` (a ``bool`` included): a float would be
+    scanned to another extent than the one the report states."""
+    for name, value in values.items():
+        if type(value) is not int:
+            raise TypeError(f"{name} must be an int, got {value!r}")
+
+
 def check_complete_positivity(label: str, order: int = 2000) -> PositivityReport:
-    """Scan the labelled form's coefficients, built to ``order`` (>= 0, checked first), for a negative one."""
+    """Scan the labelled form's coefficients, built to ``order`` (an int >= 0, checked first), for a negative one."""
+    _require_ints(order=order)
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
     series, first = form_by_label(label, order), None
@@ -103,7 +112,8 @@ def check_complete_positivity(label: str, order: int = 2000) -> PositivityReport
 
 
 def sign_pattern(label: str, n_limit: int) -> DensityReport:
-    """Count n in 1..n_limit (>= 1, checked first) with a_n > 0 and attach any recorded density."""
+    """Count n in 1..n_limit (an int >= 1, checked first) with a_n > 0 and attach any recorded density."""
+    _require_ints(n_limit=n_limit)
     if n_limit < 1:
         raise ValueError(f"n_limit must be >= 1, got {n_limit}")
     series = form_by_label(label, n_limit)
@@ -116,7 +126,8 @@ def sign_pattern(label: str, n_limit: int) -> DensityReport:
 
 
 def ratio_infimum(label: str, n_dilate: int, bound: int) -> RatioReport:
-    """Exact minimum of a_{n_dilate * n} / a_n over 1 <= n <= bound."""
+    """Exact minimum of a_{n_dilate * n} / a_n over 1 <= n <= bound (both ints >= 1, checked first)."""
+    _require_ints(n_dilate=n_dilate, bound=bound)
     if n_dilate < 1 or bound < 1:
         raise ValueError("n_dilate and bound must be positive")
     series = form_by_label(label, n_dilate * bound)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import sys
 from fractions import Fraction
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmforms import identities
+from qmforms import identities, lambert
 from qmforms.extremal import form_by_label
 from qmforms.forms import _theta_block, eisenstein, serre_derivative, sigma_table
 from qmforms.identities import (
@@ -118,6 +119,96 @@ def test_a_negative_order_is_refused_before_any_build(monkeypatch):
     assert checked == []
     verify("RAM-1", 0)
     assert checked == [0]
+
+
+@pytest.mark.parametrize("call", [verify_all, lambda order: verify("RAM-1", order)], ids=["verify_all", "verify"])
+@pytest.mark.parametrize("order", [2.9, True, F(7)], ids=["float", "bool", "Fraction"])
+def test_an_order_that_is_not_an_int_is_refused_before_any_build(monkeypatch, call, order):
+    # 2.9 was checked at order 2 and True at order 1, each reported as a pass
+    checked = []
+    monkeypatch.setattr(identities, "_check_case", lambda case, order: checked.append(order))
+    with pytest.raises(TypeError, match="order must be an int"):
+        call(order)
+    assert checked == []
+
+
+# One sha256 per id over its statement, its default order and the stored form
+# (grain, numerators, denominator) of every side it builds at orders 0, 1, 7
+# and 40, as the registry stood before it became one table.
+_SIDE_DIGESTS = {
+    "RAM-1": "e728277d41066741467f7474680719bd9dfa74c9611179b90cb5e3106369bde1",
+    "RAM-2": "79f5cac670c8f4e451e17f6aca26fede92f3fbd934c1c097b3ef0c87c23671c3",
+    "RAM-3": "490ba4dd5b649f243b86fe2036a3b490043b4d6788102eb6165d04564c00ae9b",
+    "DELTA": "d1cceea90520e91d57a0b578c4db253dd1c987f484238ebc4dda95997136265a",
+    "E2L2": "8a4274c2d3641f15b60e3c92cd394ee34d9725d621f051acba5e26418bbbd3ab",
+    "LAMBERT-1": "1081cfc7d3e558087335dbb2aee2cb1484f0d7a473047c578bec6c92ed6b33e0",
+    "LAMBERT-2": "27a36540abd82fe6cebb439fc8a5b527f7c65c5891747b040dee4eb72acd0346",
+    "LAMBERT-3": "75ed2a15c6a513f6048bb6c64ab2ad3be1084a0ff583f46f68a47592dacf536c",
+    "LAMBERT-4": "bf9f17fe6ed0e0167cb2cbe6184c1506ec1cc43954285e8070208c0e38d956a5",
+    "LAMBERT-5": "adbbbbd77450238ce11f49b42404c0cdba2038933d4e4f0874114a9791abb814",
+    "GRAB-6": "8476c5d6b64ccf0c5c78107c2d5f5165ecd57aea0f713d084be48d2a09fac311",
+    "GRAB-12": "6181cff78a51ab24c2e0cf00be72cf51e834b521420da4dc00b45a0c737c0717",
+    "GRAB-18": "3b1b7d2d76ec10acaae3b237bdd0879c820097bcefdd2abcee63308e7f1a215c",
+    "GRAB-24": "72369e134b13c37d5251e69ebc58a6d5b668cd9b15e63995e5bacaf8c760c174",
+    "GRAB-30": "ddfa4def4167ee862ccdc70cafd7d997e6f0192c1b4c81d0aeb987e66c1bde61",
+    "GRAB-36": "161df069eb5cbe358d2904b47386117860d63ebeb0152a5ccfe10f90dd8fc0f4",
+    "GRAB-42": "f094080e1c4a5ea394d799fd35ca035bb888341b57e7da472941baedc9a897d1",
+    "LEE-12": "f6c652cb90d5a6aa08ea6aedcc2205b3da69f05f0233385a0a9ac8d200887793",
+    "LEE-18": "b9691f8f2fffdbce8f430162739320b168c5aa5f57d66f5a49dd381aa1ac0cc0",
+    "LEE-24": "eaf972d4895259301b8871690fd56b0d7f1f0a59eddb82936312c73e75e1bde5",
+    "LEE-30": "27eb735fd778c5cfd9f990130dc01d269f988ed30822aa8a873f90ca8dc78680",
+    "LEE-36": "efe3e4432cd65c736f16f9ecaf81a2ea741c41ece6c65dcb7eec7ce336093ba3",
+    "LEE-42": "830b802a08bced0969fa54ff7d2a49323c7daef04c1f72ce46a59234ffb6a8ad",
+    "LEE-48": "b52927d79bf63b44e67ee7723851b052455bc79f73fbcc8092990ff4b3f0b93e",
+    "AB-12": "6aa6a0238c564bd5b38a938547d67bfe9f24d4f7c371c48537d6fd3e0fdf87f5",
+    "AB-18": "460837504b67a5a35a70421202970b540fed44d2c22438515daf6825369ddf57",
+    "AB-24": "bf3fae97f7b2645c6750a787abc1b9ef4b0b028fb177a8eef4a233d546b44156",
+    "AB-30": "26be131d964ae0d3c1fec454cad706c88fe55e218c8788dfe425855244a7be24",
+    "AB-36": "4322a7f0cae3b996f84451d7565263bed97b6caedbde582b63789901dfcefe78",
+    "AB-42": "a5983b5bb24056089756c873971ea22bf0dd7dbb500f709853ee9d769b49d910",
+    "AB-48": "df3e1011d2934f105f092234985dce316fd3d13c83bb7879507747f453b5ff36",
+    "BR-61": "7e2cda3d37d0b061cdc35849b13a4d713866e7b841f94269b02d4db72c786f06",
+    "BR-121": "01b6312ea45893365a905244b990e0f7449a5ac8681f5e98fffd38e0f77cfac0",
+    "BR-141": "eaa7857433f4a6e7ec4c55595747a19f382d32ac2526ebbdb0b25df099c6bb1a",
+    "D2-DERIV-1": "2f1a8c6cfeb4dfa6dee5bae1c247abeb0e8e33194ce568561ba38bd4c460b559",
+    "D2-DERIV-2": "9a974300edc458b5bda9212bc30ac2f3542c1e91a10d7a75b05c983215286395",
+    "D2-DERIV-3": "a97db28fb353660895dad56bc127b93b47fcdbd3ebbae313ebe7b0fca180c787",
+    "D2-DERIV-4": "687488e0fe2caa434f50b636b91b9a0abb435369cce5b40848f4ae1771e80fc5",
+    "X121-DERIV": "a2f205809916321cfd006dd51c636ce490d943de308b3f7ec6e014ac004e1df6",
+    "E1-A": "f801742938cd8fb1635e6ee02da228f49efe62b3617eb0b164a85462806953fb",
+    "E1-B": "7e17b624ff7dc2194bec6c639b8d2ec139289eb52375b3c37027eb9d2f94a5ef",
+    "LFACT": "b3bdac5a138e1458499e5e212938ae293955291344d26afff1be0732b0a1c4f4",
+    "LCOMB-A": "7ff00a5cd02a716dd2b3d66de5cfe20a4f7bef18468a3b1fedb06ac5faa5fa72",
+    "LCOMB-APRIME": "fd441aef858a41dca3b3bf3f2c43398d2ee426e5a27a6929d95b873c92a57103",
+    "SERRE-CROSS": "53a1bad1d7cfb5b8f893f4f9dacff31a9a5fceefdbae4c23da1a9e9cf8e31051",
+    "MRB": "ad576fd4d356508943288df45af7b4b7a67870d875c27b71d58fc352c8890eca",
+    "X42D": "71f76d27c437a5dfc206ae5e8c298252c762de298fbf9b41195ffb3fd7130024",
+    "XW2-COEFF": "57210c878afb03c3b6e1db7e33786a8675fd660077981ac262fcdd532c3e4066",
+}
+
+
+def _digest(case: IdentityCase) -> str:
+    h = hashlib.sha256(repr((case.anchor, case.default_order)).encode())
+    for order in (0, 1, 7, 40):
+        h.update(repr([(s.grain, s.nums, s.den) for pair in case.build(order) for s in pair]).encode())
+    return h.hexdigest()
+
+
+def test_every_identity_keeps_its_statement_order_and_sides():
+    reg = registry()
+    assert list(reg) == list(_SIDE_DIGESTS)
+    moved = [ident for ident, case in reg.items() if _digest(case) != _SIDE_DIGESTS[ident]]
+    assert not moved, f"statement, default order or sides moved for: {', '.join(moved)}"
+
+
+def test_a_lambert_identity_checks_the_series_its_certificate_covers(monkeypatch):
+    # LAMBERT-1 reads X81's divisor sum from the block table: with k = 5 the
+    # table names n sigma_4(n), and X_{8,1} no longer matches it at q^2
+    assert verify("LAMBERT-1", 20).passed
+    m, (text, _, with_m, dilation), decreasing = lambert._LEMMA_TABLE["X81"]
+    monkeypatch.setitem(lambert._LEMMA_TABLE, "X81", (m, (text, 5, with_m, dilation), decreasing))
+    result = verify("LAMBERT-1", 20)
+    assert not result.passed and result.first_bad_exponent == 2
 
 
 @settings(max_examples=12, deadline=None)

@@ -274,11 +274,11 @@ def test_ratio_infimum_errors():
         ratio_infimum("X4_2", 2, 0)
 
 
-def refused_before_any_build(monkeypatch, read, *args):
-    """``read(*args)`` raises ``ValueError`` without building a form."""
+def refused_before_any_build(monkeypatch, read, *args, error=ValueError, match=None):
+    """``read(*args)`` raises ``error`` (``ValueError`` unless given) without building a form."""
     builds = []
     monkeypatch.setattr(positivity, "form_by_label", lambda *a: builds.append(a) or form_by_label(*a))
-    with pytest.raises(ValueError):
+    with pytest.raises(error, match=match):
         read(*args)
     assert builds == []
 
@@ -291,6 +291,19 @@ def test_a_negative_positivity_order_is_refused_before_any_build(monkeypatch):
 @pytest.mark.parametrize("n_limit", [-3, 0])
 def test_a_sign_pattern_below_one_term_is_refused_before_any_build(monkeypatch, n_limit):
     refused_before_any_build(monkeypatch, sign_pattern, "E4", n_limit)
+
+
+@pytest.mark.parametrize("value", [2.5, True], ids=["float", "bool"])
+@pytest.mark.parametrize("name, read, args", [
+    ("order", check_complete_positivity, lambda v: ("P1", v)),
+    ("n_limit", sign_pattern, lambda v: ("P1", v)),
+    ("n_dilate", ratio_infimum, lambda v: ("P1", v, 5)),
+    ("bound", ratio_infimum, lambda v: ("P1", 2, v)),
+], ids=["order", "n_limit", "n_dilate", "bound"])
+def test_an_extent_that_is_not_an_int_is_refused_before_any_build(monkeypatch, name, read, args, value):
+    # with P1 cached, order 2.5 was served from the cache and reported at order 5/2
+    form_by_label("P1", 40)
+    refused_before_any_build(monkeypatch, read, *args(value), error=TypeError, match=f"{name} must be an int")
 
 
 def reference_ratio_infimum(series: FourierSeries, n_dilate: int, bound: int):
