@@ -8,6 +8,10 @@ Subcommands mirror the library: ``expand`` prints q-expansions,
 ``report`` aggregates every suite into the single pass/fail entry point:
 the table ``ACCEPTANCE_CRITERIA``, where a criterion's id is its place.
 
+``eval``, ``limits``, ``plotdata`` and ``scan`` print floats with ``numeric.decimal`` from their
+reads' balls, so ``eval`` and ``limits`` load no mpmath; ``plotdata`` and ``scan`` load it for
+``numeric.geometric_grid``, and ``report`` for C7's and C8's oracles.
+
 Exit codes: 0 all checks passed, 1 a verification failed, 2 usage or
 configuration error.  Configuration precedence: flags, then QMF_ORDER /
 QMF_BITS environment variables, then defaults.
@@ -227,9 +231,9 @@ def _cmd_scan(args) -> tuple[int, dict, str]:
     label = _checked_grid_args(args)
     report = numeric.monotonicity_scan(label, args.m, (args.tmin, args.tmax, args.points), _eval_config(args.bits))
     payload = report.to_json_dict()
-    from mpmath import nstr  # loaded by the scan above
     lines = [f"{label} m={args.m}: {report.verdict}"]
-    lines += [f"  sign change inside ({nstr(lo, 8)}, {nstr(hi, 8)})" for lo, hi in report.sign_changes]
+    lines += [f"  sign change inside ({', '.join(numeric.decimal(t, report.prec, 8) for t in pair)})"
+              for pair in report.sign_changes]
     return 0, payload, "\n".join(lines) + "\n"
 
 
@@ -273,14 +277,14 @@ def _cmd_limits(args) -> tuple[int, dict, str]:
     if desc.depth != 1 or desc.parts is None:
         raise UsageError(f"limits needs a depth-1 label like X12_1, got {label!r}")
     w = desc.weight
-    result = numeric.limit_t0(w, _eval_config(args.bits))
-    from mpmath import nstr  # loaded by the read above
+    prec = (cfg := _eval_config(args.bits)).precision_bits
+    result = numeric.limit_balls(w, cfg)
     ok = result["rel_error"] < 1e-6
     payload = {
         "label": label,
-        "measured": nstr(result["measured"], 30),
-        "predicted": nstr(result["predicted"], 30),
-        "rel_error": nstr(result["rel_error"], 6),
+        "measured": numeric.decimal(result["measured"], prec, 30),
+        "predicted": numeric.decimal(result["predicted"], prec, 30),
+        "rel_error": numeric.decimal(result["rel_error"], prec, 6),
         "passed": bool(ok),
     }
     text = (
@@ -292,13 +296,13 @@ def _cmd_limits(args) -> tuple[int, dict, str]:
 
 def _cmd_eval(args) -> tuple[int, dict, str]:
     label = _checked_label(args.label)
-    report = numeric.eval_at_it(label, args.t, _eval_config(args.bits))
-    from mpmath import nstr  # loaded by the read above
+    prec = (cfg := _eval_config(args.bits)).precision_bits
+    ball = numeric.eval_ball(label, args.t, cfg)
     payload = {
         "label": label,
         "t": str(args.t),
-        "value": nstr(report["value"], 30),
-        "tail_estimate": nstr(report["tail_estimate"], 10),
+        "value": numeric.decimal(ball, prec, 30),
+        "tail_estimate": numeric.decimal(ball.bound(prec), prec, 10),
     }
     text = f"{label}(it) at t = {args.t}: {payload['value']} (tail {payload['tail_estimate']})\n"
     return 0, payload, text
@@ -308,9 +312,8 @@ def _cmd_plotdata(args) -> tuple[int, dict, str]:
     label = _checked_grid_args(args)
     cfg = _eval_config(args.bits)
     grid = numeric.geometric_grid(args.tmin, args.tmax, args.points, cfg)
-    points = numeric.curve_points(label, args.m, grid, cfg)
-    from mpmath import nstr  # loaded by the grid above
-    rows = [[nstr(t, 17), nstr(v, 17)] for t, v in points]
+    points = numeric.curve_balls(label, args.m, grid, cfg)
+    rows = [[numeric.decimal(x, cfg.precision_bits, 17) for x in point] for point in points]
     lines = [
         f"# dataset: t^{args.m} * {label}(it) on a geometric grid of {args.points} points",
         "# columns: t\tvalue",

@@ -6,10 +6,11 @@ s = m·F(it) − 2πt·F'(it) at configurable binary precision, with an error
 estimate on every value, and builds the three analytic tools of the
 monotonicity study of t ↦ t^m F(it).  Every read names its form by a label,
 never by a series passed by value, and takes ``EvalConfig.precision_bits``
-as an argument; none reads or sets mpmath's global context, which is
-imported on first use, only in :func:`geometric_grid` and :func:`_to_mpf`,
-so exact commands never load it.  Every value is one :class:`_AxisRoute`
-read, ``eval`` included:
+as an argument.  Reads end in balls, which :func:`decimal` prints from integers;
+mpmath, whose global context none reads or sets, is imported on first use only by
+:func:`geometric_grid`, :func:`_to_mpf` (the mpf views C7 and C8 check against
+mpmath) and ``decimal`` past 2^±3500, so ``eval``, ``limits`` and exact commands
+never load it.  Every value is one :class:`_AxisRoute` read, ``eval`` included:
 
 * one inversion route: a label with x-parts (every SL(2,Z) label but E2)
   is summed at i/t below t = 1, so small t costs nothing in convergence,
@@ -136,11 +137,15 @@ class Ball(NamedTuple):
         s = max(abs(self.mid).bit_length(), self.rad.bit_length()) + 1 - prec - 2 * GUARD_BITS
         return self if s <= 0 else Ball(self.mid >> s, -(-self.rad >> s) + 1, self.exp + s)
 
-    def as_mpf(self, prec: int) -> tuple:
-        """(mid at ``prec`` bits, a bound rounded up on its distance from the ball), as mpf values."""
+    def bound(self, prec: int) -> Ball:
+        """An exact ball of ``prec`` bits at most bounding the points' distance from mid at ``prec`` bits."""
         units = self.rad + (abs(self.mid) >> prec)  # with mid's own rounding
         s = max(0, units.bit_length() - prec)
-        return _to_mpf(self, prec), _to_mpf(Ball(-(-units >> s), 0, self.exp + s), prec)
+        return Ball(-(-units >> s), 0, self.exp + s)
+
+    def as_mpf(self, prec: int) -> tuple:
+        """(mid at ``prec`` bits, :meth:`bound`), as mpf values."""
+        return _to_mpf(self, prec), _to_mpf(self.bound(prec), prec)
 
 
 def _to_mpf(x, prec: int):
@@ -152,6 +157,56 @@ def _to_mpf(x, prec: int):
     if isinstance(x, Ball):
         return mpmath.mp.make_mpf(libmp.from_man_exp(x.mid, x.exp, prec, libmp.round_nearest))
     return mpmath.mp.make_mpf(libmp.from_rational(*x.as_integer_ratio(), prec, libmp.round_nearest))
+
+
+def _rounded(x, prec: int) -> tuple:
+    """(man, exp) with man·2^exp the value of x, a Ball's midpoint, a rational, or an mpf or its raw tuple,
+    rounded to nearest at ``prec`` bits, ties to even, as mpmath's ``from_man_exp`` and ``from_rational`` do."""
+    if not isinstance(x, Ball) and isinstance(x := getattr(x, "_mpf_", x), tuple):  # (sign, man, exp, bc)
+        x = Ball(-x[1] if x[0] else x[1], 0, x[2])
+    (num, den), exp = ((x.mid, 1), x.exp) if isinstance(x, Ball) else (x.as_integer_ratio(), 0)
+    if not num:
+        return 0, 0
+    s = prec + 1 + den.bit_length() - abs(num).bit_length()  # 2^prec <= q < 2^(prec+2)
+    q, r = divmod(abs(num) << s, den) if s >= 0 else divmod(abs(num), den << -s)
+    n = q.bit_length() - prec  # bit n − 1 is the half bit; a tie goes to the even neighbour
+    man = (q >> n) + bool(q >> n - 1 & 1 and (q >> n & 1 or r or q & (1 << n - 1) - 1))
+    return (man if num > 0 else -man), exp - s + n
+
+
+def _exact(x, prec: int) -> Fraction:
+    """x rounded by :func:`_rounded`, as an exact rational."""
+    man, exp = _rounded(x, prec)
+    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+
+
+_LOG2_10 = math.log(10, 2)  # mpmath's own float, so the digit counts are its own
+
+
+def decimal(x, prec: int, dps: int) -> str:
+    """``mpmath.nstr(_to_mpf(x, prec), dps)``, dps >= 1, from integers alone: x (see :func:`_rounded`) at
+    ``prec`` bits, truncated to dps + 3 digits as mpmath's ``to_digits_exp`` does, then rounded to dps
+    digits and laid out as its ``to_str`` does, fixed-point for a leading digit at 10^e with
+    min(−(dps // 3), −5) < e < dps, trailing zeros stripped.  Past 2^±3500, where mpmath divides by a
+    power of ten at a precision of its own, the rounded value goes to mpmath's ``to_str``."""
+    man, exp = _rounded(x, prec)
+    if not man:
+        return "0.0"
+    if abs(top := exp + abs(man).bit_length()) > 3500:
+        import mpmath
+        return mpmath.libmp.to_str(mpmath.libmp.from_man_exp(man, exp), dps)
+    fixprec = max(int((dps + 3) * _LOG2_10) + 10 - top, 0)
+    fixdps, shift = int(fixprec / _LOG2_10 + 0.5), exp + fixprec
+    digits = str((abs(man) << shift if shift >= 0 else abs(man) >> -shift) * 10**fixdps >> fixprec)
+    point = len(digits) - fixdps - 1  # the leading digit's power of ten
+    if len(digits) > dps and digits[dps] in "56789":
+        digits = str(int(digits[:dps]) + 1)
+        point += len(digits) > dps  # nines that round up into a new leading digit
+    digits, split = digits[:dps], 1
+    if min(-(dps // 3), -5) < point < dps:
+        digits, split, point = ("0" * -point + digits, 1, 0) if point < 0 else (digits, point + 1, 0)
+    text = (digits[:split] + "." + digits[split:]).rstrip("0")
+    return "-" * (man < 0) + text + "0" * (text[-1] == ".") + (f"e{point:+d}" if point else "")
 
 
 def _ball(num: int, den: int, prec: int) -> Ball:
@@ -471,24 +526,23 @@ def _inverting_route(label: str, bits: int) -> _AxisRoute:
         order *= 2
 
 
-def eval_at_it(label: str, t, cfg: EvalConfig | None = None) -> dict:
-    """Value of the labelled form at z = it, t an int or a Fraction, with an error estimate.
-
-    One read of the route scans and curves use: the label's
-    :func:`_axis_route` for heights >= t (E2 and every label without
-    x-parts built at ``cfg.order_for(t)``, so E2's inversion residual checks
-    the law on its own).  Returns
-    ``{"value", "tail_estimate"}``, the midpoint and radius of the read's
-    :class:`Ball` as mpf values at ``cfg.precision_bits``: the dropped-terms
-    bound, every rounding, and the geometric heuristic for the terms past the
-    stored order.  Only F is summed, so no Ψ_p is built.
-    """
-    prec = (cfg := cfg or EvalConfig()).precision_bits
+def eval_ball(label: str, t, cfg: EvalConfig | None = None) -> Ball:
+    """The labelled form at z = it, t an int or a Fraction, as one read of the route scans and curves use:
+    the label's :func:`_axis_route` for heights >= t (E2 and every label without x-parts built at
+    ``cfg.order_for(t)``, so E2's inversion residual checks the law on its own).  The :class:`Ball`'s
+    radius holds the dropped-terms bound, every rounding, and the geometric heuristic for the terms past
+    the stored order.  Only F is summed, so no Ψ_p is built."""
+    cfg = cfg or EvalConfig()
     route = _axis_route(label, t, cfg)
     if route.w is not None and t >= 1:
         # by label: test_tracer_rebinds_every_import_and_keeps_cache_info counts it (ROADMAP item 6)
-        route = _AxisRoute((form_by_label(label, int(route._phi[0].order)),), None, prec)
-    value, tail = route.value(t).as_mpf(prec)
+        route = _AxisRoute((form_by_label(label, int(route._phi[0].order)),), None, cfg.precision_bits)
+    return route.value(t)
+
+
+def eval_at_it(label: str, t, cfg: EvalConfig | None = None) -> dict:
+    """:func:`eval_ball` as ``{"value", "tail_estimate"}``: its midpoint and :meth:`Ball.bound` as mpf values."""
+    value, tail = eval_ball(label, t, cfg := cfg or EvalConfig()).as_mpf(cfg.precision_bits)
     return {"value": value, "tail_estimate": tail}
 
 
@@ -551,13 +605,12 @@ class ScanReport(Record):
         return self._s_values
 
     def to_json_dict(self) -> dict:
-        from mpmath import nstr
         return {
             "label": self.label,
             "m": self.m,
-            "grid": [nstr(x, 17) for x in self.grid],
-            "s_values": [nstr(x, 17) for x in self.s_values],
-            "sign_changes": [[nstr(a, 17), nstr(b, 17)] for a, b in self.sign_changes],
+            "grid": [decimal(x, self.prec, 17) for x in self.grid],
+            "s_values": [decimal(b, self.prec, 17) for b in self.s_balls],
+            "sign_changes": [[decimal(x, self.prec, 17) for x in pair] for pair in self.sign_changes],
             "verdict": self.verdict,
         }
 
@@ -604,20 +657,19 @@ def monotonicity_scan(form_label: str, m: int, grid_spec: tuple = DEFAULT_GRID_S
     return monotonicity_scans([(form_label, m)], grid_spec, cfg)[form_label, m]
 
 
-def curve_points(form_label: str, m: int, grid: Sequence, cfg: EvalConfig | None = None) -> list:
-    """(t, t^m · F(it)) pairs over ``grid``, heights given as ints or
-    Fractions — the data behind sign scans — as mpf values at
-    ``cfg.precision_bits``, t^m·F(it) one ball product rounded once.
-
-    Labels with x-parts use the inversion route below t = 1, like the scans.
-    """
+def curve_balls(form_label: str, m: int, grid: Sequence, cfg: EvalConfig | None = None) -> list:
+    """(t, t^m · F(it)) pairs over ``grid``, heights given as ints or Fractions — the data behind sign
+    scans — t^m·F(it) one ball product; labels with x-parts use the inversion route below t = 1, like scans."""
     prec = (cfg := cfg or EvalConfig()).precision_bits
     _require_height(max(grid))  # and _axis_route the least, before it builds
-    route, table, points = _axis_route(form_label, min(grid), cfg), {}, []
-    for t in grid:
-        power = _ball(*(x**m for x in t.as_integer_ratio()), prec)
-        points.append((_to_mpf(t, prec), _to_mpf(power * route.value(t, table), prec)))
-    return points
+    route, table = _axis_route(form_label, min(grid), cfg), {}
+    return [(t, _ball(*(x**m for x in t.as_integer_ratio()), prec) * route.value(t, table)) for t in grid]
+
+
+def curve_points(form_label: str, m: int, grid: Sequence, cfg: EvalConfig | None = None) -> list:
+    """:func:`curve_balls` as mpf values at ``cfg.precision_bits``, each rounded once."""
+    prec = (cfg := cfg or EvalConfig()).precision_bits
+    return [(_to_mpf(t, prec), _to_mpf(v, prec)) for t, v in curve_balls(form_label, m, grid, cfg)]
 
 
 # ---------------------------------------------------------------------------
@@ -625,16 +677,12 @@ def curve_points(form_label: str, m: int, grid: Sequence, cfg: EvalConfig | None
 # ---------------------------------------------------------------------------
 
 
-def limit_t0(w: int, cfg: EvalConfig | None = None) -> dict:
-    """Measured vs predicted limit of t^(w-1) · X_(w,1)(it) as t → 0+.
-
-    By :class:`_AxisRoute`'s inversion the limit is −6·sgn·β₀/π, with
-    sgn = (−1)^(w/2) and β₀ the E2-companion's constant term; the measured
-    value is the route's at t = 1/40.  Both are balls, rounded once to the
-    working precision, and ``rel_error``, |measured − predicted|/|predicted|
-    of the rounded values, is exact until rounded once, as in mpf arithmetic,
-    whose difference is exact there (Sterbenz's lemma).
-    """
+def limit_balls(w: int, cfg: EvalConfig | None = None) -> dict:
+    """Measured vs predicted limit of t^(w-1) · X_(w,1)(it) as t → 0+, as balls.  By :class:`_AxisRoute`'s
+    inversion the limit is −6·sgn·β₀/π, sgn = (−1)^(w/2), β₀ the E2-companion's constant term; the measured
+    value is the route's at t = 1/40.  ``rel_error``, |measured − predicted|/|predicted| of the midpoints at
+    the working precision, is exact until rounded once, as in mpf arithmetic, whose difference is exact
+    there (Sterbenz's lemma)."""
     if w < 6 or w % 2:
         raise ValueError(f"the depth-1 family needs even weight >= 6, got {w}")
     prec = (cfg := cfg or EvalConfig()).precision_bits
@@ -642,6 +690,11 @@ def limit_t0(w: int, cfg: EvalConfig | None = None) -> dict:
     beta0 = (-1) ** (w // 2) * Fraction(route._phi[1].coefficient(0))  # Φ_1: the E2-companion at depth 1
     predicted = _ball(beta0.numerator, beta0.denominator, prec) * _x_power(1, prec)
     measured = route.value(Fraction(1, 40)) * _ball(1, 40 ** (w - 1), prec)
-    values = [_to_mpf(b, prec) for b in (measured, predicted)]
-    m, p = (Fraction(x.man if x > 0 else -x.man) * Fraction(2) ** x.exp for x in values)
-    return {"measured": values[0], "predicted": values[1], "rel_error": _to_mpf(abs(m - p) / abs(p), prec)}
+    m, p = (_exact(b, prec) for b in (measured, predicted))
+    return {"measured": measured, "predicted": predicted, "rel_error": _exact(abs(m - p) / abs(p), prec)}
+
+
+def limit_t0(w: int, cfg: EvalConfig | None = None) -> dict:
+    """:func:`limit_balls` as mpf values at the working precision."""
+    prec = (cfg := cfg or EvalConfig()).precision_bits
+    return {key: _to_mpf(value, prec) for key, value in limit_balls(w, cfg).items()}

@@ -477,7 +477,8 @@ def grow_only(build):
     asked so far: a smaller order is served by the entry's ``truncate(order)``
     (a series, or a value with its own ``truncate``), the same value a fresh
     build gives, and a larger one is built and replaces the entry under a
-    lock, so an entry only grows.  A negative order is built and not kept.
+    lock, so an entry only grows.  A negative order is built and not kept;
+    an order that is not an ``int``, a ``bool`` included, raises ``TypeError``.
     ``cache_info()`` and ``cache_clear()`` read as on the standard library's
     function caches, with ``maxsize`` None.  The builder's last positional
     parameter must be ``order``; its code object gives the arity."""
@@ -492,6 +493,8 @@ def grow_only(build):
         if len(args) != arity:
             return build(*args)  # raises the ordinary TypeError that names the builder
         key, order = args[:-1], args[-1]
+        if type(order) is not int:  # a float or a bool would be served by whatever the entry holds
+            raise TypeError(f"{build.__qualname__}: order must be an int, got {order!r}")
         with lock:
             top, value = entries.get(key, (-1, None))
             hit = 0 <= order <= top

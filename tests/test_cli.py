@@ -877,8 +877,11 @@ def test_exact_commands_never_load_mpmath(tmp_path):
         "for argv in json.loads(sys.argv[2]):\n"
         "    assert cli.run(argv) == 0, argv\n"
         "    assert not {'mpmath', *unused} & set(sys.modules), argv\n"
-        "assert cli.run(['eval', 'X12_1', '--t', '1/2']) == 0\n"
-        "assert 'mpmath' in sys.modules and not unused & set(sys.modules), 'eval'\n"
+        "for argv in (['eval', 'X12_1', '--t', '1/2'], ['eval', 'E2', '--t', '3/10'], ['limits', 'X12_1']):\n"
+        "    assert cli.run(argv) == 0, argv\n"  # reads print from their balls
+        "    assert not {'mpmath', *unused} & set(sys.modules), argv\n"
+        "assert cli.run(['plotdata', 'X12_1', '--m', '11', '--points', '5']) == 0\n"
+        "assert 'mpmath' in sys.modules and not unused & set(sys.modules), 'plotdata'\n"  # for the grid
         "assert 'argparse' not in sys.modules, 'argparse'\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])

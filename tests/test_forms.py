@@ -478,6 +478,48 @@ def test_grow_only_fills_in_a_default_order_and_refuses_a_missing_one():
         forms.eisenstein(4, 10, 20)
 
 
+def test_x_w1_refuses_a_float_order_before_any_build():
+    _clear_caches()
+    with pytest.raises(TypeError, match=r"^x_w1: order must be an int, got 7\.5$"):
+        extremal.x_w1(6, 7.5)
+    assert _sizes() == [0] * len(CACHES)
+
+
+def test_x_w1_refuses_a_float_order_its_entry_could_serve():
+    _clear_caches()
+    extremal.x_w1(6, 20)
+    with pytest.raises(TypeError, match=r"^x_w1: order must be an int, got 7\.5$"):
+        extremal.x_w1(6, 7.5)  # not the entry truncated through q^7
+
+
+def test_form_by_label_refuses_a_bool_order_its_entry_could_serve():
+    _clear_caches()
+    form_by_label("E4", 20)
+    with pytest.raises(TypeError, match=r"^eisenstein: order must be an int, got True$"):
+        form_by_label("E4", True)  # not the entry truncated through q^1
+
+
+# one key per cached family
+_KEYS = {"eisenstein": 4, "x_w1": 6, "x_w1_components": 6, "x_w2": 8, "_power": ("E4", 2), "_theta_block": "H2",
+         "form_k": 12}
+
+
+@pytest.mark.parametrize("name", sorted(CACHED_FAMILIES))
+def test_every_cached_builder_refuses_an_order_that_is_not_an_int_cold_and_warm(name):
+    build, key = CACHED_FAMILIES[name][0], _KEYS.get(name)
+
+    def refused():
+        for order in (7.5, True, Fraction(7)):
+            with pytest.raises(TypeError, match=f"^{name}: order must be an int"):
+                build(key, order)
+
+    _clear_caches()
+    refused()
+    assert _sizes() == [0] * len(CACHES)  # before any build
+    build(key, 20)
+    refused()  # not served from the entry
+
+
 @pytest.mark.parametrize("build", [lambda order, k: order, lambda: 0, lambda *order: 0, lambda k, *, order: k])
 def test_grow_only_refuses_a_builder_whose_last_positional_parameter_is_not_order(build):
     with pytest.raises(TypeError, match="last positional parameter is order"):

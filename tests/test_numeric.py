@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
-from mpmath.libmp import to_rational
+from mpmath.libmp import from_man_exp, to_rational
 
 from qmforms import cli, extremal, forms, numeric
 from qmforms.extremal import a_w_exponent, describe_label, form_by_label, x_w1, x_w1_components
@@ -1145,6 +1145,53 @@ def test_mpf_outputs_round_to_nearest_at_the_working_precision(mid, exp, den, pr
     with mp.workprec(prec):
         assert numeric._to_mpf(numeric.Ball(mid, 0, exp), prec)._mpf_ == mp.mpf((mid, exp))._mpf_
         assert numeric._to_mpf(Fraction(num, den), prec)._mpf_ == (mp.mpf(num) / den)._mpf_
+
+
+def _signed_ball(mag: int, negative: bool, top: int) -> numeric.Ball:
+    """A ball whose midpoint, of magnitude ``mag``, lies in [2^(top−1), 2^top)."""
+    return numeric.Ball(-mag if negative else mag, 0, top - mag.bit_length())
+
+
+# midpoints of up to a few thousand bits, the leading bit at 2^top for top across ±3500 and past it
+_WIDE_BALLS = st.builds(_signed_ball, st.integers(1, 2**3000), st.booleans(), st.integers(-4000, 4000))
+# a midpoint of prec + 1 bits ending in 1 lies halfway between two prec-bit values
+_TIES = st.tuples(st.integers(0, 2**28000), st.booleans(), st.integers(-400, 400))
+_RATIONALS = st.one_of(
+    st.builds(Fraction, st.integers(-(2**400), 2**400), st.integers(1, 2**400)),
+    st.builds(lambda num, k: Fraction(num, 1 << k), st.integers(-(2**400), 2**400), st.integers(0, 800)),
+)
+
+
+def _outcome(show, *args):
+    """The string, or the type of the error, that a formatter gives."""
+    try:
+        return show(*args)
+    except ValueError as exc:  # mpmath's own past 2^3500 at wide mantissas: Python's int-to-str digit limit
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.one_of(_WIDE_BALLS, _RATIONALS, _TIES), prec=st.one_of(st.sampled_from((64, 128, 256)),
+       st.integers(64, numeric.MAX_PRECISION_BITS)), dps=st.sampled_from((6, 8, 10, 17, 30)))
+@example(x=numeric.Ball(0, 5, -3), prec=128, dps=30)
+@example(x=Fraction(0), prec=64, dps=6)
+@example(x=Fraction(10**40 - 1, 10**40), prec=256, dps=30)  # nines that round up into a new leading digit
+@example(x=Fraction(-(10**20 - 1), 10**26), prec=128, dps=17)
+@example(x=Fraction(123456789, 10**14), prec=128, dps=17)  # the leading digit at 10^-6, 10^-5, dps − 1 and dps
+@example(x=Fraction(123456789, 10**13), prec=128, dps=17)
+@example(x=Fraction(123456789, 10**13), prec=128, dps=30)
+@example(x=Fraction(-123456789 * 10**8), prec=128, dps=17)
+@example(x=Fraction(123456789 * 10**9), prec=128, dps=17)
+@example(x=Fraction(123456789 * 10**21), prec=128, dps=30)
+@example(x=Fraction(123456789 * 10**22), prec=128, dps=30)
+@example(x=numeric.Ball(-(3**90), 0, -9064712300), prec=128, dps=30)  # the magnitude `eval Delta --t 1000000000` prints
+def test_decimal_prints_what_mpmath_nstr_prints(x, prec, dps):
+    if isinstance(x, tuple) and not isinstance(x, numeric.Ball):  # a tie at prec bits
+        bits, negative, top = x
+        x = _signed_ball((bits % (1 << prec)) << 1 | 1 | 1 << prec, negative, top)
+    want = numeric._to_mpf(x, prec)
+    assert from_man_exp(*numeric._rounded(x, prec)) == want._mpf_  # the same value, normalized as an mpf
+    assert _outcome(numeric.decimal, x, prec, dps) == _outcome(mp.nstr, want, dps)
 
 
 def ambient_reads():

@@ -73,3 +73,14 @@ def test_criteria_times_each_criterion_of_cold_reports():
     rows = [line.split() for line in done.stdout.splitlines()]
     assert [row[0] for row in rows] == [f"C{k}" for k in range(1, 11)] + ["wall"]
     assert all(row[1::2] == ["median", "q1", "q3"] and row[2] == row[4] == row[6] for row in rows)
+
+
+def test_cold_times_each_floating_command_and_says_if_it_loaded_mpmath():
+    argv = [sys.executable, str(ROOT / "tools" / "cold.py"), "--runs", "1"]
+    done = subprocess.run(argv, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    rows = {line.split("  median")[0].strip(): line.split() for line in done.stdout.splitlines()}
+    assert list(rows) == ["eval X12_1 --t 0.5", "limits X12_1", "plotdata X12_1 --m 11", "scan X8_2 --m 7"]
+    assert all(row[-8::2] == ["median", "q1", "q3", "mpmath"] and row[-7] == row[-5] == row[-3] for row in rows.values())
+    # eval and limits print from their balls; plotdata and scan load mpmath for their grid
+    assert [row[-1] for row in rows.values()] == ["no", "no", "yes", "yes"]
